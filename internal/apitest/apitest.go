@@ -50,6 +50,10 @@ func RunAll(t *testing.T, build Builder) {
 	}
 	tests = append(tests, moreTests...)
 	tests = append(tests, chainTests...)
+	tests = append(tests, struct {
+		name string
+		fn   func(t *testing.T, e *Env)
+	}{"MisuseAgreement", testMisuseAgreement})
 	for i, tc := range tests {
 		tc := tc
 		seed := int64(i + 1)

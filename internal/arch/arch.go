@@ -1,0 +1,63 @@
+// Package arch is the one construction path for a simulated host: the
+// paper's three architectures behind one small interface, so harnesses
+// (internal/bench, psd) wire tracing, metrics, routes and observers
+// once instead of once per architecture.
+package arch
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/costs"
+	"repro/internal/inkernel"
+	"repro/internal/kern"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/socketapi"
+	"repro/internal/stack"
+	"repro/internal/trace"
+	"repro/internal/uxserver"
+	"repro/internal/wire"
+)
+
+// Kind selects the implementation architecture.
+type Kind int
+
+const (
+	Kernel     Kind = iota // protocols in the kernel (Mach 2.5, Ultrix, 386BSD)
+	Server                 // protocols in a user-level server (UX, BNR2SS)
+	Decomposed             // OS server plus per-application libraries (this paper)
+)
+
+// System is one host running some architecture. *monolith.System (both
+// baselines) and *core.System implement it.
+type System interface {
+	// NewApp creates an application process and returns its sockets.
+	NewApp(name string) socketapi.API
+	// Kern is the kernel host underneath; Stacks lists every protocol
+	// stack on it, for netstat-style walks.
+	Kern() *kern.Host
+	Stacks() []*stack.Stack
+	// Observe installs the protocol-layer charge observer (Table 4).
+	Observe(fn func(comp costs.Component, d time.Duration))
+	SetTrace(r *trace.Recorder)
+	SetMetrics(hs *metrics.Scope)
+	// SetRoutes installs the host's routing table; nil keeps the
+	// default everything-on-link table.
+	SetRoutes(rt *stack.RouteTable)
+}
+
+// New attaches a host of the given architecture to the segment. prof
+// prices the protocol implementation (for Decomposed, the libraries and
+// the kernel delivery interface); srvProf prices the OS server backing
+// a Decomposed host and is ignored otherwise.
+func New(k Kind, s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof, srvProf costs.Profile) System {
+	switch k {
+	case Kernel:
+		return inkernel.New(s, seg, name, mac, ip, prof)
+	case Server:
+		return uxserver.New(s, seg, name, mac, ip, prof)
+	}
+	return core.New(s, seg, name, mac, ip, prof, srvProf)
+}

@@ -9,26 +9,24 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/arch"
 	"repro/internal/costs"
-	"repro/internal/inkernel"
 	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
 	"repro/internal/trace"
-	"repro/internal/uxserver"
 	"repro/internal/wire"
 )
 
 // Kind selects the implementation architecture for a configuration.
-type Kind int
+type Kind = arch.Kind
 
 const (
-	KindKernel Kind = iota // protocols in the kernel (Mach 2.5, Ultrix, 386BSD)
-	KindServer             // protocols in a user-level server (UX, BNR2SS)
-	KindCore               // the decomposed architecture (this paper)
+	KindKernel = arch.Kernel     // protocols in the kernel (Mach 2.5, Ultrix, 386BSD)
+	KindServer = arch.Server     // protocols in a user-level server (UX, BNR2SS)
+	KindCore   = arch.Decomposed // the decomposed architecture (this paper)
 )
 
 // SysConfig is one system-configuration row of the paper's tables.
@@ -168,10 +166,8 @@ type World struct {
 	// enabled (see EnableMetrics); nil otherwise.
 	Reg *metrics.Registry
 
+	sysA, sysB   arch.System
 	hostA, hostB *kern.Host
-	setObs       func(fn func(comp costs.Component, d time.Duration))
-	setTrace     func(r *trace.Recorder)
-	setMetrics   func(reg *metrics.Registry)
 }
 
 // Build instantiates the configuration on a fresh simulator.
@@ -187,50 +183,10 @@ func (c SysConfig) Build(seed int64) *World {
 	if !c.RawCosts {
 		c.Prof = costs.CalibrateTable2(c.Prof)
 	}
-	switch c.Kind {
-	case KindKernel:
-		a := inkernel.New(s, seg, "A", macA, w.IPA, c.Prof)
-		b := inkernel.New(s, seg, "B", macB, w.IPB, c.Prof)
-		w.hostA, w.hostB = a.Host, b.Host
-		w.NewA = func(n string) socketapi.API { return a.NewAPI(n) }
-		w.NewB = func(n string) socketapi.API { return b.NewAPI(n) }
-		w.setObs = func(fn func(costs.Component, time.Duration)) {
-			a.Observer, b.Observer = fn, fn
-		}
-		w.setTrace = func(r *trace.Recorder) { a.SetTrace(r); b.SetTrace(r) }
-		w.setMetrics = func(reg *metrics.Registry) {
-			a.SetMetrics(reg.Scope("host.A"))
-			b.SetMetrics(reg.Scope("host.B"))
-		}
-	case KindServer:
-		a := uxserver.New(s, seg, "A", macA, w.IPA, c.Prof)
-		b := uxserver.New(s, seg, "B", macB, w.IPB, c.Prof)
-		w.hostA, w.hostB = a.Host, b.Host
-		w.NewA = func(n string) socketapi.API { return a.NewAPI(n) }
-		w.NewB = func(n string) socketapi.API { return b.NewAPI(n) }
-		w.setObs = func(fn func(costs.Component, time.Duration)) {
-			a.Observer, b.Observer = fn, fn
-		}
-		w.setTrace = func(r *trace.Recorder) { a.SetTrace(r); b.SetTrace(r) }
-		w.setMetrics = func(reg *metrics.Registry) {
-			a.SetMetrics(reg.Scope("host.A"))
-			b.SetMetrics(reg.Scope("host.B"))
-		}
-	case KindCore:
-		a := core.New(s, seg, "A", macA, w.IPA, c.Prof, c.SrvProf)
-		b := core.New(s, seg, "B", macB, w.IPB, c.Prof, c.SrvProf)
-		w.hostA, w.hostB = a.Host, b.Host
-		w.NewA = func(n string) socketapi.API { return a.NewLibrary(n) }
-		w.NewB = func(n string) socketapi.API { return b.NewLibrary(n) }
-		w.setObs = func(fn func(costs.Component, time.Duration)) {
-			a.Observer, b.Observer = fn, fn
-		}
-		w.setTrace = func(r *trace.Recorder) { a.SetTrace(r); b.SetTrace(r) }
-		w.setMetrics = func(reg *metrics.Registry) {
-			a.SetMetrics(reg.Scope("host.A"))
-			b.SetMetrics(reg.Scope("host.B"))
-		}
-	}
+	w.sysA = arch.New(c.Kind, s, seg, "A", macA, w.IPA, c.Prof, c.SrvProf)
+	w.sysB = arch.New(c.Kind, s, seg, "B", macB, w.IPB, c.Prof, c.SrvProf)
+	w.hostA, w.hostB = w.sysA.Kern(), w.sysB.Kern()
+	w.NewA, w.NewB = w.sysA.NewApp, w.sysB.NewApp
 	applyFaults(w)
 	attachTrace(w)
 	attachMetrics(w)
@@ -243,7 +199,8 @@ func (c SysConfig) Build(seed int64) *World {
 // Observe installs fn as the protocol-layer charge observer on both hosts
 // (stack layers via the deployments, kernel receive path via the hosts).
 func (w *World) Observe(fn func(comp costs.Component, d time.Duration)) {
-	w.setObs(fn)
+	w.sysA.Observe(fn)
+	w.sysB.Observe(fn)
 	m := meterFunc(fn)
 	w.hostA.Meter = m
 	w.hostB.Meter = m
@@ -252,16 +209,3 @@ func (w *World) Observe(fn func(comp costs.Component, d time.Duration)) {
 type meterFunc func(comp costs.Component, d time.Duration)
 
 func (f meterFunc) Account(comp costs.Component, d time.Duration) { f(comp, d) }
-
-// stackOutA/B expose TCP segment counters for harness diagnostics.
-func stackOutA(w *World) int { return hostTCPOut(w, true) }
-func stackOutB(w *World) int { return hostTCPOut(w, false) }
-
-func hostTCPOut(w *World, a bool) int {
-	h := w.hostA
-	if !a {
-		h = w.hostB
-	}
-	// Count frames transmitted by the host NIC as a proxy for segments.
-	return int(h.NIC.TxFrames.Value())
-}

@@ -26,12 +26,13 @@ func DisableMetrics() { metricsCfg.enabled = false }
 // attachMetrics wires a registry into a freshly built world when capture
 // is enabled (called from Build).
 func attachMetrics(w *World) {
-	if !metricsCfg.enabled || w.setMetrics == nil {
+	if !metricsCfg.enabled {
 		return
 	}
 	w.Reg = metrics.NewRegistry()
 	w.Seg.SetMetrics(w.Reg.Scope("net"))
-	w.setMetrics(w.Reg)
+	w.sysA.SetMetrics(w.Reg.Scope("host.A"))
+	w.sysB.SetMetrics(w.Reg.Scope("host.B"))
 }
 
 // WorkloadMetrics is the registry-derived digest of one benchmark

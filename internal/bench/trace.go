@@ -46,7 +46,7 @@ func DisableTrace() {
 // attachTrace wires a recorder into a freshly built world when capture
 // is enabled (called from Build).
 func attachTrace(w *World) {
-	if !traceCfg.enabled || w.setTrace == nil {
+	if !traceCfg.enabled {
 		return
 	}
 	rec := trace.New(w.Sim, traceCfg.layers...)
@@ -55,7 +55,8 @@ func attachTrace(w *World) {
 	}
 	w.Seg.SetTrace(rec)
 	w.Sim.SetTracer(rec.SimTracer())
-	w.setTrace(rec)
+	w.sysA.SetTrace(rec)
+	w.sysB.SetTrace(rec)
 	w.Rec = rec
 }
 

@@ -63,11 +63,15 @@ func (c *MetaCache) ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, emit func(mac wi
 		return mac, true
 	}
 	c.Misses++
-	rep, err := c.lib.proxy(t, "arp", pxARP{ip: ip}, 16)
-	if err != nil {
+	var r struct {
+		mac wire.MAC
+		err error
+	}
+	c.lib.proxy(t, 16, func(on *sim.Proc) { r.mac, r.err = c.lib.srv.proxyARP(on, ip) })
+	if r.err != nil {
 		return wire.MAC{}, false // emit is never called; upper layers recover
 	}
-	mac := rep.(wire.MAC)
+	mac := r.mac
 	c.entries[ip] = mac
 	return mac, true
 }

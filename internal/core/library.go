@@ -3,31 +3,37 @@ package core
 import (
 	"time"
 
-	"repro/internal/costs"
 	"repro/internal/kern"
-	"repro/internal/mbuf"
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
+	"repro/internal/socklayer"
 	"repro/internal/stack"
 	"repro/internal/wire"
 )
 
 // Library is the application-linked protocol library: the proxy of §3.2.
-// It exports the standard socket interface; calls are handled locally
-// (all send and receive variants, on migrated sessions), forwarded to
-// the operating-system server (naming, establishment, teardown), or
-// jointly implemented (select). One Library instance corresponds to one
-// application address space.
+// It exports the standard socket interface through the shared socket
+// layer (the embedded Table), placing each descriptor one of two ways:
+// a session that has migrated in lives on the library's own stack, in
+// this address space, and every data call on it is a plain function
+// call; a session the operating-system server manages (a listener, a
+// socket not yet connected, anything returned for fork or splice) lives
+// on the server's stack, one proxy RPC away. What this file adds is the
+// calls that move a session between the two (Table 1) and the ones both
+// sides implement jointly (select). One Library instance corresponds to
+// one application address space.
 type Library struct {
+	*socklayer.Table
+
 	sys  *System
 	srv  *Server
 	name string
-	Proc *kern.Process
 	St   *stack.Stack
 
-	fds   map[int]*appSession
-	next  int
+	local  socklayer.Place // sessions migrated in: own stack, buffers shared with the application
+	remote socklayer.Place // sessions the OS server manages: its stack, behind proxy
+
 	cache *MetaCache
 
 	// selCond implements the library's half of the cooperative select:
@@ -44,18 +50,24 @@ type Library struct {
 	exited     bool
 }
 
-// appSession is the library's view of one session.
+// appSession is the library's descriptor-table entry for one session:
+// the shared layer's slot plus what the library itself records about it.
 type appSession struct {
-	id       SessionID
-	proto    uint8
-	local    bool // managed locally (migrated in)
-	returned bool // handed back to the server (post-fork): ops go via RPC
-	sock     *stack.Socket
-	ep       *kern.Endpoint
-	laddr    stack.Addr
-	raddr    stack.Addr
-	listen   bool
+	socklayer.Entry
+	id     SessionID
+	proto  uint8
+	name   socketapi.SockAddr // local name as the application bound it (getsockname)
+	listen bool
 }
+
+// newSession makes a server-managed entry whose Owner is the session.
+func (lib *Library) newSession(proto uint8) *appSession {
+	s := &appSession{proto: proto}
+	s.At, s.Owner = &lib.remote, s
+	return s
+}
+
+func sessOf(e *socklayer.Entry) *appSession { return e.Owner.(*appSession) }
 
 var _ socketapi.API = (*Library)(nil)
 var _ socketapi.ZeroCopyAPI = (*Library)(nil)
@@ -63,14 +75,7 @@ var _ socketapi.ChainAPI = (*Library)(nil)
 
 // NewLibrary creates an application process with its protocol library.
 func (sys *System) NewLibrary(name string) *Library {
-	lib := &Library{
-		sys:  sys,
-		srv:  sys.Server,
-		name: name,
-		Proc: sys.Host.NewProcess(name),
-		fds:  make(map[int]*appSession),
-		next: 3,
-	}
+	lib := &Library{sys: sys, srv: sys.Server, name: name}
 	lib.cache = NewMetaCache(lib)
 	lib.St = stack.New(stack.Config{
 		Sim:      sys.Host.Sim,
@@ -79,17 +84,7 @@ func (sys *System) NewLibrary(name string) *Library {
 		LocalIP:  sys.Host.IP,
 		LocalMAC: sys.Host.NIC.MAC(),
 		Costs:    &sys.LibProf.Costs,
-		Charge: func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
-			pc := &sys.LibProf.Costs.UDP
-			if tcp {
-				pc = &sys.LibProf.Costs.TCP
-			}
-			d := pc[comp].At(n)
-			if sys.Observer != nil && d > 0 {
-				sys.Observer(comp, d)
-			}
-			sys.Host.ChargeProc(t, d)
-		},
+		Charge:   sys.Host.ProtoCharge(&sys.LibProf.Costs, &sys.observer, nil),
 		Transmit: sys.Host.Transmit,
 		Ports:    grantedPorts{}, // naming is always done by the server
 		Routes:   sys.Routes,     // nil = default on-link table
@@ -102,6 +97,12 @@ func (sys *System) NewLibrary(name string) *Library {
 		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
 		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
 	})
+	lib.local = socklayer.Place{St: lib.St, Alias: true, Sel: &lib.selCond}
+	// Server sockets report their status changes through the server's own
+	// watch (pokeSelectors), so the remote place has no select channel.
+	lib.remote = socklayer.Place{St: sys.Server.St, Cross: lib.proxy}
+	lib.Table = socklayer.NewTable(sys.Host.NewProcess(name), &lib.remote)
+	lib.Table.Late = lib.implicitBind
 	lib.St.StartTimers(lib.Proc.GoDaemon)
 	sys.Server.libs = append(sys.Server.libs, lib)
 	if sys.metricsScope != nil {
@@ -119,34 +120,19 @@ func (grantedPorts) AllocEphemeral(uint8) (uint16, error) { return 0, socketapi.
 func (grantedPorts) Reserve(uint8, uint16, bool) error    { return nil }
 func (grantedPorts) Release(uint8, uint16)                {}
 
-// proxy performs one RPC on the operating-system server, charging the
-// round-trip IPC cost.
-func (lib *Library) proxy(t *sim.Proc, method string, args any, approxBytes int) (any, error) {
+// proxy is the crossing to the operating-system server: one RPC,
+// charged the round-trip IPC cost for approxBytes of arguments, with
+// run executing on a server worker thread.
+func (lib *Library) proxy(t *sim.Proc, approxBytes int, run func(on *sim.Proc)) {
 	lib.proxyCalls++
 	lib.sys.Host.ChargeProxyRPC(t, approxBytes)
-	return lib.srv.svc.Call(t, method, args)
+	lib.srv.svc.Call(t, run)
 }
 
-func (lib *Library) get(fd int) (*appSession, error) {
-	s, ok := lib.fds[fd]
-	if !ok {
-		return nil, socketapi.ErrBadFD
-	}
-	return s, nil
-}
-
-func (lib *Library) installFD(s *appSession) int {
-	fd := lib.next
-	lib.next++
-	lib.fds[fd] = s
-	return fd
-}
-
-// startRx spawns the session's receive thread: it drains the session's
+// startRx spawns a session's receive thread: it drains the session's
 // packet filter endpoint into the library's protocol stack. This is the
 // fast path of the paper — no operating-system involvement per packet.
-func (lib *Library) startRx(s *appSession) {
-	ep := s.ep
+func (lib *Library) startRx(ep *kern.Endpoint) {
 	lib.Proc.GoDaemon("rx", func(t *sim.Proc) {
 		for {
 			pkt, ok := ep.Recv(t)
@@ -171,105 +157,140 @@ func (lib *Library) quiesce(t *sim.Proc) {
 	}
 }
 
-// adoptTCP installs a migrated TCP session into the library stack.
-func (lib *Library) adoptTCP(t *sim.Proc, s *appSession, state *stack.TCPSessionState, mac wire.MAC) {
-	lib.cache.Insert(lib.St.NextHop(s.raddr.IP), mac)
-	s.sock = lib.St.ImportTCPSession(t, state)
-	s.sock.Notify = func() { lib.selCond.Broadcast() }
-	s.local = true
-	lib.startRx(s)
+// goLocal places an entry whose socket was just created on the library
+// stack: calls on it stop crossing, its status changes feed the
+// library's select, and its packets arrive on ep.
+func (lib *Library) goLocal(e *socklayer.Entry, ep *kern.Endpoint) {
+	e.At = &lib.local
+	e.Watch()
+	lib.startRx(ep)
 }
 
-// Socket implements socketapi.API (Table 1: socket -> proxy_socket).
+// adoptTCP installs a migrated TCP session into the library stack.
+func (lib *Library) adoptTCP(t *sim.Proc, e *socklayer.Entry, m migration) {
+	lib.cache.Insert(lib.St.NextHop(m.remote.IP), m.remoteMAC)
+	e.Sock = lib.St.ImportTCPSession(t, m.state)
+	lib.goLocal(e, m.ep)
+}
+
+// giveBack is proxy_return (Table 1): a locally managed session's state
+// migrates back to the operating system — to run the close handshake
+// and 2MSL wait there (closing), or to be managed there from now on
+// (fork, splice), after which calls on the entry cross to the server.
+func (lib *Library) giveBack(t *sim.Proc, e *socklayer.Entry, closing bool) error {
+	s := sessOf(e)
+	var state *stack.TCPSessionState
+	bytes := 32
+	if s.proto == wire.ProtoUDP {
+		lib.St.DropUDPSession(e.Sock)
+	} else {
+		var err error
+		if state, err = lib.St.ExportTCPSession(t, e.Sock); err != nil {
+			return err
+		}
+		bytes = state.WireSize()
+	}
+	e.At = &lib.remote
+	var r struct {
+		sock *stack.Socket
+		err  error
+	}
+	lib.proxy(t, bytes, func(on *sim.Proc) { r.sock, r.err = lib.srv.proxyReturn(on, s.id, state, closing) })
+	e.Sock = r.sock
+	return r.err
+}
+
+// Socket implements socketapi.API (Table 1: socket -> proxy_socket). The
+// server keeps a bare session record; no socket exists yet anywhere.
 func (lib *Library) Socket(t *sim.Proc, typ int) (int, error) {
-	rep, err := lib.proxy(t, "socket", pxSocket{typ: typ}, 16)
+	proto, err := socklayer.Proto(typ)
 	if err != nil {
 		return -1, err
 	}
-	var proto uint8 = wire.ProtoTCP
-	if typ == socketapi.SockDgram {
-		proto = wire.ProtoUDP
-	}
-	return lib.installFD(&appSession{id: rep.(SessionID), proto: proto}), nil
+	s := lib.newSession(proto)
+	lib.proxy(t, 16, func(*sim.Proc) { s.id = lib.srv.proxySocket(proto) })
+	return lib.Install(&s.Entry), nil
 }
 
 // Bind implements socketapi.API (Table 1: bind -> proxy_bind; UDP
 // sessions migrate to the application).
 func (lib *Library) Bind(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
-	s, err := lib.get(fd)
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return err
 	}
-	rep, err := lib.proxy(t, "bind", pxBind{sid: s.id, addr: stack.Addr{IP: addr.Addr, Port: addr.Port}, lib: lib}, 32)
-	if err != nil {
-		return err
+	return lib.bind(t, e, addr)
+}
+
+func (lib *Library) bind(t *sim.Proc, e *socklayer.Entry, addr socketapi.SockAddr) error {
+	s := sessOf(e)
+	var r struct {
+		bound
+		err error
 	}
-	r := rep.(pxBindReply)
-	s.laddr = r.local
+	lib.proxy(t, 32, func(*sim.Proc) { r.bound, r.err = lib.srv.proxyBind(s.id, socklayer.ToStack(addr), lib) })
+	if r.err != nil {
+		return r.err
+	}
+	s.name = socketapi.SockAddr{Addr: addr.Addr, Port: r.local.Port}
+	e.Sock = r.sock // TCP: the server's socket keeps managing the session
 	if r.ep != nil {
 		// The (null) UDP session state plus a packet filter port migrated
 		// to us; manage the session locally from here on.
-		s.ep = r.ep
-		s.sock = lib.St.AdoptUDPSession(s.laddr, stack.Addr{})
-		s.sock.Notify = func() { lib.selCond.Broadcast() }
-		s.local = true
-		lib.startRx(s)
+		e.Sock = lib.St.AdoptUDPSession(r.local, stack.Addr{})
+		lib.goLocal(e, r.ep)
 	}
 	return nil
 }
 
-// ensureBound gives an unbound UDP socket a server-named ephemeral port
-// (the implicit bind of sendto on an unbound socket).
-func (lib *Library) ensureBound(t *sim.Proc, s *appSession) error {
-	if s.proto != wire.ProtoUDP || s.local || s.laddr.Port != 0 {
+// implicitBind is the table's Late hook: a data call on a socket that
+// does not exist yet. For UDP that is the implicit bind of sendto on an
+// unbound socket — the server names an ephemeral port and the session
+// migrates here. A TCP socket never connected stays bare: ENOTCONN.
+func (lib *Library) implicitBind(t *sim.Proc, e *socklayer.Entry) error {
+	if sessOf(e).proto != wire.ProtoUDP {
 		return nil
 	}
-	rep, err := lib.proxy(t, "bind", pxBind{sid: s.id, addr: stack.Addr{}, lib: lib}, 32)
-	if err != nil {
-		return err
-	}
-	r := rep.(pxBindReply)
-	s.laddr = r.local
-	s.ep = r.ep
-	s.sock = lib.St.AdoptUDPSession(s.laddr, stack.Addr{})
-	s.sock.Notify = func() { lib.selCond.Broadcast() }
-	s.local = true
-	lib.startRx(s)
-	return nil
+	return lib.bind(t, e, socketapi.SockAddr{})
 }
 
 // Connect implements socketapi.API (Table 1: connect -> proxy_connect;
 // UDP and TCP sessions migrate to the application).
 func (lib *Library) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
-	s, err := lib.get(fd)
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return err
 	}
-	raddr := stack.Addr{IP: addr.Addr, Port: addr.Port}
-	rep, err := lib.proxy(t, "connect", pxConnect{sid: s.id, raddr: raddr, lib: lib}, 64)
-	if err != nil {
-		return err
+	s := sessOf(e)
+	raddr := socklayer.ToStack(addr)
+	var r struct {
+		migration
+		err error
 	}
-	r := rep.(pxConnectReply)
-	s.laddr, s.raddr = r.local, r.remote
+	lib.proxy(t, 64, func(on *sim.Proc) { r.migration, r.err = lib.srv.proxyConnect(on, s.id, raddr, lib) })
+	if r.err != nil {
+		if s.proto == wire.ProtoTCP && e.At == &lib.remote {
+			e.Sock = nil // the failed open consumed the server's socket
+		}
+		return r.err
+	}
+	s.name = socklayer.FromStack(r.local)
 	switch s.proto {
 	case wire.ProtoUDP:
 		lib.cache.Insert(lib.St.NextHop(raddr.IP), r.remoteMAC)
-		if s.sock != nil {
+		wasLocal := e.At == &lib.local
+		if wasLocal {
 			// Rebind the local socket with the narrowed remote.
-			lib.St.DropUDPSession(s.sock)
+			lib.St.DropUDPSession(e.Sock)
 		}
-		s.raddr = raddr
-		s.ep = r.ep
-		s.sock = lib.St.AdoptUDPSession(s.laddr, raddr)
-		s.sock.Notify = func() { lib.selCond.Broadcast() }
-		if !s.local {
-			s.local = true
-			lib.startRx(s)
+		e.Sock = lib.St.AdoptUDPSession(r.local, raddr)
+		if wasLocal {
+			e.Watch()
+		} else {
+			lib.goLocal(e, r.ep)
 		}
 	case wire.ProtoTCP:
-		s.ep = r.ep
-		lib.adoptTCP(t, s, r.state, r.remoteMAC)
+		lib.adoptTCP(t, e, r.migration)
 	}
 	return nil
 }
@@ -277,250 +298,101 @@ func (lib *Library) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error 
 // Listen implements socketapi.API (Table 1: listen -> proxy_listen; the
 // operating system awaits new connections).
 func (lib *Library) Listen(t *sim.Proc, fd int, backlog int) error {
-	s, err := lib.get(fd)
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return err
 	}
-	if _, err := lib.proxy(t, "listen", pxListen{sid: s.id, backlog: backlog}, 16); err != nil {
-		return err
-	}
-	s.listen = true
-	return nil
+	s := sessOf(e)
+	lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxyListen(s.id, backlog) })
+	s.listen = err == nil
+	return err
 }
 
 // Accept implements socketapi.API (Table 1: accept -> proxy_accept;
 // the passively opened session migrates to the application once
 // established).
 func (lib *Library) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
-	s, err := lib.get(fd)
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return -1, socketapi.SockAddr{}, err
 	}
+	s := sessOf(e)
 	if !s.listen {
 		return -1, socketapi.SockAddr{}, socketapi.ErrInvalid
 	}
-	rep, err := lib.proxy(t, "accept", pxAccept{sid: s.id, lib: lib}, 64)
-	if err != nil {
-		return -1, socketapi.SockAddr{}, err
+	var r struct {
+		migration
+		err error
 	}
-	r := rep.(pxAcceptReply)
-	ns := &appSession{id: r.sid, proto: wire.ProtoTCP, laddr: r.local, raddr: r.remote, ep: r.ep}
-	lib.adoptTCP(t, ns, r.state, r.remoteMAC)
-	return lib.installFD(ns), socketapi.SockAddr{Addr: r.remote.IP, Port: r.remote.Port}, nil
-}
-
-// Send implements socketapi.API. All data movement on migrated sessions
-// happens in this address space; the operating system is not involved.
-func (lib *Library) Send(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
-	return lib.sendImpl(t, fd, [][]byte{b}, flags, nil, false)
-}
-
-// SendTo implements socketapi.API.
-func (lib *Library) SendTo(t *sim.Proc, fd int, b []byte, flags int, to socketapi.SockAddr) (int, error) {
-	return lib.sendImpl(t, fd, [][]byte{b}, flags, &to, false)
-}
-
-// SendMsg implements socketapi.API.
-func (lib *Library) SendMsg(t *sim.Proc, fd int, iov [][]byte, flags int, to *socketapi.SockAddr) (int, error) {
-	return lib.sendImpl(t, fd, iov, flags, to, false)
-}
-
-func (lib *Library) sendImpl(t *sim.Proc, fd int, iov [][]byte, flags int, to *socketapi.SockAddr, zerocpy bool) (int, error) {
-	s, err := lib.get(fd)
-	if err != nil {
-		return 0, err
+	lib.proxy(t, 64, func(on *sim.Proc) { r.migration, r.err = lib.srv.proxyAccept(on, s.id, lib) })
+	if r.err != nil {
+		return -1, socketapi.SockAddr{}, r.err
 	}
-	var dst *stack.Addr
-	if to != nil {
-		dst = &stack.Addr{IP: to.Addr, Port: to.Port}
-	}
-	if !s.local && s.proto == wire.ProtoUDP && !s.returned {
-		// Fresh, unbound UDP socket: sendto binds it implicitly; the
-		// server names the port and the (null) session migrates here.
-		if err := lib.ensureBound(t, s); err != nil {
-			return 0, err
-		}
-	}
-	if !s.local {
-		// Server-managed (listener, or returned after fork): route the
-		// operation through the operating system.
-		rep, err := lib.proxy(t, "sessionSend", pxSend{sid: s.id, iov: iov, oob: flags&socketapi.MsgOOB != 0, to: dst}, iovLen(iov))
-		if err != nil {
-			return 0, err
-		}
-		return rep.(int), nil
-	}
-	if err := lib.ensureBound(t, s); err != nil {
-		return 0, err
-	}
-	return lib.St.Send(t, s.sock, iov, stack.SendOpts{
-		OOB:      flags&socketapi.MsgOOB != 0,
-		To:       dst,
-		ZeroCopy: zerocpy,
-	})
-}
-
-// Recv implements socketapi.API.
-func (lib *Library) Recv(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
-	n, _, err := lib.RecvFrom(t, fd, b, flags)
-	return n, err
-}
-
-// RecvFrom implements socketapi.API.
-func (lib *Library) RecvFrom(t *sim.Proc, fd int, b []byte, flags int) (int, socketapi.SockAddr, error) {
-	s, err := lib.get(fd)
-	if err != nil {
-		return 0, socketapi.SockAddr{}, err
-	}
-	if !s.local && s.proto == wire.ProtoUDP && !s.returned {
-		if err := lib.ensureBound(t, s); err != nil {
-			return 0, socketapi.SockAddr{}, err
-		}
-	}
-	if !s.local {
-		rep, err := lib.proxy(t, "sessionRecv", pxRecv{
-			sid: s.id, max: len(b),
-			oob: flags&socketapi.MsgOOB != 0, peek: flags&socketapi.MsgPeek != 0,
-		}, 32)
-		if err != nil {
-			return 0, socketapi.SockAddr{}, err
-		}
-		r := rep.(pxRecvReply)
-		n := copy(b, r.data)
-		return n, socketapi.SockAddr{Addr: r.from.IP, Port: r.from.Port}, nil
-	}
-	n, from, _, err := lib.St.Recv(t, s.sock, b, stack.RecvOpts{
-		OOB:  flags&socketapi.MsgOOB != 0,
-		Peek: flags&socketapi.MsgPeek != 0,
-	})
-	return n, socketapi.SockAddr{Addr: from.IP, Port: from.Port}, err
-}
-
-// RecvMsg implements socketapi.API.
-func (lib *Library) RecvMsg(t *sim.Proc, fd int, iov [][]byte, flags int) (int, socketapi.SockAddr, error) {
-	total := 0
-	var from socketapi.SockAddr
-	for i, b := range iov {
-		n, f, err := lib.RecvFrom(t, fd, b, flags)
-		if i == 0 {
-			from = f
-		}
-		total += n
-		if err != nil {
-			return total, from, err
-		}
-		if n < len(b) {
-			break
-		}
-	}
-	return total, from, nil
+	ns := lib.newSession(wire.ProtoTCP)
+	ns.id, ns.name = r.sid, socklayer.FromStack(r.local)
+	lib.adoptTCP(t, &ns.Entry, r.migration)
+	return lib.Install(&ns.Entry), socklayer.FromStack(r.remote), nil
 }
 
 // Close implements socketapi.API: a clean shutdown migrates the session
 // state back to the operating system, which follows the shutdown protocol
-// there (FIN handshake, 2MSL wait).
+// there (FIN handshake, 2MSL wait). A session the server already manages
+// just drops this process's reference.
 func (lib *Library) Close(t *sim.Proc, fd int) error {
-	s, err := lib.get(fd)
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return err
 	}
-	delete(lib.fds, fd)
-	return lib.closeSession(t, s)
-}
-
-func (lib *Library) closeSession(t *sim.Proc, s *appSession) error {
-	if !s.local {
-		_, err := lib.proxy(t, "release", pxSession{sid: s.id}, 16)
-		return err
-	}
-	lib.quiesce(t)
-	switch s.proto {
-	case wire.ProtoUDP:
-		lib.St.DropUDPSession(s.sock)
-		s.local = false
-		_, err := lib.proxy(t, "return", pxReturn{sid: s.id, close: true}, 32)
-		return err
-	case wire.ProtoTCP:
-		state, err := lib.St.ExportTCPSession(t, s.sock)
-		if err != nil {
-			// Connection already dead locally (reset or fully closed):
-			// nothing to hand back but the record.
-			s.local = false
-			_, rerr := lib.proxy(t, "release", pxSession{sid: s.id}, 16)
-			return rerr
+	lib.Remove(fd)
+	if e.At == &lib.local {
+		lib.quiesce(t)
+		err := lib.giveBack(t, e, true)
+		if e.At == &lib.remote {
+			return err // handed back (or the hand-back itself failed)
 		}
-		s.local = false
-		_, err = lib.proxy(t, "return", pxReturn{sid: s.id, state: state, close: true}, state.WireSize())
-		return err
+		// The export failed: the connection is already dead locally (reset
+		// or fully closed), so there is nothing to hand back but the record.
 	}
-	return socketapi.ErrNotSupported
+	lib.proxy(t, 16, func(on *sim.Proc) { err = lib.srv.proxyRelease(on, sessOf(e).id) })
+	return err
 }
 
-// Shutdown implements socketapi.API.
-func (lib *Library) Shutdown(t *sim.Proc, fd int, how int) error {
-	s, err := lib.get(fd)
-	if err != nil {
-		return err
-	}
-	if !s.local {
-		_, err := lib.proxy(t, "sessionShutdown", pxShutdown{sid: s.id, how: how}, 16)
-		return err
-	}
-	return lib.St.Shutdown(t, s.sock, how)
-}
-
-// SetSockOpt implements socketapi.API.
+// SetSockOpt implements socketapi.API. A session the library holds no
+// socket for keeps its options at the server.
 func (lib *Library) SetSockOpt(t *sim.Proc, fd int, opt, value int) error {
-	s, err := lib.get(fd)
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return err
 	}
-	if s.local {
-		return lib.St.SetOption(s.sock, opt, value)
+	if e.Sock != nil {
+		return lib.Table.SetSockOpt(t, fd, opt, value)
 	}
-	_, err = lib.proxy(t, "sessionSetOpt", pxOpt{sid: s.id, opt: opt, value: value}, 16)
+	lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxySetOpt(sessOf(e).id, opt, value) })
 	return err
 }
 
 // GetSockOpt implements socketapi.API.
-func (lib *Library) GetSockOpt(t *sim.Proc, fd int, opt int) (int, error) {
-	s, err := lib.get(fd)
+func (lib *Library) GetSockOpt(t *sim.Proc, fd int, opt int) (v int, err error) {
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return 0, err
 	}
-	if s.local {
-		return lib.St.GetOption(s.sock, opt)
+	if e.Sock != nil {
+		return lib.Table.GetSockOpt(t, fd, opt)
 	}
-	rep, err := lib.proxy(t, "sessionGetOpt", pxOpt{sid: s.id, opt: opt}, 16)
-	if err != nil {
-		return 0, err
-	}
-	return rep.(int), nil
+	lib.proxy(t, 16, func(*sim.Proc) { v, err = lib.srv.proxyGetOpt(sessOf(e).id, opt) })
+	return v, err
 }
 
-// GetSockName implements socketapi.API.
+// GetSockName implements socketapi.API from the name the library
+// recorded at bind, connect or accept (the stacks hold the endpoint
+// with the host address filled in, for the packet filter's sake).
 func (lib *Library) GetSockName(t *sim.Proc, fd int) (socketapi.SockAddr, error) {
-	s, err := lib.get(fd)
+	e, err := lib.Lookup(fd)
 	if err != nil {
 		return socketapi.SockAddr{}, err
 	}
-	la := s.laddr
-	if la.IP.IsZero() {
-		la.IP = lib.sys.Host.IP
-	}
-	return socketapi.SockAddr{Addr: la.IP, Port: la.Port}, nil
-}
-
-// GetPeerName implements socketapi.API.
-func (lib *Library) GetPeerName(t *sim.Proc, fd int) (socketapi.SockAddr, error) {
-	s, err := lib.get(fd)
-	if err != nil {
-		return socketapi.SockAddr{}, err
-	}
-	if s.raddr.IsZero() {
-		return socketapi.SockAddr{}, socketapi.ErrNotConn
-	}
-	return socketapi.SockAddr{Addr: s.raddr.IP, Port: s.raddr.Port}, nil
+	return sessOf(e).name, nil
 }
 
 // Select implements socketapi.API through the cooperative interface of
@@ -529,29 +401,22 @@ func (lib *Library) GetPeerName(t *sim.Proc, fd int) (socketapi.SockAddr, error)
 // and when every descriptor is local, the operating system is never
 // involved.
 func (lib *Library) Select(t *sim.Proc, read, write socketapi.FDSet, timeout time.Duration) (socketapi.FDSet, socketapi.FDSet, error) {
-	deadline := t.Now().Add(timeout)
-	for {
+	r, w := socklayer.Wait(t, &lib.selCond, timeout, func() (socketapi.FDSet, socketapi.FDSet) {
 		r, w := socketapi.FDSet{}, socketapi.FDSet{}
-		var remoteSIDs []SessionID
-		var remoteFDs []int
-		var remoteWrite []bool
-		check := func(fd int, wantWrite bool) {
-			s, ok := lib.fds[fd]
-			if !ok {
-				return
+		var sids []SessionID // server-managed sessions, with the fd and set each answers for
+		var fds []int
+		var wantWrite []bool
+		check := func(fd int, write bool) {
+			e, err := lib.Lookup(fd)
+			switch {
+			case err != nil:
+			case e.At != &lib.local:
+				sids, fds, wantWrite = append(sids, sessOf(e).id), append(fds, fd), append(wantWrite, write)
+			case !write && e.Sock.Readable():
+				r[fd] = true
+			case write && e.Sock.Writable():
+				w[fd] = true
 			}
-			if s.local {
-				if !wantWrite && s.sock.Readable() {
-					r[fd] = true
-				}
-				if wantWrite && s.sock.Writable() {
-					w[fd] = true
-				}
-				return
-			}
-			remoteSIDs = append(remoteSIDs, s.id)
-			remoteFDs = append(remoteFDs, fd)
-			remoteWrite = append(remoteWrite, wantWrite)
 		}
 		for fd := range read {
 			check(fd, false)
@@ -559,34 +424,21 @@ func (lib *Library) Select(t *sim.Proc, read, write socketapi.FDSet, timeout tim
 		for fd := range write {
 			check(fd, true)
 		}
-		if len(remoteSIDs) > 0 {
-			rep, err := lib.proxy(t, "status", pxStatus{sids: remoteSIDs}, 16*len(remoteSIDs))
-			if err != nil {
-				return nil, nil, err
-			}
-			st := rep.(pxStatusReply)
-			for i := range remoteSIDs {
-				if remoteWrite[i] && st.writable[i] {
-					w[remoteFDs[i]] = true
+		if len(sids) > 0 {
+			var readable, writable []bool
+			lib.proxy(t, 16*len(sids), func(*sim.Proc) { readable, writable = lib.srv.proxyStatus(sids) })
+			for i, fd := range fds {
+				if wantWrite[i] && writable[i] {
+					w[fd] = true
 				}
-				if !remoteWrite[i] && st.readable[i] {
-					r[remoteFDs[i]] = true
+				if !wantWrite[i] && readable[i] {
+					r[fd] = true
 				}
 			}
 		}
-		if len(r) > 0 || len(w) > 0 || timeout == 0 {
-			return r, w, nil
-		}
-		if timeout < 0 {
-			lib.selCond.Wait(t)
-			continue
-		}
-		remain := deadline.Sub(t.Now())
-		if remain <= 0 {
-			return r, w, nil
-		}
-		lib.selCond.WaitTimeout(t, remain)
-	}
+		return r, w
+	})
+	return r, w, nil
 }
 
 // Fork implements socketapi.API. Per Table 1, every migrated session is
@@ -594,44 +446,22 @@ func (lib *Library) Select(t *sim.Proc, read, write socketapi.FDSet, timeout tim
 // processes reach their shared sessions through the server.
 func (lib *Library) Fork(t *sim.Proc, childName string) (socketapi.API, error) {
 	lib.quiesce(t)
-	for _, s := range lib.fds {
-		if !s.local {
-			continue
-		}
-		switch s.proto {
-		case wire.ProtoUDP:
-			lib.St.DropUDPSession(s.sock)
-			s.local = false
-			s.returned = true
-			s.sock = nil
-			if _, err := lib.proxy(t, "return", pxReturn{sid: s.id}, 32); err != nil {
-				return nil, err
-			}
-		case wire.ProtoTCP:
-			state, err := lib.St.ExportTCPSession(t, s.sock)
-			if err != nil {
-				return nil, err
-			}
-			s.local = false
-			s.returned = true
-			s.sock = nil
-			if _, err := lib.proxy(t, "return", pxReturn{sid: s.id, state: state}, state.WireSize()); err != nil {
+	for _, fd := range lib.FDs() {
+		if e, _ := lib.Lookup(fd); e.At == &lib.local {
+			if err := lib.giveBack(t, e, false); err != nil {
 				return nil, err
 			}
 		}
 	}
 	child := lib.sys.NewLibrary(childName)
-	child.next = lib.next
-	for fd, s := range lib.fds {
-		if _, err := lib.proxy(t, "dup", pxSession{sid: s.id}, 16); err != nil {
-			return nil, err
-		}
-		child.fds[fd] = &appSession{
-			id: s.id, proto: s.proto, laddr: s.laddr, raddr: s.raddr,
-			listen: s.listen, returned: s.returned,
-		}
-	}
-	return child, nil
+	err := lib.Inherit(child.Table, func(e *socklayer.Entry) (*socklayer.Entry, error) {
+		cs := *sessOf(e) // the child's own record of the same server session
+		cs.At, cs.Owner = &child.remote, &cs
+		var err error
+		lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxyDup(cs.id) })
+		return &cs.Entry, err
+	})
+	return child, err
 }
 
 // ExitProcess implements socketapi.API: the unexpected-shutdown path. The
@@ -644,204 +474,55 @@ func (lib *Library) ExitProcess(t *sim.Proc) {
 	}
 	lib.exited = true
 	lib.quiesce(t)
-	notice := pxDeath{lib: lib, tcp: make(map[SessionID]*stack.TCPSessionState)}
-	for _, s := range lib.fds {
-		if !s.local {
+	var tcp []orphan
+	var udp []SessionID
+	for _, fd := range lib.FDs() {
+		e, _ := lib.Lookup(fd)
+		lib.Remove(fd)
+		if e.At != &lib.local {
 			continue
 		}
-		switch s.proto {
-		case wire.ProtoTCP:
-			if state, err := lib.St.ExportTCPSession(t, s.sock); err == nil {
-				notice.tcp[s.id] = state
-			}
-		case wire.ProtoUDP:
-			lib.St.DropUDPSession(s.sock)
-			notice.udp = append(notice.udp, s.id)
+		if s := sessOf(e); s.proto == wire.ProtoUDP {
+			lib.St.DropUDPSession(e.Sock)
+			udp = append(udp, s.id)
+		} else if state, err := lib.St.ExportTCPSession(t, e.Sock); err == nil {
+			tcp = append(tcp, orphan{s.id, state})
 		}
 	}
-	lib.fds = make(map[int]*appSession)
 	lib.St.StopTimers()
-	lib.srv.svc.Call(t, "deathNotice", notice)
+	lib.srv.svc.Call(t, func(on *sim.Proc) { lib.srv.deathNotice(on, lib, tcp, udp) })
 	lib.Proc.Exit()
-}
-
-// SendZC implements socketapi.ZeroCopyAPI: the paper's §4.2 modified
-// interface. The protocol references the caller's buffer instead of
-// copying it into the socket queue.
-func (lib *Library) SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
-	return lib.sendImpl(t, fd, [][]byte{b}, flags, nil, true)
-}
-
-// RecvZC implements socketapi.ZeroCopyAPI: received data is returned as a
-// protocol-owned view shared with the application.
-func (lib *Library) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socketapi.SockAddr, error) {
-	s, err := lib.get(fd)
-	if err != nil {
-		return nil, socketapi.SockAddr{}, err
-	}
-	if !s.local {
-		buf := make([]byte, max)
-		n, from, err := lib.RecvFrom(t, fd, buf, flags)
-		return buf[:n], from, err
-	}
-	n, from, view, err := lib.St.Recv(t, s.sock, make([]byte, 0, max), stack.RecvOpts{
-		ZeroCopy: true,
-		OOB:      flags&socketapi.MsgOOB != 0,
-	})
-	_ = n
-	return view, socketapi.SockAddr{Addr: from.IP, Port: from.Port}, err
-}
-
-// SendChain implements socketapi.ChainAPI. On a migrated session the
-// chain is surrendered to the library stack by reference — the true
-// zero-copy path. On a server-managed session the chain must cross the
-// RPC boundary, which is a copy; the gather list preserves the
-// scatter-gather shape.
-func (lib *Library) SendChain(t *sim.Proc, fd int, c *mbuf.Chain, flags int) (int, error) {
-	if c == nil {
-		c = mbuf.New()
-	}
-	s, err := lib.get(fd)
-	if err != nil {
-		c.Release()
-		return 0, err
-	}
-	if !s.local && s.proto == wire.ProtoUDP && !s.returned {
-		if err := lib.ensureBound(t, s); err != nil {
-			c.Release()
-			return 0, err
-		}
-	}
-	if !s.local {
-		var iov [][]byte
-		for it := c.Iter(); ; {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			iov = append(iov, b)
-		}
-		n := c.Len()
-		rep, err := lib.proxy(t, "sessionSend", pxSend{sid: s.id, iov: iov, oob: flags&socketapi.MsgOOB != 0}, n)
-		c.Release()
-		if err != nil {
-			return 0, err
-		}
-		return rep.(int), nil
-	}
-	if err := lib.ensureBound(t, s); err != nil {
-		c.Release()
-		return 0, err
-	}
-	return lib.St.SendChain(t, s.sock, c, stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0})
-}
-
-// RecvPeek implements socketapi.ChainAPI. On a migrated session the
-// view aliases the library stack's receive queue; only the declared
-// ranges are materialized. On a server-managed session the data crosses
-// the RPC boundary as a copy with identical semantics.
-func (lib *Library) RecvPeek(t *sim.Proc, fd int, max int, ranges []socketapi.Range) (socketapi.RecvView, error) {
-	s, err := lib.get(fd)
-	if err != nil {
-		return socketapi.RecvView{}, err
-	}
-	if !s.local && s.proto == wire.ProtoUDP && !s.returned {
-		if err := lib.ensureBound(t, s); err != nil {
-			return socketapi.RecvView{}, err
-		}
-	}
-	if !s.local {
-		m := max
-		if m <= 0 {
-			if m, err = lib.GetSockOpt(t, fd, socketapi.SoRcvBuf); err != nil {
-				return socketapi.RecvView{}, err
-			}
-		}
-		rep, err := lib.proxy(t, "sessionRecv", pxRecv{sid: s.id, max: m, peek: true}, 32)
-		if err != nil {
-			return socketapi.RecvView{}, err
-		}
-		r := rep.(pxRecvReply)
-		view := mbuf.FromBytes(r.data)
-		return socketapi.RecvView{
-			Chain:  view,
-			Copied: socketapi.MaterializeRanges(view, ranges),
-			From:   socketapi.SockAddr{Addr: r.from.IP, Port: r.from.Port},
-		}, nil
-	}
-	view, copied, from, err := lib.St.RecvPeek(t, s.sock, max, ranges)
-	if err != nil {
-		return socketapi.RecvView{}, err
-	}
-	return socketapi.RecvView{
-		Chain:  view,
-		Copied: copied,
-		From:   socketapi.SockAddr{Addr: from.IP, Port: from.Port},
-	}, nil
-}
-
-// RecvRelease implements socketapi.ChainAPI.
-func (lib *Library) RecvRelease(t *sim.Proc, fd int, n int) error {
-	s, err := lib.get(fd)
-	if err != nil {
-		return err
-	}
-	if !s.local {
-		_, err := lib.proxy(t, "sessionDiscard", pxDiscard{sid: s.id, n: n}, 16)
-		return err
-	}
-	return lib.St.RecvRelease(t, s.sock, n)
 }
 
 // Splice implements socketapi.ChainAPI — the decomposed architecture's
 // headline forwarding path. Both sessions are returned to the
 // operating-system server (a "return" without close, exactly the fork
-// migration), and the server splices its two sockets directly: from
-// then on forwarded payload bytes flow server-side by reference and
-// are never copied out to — or even mapped into — the application.
-// After the call the sessions remain server-managed; subsequent
-// operations go via RPC and close via release.
+// migration), and the shared layer then splices the server's two
+// sockets behind one proxy RPC: from then on forwarded payload bytes
+// flow server-side by reference and are never copied out to — or even
+// mapped into — the application. After the call the sessions remain
+// server-managed; subsequent operations cross and close via release.
 func (lib *Library) Splice(t *sim.Proc, dstFD, srcFD int, n int) (int, error) {
-	dst, err := lib.get(dstFD)
+	dst, err := lib.Lookup(dstFD)
 	if err != nil {
 		return 0, err
 	}
-	src, err := lib.get(srcFD)
+	src, err := lib.Lookup(srcFD)
 	if err != nil {
 		return 0, err
 	}
-	if dst.proto != wire.ProtoTCP || src.proto != wire.ProtoTCP {
+	if sessOf(dst).proto != wire.ProtoTCP || sessOf(src).proto != wire.ProtoTCP {
 		return 0, socketapi.ErrNotSupported
 	}
 	lib.quiesce(t)
-	for _, s := range []*appSession{dst, src} {
-		if !s.local {
-			continue
-		}
-		state, err := lib.St.ExportTCPSession(t, s.sock)
-		if err != nil {
-			return 0, err
-		}
-		s.local = false
-		s.returned = true
-		s.sock = nil
-		if _, err := lib.proxy(t, "return", pxReturn{sid: s.id, state: state}, state.WireSize()); err != nil {
-			return 0, err
+	for _, e := range []*socklayer.Entry{dst, src} {
+		if e.At == &lib.local {
+			if err := lib.giveBack(t, e, false); err != nil {
+				return 0, err
+			}
 		}
 	}
-	rep, err := lib.proxy(t, "sessionSplice", pxSplice{dst: dst.id, src: src.id, n: n}, 32)
-	if err != nil {
-		return 0, err
-	}
-	return rep.(int), nil
-}
-
-func iovLen(iov [][]byte) int {
-	n := 0
-	for _, b := range iov {
-		n += len(b)
-	}
-	return n
+	return lib.Table.Splice(t, dstFD, srcFD, n)
 }
 
 // Cache exposes the library's metastate cache (tests and diagnostics).

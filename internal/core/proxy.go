@@ -12,46 +12,27 @@ import (
 	"repro/internal/wire"
 )
 
-// Proxy RPC argument and reply types. These model the typed messages of
-// the proxy interface in Table 1 of the paper.
+// The proxy interface of Table 1: what a protocol library asks of the
+// operating-system server. Each call below runs inside a server worker
+// thread, carried there by Library.proxy. Data movement on sessions the
+// server manages (listeners, sessions returned for fork or splice) is
+// not here: that is the shared socket layer running against the server's
+// stack behind the same crossing.
 
-type pxSocket struct{ typ int }
-
-type pxBind struct {
-	sid  SessionID
-	addr stack.Addr
-	lib  *Library
-}
-
-type pxBindReply struct {
+// bound is proxy_bind's reply: the endpoint's name, and either the
+// packet-filter endpoint of a session that migrated at once (UDP) or
+// the server socket that keeps managing it (TCP).
+type bound struct {
 	local stack.Addr
-	ep    *kern.Endpoint // non-nil when the session migrated (UDP)
+	ep    *kern.Endpoint
+	sock  *stack.Socket
 }
 
-type pxConnect struct {
-	sid   SessionID
-	raddr stack.Addr
-	lib   *Library
-}
-
-type pxConnectReply struct {
-	local, remote stack.Addr
-	state         *stack.TCPSessionState // TCP only
-	ep            *kern.Endpoint
-	remoteMAC     wire.MAC
-}
-
-type pxListen struct {
-	sid     SessionID
-	backlog int
-}
-
-type pxAccept struct {
-	sid SessionID
-	lib *Library
-}
-
-type pxAcceptReply struct {
+// migration is what proxy_connect and proxy_accept hand the library:
+// the session's names, its exported protocol state (TCP), the endpoint
+// its packet filter now delivers to, and the peer's link address to
+// warm the metastate cache with.
+type migration struct {
 	sid           SessionID
 	local, remote stack.Addr
 	state         *stack.TCPSessionState
@@ -59,317 +40,11 @@ type pxAcceptReply struct {
 	remoteMAC     wire.MAC
 }
 
-type pxReturn struct {
+// orphan is one TCP session a dead process held, with the protocol
+// state the kernel scavenged from its address space.
+type orphan struct {
 	sid   SessionID
-	state *stack.TCPSessionState // nil for UDP
-	close bool
-}
-
-type pxSession struct{ sid SessionID }
-
-type pxStatus struct{ sids []SessionID }
-
-type pxStatusReply struct{ readable, writable []bool }
-
-type pxSend struct {
-	sid SessionID
-	iov [][]byte
-	oob bool
-	to  *stack.Addr
-}
-
-type pxRecv struct {
-	sid       SessionID
-	max       int
-	oob, peek bool
-}
-
-type pxRecvReply struct {
-	data []byte
-	from stack.Addr
-}
-
-type pxDiscard struct {
-	sid SessionID
-	n   int
-}
-
-type pxSplice struct {
-	dst, src SessionID
-	n        int
-}
-
-type pxShutdown struct {
-	sid SessionID
-	how int
-}
-
-type pxOpt struct {
-	sid        SessionID
-	opt, value int
-}
-
-type pxARP struct{ ip wire.IPAddr }
-
-type pxDeath struct {
-	lib *Library
-	tcp map[SessionID]*stack.TCPSessionState
-	udp []SessionID
-}
-
-// handle dispatches one proxy call inside a server worker thread.
-func (srv *Server) handle(t *sim.Proc, method string, args any) (any, error) {
-	switch method {
-	case "socket":
-		a := args.(pxSocket)
-		var proto uint8
-		switch a.typ {
-		case socketapi.SockStream:
-			proto = wire.ProtoTCP
-		case socketapi.SockDgram:
-			proto = wire.ProtoUDP
-		default:
-			return nil, socketapi.ErrInvalid
-		}
-		return srv.newSession(proto).id, nil
-
-	case "bind":
-		a := args.(pxBind)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		if sess.local.Port != 0 {
-			return nil, socketapi.ErrInvalid
-		}
-		sock := srv.St.NewSocket(sess.proto)
-		srv.applyPendingOpts(sess, sock)
-		if err := srv.St.Bind(sock, a.addr); err != nil {
-			return nil, err
-		}
-		sess.srvSock = sock
-		sess.local = sock.LocalAddr()
-		sess.local.IP = srv.St.LocalIP()
-		if srv.traceOn() {
-			srv.traceEmit(trace.EvPortOp, protoName(sess.proto), "bind", int64(sess.local.Port), int64(sess.id))
-		}
-		if sess.proto == wire.ProtoUDP {
-			// UDP sessions migrate to the application at bind (Table 1).
-			ep, err := srv.migrateUDP(sess, a.lib)
-			if err != nil {
-				return nil, err
-			}
-			return pxBindReply{local: sess.local, ep: ep}, nil
-		}
-		return pxBindReply{local: sess.local}, nil
-
-	case "connect":
-		a := args.(pxConnect)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		return srv.connect(t, sess, a.raddr, a.lib)
-
-	case "listen":
-		a := args.(pxListen)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		if sess.srvSock == nil || sess.proto != wire.ProtoTCP {
-			return nil, socketapi.ErrInvalid
-		}
-		if err := srv.St.Listen(sess.srvSock, a.backlog); err != nil {
-			return nil, err
-		}
-		sess.listening = true
-		srv.watchServerSocket(sess)
-		return nil, nil
-
-	case "accept":
-		a := args.(pxAccept)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		if !sess.listening {
-			return nil, socketapi.ErrInvalid
-		}
-		ns, err := srv.St.Accept(t, sess.srvSock)
-		if err != nil {
-			return nil, err
-		}
-		newSess := srv.newSession(wire.ProtoTCP)
-		newSess.local = ns.LocalAddr()
-		newSess.remote = ns.RemoteAddr()
-		newSess.srvSock = ns
-		srv.ConnSetups.Inc()
-		if srv.traceOn() {
-			srv.traceEmit(trace.EvConnSetup, sessName(newSess), "accept", int64(newSess.id), 0)
-		}
-		mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(newSess.remote.IP), 10*time.Second)
-		ep, state, err := srv.migrateTCP(t, newSess, a.lib)
-		if err != nil {
-			return nil, err
-		}
-		return pxAcceptReply{
-			sid: newSess.id, local: newSess.local, remote: newSess.remote,
-			state: state, ep: ep, remoteMAC: mac,
-		}, nil
-
-	case "return":
-		a := args.(pxReturn)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		return nil, srv.returnSession(t, sess, a.state, a.close)
-
-	case "dup":
-		a := args.(pxSession)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		sess.refs++
-		return nil, nil
-
-	case "release":
-		a := args.(pxSession)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		sess.refs--
-		if sess.refs > 0 {
-			return nil, nil
-		}
-		return nil, srv.closeServerSession(t, sess)
-
-	case "status":
-		a := args.(pxStatus)
-		rep := pxStatusReply{
-			readable: make([]bool, len(a.sids)),
-			writable: make([]bool, len(a.sids)),
-		}
-		for i, sid := range a.sids {
-			sess, ok := srv.sessions[sid]
-			if !ok {
-				rep.readable[i], rep.writable[i] = true, true // error state: select returns ready
-				continue
-			}
-			if sess.srvSock != nil {
-				rep.readable[i] = sess.srvSock.Readable()
-				rep.writable[i] = sess.srvSock.Writable()
-			}
-		}
-		return rep, nil
-
-	case "sessionSend":
-		a := args.(pxSend)
-		sess, err := srv.getServerLocated(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		return srv.St.Send(t, sess.srvSock, a.iov, stack.SendOpts{OOB: a.oob, To: a.to})
-
-	case "sessionRecv":
-		a := args.(pxRecv)
-		sess, err := srv.getServerLocated(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, a.max)
-		n, from, _, err := srv.St.Recv(t, sess.srvSock, buf, stack.RecvOpts{OOB: a.oob, Peek: a.peek})
-		if err != nil {
-			return nil, err
-		}
-		return pxRecvReply{data: buf[:n], from: from}, nil
-
-	case "sessionDiscard":
-		a := args.(pxDiscard)
-		sess, err := srv.getServerLocated(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		return nil, srv.St.RecvRelease(t, sess.srvSock, a.n)
-
-	case "sessionSplice":
-		// Both sessions live in the server after their "return": the
-		// pump runs entirely server-side, so forwarded payload bytes
-		// move by reference and are never mapped into the application.
-		a := args.(pxSplice)
-		dstSess, err := srv.getServerLocated(a.dst)
-		if err != nil {
-			return nil, err
-		}
-		srcSess, err := srv.getServerLocated(a.src)
-		if err != nil {
-			return nil, err
-		}
-		return srv.St.Splice(t, dstSess.srvSock, srcSess.srvSock, a.n)
-
-	case "sessionShutdown":
-		a := args.(pxShutdown)
-		sess, err := srv.getServerLocated(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		return nil, srv.St.Shutdown(t, sess.srvSock, a.how)
-
-	case "sessionSetOpt":
-		a := args.(pxOpt)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		if sess.srvSock != nil {
-			return nil, srv.St.SetOption(sess.srvSock, a.opt, a.value)
-		}
-		switch a.opt {
-		case socketapi.SoRcvBuf, socketapi.SoSndBuf:
-			if a.value <= 0 {
-				return nil, socketapi.ErrInvalid
-			}
-		case socketapi.SoReuseAddr, socketapi.TCPNoDelay, socketapi.SoKeepAlive:
-		default:
-			return nil, socketapi.ErrInvalid
-		}
-		if sess.pendingOpts == nil {
-			sess.pendingOpts = make(map[int]int)
-		}
-		sess.pendingOpts[a.opt] = a.value
-		return nil, nil
-
-	case "sessionGetOpt":
-		a := args.(pxOpt)
-		sess, err := srv.get(a.sid)
-		if err != nil {
-			return nil, err
-		}
-		if sess.srvSock != nil {
-			return srv.St.GetOption(sess.srvSock, a.opt)
-		}
-		if v, ok := sess.pendingOpts[a.opt]; ok {
-			return v, nil
-		}
-		return defaultOpt(a.opt)
-
-	case "arp":
-		a := args.(pxARP)
-		mac, ok := srv.St.ARP().WaitResolve(t, a.ip, 10*time.Second)
-		if !ok {
-			return nil, socketapi.ErrHostUnreach
-		}
-		return mac, nil
-
-	case "deathNotice":
-		a := args.(pxDeath)
-		srv.deathNotice(t, a)
-		return nil, nil
-	}
-	return nil, socketapi.ErrNotSupported
+	state *stack.TCPSessionState
 }
 
 func (srv *Server) get(sid SessionID) (*session, error) {
@@ -380,52 +55,184 @@ func (srv *Server) get(sid SessionID) (*session, error) {
 	return sess, nil
 }
 
-func (srv *Server) getServerLocated(sid SessionID) (*session, error) {
+// proxySocket creates a session record; no server socket exists until
+// the session is named or connected.
+func (srv *Server) proxySocket(proto uint8) SessionID { return srv.newSession(proto).id }
+
+// proxyBind names the session's local endpoint. UDP sessions migrate to
+// the application at bind (Table 1).
+func (srv *Server) proxyBind(sid SessionID, addr stack.Addr, lib *Library) (bound, error) {
+	sess, err := srv.get(sid)
+	if err != nil {
+		return bound{}, err
+	}
+	if sess.local.Port != 0 {
+		return bound{}, socketapi.ErrInvalid
+	}
+	if err := srv.name(sess, addr); err != nil {
+		return bound{}, err
+	}
+	if srv.traceOn() {
+		srv.traceEmit(trace.EvPortOp, protoName(sess.proto), "bind", int64(sess.local.Port), int64(sess.id))
+	}
+	if sess.proto == wire.ProtoUDP {
+		ep, err := srv.migrateUDP(sess, lib)
+		return bound{local: sess.local, ep: ep}, err
+	}
+	return bound{local: sess.local, sock: sess.srvSock}, nil
+}
+
+// proxyListen makes a bound TCP session passive; the operating system
+// awaits its connections.
+func (srv *Server) proxyListen(sid SessionID, backlog int) error {
+	sess, err := srv.get(sid)
+	if err != nil {
+		return err
+	}
+	if sess.proto != wire.ProtoTCP {
+		return socketapi.ErrNotSupported
+	}
+	if sess.srvSock == nil {
+		return socketapi.ErrInvalid // unbound, or connected and migrated away
+	}
+	if err := srv.St.Listen(sess.srvSock, backlog); err != nil {
+		return err
+	}
+	sess.listening = true
+	srv.watchServerSocket(sess)
+	return nil
+}
+
+// proxyAccept waits for an established connection and migrates it into
+// the application.
+func (srv *Server) proxyAccept(t *sim.Proc, sid SessionID, lib *Library) (migration, error) {
+	sess, err := srv.get(sid)
+	if err != nil {
+		return migration{}, err
+	}
+	if !sess.listening {
+		return migration{}, socketapi.ErrInvalid
+	}
+	ns, err := srv.St.Accept(t, sess.srvSock)
+	if err != nil {
+		return migration{}, err
+	}
+	newSess := srv.newSession(wire.ProtoTCP)
+	newSess.local = ns.LocalAddr()
+	newSess.remote = ns.RemoteAddr()
+	newSess.srvSock = ns
+	return srv.established(t, newSess, "accept", lib)
+}
+
+// established finishes either open: count it, resolve the peer for the
+// library's cache, and migrate the session into the application.
+func (srv *Server) established(t *sim.Proc, sess *session, how string, lib *Library) (migration, error) {
+	srv.ConnSetups.Inc()
+	if srv.traceOn() {
+		srv.traceEmit(trace.EvConnSetup, sessName(sess), how, int64(sess.id), 0)
+	}
+	mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(sess.remote.IP), 10*time.Second)
+	ep, state, err := srv.migrateTCP(t, sess, lib)
+	return migration{sid: sess.id, local: sess.local, remote: sess.remote, state: state, ep: ep, remoteMAC: mac}, err
+}
+
+// proxyReturn takes a session back from the application (see
+// returnSession) and reports the server socket that manages it now —
+// nil once a closing session has been dealt with.
+func (srv *Server) proxyReturn(t *sim.Proc, sid SessionID, state *stack.TCPSessionState, closing bool) (*stack.Socket, error) {
 	sess, err := srv.get(sid)
 	if err != nil {
 		return nil, err
 	}
-	if sess.loc != atServer || sess.srvSock == nil {
-		return nil, socketapi.ErrInvalid
+	if err := srv.returnSession(t, sess, state, closing); err != nil || closing {
+		return nil, err
 	}
-	return sess, nil
+	return sess.srvSock, nil
 }
 
-func (srv *Server) applyPendingOpts(sess *session, sock *stack.Socket) {
-	for opt, v := range sess.pendingOpts {
-		srv.St.SetOption(sock, opt, v)
+// proxyDup adds a descriptor reference to a session (fork).
+func (srv *Server) proxyDup(sid SessionID) error {
+	sess, err := srv.get(sid)
+	if err == nil {
+		sess.refs++
 	}
+	return err
 }
 
-func defaultOpt(opt int) (int, error) {
-	switch opt {
-	case socketapi.SoRcvBuf, socketapi.SoSndBuf:
-		return 8 * 1024, nil
-	case socketapi.SoReuseAddr, socketapi.TCPNoDelay, socketapi.SoKeepAlive:
-		return 0, nil
+// proxyRelease drops a descriptor reference; the last one closes a
+// server-managed session.
+func (srv *Server) proxyRelease(t *sim.Proc, sid SessionID) error {
+	sess, err := srv.get(sid)
+	if err != nil {
+		return err
 	}
-	return 0, socketapi.ErrInvalid
+	if sess.refs--; sess.refs > 0 {
+		return nil
+	}
+	return srv.closeServerSession(t, sess)
 }
 
-// connect performs the server side of an active open: name the endpoints,
-// run the handshake in the server, then migrate the established session
-// into the application.
-func (srv *Server) connect(t *sim.Proc, sess *session, raddr stack.Addr, lib *Library) (any, error) {
+// proxyStatus is the server's half of the cooperative select: the
+// readiness of sessions it manages.
+func (srv *Server) proxyStatus(sids []SessionID) (readable, writable []bool) {
+	readable, writable = make([]bool, len(sids)), make([]bool, len(sids))
+	for i, sid := range sids {
+		sess, ok := srv.sessions[sid]
+		if !ok {
+			readable[i], writable[i] = true, true // error state: select returns ready
+		} else if sess.srvSock != nil {
+			readable[i], writable[i] = sess.srvSock.Readable(), sess.srvSock.Writable()
+		}
+	}
+	return readable, writable
+}
+
+// proxySetOpt and proxyGetOpt serve a session the library holds no
+// socket for yet: setting an option before bind or connect is what first
+// makes the server create one (see socketOf).
+func (srv *Server) proxySetOpt(sid SessionID, opt, value int) error {
+	sess, err := srv.get(sid)
+	if err != nil {
+		return err
+	}
+	return srv.St.SetOption(srv.socketOf(sess), opt, value)
+}
+
+func (srv *Server) proxyGetOpt(sid SessionID, opt int) (int, error) {
+	sess, err := srv.get(sid)
+	if err != nil {
+		return 0, err
+	}
+	return srv.St.GetOption(srv.socketOf(sess), opt)
+}
+
+// proxyARP resolves a next hop from the server's authoritative table.
+func (srv *Server) proxyARP(t *sim.Proc, ip wire.IPAddr) (wire.MAC, error) {
+	mac, ok := srv.St.ARP().WaitResolve(t, ip, 10*time.Second)
+	if !ok {
+		return mac, socketapi.ErrHostUnreach
+	}
+	return mac, nil
+}
+
+// proxyConnect performs the server side of an active open: name the
+// endpoints, run the handshake in the server, then migrate the
+// established session into the application.
+func (srv *Server) proxyConnect(t *sim.Proc, sid SessionID, raddr stack.Addr, lib *Library) (migration, error) {
+	sess, err := srv.get(sid)
+	if err != nil {
+		return migration{}, err
+	}
 	switch sess.proto {
 	case wire.ProtoUDP:
 		// Connect narrows a (possibly already migrated) UDP session to
 		// one peer.
 		if sess.local.Port == 0 {
-			sock := srv.St.NewSocket(wire.ProtoUDP)
-			srv.applyPendingOpts(sess, sock)
-			if err := srv.St.Bind(sock, stack.Addr{}); err != nil {
-				return nil, err
+			if err := srv.name(sess, stack.Addr{}); err != nil {
+				return migration{}, err
 			}
-			sess.srvSock = sock
-			sess.local = sock.LocalAddr()
-			sess.local.IP = srv.St.LocalIP()
 			if _, err := srv.migrateUDP(sess, lib); err != nil {
-				return nil, err
+				return migration{}, err
 			}
 		}
 		sess.remote = raddr
@@ -437,41 +244,49 @@ func (srv *Server) connect(t *sim.Proc, sess *session, raddr stack.Addr, lib *Li
 				RemoteIP: raddr.IP, RemotePort: raddr.Port,
 			}, sessionFilterPriority)
 			if err != nil {
-				return nil, err
+				return migration{}, err
 			}
 			sess.filterID = fid
 		}
 		mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(raddr.IP), 10*time.Second)
-		return pxConnectReply{local: sess.local, remote: sess.remote, ep: sess.ep, remoteMAC: mac}, nil
+		return migration{local: sess.local, remote: sess.remote, ep: sess.ep, remoteMAC: mac}, nil
 
 	case wire.ProtoTCP:
 		if sess.loc != atServer {
-			return nil, socketapi.ErrIsConn
+			return migration{}, socketapi.ErrIsConn
 		}
-		if sess.srvSock == nil {
-			sock := srv.St.NewSocket(wire.ProtoTCP)
-			srv.applyPendingOpts(sess, sock)
-			sess.srvSock = sock
-		}
-		if err := srv.St.Connect(t, sess.srvSock, raddr); err != nil {
+		if err := srv.St.Connect(t, srv.socketOf(sess), raddr); err != nil {
 			sess.srvSock = nil
 			sess.local = stack.Addr{}
-			return nil, err
+			return migration{}, err
 		}
 		sess.local = sess.srvSock.LocalAddr()
 		sess.remote = sess.srvSock.RemoteAddr()
-		srv.ConnSetups.Inc()
-		if srv.traceOn() {
-			srv.traceEmit(trace.EvConnSetup, sessName(sess), "connect", int64(sess.id), 0)
-		}
-		mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(raddr.IP), 10*time.Second)
-		ep, state, err := srv.migrateTCP(t, sess, lib)
-		if err != nil {
-			return nil, err
-		}
-		return pxConnectReply{local: sess.local, remote: sess.remote, state: state, ep: ep, remoteMAC: mac}, nil
+		return srv.established(t, sess, "connect", lib)
 	}
-	return nil, socketapi.ErrNotSupported
+	return migration{}, socketapi.ErrNotSupported
+}
+
+// socketOf returns the session's server socket, creating it the first
+// time the session needs one. Until bind or connect it is in none of the
+// stack's tables, so netstat does not show it.
+func (srv *Server) socketOf(sess *session) *stack.Socket {
+	if sess.srvSock == nil {
+		sess.srvSock = srv.St.NewSocket(sess.proto)
+	}
+	return sess.srvSock
+}
+
+// name binds the session's server socket to addr and records the
+// endpoint's name.
+func (srv *Server) name(sess *session, addr stack.Addr) error {
+	sock := srv.socketOf(sess)
+	if err := srv.St.Bind(sock, addr); err != nil {
+		return err
+	}
+	sess.local = sock.LocalAddr()
+	sess.local.IP = srv.St.LocalIP()
+	return nil
 }
 
 const sessionFilterPriority = 10
@@ -600,11 +415,14 @@ func (srv *Server) closeServerSession(t *sim.Proc, sess *session) error {
 // deathNotice handles the kernel's notification that a process died with
 // live sessions (paper §3.2 "unexpected shutdown"): the server aborts the
 // connections with resets and quarantines their ports so they cannot be
-// rebound while stale segments may still arrive.
-func (srv *Server) deathNotice(t *sim.Proc, a pxDeath) {
-	for sid, state := range a.tcp {
+// rebound while stale segments may still arrive. Sessions arrive in the
+// dead process's descriptor order, so the resets go out in the same
+// sequence on every same-seed run.
+func (srv *Server) deathNotice(t *sim.Proc, dead *Library, tcp []orphan, udp []SessionID) {
+	for _, o := range tcp {
+		sid, state := o.sid, o.state
 		sess, ok := srv.sessions[sid]
-		if !ok || sess.owner != a.lib {
+		if !ok || sess.owner != dead {
 			continue
 		}
 		srv.OrphansAborted.Inc()
@@ -630,16 +448,16 @@ func (srv *Server) deathNotice(t *sim.Proc, a pxDeath) {
 			})
 		}
 	}
-	for _, sid := range a.udp {
+	for _, sid := range udp {
 		sess, ok := srv.sessions[sid]
-		if !ok || sess.owner != a.lib {
+		if !ok || sess.owner != dead {
 			continue
 		}
 		srv.reapSession(sess)
 	}
 	// Unregister the dead library from metastate callbacks.
 	for i, lib := range srv.libs {
-		if lib == a.lib {
+		if lib == dead {
 			srv.libs = append(srv.libs[:i], srv.libs[i+1:]...)
 			break
 		}

@@ -28,6 +28,7 @@ import (
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/socketapi"
 	"repro/internal/stack"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -61,10 +62,9 @@ type session struct {
 	ep       *kern.Endpoint // application delivery endpoint (loc == atApp)
 	filterID int            // session packet filter (0 = none)
 
-	listening   bool
-	portHeld    bool        // core must release the port when the session dies
-	closing     bool        // close handshake running at the server
-	pendingOpts map[int]int // socket options set before the socket exists
+	listening bool
+	portHeld  bool // core must release the port when the session dies
+	closing   bool // close handshake running at the server
 }
 
 // System is one host running the decomposed architecture: a kernel with
@@ -81,9 +81,9 @@ type System struct {
 	// decomposed system in the paper).
 	SrvProf costs.Profile
 
-	// Observer, when set, receives every protocol-layer charge made by
-	// library stacks (Table 4 instrumentation).
-	Observer func(comp costs.Component, d time.Duration)
+	// observer, when set (Observe), receives every protocol-layer charge
+	// made by library stacks (Table 4 instrumentation).
+	observer func(comp costs.Component, d time.Duration)
 
 	// Trace, when set, is the flight recorder for this system's core
 	// events (sessions, ports, migration) and is propagated to the
@@ -100,6 +100,16 @@ type System struct {
 	// shared read-only once topology construction is done).
 	Routes *stack.RouteTable
 }
+
+// NewApp creates an application process with its protocol library and
+// returns its socket interface.
+func (sys *System) NewApp(name string) socketapi.API { return sys.NewLibrary(name) }
+
+// Kern returns the kernel host the system runs on.
+func (sys *System) Kern() *kern.Host { return sys.Host }
+
+// Observe installs the protocol-layer charge observer.
+func (sys *System) Observe(fn func(comp costs.Component, d time.Duration)) { sys.observer = fn }
 
 // SetRoutes installs the host's routing table on the server stack and
 // on every library stack, current and future. Call it before traffic
@@ -209,13 +219,7 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		LocalIP:  ip,
 		LocalMAC: sys.Host.NIC.MAC(),
 		Costs:    &sys.SrvProf.Costs,
-		Charge: func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
-			pc := &sys.SrvProf.Costs.UDP
-			if tcp {
-				pc = &sys.SrvProf.Costs.TCP
-			}
-			sys.Host.ChargeProc(t, pc[comp].At(n))
-		},
+		Charge:   sys.Host.ProtoCharge(&sys.SrvProf.Costs, nil, nil),
 		Transmit: sys.Host.Transmit,
 		Ports:    srv.Ports,
 		// Packets already queued at the server when a session's filter
@@ -246,7 +250,7 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		}
 	})
 	srv.St.StartTimers(srv.Proc.GoDaemon)
-	srv.svc = kern.NewService(srv.Proc, name+".proxy", serverWorkers, srv.handle)
+	srv.svc = kern.NewService(srv.Proc, name+".proxy", serverWorkers)
 	return sys
 }
 

@@ -1,8 +1,9 @@
-// Package inkernel implements the paper's in-kernel baseline (Mach 2.5,
-// Ultrix 4.2A, 386BSD): the protocol stack executes inside the simulated
+// Package inkernel is the paper's in-kernel baseline (Mach 2.5, Ultrix
+// 4.2A, 386BSD): the protocol stack executes inside the simulated
 // kernel. Application socket calls trap into the kernel and run the
-// socket layer there; received packets are processed at software
-// interrupt level, which preempts application work on the uniprocessor.
+// socket layer there, on the calling thread; received packets are
+// processed at software-interrupt level, which preempts application
+// work on the uniprocessor.
 //
 // There is no packet filter demultiplexing to user space and no
 // kernel-to-user packet copy: the stack reads the kernel buffer directly
@@ -11,495 +12,22 @@
 package inkernel
 
 import (
-	"time"
-
 	"repro/internal/costs"
-	"repro/internal/kern"
-	"repro/internal/mbuf"
-	"repro/internal/metrics"
-	"repro/internal/offload"
+	"repro/internal/monolith"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/socketapi"
-	"repro/internal/stack"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
 // System is one host running an in-kernel protocol stack.
-type System struct {
-	Host   *kern.Host
-	St     *stack.Stack
-	prof   costs.Profile
-	kproc  *kern.Process
-	netisr *sim.Proc
-
-	// selCond implements select in the style of BSD's selwakeup: any
-	// socket status change wakes all selectors, which recheck.
-	selCond sim.Cond
-
-	// Observer, when set, receives every protocol-layer charge (Table 4
-	// instrumentation).
-	Observer func(comp costs.Component, d time.Duration)
-}
-
-// SetTrace attaches a flight recorder to the system: the kernel host's
-// packet-filter layer and the in-kernel protocol stack.
-func (sys *System) SetTrace(r *trace.Recorder) {
-	sys.Host.Trace = r
-	sys.St.SetTrace(r)
-}
-
-// SetMetrics attaches a registry scope (e.g. "host.alpha") to the
-// system: kernel host counters plus the in-kernel protocol stack.
-func (sys *System) SetMetrics(hs *metrics.Scope) {
-	if hs == nil {
-		return
-	}
-	sys.Host.SetMetrics(hs)
-	sys.St.SetMetrics(hs.Sub("stack").Sub("kstack"))
-}
+type System = monolith.System
 
 // New attaches a host running prof's in-kernel stack to the segment.
 func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof costs.Profile) *System {
-	sys := &System{prof: prof}
-	sys.Host = kern.NewHost(s, seg, name, mac, ip, prof)
-	sys.kproc = sys.Host.NewProcess("kernel")
-
-	// All traffic lands on the kernel stack's endpoint.
-	ep := sys.Host.NewEndpoint(0)
-	if _, err := ep.InstallProgram(kern.CatchAllProgram(), 0); err != nil {
-		panic(err)
-	}
-
-	sys.St = stack.New(stack.Config{
-		Sim:      s,
-		Name:     name + ".kstack",
-		LocalIP:  ip,
-		LocalMAC: sys.Host.NIC.MAC(),
-		Costs:    &sys.prof.Costs,
-		Charge:   sys.charge,
-		Transmit: sys.Host.Transmit,
-		Ports:    stack.NewLocalPorts(),
-
-		MaxTCPPayload: quirkMax(prof),
-
-		// NIC offload engine hookup (profiles that enable it).
-		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
-		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
+	return monolith.New(s, seg, name, mac, ip, prof, monolith.Shape{
+		Owner: "kernel", StackName: "kstack",
+		// The software-interrupt thread: drains the device queue and runs
+		// protocol input at interrupt priority, preempting user work.
+		Input: "netisr", IntrInput: true,
 	})
-
-	// The software-interrupt thread: drains the device queue and runs
-	// protocol input at interrupt priority, preempting user work.
-	sys.netisr = sys.kproc.GoDaemon("netisr", func(t *sim.Proc) {
-		for {
-			pkt, ok := ep.Recv(t)
-			if !ok {
-				return
-			}
-			sys.St.Input(t, pkt.Frame)
-		}
-	})
-	sys.St.StartTimers(sys.kproc.GoDaemon)
-	return sys
-}
-
-func quirkMax(prof costs.Profile) int {
-	if prof.LargeTCPSendBroken {
-		return 1024
-	}
-	return 0
-}
-
-// charge prices one protocol layer. Input processing (on the netisr
-// thread) runs at interrupt priority; everything else is a process
-// executing in kernel mode at task priority.
-func (sys *System) charge(t *sim.Proc, tcp bool, comp costs.Component, n int) {
-	pc := &sys.prof.Costs.UDP
-	if tcp {
-		pc = &sys.prof.Costs.TCP
-	}
-	d := pc[comp].At(n)
-	if sys.Observer != nil && d > 0 {
-		sys.Observer(comp, d)
-	}
-	if t == sys.netisr {
-		sys.Host.ChargeIntrProc(t, d)
-	} else {
-		sys.Host.ChargeProc(t, d)
-	}
-}
-
-// fdEntry is a refcounted descriptor-table slot; fork shares entries, as
-// BSD shares struct file.
-type fdEntry struct {
-	sock *stack.Socket
-	refs *int
-}
-
-// API is the per-process socket interface.
-type API struct {
-	sys  *System
-	Proc *kern.Process
-	fds  map[int]*fdEntry
-	next int
-}
-
-var _ socketapi.API = (*API)(nil)
-var _ socketapi.ZeroCopyAPI = (*API)(nil)
-
-// NewAPI creates a process on the host and returns its socket interface.
-func (sys *System) NewAPI(name string) *API {
-	a := &API{sys: sys, Proc: sys.Host.NewProcess(name), fds: make(map[int]*fdEntry), next: 3}
-	return a
-}
-
-func (a *API) get(fd int) (*fdEntry, error) {
-	e, ok := a.fds[fd]
-	if !ok {
-		return nil, socketapi.ErrBadFD
-	}
-	return e, nil
-}
-
-func (a *API) install(s *stack.Socket) int {
-	fd := a.next
-	a.next++
-	one := 1
-	a.fds[fd] = &fdEntry{sock: s, refs: &one}
-	s.Notify = func() { a.sys.selCond.Broadcast() }
-	return fd
-}
-
-// Socket implements socketapi.API.
-func (a *API) Socket(t *sim.Proc, typ int) (int, error) {
-	var proto uint8
-	switch typ {
-	case socketapi.SockStream:
-		proto = wire.ProtoTCP
-	case socketapi.SockDgram:
-		proto = wire.ProtoUDP
-	default:
-		return -1, socketapi.ErrInvalid
-	}
-	return a.install(a.sys.St.NewSocket(proto)), nil
-}
-
-// Bind implements socketapi.API.
-func (a *API) Bind(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
-	e, err := a.get(fd)
-	if err != nil {
-		return err
-	}
-	return a.sys.St.Bind(e.sock, stack.Addr{IP: addr.Addr, Port: addr.Port})
-}
-
-// Connect implements socketapi.API.
-func (a *API) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
-	e, err := a.get(fd)
-	if err != nil {
-		return err
-	}
-	return a.sys.St.Connect(t, e.sock, stack.Addr{IP: addr.Addr, Port: addr.Port})
-}
-
-// Listen implements socketapi.API.
-func (a *API) Listen(t *sim.Proc, fd int, backlog int) error {
-	e, err := a.get(fd)
-	if err != nil {
-		return err
-	}
-	return a.sys.St.Listen(e.sock, backlog)
-}
-
-// Accept implements socketapi.API.
-func (a *API) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		return -1, socketapi.SockAddr{}, err
-	}
-	ns, err := a.sys.St.Accept(t, e.sock)
-	if err != nil {
-		return -1, socketapi.SockAddr{}, err
-	}
-	ra := ns.RemoteAddr()
-	return a.install(ns), socketapi.SockAddr{Addr: ra.IP, Port: ra.Port}, nil
-}
-
-// Send implements socketapi.API.
-func (a *API) Send(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
-	return a.SendMsg(t, fd, [][]byte{b}, flags, nil)
-}
-
-// SendTo implements socketapi.API.
-func (a *API) SendTo(t *sim.Proc, fd int, b []byte, flags int, to socketapi.SockAddr) (int, error) {
-	return a.SendMsg(t, fd, [][]byte{b}, flags, &to)
-}
-
-// SendMsg implements socketapi.API.
-func (a *API) SendMsg(t *sim.Proc, fd int, iov [][]byte, flags int, to *socketapi.SockAddr) (int, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		return 0, err
-	}
-	opts := stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0}
-	if to != nil {
-		opts.To = &stack.Addr{IP: to.Addr, Port: to.Port}
-	}
-	return a.sys.St.Send(t, e.sock, iov, opts)
-}
-
-// Recv implements socketapi.API.
-func (a *API) Recv(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
-	n, _, err := a.RecvFrom(t, fd, b, flags)
-	return n, err
-}
-
-// RecvFrom implements socketapi.API.
-func (a *API) RecvFrom(t *sim.Proc, fd int, b []byte, flags int) (int, socketapi.SockAddr, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		return 0, socketapi.SockAddr{}, err
-	}
-	opts := stack.RecvOpts{OOB: flags&socketapi.MsgOOB != 0, Peek: flags&socketapi.MsgPeek != 0}
-	n, from, _, err := a.sys.St.Recv(t, e.sock, b, opts)
-	return n, socketapi.SockAddr{Addr: from.IP, Port: from.Port}, err
-}
-
-// RecvMsg implements socketapi.API.
-func (a *API) RecvMsg(t *sim.Proc, fd int, iov [][]byte, flags int) (int, socketapi.SockAddr, error) {
-	total := 0
-	var from socketapi.SockAddr
-	for i, b := range iov {
-		n, f, err := a.RecvFrom(t, fd, b, flags)
-		if i == 0 {
-			from = f
-		}
-		total += n
-		if err != nil {
-			return total, from, err
-		}
-		if n < len(b) {
-			break
-		}
-	}
-	return total, from, nil
-}
-
-// Close implements socketapi.API.
-func (a *API) Close(t *sim.Proc, fd int) error {
-	e, err := a.get(fd)
-	if err != nil {
-		return err
-	}
-	delete(a.fds, fd)
-	*e.refs--
-	if *e.refs == 0 {
-		return a.sys.St.Close(t, e.sock)
-	}
-	return nil
-}
-
-// Shutdown implements socketapi.API.
-func (a *API) Shutdown(t *sim.Proc, fd int, how int) error {
-	e, err := a.get(fd)
-	if err != nil {
-		return err
-	}
-	return a.sys.St.Shutdown(t, e.sock, how)
-}
-
-// SetSockOpt implements socketapi.API.
-func (a *API) SetSockOpt(t *sim.Proc, fd int, opt, value int) error {
-	e, err := a.get(fd)
-	if err != nil {
-		return err
-	}
-	return a.sys.St.SetOption(e.sock, opt, value)
-}
-
-// GetSockOpt implements socketapi.API.
-func (a *API) GetSockOpt(t *sim.Proc, fd int, opt int) (int, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		return 0, err
-	}
-	return a.sys.St.GetOption(e.sock, opt)
-}
-
-// GetSockName implements socketapi.API.
-func (a *API) GetSockName(t *sim.Proc, fd int) (socketapi.SockAddr, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		return socketapi.SockAddr{}, err
-	}
-	la := e.sock.LocalAddr()
-	return socketapi.SockAddr{Addr: la.IP, Port: la.Port}, nil
-}
-
-// GetPeerName implements socketapi.API.
-func (a *API) GetPeerName(t *sim.Proc, fd int) (socketapi.SockAddr, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		return socketapi.SockAddr{}, err
-	}
-	ra := e.sock.RemoteAddr()
-	if ra.IsZero() {
-		return socketapi.SockAddr{}, socketapi.ErrNotConn
-	}
-	return socketapi.SockAddr{Addr: ra.IP, Port: ra.Port}, nil
-}
-
-// Select implements socketapi.API.
-func (a *API) Select(t *sim.Proc, read, write socketapi.FDSet, timeout time.Duration) (socketapi.FDSet, socketapi.FDSet, error) {
-	deadline := t.Now().Add(timeout)
-	for {
-		r, w := socketapi.FDSet{}, socketapi.FDSet{}
-		for fd := range read {
-			if e, ok := a.fds[fd]; ok && e.sock.Readable() {
-				r[fd] = true
-			}
-		}
-		for fd := range write {
-			if e, ok := a.fds[fd]; ok && e.sock.Writable() {
-				w[fd] = true
-			}
-		}
-		if len(r) > 0 || len(w) > 0 {
-			return r, w, nil
-		}
-		if timeout == 0 {
-			return r, w, nil
-		}
-		if timeout < 0 {
-			a.sys.selCond.Wait(t)
-			continue
-		}
-		remain := deadline.Sub(t.Now())
-		if remain <= 0 {
-			return r, w, nil
-		}
-		a.sys.selCond.WaitTimeout(t, remain)
-	}
-}
-
-// Fork implements socketapi.API: the child's descriptor table references
-// the same open sockets.
-func (a *API) Fork(t *sim.Proc, childName string) (socketapi.API, error) {
-	child := &API{
-		sys:  a.sys,
-		Proc: a.sys.Host.NewProcess(childName),
-		fds:  make(map[int]*fdEntry, len(a.fds)),
-		next: a.next,
-	}
-	for fd, e := range a.fds {
-		*e.refs++
-		child.fds[fd] = e
-	}
-	return child, nil
-}
-
-// ExitProcess implements socketapi.API: the kernel closes surviving
-// descriptors gracefully, as BSD exit() does.
-func (a *API) ExitProcess(t *sim.Proc) {
-	for fd := range a.fds {
-		a.Close(t, fd)
-	}
-	a.Proc.Exit()
-}
-
-// SendZC implements socketapi.ZeroCopyAPI. The in-kernel implementation
-// cannot share buffers across the protection boundary, so it falls back
-// to the copying path (provided so workloads can run unchanged; the
-// benchmark harness only advertises NEWAPI for library configurations).
-func (a *API) SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
-	return a.Send(t, fd, b, flags)
-}
-
-var _ socketapi.ChainAPI = (*API)(nil)
-
-// SendChain implements socketapi.ChainAPI. The chain lives in
-// application memory, so crossing into the kernel costs the usual
-// copyin: the gather list is fed to the copying send path and the
-// chain released.
-func (a *API) SendChain(t *sim.Proc, fd int, c *mbuf.Chain, flags int) (int, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		if c != nil {
-			c.Release()
-		}
-		return 0, err
-	}
-	var iov [][]byte
-	if c != nil {
-		for it := c.Iter(); ; {
-			b, ok := it.Next()
-			if !ok {
-				break
-			}
-			iov = append(iov, b)
-		}
-	}
-	n, serr := a.sys.St.Send(t, e.sock, iov, stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0})
-	if c != nil {
-		c.Release()
-	}
-	return n, serr
-}
-
-// RecvPeek implements socketapi.ChainAPI: a copying emulation (the
-// kernel cannot hand the application an alias into kernel buffers), so
-// the view is a private copy and the requested ranges are sliced from
-// it. Semantics match the library implementation exactly.
-func (a *API) RecvPeek(t *sim.Proc, fd int, max int, ranges []socketapi.Range) (socketapi.RecvView, error) {
-	e, err := a.get(fd)
-	if err != nil {
-		return socketapi.RecvView{}, err
-	}
-	if max <= 0 {
-		max, _ = a.sys.St.GetOption(e.sock, socketapi.SoRcvBuf)
-	}
-	buf := make([]byte, max)
-	n, from, _, rerr := a.sys.St.Recv(t, e.sock, buf, stack.RecvOpts{Peek: true})
-	if rerr != nil {
-		return socketapi.RecvView{}, rerr
-	}
-	view := mbuf.FromBytes(buf[:n])
-	return socketapi.RecvView{
-		Chain:  view,
-		Copied: socketapi.MaterializeRanges(view, ranges),
-		From:   socketapi.SockAddr{Addr: from.IP, Port: from.Port},
-	}, nil
-}
-
-// RecvRelease implements socketapi.ChainAPI: consuming queued bytes is
-// a kernel-side operation with no copyout.
-func (a *API) RecvRelease(t *sim.Proc, fd int, n int) error {
-	e, err := a.get(fd)
-	if err != nil {
-		return err
-	}
-	return a.sys.St.RecvRelease(t, e.sock, n)
-}
-
-// Splice implements socketapi.ChainAPI. Both sockets live in the
-// kernel, so this is sendfile: the pump runs entirely below the
-// user/kernel boundary and no payload byte is copied.
-func (a *API) Splice(t *sim.Proc, dstFD, srcFD int, n int) (int, error) {
-	de, err := a.get(dstFD)
-	if err != nil {
-		return 0, err
-	}
-	se, err := a.get(srcFD)
-	if err != nil {
-		return 0, err
-	}
-	return a.sys.St.Splice(t, de.sock, se.sock, n)
-}
-
-// RecvZC implements socketapi.ZeroCopyAPI (copying fallback, see SendZC).
-func (a *API) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socketapi.SockAddr, error) {
-	buf := make([]byte, max)
-	n, from, err := a.RecvFrom(t, fd, buf, flags)
-	return buf[:n], from, err
 }

@@ -20,8 +20,8 @@ func build(t *testing.T, seed int64) *apitest.Env {
 	sysB := inkernel.New(s, seg, "B", wire.MAC{2}, ipB, costs.DECKernelMach25())
 	return &apitest.Env{
 		Sim:  s,
-		NewA: func(name string) socketapi.API { return sysA.NewAPI(name) },
-		NewB: func(name string) socketapi.API { return sysB.NewAPI(name) },
+		NewA: func(name string) socketapi.API { return sysA.NewApp(name) },
+		NewB: func(name string) socketapi.API { return sysB.NewApp(name) },
 		IPA:  ipA,
 		IPB:  ipB,
 	}

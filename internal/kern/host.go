@@ -197,6 +197,30 @@ func (h *Host) ChargeIntrProc(p *sim.Proc, d time.Duration) {
 	h.CPU.Use(p, sim.IntrPriority, d)
 }
 
+// ProtoCharge returns the charge function a deployment hands its
+// protocol stack: each layer's work is priced from pc, reported to *obs
+// when an observer is installed (Table 4 instrumentation; obs may be
+// nil), and billed to the host CPU at task priority — or at interrupt
+// priority on the threads intr claims (the in-kernel baseline's
+// software-interrupt thread; intr may be nil).
+func (h *Host) ProtoCharge(pc *costs.ProtoCosts, obs *func(costs.Component, time.Duration), intr func(*sim.Proc) bool) func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
+	return func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
+		path := &pc.UDP
+		if tcp {
+			path = &pc.TCP
+		}
+		d := path[comp].At(n)
+		if obs != nil && *obs != nil && d > 0 {
+			(*obs)(comp, d)
+		}
+		if intr != nil && intr(t) {
+			h.ChargeIntrProc(t, d)
+		} else {
+			h.ChargeProc(t, d)
+		}
+	}
+}
+
 // pathFor picks the per-protocol cost table for a received frame by
 // peeking at the IP protocol field. Non-IP traffic (ARP) is priced with
 // the UDP table, whose small-packet costs are the right magnitude.

@@ -261,28 +261,25 @@ func TestProcessExitNotification(t *testing.T) {
 func TestServiceRPC(t *testing.T) {
 	r := newRig(costs.DECLibrarySHMIPF())
 	srvProc := r.a.NewProcess("server")
-	svc := NewService(srvProc, "echo", 2, func(t *sim.Proc, method string, args any) (any, error) {
-		if method == "fail" {
-			return nil, fmt.Errorf("boom")
-		}
-		t.Sleep(time.Millisecond) // simulated work
-		return args.(int) * 2, nil
-	})
+	svc := NewService(srvProc, "echo", 2)
 	results := make([]int, 3)
+	workers := map[*sim.Proc]bool{}
 	for i := 0; i < 3; i++ {
 		i := i
 		r.s.Spawn("client", func(p *sim.Proc) {
-			rep, err := svc.Call(p, "double", i)
-			if err != nil {
-				t.Errorf("call: %v", err)
-				return
-			}
-			results[i] = rep.(int)
+			svc.Call(p, func(w *sim.Proc) {
+				if w == p {
+					t.Error("work ran on the calling thread, not a server worker")
+				}
+				workers[w] = true
+				w.Sleep(time.Millisecond) // simulated work
+				results[i] = i * 2
+			})
 		})
 	}
 	var gotErr error
 	r.s.Spawn("failer", func(p *sim.Proc) {
-		_, gotErr = svc.Call(p, "fail", 0)
+		svc.Call(p, func(*sim.Proc) { gotErr = fmt.Errorf("boom") })
 	})
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
@@ -295,19 +292,19 @@ func TestServiceRPC(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("error not propagated")
 	}
+	if len(workers) != 2 {
+		t.Fatalf("calls ran on %d distinct workers, want 2", len(workers))
+	}
 }
 
 func TestServiceWorkersRunConcurrently(t *testing.T) {
 	r := newRig(costs.DECLibrarySHMIPF())
 	srvProc := r.a.NewProcess("server")
-	svc := NewService(srvProc, "slow", 2, func(t *sim.Proc, method string, args any) (any, error) {
-		t.Sleep(10 * time.Millisecond)
-		return nil, nil
-	})
+	svc := NewService(srvProc, "slow", 2)
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
 		r.s.Spawn("client", func(p *sim.Proc) {
-			svc.Call(p, "go", nil)
+			svc.Call(p, func(w *sim.Proc) { w.Sleep(10 * time.Millisecond) })
 			done = append(done, p.Now())
 		})
 	}

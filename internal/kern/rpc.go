@@ -9,63 +9,50 @@ import (
 // Service is a synchronous RPC port in the style of Mach IPC, used for
 // the proxy calls between protocol libraries and the operating-system
 // server, and for the data-path RPCs of the server-based baseline.
-// Callers block until a server worker executes the handler and replies.
+// A call carries the work itself: the caller blocks until a server
+// worker has run it.
 type Service struct {
-	Name    string
-	host    *Host
-	queue   *sim.Chan[*call]
-	handler func(t *sim.Proc, method string, args any) (any, error)
+	queue *sim.Chan[*call]
 }
 
 type call struct {
-	method string
-	args   any
-	reply  any
-	err    error
+	run    func(worker *sim.Proc)
 	done   bool
 	doneCV sim.Cond
 }
 
-// NewService creates a service on the host and spawns `workers` daemon
-// threads in the given process to serve it.
-func NewService(owner *Process, name string, workers int, handler func(t *sim.Proc, method string, args any) (any, error)) *Service {
-	s := &Service{
-		Name:    name,
-		host:    owner.Host,
-		queue:   sim.NewChan[*call](0),
-		handler: handler,
-	}
+// NewService creates a service on the owner's host and spawns `workers`
+// daemon threads in the owner process to serve it.
+func NewService(owner *Process, name string, workers int) *Service {
+	s := &Service{queue: sim.NewChan[*call](0)}
 	for i := 0; i < workers; i++ {
-		s.spawnWorker(owner, fmt.Sprintf("%s-worker%d", name, i))
+		owner.GoDaemon(fmt.Sprintf("%s-worker%d", name, i), func(t *sim.Proc) {
+			for {
+				c, ok := s.queue.Recv(t)
+				if !ok {
+					return
+				}
+				c.run(t)
+				c.done = true
+				c.doneCV.Broadcast()
+			}
+		})
 	}
 	owner.OnExit(func() { s.queue.Close() })
 	return s
 }
 
-func (s *Service) spawnWorker(owner *Process, name string) {
-	owner.GoDaemon(name, func(t *sim.Proc) {
-		for {
-			c, ok := s.queue.Recv(t)
-			if !ok {
-				return
-			}
-			c.reply, c.err = s.handler(t, c.method, c.args)
-			c.done = true
-			c.doneCV.Broadcast()
-		}
-	})
-}
-
-// Call performs a synchronous RPC. The cost of the IPC itself is charged
-// by the caller (libraries charge Profile.ProxyRPC for proxy calls; the
-// server baseline's data-path costs are in its entry/exit components).
-func (s *Service) Call(t *sim.Proc, method string, args any) (any, error) {
-	c := &call{method: method, args: args}
+// Call performs a synchronous RPC: run executes on a server worker
+// thread (blocking it for as long as run blocks) while t waits. The
+// cost of the IPC itself is charged by the caller (libraries charge
+// Profile.ProxyRPC for proxy calls; the server baseline's data-path
+// costs are in its entry/exit components).
+func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
+	c := &call{run: run}
 	s.queue.Send(t, c)
 	for !c.done {
 		c.doneCV.Wait(t)
 	}
-	return c.reply, c.err
 }
 
 // ChargeProxyRPC charges the caller for one proxy round trip of n bytes

@@ -1,0 +1,147 @@
+// Package monolith is the deployment the paper's two baselines share:
+// one protocol stack per host, owned by one address space, behind one
+// socket layer. internal/inkernel and internal/uxserver are thin
+// constructors over it; what differs between them is the Shape.
+package monolith
+
+import (
+	"time"
+
+	"repro/internal/costs"
+	"repro/internal/kern"
+	"repro/internal/metrics"
+	"repro/internal/offload"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/socketapi"
+	"repro/internal/socklayer"
+	"repro/internal/stack"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
+
+// Shape is the three ways the baselines differ.
+type Shape struct {
+	// Owner names the process that owns the stack ("kernel", "uxserver");
+	// StackName suffixes the stack's registry and netstat name.
+	Owner, StackName string
+	// Input names the network input thread. IntrInput runs its protocol
+	// processing at interrupt priority, preempting application work (the
+	// kernel's software interrupt); otherwise it is an ordinary thread
+	// competing at task priority (a server).
+	Input     string
+	IntrInput bool
+	// Workers, when nonzero, puts the stack across an RPC boundary:
+	// every socket call executes on one of that many server threads
+	// (blocking calls occupy one each) of the port named RPC. Zero means
+	// a socket call is a trap and runs on the calling thread.
+	RPC     string
+	Workers int
+}
+
+// System is one host running a monolithic protocol stack.
+type System struct {
+	host *kern.Host
+	st   *stack.Stack
+
+	// observer, when set (Observe), receives every protocol-layer charge
+	// (Table 4 instrumentation).
+	observer func(comp costs.Component, d time.Duration)
+
+	stackName string
+	place     socklayer.Place
+	selCond   sim.Cond // BSD selwakeup: any socket status change wakes all selectors
+}
+
+// New attaches a host running prof's stack in the given shape.
+func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof costs.Profile, shape Shape) *System {
+	sys := &System{stackName: shape.StackName}
+	sys.host = kern.NewHost(s, seg, name, mac, ip, prof)
+	owner := sys.host.NewProcess(shape.Owner) // the address space that owns the stack
+
+	// All traffic lands on the stack's one endpoint.
+	ep := sys.host.NewEndpoint(0)
+	if _, err := ep.InstallProgram(kern.CatchAllProgram(), 0); err != nil {
+		panic(err)
+	}
+
+	var input *sim.Proc
+	var intr func(*sim.Proc) bool
+	if shape.IntrInput {
+		intr = func(t *sim.Proc) bool { return t == input }
+	}
+	var maxTCP int
+	if prof.LargeTCPSendBroken {
+		maxTCP = 1024
+	}
+	sys.st = stack.New(stack.Config{
+		Sim:      s,
+		Name:     name + "." + shape.StackName,
+		LocalIP:  ip,
+		LocalMAC: sys.host.NIC.MAC(),
+		Costs:    &sys.host.Prof.Costs,
+		Charge:   sys.host.ProtoCharge(&sys.host.Prof.Costs, &sys.observer, intr),
+		Transmit: sys.host.Transmit,
+		Ports:    stack.NewLocalPorts(),
+
+		MaxTCPPayload: maxTCP,
+
+		// NIC offload engine hookup (profiles that enable it).
+		TSOMaxPayload:   offload.TSOFor(sys.host.Prof),
+		ChecksumOffload: sys.host.Prof.Offload.Enabled,
+	})
+
+	input = owner.GoDaemon(shape.Input, func(t *sim.Proc) {
+		for {
+			pkt, ok := ep.Recv(t)
+			if !ok {
+				return
+			}
+			sys.st.Input(t, pkt.Frame)
+		}
+	})
+	sys.st.StartTimers(owner.GoDaemon)
+
+	sys.place = socklayer.Place{St: sys.st, Sel: &sys.selCond}
+	if shape.Workers > 0 {
+		svc := kern.NewService(owner, name+"."+shape.RPC, shape.Workers)
+		sys.place.Cross = func(t *sim.Proc, _ int, run func(on *sim.Proc)) { svc.Call(t, run) }
+	}
+	return sys
+}
+
+// NewApp creates an application process on the host and returns its
+// socket interface.
+func (sys *System) NewApp(name string) socketapi.API {
+	return socklayer.NewTable(sys.host.NewProcess(name), &sys.place)
+}
+
+// Kern returns the kernel host the system runs on.
+func (sys *System) Kern() *kern.Host { return sys.host }
+
+// Observe installs the protocol-layer charge observer.
+func (sys *System) Observe(fn func(comp costs.Component, d time.Duration)) { sys.observer = fn }
+
+// Stacks returns the system's one stack.
+func (sys *System) Stacks() []*stack.Stack { return []*stack.Stack{sys.st} }
+
+// SetRoutes installs the host's routing table (nil keeps the default
+// everything-on-link table).
+func (sys *System) SetRoutes(rt *stack.RouteTable) { sys.st.SetRoutes(rt) }
+
+// SetTrace attaches a flight recorder to the system: the kernel host's
+// packet-filter layer and the protocol stack.
+func (sys *System) SetTrace(r *trace.Recorder) {
+	sys.host.Trace = r
+	sys.st.SetTrace(r)
+}
+
+// SetMetrics attaches a registry scope (e.g. "host.alpha") to the
+// system: kernel host counters plus the protocol stack.
+func (sys *System) SetMetrics(hs *metrics.Scope) {
+	if hs == nil {
+		return
+	}
+	sys.host.SetMetrics(hs)
+	sys.st.SetMetrics(hs.Sub("stack").Sub(sys.stackName))
+}

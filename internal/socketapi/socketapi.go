@@ -7,6 +7,8 @@
 // against the new implementation unmodified; here that goal translates to
 // every implementation satisfying this one interface, so the benchmark
 // workloads and example applications run unchanged against any of them.
+// The calls themselves are implemented once, in internal/socklayer; the
+// architectures differ in where that layer's sockets live.
 //
 // Calls take the calling thread (a *sim.Proc) explicitly: the simulation
 // has no implicit "current thread".

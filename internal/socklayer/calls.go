@@ -1,0 +1,436 @@
+package socklayer
+
+import (
+	"repro/internal/mbuf"
+	"repro/internal/sim"
+	"repro/internal/socketapi"
+	"repro/internal/stack"
+)
+
+// Every call below has the same shape: find the entry, then run the
+// stack operation — directly on the calling thread, or inside the
+// entry's crossing. The direct arm must stay free of closures and of
+// variables a closure captures by reference (each would be a heap
+// allocation per socket call on the kernel and library columns), which
+// is why crossed results live in a struct declared inside the crossing
+// arm.
+
+// Socket implements socketapi.API.
+func (tb *Table) Socket(t *sim.Proc, typ int) (int, error) {
+	proto, err := Proto(typ)
+	if err != nil {
+		return -1, err
+	}
+	at := tb.Home
+	if at.Cross != nil {
+		var s *stack.Socket
+		at.Cross(t, 16, func(*sim.Proc) { s = at.St.NewSocket(proto) })
+		return tb.Install(&Entry{Sock: s, At: at}), nil
+	}
+	return tb.Install(&Entry{Sock: at.St.NewSocket(proto), At: at}), nil
+}
+
+// Bind implements socketapi.API.
+func (tb *Table) Bind(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return err
+	}
+	if cross := e.At.Cross; cross != nil {
+		var err error
+		cross(t, 32, func(*sim.Proc) { err = e.At.St.Bind(e.Sock, ToStack(addr)) })
+		return err
+	}
+	return e.At.St.Bind(e.Sock, ToStack(addr))
+}
+
+// Connect implements socketapi.API.
+func (tb *Table) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return err
+	}
+	if cross := e.At.Cross; cross != nil {
+		var err error
+		cross(t, 32, func(on *sim.Proc) { err = e.At.St.Connect(on, e.Sock, ToStack(addr)) })
+		return err
+	}
+	return e.At.St.Connect(t, e.Sock, ToStack(addr))
+}
+
+// Listen implements socketapi.API.
+func (tb *Table) Listen(t *sim.Proc, fd int, backlog int) error {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return err
+	}
+	if cross := e.At.Cross; cross != nil {
+		var err error
+		cross(t, 16, func(*sim.Proc) { err = e.At.St.Listen(e.Sock, backlog) })
+		return err
+	}
+	return e.At.St.Listen(e.Sock, backlog)
+}
+
+// Accept implements socketapi.API: the new connection's descriptor
+// lives where its listener does.
+func (tb *Table) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return -1, socketapi.SockAddr{}, err
+	}
+	var ns *stack.Socket
+	if cross := e.At.Cross; cross != nil {
+		var r struct {
+			ns  *stack.Socket
+			err error
+		}
+		cross(t, 16, func(on *sim.Proc) { r.ns, r.err = e.At.St.Accept(on, e.Sock) })
+		ns, err = r.ns, r.err
+	} else {
+		ns, err = e.At.St.Accept(t, e.Sock)
+	}
+	if err != nil {
+		return -1, socketapi.SockAddr{}, err
+	}
+	return tb.Install(&Entry{Sock: ns, At: e.At}), FromStack(ns.RemoteAddr()), nil
+}
+
+// send is the one implementation behind Send, SendTo, SendMsg, SendZC
+// and the boundary-copy SendChain. The data is the gather list iov, or
+// the single buffer b when iov is nil.
+func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
+	if cross := e.At.Cross; cross != nil {
+		n := len(b)
+		for _, v := range iov {
+			n += len(v)
+		}
+		var r struct {
+			n   int
+			err error
+			dst socketapi.SockAddr
+			to  *socketapi.SockAddr
+		}
+		if to != nil {
+			r.dst = *to
+			r.to = &r.dst
+		}
+		cross(t, n, func(on *sim.Proc) { r.n, r.err = e.sosend(on, b, iov, flags, r.to, zc) })
+		return r.n, r.err
+	}
+	return e.sosend(t, b, iov, flags, to, zc)
+}
+
+// sosend decodes flags and destination and runs the stack's send on the
+// thread it is given.
+func (e *Entry) sosend(on *sim.Proc, b []byte, iov [][]byte, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
+	opts := stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0, ZeroCopy: zc}
+	if to != nil {
+		opts.To = &stack.Addr{IP: to.Addr, Port: to.Port}
+	}
+	if iov == nil {
+		iov = [][]byte{b}
+	}
+	return e.At.St.Send(on, e.Sock, iov, opts)
+}
+
+// Send implements socketapi.API.
+func (tb *Table) Send(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return 0, err
+	}
+	return e.send(t, b, nil, flags, nil, false)
+}
+
+// SendTo implements socketapi.API.
+func (tb *Table) SendTo(t *sim.Proc, fd int, b []byte, flags int, to socketapi.SockAddr) (int, error) {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return 0, err
+	}
+	return e.send(t, b, nil, flags, &to, false)
+}
+
+// SendMsg implements socketapi.API.
+func (tb *Table) SendMsg(t *sim.Proc, fd int, iov [][]byte, flags int, to *socketapi.SockAddr) (int, error) {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return 0, err
+	}
+	return e.send(t, nil, iov, flags, to, false)
+}
+
+// recv is the one implementation behind Recv, RecvFrom, RecvMsg and the
+// boundary-copy RecvZC and RecvPeek. Across a crossing the far side
+// fills the caller's buffer directly; the copies that stands for are
+// priced by the profile.
+func (e *Entry) recv(t *sim.Proc, b []byte, flags int) (int, socketapi.SockAddr, error) {
+	if cross := e.At.Cross; cross != nil {
+		var r struct {
+			n    int
+			from socketapi.SockAddr
+			err  error
+		}
+		cross(t, 32, func(on *sim.Proc) { r.n, r.from, r.err = e.soreceive(on, b, flags) })
+		return r.n, r.from, r.err
+	}
+	return e.soreceive(t, b, flags)
+}
+
+func (e *Entry) soreceive(on *sim.Proc, b []byte, flags int) (int, socketapi.SockAddr, error) {
+	opts := stack.RecvOpts{OOB: flags&socketapi.MsgOOB != 0, Peek: flags&socketapi.MsgPeek != 0}
+	n, from, _, err := e.At.St.Recv(on, e.Sock, b, opts)
+	return n, FromStack(from), err
+}
+
+// Recv implements socketapi.API.
+func (tb *Table) Recv(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
+	n, _, err := tb.RecvFrom(t, fd, b, flags)
+	return n, err
+}
+
+// RecvFrom implements socketapi.API.
+func (tb *Table) RecvFrom(t *sim.Proc, fd int, b []byte, flags int) (int, socketapi.SockAddr, error) {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return 0, socketapi.SockAddr{}, err
+	}
+	return e.recv(t, b, flags)
+}
+
+// RecvMsg implements socketapi.API: fill the scatter list in order,
+// stopping at the first short read.
+func (tb *Table) RecvMsg(t *sim.Proc, fd int, iov [][]byte, flags int) (int, socketapi.SockAddr, error) {
+	total := 0
+	var from socketapi.SockAddr
+	for i, b := range iov {
+		n, f, err := tb.RecvFrom(t, fd, b, flags)
+		if i == 0 {
+			from = f
+		}
+		total += n
+		if err != nil {
+			return total, from, err
+		}
+		if n < len(b) {
+			break
+		}
+	}
+	return total, from, nil
+}
+
+// Shutdown implements socketapi.API.
+func (tb *Table) Shutdown(t *sim.Proc, fd int, how int) error {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return err
+	}
+	if cross := e.At.Cross; cross != nil {
+		var err error
+		cross(t, 16, func(on *sim.Proc) { err = e.At.St.Shutdown(on, e.Sock, how) })
+		return err
+	}
+	return e.At.St.Shutdown(t, e.Sock, how)
+}
+
+// SetSockOpt implements socketapi.API.
+func (tb *Table) SetSockOpt(t *sim.Proc, fd int, opt, value int) error {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return err
+	}
+	if cross := e.At.Cross; cross != nil {
+		var err error
+		cross(t, 16, func(*sim.Proc) { err = e.At.St.SetOption(e.Sock, opt, value) })
+		return err
+	}
+	return e.At.St.SetOption(e.Sock, opt, value)
+}
+
+// GetSockOpt implements socketapi.API.
+func (tb *Table) GetSockOpt(t *sim.Proc, fd int, opt int) (int, error) {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return 0, err
+	}
+	return e.getOpt(t, opt)
+}
+
+func (e *Entry) getOpt(t *sim.Proc, opt int) (int, error) {
+	if cross := e.At.Cross; cross != nil {
+		var r struct {
+			v   int
+			err error
+		}
+		cross(t, 16, func(*sim.Proc) { r.v, r.err = e.At.St.GetOption(e.Sock, opt) })
+		return r.v, r.err
+	}
+	return e.At.St.GetOption(e.Sock, opt)
+}
+
+// GetSockName implements socketapi.API: the name as bound — INADDR_ANY
+// until a connect fixes the local address, as BSD reports it.
+func (tb *Table) GetSockName(t *sim.Proc, fd int) (socketapi.SockAddr, error) {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return socketapi.SockAddr{}, err
+	}
+	return FromStack(e.addr(t, (*stack.Socket).LocalAddr)), nil
+}
+
+// GetPeerName implements socketapi.API.
+func (tb *Table) GetPeerName(t *sim.Proc, fd int) (socketapi.SockAddr, error) {
+	e, err := tb.Lookup(fd)
+	if err != nil {
+		return socketapi.SockAddr{}, err
+	}
+	if e.Sock == nil { // a bare record was never connected
+		return socketapi.SockAddr{}, socketapi.ErrNotConn
+	}
+	a := e.addr(t, (*stack.Socket).RemoteAddr)
+	if a.IsZero() {
+		return socketapi.SockAddr{}, socketapi.ErrNotConn
+	}
+	return FromStack(a), nil
+}
+
+// addr reads one of the socket's endpoint names where the socket lives.
+func (e *Entry) addr(t *sim.Proc, get func(*stack.Socket) stack.Addr) stack.Addr {
+	if cross := e.At.Cross; cross != nil {
+		var a stack.Addr
+		cross(t, 16, func(*sim.Proc) { a = get(e.Sock) })
+		return a
+	}
+	return get(e.Sock)
+}
+
+// SendZC implements socketapi.ZeroCopyAPI (the paper's §4.2 NEWAPI):
+// where the caller shares the stack's address space the protocol
+// references b instead of copying it; across a boundary this is Send.
+func (tb *Table) SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return 0, err
+	}
+	return e.send(t, b, nil, flags, nil, e.At.Alias)
+}
+
+// RecvZC implements socketapi.ZeroCopyAPI: a protocol-owned view where
+// buffers can be shared, otherwise a fresh buffer filled by RecvFrom.
+func (tb *Table) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socketapi.SockAddr, error) {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return nil, socketapi.SockAddr{}, err
+	}
+	if e.At.Alias {
+		_, from, view, err := e.At.St.Recv(t, e.Sock, nil, stack.RecvOpts{ZeroCopy: true, OOB: flags&socketapi.MsgOOB != 0})
+		return view, FromStack(from), err
+	}
+	buf := make([]byte, max)
+	n, from, err := e.recv(t, buf, flags)
+	return buf[:n], from, err
+}
+
+// SendChain implements socketapi.ChainAPI. Sharing the stack's address
+// space, the chain is surrendered by reference. Across a boundary its
+// segments cross as a gather list and the socket layer copies them —
+// the usual copyin with scatter-gather framing. Either way the chain is
+// released, on every return.
+func (tb *Table) SendChain(t *sim.Proc, fd int, c *mbuf.Chain, flags int) (int, error) {
+	if c == nil {
+		c = mbuf.New()
+	}
+	e, err := tb.live(t, fd)
+	if err != nil {
+		c.Release()
+		return 0, err
+	}
+	if e.At.Alias {
+		return e.At.St.SendChain(t, e.Sock, c, stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0})
+	}
+	iov := make([][]byte, 0, c.Segments())
+	for it := c.Iter(); ; {
+		b, ok := it.Next()
+		if !ok {
+			break
+		}
+		iov = append(iov, b)
+	}
+	n, err := e.send(t, nil, iov, flags, nil, false)
+	c.Release()
+	return n, err
+}
+
+// RecvPeek implements socketapi.ChainAPI. Sharing the stack's address
+// space, the view aliases the receive queue and only the declared
+// ranges are copied. Across a boundary the peeked bytes are copied out
+// (the same copy the BSD path pays) into a private view that outlives
+// RecvRelease, and the ranges are sliced from it: Libra-style selective
+// copying emulated with identical semantics.
+func (tb *Table) RecvPeek(t *sim.Proc, fd int, max int, ranges []socketapi.Range) (socketapi.RecvView, error) {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return socketapi.RecvView{}, err
+	}
+	if e.At.Alias {
+		view, copied, from, err := e.At.St.RecvPeek(t, e.Sock, max, ranges)
+		if err != nil {
+			return socketapi.RecvView{}, err
+		}
+		return socketapi.RecvView{Chain: view, Copied: copied, From: FromStack(from)}, nil
+	}
+	if max <= 0 {
+		if max, err = e.getOpt(t, socketapi.SoRcvBuf); err != nil {
+			return socketapi.RecvView{}, err
+		}
+	}
+	buf := make([]byte, max)
+	n, from, err := e.recv(t, buf, socketapi.MsgPeek)
+	if err != nil {
+		return socketapi.RecvView{}, err
+	}
+	view := mbuf.FromBytes(buf[:n])
+	return socketapi.RecvView{Chain: view, Copied: socketapi.MaterializeRanges(view, ranges), From: from}, nil
+}
+
+// RecvRelease implements socketapi.ChainAPI: consuming queued bytes
+// happens beside the stack; no data crosses back.
+func (tb *Table) RecvRelease(t *sim.Proc, fd int, n int) error {
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return err
+	}
+	if cross := e.At.Cross; cross != nil {
+		var err error
+		cross(t, 16, func(on *sim.Proc) { err = e.At.St.RecvRelease(on, e.Sock, n) })
+		return err
+	}
+	return e.At.St.RecvRelease(t, e.Sock, n)
+}
+
+// Splice implements socketapi.ChainAPI: both sockets live on one stack,
+// so the pump runs entirely beside it (sendfile for two sockets) and
+// forwarded payload is never copied to — or mapped into — the caller.
+func (tb *Table) Splice(t *sim.Proc, dstFD, srcFD int, n int) (int, error) {
+	de, err := tb.live(t, dstFD)
+	if err != nil {
+		return 0, err
+	}
+	se, err := tb.live(t, srcFD)
+	if err != nil {
+		return 0, err
+	}
+	if de.At != se.At {
+		return 0, socketapi.ErrNotSupported
+	}
+	if cross := de.At.Cross; cross != nil {
+		var r struct {
+			n   int
+			err error
+		}
+		cross(t, 32, func(on *sim.Proc) { r.n, r.err = de.At.St.Splice(on, de.Sock, se.Sock, n) })
+		return r.n, r.err
+	}
+	return de.At.St.Splice(t, de.Sock, se.Sock, n)
+}

@@ -154,15 +154,11 @@ func (st *Stack) RecvPeek(t *sim.Proc, s *Socket, max int, ranges []socketapi.Ra
 		from = d.from
 
 	case wire.ProtoTCP:
-		tcb := s.tcb
-		if tcb == nil {
+		if s.tcb == nil {
 			return nil, nil, Addr{}, socketapi.ErrNotConn
 		}
-		for s.rcv.len() == 0 && s.err == nil && !s.rdShut && !tcb.peerClosed() {
-			st.condWait(t, &s.rcv.cond)
-		}
-		if s.rcv.len() == 0 {
-			if err := s.takeErr(); err != nil {
+		if ok, err := st.waitReadable(t, s); !ok {
+			if err != nil {
 				return nil, nil, Addr{}, err
 			}
 			return mbuf.New(), nil, s.remote, nil // EOF
@@ -182,41 +178,17 @@ func (st *Stack) RecvPeek(t *sim.Proc, s *Socket, max int, ranges []socketapi.Ra
 	s.zcRxBytes += int64(n)
 	st.Stats.ZeroCopyRxBytes.Add(uint64(n))
 	st.Stats.SockAliasedBytes.Add(uint64(n))
-	copied, copiedBytes := st.materializeRanges(s, view, ranges)
 	// Exit pays copyout only for the selectively materialized bytes.
+	copied := socketapi.MaterializeRanges(view, ranges)
+	copiedBytes := 0
+	for _, b := range copied {
+		copiedBytes += len(b)
+	}
+	s.selCopyBytes += int64(copiedBytes)
+	st.Stats.SelectiveCopyBytes.Add(uint64(copiedBytes))
+	st.Stats.SockCopiedBytes.Add(uint64(copiedBytes))
 	st.charge(t, isTCP, costs.CompCopyoutExit, copiedBytes)
 	return view, copied, from, nil
-}
-
-// materializeRanges builds the private flat copies a RecvPeek caller
-// asked for, clamping each range to the view. Returns the copies and
-// the total bytes copied.
-func (st *Stack) materializeRanges(s *Socket, view *mbuf.Chain, ranges []socketapi.Range) ([][]byte, int) {
-	if len(ranges) == 0 {
-		return nil, 0
-	}
-	out := make([][]byte, len(ranges))
-	total := 0
-	for i, r := range ranges {
-		off, ln := r.Off, r.Len
-		if off < 0 {
-			off = 0
-		}
-		if off > view.Len() {
-			off = view.Len()
-		}
-		if ln < 0 || off+ln > view.Len() {
-			ln = view.Len() - off
-		}
-		b := make([]byte, ln)
-		view.ReadAt(b, off)
-		out[i] = b
-		total += ln
-	}
-	s.selCopyBytes += int64(total)
-	st.Stats.SelectiveCopyBytes.Add(uint64(total))
-	st.Stats.SockCopiedBytes.Add(uint64(total))
-	return out, total
 }
 
 // RecvRelease consumes n bytes from the receive queue (clamped to what
@@ -272,11 +244,8 @@ func (st *Stack) Splice(t *sim.Proc, dst, src *Socket, n int) (int, error) {
 	moved := 0
 	for moved < n {
 		// Wait for source bytes.
-		for src.rcv.len() == 0 && src.err == nil && !src.rdShut && !src.tcb.peerClosed() {
-			st.condWait(t, &src.rcv.cond)
-		}
-		if src.rcv.len() == 0 {
-			if err := src.takeErr(); err != nil {
+		if ok, err := st.waitReadable(t, src); !ok {
+			if err != nil {
 				return moved, err
 			}
 			break // EOF

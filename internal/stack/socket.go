@@ -185,8 +185,8 @@ func (st *Stack) Listen(s *Socket, backlog int) error {
 	if s.Proto != wire.ProtoTCP {
 		return socketapi.ErrNotSupported
 	}
-	if s.local.Port == 0 {
-		return socketapi.ErrInvalid
+	if s.local.Port == 0 || (s.tcb != nil && s.tcb.state != tcpListen) {
+		return socketapi.ErrInvalid // unbound, or already connecting/connected
 	}
 	if backlog < 1 {
 		backlog = 1
@@ -465,11 +465,8 @@ func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Add
 		if tcb == nil {
 			return 0, Addr{}, nil, socketapi.ErrNotConn
 		}
-		for s.rcv.len() == 0 && s.err == nil && !s.rdShut && !tcb.peerClosed() {
-			st.condWait(t, &s.rcv.cond)
-		}
-		if s.rcv.len() == 0 {
-			if err := s.takeErr(); err != nil {
+		if ok, err := st.waitReadable(t, s); !ok {
+			if err != nil {
 				return 0, Addr{}, nil, err
 			}
 			return 0, s.remote, nil, nil // EOF
@@ -503,6 +500,28 @@ func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Add
 	return 0, Addr{}, nil, socketapi.ErrNotSupported
 }
 
+// waitReadable blocks until the stream socket has bytes queued or never
+// will. With nothing queued it reports why: the pending error, ENOTCONN
+// for a connection that died with no error left to report (a refused
+// connect whose ECONNREFUSED was already consumed), or nil at a clean
+// end of stream.
+func (st *Stack) waitReadable(t *sim.Proc, s *Socket) (bool, error) {
+	tcb := s.tcb
+	for s.rcv.len() == 0 && s.err == nil && !s.rdShut && !tcb.peerClosed() && tcb.state != tcpClosed {
+		st.condWait(t, &s.rcv.cond)
+	}
+	if s.rcv.len() > 0 {
+		return true, nil
+	}
+	if err := s.takeErr(); err != nil {
+		return false, err
+	}
+	if tcb.state == tcpClosed && !tcb.peerClosed() && !s.rdShut {
+		return false, socketapi.ErrNotConn
+	}
+	return false, nil
+}
+
 // Shutdown closes one or both directions.
 func (st *Stack) Shutdown(t *sim.Proc, s *Socket, how int) error {
 	st.lock(t)
@@ -511,6 +530,9 @@ func (st *Stack) Shutdown(t *sim.Proc, s *Socket, how int) error {
 }
 
 func (st *Stack) shutdownLocked(t *sim.Proc, s *Socket, how int) error {
+	if s.Proto == wire.ProtoTCP && s.tcb == nil {
+		return socketapi.ErrNotConn
+	}
 	if how == socketapi.ShutRd || how == socketapi.ShutRdWr {
 		s.rdShut = true
 		s.sorwakeup(t, 0)

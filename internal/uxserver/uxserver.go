@@ -1,4 +1,4 @@
-// Package uxserver implements the paper's server-based baseline (CMU's UX
+// Package uxserver is the paper's server-based baseline (CMU's UX
 // single server, BNR2SS): the entire protocol stack runs in one
 // user-level server process, and every application socket call is a
 // synchronous RPC into it.
@@ -13,357 +13,25 @@
 package uxserver
 
 import (
-	"time"
-
 	"repro/internal/costs"
-	"repro/internal/kern"
-	"repro/internal/metrics"
-	"repro/internal/offload"
+	"repro/internal/monolith"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/socketapi"
-	"repro/internal/stack"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// workerPool is the number of server threads available to serve
-// application RPCs; blocking calls (accept, recv) occupy one each.
-const workerPool = 32
-
 // System is one host running a protocol server.
-type System struct {
-	Host *kern.Host
-	Proc *kern.Process // the server process
-	St   *stack.Stack
-	svc  *kern.Service
-
-	handles map[int]*handle
-	nextH   int
-	selCond sim.Cond
-
-	// Observer, when set, receives every protocol-layer charge (Table 4
-	// instrumentation).
-	Observer func(comp costs.Component, d time.Duration)
-}
-
-// SetTrace attaches a flight recorder to the system: the kernel host's
-// packet-filter layer and the server's protocol stack.
-func (sys *System) SetTrace(r *trace.Recorder) {
-	sys.Host.Trace = r
-	sys.St.SetTrace(r)
-}
-
-// SetMetrics attaches a registry scope (e.g. "host.alpha") to the
-// system: kernel host counters plus the network server's stack.
-func (sys *System) SetMetrics(hs *metrics.Scope) {
-	if hs == nil {
-		return
-	}
-	sys.Host.SetMetrics(hs)
-	sys.St.SetMetrics(hs.Sub("stack").Sub("uxstack"))
-}
-
-// handle is a server-side session handle, shared across fork.
-type handle struct {
-	sock *stack.Socket
-	refs int
-}
+type System = monolith.System
 
 // New attaches a host whose protocols are served by a user-level server.
 func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof costs.Profile) *System {
-	sys := &System{handles: make(map[int]*handle), nextH: 1}
-	sys.Host = kern.NewHost(s, seg, name, mac, ip, prof)
-	sys.Proc = sys.Host.NewProcess("uxserver")
-
-	ep := sys.Host.NewEndpoint(0)
-	if _, err := ep.InstallProgram(kern.CatchAllProgram(), 0); err != nil {
-		panic(err)
-	}
-
-	sys.St = stack.New(stack.Config{
-		Sim:      s,
-		Name:     name + ".uxstack",
-		LocalIP:  ip,
-		LocalMAC: sys.Host.NIC.MAC(),
-		Costs:    &sys.Host.Prof.Costs,
-		Charge: func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
-			pc := &sys.Host.Prof.Costs.UDP
-			if tcp {
-				pc = &sys.Host.Prof.Costs.TCP
-			}
-			d := pc[comp].At(n)
-			if sys.Observer != nil && d > 0 {
-				sys.Observer(comp, d)
-			}
-			// Everything runs at task priority: the server is an ordinary
-			// process, which is part of why its latency is worse.
-			sys.Host.ChargeProc(t, d)
-		},
-		Transmit:      sys.Host.Transmit,
-		Ports:         stack.NewLocalPorts(),
-		MaxTCPPayload: quirkMax(prof),
-
-		// NIC offload engine hookup (profiles that enable it).
-		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
-		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
+	return monolith.New(s, seg, name, mac, ip, prof, monolith.Shape{
+		Owner: "uxserver", StackName: "uxstack",
+		// Network input is an ordinary thread competing with the RPC
+		// workers: the server is a process, which is part of why its
+		// latency is worse.
+		Input: "netin",
+		// Blocking calls (accept, recv) occupy one worker each.
+		RPC: "ux", Workers: 32,
 	})
-
-	// Network input thread (task priority, competing with RPC workers).
-	sys.Proc.GoDaemon("netin", func(t *sim.Proc) {
-		for {
-			pkt, ok := ep.Recv(t)
-			if !ok {
-				return
-			}
-			sys.St.Input(t, pkt.Frame)
-		}
-	})
-	sys.St.StartTimers(sys.Proc.GoDaemon)
-	sys.svc = kern.NewService(sys.Proc, name+".ux", workerPool, sys.handle)
-	return sys
-}
-
-func quirkMax(prof costs.Profile) int {
-	if prof.LargeTCPSendBroken {
-		return 1024
-	}
-	return 0
-}
-
-func (sys *System) getHandle(h int) (*handle, error) {
-	e, ok := sys.handles[h]
-	if !ok {
-		return nil, socketapi.ErrBadFD
-	}
-	return e, nil
-}
-
-func (sys *System) newHandle(s *stack.Socket) int {
-	h := sys.nextH
-	sys.nextH++
-	sys.handles[h] = &handle{sock: s, refs: 1}
-	s.Notify = func() { sys.selCond.Broadcast() }
-	return h
-}
-
-// RPC argument/reply types.
-
-type sockArgs struct{ typ int }
-type addrArgs struct {
-	h    int
-	addr stack.Addr
-}
-type fdArgs struct {
-	h int
-	n int
-}
-type sendArgs struct {
-	h   int
-	iov [][]byte
-	oob bool
-	to  *stack.Addr
-}
-type recvArgs struct {
-	h    int
-	max  int
-	oob  bool
-	peek bool
-}
-type recvReply struct {
-	data []byte
-	from stack.Addr
-}
-type acceptReply struct {
-	h    int
-	peer stack.Addr
-}
-type selectArgs struct {
-	read, write []int
-	timeout     time.Duration
-}
-type selectReply struct{ read, write []int }
-type optArgs struct{ h, opt, value int }
-type spliceArgs struct{ dh, sh, n int }
-
-// handle dispatches one RPC inside a server worker thread.
-func (sys *System) handle(t *sim.Proc, method string, args any) (any, error) {
-	switch method {
-	case "socket":
-		a := args.(sockArgs)
-		var proto uint8
-		switch a.typ {
-		case socketapi.SockStream:
-			proto = wire.ProtoTCP
-		case socketapi.SockDgram:
-			proto = wire.ProtoUDP
-		default:
-			return nil, socketapi.ErrInvalid
-		}
-		return sys.newHandle(sys.St.NewSocket(proto)), nil
-	case "bind":
-		a := args.(addrArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return nil, sys.St.Bind(e.sock, a.addr)
-	case "connect":
-		a := args.(addrArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return nil, sys.St.Connect(t, e.sock, a.addr)
-	case "listen":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return nil, sys.St.Listen(e.sock, a.n)
-	case "accept":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := sys.St.Accept(t, e.sock)
-		if err != nil {
-			return nil, err
-		}
-		return acceptReply{h: sys.newHandle(ns), peer: ns.RemoteAddr()}, nil
-	case "send":
-		a := args.(sendArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return sys.St.Send(t, e.sock, a.iov, stack.SendOpts{OOB: a.oob, To: a.to})
-	case "recv":
-		a := args.(recvArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, a.max)
-		n, from, _, err := sys.St.Recv(t, e.sock, buf, stack.RecvOpts{OOB: a.oob, Peek: a.peek})
-		if err != nil {
-			return nil, err
-		}
-		return recvReply{data: buf[:n], from: from}, nil
-	case "close":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		e.refs--
-		if e.refs == 0 {
-			delete(sys.handles, a.h)
-			return nil, sys.St.Close(t, e.sock)
-		}
-		return nil, nil
-	case "dup":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		e.refs++
-		return nil, nil
-	case "shutdown":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return nil, sys.St.Shutdown(t, e.sock, a.n)
-	case "setopt":
-		a := args.(optArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return nil, sys.St.SetOption(e.sock, a.opt, a.value)
-	case "getopt":
-		a := args.(optArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return sys.St.GetOption(e.sock, a.opt)
-	case "sockname":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		la := e.sock.LocalAddr()
-		if la.IP.IsZero() {
-			la.IP = sys.St.LocalIP()
-		}
-		return la, nil
-	case "peername":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		ra := e.sock.RemoteAddr()
-		if ra.IsZero() {
-			return nil, socketapi.ErrNotConn
-		}
-		return ra, nil
-	case "discard":
-		a := args.(fdArgs)
-		e, err := sys.getHandle(a.h)
-		if err != nil {
-			return nil, err
-		}
-		return nil, sys.St.RecvRelease(t, e.sock, a.n)
-	case "splice":
-		// Both sockets live in the server, so the pump runs entirely
-		// inside it: forwarded payload bytes are never copied out to
-		// (or even mapped into) the application.
-		a := args.(spliceArgs)
-		de, err := sys.getHandle(a.dh)
-		if err != nil {
-			return nil, err
-		}
-		se, err := sys.getHandle(a.sh)
-		if err != nil {
-			return nil, err
-		}
-		return sys.St.Splice(t, de.sock, se.sock, a.n)
-	case "select":
-		a := args.(selectArgs)
-		deadline := t.Now().Add(a.timeout)
-		for {
-			var rep selectReply
-			for _, h := range a.read {
-				if e, ok := sys.handles[h]; ok && e.sock.Readable() {
-					rep.read = append(rep.read, h)
-				}
-			}
-			for _, h := range a.write {
-				if e, ok := sys.handles[h]; ok && e.sock.Writable() {
-					rep.write = append(rep.write, h)
-				}
-			}
-			if len(rep.read) > 0 || len(rep.write) > 0 || a.timeout == 0 {
-				return rep, nil
-			}
-			if a.timeout < 0 {
-				sys.selCond.Wait(t)
-				continue
-			}
-			remain := deadline.Sub(t.Now())
-			if remain <= 0 {
-				return rep, nil
-			}
-			sys.selCond.WaitTimeout(t, remain)
-		}
-	}
-	return nil, socketapi.ErrNotSupported
 }

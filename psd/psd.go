@@ -25,11 +25,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/costs"
 	"repro/internal/dataplane"
 	"repro/internal/fault"
-	"repro/internal/inkernel"
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/metrics"
@@ -38,7 +38,6 @@ import (
 	"repro/internal/socketapi"
 	"repro/internal/stack"
 	"repro/internal/trace"
-	"repro/internal/uxserver"
 	"repro/internal/wire"
 )
 
@@ -140,7 +139,7 @@ const (
 
 // Arch selects a host's protocol architecture.
 type Arch struct {
-	kind int // 0 decomposed, 1 kernel, 2 server
+	kind arch.Kind
 	prof costs.Profile
 	srv  costs.Profile
 }
@@ -149,13 +148,13 @@ type Arch struct {
 // application protocol libraries over the integrated packet filter
 // (Library-SHM-IPF cost profile).
 func Decomposed() Arch {
-	return Arch{kind: 0, prof: costs.CalibrateTable2(costs.DECLibrarySHMIPF()), srv: costs.DECServerUX()}
+	return Arch{kind: arch.Decomposed, prof: costs.CalibrateTable2(costs.DECLibrarySHMIPF()), srv: costs.DECServerUX()}
 }
 
 // DecomposedIPC is the decomposed architecture over per-packet IPC
 // delivery.
 func DecomposedIPC() Arch {
-	return Arch{kind: 0, prof: costs.CalibrateTable2(costs.DECLibraryIPC()), srv: costs.DECServerUX()}
+	return Arch{kind: arch.Decomposed, prof: costs.CalibrateTable2(costs.DECLibraryIPC()), srv: costs.DECServerUX()}
 }
 
 // DecomposedOffload is the decomposed architecture with the simulated
@@ -163,15 +162,19 @@ func DecomposedIPC() Arch {
 // transmit segmentation, LRO receive coalescing, checksum offload, and
 // adaptive interrupt moderation on every host NIC.
 func DecomposedOffload() Arch {
-	return Arch{kind: 0, prof: costs.CalibrateTable2(costs.DECLibrarySHMIPFOffload()), srv: costs.DECServerUX()}
+	return Arch{kind: arch.Decomposed, prof: costs.CalibrateTable2(costs.DECLibrarySHMIPFOffload()), srv: costs.DECServerUX()}
 }
 
 // InKernel is the Mach 2.5 / Ultrix baseline: protocols in the kernel.
-func InKernel() Arch { return Arch{kind: 1, prof: costs.CalibrateTable2(costs.DECKernelMach25())} }
+func InKernel() Arch {
+	return Arch{kind: arch.Kernel, prof: costs.CalibrateTable2(costs.DECKernelMach25())}
+}
 
 // ServerBased is the UX baseline: protocols in a single user-level
 // server.
-func ServerBased() Arch { return Arch{kind: 2, prof: costs.CalibrateTable2(costs.DECServerUX())} }
+func ServerBased() Arch {
+	return Arch{kind: arch.Server, prof: costs.CalibrateTable2(costs.DECServerUX())}
+}
 
 // ArchFlavor is a named architecture constructor, for suites that
 // iterate or select the comparison columns by name.
@@ -406,54 +409,21 @@ func (n *Network) Host(name, addr string, arch Arch) *Host {
 // installing a shared route table (subnet hosts route through their
 // gateway; the default segment keeps each stack's everything-on-link
 // table). s must be the shard that owns seg.
-func (n *Network) hostOn(s *sim.Sim, seg *simnet.Segment, routes *stack.RouteTable, name, addr string, arch Arch) *Host {
+func (n *Network) hostOn(s *sim.Sim, seg *simnet.Segment, routes *stack.RouteTable, name, addr string, a Arch) *Host {
 	ip, err := ParseIP(addr)
 	if err != nil {
 		panic(err)
 	}
-	mac := n.nextMAC()
-	h := &Host{name: name, ip: ip, sim: s}
-	rec := n.lane(s)
-	switch arch.kind {
-	case 0:
-		sys := core.New(s, seg, name, mac, ip, arch.prof, arch.srv)
-		if rec != nil {
-			sys.SetTrace(rec)
-		}
-		if n.reg != nil {
-			sys.SetMetrics(n.reg.Scope("host." + name))
-		}
-		sys.SetRoutes(routes)
-		h.newApp = func(app string) App { return sys.NewLibrary(app) }
-		h.core = sys
-		h.stacks = sys.Stacks
-		h.kern = sys.Host
-	case 1:
-		sys := inkernel.New(s, seg, name, mac, ip, arch.prof)
-		if rec != nil {
-			sys.SetTrace(rec)
-		}
-		if n.reg != nil {
-			sys.SetMetrics(n.reg.Scope("host." + name))
-		}
-		sys.St.SetRoutes(routes)
-		h.newApp = func(app string) App { return sys.NewAPI(app) }
-		h.stacks = func() []*stack.Stack { return []*stack.Stack{sys.St} }
-		h.kern = sys.Host
-	case 2:
-		sys := uxserver.New(s, seg, name, mac, ip, arch.prof)
-		if rec != nil {
-			sys.SetTrace(rec)
-		}
-		if n.reg != nil {
-			sys.SetMetrics(n.reg.Scope("host." + name))
-		}
-		sys.St.SetRoutes(routes)
-		h.newApp = func(app string) App { return sys.NewAPI(app) }
-		h.stacks = func() []*stack.Stack { return []*stack.Stack{sys.St} }
-		h.kern = sys.Host
+	mac, rec := n.nextMAC(), n.lane(s)
+	sys := arch.New(a.kind, s, seg, name, mac, ip, a.prof, a.srv)
+	if rec != nil {
+		sys.SetTrace(rec)
 	}
-	return h
+	if n.reg != nil {
+		sys.SetMetrics(n.reg.Scope("host." + name))
+	}
+	sys.SetRoutes(routes)
+	return &Host{name: name, ip: ip, sim: s, sys: sys, kern: sys.Kern()}
 }
 
 // nextMAC hands out locally-administered MACs in attach order.
@@ -494,14 +464,12 @@ func (n *Network) Now() time.Duration {
 
 // Host is one simulated machine.
 type Host struct {
-	name   string
-	ip     wire.IPAddr
-	sim    *sim.Sim
-	newApp func(string) App
-	core   *core.System
-	stacks func() []*stack.Stack
-	kern   *kern.Host
-	plane  *dataplane.Plane
+	name  string
+	ip    wire.IPAddr
+	sim   *sim.Sim
+	sys   arch.System
+	kern  *kern.Host
+	plane *dataplane.Plane
 }
 
 // Spawn starts an application thread on the host's own shard. In group
@@ -514,7 +482,7 @@ func (h *Host) Spawn(name string, fn func(t *Thread)) { h.sim.Spawn(name, fn) }
 // netstat-style socket table.
 func (h *Host) Netstat() []SocketInfo {
 	var out []SocketInfo
-	for _, st := range h.stacks() {
+	for _, st := range h.sys.Stacks() {
 		out = append(out, st.SocketTable()...)
 	}
 	return out
@@ -529,7 +497,7 @@ func (h *Host) Addr(port uint16) SockAddr { return SockAddr{Addr: h.ip, Port: po
 // NewApp creates an application process on the host and returns its
 // socket interface. On a Decomposed host this links a protocol library
 // into the new address space; on the baselines it is a plain process.
-func (h *Host) NewApp(name string) App { return h.newApp(name) }
+func (h *Host) NewApp(name string) App { return h.sys.NewApp(name) }
 
 // Dataplane returns the host's programmable data plane, creating it and
 // installing it on the kernel packet-filter hook on first use. The
@@ -586,10 +554,11 @@ func (h *Host) InstallVIP(addr string, port uint16, backends ...BackendSpec) (*V
 // Decomposed host (zeroes otherwise): sessions currently tracked,
 // migrations into applications, returns to the server, and orphan aborts.
 func (h *Host) ServerStats() (sessions, migrations, returns, orphans int) {
-	if h.core == nil {
+	dec, ok := h.sys.(*core.System)
+	if !ok {
 		return
 	}
-	srv := h.core.Server
+	srv := dec.Server
 	return srv.Sessions(), int(srv.Migrations.Value()), int(srv.Returns.Value()), int(srv.OrphansAborted.Value())
 }
 
