@@ -2,9 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -18,9 +15,6 @@ func runDataplane(path, label string) error {
 	results, err := bench.RunDataplaneSuite()
 	if err != nil {
 		return err
-	}
-	if label == "" {
-		label = "psdbench"
 	}
 
 	fmt.Println("Dataplane suite: ttcp vs chain length")
@@ -50,28 +44,5 @@ func runDataplane(path, label string) error {
 			c.Config, c.Conns, c.Served, c.Failed, c.Rehomed, c.Resets, c.FlowsLeft, c.SNATLeft)
 	}
 
-	if path == "" {
-		return nil
-	}
-	rep := bench.DataplaneReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Results: results,
-	}
-	var out io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteDataplaneJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote dataplane report to %s\n", path)
-	}
-	return nil
+	return writeReport(path, label, "dataplane", nil, "", results)
 }

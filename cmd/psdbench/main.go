@@ -21,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/fault"
@@ -62,7 +61,7 @@ func main() {
 	scaleHosts := flag.Int("scale-hosts", 10000, "largest host count for the -scale sweep")
 	scaleSeed := flag.Int64("scale-seed", 1, "seed for the -scale city workload")
 	shards := flag.Int("shards", -1, "with -scale, sweep only the classic loop plus this shard count (default: classic, 1, 4, and 8 shards)")
-	benchLabel := flag.String("label", "", "label stored in the -json report (default: current date)")
+	benchLabel := flag.String("label", "", "label stored in every JSON report (default \"psdbench\")")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
 	flag.Parse()
@@ -181,7 +180,7 @@ func main() {
 	}
 	if *jsonOut != "" {
 		ran = true
-		if err := runHotpath(*jsonOut, *benchLabel, opt); err != nil {
+		if err := runHotpath(*jsonOut, *benchLabel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -254,115 +253,35 @@ func main() {
 	}
 }
 
-// headlineConfig is the configuration the registry digest runs against:
-// the paper's headline Library-SHM-IPF system.
-func headlineConfig() bench.SysConfig { return bench.HeadlineConfig() }
-
-// runHotpath measures the wall-clock hot path and writes the JSON
-// report, including the registry digest of the headline configuration.
-func runHotpath(path, label string, opt Options) error {
+// runHotpath measures the wall-clock hot path and writes the report.
+func runHotpath(path, label string) error {
 	results, err := bench.RunHotpath(0, 0)
 	if err != nil {
 		return err
 	}
-	metrics, err := bench.RunMetricsSuite(headlineConfig())
-	if err != nil {
-		return err
-	}
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := bench.HotpathReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Results: results,
-		Metrics: metrics,
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteHotpathJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote hot-path report to %s\n", path)
-	}
-	return nil
+	return writeReport(path, label, "hotpath", nil, "", results)
 }
 
-// runMetrics runs only the registry digest suite and writes the
-// BENCH_metrics-style JSON entry.
+// runMetrics runs the registry digest suite against the paper's
+// headline Library-SHM-IPF system and writes the report.
 func runMetrics(path, label string) error {
-	cfg := headlineConfig()
+	cfg := bench.HeadlineConfig()
 	results, err := bench.RunMetricsSuite(cfg)
 	if err != nil {
 		return err
 	}
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := bench.MetricsReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Config:  cfg.Name,
-		Results: results,
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteMetricsJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote metrics report to %s\n", path)
-	}
-	return nil
+	return writeReport(path, label, "metrics", nil, cfg.Name, results)
 }
 
 // runProxy measures the socket-to-socket forwarding workload — the
-// flat-buffer loop against the chain and splice paths — on the three
-// reference architectures, and writes the BENCH_proxy-style report.
+// flat-buffer loop against the chain and splice paths — on every
+// architecture column, and writes the report.
 func runProxy(path, label string, totalBytes int) error {
 	results, err := bench.RunProxySuite(totalBytes)
 	if err != nil {
 		return err
 	}
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := bench.ProxyReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Results: results,
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteProxyJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote proxy report to %s\n", path)
-	}
-	return nil
+	return writeReport(path, label, "proxy", nil, "", results)
 }
 
 func runTable4(opt Options) {

@@ -2,9 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -18,9 +15,6 @@ func runOffload(path, label string) error {
 	results, err := bench.RunOffloadSuite()
 	if err != nil {
 		return err
-	}
-	if label == "" {
-		label = "psdbench"
 	}
 
 	fmt.Println("Offload suite: tcp-steady")
@@ -52,28 +46,5 @@ func runOffload(path, label string) error {
 			c.Config, c.Conns, c.WireFrames, c.Wakeups, c.WakeupsPerSegment, c.SwChecksumBytes)
 	}
 
-	if path == "" {
-		return nil
-	}
-	rep := bench.OffloadReport{
-		Label:   label,
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Results: results,
-	}
-	var out io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := bench.WriteOffloadJSON(out, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote offload report to %s\n", path)
-	}
-	return nil
+	return writeReport(path, label, "offload", nil, "", results)
 }

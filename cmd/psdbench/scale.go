@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -39,14 +38,6 @@ type ScalePoint struct {
 	// (sharded cells only) — the window-loop efficiency gauge. Cells run
 	// in fresh child processes, so the malloc counter sees one run.
 	AllocsPerWindow float64 `json:"allocs_per_window,omitempty"`
-}
-
-// ScaleReport is one BENCH_scale.json entry.
-type ScaleReport struct {
-	Label  string       `json:"label"`
-	Date   string       `json:"date"`
-	Seed   int64        `json:"seed"`
-	Points []ScalePoint `json:"points"`
 }
 
 // scaleCity sizes a city to roughly the requested host count: 100
@@ -176,9 +167,6 @@ func runScalePoint(seed int64, archName string, hosts, shards int, single bool) 
 // multi-shard run at the largest host count beats the classic
 // single-loop baseline on sim_per_real.
 func runScale(path, label, archName string, seed int64, maxHosts int, shardCounts []int) error {
-	if label == "" {
-		label = "psdbench"
-	}
 	if archName == "" {
 		archName = "decomposed"
 	}
@@ -196,7 +184,7 @@ func runScale(path, label, archName string, seed int64, maxHosts int, shardCount
 		hosts = []int{maxHosts}
 	}
 
-	rep := ScaleReport{Label: label, Date: time.Now().UTC().Format("2006-01-02"), Seed: seed}
+	var points []ScalePoint
 	fmt.Printf("Scale sweep (arch %s)\n", archName)
 	fmt.Printf("%8s %10s %7s %8s %10s %10s %12s %9s %11s\n",
 		"hosts", "conns", "shards", "virt_s", "real_s", "sim/real", "events", "windows", "allocs/win")
@@ -220,7 +208,7 @@ func runScale(path, label, archName string, seed int64, maxHosts int, shardCount
 					p = p2
 				}
 			}
-			rep.Points = append(rep.Points, p)
+			points = append(points, p)
 			mode := "classic"
 			if k > 0 {
 				mode = fmt.Sprintf("%d", k)
@@ -249,25 +237,5 @@ func runScale(path, label, archName string, seed int64, maxHosts int, shardCount
 			bestMulti, baseline, 100*(bestMulti/baseline-1))
 	}
 
-	if path == "" {
-		return nil
-	}
-	var out io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("wrote scale report to %s\n", path)
-	}
-	return nil
+	return writeReport(path, label, "scale", &seed, "", points)
 }

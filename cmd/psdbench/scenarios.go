@@ -1,23 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"repro/psd"
 )
-
-// ScenarioReport is one BENCH_scenarios.json entry: the full suite run
-// across every architecture under one label.
-type ScenarioReport struct {
-	Label   string                `json:"label"`
-	Date    string                `json:"date"`
-	Seed    int64                 `json:"seed"`
-	Results []*psd.ScenarioResult `json:"results"`
-}
 
 // runScenarios executes every named scenario on every architecture,
 // prints the verdict table (and SLO details for failures), and writes a
@@ -25,15 +13,7 @@ type ScenarioReport struct {
 // none). A failed SLO makes the whole run return an error so CI gates
 // on the exit status.
 func runScenarios(path, label string, seed int64) error {
-	if label == "" {
-		label = "psdbench"
-	}
-	rep := ScenarioReport{
-		Label: label,
-		Date:  time.Now().UTC().Format("2006-01-02"),
-		Seed:  seed,
-	}
-
+	var results []*psd.ScenarioResult
 	fmt.Printf("Scenario suite (seed %d)\n", seed)
 	fmt.Printf("%-14s %-12s %5s %4s %12s %12s %9s %7s %7s  %s\n",
 		"scenario", "arch", "reqs", "errs", "p50", "p99", "conn-p99", "drops", "rexmit", "verdict")
@@ -46,7 +26,7 @@ func runScenarios(path, label string, seed int64) error {
 			if err != nil {
 				return err
 			}
-			rep.Results = append(rep.Results, res)
+			results = append(results, res)
 			verdict := "pass"
 			if !res.Passed {
 				verdict = "FAIL"
@@ -65,24 +45,8 @@ func runScenarios(path, label string, seed int64) error {
 		}
 	}
 
-	if path != "" {
-		var out io.Writer = os.Stdout
-		if path != "-" {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode([]ScenarioReport{rep}); err != nil {
-			return err
-		}
-		if path != "-" {
-			fmt.Printf("wrote scenario report to %s\n", path)
-		}
+	if err := writeReport(path, label, "scenarios", &seed, "", results); err != nil {
+		return err
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d scenario cell(s) failed their SLOs", failed)

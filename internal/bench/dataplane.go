@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/dataplane"
 	"repro/internal/filter"
@@ -59,20 +57,6 @@ type DataplaneCell struct {
 	Resets    int64 `json:"resets,omitempty"`
 	FlowsLeft int64 `json:"flows_left,omitempty"`
 	SNATLeft  int64 `json:"snat_left,omitempty"`
-}
-
-// DataplaneReport is the JSON document psdbench -dataplane writes.
-type DataplaneReport struct {
-	Label   string          `json:"label"`
-	Date    string          `json:"date,omitempty"`
-	Results []DataplaneCell `json:"results"`
-}
-
-// WriteDataplaneJSON writes a report as indented JSON.
-func WriteDataplaneJSON(w io.Writer, rep DataplaneReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // attachPlanes installs a data plane with a rule chain of n never-

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 )
@@ -36,17 +34,6 @@ type HotpathMetrics struct {
 	Segments int `json:"segments"`
 	// AllocsPerSegment = AllocsPerOp / Segments (0 when unknown).
 	AllocsPerSegment float64 `json:"allocs_per_segment"`
-}
-
-// HotpathReport is the JSON document psdbench -json writes.
-type HotpathReport struct {
-	Label   string           `json:"label"`
-	Date    string           `json:"date,omitempty"`
-	GoMaxMB int              `json:"-"`
-	Results []HotpathMetrics `json:"results"`
-	// Metrics is the registry digest of the headline configuration:
-	// connect-latency quantiles and drop/retransmit counts per workload.
-	Metrics []WorkloadMetrics `json:"metrics,omitempty"`
 }
 
 // hotpathWorkload is one entry of the suite.
@@ -149,11 +136,4 @@ func RunHotpath(totalBytes, rounds int) ([]HotpathMetrics, error) {
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-// WriteHotpathJSON writes a report as indented JSON.
-func WriteHotpathJSON(w io.Writer, rep HotpathReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"io"
-
 	"repro/internal/metrics"
 )
 
@@ -115,22 +112,6 @@ func RunMetricsSuite(cfg SysConfig) ([]WorkloadMetrics, error) {
 	}
 
 	return out, firstErr
-}
-
-// MetricsReport is the JSON document psdbench writes for the registry
-// digest (BENCH_metrics.json holds one entry per recorded run).
-type MetricsReport struct {
-	Label   string            `json:"label"`
-	Date    string            `json:"date,omitempty"`
-	Config  string            `json:"config"`
-	Results []WorkloadMetrics `json:"results"`
-}
-
-// WriteMetricsJSON writes a report as indented JSON.
-func WriteMetricsJSON(w io.Writer, rep MetricsReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // captureBuild temporarily installs a build hook that records the next

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
-	"repro/internal/sim"
-	"repro/internal/socketapi"
 	"repro/psd"
 )
 
@@ -71,21 +67,6 @@ type OffloadCell struct {
 	Conns int64 `json:"conns,omitempty"`
 }
 
-// OffloadReport is the JSON document psdbench -offload writes
-// (BENCH_offload.json holds one entry per recorded run).
-type OffloadReport struct {
-	Label   string        `json:"label"`
-	Date    string        `json:"date,omitempty"`
-	Results []OffloadCell `json:"results"`
-}
-
-// WriteOffloadJSON writes a report as indented JSON.
-func WriteOffloadJSON(w io.Writer, rep OffloadReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // RunOffloadSuite measures every cell: tcp-steady on each Columns()
 // configuration at each offered-load point, the splice proxy on each
 // configuration, and connection churn on each architecture flavor.
@@ -123,11 +104,12 @@ func RunOffloadSuite() ([]OffloadCell, error) {
 // world-wide checksum split.
 func RunOffloadSteady(cfg SysConfig, mbps float64) (OffloadCell, error) {
 	cell := OffloadCell{Config: cfg.Name, Workload: "tcp-steady", OfferedMbps: mbps}
+	interval := time.Duration(float64(ttcpChunk*8) / mbps * 1e9 / 1e6) // one 8 KB chunk per interval offers mbps
 	wasOn := metricsCfg.enabled
 	EnableMetrics()
 	var w *World
 	restore := captureBuild(&w)
-	res := runPacedStream(cfg, mbps, offloadSteadyBytes)
+	res := runStream(cfg, "steady", cfg.RcvBufKB, offloadSteadyBytes, interval)
 	restore()
 	metricsCfg.enabled = wasOn
 	if res.Err != nil {
@@ -166,99 +148,6 @@ func digestOffload(cell *OffloadCell, w *World) {
 	cell.OffloadCsumBytes = snap.Sum(".offload.tx_csum_bytes") + snap.Sum(".offload.rx_csum_bytes")
 	cell.TSOSuper = snap.Sum(".offload.tso_super")
 	cell.LROMerged = snap.Sum(".offload.lro_merged")
-}
-
-// runPacedStream is RunTTCP with a pacing loop on the source: one 8 KB
-// chunk per interval, scheduled against absolute deadlines so send-side
-// blocking cannot skew the offered rate.
-func runPacedStream(cfg SysConfig, mbps float64, totalBytes int) TTCPResult {
-	w := cfg.Build(42)
-	res := TTCPResult{}
-	var start, end sim.Time
-	interval := time.Duration(float64(ttcpChunk*8) / mbps * 1e9 / 1e6)
-	payload := make([]byte, ttcpChunk)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-
-	sink := w.NewB("steady-sink")
-	source := w.NewA("steady-source")
-
-	w.Sim.Spawn("sink", func(p *sim.Proc) {
-		ls, err := sink.Socket(p, socketapi.SockStream)
-		if err != nil {
-			res.Err = err
-			return
-		}
-		sink.SetSockOpt(p, ls, socketapi.SoRcvBuf, cfg.RcvBufKB*1024)
-		if err := sink.Bind(p, ls, socketapi.SockAddr{Port: ttcpPort}); err != nil {
-			res.Err = err
-			return
-		}
-		sink.Listen(p, ls, 1)
-		fd, _, err := sink.Accept(p, ls)
-		if err != nil {
-			res.Err = err
-			return
-		}
-		got := 0
-		buf := make([]byte, ttcpChunk)
-		for {
-			n, err := sink.Recv(p, fd, buf, 0)
-			if err != nil {
-				res.Err = err
-				return
-			}
-			if n == 0 {
-				break
-			}
-			got += n
-		}
-		end = p.Now()
-		res.Bytes = got
-		sink.Close(p, fd)
-		sink.Close(p, ls)
-	})
-
-	w.Sim.Spawn("source", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, err := source.Socket(p, socketapi.SockStream)
-		if err != nil {
-			res.Err = err
-			return
-		}
-		source.SetSockOpt(p, fd, socketapi.SoSndBuf, cfg.RcvBufKB*1024)
-		if err := source.Connect(p, fd, socketapi.SockAddr{Addr: w.IPB, Port: ttcpPort}); err != nil {
-			res.Err = err
-			return
-		}
-		start = p.Now()
-		for i, sent := 0, 0; sent < totalBytes; i++ {
-			if target := start.Add(time.Duration(i) * interval); p.Now() < target {
-				p.Sleep(target.Sub(p.Now()))
-			}
-			chunk := ttcpChunk
-			if sent+chunk > totalBytes {
-				chunk = totalBytes - sent
-			}
-			n, err := source.Send(p, fd, payload[:chunk], 0)
-			if err != nil {
-				res.Err = err
-				return
-			}
-			sent += n
-		}
-		source.Close(p, fd)
-	})
-
-	if err := w.Sim.Run(); err != nil && res.Err == nil {
-		res.Err = err
-	}
-	res.Duration = end.Sub(start)
-	if res.Err == nil && res.Bytes != totalBytes {
-		res.Err = fmt.Errorf("paced stream: received %d of %d bytes", res.Bytes, totalBytes)
-	}
-	return res
 }
 
 // runOffloadProxy measures the splice forwarding pump on one

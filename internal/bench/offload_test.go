@@ -3,6 +3,7 @@ package bench
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestTSOUnderFaultRetransmits is the TSO-under-fault regression: when
@@ -125,5 +126,24 @@ func TestOffloadSteadyDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("offload steady cell not deterministic:\n  %+v\n  %+v", a, b)
+	}
+}
+
+// TestStreamPacedAndUnpacedAgree pins the one stream workload: flat out
+// (RunTTCP, interval 0) and paced deliver the same bytes, and pacing is
+// what stretches the transfer.
+func TestStreamPacedAndUnpacedAgree(t *testing.T) {
+	cfg := HeadlineConfig()
+	const total = 128 << 10
+	flat := RunTTCP(cfg, cfg.RcvBufKB, total)
+	paced := runStream(cfg, "steady", cfg.RcvBufKB, total, 30*time.Millisecond)
+	if flat.Err != nil || paced.Err != nil {
+		t.Fatalf("flat: %v, paced: %v", flat.Err, paced.Err)
+	}
+	if flat.Bytes != total || paced.Bytes != total {
+		t.Errorf("delivered %d flat, %d paced, want %d", flat.Bytes, paced.Bytes, total)
+	}
+	if floor := 15 * 30 * time.Millisecond; paced.Duration < floor || flat.Duration >= floor {
+		t.Errorf("16 chunks at 30 ms: paced took %v, flat %v, want paced >= %v > flat", paced.Duration, flat.Duration, floor)
 	}
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -306,13 +304,6 @@ type ProxyMetrics struct {
 	AllocsPerSegment float64 `json:"allocs_per_segment"`
 }
 
-// ProxyReport is the JSON document psdbench -proxy writes.
-type ProxyReport struct {
-	Label   string         `json:"label"`
-	Date    string         `json:"date,omitempty"`
-	Results []ProxyMetrics `json:"results"`
-}
-
 // proxyConfigs returns the architectures the proxy comparison runs
 // on: the shared registry, so the proxy tables carry the same columns
 // as the default suite, -scenarios, and -scale.
@@ -362,11 +353,4 @@ func RunProxySuite(totalBytes int) ([]ProxyMetrics, error) {
 		}
 	}
 	return out, nil
-}
-
-// WriteProxyJSON writes a report as indented JSON.
-func WriteProxyJSON(w io.Writer, rep ProxyReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

@@ -38,6 +38,16 @@ func RunTTCP(cfg SysConfig, rcvBufKB int, totalBytes int) TTCPResult {
 	if totalBytes == 0 {
 		totalBytes = ttcpTotalBytes
 	}
+	return runStream(cfg, "ttcp", rcvBufKB, totalBytes, 0)
+}
+
+// runStream is the one-way TCP stream workload: a source on host A
+// writes totalBytes in 8 KB chunks to a sink on host B. A positive
+// interval paces the source to one chunk per interval, scheduled against
+// absolute deadlines so send-side blocking cannot skew the offered rate;
+// 0 sends flat out. name prefixes the process names (and so the registry
+// scopes) and labels the run.
+func runStream(cfg SysConfig, name string, rcvBufKB, totalBytes int, interval time.Duration) TTCPResult {
 	w := cfg.Build(42)
 	res := TTCPResult{}
 	var start, end sim.Time
@@ -46,8 +56,8 @@ func RunTTCP(cfg SysConfig, rcvBufKB int, totalBytes int) TTCPResult {
 		payload[i] = byte(i)
 	}
 
-	sink := w.NewB("ttcp-sink")
-	source := w.NewA("ttcp-source")
+	sink := w.NewB(name + "-sink")
+	source := w.NewA(name + "-source")
 
 	w.Sim.Spawn("sink", func(p *sim.Proc) {
 		ls, err := sink.Socket(p, socketapi.SockStream)
@@ -110,7 +120,10 @@ func RunTTCP(cfg SysConfig, rcvBufKB int, totalBytes int) TTCPResult {
 		start = p.Now()
 		zc, useZC := source.(socketapi.ZeroCopyAPI)
 		useZC = useZC && cfg.NewAPI
-		for sent := 0; sent < totalBytes; {
+		for i, sent := 0, 0; sent < totalBytes; i++ {
+			if target := start.Add(time.Duration(i) * interval); p.Now() < target {
+				p.Sleep(target.Sub(p.Now()))
+			}
 			chunk := ttcpChunk
 			if sent+chunk > totalBytes {
 				chunk = totalBytes - sent
@@ -136,9 +149,9 @@ func RunTTCP(cfg SysConfig, rcvBufKB int, totalBytes int) TTCPResult {
 	}
 	res.Duration = end.Sub(start)
 	if res.Err == nil && res.Bytes != totalBytes {
-		res.Err = fmt.Errorf("ttcp: received %d of %d bytes", res.Bytes, totalBytes)
+		res.Err = fmt.Errorf("%s: received %d of %d bytes", name, res.Bytes, totalBytes)
 	}
-	noteRun(cfg.Name+" ttcp", res.Duration, w.Rec)
+	noteRun(cfg.Name+" "+name, res.Duration, w.Rec)
 	return res
 }
 

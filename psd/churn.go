@@ -9,7 +9,10 @@ import (
 // hosts opening and closing thousands of short-lived TCP connections,
 // with a fraction of clients dying without cleanup so the OS servers'
 // orphan-abort machinery runs at scale. Acceptance is expressed
-// entirely in metrics-registry assertions (see ChurnReport.Check).
+// entirely in metrics-registry assertions (see ChurnLaws).
+//
+// All hosts share one flat Ethernet segment; the routed, shardable form
+// of the same workload is RunCity.
 type ChurnConfig struct {
 	Seed           int64
 	Servers        int // echo-server hosts
@@ -19,19 +22,6 @@ type ChurnConfig struct {
 	MsgBytes       int // payload echoed once per connection
 	Arch           Arch
 	Drain          time.Duration // virtual time after the workload for TIME_WAIT and port quarantines to expire (0 = 75 s)
-
-	// Districts, when positive, splits the hosts evenly across that
-	// many routed districts joined by trunks (the RunCity topology) —
-	// the form that scales past 10^4 hosts, since a single shared
-	// segment is one collision domain and one shard. Servers and
-	// Clients must divide evenly by it. Zero keeps the classic flat
-	// single-segment build, byte-identical to prior releases.
-	Districts int
-
-	// Shards and SingleThreaded forward to Config; they require
-	// Districts > 0 (a flat segment cannot be cut).
-	Shards         int
-	SingleThreaded bool
 }
 
 // DefaultChurn is the scale point the acceptance criteria call for:
@@ -48,12 +38,9 @@ func DefaultChurn(seed int64) ChurnConfig {
 	}
 }
 
-// ChurnReport is the registry-derived outcome of a churn run.
-type ChurnReport struct {
-	Hosts     int `json:"hosts"`
-	ConnsPlan int `json:"conns_planned"`
-
-	// Summed over every host's OS-server scope.
+// ChurnLaws are the churn conservation quantities, summed over every
+// host's OS-server scope.
+type ChurnLaws struct {
 	ConnSetups     int64 `json:"conn_setups"`
 	ConnTeardowns  int64 `json:"conn_teardowns"`
 	OrphansAborted int64 `json:"orphans_aborted"`
@@ -64,193 +51,10 @@ type ChurnReport struct {
 	LiveSessions int64 `json:"live_sessions"`
 	PortsInUse   int64 `json:"ports_in_use"`
 	TimeWait     int64 `json:"time_wait"`
-
-	Snapshot *MetricsSnapshot `json:"-"`
 }
 
-// Check verifies the workload's conservation laws against the registry:
-// every connection established was either torn down normally or orphan-
-// aborted, every session record was reaped, and no port, session, or
-// TIME_WAIT socket leaked through the churn.
-func (r *ChurnReport) Check() error {
-	// Each logical connection is set up on both the client's and the
-	// server's OS server, so the global count is 2x the plan.
-	if want := int64(2 * r.ConnsPlan); r.ConnSetups < want {
-		return fmt.Errorf("churn: %d connection setups, want >= %d", r.ConnSetups, want)
-	}
-	if r.ConnSetups != r.ConnTeardowns+r.OrphansAborted {
-		return fmt.Errorf("churn: setups %d != teardowns %d + orphans aborted %d",
-			r.ConnSetups, r.ConnTeardowns, r.OrphansAborted)
-	}
-	if r.SessionsMade != r.SessionsReaped {
-		return fmt.Errorf("churn: sessions made %d != reaped %d", r.SessionsMade, r.SessionsReaped)
-	}
-	if r.LiveSessions != 0 {
-		return fmt.Errorf("churn: %d sessions leaked", r.LiveSessions)
-	}
-	if r.PortsInUse != 0 {
-		return fmt.Errorf("churn: %d ports leaked", r.PortsInUse)
-	}
-	if r.TimeWait != 0 {
-		return fmt.Errorf("churn: %d sockets stuck in TIME_WAIT after drain", r.TimeWait)
-	}
-	return nil
-}
-
-const churnPort = 5001
-
-// RunChurn builds the network, runs the workload to completion plus the
-// drain period, and reads the registry into a report. Deterministic for
-// a given config: two runs with the same seed produce byte-identical
-// snapshots.
-func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
-	if cfg.Districts > 0 {
-		return runChurnDistricted(cfg)
-	}
-	if cfg.Shards > 0 {
-		return nil, fmt.Errorf("churn: Shards requires Districts (a flat segment is one shard)")
-	}
-	if cfg.MsgBytes <= 0 {
-		cfg.MsgBytes = 512
-	}
-	if cfg.Drain <= 0 {
-		// 2MSL TIME_WAIT (60 s) and the orphan port quarantine (60 s)
-		// both expire within this window.
-		cfg.Drain = 75 * time.Second
-	}
-	n := NewConfig(Config{Seed: cfg.Seed, Metrics: true})
-
-	// Servers at 10.0.1.x, clients at 10.0.2.x/10.0.3.x.
-	servers := make([]*Host, cfg.Servers)
-	for i := range servers {
-		servers[i] = n.Host(fmt.Sprintf("srv%d", i), fmt.Sprintf("10.0.1.%d", i+1), cfg.Arch)
-	}
-	clients := make([]*Host, cfg.Clients)
-	for j := range clients {
-		clients[j] = n.Host(fmt.Sprintf("cli%d", j), fmt.Sprintf("10.0.%d.%d", 2+j/200, j%200+1), cfg.Arch)
-	}
-
-	// Every client walks the server list round-robin from its own
-	// offset, so each server's expected accept count is known up front.
-	expect := make([]int, cfg.Servers)
-	for j := 0; j < cfg.Clients; j++ {
-		for k := 0; k < cfg.ConnsPerClient; k++ {
-			expect[(j+k)%cfg.Servers]++
-		}
-	}
-
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-
-	for i, h := range servers {
-		i, h := i, h
-		app := h.NewApp("echo")
-		n.Spawn(fmt.Sprintf("srv%d", i), func(t *Thread) {
-			ls, err := app.Socket(t, SockStream)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := app.Bind(t, ls, SockAddr{Port: churnPort}); err != nil {
-				fail(err)
-				return
-			}
-			app.Listen(t, ls, 64)
-			buf := make([]byte, cfg.MsgBytes)
-			for served := 0; served < expect[i]; served++ {
-				fd, _, err := app.Accept(t, ls)
-				if err != nil {
-					fail(err)
-					return
-				}
-				got := 0
-				for got < cfg.MsgBytes {
-					n, err := app.Recv(t, fd, buf[got:], 0)
-					if err != nil || n == 0 {
-						break // client died mid-stream; still count it served
-					}
-					got += n
-				}
-				if got == cfg.MsgBytes {
-					if _, err := app.Send(t, fd, buf, 0); err != nil {
-						fail(err)
-					}
-				}
-				app.Close(t, fd)
-			}
-			app.Close(t, ls)
-		})
-	}
-
-	msg := make([]byte, cfg.MsgBytes)
-	for b := range msg {
-		msg[b] = byte(b)
-	}
-	for j, h := range clients {
-		j := j
-		orphan := cfg.OrphanEvery > 0 && (j+1)%cfg.OrphanEvery == 0
-		app := h.NewApp("churn")
-		n.Spawn(fmt.Sprintf("cli%d", j), func(t *Thread) {
-			// Stagger starts so the SYN burst stays inside listen backlogs.
-			t.Sleep(time.Duration(j) * 3 * time.Millisecond)
-			for k := 0; k < cfg.ConnsPerClient; k++ {
-				srv := servers[(j+k)%cfg.Servers]
-				fd, err := app.Socket(t, SockStream)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := app.Connect(t, fd, srv.Addr(churnPort)); err != nil {
-					fail(fmt.Errorf("cli%d conn %d: %w", j, k, err))
-					return
-				}
-				if _, err := app.Send(t, fd, msg, 0); err != nil {
-					fail(err)
-					return
-				}
-				buf := make([]byte, cfg.MsgBytes)
-				got := 0
-				for got < cfg.MsgBytes {
-					n, err := app.Recv(t, fd, buf[got:], 0)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if n == 0 {
-						fail(fmt.Errorf("cli%d conn %d: premature EOF", j, k))
-						return
-					}
-					got += n
-				}
-				if orphan && k == cfg.ConnsPerClient-1 {
-					// Die with the connection open: the host's OS server
-					// must abort the orphan and quarantine the port.
-					app.ExitProcess(t)
-					return
-				}
-				app.Close(t, fd)
-			}
-		})
-	}
-
-	if err := n.Run(); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := n.RunFor(cfg.Drain); err != nil {
-		return nil, err
-	}
-
-	snap := n.MetricsSnapshot()
-	rep := &ChurnReport{
-		Hosts:          cfg.Servers + cfg.Clients,
-		ConnsPlan:      cfg.Clients * cfg.ConnsPerClient,
+func readChurnLaws(snap *MetricsSnapshot) ChurnLaws {
+	return ChurnLaws{
 		ConnSetups:     snap.Sum(".core.conn_setup"),
 		ConnTeardowns:  snap.Sum(".core.conn_teardown"),
 		OrphansAborted: snap.Sum(".core.orphans_aborted"),
@@ -259,52 +63,75 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 		LiveSessions:   snap.Sum(".core.sessions"),
 		PortsInUse:     snap.Sum(".core.ports_in_use"),
 		TimeWait:       snap.Sum(".tcp_state.time_wait"),
-		Snapshot:       snap,
 	}
-	return rep, nil
 }
 
-// runChurnDistricted maps the churn config onto the districted city
-// topology: same workload shape, same conservation laws, but the hosts
-// sit behind district routers so the build can scale past 10^4 hosts
-// and run sharded.
-func runChurnDistricted(cfg ChurnConfig) (*ChurnReport, error) {
-	if cfg.Servers%cfg.Districts != 0 || cfg.Clients%cfg.Districts != 0 {
-		return nil, fmt.Errorf("churn: Servers (%d) and Clients (%d) must divide evenly into %d districts",
-			cfg.Servers, cfg.Clients, cfg.Districts)
+// check verifies the conservation laws against a plan of connections:
+// every connection established was either torn down normally or orphan-
+// aborted, every session record was reaped, and no port, session, or
+// TIME_WAIT socket leaked through the churn.
+func (c *ChurnLaws) check(who string, plan int) error {
+	// Each logical connection is set up on both the client's and the
+	// server's OS server, so the global count is 2x the plan.
+	if want := int64(2 * plan); c.ConnSetups < want {
+		return fmt.Errorf("%s: %d connection setups, want >= %d", who, c.ConnSetups, want)
 	}
-	city, err := RunCity(CityConfig{
-		Seed:               cfg.Seed,
-		Districts:          cfg.Districts,
-		ServersPerDistrict: cfg.Servers / cfg.Districts,
-		ClientsPerDistrict: cfg.Clients / cfg.Districts,
+	if c.ConnSetups != c.ConnTeardowns+c.OrphansAborted {
+		return fmt.Errorf("%s: setups %d != teardowns %d + orphans aborted %d",
+			who, c.ConnSetups, c.ConnTeardowns, c.OrphansAborted)
+	}
+	if c.SessionsMade != c.SessionsReaped {
+		return fmt.Errorf("%s: sessions made %d != reaped %d", who, c.SessionsMade, c.SessionsReaped)
+	}
+	if c.LiveSessions != 0 || c.PortsInUse != 0 || c.TimeWait != 0 {
+		return fmt.Errorf("%s: residue after drain: %d sessions, %d ports, %d time-wait",
+			who, c.LiveSessions, c.PortsInUse, c.TimeWait)
+	}
+	return nil
+}
+
+// ChurnReport is the registry-derived outcome of a churn run.
+type ChurnReport struct {
+	Hosts     int `json:"hosts"`
+	ConnsPlan int `json:"conns_planned"`
+	ChurnLaws
+
+	Snapshot *MetricsSnapshot `json:"-"`
+}
+
+// Check verifies the workload's conservation laws against the registry.
+func (r *ChurnReport) Check() error { return r.check("churn", r.ConnsPlan) }
+
+const churnPort = 5001
+
+// RunChurn builds the network, runs the workload to completion plus the
+// drain period, and reads the registry into a report. Deterministic for
+// a given config: two runs with the same seed produce byte-identical
+// snapshots.
+//
+// The workload is the city driver on one router-less district: servers
+// at 10.0.1.x, clients at 10.0.2.x/10.0.3.x, all on the default segment.
+func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
+	n := NewConfig(Config{Seed: cfg.Seed, Metrics: true})
+	servers := make([]*Host, cfg.Servers)
+	for i := range servers {
+		servers[i] = n.Host(fmt.Sprintf("srv%d", i), fmt.Sprintf("10.0.1.%d", i+1), cfg.Arch)
+	}
+	clients := make([]*Host, cfg.Clients)
+	for j := range clients {
+		clients[j] = n.Host(fmt.Sprintf("cli%d", j), fmt.Sprintf("10.0.%d.%d", 2+j/200, j%200+1), cfg.Arch)
+	}
+	city, err := runCity(&cityNet{net: n, servers: [][]*Host{servers}, clients: [][]*Host{clients}}, CityConfig{
+		Districts:          1,
+		ServersPerDistrict: cfg.Servers,
+		ClientsPerDistrict: cfg.Clients,
 		ConnsPerClient:     cfg.ConnsPerClient,
-		CrossEvery:         4, // keep most churn local; every 4th connection rides a trunk
 		OrphanEvery:        cfg.OrphanEvery,
 		MsgBytes:           cfg.MsgBytes,
-		Arch:               cfg.Arch,
-		Shards:             cfg.Shards,
-		SingleThreaded:     cfg.SingleThreaded,
 		Drain:              cfg.Drain,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := city.Check(); err != nil {
-		return nil, err
-	}
-	c := city.Churn
-	return &ChurnReport{
-		Hosts:          city.Hosts,
-		ConnsPlan:      city.ConnsPlan,
-		ConnSetups:     c.ConnSetups,
-		ConnTeardowns:  c.ConnTeardowns,
-		OrphansAborted: c.OrphansAborted,
-		SessionsMade:   c.SessionsMade,
-		SessionsReaped: c.SessionsReaped,
-		LiveSessions:   c.LiveSessions,
-		PortsInUse:     c.PortsInUse,
-		TimeWait:       c.TimeWait,
-		Snapshot:       city.Snapshot,
-	}, nil
+	return &ChurnReport{Hosts: city.Hosts, ConnsPlan: city.ConnsPlan, ChurnLaws: city.Churn, Snapshot: city.Snapshot}, nil
 }

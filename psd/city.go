@@ -2,7 +2,6 @@ package psd
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -44,8 +43,7 @@ type CityConfig struct {
 
 	// Trace forwards to Config.Trace, for equivalence tests that diff
 	// full traces between runs.
-	Trace      []TraceLayer
-	TraceLimit int
+	Trace []TraceLayer
 }
 
 // DefaultCity is a four-district scale point small enough for tests.
@@ -80,7 +78,7 @@ type TrunkDirDigest struct {
 
 // CityReport is the registry-derived outcome of a city run.
 type CityReport struct {
-	Churn CityChurnLaws `json:"churn"`
+	Churn ChurnLaws `json:"churn"`
 
 	Hosts     int `json:"hosts"`
 	Districts int `json:"districts"`
@@ -102,19 +100,6 @@ type CityReport struct {
 	Trace *Recorder `json:"-"`
 }
 
-// CityChurnLaws are the churn conservation quantities, summed over
-// every district's hosts.
-type CityChurnLaws struct {
-	ConnSetups     int64 `json:"conn_setups"`
-	ConnTeardowns  int64 `json:"conn_teardowns"`
-	OrphansAborted int64 `json:"orphans_aborted"`
-	SessionsMade   int64 `json:"sessions_made"`
-	SessionsReaped int64 `json:"sessions_reaped"`
-	LiveSessions   int64 `json:"live_sessions"`
-	PortsInUse     int64 `json:"ports_in_use"`
-	TimeWait       int64 `json:"time_wait"`
-}
-
 // Check verifies the run's conservation laws:
 //
 //   - connection/session/port accounting balances and leaves no residue
@@ -124,20 +109,8 @@ type CityChurnLaws struct {
 //   - every delivered frame was received on the peer shard,
 //   - the per-shard dispatch counters sum to the group total.
 func (r *CityReport) Check() error {
-	c := &r.Churn
-	if want := int64(2 * r.ConnsPlan); c.ConnSetups < want {
-		return fmt.Errorf("city: %d connection setups, want >= %d", c.ConnSetups, want)
-	}
-	if c.ConnSetups != c.ConnTeardowns+c.OrphansAborted {
-		return fmt.Errorf("city: setups %d != teardowns %d + orphans aborted %d",
-			c.ConnSetups, c.ConnTeardowns, c.OrphansAborted)
-	}
-	if c.SessionsMade != c.SessionsReaped {
-		return fmt.Errorf("city: sessions made %d != reaped %d", c.SessionsMade, c.SessionsReaped)
-	}
-	if c.LiveSessions != 0 || c.PortsInUse != 0 || c.TimeWait != 0 {
-		return fmt.Errorf("city: residue after drain: %d sessions, %d ports, %d time-wait",
-			c.LiveSessions, c.PortsInUse, c.TimeWait)
+	if err := r.Churn.check("city", r.ConnsPlan); err != nil {
+		return err
 	}
 	for _, d := range r.Trunks {
 		if d.Sent+d.Dup != d.Delivered+d.Drops+d.PartDrops {
@@ -186,7 +159,7 @@ func trunkCIDR(d int) (cidr, bbAddr, distAddr string) {
 // identical for every shard count and threading mode, which the
 // equivalence tests in shard_test.go verify byte for byte.
 func RunCity(cfg CityConfig) (*CityReport, error) {
-	n, err := buildCity(&cfg)
+	n, err := buildCity(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -198,10 +171,9 @@ type cityNet struct {
 	net     *Network
 	servers [][]*Host // [district][i]
 	clients [][]*Host
-	expect  [][]int // accepts expected per [district][server]
 }
 
-func buildCity(cfg *CityConfig) (*cityNet, error) {
+func buildCity(cfg CityConfig) (*cityNet, error) {
 	if cfg.Districts <= 0 {
 		return nil, fmt.Errorf("city: Districts must be positive")
 	}
@@ -211,19 +183,13 @@ func buildCity(cfg *CityConfig) (*cityNet, error) {
 	if cfg.ServersPerDistrict+cfg.ClientsPerDistrict > 250 {
 		return nil, fmt.Errorf("city: at most 250 hosts per district (/24 addressing)")
 	}
-	if cfg.MsgBytes <= 0 {
-		cfg.MsgBytes = 512
-	}
 	if cfg.TrunkProp <= 0 {
 		cfg.TrunkProp = time.Millisecond
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = 75 * time.Second
 	}
 	n := NewConfig(Config{
 		Seed: cfg.Seed, Metrics: true,
 		Shards: cfg.Shards, SingleThreaded: cfg.SingleThreaded,
-		Trace: cfg.Trace, TraceLimit: cfg.TraceLimit,
+		Trace: cfg.Trace,
 	})
 	c := &cityNet{net: n}
 
@@ -264,22 +230,6 @@ func buildCity(cfg *CityConfig) (*cityNet, error) {
 		c.servers = append(c.servers, srvs)
 		c.clients = append(c.clients, clis)
 	}
-
-	// The connection plan is a pure function of the config: client j of
-	// district d aims connection k at district target(d,j,k), server
-	// (j+k) mod servers. Every server knows its accept count up front.
-	c.expect = make([][]int, cfg.Districts)
-	for d := range c.expect {
-		c.expect[d] = make([]int, cfg.ServersPerDistrict)
-	}
-	for d := 0; d < cfg.Districts; d++ {
-		for j := 0; j < cfg.ClientsPerDistrict; j++ {
-			for k := 0; k < cfg.ConnsPerClient; k++ {
-				td, ts := cityTarget(cfg, d, j, k)
-				c.expect[td][ts]++
-			}
-		}
-	}
 	return c, nil
 }
 
@@ -294,63 +244,58 @@ func cityTarget(cfg *CityConfig, d, j, k int) (td, ts int) {
 	return td, (j + k) % cfg.ServersPerDistrict
 }
 
+// runCity is the one churn traffic plan: it drives the echo workload
+// over whatever topology c holds (RunCity's routed districts, or
+// RunChurn's single flat one) and reads the laws out of the registry.
 func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 	n := c.net
-
-	// Workload errors surface on whichever shard hits them first; the
-	// mutex makes collection race-safe and the winner is re-picked
-	// deterministically (lowest district, then index) after the run.
-	type werr struct {
-		d, j int
-		err  error
+	if cfg.MsgBytes <= 0 {
+		cfg.MsgBytes = 512
 	}
-	var (
-		mu   sync.Mutex
-		errs []werr
-	)
-	fail := func(d, j int, err error) {
-		if err == nil {
-			return
+	if cfg.Drain <= 0 {
+		// 2MSL TIME_WAIT (60 s) and the orphan port quarantine (60 s)
+		// both expire within this window.
+		cfg.Drain = 75 * time.Second
+	}
+
+	// The connection plan is a pure function of the config: client j of
+	// district d aims connection k at district target(d,j,k), server
+	// (j+k) mod servers. Every server knows its accept count up front.
+	expect := make([][]int, cfg.Districts)
+	for d := range expect {
+		expect[d] = make([]int, cfg.ServersPerDistrict)
+	}
+	for d := 0; d < cfg.Districts; d++ {
+		for j := 0; j < cfg.ClientsPerDistrict; j++ {
+			for k := 0; k < cfg.ConnsPerClient; k++ {
+				td, ts := cityTarget(&cfg, d, j, k)
+				expect[td][ts]++
+			}
 		}
-		mu.Lock()
-		errs = append(errs, werr{d, j, err})
-		mu.Unlock()
 	}
 
+	var errs errSink
 	for d := range c.servers {
 		for i, h := range c.servers[d] {
 			d, i, h := d, i, h
 			app := h.NewApp("echo")
 			h.Spawn(h.Name(), func(t *Thread) {
-				ls, err := app.Socket(t, SockStream)
+				ls, err := listenOn(app, t, churnPort)
 				if err != nil {
-					fail(d, i, err)
+					errs.fail(d, i, err)
 					return
 				}
-				if err := app.Bind(t, ls, SockAddr{Port: churnPort}); err != nil {
-					fail(d, i, err)
-					return
-				}
-				app.Listen(t, ls, 64)
 				buf := make([]byte, cfg.MsgBytes)
-				for served := 0; served < c.expect[d][i]; served++ {
+				for served := 0; served < expect[d][i]; served++ {
 					fd, _, err := app.Accept(t, ls)
 					if err != nil {
-						fail(d, i, err)
+						errs.fail(d, i, err)
 						return
 					}
-					got := 0
-					for got < cfg.MsgBytes {
-						n, err := app.Recv(t, fd, buf[got:], 0)
-						if err != nil || n == 0 {
-							break // client died mid-stream; still count it served
-						}
-						got += n
-					}
-					if got == cfg.MsgBytes {
-						if _, err := app.Send(t, fd, buf, 0); err != nil {
-							fail(d, i, err)
-						}
+					// A short read is a client that died mid-stream;
+					// it still counts as served.
+					if recvFull(app, t, fd, buf) == nil {
+						errs.fail(d, i, sendFull(app, t, fd, buf))
 					}
 					app.Close(t, fd)
 				}
@@ -373,35 +318,22 @@ func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 				// Stagger starts within the district so the SYN burst
 				// stays inside listen backlogs.
 				t.Sleep(time.Duration(j) * 3 * time.Millisecond)
+				buf := make([]byte, cfg.MsgBytes)
 				for k := 0; k < cfg.ConnsPerClient; k++ {
 					td, ts := cityTarget(&cfg, d, j, k)
-					srv := c.servers[td][ts]
 					fd, err := app.Socket(t, SockStream)
+					if err == nil {
+						err = app.Connect(t, fd, c.servers[td][ts].Addr(churnPort))
+					}
+					if err == nil {
+						err = sendFull(app, t, fd, msg)
+					}
+					if err == nil {
+						err = recvFull(app, t, fd, buf)
+					}
 					if err != nil {
-						fail(d, j, err)
+						errs.fail(d, j, fmt.Errorf("%s conn %d: %w", h.Name(), k, err))
 						return
-					}
-					if err := app.Connect(t, fd, srv.Addr(churnPort)); err != nil {
-						fail(d, j, fmt.Errorf("d%dc%d conn %d: %w", d, j, k, err))
-						return
-					}
-					if _, err := app.Send(t, fd, msg, 0); err != nil {
-						fail(d, j, err)
-						return
-					}
-					buf := make([]byte, cfg.MsgBytes)
-					got := 0
-					for got < cfg.MsgBytes {
-						n, err := app.Recv(t, fd, buf[got:], 0)
-						if err != nil {
-							fail(d, j, err)
-							return
-						}
-						if n == 0 {
-							fail(d, j, fmt.Errorf("d%dc%d conn %d: premature EOF", d, j, k))
-							return
-						}
-						got += n
 					}
 					if orphan && k == cfg.ConnsPerClient-1 {
 						// Die with the connection open: the host's OS
@@ -416,19 +348,7 @@ func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 		}
 	}
 
-	if err := n.Run(); err != nil {
-		return nil, err
-	}
-	if len(errs) > 0 {
-		first := errs[0]
-		for _, e := range errs[1:] {
-			if e.d < first.d || (e.d == first.d && e.j < first.j) {
-				first = e
-			}
-		}
-		return nil, first.err
-	}
-	if err := n.RunFor(cfg.Drain); err != nil {
+	if err := n.runAndDrain(&errs, cfg.Drain); err != nil {
 		return nil, err
 	}
 
@@ -438,18 +358,9 @@ func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 		Districts: cfg.Districts,
 		Shards:    cfg.Shards,
 		ConnsPlan: cfg.Districts * cfg.ClientsPerDistrict * cfg.ConnsPerClient,
-		Churn: CityChurnLaws{
-			ConnSetups:     snap.Sum(".core.conn_setup"),
-			ConnTeardowns:  snap.Sum(".core.conn_teardown"),
-			OrphansAborted: snap.Sum(".core.orphans_aborted"),
-			SessionsMade:   snap.Sum(".core.sessions_made"),
-			SessionsReaped: snap.Sum(".core.sessions_reaped"),
-			LiveSessions:   snap.Sum(".core.sessions"),
-			PortsInUse:     snap.Sum(".core.ports_in_use"),
-			TimeWait:       snap.Sum(".tcp_state.time_wait"),
-		},
-		Snapshot: snap,
-		Trace:    n.Trace(),
+		Churn:     readChurnLaws(snap),
+		Snapshot:  snap,
+		Trace:     n.Trace(),
 	}
 	for _, tr := range n.Trunks() {
 		dirs := tr.Directions()

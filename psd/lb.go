@@ -148,12 +148,8 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 		return nil, err
 	}
 
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	var errs errSink
+	fail := func(err error) { errs.fail(0, 0, err) }
 
 	// Backends: serve request/response exchanges until a quit request
 	// arrives. Responses carry the backend's name so clients can account
@@ -162,16 +158,11 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 		i, h := i, h
 		app := h.NewApp("backend")
 		h.Spawn(fmt.Sprintf("be%d", i), func(t *Thread) {
-			ls, err := app.Socket(t, SockStream)
+			ls, err := listenOn(app, t, lbBackPort)
 			if err != nil {
 				fail(err)
 				return
 			}
-			if err := app.Bind(t, ls, SockAddr{Port: lbBackPort}); err != nil {
-				fail(err)
-				return
-			}
-			app.Listen(t, ls, 64)
 			req := make([]byte, cfg.MsgBytes)
 			resp := make([]byte, cfg.MsgBytes)
 			copy(resp, h.Name())
@@ -181,17 +172,8 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 					fail(err)
 					return
 				}
-				got := 0
-				dead := false
-				for got < cfg.MsgBytes {
-					n, err := app.Recv(t, fd, req[got:], 0)
-					if err != nil || n == 0 {
-						dead = true // client reset under churn; keep serving
-						break
-					}
-					got += n
-				}
-				if !dead {
+				// A short read is a client reset under churn; keep serving.
+				if recvFull(app, t, fd, req) == nil {
 					if req[0] == lbQuitByte {
 						app.Close(t, fd)
 						break
@@ -199,7 +181,7 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 					// A send error here means the client was reset under
 					// churn; the connection is already accounted failed on
 					// the client side.
-					_, _ = app.Send(t, fd, resp, 0)
+					_ = sendFull(app, t, fd, resp)
 				}
 				app.Close(t, fd)
 			}
@@ -254,24 +236,8 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 					fail(err)
 					return
 				}
-				oneConn := func() bool {
-					if err := app.Connect(t, fd, Addr(lbVIPAddr, lbVIPPort)); err != nil {
-						return false
-					}
-					if _, err := app.Send(t, fd, req, 0); err != nil {
-						return false
-					}
-					got := 0
-					for got < cfg.MsgBytes {
-						n, err := app.Recv(t, fd, buf[got:], 0)
-						if err != nil || n == 0 {
-							return false
-						}
-						got += n
-					}
-					return true
-				}
-				if oneConn() {
+				if app.Connect(t, fd, Addr(lbVIPAddr, lbVIPPort)) == nil &&
+					sendFull(app, t, fd, req) == nil && recvFull(app, t, fd, buf) == nil {
 					rep.Served++
 					name := string(buf)
 					if z := strings.IndexByte(name, 0); z >= 0 {
@@ -319,13 +285,7 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 		}
 	})
 
-	if err := n.Run(); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := n.RunFor(cfg.Drain); err != nil {
+	if err := n.runAndDrain(&errs, cfg.Drain); err != nil {
 		return nil, err
 	}
 

@@ -27,11 +27,6 @@ type ScenarioConfig struct {
 	// defaults (the partition scenario always records; others are
 	// untraced unless asked).
 	Trace []TraceLayer
-
-	// Observe, when set, is called with the fully built network just
-	// before the workload runs. Tests and tooling use it to hold on to
-	// the recorder or registry for post-mortem artifacts.
-	Observe func(*Network)
 }
 
 // ScenarioResult is a scenario's deterministic verdict plus headline
@@ -158,16 +153,7 @@ func (e *scenarioEnv) run() {
 	if e.err != nil {
 		return
 	}
-	if e.cfg.Observe != nil {
-		e.cfg.Observe(e.n)
-	}
-	if err := e.n.Run(); err != nil {
-		e.err = err
-		return
-	}
-	if err := e.n.RunFor(e.drain); err != nil {
-		e.err = err
-	}
+	e.err = e.n.runAndDrain(nil, e.drain)
 }
 
 // baseSLOs installs the assertions every scenario shares: the workload
@@ -246,16 +232,8 @@ const scenarioPort = 7000
 func (e *scenarioEnv) scenarioServer(h *Host, total int) {
 	app := h.NewApp("srv")
 	e.n.Spawn("srv-accept", func(t *Thread) {
-		ls, err := app.Socket(t, SockStream)
+		ls, err := listenOn(app, t, scenarioPort)
 		if err != nil {
-			e.errors.Inc()
-			return
-		}
-		if err := app.Bind(t, ls, SockAddr{Port: scenarioPort}); err != nil {
-			e.errors.Inc()
-			return
-		}
-		if err := app.Listen(t, ls, 64); err != nil {
 			e.errors.Inc()
 			return
 		}
@@ -277,7 +255,7 @@ func (e *scenarioEnv) scenarioServer(h *Host, total int) {
 func (e *scenarioEnv) serveConn(app App, t *Thread, fd int) {
 	defer app.Close(t, fd)
 	var hdr [8]byte
-	if !recvFull(app, t, fd, hdr[:]) {
+	if recvFull(app, t, fd, hdr[:]) != nil {
 		e.errors.Inc()
 		return
 	}
@@ -314,7 +292,7 @@ func (e *scenarioEnv) doRequest(app App, t *Thread, dst SockAddr, up, down int) 
 	for i := 8; i < len(req); i++ {
 		req[i] = byte(i)
 	}
-	if !sendFull(app, t, fd, req) {
+	if sendFull(app, t, fd, req) != nil {
 		e.errors.Inc()
 		return
 	}
@@ -324,17 +302,6 @@ func (e *scenarioEnv) doRequest(app App, t *Thread, dst SockAddr, up, down int) 
 	}
 	e.reqH.Observe(int64(e.n.Now() - start))
 	e.requests.Inc()
-}
-
-func recvFull(app App, t *Thread, fd int, buf []byte) bool {
-	for off := 0; off < len(buf); {
-		nr, err := app.Recv(t, fd, buf[off:], 0)
-		if err != nil || nr == 0 {
-			return false
-		}
-		off += nr
-	}
-	return true
 }
 
 func discardN(app App, t *Thread, fd, n int) bool {
@@ -349,17 +316,6 @@ func discardN(app App, t *Thread, fd, n int) bool {
 			return false
 		}
 		got += nr
-	}
-	return true
-}
-
-func sendFull(app App, t *Thread, fd int, buf []byte) bool {
-	for off := 0; off < len(buf); {
-		nw, err := app.Send(t, fd, buf[off:], 0)
-		if err != nil || nw == 0 {
-			return false
-		}
-		off += nw
 	}
 	return true
 }
@@ -385,15 +341,22 @@ func sendN(app App, t *Thread, fd, n int) bool {
 
 // ---- the five scenarios ---------------------------------------------
 
+// routedPair builds the topology four of the five scenarios share: two
+// /24 subnets (10.1.0.0 and 10.2.0.0) joined by one router, "core".
+func (e *scenarioEnv) routedPair(a, b string) (*Subnet, *Subnet) {
+	sa := e.n.NewSubnet(a, "10.1.0.0/24")
+	sb := e.n.NewSubnet(b, "10.2.0.0/24")
+	e.n.NewRouter("core").Attach(sa, "10.1.0.254").Attach(sb, "10.2.0.254")
+	return sa, sb
+}
+
 // runIncast: 8 workers on a fast subnet simultaneously push 12 KB each
 // to one aggregator behind a 5 Mb/s downlink — the classic fan-in that
 // fills the router's egress queue and exercises RED plus TCP recovery.
 func runIncast(e *scenarioEnv) {
 	e.setup()
-	agg := e.n.NewSubnet("agg", "10.1.0.0/24")
-	workers := e.n.NewSubnet("workers", "10.2.0.0/24")
+	agg, workers := e.routedPair("agg", "workers")
 	agg.SetBitRate(5_000_000) // the slow side: queue pressure lives here
-	e.n.NewRouter("core").Attach(agg, "10.1.0.254").Attach(workers, "10.2.0.254")
 
 	const (
 		nWorkers = 8
@@ -431,9 +394,7 @@ func runIncast(e *scenarioEnv) {
 // pile onto one server inside a ~200 ms window: a connection storm.
 func runFlashCrowd(e *scenarioEnv) {
 	e.setup()
-	west := e.n.NewSubnet("west", "10.1.0.0/24")
-	east := e.n.NewSubnet("east", "10.2.0.0/24")
-	e.n.NewRouter("core").Attach(west, "10.1.0.254").Attach(east, "10.2.0.254")
+	west, east := e.routedPair("west", "east")
 
 	const nClients = 20
 	srv := east.Host("origin", "10.2.0.100", e.cfg.Arch)
@@ -468,9 +429,7 @@ func runFlashCrowd(e *scenarioEnv) {
 // think times — elephants and mice on the same path.
 func runHeavyTail(e *scenarioEnv) {
 	e.setup()
-	west := e.n.NewSubnet("west", "10.1.0.0/24")
-	east := e.n.NewSubnet("east", "10.2.0.0/24")
-	e.n.NewRouter("core").Attach(west, "10.1.0.254").Attach(east, "10.2.0.254")
+	west, east := e.routedPair("west", "east")
 
 	const (
 		nClients    = 6
@@ -507,9 +466,7 @@ func runHeavyTail(e *scenarioEnv) {
 // curve — eight 500 ms "hours" whose arrival counts trace a load peak.
 func runDiurnal(e *scenarioEnv) {
 	e.setup()
-	west := e.n.NewSubnet("west", "10.1.0.0/24")
-	east := e.n.NewSubnet("east", "10.2.0.0/24")
-	e.n.NewRouter("core").Attach(west, "10.1.0.254").Attach(east, "10.2.0.254")
+	west, east := e.routedPair("west", "east")
 
 	curve := []int{1, 2, 4, 6, 8, 6, 3, 1} // arrivals per slot
 	const slot = 500 * time.Millisecond

@@ -182,35 +182,37 @@ func TestCityPropertyRandomTopologies(t *testing.T) {
 	}
 }
 
-// TestChurnDistricted covers the ChurnConfig delegation: the classic
-// churn laws hold on the districted, sharded build.
-func TestChurnDistricted(t *testing.T) {
-	rep, err := RunChurn(ChurnConfig{
-		Seed:           3,
-		Servers:        4,
-		Clients:        12,
-		ConnsPerClient: 4,
-		OrphanEvery:    6,
-		MsgBytes:       256,
-		Arch:           Decomposed(),
-		Districts:      2,
-		Shards:         2,
+// TestChurnIsOneDistrictCity pins the collapse: flat churn is the city
+// driver on one district, so RunChurn and RunCity on an explicitly built
+// one-district city (which adds an idle router and trunk) agree on the
+// plan and on all eight conservation quantities.
+func TestChurnIsOneDistrictCity(t *testing.T) {
+	churn, err := RunChurn(ChurnConfig{
+		Seed: 3, Servers: 4, Clients: 12, ConnsPerClient: 4, OrphanEvery: 6, MsgBytes: 256, Arch: Decomposed(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Check(); err != nil {
+	city, err := RunCity(CityConfig{
+		Seed: 3, Districts: 1, ServersPerDistrict: 4, ClientsPerDistrict: 12, ConnsPerClient: 4,
+		OrphanEvery: 6, MsgBytes: 256, Arch: Decomposed(),
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Hosts != 16 {
-		t.Fatalf("hosts = %d, want 16", rep.Hosts)
+	if err := churn.Check(); err != nil {
+		t.Error(err)
 	}
-}
-
-// TestChurnShardsRequireDistricts pins the error path: a flat segment
-// cannot be cut into shards.
-func TestChurnShardsRequireDistricts(t *testing.T) {
-	if _, err := RunChurn(ChurnConfig{Seed: 1, Servers: 1, Clients: 1, ConnsPerClient: 1, Shards: 2}); err == nil {
-		t.Fatal("RunChurn with Shards but no Districts did not fail")
+	if err := city.Check(); err != nil {
+		t.Error(err)
+	}
+	if churn.Hosts != city.Hosts || churn.ConnsPlan != city.ConnsPlan {
+		t.Errorf("plan: churn %d hosts / %d conns, city %d / %d", churn.Hosts, churn.ConnsPlan, city.Hosts, city.ConnsPlan)
+	}
+	if churn.ChurnLaws != city.Churn {
+		t.Errorf("laws differ:\n churn %+v\n city  %+v", churn.ChurnLaws, city.Churn)
+	}
+	if churn.OrphansAborted == 0 {
+		t.Error("no orphans aborted; the orphan path did not run")
 	}
 }
