@@ -23,6 +23,10 @@ type node struct {
 	st   *stack.Stack
 	pr   *kern.Process
 	prof costs.Profile
+
+	// txFilter, when set, sees every frame the stack transmits; returning
+	// false drops the frame before it reaches the NIC.
+	txFilter func(frame []byte) bool
 }
 
 func newNode(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip wire.IPAddr) *node {
@@ -46,8 +50,13 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip wire
 			}
 			n.host.ChargeProc(t, pc[comp].At(nb))
 		},
-		Transmit: n.host.NIC.Transmit,
-		Ports:    stack.NewLocalPorts(),
+		Transmit: func(frame []byte) error {
+			if n.txFilter != nil && !n.txFilter(frame) {
+				return nil
+			}
+			return n.host.NIC.Transmit(frame)
+		},
+		Ports: stack.NewLocalPorts(),
 	})
 	n.pr.GoDaemon("rx", func(t *sim.Proc) {
 		for {

@@ -581,6 +581,7 @@ func (st *Stack) Close(t *sim.Proc, s *Socket) error {
 			s.tcb.usrClosed(t)
 			// deregistration happens when the tcb reaches tcpClosed.
 		}
+		s.tcb.armFinWait2() // write side shut earlier, or imported that way
 	default:
 		st.deregister(s)
 	}

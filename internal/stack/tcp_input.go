@@ -230,9 +230,14 @@ func (st *Stack) tcpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 			l.notify()
 		}
 	case tcpTimeWait:
-		// Restart the 2MSL wait on any arriving segment.
+		// RFC 793: TIME-WAIT acknowledges a retransmitted FIN (which the
+		// trimming above marked for a re-ACK, like any unacceptable
+		// segment) and restarts 2MSL. An acceptable pure ACK is dropped:
+		// answering it makes two TIME_WAIT peers ACK each other for ever.
+		if !tp.ackNow {
+			return
+		}
 		tp.timers[timer2MSL] = 2 * tcpMSLTicks
-		tp.ackNow = true
 	}
 
 	if seqGT(th.Ack, tp.sndMax) {
@@ -357,6 +362,7 @@ func (st *Stack) tcpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 		case tcpFinWait1:
 			if ourFinAcked {
 				tp.setState(tcpFinWait2)
+				tp.armFinWait2()
 				s.stateChanged.Broadcast()
 			}
 		case tcpClosing:
@@ -568,6 +574,17 @@ func (st *Stack) tcpHandleFin(t *sim.Proc, tp *tcpcb) {
 	}
 	s.stateChanged.Broadcast()
 	s.notify()
+}
+
+// armFinWait2 bounds FIN_WAIT_2 once the socket is closed and so can
+// receive no more: without the peer's FIN (its RST lost, say) the tcb
+// would hang for ever, so it gets the 2MSL wait, as BSD arms TCPT_2MSL.
+// A socket that only shut down its write side is still read from and is
+// left alone.
+func (tp *tcpcb) armFinWait2() {
+	if tp.state == tcpFinWait2 && tp.sock.closed {
+		tp.timers[timer2MSL] = 2 * tcpMSLTicks
+	}
 }
 
 // canonTimeWait arms the 2MSL timer and cancels the others.

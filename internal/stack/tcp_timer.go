@@ -114,7 +114,7 @@ func (st *Stack) tcpTimerFired(t *sim.Proc, tp *tcpcb, which int) {
 			tp.timers[timerKeep] = tcpKeepIntvlTicks
 		}
 	case timer2MSL:
-		if tp.state == tcpTimeWait {
+		if tp.state == tcpTimeWait || tp.state == tcpFinWait2 {
 			tp.close(t)
 		}
 	}

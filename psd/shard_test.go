@@ -216,3 +216,34 @@ func TestChurnIsOneDistrictCity(t *testing.T) {
 		t.Error("no orphans aborted; the orphan path did not run")
 	}
 }
+
+// TestCityKnownBadSeeds replays the four RunCity inputs that used to
+// break conservation at the benchmark's city shape. Two TCP close-path
+// defects were behind them: a TIME_WAIT pair answering each other's
+// ACKs for ever (12 districts x seeds 7 and 24, 16 x 1), and a closed
+// socket stuck in FIN_WAIT_2 after its orphaned peer's RST was dropped
+// by a router (12 x 34). Unit tests for both are in internal/stack.
+func TestCityKnownBadSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("500-host city runs skipped with -short")
+	}
+	for _, in := range []struct {
+		districts int
+		seed      int64
+	}{{12, 7}, {12, 24}, {12, 34}, {16, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", in.districts, in.seed), func(t *testing.T) {
+			rep, err := RunCity(CityConfig{
+				Seed: in.seed, Districts: in.districts,
+				ServersPerDistrict: 4, ClientsPerDistrict: 36, ConnsPerClient: 6,
+				CrossEvery: 2, OrphanEvery: 7, MsgBytes: 256,
+				Arch: Decomposed(), Shards: 2, Drain: 75 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Check(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
