@@ -2,6 +2,7 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -20,6 +21,80 @@ const (
 	offDstPort   = 36
 )
 
+// field is one header word a compiled program tests: a big-endian load
+// of size bytes at off, masked if mask is set, compared for equality.
+// word and shift place the compared value in a prefixKey.
+type field struct {
+	off, size   int
+	mask        uint32
+	word, shift uint8
+}
+
+// gates open every compiled program: an IPv4 ethertype and a
+// version/IHL byte of 0x45, so the fixed offsets below hold.
+var gates = [...]struct {
+	field
+	want uint32
+}{
+	{field{off: offEtherType, size: 2}, wire.EtherTypeIPv4},
+	{field{off: offIPVerIHL, size: 1}, 0x45},
+}
+
+// The fields a MatchSpec can constrain, in the one order Compile tests
+// them. A zero spec field is no test at all; the fragment word is tested
+// (for zero) iff a port is. The set index (index.go) is a trie on this
+// order, which is why Compile and the index share the table.
+const (
+	fProto = iota
+	fRemoteIP
+	fLocalIP
+	fFrag
+	fRemotePort
+	fLocalPort
+	nFields
+)
+
+var fields = [nFields]field{
+	fProto:      {off: offIPProto, size: 1, word: 1, shift: 9},
+	fRemoteIP:   {off: offIPSrc, size: 4, word: 0, shift: 32},
+	fLocalIP:    {off: offIPDst, size: 4, word: 0, shift: 0},
+	fFrag:       {off: offIPFrag, size: 2, mask: wire.IPFlagMF | wire.IPOffMask, word: 1, shift: 17},
+	fRemotePort: {off: offSrcPort, size: 2, word: 1, shift: 48},
+	fLocalPort:  {off: offDstPort, size: 2, word: 1, shift: 32},
+}
+
+// maxCompiled is the longest program Compile emits: two gates and five
+// plain tests of four instructions, the masked one of six, push and ret.
+const maxCompiled = 4*(len(gates)+nFields-1) + 6 + 2
+
+var loadOp = [...]Op{1: OpLoad8, 2: OpLoad16, 4: OpLoad32}
+
+func (f field) end() int { return f.off + f.size }
+
+// load reads the field from pkt the way the VM's load (and and) would;
+// ok is false when the load runs past the end of the packet.
+func (f field) load(pkt []byte) (v uint32, ok bool) {
+	if f.end() > len(pkt) {
+		return 0, false
+	}
+	for _, b := range pkt[f.off:f.end()] {
+		v = v<<8 | uint32(b)
+	}
+	if f.mask != 0 {
+		v &= f.mask
+	}
+	return v, true
+}
+
+// appendTest emits "load the field, mask it, assert it equals want".
+func (f field) appendTest(p Program, want uint32) Program {
+	p = append(p, Instr{loadOp[f.size], uint32(f.off)})
+	if f.mask != 0 {
+		p = append(p, Instr{OpPushLit, f.mask}, Instr{OpAnd, 0})
+	}
+	return append(p, Instr{OpPushLit, want}, Instr{OpEq, 0}, Instr{OpAssert, 0})
+}
+
 // MatchSpec describes the incoming packets a network session should
 // receive. Zero-valued fields are wildcards. The spec is written from the
 // session's point of view: Local* describe this host's endpoint (the
@@ -37,46 +112,30 @@ func (m MatchSpec) String() string {
 		m.LocalIP, m.LocalPort, m.RemoteIP, m.RemotePort)
 }
 
-// Compile translates a match specification into a filter program. The
-// program accepts exactly the IPv4 frames matching the spec; frames with
-// IP options are left to the fallback (operating-system server) filter,
-// and non-first fragments never match a port-qualified spec (the server
-// reassembles those and forwards them, since ports are only present in
-// the first fragment).
-func Compile(m MatchSpec) Program {
-	var p Program
-	test16 := func(off uint32, want uint16) {
-		p = append(p,
-			Instr{OpLoad16, off},
-			Instr{OpPushLit, uint32(want)},
-			Instr{OpEq, 0},
-			Instr{OpAssert, 0})
-	}
-	test8 := func(off uint32, want uint8) {
-		p = append(p,
-			Instr{OpLoad8, off},
-			Instr{OpPushLit, uint32(want)},
-			Instr{OpEq, 0},
-			Instr{OpAssert, 0})
-	}
-	test32 := func(off uint32, want uint32) {
-		p = append(p,
-			Instr{OpLoad32, off},
-			Instr{OpPushLit, want},
-			Instr{OpEq, 0},
-			Instr{OpAssert, 0})
-	}
+// tuple is a MatchSpec laid out in test order: val[i] is what field i
+// must equal, bit i of has says whether the program tests it, and reach
+// is how far into a frame an accepting run of the program reads.
+type tuple struct {
+	val   [nFields]uint32
+	has   uint8
+	reach int
+}
 
-	test16(offEtherType, wire.EtherTypeIPv4)
-	test8(offIPVerIHL, 0x45)
-	if m.Proto != 0 {
-		test8(offIPProto, m.Proto)
-	}
-	if !m.RemoteIP.IsZero() {
-		test32(offIPSrc, m.RemoteIP.Uint32())
-	}
-	if !m.LocalIP.IsZero() {
-		test32(offIPDst, m.LocalIP.Uint32())
+func (t tuple) tests(i int) bool { return t.has&(1<<i) != 0 }
+
+func (m MatchSpec) tuple() tuple {
+	t := tuple{val: [nFields]uint32{
+		fProto:      uint32(m.Proto),
+		fRemoteIP:   m.RemoteIP.Uint32(),
+		fLocalIP:    m.LocalIP.Uint32(),
+		fRemotePort: uint32(m.RemotePort),
+		fLocalPort:  uint32(m.LocalPort),
+	}, reach: gates[len(gates)-1].end()}
+	for i, v := range t.val {
+		if v != 0 {
+			t.has |= 1 << i
+			t.reach = max(t.reach, fields[i].end())
+		}
 	}
 	if m.LocalPort != 0 || m.RemotePort != 0 {
 		// A port-qualified filter rejects every fragment — including the
@@ -84,22 +143,66 @@ func Compile(m MatchSpec) Program {
 		// reaches the operating-system server whole; the server
 		// reassembles it and re-injects an unfragmented packet that this
 		// filter can claim (paper §3.1, exceptional packets).
-		p = append(p,
-			Instr{OpLoad16, offIPFrag},
-			Instr{OpPushLit, wire.IPFlagMF | wire.IPOffMask},
-			Instr{OpAnd, 0},
-			Instr{OpPushLit, 0},
-			Instr{OpEq, 0},
-			Instr{OpAssert, 0})
-		if m.RemotePort != 0 {
-			test16(offSrcPort, m.RemotePort)
-		}
-		if m.LocalPort != 0 {
-			test16(offDstPort, m.LocalPort)
+		t.has |= 1 << fFrag
+	}
+	return t
+}
+
+// Compile translates a match specification into a filter program. The
+// program accepts exactly the IPv4 frames matching the spec; frames with
+// IP options are left to the fallback (operating-system server) filter,
+// and non-first fragments never match a port-qualified spec (the server
+// reassembles those and forwards them, since ports are only present in
+// the first fragment).
+func Compile(m MatchSpec) Program {
+	return appendProgram(make(Program, 0, maxCompiled), m)
+}
+
+// appendProgram is the one emitter: Compile allocates its output, SpecOf
+// emits into a stack buffer to compare.
+func appendProgram(p Program, m MatchSpec) Program {
+	for _, g := range gates {
+		p = g.appendTest(p, g.want)
+	}
+	t := m.tuple()
+	for i, f := range fields {
+		if t.tests(i) {
+			p = f.appendTest(p, t.val[i])
 		}
 	}
-	p = append(p, Instr{OpPushLit, 1}, Instr{OpRet, 0})
-	return p
+	return append(p, Instr{OpPushLit, 1}, Instr{OpRet, 0})
+}
+
+// SpecOf recognises a program Compile produced: it reads a candidate
+// spec off the program's loads and accepts it only if compiling that
+// spec gives the program back instruction for instruction. Anything
+// else — the catch-all, a hand-written program, a compiled one that was
+// edited — reports false. It does not allocate.
+func SpecOf(p Program) (MatchSpec, bool) {
+	if len(p) > maxCompiled {
+		return MatchSpec{}, false
+	}
+	var m MatchSpec
+	for i := 0; i+1 < len(p); i++ {
+		v := p[i+1].Arg
+		switch p[i] {
+		case Instr{OpLoad8, offIPProto}:
+			m.Proto = uint8(v)
+		case Instr{OpLoad32, offIPSrc}:
+			m.RemoteIP = wire.IPFromUint32(v)
+		case Instr{OpLoad32, offIPDst}:
+			m.LocalIP = wire.IPFromUint32(v)
+		case Instr{OpLoad16, offSrcPort}:
+			m.RemotePort = uint16(v)
+		case Instr{OpLoad16, offDstPort}:
+			m.LocalPort = uint16(v)
+		}
+	}
+	var buf [maxCompiled]Instr
+	if !slices.Equal(p, appendProgram(buf[:0], m)) {
+		return MatchSpec{}, false
+	}
+	return m, true
 }
 
 // Matches is a direct (non-VM) evaluation of the spec against a frame,

@@ -51,76 +51,49 @@ type Hook interface {
 	Egress(frame []byte) ([]byte, Verdict)
 }
 
-// Rule is one entry of a hook's rule chain: a validated filter program
-// plus the verdict applied when the program accepts.
-type Rule struct {
-	ID      int
-	Prog    Program
-	Verdict Verdict
-}
-
 // Chain is an ordered rule chain evaluated by a data-plane hook — the
 // VM glue between the stateless filter machine and the stateful plane.
-// Evaluation runs every program until one accepts, netfilter-style, so
-// the traversal cost is linear in the total instruction count; Cost
-// prices exactly that upper bound (a frame matching no rule walks the
-// whole chain), which is what the chain-length benchmarks measure.
-type Chain struct {
-	rules  []Rule
-	instrs int // total instructions across the chain
-	nextID int
-
-	// Evals counts chain evaluations; Steps counts programs run.
-	Evals int
-	Steps int
-}
+// It is a Set at one priority, so match order is append order, whose
+// owners are the verdicts. The modelled hook runs every program until
+// one accepts, netfilter-style, so the traversal cost is linear in the
+// total instruction count; Instructions is exactly that upper bound (a
+// frame matching no rule walks the whole chain), which the plane prices
+// and the chain-length benchmarks measure. What the simulator spends is
+// the set's business: its index answers compiled rules, and its Runs
+// and Steps count evaluations and the programs the modelled walk runs.
+type Chain struct{ set *Set }
 
 // NewChain returns an empty rule chain.
-func NewChain() *Chain { return &Chain{nextID: 1} }
+func NewChain() *Chain { return &Chain{set: NewSet()} }
 
 // Append validates prog and adds it to the end of the chain, returning
 // the rule's ID.
 func (c *Chain) Append(prog Program, v Verdict) (int, error) {
-	if err := prog.Validate(); err != nil {
+	f, err := c.set.Install(prog, MatchSpec{}, 0, v)
+	if err != nil {
 		return 0, err
 	}
-	id := c.nextID
-	c.nextID++
-	c.rules = append(c.rules, Rule{ID: id, Prog: prog, Verdict: v})
-	c.instrs += len(prog)
-	return id, nil
+	return f.ID, nil
 }
 
 // Remove deletes the rule with the given ID, reporting whether it was
 // present.
-func (c *Chain) Remove(id int) bool {
-	for i, r := range c.rules {
-		if r.ID == id {
-			c.instrs -= len(r.Prog)
-			c.rules = append(c.rules[:i], c.rules[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
+func (c *Chain) Remove(id int) bool { return c.set.Remove(id) }
 
 // Len returns the number of installed rules.
-func (c *Chain) Len() int { return len(c.rules) }
+func (c *Chain) Len() int { return c.set.Len() }
 
 // Instructions returns the total instruction count across the chain —
 // the unit the per-instruction cost model multiplies.
-func (c *Chain) Instructions() int { return c.instrs }
+func (c *Chain) Instructions() int { return c.set.instrs }
 
-// Eval runs the chain over pkt and returns the verdict of the first
-// accepting rule. matched is false when no rule accepted (the caller
-// applies its chain policy, typically pass).
+// Eval returns the verdict of the first rule, in append order, whose
+// program accepts pkt. matched is false when no rule accepted (the
+// caller applies its chain policy, typically pass).
 func (c *Chain) Eval(pkt []byte) (v Verdict, matched bool) {
-	c.Evals++
-	for i := range c.rules {
-		c.Steps++
-		if ok, _ := c.rules[i].Prog.Run(pkt); ok {
-			return c.rules[i].Verdict, true
-		}
+	m, _ := c.set.Match(pkt)
+	if m == nil {
+		return VerdictPass, false
 	}
-	return VerdictPass, false
+	return m.Owner.(Verdict), true
 }

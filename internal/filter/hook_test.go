@@ -40,12 +40,12 @@ func TestChainFirstMatchVerdict(t *testing.T) {
 			t.Errorf("Eval(%v) = (%v, %v), want (%v, %v)", tc.pkt, v, m, tc.want, tc.matched)
 		}
 	}
-	if c.Evals != 3 {
-		t.Errorf("Evals = %d, want 3", c.Evals)
+	if c.set.Runs != 3 {
+		t.Errorf("Runs = %d, want 3", c.set.Runs)
 	}
 	// 1 program for pkt[0]=1, 2 for pkt[0]=2, 3 for the miss.
-	if c.Steps != 6 {
-		t.Errorf("Steps = %d, want 6", c.Steps)
+	if c.set.Steps != 6 {
+		t.Errorf("Steps = %d, want 6", c.set.Steps)
 	}
 }
 

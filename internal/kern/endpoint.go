@@ -62,9 +62,8 @@ func (h *Host) NewEndpoint(depth int) *Endpoint {
 	if depth <= 0 {
 		depth = DefaultEndpointDepth
 	}
-	e := &Endpoint{host: h, depth: depth}
-	h.endpoints = append(h.endpoints, e)
-	return e
+	h.endpoints++
+	return &Endpoint{host: h, depth: depth}
 }
 
 // InstallFilter compiles spec and installs it for this endpoint at the
@@ -107,8 +106,12 @@ func (e *Endpoint) RemoveFilter(id int) {
 }
 
 // Close uninstalls all filters and wakes any blocked receivers, which
-// will see ok=false.
+// will see ok=false. Closing a closed endpoint does nothing.
 func (e *Endpoint) Close() {
+	if e.closed {
+		return
+	}
+	e.host.endpoints--
 	for _, id := range e.filters {
 		e.host.Filters.Remove(id)
 	}

@@ -47,7 +47,7 @@ type Host struct {
 	Filters   *filter.Set
 	egress    *filter.Set
 	hook      filter.Hook
-	endpoints []*Endpoint
+	endpoints int64 // live (created, not yet closed) endpoints
 
 	nextPID int
 	procs   map[int]*Process
@@ -131,15 +131,7 @@ func (h *Host) SetMetrics(hs *metrics.Scope) {
 	h.mQueueDepth = ks.Histogram("queue_depth")
 	h.mRxWait = ks.Histogram("rx_wait_ns")
 	h.mWakeBatch = ks.Histogram("wakeup_batch")
-	ks.GaugeFunc("endpoints", func() int64 {
-		live := 0
-		for _, e := range h.endpoints {
-			if !e.closed {
-				live++
-			}
-		}
-		return int64(live)
-	})
+	ks.GaugeFunc("endpoints", func() int64 { return h.endpoints })
 }
 
 // NewHost attaches a new machine to the segment.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/costs"
 	"repro/internal/filter"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -366,5 +367,79 @@ func TestEgressFilterBlocksTraffic(t *testing.T) {
 	}
 	if r.b.RxFrames.Value() != 1 {
 		t.Fatalf("frames on wire = %d, want 1 (TCP frame must not escape)", r.b.RxFrames.Value())
+	}
+}
+
+// TestEndpointChurnLeavesNothing: a host that creates and closes an
+// endpoint per session holds on to none of them — the endpoints gauge
+// and the filter set end where they started.
+func TestEndpointChurnLeavesNothing(t *testing.T) {
+	r := newRig(costs.DECLibrarySHMIPF())
+	reg := metrics.NewRegistry()
+	r.b.SetMetrics(reg.Scope("host.beta"))
+	gauge := func() int64 {
+		it, ok := reg.Snapshot(0).Get("host.beta.kern.endpoints")
+		if !ok {
+			t.Fatal("no endpoints gauge")
+		}
+		return it.Value
+	}
+	server := r.b.NewEndpoint(0)
+	server.InstallProgram(CatchAllProgram(), 0)
+	startGauge, startFilters := gauge(), r.b.Filters.Len()
+	for i := 0; i < 1000; i++ {
+		ep := r.b.NewEndpoint(0)
+		if _, err := ep.InstallFilter(filter.MatchSpec{
+			Proto: wire.ProtoTCP, LocalIP: r.b.IP, LocalPort: 80, RemoteIP: r.a.IP, RemotePort: uint16(1024 + i),
+		}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if gauge() != startGauge+1 {
+			t.Fatalf("cycle %d: gauge %d with one session open, started at %d", i, gauge(), startGauge)
+		}
+		ep.Close()
+		ep.Close() // closing twice counts once
+	}
+	if gauge() != startGauge || r.b.Filters.Len() != startFilters {
+		t.Fatalf("after 1000 cycles: gauge %d (was %d), %d filters (were %d)",
+			gauge(), startGauge, r.b.Filters.Len(), startFilters)
+	}
+}
+
+// TestFirstInstalledSessionWins: an unconnected UDP session and a later
+// connected one on the same port both accept the connected peer's
+// datagrams; at equal priority the one installed first gets them,
+// whichever that is, as the kernel's sequential run of the filters has
+// it.
+func TestFirstInstalledSessionWins(t *testing.T) {
+	for _, connectedFirst := range []bool{false, true} {
+		r := newRig(costs.DECLibrarySHMIPF())
+		unconnected := filter.MatchSpec{Proto: wire.ProtoUDP, LocalIP: r.b.IP, LocalPort: 53}
+		connected := unconnected
+		connected.RemoteIP, connected.RemotePort = r.a.IP, 9000
+		specs := []filter.MatchSpec{unconnected, connected}
+		if connectedFirst {
+			specs[0], specs[1] = specs[1], specs[0]
+		}
+		first, second := r.b.NewEndpoint(0), r.b.NewEndpoint(0)
+		first.InstallFilter(specs[0], 1)
+		second.InstallFilter(specs[1], 1)
+		r.a.NIC.Transmit(testFrame(r.b.NIC.MAC(), wire.ProtoUDP, r.a.IP, r.b.IP, 9000, 53, 10))
+		if err := r.s.RunFor(50 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if first.Delivered.Value() != 1 || second.Delivered.Value() != 0 {
+			t.Errorf("connected first %v: first installed got %d, second %d", connectedFirst,
+				first.Delivered.Value(), second.Delivered.Value())
+		}
+		// With the first gone the second takes over.
+		first.Close()
+		r.a.NIC.Transmit(testFrame(r.b.NIC.MAC(), wire.ProtoUDP, r.a.IP, r.b.IP, 9000, 53, 10))
+		if err := r.s.RunFor(50 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if second.Delivered.Value() != 1 {
+			t.Errorf("connected first %v: second got %d after the first closed", connectedFirst, second.Delivered.Value())
+		}
 	}
 }
