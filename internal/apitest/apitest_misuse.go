@@ -12,8 +12,8 @@ import (
 )
 
 // misuse is the fixture a MisuseAgreement row runs against: one
-// application on host A, and a peer on host B that accepts on peerPort
-// and holds every connection open.
+// application on host A, and a peer on host B that accepts on peerPort,
+// greets every connection and holds it open.
 type misuse struct {
 	p   *sim.Proc
 	api socketapi.API
@@ -54,6 +54,16 @@ func (m *misuse) refused() int {
 	return fd
 }
 
+// recvAll checks that RecvZC with a max that names no size returns
+// everything queued: the peer's whole greeting.
+func (m *misuse) recvAll(max int) error {
+	b, _, err := m.zc.RecvZC(m.p, m.conn(), max, 0)
+	if err == nil && string(b) != string(greeting) {
+		err = fmt.Errorf("RecvZC(max=%d) = %q, want %q", max, b, greeting)
+	}
+	return err
+}
+
 // name checks a GetSockName answer, folding a wrong value into an error
 // so the row's expectation stays a single errno.
 func (m *misuse) name(fd int, want socketapi.SockAddr) error {
@@ -65,9 +75,10 @@ func (m *misuse) name(fd int, want socketapi.SockAddr) error {
 }
 
 var (
-	one     = []byte("x")
-	buf     = make([]byte, 16)
-	errFrom = func(_ any, err error) error { return err }
+	one      = []byte("x")
+	greeting = []byte("hello")
+	buf      = make([]byte, 16)
+	errFrom  = func(_ any, err error) error { return err }
 )
 
 // fdCalls is every call that takes a descriptor. Each must answer EBADF
@@ -188,6 +199,8 @@ var misuseRows = []struct {
 	}},
 	{"splice/udp-dst", socketapi.ErrNotSupported, func(m *misuse) error { return errFrom(m.ch.Splice(m.p, m.udp(), m.conn(), 1)) }},
 	{"splice/udp-src", socketapi.ErrNotSupported, func(m *misuse) error { return errFrom(m.ch.Splice(m.p, m.conn(), m.udp(), 1)) }},
+	{"recvzc/max=-1", nil, func(m *misuse) error { return m.recvAll(-1) }},
+	{"recvzc/max=0", nil, func(m *misuse) error { return m.recvAll(0) }},
 }
 
 // testMisuseAgreement runs every misuse row on one application. The
@@ -200,9 +213,11 @@ func testMisuseAgreement(t *testing.T, e *Env) {
 		peer.Bind(p, ls, socketapi.SockAddr{Port: peerPort})
 		peer.Listen(p, ls, 64)
 		for {
-			if _, _, err := peer.Accept(p, ls); err != nil {
+			fd, _, err := peer.Accept(p, ls)
+			if err != nil {
 				return
 			}
+			peer.Send(p, fd, greeting, 0)
 		}
 	})
 	api := e.NewA("misuse")

@@ -361,6 +361,69 @@ func TestFragmentForwarding(t *testing.T) {
 	}
 }
 
+// TestFragmentTimeout: the server's table of fragments for migrated
+// sessions ages on the server stack's slow timer, so a datagram whose
+// second fragment is lost is dropped after the reassembly timeout (15 s)
+// and counted there; a straggler arriving later completes nothing.
+func TestFragmentTimeout(t *testing.T) {
+	w := newWorld(6)
+	srv := w.b.Server
+	libB := w.b.NewLibrary("sink")
+	var got [][]byte
+	w.s.SpawnDaemon("sink", func(p *sim.Proc) {
+		fd, _ := libB.Socket(p, socketapi.SockDgram)
+		libB.Bind(p, fd, socketapi.SockAddr{Port: 2000})
+		for {
+			buf := make([]byte, 64)
+			n, _, err := libB.RecvFrom(p, fd, buf, 0)
+			if err != nil {
+				return
+			}
+			got = append(got, buf[:n])
+		}
+	})
+
+	// One 16-byte datagram 10.0.0.1:3000 → 10.0.0.2:2000 in two fragments.
+	dgram := make([]byte, wire.UDPHeaderLen+16)
+	(&wire.UDPHeader{SrcPort: 3000, DstPort: 2000, Length: uint16(len(dgram))}).Marshal(dgram)
+	copy(dgram[wire.UDPHeaderLen:], "sixteen bytes...")
+	frag := func(id uint16, second bool) []byte {
+		body := dgram[:16]
+		h := wire.IPv4Header{ID: id, TTL: wire.DefaultTTL, Proto: wire.ProtoUDP,
+			Src: wire.IP(10, 0, 0, 1), Dst: wire.IP(10, 0, 0, 2), Flags: wire.IPFlagMF}
+		if second {
+			body, h.Flags, h.FragOff = dgram[16:], 0, 2
+		}
+		h.TotalLen = uint16(wire.IPv4HeaderLen + len(body))
+		f := make([]byte, wire.EthHeaderLen+wire.IPv4HeaderLen+len(body))
+		(&wire.EthHeader{Dst: wire.MAC{2}, Src: wire.MAC{1}, Type: wire.EtherTypeIPv4}).Marshal(f)
+		h.Marshal(f[wire.EthHeaderLen:])
+		copy(f[wire.EthHeaderLen+wire.IPv4HeaderLen:], body)
+		return f
+	}
+
+	w.s.After(100*time.Millisecond, func() { w.b.Host.Inject(frag(1, false)) }) // its second fragment is lost
+	w.s.After(16*time.Second, func() {
+		if n := srv.St.Stats.IPReasmTimeout.Value(); n != 1 {
+			t.Errorf("reassembly timeouts after 16 s = %d, want 1", n)
+		}
+		w.b.Host.Inject(frag(1, true)) // straggler: nothing left to complete
+	})
+	w.s.After(17*time.Second, func() {
+		if srv.FragForwards.Value() != 0 || len(got) != 0 {
+			t.Errorf("expired datagram completed: %d forwards, %d deliveries", srv.FragForwards.Value(), len(got))
+		}
+		w.b.Host.Inject(frag(2, false)) // the fragments themselves are sound:
+		w.b.Host.Inject(frag(2, true))  // a whole pair is forwarded
+	})
+	if err := w.s.RunFor(18 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if srv.FragForwards.Value() != 1 || len(got) != 1 || !bytes.Equal(got[0], dgram[wire.UDPHeaderLen:]) {
+		t.Fatalf("complete pair: %d forwards, deliveries %q", srv.FragForwards.Value(), got)
+	}
+}
+
 // TestZeroCopyAPI exercises the paper's §4.2 NEWAPI on the library
 // implementation.
 func TestZeroCopyAPI(t *testing.T) {

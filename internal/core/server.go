@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/costs"
@@ -176,7 +175,11 @@ type Server struct {
 	nextSID  SessionID
 	libs     []*Library
 
-	frags map[fragKey]*fragEntry
+	// frags holds fragments of datagrams addressed to migrated sessions;
+	// the server stack's slow timer ages it, so a datagram that never
+	// completes is dropped after the stack's own reassembly timeout and
+	// counted in St.Stats.IPReasmTimeout.
+	frags *stack.Reassembler
 
 	// Stats.
 	Migrations     metrics.Counter
@@ -202,7 +205,6 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		Ports:    stack.NewLocalPorts(),
 		sessions: make(map[SessionID]*session),
 		nextSID:  1,
-		frags:    make(map[fragKey]*fragEntry),
 	}
 	sys.Server = srv
 
@@ -233,6 +235,7 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
 		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
 	})
+	srv.frags = srv.St.NewReassembler()
 	// Library caches are invalidated whenever shared metastate changes.
 	srv.St.ARP().OnChange = func(ip wire.IPAddr) {
 		for _, lib := range srv.libs {
@@ -266,92 +269,37 @@ func (srv *Server) input(t *sim.Proc, frame []byte) {
 		h, hl, herr := wire.UnmarshalIPv4(frame[wire.EthHeaderLen:])
 		if herr == nil && h.IsFragment() && int(h.TotalLen) <= len(frame)-wire.EthHeaderLen {
 			body := frame[wire.EthHeaderLen+hl : wire.EthHeaderLen+int(h.TotalLen)]
-			switch srv.fragIntercept(t, eh, h, body) {
-			case fragHeld, fragForwarded:
+			if srv.fragIntercept(eh, h, body) {
 				return
-			case fragPassthrough:
-				// fall through to the server stack's own reassembly
 			}
+			// Not ours: the server stack's own reassembly takes it.
 		}
 	}
 	srv.St.Input(t, frame)
 }
 
-type fragAction int
-
-const (
-	fragPassthrough fragAction = iota
-	fragHeld
-	fragForwarded
-)
-
-type fragKey struct {
-	src, dst wire.IPAddr
-	proto    uint8
-	id       uint16
-}
-
-type fragEntry struct {
-	frags   []fragPiece
-	gotLast bool
-	total   int
-	ttl     int
-}
-
-type fragPiece struct {
-	off  int
-	data []byte
-}
-
 // fragIntercept collects fragments of datagrams destined for migrated
 // sessions. A first fragment (which carries the ports) decides whether
 // the datagram belongs to an application session; non-first fragments
-// follow the decision made for their datagram.
-func (srv *Server) fragIntercept(t *sim.Proc, eh wire.EthHeader, h wire.IPv4Header, body []byte) fragAction {
-	key := fragKey{src: h.Src, dst: h.Dst, proto: h.Proto, id: h.ID}
-	e, tracking := srv.frags[key]
-	if !tracking {
-		if h.FragOff != 0 {
-			// Non-first fragment of a datagram we are not tracking: it is
-			// the server stack's problem (either its own session, or an
-			// ordering we do not handle — the stack's reassembly copes).
-			return fragPassthrough
-		}
-		if len(body) < 4 {
-			return fragPassthrough
+// follow the decision made for their datagram. It reports whether it
+// kept the fragment (held, or forwarded as the datagram's last piece).
+func (srv *Server) fragIntercept(eh wire.EthHeader, h wire.IPv4Header, body []byte) bool {
+	if !srv.frags.Holds(h) {
+		// A non-first fragment of a datagram we are not tracking is the
+		// server stack's problem (either its own session, or an ordering
+		// we do not handle — the stack's reassembly copes).
+		if h.FragOff != 0 || len(body) < 4 {
+			return false
 		}
 		dport := uint16(body[2])<<8 | uint16(body[3])
 		if !srv.appSessionMatches(h.Proto, h.Dst, dport, h.Src, uint16(body[0])<<8|uint16(body[1])) {
-			return fragPassthrough
-		}
-		e = &fragEntry{ttl: 30}
-		srv.frags[key] = e
-	}
-	off := int(h.FragOff) * 8
-	e.frags = append(e.frags, fragPiece{off: off, data: append([]byte(nil), body...)})
-	if !h.MoreFragments() {
-		e.gotLast = true
-		e.total = off + len(body)
-	}
-	if !e.gotLast {
-		return fragHeld
-	}
-	sort.Slice(e.frags, func(i, j int) bool { return e.frags[i].off < e.frags[j].off })
-	full := make([]byte, e.total)
-	covered := 0
-	for _, f := range e.frags {
-		if f.off > covered {
-			return fragHeld // hole remains
-		}
-		if end := f.off + len(f.data); end > covered {
-			copy(full[f.off:end], f.data)
-			covered = end
+			return false
 		}
 	}
-	if covered < e.total {
-		return fragHeld
+	full, ok := srv.frags.Add(h, body)
+	if !ok {
+		return true
 	}
-	delete(srv.frags, key)
 	srv.FragForwards.Inc()
 
 	// Rebuild an unfragmented frame and push it back through the kernel
@@ -363,7 +311,7 @@ func (srv *Server) fragIntercept(t *sim.Proc, eh wire.EthHeader, h wire.IPv4Head
 	h.Marshal(rebuilt[wire.EthHeaderLen:])
 	copy(rebuilt[wire.EthHeaderLen+wire.IPv4HeaderLen:], full)
 	srv.sys.Host.Inject(rebuilt)
-	return fragForwarded
+	return true
 }
 
 // appSessionMatches reports whether a migrated session would claim the

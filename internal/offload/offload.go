@@ -176,7 +176,7 @@ type flowKey struct {
 // mergeBuf is one in-progress LRO super-segment.
 type mergeBuf struct {
 	key       flowKey
-	buf       []byte   // frame under construction: headers of the first frame + concatenated payloads
+	buf       []byte   // frame under construction: the first frame (aliased while count is 1) + concatenated payloads
 	hlen      int      // TCP header length within the frame
 	count     int      // wire frames merged
 	nextSeq   uint32   // expected sequence of the next mergeable frame
@@ -512,24 +512,25 @@ func (e *Engine) Rx(f simnet.Frame) {
 	segLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.tpAt
 	seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
 
+	// The same verification whoever pays for it: the engine, or the host
+	// when the engine's FIFO is full.
+	okSum := true
+	switch p.ip.Proto {
+	case wire.ProtoTCP:
+		okSum = wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg)
+	case wire.ProtoUDP:
+		okSum = wire.VerifyUDPChecksum(p.ip.Src, p.ip.Dst, seg)
+	}
+	key := flowKey{src: p.ip.Src, dst: p.ip.Dst, sport: p.tcp.SrcPort, dport: p.tcp.DstPort}
+
 	if e.rxFull() {
 		// FIFO full: degrade to the software path. The host verifies the
 		// checksum — bad frames still die, so end-to-end protection never
 		// lapses under load — and LRO is skipped for this frame; an open
 		// merge for the flow flushes first so the stream stays in order.
 		e.Stats.RxOverflow.Inc()
-		if p.ip.Proto == wire.ProtoTCP {
-			key := flowKey{src: p.ip.Src, dst: p.ip.Dst, sport: p.tcp.SrcPort, dport: p.tcp.DstPort}
-			if pend := e.pending[key]; pend != nil {
-				e.flush(pend, 0)
-			}
-		}
-		okSum := true
-		switch p.ip.Proto {
-		case wire.ProtoTCP:
-			okSum = wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg)
-		case wire.ProtoUDP:
-			okSum = wire.VerifyUDPChecksum(p.ip.Src, p.ip.Dst, seg)
+		if pend := e.pending[key]; pend != nil && p.ip.Proto == wire.ProtoTCP {
+			e.flush(pend, 0)
 		}
 		e.Stats.SwCsumFrames.Inc()
 		e.Stats.SwCsumBytes.Add(uint64(segLen))
@@ -549,13 +550,6 @@ func (e *Engine) Rx(f simnet.Frame) {
 	e.Stats.RxCsumFrames.Inc()
 	e.Stats.RxCsumBytes.Add(uint64(segLen))
 	d := e.cfg.Costs.Checksum.At(segLen)
-	okSum := true
-	switch p.ip.Proto {
-	case wire.ProtoTCP:
-		okSum = wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg)
-	case wire.ProtoUDP:
-		okSum = wire.VerifyUDPChecksum(p.ip.Src, p.ip.Dst, seg)
-	}
 	if !okSum {
 		e.Stats.RxCsumBad.Inc()
 		e.chargeRx(d)
@@ -567,7 +561,6 @@ func (e *Engine) Rx(f simnet.Frame) {
 		return
 	}
 
-	key := flowKey{src: p.ip.Src, dst: p.ip.Dst, sport: p.tcp.SrcPort, dport: p.tcp.DstPort}
 	payLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.payAt
 	mergeable := payLen > 0 &&
 		(p.tcp.Flags == wire.TCPAck || p.tcp.Flags == wire.TCPAck|wire.TCPPsh) &&
@@ -598,7 +591,13 @@ func (e *Engine) Rx(f simnet.Frame) {
 			e.deliverAfter(d, f)
 			return
 		}
-		// In-order continuation: absorb.
+		// In-order continuation: absorb. The merged super-segment is a
+		// new frame that never existed on the wire, and delivered frames
+		// are immutable, so the first absorption moves the opening frame
+		// into a private buffer sized for a full merge.
+		if pend.count == 1 {
+			pend.buf = append(make([]byte, 0, p.payAt+e.cfg.MaxCoalesce+e.cfg.MSS), pend.buf...)
+		}
 		pend.buf = append(pend.buf, f.Data[p.payAt:wire.EthHeaderLen+int(p.ip.TotalLen)]...)
 		pend.count++
 		pend.nextSeq += uint32(payLen)
@@ -617,11 +616,13 @@ func (e *Engine) Rx(f simnet.Frame) {
 		return
 	}
 
-	// Open a merge with this frame as the template. The buffer is a
-	// private copy: delivered frames are immutable, and the merged
-	// super-segment is a new frame that never existed on the wire.
+	// Open a merge with this frame as the template. Until a second frame
+	// is absorbed the buffer is the frame itself, trimmed of Ethernet
+	// padding: most merges on a request/response flow end as they began,
+	// and a one-byte request should not cost a 48 KB buffer.
 	pend = &mergeBuf{
 		key:       key,
+		buf:       f.Data[:wire.EthHeaderLen+int(p.ip.TotalLen)],
 		hlen:      p.tcpHLen,
 		count:     1,
 		nextSeq:   p.tcp.Seq + uint32(payLen),
@@ -630,8 +631,6 @@ func (e *Engine) Rx(f simnet.Frame) {
 		psh:       psh,
 		lastTouch: now,
 	}
-	pend.buf = make([]byte, 0, p.payAt+e.cfg.MaxCoalesce+e.cfg.MSS)
-	pend.buf = append(pend.buf, f.Data[:wire.EthHeaderLen+int(p.ip.TotalLen)]...)
 	e.pending[key] = pend
 	e.Stats.LROMerged.Inc()
 	e.chargeRx(d)
@@ -668,13 +667,24 @@ func (e *Engine) armHold(pend *mergeBuf, wait time.Duration) {
 // header (constant for the frames the engine merges).
 func (flowKey) hdrLen() int { return wire.EthHeaderLen + wire.IPv4HeaderLen }
 
-// flush finalizes a pending merge — patches lengths, ACK, window, and
-// checksums so the super-segment is a well-formed frame — and delivers
-// it. extra is added to the pipeline charge.
+// flush delivers a pending merge, finalized if it absorbed anything; a
+// merge of one frame goes up as it arrived (its checksum is verified and
+// its ACK, window and PSH are its own). extra is added to the pipeline
+// charge.
 func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	delete(e.pending, pend.key)
 	pend.gen++
+	if pend.count > 1 {
+		pend.finalize()
+	}
+	e.Stats.LROFlushes.Inc()
+	e.Stats.LROBytes.Add(uint64(len(pend.buf) - pend.key.hdrLen() - pend.hlen))
+	e.deliverAfter(extra, simnet.Frame{Data: pend.buf})
+}
 
+// finalize patches lengths, ACK, window, and checksums so the merged
+// super-segment is a well-formed frame.
+func (pend *mergeBuf) finalize() {
 	frame := pend.buf
 	ipAt := wire.EthHeaderLen
 	tpAt := pend.key.hdrLen()
@@ -706,10 +716,6 @@ func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	sum := ck.Sum()
 	tb[wire.TCPChecksumOffset] = byte(sum >> 8)
 	tb[wire.TCPChecksumOffset+1] = byte(sum)
-
-	e.Stats.LROFlushes.Inc()
-	e.Stats.LROBytes.Add(uint64(len(tb) - pend.hlen))
-	e.deliverAfter(extra, simnet.Frame{Data: frame})
 }
 
 // deliverNow hands a frame up with no engine charge.

@@ -2,6 +2,7 @@ package offload
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -437,5 +438,66 @@ func TestTransmitChecksumsPlainFrame(t *testing.T) {
 	}
 	if v := e.Stats.TxCsumFrames.Value(); v != 1 {
 		t.Fatalf("tx_csum_frames = %d, want 1", v)
+	}
+}
+
+// TestLROLoneFrameGoesUpAsItArrived: a merge that ends with the frame
+// that opened it — pushed on an idle flow, or flushed alone by the hold
+// timer — delivers that frame itself, trimmed of Ethernet padding. The
+// bytes are what the old path produced by copying the frame and
+// finalizing the copy, and the flush is counted the same way.
+func TestLROLoneFrameGoesUpAsItArrived(t *testing.T) {
+	for _, flags := range []uint8{wire.TCPAck | wire.TCPPsh, wire.TCPAck} {
+		env := newRxEnv(t)
+		wireLen := len(tcpFrame(5000, 77, flags, []byte{42}))
+		frame := append(tcpFrame(5000, 77, flags, []byte{42}), make([]byte, 60-wireLen)...)
+		env.inject(0, frame)
+		env.run(t)
+
+		if len(env.got) != 1 {
+			t.Fatalf("flags %#x: deliveries = %d, want 1", flags, len(env.got))
+		}
+		old := &mergeBuf{
+			key: flowKey{src: testSrc, dst: testDst, sport: 1000, dport: 2000},
+			buf: append([]byte(nil), frame[:wireLen]...), hlen: wire.TCPHeaderLen,
+			lastAck: 77, lastWin: 8192, psh: flags&wire.TCPPsh != 0,
+		}
+		old.finalize()
+		got := env.got[0].data
+		if !bytes.Equal(got, old.buf) {
+			t.Errorf("flags %#x: delivered frame differs from the copy-and-finalize path:\n got %x\nwant %x", flags, got, old.buf)
+		}
+		if &got[0] != &frame[0] {
+			t.Errorf("flags %#x: lone frame was copied, want the wire frame itself", flags)
+		}
+		if f, b := env.e.Stats.LROFlushes.Value(), env.e.Stats.LROBytes.Value(); f != 1 || b != 1 {
+			t.Errorf("flags %#x: LROFlushes/LROBytes = %d/%d, want 1/1", flags, f, b)
+		}
+	}
+}
+
+// TestLROLoneFrameAllocatesNoBuffer: a one-byte request on an idle flow
+// must not cost a merge buffer (54 + 33 × 1460 bytes before the opening
+// frame was aliased: 96 % of the bytes the rpc workload allocated).
+func TestLROLoneFrameAllocatesNoBuffer(t *testing.T) {
+	env := newRxEnv(t)
+	frame := tcpFrame(5000, 77, wire.TCPAck|wire.TCPPsh, []byte{42})
+	request := func() {
+		env.inject(10*time.Millisecond, frame)
+		env.run(t)
+	}
+	request() // warm the scheduler's free lists
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		request()
+	}
+	runtime.ReadMemStats(&after)
+	if len(env.got) != runs+1 {
+		t.Fatalf("deliveries = %d, want %d", len(env.got), runs+1)
+	}
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1024 {
+		t.Fatalf("a lone pushed segment allocates %d bytes, want < 1 KiB", perRun)
 	}
 }

@@ -149,7 +149,10 @@ type ZeroCopyAPI interface {
 	// caller must not reuse b until the call returns.
 	SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error)
 	// RecvZC returns a view of received data owned by the protocol,
-	// valid until the next RecvZC on the same descriptor.
+	// valid until the next RecvZC on the same descriptor. max <= 0 means
+	// everything queued (at most SO_RCVBUF bytes), as for RecvPeek. Where
+	// buffers are shared the view is whatever is queued and a positive
+	// max is not honoured; where they are not, it bounds the copy.
 	RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, SockAddr, error)
 }
 

@@ -327,6 +327,19 @@ func (tb *Table) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socket
 		_, from, view, err := e.At.St.Recv(t, e.Sock, nil, stack.RecvOpts{ZeroCopy: true, OOB: flags&socketapi.MsgOOB != 0})
 		return view, FromStack(from), err
 	}
+	return e.recvFresh(t, max, flags)
+}
+
+// recvFresh is the boundary-copy receive behind RecvZC and RecvPeek: a
+// fresh buffer of max bytes — max <= 0 means everything that can be
+// queued, so SO_RCVBUF bytes — filled by recv.
+func (e *Entry) recvFresh(t *sim.Proc, max int, flags int) ([]byte, socketapi.SockAddr, error) {
+	if max <= 0 {
+		var err error
+		if max, err = e.getOpt(t, socketapi.SoRcvBuf); err != nil {
+			return nil, socketapi.SockAddr{}, err
+		}
+	}
 	buf := make([]byte, max)
 	n, from, err := e.recv(t, buf, flags)
 	return buf[:n], from, err
@@ -380,17 +393,11 @@ func (tb *Table) RecvPeek(t *sim.Proc, fd int, max int, ranges []socketapi.Range
 		}
 		return socketapi.RecvView{Chain: view, Copied: copied, From: FromStack(from)}, nil
 	}
-	if max <= 0 {
-		if max, err = e.getOpt(t, socketapi.SoRcvBuf); err != nil {
-			return socketapi.RecvView{}, err
-		}
-	}
-	buf := make([]byte, max)
-	n, from, err := e.recv(t, buf, socketapi.MsgPeek)
+	buf, from, err := e.recvFresh(t, max, socketapi.MsgPeek)
 	if err != nil {
 		return socketapi.RecvView{}, err
 	}
-	view := mbuf.FromBytes(buf[:n])
+	view := mbuf.FromBytes(buf)
 	return socketapi.RecvView{Chain: view, Copied: socketapi.MaterializeRanges(view, ranges), From: from}, nil
 }
 

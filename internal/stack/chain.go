@@ -27,94 +27,13 @@ func (st *Stack) SendChain(t *sim.Proc, s *Socket, c *mbuf.Chain, opts SendOpts)
 	if c == nil {
 		c = mbuf.New()
 	}
-	total := c.Len()
-	isTCP := s.Proto == wire.ProtoTCP
-	st.lock(t)
-	defer st.unlock()
-	if err := s.takeErr(); err != nil {
-		c.Release()
-		return 0, err
+	// The chain is handed over by reference, so system entry pays only
+	// its fixed cost: no bytes are priced as copyin.
+	n, err := st.sosend(t, s, sendSrc{chain: c, left: c.Len(), moved: &st.Stats.SockAliasedBytes}, opts)
+	if err != nil {
+		c.Release() // whatever was not queued
 	}
-	if s.wrShut {
-		c.Release()
-		return 0, socketapi.ErrPipe
-	}
-	// System entry without the copyin: the chain is handed over by
-	// reference, so only the fixed entry cost is paid.
-	st.charge(t, isTCP, costs.CompEntryCopyin, 0)
-
-	switch s.Proto {
-	case wire.ProtoUDP:
-		dst := s.remote
-		if opts.To != nil {
-			dst = *opts.To
-		}
-		if dst.IsZero() {
-			c.Release()
-			return 0, socketapi.ErrNotConn
-		}
-		if s.local.Port == 0 {
-			if err := st.bindLocked(s, Addr{}); err != nil {
-				c.Release()
-				return 0, err
-			}
-		}
-		if total > maxUDPDatagram {
-			c.Release()
-			return 0, socketapi.ErrMsgSize
-		}
-		src := s.local
-		if src.IP.IsZero() {
-			src.IP = st.cfg.LocalIP
-		}
-		st.Stats.SockAliasedBytes.Add(uint64(total))
-		if err := st.udpOutput(t, src, dst, c); err != nil {
-			return 0, err
-		}
-		return total, nil
-
-	case wire.ProtoTCP:
-		tcb := s.tcb
-		if tcb == nil || tcb.state < tcpEstablished {
-			c.Release()
-			return 0, socketapi.ErrNotConn
-		}
-		sent := 0
-		for c.Len() > 0 {
-			for s.snd.space() <= 0 && s.err == nil && !s.wrShut && tcb.state >= tcpEstablished {
-				st.condWait(t, &s.snd.cond)
-			}
-			if err := s.takeErr(); err != nil {
-				c.Release()
-				return sent, err
-			}
-			if s.wrShut || tcb.state == tcpClosed {
-				c.Release()
-				return sent, socketapi.ErrPipe
-			}
-			n := c.Len()
-			if sp := s.snd.space(); n > sp {
-				n = sp
-			}
-			if n == c.Len() {
-				s.snd.appendChain(c)
-			} else {
-				rest := c.Split(n)
-				s.snd.appendChain(c) // c is emptied by the move
-				c.AppendChain(rest)  // remainder becomes the next round's input
-			}
-			sent += n
-			st.Stats.SockAliasedBytes.Add(uint64(n))
-			if opts.OOB && c.Len() == 0 {
-				tcb.sndUp = tcb.sndUna + uint32(s.snd.len())
-				tcb.forceUrgent = true
-			}
-			st.tcpOutput(t, tcb)
-		}
-		return sent, nil
-	}
-	c.Release()
-	return 0, socketapi.ErrNotSupported
+	return n, err
 }
 
 // RecvPeek blocks until data (or EOF/error) and returns a
@@ -130,51 +49,19 @@ func (st *Stack) SendChain(t *sim.Proc, s *Socket, c *mbuf.Chain, opts SendOpts)
 func (st *Stack) RecvPeek(t *sim.Proc, s *Socket, max int, ranges []socketapi.Range) (*mbuf.Chain, [][]byte, Addr, error) {
 	st.lock(t)
 	defer st.unlock()
-	isTCP := s.Proto == wire.ProtoTCP
-
-	var view *mbuf.Chain
-	var from Addr
-	switch s.Proto {
-	case wire.ProtoUDP:
-		for s.drcv.len() == 0 && len(s.drcv.q) == 0 && s.err == nil && !s.rdShut {
-			st.condWait(t, &s.drcv.cond)
-		}
-		if err := s.takeErr(); err != nil {
-			return nil, nil, Addr{}, err
-		}
-		d, ok := s.drcv.peek()
-		if !ok {
-			return mbuf.New(), nil, Addr{}, nil // shutdown with nothing queued
-		}
-		n := d.data.Len()
-		if max > 0 && max < n {
-			n = max
-		}
-		view = d.data.CopyRegion(0, n)
-		from = d.from
-
-	case wire.ProtoTCP:
-		if s.tcb == nil {
-			return nil, nil, Addr{}, socketapi.ErrNotConn
-		}
-		if ok, err := st.waitReadable(t, s); !ok {
-			if err != nil {
-				return nil, nil, Addr{}, err
-			}
-			return mbuf.New(), nil, s.remote, nil // EOF
-		}
-		n := s.rcv.len()
-		if max > 0 && max < n {
-			n = max
-		}
-		view = s.rcv.data.CopyRegion(0, n)
-		from = s.remote
-
-	default:
-		return nil, nil, Addr{}, socketapi.ErrNotSupported
+	q, from, err := st.soreceive(t, s, true)
+	if err != nil {
+		return nil, nil, Addr{}, err
 	}
+	if q == nil {
+		return mbuf.New(), nil, from, nil // EOF, or shutdown with nothing queued
+	}
+	n := q.Len()
+	if max > 0 && max < n {
+		n = max
+	}
+	view := q.CopyRegion(0, n)
 
-	n := view.Len()
 	s.zcRxBytes += int64(n)
 	st.Stats.ZeroCopyRxBytes.Add(uint64(n))
 	st.Stats.SockAliasedBytes.Add(uint64(n))
@@ -187,7 +74,7 @@ func (st *Stack) RecvPeek(t *sim.Proc, s *Socket, max int, ranges []socketapi.Ra
 	s.selCopyBytes += int64(copiedBytes)
 	st.Stats.SelectiveCopyBytes.Add(uint64(copiedBytes))
 	st.Stats.SockCopiedBytes.Add(uint64(copiedBytes))
-	st.charge(t, isTCP, costs.CompCopyoutExit, copiedBytes)
+	st.charge(t, s.Proto == wire.ProtoTCP, costs.CompCopyoutExit, copiedBytes)
 	return view, copied, from, nil
 }
 
@@ -250,28 +137,13 @@ func (st *Stack) Splice(t *sim.Proc, dst, src *Socket, n int) (int, error) {
 			}
 			break // EOF
 		}
-		// Wait for sink space.
-		for dst.snd.space() <= 0 && dst.err == nil && !dst.wrShut && dst.tcb.state >= tcpEstablished {
-			st.condWait(t, &dst.snd.cond)
-		}
-		if err := dst.takeErr(); err != nil {
+		if err := st.waitWritable(t, dst); err != nil {
 			return moved, err
 		}
-		if dst.wrShut || dst.tcb.state == tcpClosed {
-			return moved, socketapi.ErrPipe
-		}
-		chunk := src.rcv.len()
-		if sp := dst.snd.space(); chunk > sp {
-			chunk = sp
-		}
-		if rem := n - moved; chunk > rem {
-			chunk = rem
-		}
-		if chunk <= 0 {
+		chunk := dst.snd.takeFrom(src.rcv.data, min(dst.snd.space(), n-moved))
+		if chunk == 0 {
 			continue // raced: re-evaluate both wait conditions
 		}
-		c := src.rcv.readChain(chunk)
-		dst.snd.appendChain(c)
 		moved += chunk
 		src.splicedBytes += int64(chunk)
 		dst.splicedBytes += int64(chunk)

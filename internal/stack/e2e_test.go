@@ -30,7 +30,11 @@ type node struct {
 }
 
 func newNode(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip wire.IPAddr) *node {
-	n := &node{prof: costs.DECKernelMach25()}
+	return newNodeProf(s, seg, name, macLast, ip, costs.DECKernelMach25())
+}
+
+func newNodeProf(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip wire.IPAddr, prof costs.Profile) *node {
+	n := &node{prof: prof}
 	n.host = kern.NewHost(s, seg, name, wire.MAC{0xde, 0xad, 0, 0, 0, macLast}, ip, n.prof)
 	n.pr = n.host.NewProcess("stack")
 	ep := n.host.NewEndpoint(0)

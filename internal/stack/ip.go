@@ -2,7 +2,9 @@ package stack
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -277,10 +279,11 @@ func (st *Stack) ipInput(t *sim.Proc, eh wire.EthHeader, pkt []byte) {
 
 	if h.IsFragment() {
 		st.rxVerified = false
-		full, ok := st.ipReassemble(t, h, body)
+		full, ok := st.reasm.Add(h, body)
 		if !ok {
 			return
 		}
+		st.Stats.IPReasmOK.Inc()
 		body = full
 		h.FragOff = 0
 		h.Flags = 0
@@ -320,14 +323,38 @@ type ipFrag struct {
 
 const reasmTTLTicks = 30 // 15 s, BSD's IPFRAGTTL
 
-// ipReassemble collects fragments; when a datagram completes it returns
-// the full transport payload.
-func (st *Stack) ipReassemble(t *sim.Proc, h wire.IPv4Header, body []byte) ([]byte, bool) {
-	key := reasmKey{src: h.Src, dst: h.Dst, proto: h.Proto, id: h.ID}
-	e := st.reasm[key]
+// Reassembler collects IP fragments into datagrams (ip_reass). A stack
+// has one for its own input; a deployment that has to reassemble ahead
+// of the stack (the OS server, for migrated sessions) gets another from
+// NewReassembler.
+type Reassembler struct {
+	held map[reasmKey]*reasmEntry
+	keys []reasmKey // expiry scratch, reused so an idle tick allocates nothing
+}
+
+// NewReassembler returns an empty table aged by this stack's slow timer,
+// its expiries counted in Stats.IPReasmTimeout.
+func (st *Stack) NewReassembler() *Reassembler {
+	r := &Reassembler{held: make(map[reasmKey]*reasmEntry)}
+	st.reasms = append(st.reasms, r)
+	return r
+}
+
+func keyOf(h wire.IPv4Header) reasmKey {
+	return reasmKey{src: h.Src, dst: h.Dst, proto: h.Proto, id: h.ID}
+}
+
+// Holds reports whether fragments of h's datagram are being collected.
+func (r *Reassembler) Holds(h wire.IPv4Header) bool { return r.held[keyOf(h)] != nil }
+
+// Add files one fragment; when it completes its datagram Add returns the
+// full transport payload and forgets the datagram.
+func (r *Reassembler) Add(h wire.IPv4Header, body []byte) ([]byte, bool) {
+	key := keyOf(h)
+	e := r.held[key]
 	if e == nil {
 		e = &reasmEntry{ttlTick: reasmTTLTicks}
-		st.reasm[key] = e
+		r.held[key] = e
 	}
 	off := int(h.FragOff) * 8
 	data := append([]byte(nil), body...)
@@ -356,49 +383,45 @@ func (st *Stack) ipReassemble(t *sim.Proc, h wire.IPv4Header, body []byte) ([]by
 	if covered < e.total {
 		return nil, false
 	}
-	delete(st.reasm, key)
-	st.Stats.IPReasmOK.Inc()
+	delete(r.held, key)
 	return full, true
 }
 
-// ipReasmTimo expires stale reassembly state (driven by the slow timer).
-// Keys are walked in sorted order so that expiry — and any traffic it
-// ever triggers — happens in the same order on every run.
-func (st *Stack) ipReasmTimo(t *sim.Proc) {
-	if len(st.reasm) == 0 {
-		return // the steady-state case; keep the periodic tick free
+// tick ages every datagram by one slow-timer tick and returns how many
+// expired. Keys are walked in sorted order so that expiry — and any
+// traffic it ever triggers — happens in the same order on every run.
+func (r *Reassembler) tick() (expired int) {
+	if len(r.held) == 0 {
+		return 0 // the steady-state case; keep the periodic tick free
 	}
-	keys := st.timoKeys[:0]
-	for k := range st.reasm {
+	keys := r.keys[:0]
+	for k := range r.held {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ { // allocation-free, entries are few
-		for j := i; j > 0 && keys[j].less(keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	st.timoKeys = keys
+	slices.SortFunc(keys, reasmKey.compare) // allocation-free: no captures
+	r.keys = keys
 	for _, k := range keys {
-		e := st.reasm[k]
+		e := r.held[k]
 		e.ttlTick--
 		if e.ttlTick <= 0 {
-			delete(st.reasm, k)
-			st.Stats.IPReasmTimeout.Inc()
+			delete(r.held, k)
+			expired++
 		}
 	}
+	return expired
 }
 
-func (k reasmKey) less(o reasmKey) bool {
+func (k reasmKey) compare(o reasmKey) int {
 	if c := bytes.Compare(k.src[:], o.src[:]); c != 0 {
-		return c < 0
+		return c
 	}
 	if c := bytes.Compare(k.dst[:], o.dst[:]); c != 0 {
-		return c < 0
+		return c
 	}
 	if k.proto != o.proto {
-		return k.proto < o.proto
+		return cmp.Compare(k.proto, o.proto)
 	}
-	return k.id < o.id
+	return cmp.Compare(k.id, o.id)
 }
 
 // --- ICMP ---

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,14 +56,14 @@ func (st *Stack) SetMetrics(sc *metrics.Scope) {
 	st.mConnect = sc.Histogram("connect_ns")
 	st.mCwnd = sc.Histogram("cwnd_bytes")
 
-	sc.GaugeFunc("sockets", func() int64 { return int64(len(st.sockets())) })
+	sc.GaugeFunc("sockets", func() int64 { return int64(len(st.socks)) })
 	ts := sc.Sub("tcp_state")
 	for i := range tcpStateNames {
 		name := strings.ToLower(tcpStateNames[i])
 		state := tcpStateNames[i]
 		ts.GaugeFunc(name, func() int64 {
 			var n int64
-			for _, sk := range st.sockets() {
+			for _, sk := range st.socks {
 				if sk.Proto == wire.ProtoTCP && TCPStateOf(sk) == state {
 					n++
 				}
@@ -70,26 +71,6 @@ func (st *Stack) SetMetrics(sc *metrics.Scope) {
 			return n
 		})
 	}
-}
-
-// sockets returns every live socket exactly once (a socket can appear
-// in both tables only transiently, never within one event).
-func (st *Stack) sockets() []*Socket {
-	out := make([]*Socket, 0, len(st.conns)+len(st.binds))
-	seen := make(map[uint64]bool, len(st.conns)+len(st.binds))
-	for _, sk := range st.conns {
-		if !seen[sk.uid] {
-			seen[sk.uid] = true
-			out = append(out, sk)
-		}
-	}
-	for _, sk := range st.binds {
-		if !seen[sk.uid] {
-			seen[sk.uid] = true
-			out = append(out, sk)
-		}
-	}
-	return out
 }
 
 // SocketInfo is one row of the netstat-style socket table.
@@ -111,7 +92,7 @@ type SocketInfo struct {
 // sorted per-socket view (protocol, then local address, then remote
 // address, then creation order).
 func (st *Stack) SocketTable() []SocketInfo {
-	socks := st.sockets()
+	socks := slices.Clone(st.socks)
 	sort.Slice(socks, func(i, j int) bool {
 		a, b := socks[i], socks[j]
 		if a.Proto != b.Proto {

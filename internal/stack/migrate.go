@@ -149,7 +149,7 @@ func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 		st.insertReasm(tp, r.Seq, r.Data, r.Fin)
 	}
 
-	st.conns[tuple{wire.ProtoTCP, s.local, s.remote}] = s
+	st.file(st.conns, tuple{wire.ProtoTCP, s.local, s.remote}, s)
 
 	// Re-arm the retransmit timer if data is in flight, and continue the
 	// close handshake if one was interrupted mid-migration. An ACK the
@@ -174,10 +174,10 @@ func (st *Stack) AdoptUDPSession(local, remote Addr) *Socket {
 	s := st.NewSocket(wire.ProtoUDP)
 	s.local = local
 	if remote.IsZero() {
-		st.binds[tuple{wire.ProtoUDP, s.local, Addr{}}] = s
+		st.file(st.binds, tuple{wire.ProtoUDP, s.local, Addr{}}, s)
 	} else {
 		s.remote = remote
-		st.conns[tuple{wire.ProtoUDP, s.local, s.remote}] = s
+		st.file(st.conns, tuple{wire.ProtoUDP, s.local, s.remote}, s)
 	}
 	return s
 }

@@ -20,50 +20,35 @@ func newStreamBuf(hiwat int) *streamBuf {
 func (sb *streamBuf) len() int   { return sb.data.Len() }
 func (sb *streamBuf) space() int { return sb.hiwat - sb.data.Len() }
 
-// appendChain moves a chain into the buffer (sbappend).
-func (sb *streamBuf) appendChain(c *mbuf.Chain) { sb.data.AppendChain(c) }
-
 // appendBytes copies b into the buffer.
 func (sb *streamBuf) appendBytes(b []byte) { sb.data.AppendBytes(b) }
 
-// appendRef appends b without copying (NEWAPI shared-buffer send).
-func (sb *streamBuf) appendRef(b []byte) { sb.data.AppendAlias(b) }
-
 // appendAlias appends b without copying. The caller guarantees b is
-// immutable (received frame bytes under the simnet ownership rules).
+// immutable (received frame bytes under the simnet ownership rules, or a
+// NEWAPI send buffer the application has given up).
 func (sb *streamBuf) appendAlias(b []byte) { sb.data.AppendAlias(b) }
 
 // drop discards n bytes from the front (sbdrop; TCP acked data).
 func (sb *streamBuf) drop(n int) { sb.data.TrimFront(n) }
 
-// region returns a storage-sharing copy of bytes [off, off+n) (m_copym;
-// TCP segment construction from the send queue).
-func (sb *streamBuf) region(off, n int) *mbuf.Chain { return sb.data.CopyRegion(off, n) }
-
 // regionInto appends a storage-sharing view of bytes [off, off+n) onto
-// out, so a reused scratch chain makes segment construction
-// allocation-free.
+// out (m_copym; TCP segment construction from the send queue), so a
+// reused scratch chain makes segment construction allocation-free.
 func (sb *streamBuf) regionInto(out *mbuf.Chain, off, n int) { sb.data.CopyRegionInto(out, off, n) }
 
-// readInto copies up to len(p) bytes out of the buffer, consuming them.
-func (sb *streamBuf) readInto(p []byte) int {
-	n := sb.data.ReadAt(p, 0)
-	sb.data.TrimFront(n)
-	return n
-}
-
-// readChain removes and returns up to max bytes as a chain (NEWAPI
-// shared-buffer receive: no copy).
-func (sb *streamBuf) readChain(max int) *mbuf.Chain {
-	if max >= sb.data.Len() {
-		c := sb.data
-		sb.data = mbuf.New()
-		return c
+// takeFrom moves up to max bytes from the front of c into the buffer by
+// reference and returns the count: how a surrendered chain is queued, and
+// how Splice drains one socket's receive queue into another's send queue.
+func (sb *streamBuf) takeFrom(c *mbuf.Chain, max int) int {
+	n := min(max, c.Len())
+	if n == c.Len() {
+		sb.data.AppendChain(c)
+	} else {
+		rest := c.Split(n)
+		sb.data.AppendChain(c) // c is emptied by the move
+		c.AppendChain(rest)    // what did not fit stays where it was
 	}
-	rest := sb.data.Split(max)
-	c := sb.data
-	sb.data = rest
-	return c
+	return n
 }
 
 // datagram is one queued UDP datagram with its source address.
@@ -98,13 +83,12 @@ func (db *dgramBuf) enqueue(from Addr, data *mbuf.Chain) bool {
 
 // dequeue removes the next datagram.
 func (db *dgramBuf) dequeue() (datagram, bool) {
-	if len(db.q) == 0 {
-		return datagram{}, false
+	d, ok := db.peek()
+	if ok {
+		db.q = db.q[1:]
+		db.bytes -= d.data.Len()
 	}
-	d := db.q[0]
-	db.q = db.q[1:]
-	db.bytes -= d.data.Len()
-	return d, true
+	return d, ok
 }
 
 // peek returns the next datagram without consuming it.

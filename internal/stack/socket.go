@@ -3,6 +3,7 @@ package stack
 import (
 	"repro/internal/costs"
 	"repro/internal/mbuf"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 	"repro/internal/wire"
@@ -14,6 +15,7 @@ import (
 type Socket struct {
 	st    *Stack
 	uid   uint64 // creation order, for deterministic timer iteration
+	filed int    // demultiplexing-table entries naming this socket
 	Proto uint8
 
 	local, remote Addr
@@ -128,15 +130,10 @@ func (s *Socket) sowwakeup(t *sim.Proc, n int) {
 // Bind names the socket's local endpoint. A zero port allocates an
 // ephemeral port. A zero IP binds to the stack's address (single-homed
 // hosts, so INADDR_ANY and the local address are interchangeable on
-// output; lookup handles both).
+// output; lookup handles both). It takes no lock and callers inside the
+// protocol lock use it too: Bind performs no yielding operations, so it
+// is atomic with respect to other simulated threads either way.
 func (st *Stack) Bind(s *Socket, addr Addr) error {
-	return st.bindLocked(s, addr)
-}
-
-// bindLocked is Bind for callers already inside the protocol lock (and
-// for the lock-free public path: Bind performs no yielding operations, so
-// it is atomic with respect to other simulated threads either way).
-func (st *Stack) bindLocked(s *Socket, addr Addr) error {
 	if s.local.Port != 0 {
 		return socketapi.ErrInvalid // already bound
 	}
@@ -155,22 +152,22 @@ func (st *Stack) bindLocked(s *Socket, addr Addr) error {
 	}
 	s.local = Addr{IP: addr.IP, Port: port}
 	s.portReserved = true
-	st.binds[tuple{s.Proto, s.local, Addr{}}] = s
+	st.file(st.binds, tuple{s.Proto, s.local, Addr{}}, s)
 	return nil
 }
 
 // registerConn moves a socket into the full-tuple connection map.
 func (st *Stack) registerConn(s *Socket) {
-	delete(st.binds, tuple{s.Proto, s.local, Addr{}})
-	st.conns[tuple{s.Proto, s.local, s.remote}] = s
+	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}})
+	st.file(st.conns, tuple{s.Proto, s.local, s.remote}, s)
 }
 
 // deregister removes the socket from all demultiplexing tables and
 // releases its port.
 func (st *Stack) deregister(s *Socket) {
-	delete(st.binds, tuple{s.Proto, s.local, Addr{}})
+	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}})
 	if !s.remote.IsZero() {
-		delete(st.conns, tuple{s.Proto, s.local, s.remote})
+		st.unfile(st.conns, tuple{s.Proto, s.local, s.remote})
 	}
 	if s.portReserved {
 		// A listener's port may be shared with its spawned connections;
@@ -228,18 +225,18 @@ func (st *Stack) Connect(t *sim.Proc, s *Socket, raddr Addr) error {
 	st.lock(t)
 	defer st.unlock()
 	if s.local.Port == 0 {
-		if err := st.bindLocked(s, Addr{}); err != nil {
+		if err := st.Bind(s, Addr{}); err != nil {
 			return err
 		}
 	}
 	// The bind table entry may be keyed under the wildcard IP; remove it
 	// under the old key before qualifying the local address.
-	delete(st.binds, tuple{s.Proto, s.local, Addr{}})
+	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}})
 	s.local.IP = st.cfg.LocalIP
 	switch s.Proto {
 	case wire.ProtoUDP:
 		if !s.remote.IsZero() {
-			delete(st.conns, tuple{s.Proto, s.local, s.remote})
+			st.unfile(st.conns, tuple{s.Proto, s.local, s.remote})
 		}
 		s.remote = raddr
 		st.registerConn(s)
@@ -284,15 +281,84 @@ type SendOpts struct {
 	ZeroCopy bool
 }
 
-// Send writes data on the socket: the implementation behind all ten BSD
-// data-movement calls. iov is a gather list; for UDP it forms a single
-// datagram.
-func (st *Stack) Send(t *sim.Proc, s *Socket, iov [][]byte, opts SendOpts) (int, error) {
-	total := 0
-	for _, b := range iov {
-		total += len(b)
+// sendSrc is the data of one send call and the way it reaches the socket
+// buffer: a gather list copied in (the BSD calls), a gather list
+// referenced in place (NEWAPI), or a chain moved by reference. The three
+// differ in the mover, in the bytes priced as copyin and in the counter
+// that records them; everything else about queueing is sosend's. It is a
+// plain value, so a send allocates nothing for it.
+type sendSrc struct {
+	iov    [][]byte         // gather list; iov[0][off:] is the next byte
+	off    int              // consumed prefix of iov[0]
+	alias  bool             // reference the gather list's storage instead of copying it
+	chain  *mbuf.Chain      // nil for a gather list
+	left   int              // bytes not yet handed over
+	copyin int              // bytes charged as CompEntryCopyin (the profile prices them)
+	moved  *metrics.Counter // SockCopiedBytes or SockAliasedBytes
+}
+
+// moveTo queues up to space bytes on sb. A gather list never moves past
+// the end of its current element — each element is queued, and offered to
+// TCP, on its own — while a chain moves as much as fits.
+func (src *sendSrc) moveTo(sb *streamBuf, space int) {
+	var n int
+	if src.chain != nil {
+		n = sb.takeFrom(src.chain, space)
+	} else {
+		for src.off == len(src.iov[0]) {
+			src.iov, src.off = src.iov[1:], 0
+		}
+		b := src.iov[0][src.off:]
+		n = min(space, len(b))
+		if src.alias {
+			sb.appendAlias(b[:n])
+		} else {
+			sb.appendBytes(b[:n])
+		}
+		src.off += n
 	}
-	isTCP := s.Proto == wire.ProtoTCP
+	src.left -= n
+	src.moved.Add(uint64(n))
+}
+
+// datagram hands the whole payload over as one chain (UDP): the
+// surrendered chain, or the gather list collected into c (the caller's,
+// so that it can live on its stack).
+func (src *sendSrc) datagram(c *mbuf.Chain) *mbuf.Chain {
+	src.moved.Add(uint64(src.left))
+	if src.chain != nil {
+		return src.chain
+	}
+	for _, b := range src.iov {
+		if src.alias {
+			c.AppendAlias(b)
+		} else {
+			c.AppendBytes(b)
+		}
+	}
+	return c
+}
+
+// Send writes data on the socket: the implementation behind all ten BSD
+// data-movement calls and, with opts.ZeroCopy, NEWAPI. iov is a gather
+// list; for UDP it forms a single datagram.
+func (st *Stack) Send(t *sim.Proc, s *Socket, iov [][]byte, opts SendOpts) (int, error) {
+	src := sendSrc{iov: iov, alias: opts.ZeroCopy, moved: &st.Stats.SockCopiedBytes}
+	if opts.ZeroCopy {
+		src.moved = &st.Stats.SockAliasedBytes
+	}
+	for _, b := range iov {
+		src.left += len(b)
+	}
+	src.copyin = src.left
+	return st.sosend(t, s, src, opts)
+}
+
+// sosend queues src's bytes on the socket, blocking until every byte is
+// queued (TCP) or emitting them as one datagram (UDP): the one send path
+// under Send, SendChain and every call built on them.
+func (st *Stack) sosend(t *sim.Proc, s *Socket, src sendSrc, opts SendOpts) (int, error) {
+	total := src.left
 	st.lock(t)
 	defer st.unlock()
 	if err := s.takeErr(); err != nil {
@@ -301,7 +367,7 @@ func (st *Stack) Send(t *sim.Proc, s *Socket, iov [][]byte, opts SendOpts) (int,
 	if s.wrShut {
 		return 0, socketapi.ErrPipe
 	}
-	st.charge(t, isTCP, costs.CompEntryCopyin, total)
+	st.charge(t, s.Proto == wire.ProtoTCP, costs.CompEntryCopyin, src.copyin)
 
 	switch s.Proto {
 	case wire.ProtoUDP:
@@ -313,32 +379,19 @@ func (st *Stack) Send(t *sim.Proc, s *Socket, iov [][]byte, opts SendOpts) (int,
 			return 0, socketapi.ErrNotConn
 		}
 		if s.local.Port == 0 {
-			if err := st.bindLocked(s, Addr{}); err != nil {
+			if err := st.Bind(s, Addr{}); err != nil {
 				return 0, err
 			}
 		}
 		if total > maxUDPDatagram {
 			return 0, socketapi.ErrMsgSize
 		}
-		var payload *mbuf.Chain
-		if opts.ZeroCopy {
-			payload = mbuf.New()
-			for _, b := range iov {
-				payload.AppendChain(mbuf.FromBytes(b))
-			}
-			st.Stats.SockAliasedBytes.Add(uint64(total))
-		} else {
-			payload = mbuf.New()
-			for _, b := range iov {
-				payload.AppendBytes(b)
-			}
-			st.Stats.SockCopiedBytes.Add(uint64(total))
+		from := s.local
+		if from.IP.IsZero() {
+			from.IP = st.cfg.LocalIP
 		}
-		src := s.local
-		if src.IP.IsZero() {
-			src.IP = st.cfg.LocalIP
-		}
-		if err := st.udpOutput(t, src, dst, payload); err != nil {
+		var gathered mbuf.Chain
+		if err := st.udpOutput(t, from, dst, src.datagram(&gathered)); err != nil {
 			return 0, err
 		}
 		return total, nil
@@ -348,42 +401,38 @@ func (st *Stack) Send(t *sim.Proc, s *Socket, iov [][]byte, opts SendOpts) (int,
 		if tcb == nil || tcb.state < tcpEstablished {
 			return 0, socketapi.ErrNotConn
 		}
-		sent := 0
-		for _, b := range iov {
-			for len(b) > 0 {
-				for s.snd.space() <= 0 && s.err == nil && !s.wrShut && tcb.state >= tcpEstablished {
-					st.condWait(t, &s.snd.cond)
-				}
-				if err := s.takeErr(); err != nil {
-					return sent, err
-				}
-				if s.wrShut || tcb.state == tcpClosed {
-					return sent, socketapi.ErrPipe
-				}
-				n := s.snd.space()
-				if n > len(b) {
-					n = len(b)
-				}
-				if opts.ZeroCopy {
-					s.snd.appendRef(b[:n])
-					st.Stats.SockAliasedBytes.Add(uint64(n))
-				} else {
-					s.snd.appendBytes(b[:n])
-					st.Stats.SockCopiedBytes.Add(uint64(n))
-				}
-				if opts.OOB && n == len(b) {
-					// Urgent pointer covers through the last byte written.
-					tcb.sndUp = tcb.sndUna + uint32(s.snd.len())
-					tcb.forceUrgent = true
-				}
-				b = b[n:]
-				sent += n
-				st.tcpOutput(t, tcb)
+		for src.left > 0 {
+			if err := st.waitWritable(t, s); err != nil {
+				return total - src.left, err
 			}
+			src.moveTo(s.snd, s.snd.space())
+			if opts.OOB && src.left == 0 {
+				// Urgent pointer covers through the last byte of the call
+				// (BSD sets it once, after the whole write is queued).
+				tcb.sndUp = tcb.sndUna + uint32(s.snd.len())
+				tcb.forceUrgent = true
+			}
+			st.tcpOutput(t, tcb)
 		}
-		return sent, nil
+		return total, nil
 	}
 	return 0, socketapi.ErrNotSupported
+}
+
+// waitWritable blocks until the stream socket's send buffer has room or
+// never will, and says why not: the pending error, or EPIPE once the
+// write side is shut or the connection gone.
+func (st *Stack) waitWritable(t *sim.Proc, s *Socket) error {
+	for s.snd.space() <= 0 && s.err == nil && !s.wrShut && s.tcb.state >= tcpEstablished {
+		st.condWait(t, &s.snd.cond)
+	}
+	if err := s.takeErr(); err != nil {
+		return err
+	}
+	if s.wrShut || s.tcb.state == tcpClosed {
+		return socketapi.ErrPipe
+	}
+	return nil
 }
 
 // RecvOpts packages receive-side options.
@@ -425,79 +474,65 @@ func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Add
 		return n, s.remote, nil, nil
 	}
 
+	q, from, err := st.soreceive(t, s, opts.Peek)
+	if q == nil {
+		return 0, from, nil, err // the error, EOF, or shutdown with nothing queued
+	}
+	var view []byte
+	if opts.ZeroCopy {
+		// NEWAPI: the destination is a buffer the stack allocates at the
+		// size it is about to return. Filling it is still a copy.
+		p = make([]byte, q.Len())
+		view = p
+	}
+	n := q.ReadAt(p, 0)
+	switch {
+	case opts.Peek: // nothing is consumed
+	case isTCP:
+		q.TrimFront(n)
+		// Receive window opened; let the peer know if it matters.
+		st.tcpOutput(t, s.tcb)
+	default:
+		q.Release() // rest of datagram is discarded, as BSD does
+	}
+	st.Stats.SockCopiedBytes.Add(uint64(n))
+	st.charge(t, isTCP, costs.CompCopyoutExit, n)
+	return n, from, view, nil
+}
+
+// soreceive is the prelude of every receive call: it blocks until the
+// socket has something to deliver or never will, and returns the chain to
+// read from — the front datagram (dequeued unless peek) with its source,
+// or the stream's receive queue. A nil chain with a nil error is end of
+// stream, or a datagram socket shut down with nothing queued.
+func (st *Stack) soreceive(t *sim.Proc, s *Socket, peek bool) (*mbuf.Chain, Addr, error) {
 	switch s.Proto {
 	case wire.ProtoUDP:
 		for s.drcv.len() == 0 && len(s.drcv.q) == 0 && s.err == nil && !s.rdShut {
 			st.condWait(t, &s.drcv.cond)
 		}
 		if err := s.takeErr(); err != nil {
-			return 0, Addr{}, nil, err
+			return nil, Addr{}, err
 		}
-		var d datagram
-		var ok bool
-		if opts.Peek {
-			d, ok = s.drcv.peek()
-		} else {
-			d, ok = s.drcv.dequeue()
+		d, _ := s.drcv.peek()
+		if !peek {
+			s.drcv.dequeue()
 		}
-		if !ok {
-			return 0, Addr{}, nil, nil // shutdown with nothing queued
-		}
-		if opts.ZeroCopy {
-			b := d.data.Bytes()
-			if !opts.Peek {
-				d.data.Release()
-			}
-			st.Stats.SockCopiedBytes.Add(uint64(len(b))) // flattening the view is a copy
-			st.charge(t, false, costs.CompCopyoutExit, len(b))
-			return len(b), d.from, b, nil
-		}
-		n := d.data.ReadAt(p, 0)
-		if !opts.Peek {
-			d.data.Release() // rest of datagram is discarded, as BSD does
-		}
-		st.Stats.SockCopiedBytes.Add(uint64(n))
-		st.charge(t, false, costs.CompCopyoutExit, n)
-		return n, d.from, nil, nil
+		return d.data, d.from, nil
 
 	case wire.ProtoTCP:
-		tcb := s.tcb
-		if tcb == nil {
-			return 0, Addr{}, nil, socketapi.ErrNotConn
+		if s.tcb == nil {
+			return nil, Addr{}, socketapi.ErrNotConn
 		}
 		if ok, err := st.waitReadable(t, s); !ok {
 			if err != nil {
-				return 0, Addr{}, nil, err
+				return nil, Addr{}, err
 			}
-			return 0, s.remote, nil, nil // EOF
+			return nil, s.remote, nil
 		}
-		var n int
-		var view []byte
-		if opts.ZeroCopy {
-			max := len(p)
-			if max == 0 {
-				max = s.rcv.len()
-			}
-			c := s.rcv.readChain(max)
-			view = c.Bytes()
-			n = len(view)
-			c.Release()
-			st.Stats.SockCopiedBytes.Add(uint64(n)) // flattening the view is a copy
-		} else if opts.Peek {
-			n = s.rcv.data.ReadAt(p, 0)
-			st.Stats.SockCopiedBytes.Add(uint64(n))
-		} else {
-			n = s.rcv.readInto(p)
-			st.Stats.SockCopiedBytes.Add(uint64(n))
-		}
-		if !opts.Peek {
-			// Receive window opened; let the peer know if it matters.
-			st.tcpOutput(t, tcb)
-		}
-		st.charge(t, true, costs.CompCopyoutExit, n)
-		return n, s.remote, view, nil
+		return s.rcv.data, s.remote, nil
 	}
-	return 0, Addr{}, nil, socketapi.ErrNotSupported
+	return nil, Addr{}, socketapi.ErrNotSupported
 }
 
 // waitReadable blocks until the stream socket has bytes queued or never
@@ -526,10 +561,6 @@ func (st *Stack) waitReadable(t *sim.Proc, s *Socket) (bool, error) {
 func (st *Stack) Shutdown(t *sim.Proc, s *Socket, how int) error {
 	st.lock(t)
 	defer st.unlock()
-	return st.shutdownLocked(t, s, how)
-}
-
-func (st *Stack) shutdownLocked(t *sim.Proc, s *Socket, how int) error {
 	if s.Proto == wire.ProtoTCP && s.tcb == nil {
 		return socketapi.ErrNotConn
 	}

@@ -21,11 +21,12 @@
 package stack
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/costs"
-	"repro/internal/mbuf"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -159,18 +160,23 @@ type Stack struct {
 	issSeed uint32
 	sockSeq uint64 // socket creation counter (deterministic iteration order)
 
-	reasm     map[reasmKey]*reasmEntry
-	arp       *arpEngine // nil for library stacks (server resolves)
+	// socks is every socket some conns/binds entry names, once, in
+	// creation order (file and unfile keep it): what the timers and the
+	// socket-table reports walk instead of gathering and sorting the
+	// maps. The order matters: Go map iteration is randomized, and timer
+	// actions (retransmissions, delayed ACKs) race for the shared medium,
+	// so an unordered walk makes runs with the same seed diverge.
+	// timoSocks is the timers' snapshot of it (their callbacks file and
+	// unfile sockets), reused so the periodic walks allocate nothing in
+	// steady state: they fire on every host several times per virtual
+	// second, and at city scale were the dominant allocation site.
+	socks, timoSocks []*Socket
+
+	reasm     *Reassembler   // fragments addressed to this stack
+	reasms    []*Reassembler // every table the slow timer ages, reasm first
+	arp       *arpEngine     // nil for library stacks (server resolves)
 	icmpEcho  map[uint16]*sim.Cond
 	timerStop func()
-
-	// Timer-tick scratch, reused across ticks so the periodic walks
-	// (tcp_fasttimo, tcp_slowtimo, reassembly expiry) allocate nothing
-	// in steady state. The timers fire on every host several times per
-	// virtual second, so at city scale these were the simulator's
-	// dominant allocation site.
-	timoSocks []*Socket
-	timoKeys  []reasmKey
 
 	// rxVerified is set by ipInput before dispatching to a transport:
 	// true when the NIC engine already verified this segment's checksum
@@ -279,10 +285,10 @@ func New(cfg Config) *Stack {
 		cfg:      cfg,
 		conns:    make(map[tuple]*Socket),
 		binds:    make(map[tuple]*Socket),
-		reasm:    make(map[reasmKey]*reasmEntry),
 		icmpEcho: make(map[uint16]*sim.Cond),
 		issSeed:  cfg.Rand.Uint32(),
 	}
+	st.reasm = st.NewReassembler()
 	if cfg.Resolver == nil {
 		st.arp = newARPEngine(st)
 		st.cfg.Resolver = st.arp
@@ -375,7 +381,9 @@ func (st *Stack) StartTimers(spawn func(name string, body func(t *sim.Proc)) *si
 			}
 			st.lock(t)
 			st.tcpSlowTimo(t)
-			st.ipReasmTimo(t)
+			for _, r := range st.reasms { // expire stale reassembly state
+				st.Stats.IPReasmTimeout.Add(uint64(r.tick()))
+			}
 			if st.arp != nil {
 				st.arp.timo(t)
 			}
@@ -445,6 +453,31 @@ func (st *Stack) lookup(proto uint8, local, remote Addr) *Socket {
 	return nil
 }
 
+// file enters s in a demultiplexing table (conns or binds) under key,
+// displacing whatever the key named; unfile removes that.
+func (st *Stack) file(m map[tuple]*Socket, key tuple, s *Socket) {
+	st.unfile(m, key)
+	m[key] = s
+	if s.filed++; s.filed == 1 {
+		i, _ := slices.BinarySearchFunc(st.socks, s.uid, (*Socket).cmpUID)
+		st.socks = slices.Insert(st.socks, i, s) // an append for a new socket
+	}
+}
+
+func (st *Stack) unfile(m map[tuple]*Socket, key tuple) {
+	s := m[key]
+	if s == nil {
+		return
+	}
+	delete(m, key)
+	if s.filed--; s.filed == 0 {
+		i, _ := slices.BinarySearchFunc(st.socks, s.uid, (*Socket).cmpUID)
+		st.socks = slices.Delete(st.socks, i, i+1)
+	}
+}
+
+func (s *Socket) cmpUID(uid uint64) int { return cmp.Compare(s.uid, uid) }
+
 // orphanQuiet reports whether responses to an unmatched flow should be
 // suppressed.
 func (st *Stack) orphanQuiet(proto uint8, local, remote Addr) bool {
@@ -458,6 +491,3 @@ const (
 	tcpFastInterval = 200 * time.Millisecond
 	tcpSlowInterval = 500 * time.Millisecond
 )
-
-// chainFromBytes adapts a byte slice into an mbuf chain without copying.
-func chainFromBytes(b []byte) *mbuf.Chain { return mbuf.FromBytes(b) }

@@ -74,7 +74,7 @@ func (st *Stack) tcpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 		ns.sndbufSize, ns.rcvbufSize = s.sndbufSize, s.rcvbufSize
 		ns.snd.hiwat, ns.rcv.hiwat = s.sndbufSize, s.rcvbufSize
 		ns.noDelay = s.noDelay
-		st.conns[tuple{wire.ProtoTCP, ns.local, ns.remote}] = ns
+		st.file(st.conns, tuple{wire.ProtoTCP, ns.local, ns.remote}, ns)
 		ntp := newTCPCB(st, ns)
 		ns.tcb = ntp
 		if th.MSS != 0 {
@@ -474,7 +474,7 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 			head.data.TrimFront(skip)
 			n := head.data.Len() // appendChain empties head.data; count first
 			tp.rcvNxt += uint32(n)
-			s.rcv.appendChain(head.data)
+			s.rcv.data.AppendChain(head.data)
 			progress += n
 		}
 		if head.fin {

@@ -120,7 +120,8 @@ func TestQuickReassemblyDeliversStream(t *testing.T) {
 			return false
 		}
 		got := make([]byte, streamLen)
-		n := s.rcv.readInto(got)
+		n := s.rcv.data.ReadAt(got, 0)
+		s.rcv.drop(n)
 		return n == streamLen && bytes.Equal(got, stream)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -149,7 +150,7 @@ func TestReassemblyHoleThenFill(t *testing.T) {
 		t.Fatalf("rcvNxt = %d, want 115", tp.rcvNxt)
 	}
 	buf := make([]byte, 64)
-	n := s.rcv.readInto(buf)
+	n := s.rcv.data.ReadAt(buf, 0)
 	if string(buf[:n]) != "hello ....world" {
 		t.Fatalf("stream = %q", buf[:n])
 	}
@@ -211,7 +212,7 @@ func TestTimerWalksAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() {
 		st.tcpFastTimo(nil)
 		st.tcpSlowTimo(nil)
-		st.ipReasmTimo(nil)
+		st.reasm.tick()
 		st.arp.timo(nil)
 	}); n != 0 {
 		t.Fatalf("timer tick allocates %.1f objects per run, want 0", n)

@@ -1,9 +1,6 @@
 package stack
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 	"repro/internal/trace"
@@ -12,7 +9,7 @@ import (
 // tcpFastTimo runs every 200 ms and flushes delayed ACKs
 // (tcp_fasttimo).
 func (st *Stack) tcpFastTimo(t *sim.Proc) {
-	for _, s := range st.allTCP() {
+	for _, s := range st.timerWalk() {
 		tp := s.tcb
 		if tp != nil && tp.delAck {
 			tp.delAck = false
@@ -25,7 +22,7 @@ func (st *Stack) tcpFastTimo(t *sim.Proc) {
 // tcpSlowTimo runs every 500 ms, decrementing the per-connection timer
 // counters and firing expirations (tcp_slowtimo).
 func (st *Stack) tcpSlowTimo(t *sim.Proc) {
-	for _, s := range st.allTCP() {
+	for _, s := range st.timerWalk() {
 		tp := s.tcb
 		if tp == nil || tp.state == tcpClosed || tp.state == tcpListen {
 			continue
@@ -51,30 +48,10 @@ func (st *Stack) tcpSlowTimo(t *sim.Proc) {
 	}
 }
 
-// allTCP snapshots the TCP sockets under management (the timer callbacks
-// can mutate the maps), in socket-creation order. The ordering matters:
-// Go map iteration is randomized, and timer actions (retransmissions,
-// delayed ACKs) race for the shared medium, so an unordered walk makes
-// runs with the same seed diverge.
-func (st *Stack) allTCP() []*Socket {
-	out := st.timoSocks[:0]
-	for _, s := range st.conns {
-		if s.Proto == 6 && s.tcb != nil {
-			out = append(out, s)
-		}
-	}
-	for _, s := range st.binds {
-		if s.Proto == 6 && s.tcb != nil {
-			out = append(out, s)
-		}
-	}
-	// uids are unique, so this is one total order however the maps were
-	// walked. slices.SortFunc with a capture-free comparison allocates
-	// nothing — the walk runs twice per second on every host — and stays
-	// O(n log n) on a host holding a thousand sockets.
-	slices.SortFunc(out, func(a, b *Socket) int { return cmp.Compare(a.uid, b.uid) })
-	st.timoSocks = out
-	return out
+// timerWalk snapshots the sockets under management, in creation order.
+func (st *Stack) timerWalk() []*Socket {
+	st.timoSocks = append(st.timoSocks[:0], st.socks...)
+	return st.timoSocks
 }
 
 func (st *Stack) tcpTimerFired(t *sim.Proc, tp *tcpcb, which int) {
