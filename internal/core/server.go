@@ -264,16 +264,14 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 // fragment — the paper's "exceptional packets" case). Everything else
 // flows into the server stack.
 func (srv *Server) input(t *sim.Proc, frame []byte) {
-	eh, err := wire.UnmarshalEth(frame)
-	if err == nil && eh.Type == wire.EtherTypeIPv4 {
-		h, hl, herr := wire.UnmarshalIPv4(frame[wire.EthHeaderLen:])
-		if herr == nil && h.IsFragment() && int(h.TotalLen) <= len(frame)-wire.EthHeaderLen {
-			body := frame[wire.EthHeaderLen+hl : wire.EthHeaderLen+int(h.TotalLen)]
-			if srv.fragIntercept(eh, h, body) {
-				return
-			}
-			// Not ours: the server stack's own reassembly takes it.
+	if v, ok := wire.DissectIP(frame); ok && v.IsFragment() {
+		// The reassembler speaks the codec's header; unmarshalling it
+		// also verifies the header checksum.
+		h, _, err := wire.UnmarshalIPv4(frame[v.IPAt:v.End])
+		if err == nil && srv.fragIntercept(frame, v, h) {
+			return
 		}
+		// Not ours: the server stack's own reassembly takes it.
 	}
 	srv.St.Input(t, frame)
 }
@@ -283,33 +281,31 @@ func (srv *Server) input(t *sim.Proc, frame []byte) {
 // the datagram belongs to an application session; non-first fragments
 // follow the decision made for their datagram. It reports whether it
 // kept the fragment (held, or forwarded as the datagram's last piece).
-func (srv *Server) fragIntercept(eh wire.EthHeader, h wire.IPv4Header, body []byte) bool {
+func (srv *Server) fragIntercept(frame []byte, v wire.View, h wire.IPv4Header) bool {
 	if !srv.frags.Holds(h) {
 		// A non-first fragment of a datagram we are not tracking is the
 		// server stack's problem (either its own session, or an ordering
 		// we do not handle — the stack's reassembly copes).
-		if h.FragOff != 0 || len(body) < 4 {
-			return false
-		}
-		dport := uint16(body[2])<<8 | uint16(body[3])
-		if !srv.appSessionMatches(h.Proto, h.Dst, dport, h.Src, uint16(body[0])<<8|uint16(body[1])) {
+		sport, dport, ok := v.Ports(frame)
+		if h.FragOff != 0 || !ok || !srv.appSessionMatches(h.Proto, h.Dst, dport, h.Src, sport) {
 			return false
 		}
 	}
-	full, ok := srv.frags.Add(h, body)
+	full, ok := srv.frags.Add(h, frame[v.TPAt:v.End])
 	if !ok {
 		return true
 	}
 	srv.FragForwards.Inc()
 
-	// Rebuild an unfragmented frame and push it back through the kernel
-	// filter set; the session's own filter matches it now.
-	rebuilt := make([]byte, wire.EthHeaderLen+wire.IPv4HeaderLen+len(full))
-	eh.Marshal(rebuilt)
+	// Rebuild an unfragmented frame under the fragment's own Ethernet
+	// header and push it back through the kernel filter set; the session's
+	// own filter matches it now.
+	rebuilt := make([]byte, v.IPAt+wire.IPv4HeaderLen+len(full))
+	copy(rebuilt, frame[:v.IPAt])
 	h.TotalLen = uint16(wire.IPv4HeaderLen + len(full))
 	h.Flags, h.FragOff = 0, 0
-	h.Marshal(rebuilt[wire.EthHeaderLen:])
-	copy(rebuilt[wire.EthHeaderLen+wire.IPv4HeaderLen:], full)
+	h.Marshal(rebuilt[v.IPAt:])
+	copy(rebuilt[v.IPAt+wire.IPv4HeaderLen:], full)
 	srv.sys.Host.Inject(rebuilt)
 	return true
 }

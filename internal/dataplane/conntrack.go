@@ -1,46 +1,12 @@
 package dataplane
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
-
-// tuple is one direction's 5-tuple as seen on the wire.
-type tuple struct {
-	Src, Dst         wire.IPAddr
-	SrcPort, DstPort uint16
-	Proto            uint8
-}
-
-func (t tuple) String() string {
-	return fmt.Sprintf("%s %v:%d->%v:%d", wire.ProtoName(t.Proto), t.Src, t.SrcPort, t.Dst, t.DstPort)
-}
-
-// less is a total order on tuples, used wherever flows must be walked
-// in a deterministic order (GC, snapshots, psdstat output).
-func (t tuple) less(u tuple) bool {
-	if t.Proto != u.Proto {
-		return t.Proto < u.Proto
-	}
-	for i := 0; i < 4; i++ {
-		if t.Src[i] != u.Src[i] {
-			return t.Src[i] < u.Src[i]
-		}
-	}
-	if t.SrcPort != u.SrcPort {
-		return t.SrcPort < u.SrcPort
-	}
-	for i := 0; i < 4; i++ {
-		if t.Dst[i] != u.Dst[i] {
-			return t.Dst[i] < u.Dst[i]
-		}
-	}
-	return t.DstPort < u.DstPort
-}
 
 // State is a tracked flow's lifecycle state: the netfilter-style TCP
 // machine, with StateNew doubling as the single UDP state.
@@ -73,20 +39,19 @@ func (s State) String() string {
 
 // xlate is the rewrite applied to one direction of a tracked flow.
 type xlate struct {
-	srcIP, dstIP     wire.IPAddr
-	srcPort, dstPort uint16
-	dstMAC           wire.MAC
-	hairpin          bool // forward back out the wire instead of up the stack
-	rewrite          bool // false: direction passes untouched
+	to      wire.Flow // the 5-tuple the frame leaves with
+	dstMAC  wire.MAC
+	hairpin bool // forward back out the wire instead of up the stack
+	rewrite bool // false: direction passes untouched
 }
 
-// flow is one tracked connection. orig is the initiating direction's
-// wire tuple before translation; reply is the responding direction's
-// wire tuple before translation (both are conntrack keys).
+// flow is one tracked connection, registered in conntrack under two
+// keys: orig, the initiating direction's wire tuple before translation,
+// and reply(), the responding direction's.
 type flow struct {
-	id          uint64
-	orig, reply tuple
-	fwd, rev    xlate // rewrites for orig-direction and reply-direction frames
+	id       uint64
+	orig     wire.Flow
+	fwd, rev xlate // rewrites for orig-direction and reply-direction frames
 
 	state    State
 	created  sim.Time
@@ -106,6 +71,10 @@ type flow struct {
 	vip     *VIP // owning VIP for backend accounting; nil otherwise
 	snat    uint16
 }
+
+// reply is what the receiver of a translated orig-direction frame
+// answers with.
+func (f *flow) reply() wire.Flow { return f.fwd.to.Reverse() }
 
 // ctEntry resolves a wire tuple to its flow and direction.
 type ctEntry struct {
@@ -161,15 +130,15 @@ func (p *Plane) setState(f *flow, s State) {
 // idleLimit returns the idle timeout for a flow's current state.
 func (p *Plane) idleLimit(f *flow) time.Duration {
 	if f.orig.Proto == wire.ProtoUDP {
-		return p.cfg.UDPIdle
+		return DefaultUDPIdle
 	}
 	switch f.state {
 	case StateEstablished:
-		return p.cfg.EstablishedIdle
+		return DefaultEstablishedIdle
 	case StateClosed:
-		return p.cfg.ClosedLinger
+		return DefaultClosedLinger
 	default:
-		return p.cfg.TransientIdle
+		return DefaultTransientIdle
 	}
 }
 
@@ -180,7 +149,7 @@ func (p *Plane) insertFlow(f *flow) {
 		p.evictOne()
 	}
 	p.ct[f.orig] = ctEntry{f: f, dir: 0}
-	p.ct[f.reply] = ctEntry{f: f, dir: 1}
+	p.ct[f.reply()] = ctEntry{f: f, dir: 1}
 	p.flowCount++
 	p.stateCount[f.state]++
 	p.Stats.CTCreated.Inc()
@@ -195,7 +164,7 @@ func (p *Plane) insertFlow(f *flow) {
 // backend accounting.
 func (p *Plane) removeFlow(f *flow) {
 	delete(p.ct, f.orig)
-	delete(p.ct, f.reply)
+	delete(p.ct, f.reply())
 	p.flowCount--
 	p.stateCount[f.state]--
 	if f.snat != 0 {
@@ -256,7 +225,7 @@ func (p *Plane) sortedFlows() []*flow {
 			out = append(out, e.f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].orig.less(out[j].orig) })
+	sort.Slice(out, func(i, j int) bool { return out[i].orig.Less(out[j].orig) })
 	return out
 }
 

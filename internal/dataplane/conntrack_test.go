@@ -132,18 +132,18 @@ func TestPortAllocRoundRobin(t *testing.T) {
 }
 
 func TestTupleOrderTotal(t *testing.T) {
-	a := tuple{Src: wire.IP(10, 0, 0, 1), Dst: wire.IP(10, 0, 0, 2), SrcPort: 1, DstPort: 2, Proto: wire.ProtoTCP}
+	a := wire.Flow{Src: wire.IP(10, 0, 0, 1), Dst: wire.IP(10, 0, 0, 2), SrcPort: 1, DstPort: 2, Proto: wire.ProtoTCP}
 	b := a
 	b.SrcPort = 3
 	c := a
 	c.Proto = wire.ProtoUDP
-	if !a.less(b) || b.less(a) {
+	if !a.Less(b) || b.Less(a) {
 		t.Fatal("port order broken")
 	}
-	if !a.less(c) || c.less(a) {
+	if !a.Less(c) || c.Less(a) {
 		t.Fatal("proto order broken")
 	}
-	if a.less(a) {
+	if a.Less(a) {
 		t.Fatal("irreflexivity broken")
 	}
 }

@@ -27,7 +27,6 @@
 package dataplane
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -38,7 +37,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults for Config's zero values.
+// The plane's fixed parameters. Only DefaultMaxFlows and DefaultSNATCount
+// can be overridden (Config), for the table-full and port-exhaustion tests.
 const (
 	DefaultPerInstr        = 25 * time.Nanosecond // per chain VM instruction
 	DefaultPerPacket       = 1 * time.Microsecond // fixed hook cost per frame
@@ -67,19 +67,8 @@ type Config struct {
 	// forwarded traffic is not re-processed.
 	Transmit func(frame []byte) error
 
-	PerInstr  time.Duration // chain traversal cost per VM instruction
-	PerPacket time.Duration // fixed per-frame hook cost
-
-	MaxFlows        int
-	EstablishedIdle time.Duration
-	TransientIdle   time.Duration
-	UDPIdle         time.Duration
-	ClosedLinger    time.Duration
-	GCInterval      time.Duration
-
-	SNATBase  uint16
-	SNATCount int
-	TableSize int // Maglev lookup-table size (prime)
+	MaxFlows  int // conntrack table size (default DefaultMaxFlows)
+	SNATCount int // SNAT port-pool size (default DefaultSNATCount)
 }
 
 // Stats counts plane activity; BindMetrics registers every counter.
@@ -159,7 +148,7 @@ type Plane struct {
 	cfg   Config
 	Chain *filter.Chain
 
-	ct         map[tuple]ctEntry
+	ct         map[wire.Flow]ctEntry
 	flowCount  int
 	stateCount [numStates]int64
 	nextFlowID uint64
@@ -176,49 +165,22 @@ type Plane struct {
 
 // New builds a plane and starts its conntrack GC daemon.
 func New(cfg Config) *Plane {
-	if cfg.PerInstr <= 0 {
-		cfg.PerInstr = DefaultPerInstr
-	}
-	if cfg.PerPacket <= 0 {
-		cfg.PerPacket = DefaultPerPacket
-	}
 	if cfg.MaxFlows <= 0 {
 		cfg.MaxFlows = DefaultMaxFlows
-	}
-	if cfg.EstablishedIdle <= 0 {
-		cfg.EstablishedIdle = DefaultEstablishedIdle
-	}
-	if cfg.TransientIdle <= 0 {
-		cfg.TransientIdle = DefaultTransientIdle
-	}
-	if cfg.UDPIdle <= 0 {
-		cfg.UDPIdle = DefaultUDPIdle
-	}
-	if cfg.ClosedLinger <= 0 {
-		cfg.ClosedLinger = DefaultClosedLinger
-	}
-	if cfg.GCInterval <= 0 {
-		cfg.GCInterval = DefaultGCInterval
-	}
-	if cfg.SNATBase == 0 {
-		cfg.SNATBase = DefaultSNATBase
 	}
 	if cfg.SNATCount <= 0 {
 		cfg.SNATCount = DefaultSNATCount
 	}
-	if cfg.TableSize <= 0 {
-		cfg.TableSize = DefaultTableSize
-	}
 	p := &Plane{
 		cfg:       cfg,
 		Chain:     filter.NewChain(),
-		ct:        make(map[tuple]ctEntry),
+		ct:        make(map[wire.Flow]ctEntry),
 		vips:      make(map[vipKey]*VIP),
 		redirects: make(map[vipKey]redirect),
 		arpOwned:  make(map[wire.IPAddr]int),
-		snat:      newPortAlloc(cfg.SNATBase, cfg.SNATCount),
+		snat:      newPortAlloc(DefaultSNATBase, cfg.SNATCount),
 	}
-	cfg.Sim.Every(cfg.GCInterval, p.gc)
+	cfg.Sim.Every(DefaultGCInterval, p.gc)
 	return p
 }
 
@@ -341,7 +303,7 @@ func (v *VIP) rebuild() {
 			idx = append(idx, i)
 		}
 	}
-	slots := maglevTable(keys, v.plane.cfg.TableSize)
+	slots := maglevTable(keys, DefaultTableSize)
 	if slots == nil {
 		v.table = nil
 		return
@@ -354,7 +316,7 @@ func (v *VIP) rebuild() {
 
 // pick selects the backend for a new connection, or -1 when the pool
 // has no live member.
-func (v *VIP) pick(t tuple) int {
+func (v *VIP) pick(t wire.Flow) int {
 	if len(v.table) == 0 {
 		return -1
 	}
@@ -423,11 +385,10 @@ func (p *Plane) rehome(f *flow, v *VIP, nb int) {
 	b.Conns.Inc()
 	b.liveFlows++
 
-	delete(p.ct, f.reply)
+	delete(p.ct, f.reply())
 	f.backend = nb
-	f.fwd.dstIP, f.fwd.dstPort, f.fwd.dstMAC = b.IP, b.Port, b.MAC
-	f.reply = tuple{Src: b.IP, Dst: p.cfg.LocalIP, SrcPort: b.Port, DstPort: f.snat, Proto: f.orig.Proto}
-	p.ct[f.reply] = ctEntry{f: f, dir: 1}
+	f.fwd.to.Dst, f.fwd.to.DstPort, f.fwd.dstMAC = b.IP, b.Port, b.MAC
+	p.ct[f.reply()] = ctEntry{f: f, dir: 1}
 }
 
 // sortedFlowsByID returns every tracked flow in creation order.
@@ -449,7 +410,7 @@ func (p *Plane) sortedFlowsByID() []*flow {
 // frame matching no rule visits every instruction). It is evaluated
 // before Ingress runs and charged at interrupt priority by the host.
 func (p *Plane) IngressCost(frame []byte) time.Duration {
-	return p.cfg.PerPacket + time.Duration(p.Chain.Instructions())*p.cfg.PerInstr
+	return DefaultPerPacket + time.Duration(p.Chain.Instructions())*DefaultPerInstr
 }
 
 // Ingress classifies one received frame. It may rewrite (returning a
@@ -465,26 +426,27 @@ func (p *Plane) Ingress(frame []byte) ([]byte, filter.Verdict) {
 		return nil, v
 	}
 
-	if len(p.arpOwned) > 0 && len(frame) >= wire.EthHeaderLen &&
-		binary.BigEndian.Uint16(frame[12:14]) == wire.EtherTypeARP {
-		return p.arpIngress(frame)
-	}
-
-	pf, ok := parseFrame(frame)
+	// Everything but unfragmented TCP/UDP is not the plane's business and
+	// passes untouched (fragments take the slow path whole) — except ARP
+	// for an address the plane owns.
+	v, ok := wire.Dissect(frame)
 	if !ok {
+		if len(p.arpOwned) > 0 {
+			return p.arpIngress(frame)
+		}
 		return nil, filter.VerdictPass
 	}
 
-	if e, hit := p.ct[pf.t]; hit {
-		return p.conntracked(frame, pf, e)
+	if e, hit := p.ct[v.Flow]; hit {
+		return p.conntracked(frame, v, e)
 	}
 
-	key := vipKey{ip: pf.t.Dst, port: pf.t.DstPort}
-	if v, isVIP := p.vips[key]; isVIP {
-		return p.admitVIP(frame, pf, v)
+	key := vipKey{ip: v.Flow.Dst, port: v.Flow.DstPort}
+	if vip, isVIP := p.vips[key]; isVIP {
+		return p.admitVIP(frame, v, vip)
 	}
 	if r, isRedir := p.redirects[key]; isRedir {
-		return p.admitRedirect(frame, pf, r)
+		return p.admitRedirect(frame, v, r)
 	}
 	return nil, filter.VerdictPass
 }
@@ -496,21 +458,21 @@ func (p *Plane) Egress(frame []byte) ([]byte, filter.Verdict) {
 	if len(p.redirects) == 0 {
 		return nil, filter.VerdictPass
 	}
-	pf, ok := parseFrame(frame)
+	v, ok := wire.Dissect(frame)
 	if !ok {
 		return nil, filter.VerdictPass
 	}
-	e, hit := p.ct[pf.t]
+	e, hit := p.ct[v.Flow]
 	if !hit || e.dir != 1 || !e.f.rev.rewrite {
 		return nil, filter.VerdictPass
 	}
 	f := e.f
 	f.lastSeen = p.cfg.Sim.Now()
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, 1, pf.flags)
+	if v.Flow.Proto == wire.ProtoTCP {
+		p.updateTCP(f, 1, v.Flags)
 		f.sawReply = true
 	}
-	if !p.applyXlate(frame, &f.rev) {
+	if !p.applyXlate(frame, v, &f.rev) {
 		p.Stats.Drops.Inc()
 		return nil, filter.VerdictDrop
 	}
@@ -519,16 +481,16 @@ func (p *Plane) Egress(frame []byte) ([]byte, filter.Verdict) {
 }
 
 // conntracked handles a frame whose tuple is already tracked.
-func (p *Plane) conntracked(frame []byte, pf parsed, e ctEntry) ([]byte, filter.Verdict) {
+func (p *Plane) conntracked(frame []byte, v wire.View, e ctEntry) ([]byte, filter.Verdict) {
 	f := e.f
 	f.lastSeen = p.cfg.Sim.Now()
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, e.dir, pf.flags)
+	if v.Flow.Proto == wire.ProtoTCP {
+		p.updateTCP(f, e.dir, v.Flags)
 		if e.dir == 0 {
-			if pf.flags&wire.TCPAck != 0 {
-				f.clientAck = pf.ack
+			if v.Flags&wire.TCPAck != 0 {
+				f.clientAck = v.Ack
 			}
-			if end := pf.seq + uint32(pf.payLen); int32(end-f.clientEndSeq) > 0 {
+			if end := v.Seq + uint32(v.End-v.PayAt); int32(end-f.clientEndSeq) > 0 {
 				f.clientEndSeq = end
 			}
 		} else {
@@ -545,146 +507,116 @@ func (p *Plane) conntracked(frame []byte, pf parsed, e ctEntry) ([]byte, filter.
 	if !x.rewrite {
 		return nil, filter.VerdictPass
 	}
-	if x.hairpin {
-		out := append([]byte(nil), frame...)
-		if !p.applyXlate(out, x) {
-			p.Stats.Drops.Inc()
-			return nil, filter.VerdictDrop
-		}
-		p.Stats.Rewrites.Inc()
-		p.Stats.Hairpins.Inc()
-		p.cfg.Transmit(out)
-		return nil, filter.VerdictAbsorb
-	}
+	return p.forward(frame, v, x)
+}
+
+// forward applies x to a private copy of frame (the original is the
+// network's and is never written) and hairpins it back out the wire or
+// hands it on up the stack.
+func (p *Plane) forward(frame []byte, v wire.View, x *xlate) ([]byte, filter.Verdict) {
 	out := append([]byte(nil), frame...)
-	if !p.applyXlate(out, x) {
+	if !p.applyXlate(out, v, x) {
 		p.Stats.Drops.Inc()
 		return nil, filter.VerdictDrop
 	}
 	p.Stats.Rewrites.Inc()
+	if x.hairpin {
+		p.Stats.Hairpins.Inc()
+		p.cfg.Transmit(out)
+		return nil, filter.VerdictAbsorb
+	}
 	return out, filter.VerdictPass
 }
 
 // admitVIP begins tracking a new connection to a virtual service: pick
 // a backend by consistent hash, allocate a SNAT port, install both
 // directions in conntrack, and forward the (rewritten) first frame.
-func (p *Plane) admitVIP(frame []byte, pf parsed, v *VIP) ([]byte, filter.Verdict) {
-	if pf.proto == wire.ProtoTCP && pf.flags&wire.TCPSyn == 0 {
-		// Mid-stream segment with no flow: a connection we already
-		// terminated (or never admitted). Not ours to deliver.
-		p.Stats.CTInvalid.Inc()
-		p.Stats.Drops.Inc()
+func (p *Plane) admitVIP(frame []byte, v wire.View, vip *VIP) ([]byte, filter.Verdict) {
+	if p.midStream(v) {
 		return nil, filter.VerdictDrop
 	}
-	bi := v.pick(pf.t)
+	bi := vip.pick(v.Flow)
 	if bi < 0 {
 		p.Stats.LBRefused.Inc()
 		p.Stats.Drops.Inc()
 		return nil, filter.VerdictDrop
 	}
-	b := v.backends[bi]
+	b := vip.backends[bi]
 	snat, ok := p.snat.alloc()
 	if !ok {
 		p.Stats.SNATFailed.Inc()
 		p.Stats.Drops.Inc()
 		return nil, filter.VerdictDrop
 	}
-
-	now := p.cfg.Sim.Now()
-	p.nextFlowID++
-	f := &flow{
-		id:        p.nextFlowID,
-		orig:      pf.t,
-		reply:     tuple{Src: b.IP, Dst: p.cfg.LocalIP, SrcPort: b.Port, DstPort: snat, Proto: pf.proto},
-		created:   now,
-		lastSeen:  now,
-		clientMAC: pf.srcMAC,
-		backend:   bi,
-		vip:       v,
-		snat:      snat,
-	}
-	f.fwd = xlate{
-		srcIP: p.cfg.LocalIP, srcPort: snat,
-		dstIP: b.IP, dstPort: b.Port,
-		dstMAC: b.MAC, hairpin: true, rewrite: true,
-	}
-	f.rev = xlate{
-		srcIP: v.IP, srcPort: v.Port,
-		dstIP: pf.t.Src, dstPort: pf.t.SrcPort,
-		dstMAC: pf.srcMAC, hairpin: true, rewrite: true,
-	}
-	if pf.proto == wire.ProtoTCP {
-		f.clientEndSeq = pf.seq + uint32(pf.payLen) + 1 // +1 for the SYN
-	}
-	p.insertFlow(f)
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, 0, pf.flags)
-	}
+	to := wire.Flow{Src: p.cfg.LocalIP, SrcPort: snat, Dst: b.IP, DstPort: b.Port, Proto: v.Flow.Proto}
 	p.Stats.LBConns.Inc()
-
-	out := append([]byte(nil), frame...)
-	if !p.applyXlate(out, &f.fwd) {
-		p.Stats.Drops.Inc()
-		return nil, filter.VerdictDrop
-	}
-	p.Stats.Rewrites.Inc()
-	p.Stats.Hairpins.Inc()
-	p.cfg.Transmit(out)
-	return nil, filter.VerdictAbsorb
+	return p.admit(frame, v, xlate{to: to, dstMAC: b.MAC, hairpin: true, rewrite: true}, vip, bi, snat)
 }
 
 // admitRedirect begins tracking a DNAT-to-local connection: the frame
 // is rewritten toward the host's own stack and delivered normally;
-// the reply direction is handled by Egress.
-func (p *Plane) admitRedirect(frame []byte, pf parsed, r redirect) ([]byte, filter.Verdict) {
-	if pf.proto == wire.ProtoTCP && pf.flags&wire.TCPSyn == 0 {
-		p.Stats.CTInvalid.Inc()
-		p.Stats.Drops.Inc()
+// the reply direction (local stack -> client) is handled by Egress.
+func (p *Plane) admitRedirect(frame []byte, v wire.View, r redirect) ([]byte, filter.Verdict) {
+	if p.midStream(v) {
 		return nil, filter.VerdictDrop
 	}
+	to := v.Flow
+	to.Dst, to.DstPort = p.cfg.LocalIP, r.localPort
+	return p.admit(frame, v, xlate{to: to, dstMAC: p.cfg.LocalMAC, rewrite: true}, nil, -1, 0)
+}
+
+// midStream counts and reports a TCP segment with no SYN and no flow: a
+// connection we already terminated (or never admitted). Not ours to
+// deliver.
+func (p *Plane) midStream(v wire.View) bool {
+	if v.Flow.Proto != wire.ProtoTCP || v.Flags&wire.TCPSyn != 0 {
+		return false
+	}
+	p.Stats.CTInvalid.Inc()
+	p.Stats.Drops.Inc()
+	return true
+}
+
+// admit tracks the flow a first frame opens and forwards that frame.
+// fwd is the translation of the initiating direction and the rest follows
+// from it: the reply key is what the translated frame's receiver will
+// answer with, and replies are rewritten back into the reverse of what
+// the initiator sent, leaving the way the first frame does.
+func (p *Plane) admit(frame []byte, v wire.View, fwd xlate, vip *VIP, backend int, snat uint16) ([]byte, filter.Verdict) {
+	eh, _ := wire.UnmarshalEth(frame) // cannot fail: Dissect accepted the frame
+	tcp := v.Flow.Proto == wire.ProtoTCP
 	now := p.cfg.Sim.Now()
 	p.nextFlowID++
 	f := &flow{
-		id:   p.nextFlowID,
-		orig: pf.t,
-		// The reply key is the egress-side tuple: local stack -> client.
-		reply:     tuple{Src: p.cfg.LocalIP, Dst: pf.t.Src, SrcPort: r.localPort, DstPort: pf.t.SrcPort, Proto: pf.proto},
+		id:        p.nextFlowID,
+		orig:      v.Flow,
+		fwd:       fwd,
+		rev:       xlate{to: v.Flow.Reverse(), dstMAC: eh.Src, hairpin: fwd.hairpin, rewrite: true},
 		created:   now,
 		lastSeen:  now,
-		clientMAC: pf.srcMAC,
-		backend:   -1,
+		clientMAC: eh.Src,
+		backend:   backend,
+		vip:       vip,
+		snat:      snat,
 	}
-	f.fwd = xlate{
-		srcIP: pf.t.Src, srcPort: pf.t.SrcPort,
-		dstIP: p.cfg.LocalIP, dstPort: r.localPort,
-		dstMAC: p.cfg.LocalMAC, rewrite: true,
-	}
-	f.rev = xlate{
-		srcIP: pf.t.Dst, srcPort: pf.t.DstPort, // the VIP identity
-		dstIP: pf.t.Src, dstPort: pf.t.SrcPort,
-		dstMAC: pf.srcMAC, rewrite: true,
-	}
-	if pf.proto == wire.ProtoTCP {
-		f.clientEndSeq = pf.seq + uint32(pf.payLen) + 1
+	if tcp {
+		f.clientEndSeq = v.Seq + uint32(v.End-v.PayAt) + 1 // +1 for the SYN
 	}
 	p.insertFlow(f)
-	if pf.proto == wire.ProtoTCP {
-		p.updateTCP(f, 0, pf.flags)
+	if tcp {
+		p.updateTCP(f, 0, v.Flags)
 	}
-
-	out := append([]byte(nil), frame...)
-	if !p.applyXlate(out, &f.fwd) {
-		p.Stats.Drops.Inc()
-		return nil, filter.VerdictDrop
-	}
-	p.Stats.Rewrites.Inc()
-	return out, filter.VerdictPass
+	return p.forward(frame, v, &f.fwd)
 }
 
 // arpIngress answers ARP requests for owned VIP addresses with the
 // host's own MAC (proxy ARP), so clients on the segment resolve the
 // virtual address without any host actually configuring it.
 func (p *Plane) arpIngress(frame []byte) ([]byte, filter.Verdict) {
+	eh, err := wire.UnmarshalEth(frame)
+	if err != nil || eh.Type != wire.EtherTypeARP {
+		return nil, filter.VerdictPass
+	}
 	pkt, err := wire.UnmarshalARP(frame[wire.EthHeaderLen:])
 	if err != nil || pkt.Op != wire.ARPRequest {
 		return nil, filter.VerdictPass
@@ -700,7 +632,7 @@ func (p *Plane) arpIngress(frame []byte) ([]byte, filter.Verdict) {
 		TargetIP:  pkt.SenderIP,
 	}
 	out := make([]byte, wire.EthHeaderLen+wire.ARPLen)
-	eh := wire.EthHeader{Dst: pkt.SenderMAC, Src: p.cfg.LocalMAC, Type: wire.EtherTypeARP}
+	eh = wire.EthHeader{Dst: pkt.SenderMAC, Src: p.cfg.LocalMAC, Type: wire.EtherTypeARP}
 	eh.Marshal(out)
 	copy(out[wire.EthHeaderLen:], reply.Marshal())
 	p.Stats.ARPReplies.Inc()
@@ -736,7 +668,7 @@ func (p *Plane) Flows() []FlowInfo {
 			Idle:    now.Sub(f.lastSeen),
 		}
 		if f.fwd.rewrite {
-			fi.Backend = fmt.Sprintf("%v:%d", f.fwd.dstIP, f.fwd.dstPort)
+			fi.Backend = fmt.Sprintf("%v:%d", f.fwd.to.Dst, f.fwd.to.DstPort)
 		}
 		out = append(out, fi)
 	}

@@ -1,5 +1,7 @@
 package dataplane
 
+import "repro/internal/wire"
+
 // Maglev-style consistent hashing (Eisenbud et al., NSDI '16 §3.4): each
 // backend fills a prime-sized lookup table by walking its own
 // pseudo-random permutation of the slots, taking turns, so the table is
@@ -72,7 +74,7 @@ func maglevTable(keys []string, m int) []int {
 // flowHash hashes a connection's initiator-side identity. Only the
 // client address and port (plus protocol) feed the hash, so a client's
 // retransmitted SYN hashes identically even after the table is rebuilt.
-func flowHash(t tuple) uint64 {
+func flowHash(t wire.Flow) uint64 {
 	return fnv1a(uint64(t.Proto),
 		t.Src[:], []byte{byte(t.SrcPort >> 8), byte(t.SrcPort)},
 		t.Dst[:], []byte{byte(t.DstPort >> 8), byte(t.DstPort)})

@@ -106,7 +106,7 @@ func TestMaglevDeterminism(t *testing.T) {
 // TestFlowHashClientStability: the hash depends only on the wire tuple,
 // so a retransmission always lands on the same slot.
 func TestFlowHashClientStability(t *testing.T) {
-	a := tuple{Src: wire.IP(10, 0, 0, 50), Dst: wire.IP(10, 0, 0, 100), SrcPort: 4000, DstPort: 80, Proto: wire.ProtoTCP}
+	a := wire.Flow{Src: wire.IP(10, 0, 0, 50), Dst: wire.IP(10, 0, 0, 100), SrcPort: 4000, DstPort: 80, Proto: wire.ProtoTCP}
 	if flowHash(a) != flowHash(a) {
 		t.Fatal("hash unstable")
 	}

@@ -70,6 +70,12 @@ func (h *harness) takeSent() [][]byte {
 	return out
 }
 
+// Header offsets of the option-less frames the tests build and inspect.
+const (
+	ipAt = wire.EthHeaderLen
+	tpAt = wire.EthHeaderLen + wire.IPv4HeaderLen
+)
+
 // tcpFrame builds a checksummed Ethernet/IPv4/TCP frame.
 func tcpFrame(srcMAC, dstMAC wire.MAC, src, dst wire.IPAddr, sport, dport uint16, flags uint8, seq, ack uint32, payload []byte) []byte {
 	frame := make([]byte, tpAt+wire.TCPHeaderLen+len(payload))
@@ -285,6 +291,36 @@ func TestVIPUDP(t *testing.T) {
 	out := sent[0]
 	if got := binary.BigEndian.Uint16(out[tpAt+wire.UDPChecksumOffset:]); got != 0 {
 		t.Fatalf("zero UDP checksum rewritten to %#x", got)
+	}
+}
+
+// TestRuntUDPPassedNotNATed: a UDP "datagram" whose IP total length ends
+// before its transport header does is not a transport frame, however much
+// Ethernet padding follows. The plane's own parser used to read ports and
+// a checksum field out of the padding, admit the frame through the VIP
+// and hairpin it.
+func TestRuntUDPPassedNotNATed(t *testing.T) {
+	h := newHarness(t, nil)
+	h.vip(t)
+	runt := udpFrame(clientMAC, lbMAC, clientIP, vipIP, clPort, vipPort, make([]byte, 60-tpAt-wire.UDPHeaderLen), false)
+	ih := wire.IPv4Header{TotalLen: wire.IPv4HeaderLen + 4, TTL: wire.DefaultTTL, Proto: wire.ProtoUDP, Src: clientIP, Dst: vipIP}
+	ih.Marshal(runt[ipAt:tpAt])
+	for i := tpAt + 4; i < len(runt); i++ {
+		runt[i] = 0xa5 // padding: a nonzero "checksum field" invites the fixup
+	}
+	before := append([]byte(nil), runt...)
+
+	out, verdict := h.p.Ingress(runt)
+	if out != nil || verdict != filter.VerdictPass {
+		t.Fatalf("runt UDP: verdict %v with frame %x, want an untouched pass", verdict, out)
+	}
+	st := &h.p.Stats
+	if st.Rewrites.Value() != 0 || st.Hairpins.Value() != 0 || h.p.FlowCount() != 0 || len(h.sent) != 0 {
+		t.Fatalf("runt UDP was NAT'ed: rewrites=%d hairpins=%d flows=%d sent=%d",
+			st.Rewrites.Value(), st.Hairpins.Value(), h.p.FlowCount(), len(h.sent))
+	}
+	if string(runt) != string(before) {
+		t.Fatalf("runt UDP was written to")
 	}
 }
 

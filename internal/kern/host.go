@@ -217,12 +217,8 @@ func (h *Host) ProtoCharge(pc *costs.ProtoCosts, obs *func(costs.Component, time
 // peeking at the IP protocol field. Non-IP traffic (ARP) is priced with
 // the UDP table, whose small-packet costs are the right magnitude.
 func (h *Host) pathFor(frame []byte) *costs.PathCosts {
-	const protoOff = wire.EthHeaderLen + 9
-	if len(frame) > protoOff {
-		eh, err := wire.UnmarshalEth(frame)
-		if err == nil && eh.Type == wire.EtherTypeIPv4 && frame[protoOff] == wire.ProtoTCP {
-			return &h.Prof.Costs.TCP
-		}
+	if proto, ok := wire.IPProtoOf(frame); ok && proto == wire.ProtoTCP {
+		return &h.Prof.Costs.TCP
 	}
 	return &h.Prof.Costs.UDP
 }

@@ -49,8 +49,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults. The wire runs at 0.8 µs/byte, so full-size frames arrive
-// ~1.2 ms apart; the hold window must span a few arrivals to coalesce
+// The engine's fixed parameters. The wire runs at 0.8 µs/byte, so
+// full-size frames arrive ~1.2 ms apart; the hold window must span a few arrivals to coalesce
 // anything, and the idle threshold must sit above the steady-state gap
 // so ping-pong traffic never waits.
 const (
@@ -100,11 +100,6 @@ type Config struct {
 	SW func(d time.Duration, then func())
 
 	Costs costs.OffloadCosts
-
-	MSS         int           // TSO slice payload size (default 1460)
-	MaxCoalesce int           // max merged payload bytes (default 8*MSS)
-	Hold        time.Duration // LRO/moderation hold window (default 2.5 ms)
-	IdleGap     time.Duration // inter-arrival EWMA above which the engine is idle
 }
 
 // Stats counts engine activity; the counters are always live and bind
@@ -162,47 +157,29 @@ type Engine struct {
 	// Pending LRO merges, keyed by flow; entries exist only while a
 	// merge is open (bounded by concurrently-held flows, and never
 	// iterated, so the map cannot perturb determinism).
-	pending map[flowKey]*mergeBuf
+	pending map[wire.Flow]*mergeBuf
 
 	Stats Stats
 }
 
-// flowKey identifies one TCP flow direction.
-type flowKey struct {
-	src, dst     wire.IPAddr
-	sport, dport uint16
-}
-
 // mergeBuf is one in-progress LRO super-segment.
 type mergeBuf struct {
-	key       flowKey
-	buf       []byte   // frame under construction: the first frame (aliased while count is 1) + concatenated payloads
-	hlen      int      // TCP header length within the frame
-	count     int      // wire frames merged
-	nextSeq   uint32   // expected sequence of the next mergeable frame
-	lastAck   uint32   // latest cumulative ACK seen (patched in at flush)
-	lastWin   uint16   // latest advertised window
-	psh       bool     // a merged frame carried PSH (set on the super-segment)
-	lastTouch sim.Time // arrival time of the newest merged frame (hold timer base)
-	gen       int      // guards the hold timer against early flushes
+	flow      wire.Flow // the table key
+	buf       []byte    // frame under construction: the first frame (aliased while count is 1) + concatenated payloads
+	payAt     int       // where the payload starts in buf
+	count     int       // wire frames merged
+	nextSeq   uint32    // expected sequence of the next mergeable frame
+	lastAck   uint32    // latest cumulative ACK seen (patched in at flush)
+	lastWin   uint16    // latest advertised window
+	psh       bool      // a merged frame carried PSH (set on the super-segment)
+	lastTouch sim.Time  // arrival time of the newest merged frame (hold timer base)
+	gen       int       // guards the hold timer against early flushes
 }
 
 // New attaches an engine. The caller re-points the NIC's Rx at
 // Engine.Rx and its transmit path at Engine.Transmit.
 func New(cfg Config) *Engine {
-	if cfg.MSS <= 0 {
-		cfg.MSS = DefaultMSS
-	}
-	if cfg.MaxCoalesce <= 0 {
-		cfg.MaxCoalesce = DefaultMaxCoalesce
-	}
-	if cfg.Hold <= 0 {
-		cfg.Hold = DefaultHold
-	}
-	if cfg.IdleGap <= 0 {
-		cfg.IdleGap = DefaultIdleGap
-	}
-	return &Engine{cfg: cfg, pending: make(map[flowKey]*mergeBuf)}
+	return &Engine{cfg: cfg, pending: make(map[wire.Flow]*mergeBuf)}
 }
 
 // BindMetrics registers the engine's counters under a scope (typically
@@ -287,48 +264,13 @@ func (e *Engine) at(t sim.Time, fn func()) {
 
 // --- Transmit path -----------------------------------------------------
 
-// parsedFrame is the engine's view of an IPv4 transport frame.
-type parsedFrame struct {
-	ip      wire.IPv4Header
-	ipHdrAt int // offset of the IP header (== wire.EthHeaderLen)
-	tpAt    int // offset of the transport header
-	tcp     wire.TCPHeader
-	tcpHLen int
-	payAt   int // offset of the transport payload (TCP) / datagram body (UDP)
-}
-
-// parse extracts the headers the engine cares about. ok is false for
-// anything that is not plain unfragmented IPv4 TCP/UDP — those frames
-// pass through the engine untouched.
-func parse(frame []byte) (p parsedFrame, ok bool) {
-	eh, err := wire.UnmarshalEth(frame)
-	if err != nil || eh.Type != wire.EtherTypeIPv4 {
-		return p, false
-	}
-	ip, hlen, err := wire.UnmarshalIPv4(frame[wire.EthHeaderLen:])
-	if err != nil || ip.IsFragment() {
-		return p, false
-	}
-	if int(ip.TotalLen) > len(frame)-wire.EthHeaderLen {
-		return p, false
-	}
-	p.ip = ip
-	p.ipHdrAt = wire.EthHeaderLen
-	p.tpAt = wire.EthHeaderLen + hlen
-	switch ip.Proto {
-	case wire.ProtoTCP:
-		th, thl, err := wire.UnmarshalTCP(frame[p.tpAt : wire.EthHeaderLen+int(ip.TotalLen)])
-		if err != nil {
-			return p, false
-		}
-		p.tcp, p.tcpHLen = th, thl
-		p.payAt = p.tpAt + thl
-		return p, true
-	case wire.ProtoUDP:
-		p.payAt = p.tpAt + wire.UDPHeaderLen
-		return p, true
-	}
-	return p, false
+// dissect is the engine's parse: wire.Dissect plus the IP header
+// checksum, which the engine checks like the stack's ip_input does. ok is
+// false for anything that is not plain unfragmented IPv4 TCP/UDP — those
+// frames pass through the engine untouched.
+func dissect(frame []byte) (wire.View, bool) {
+	v, ok := wire.Dissect(frame)
+	return v, ok && v.HeaderSumOK(frame)
 }
 
 // Transmit is the engine's frame entry point on the send side. Frames
@@ -336,18 +278,18 @@ func parse(frame []byte) (p parsedFrame, ok bool) {
 // stack skipped its software pass); oversized TCP frames are TSO
 // super-segments and are sliced into MSS-sized wire frames.
 func (e *Engine) Transmit(frame []byte) error {
-	p, ok := parse(frame)
+	v, ok := dissect(frame)
 	if !ok {
 		e.Stats.TxPass.Inc()
 		return e.cfg.NIC.Transmit(frame)
 	}
-	segLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.tpAt
+	segLen := v.End - v.TPAt
 
 	if len(frame) <= wire.EthHeaderLen+wire.EthMTU {
 		// Plain frame. The stack skipped its software checksum pass, so
 		// the checksum must be computed here either way; a full FIFO only
 		// moves the charge onto the host CPU.
-		e.patchTransportChecksum(frame, p)
+		v.SumTransport(frame)
 		e.Stats.TxPass.Inc()
 		if e.txFull() {
 			e.Stats.TxOverflow.Inc()
@@ -363,7 +305,7 @@ func (e *Engine) Transmit(frame []byte) error {
 		return nil
 	}
 
-	if p.ip.Proto != wire.ProtoTCP {
+	if v.Flow.Proto != wire.ProtoTCP {
 		// Only TCP is segmented; an oversized UDP frame would be a stack
 		// bug (ipOutput still fragments UDP).
 		return e.cfg.NIC.Transmit(frame)
@@ -371,7 +313,8 @@ func (e *Engine) Transmit(frame []byte) error {
 
 	// TSO: slice the super-segment into MSS-sized wire frames.
 	e.Stats.TSOSuper.Inc()
-	slices := e.sliceSuper(frame, p)
+	slices := sliceSuper(frame, v)
+	tcpHLen := v.PayAt - v.TPAt
 
 	if e.txFull() {
 		// FIFO full: software GSO. The host does the slicing and the
@@ -380,7 +323,7 @@ func (e *Engine) Transmit(frame []byte) error {
 		e.Stats.TxOverflow.Inc()
 		var d time.Duration
 		for _, s := range slices {
-			segBytes := len(s) - p.tpAt
+			segBytes := len(s) - v.TPAt
 			e.Stats.SwSlices.Inc()
 			e.Stats.SwCsumFrames.Inc()
 			e.Stats.SwCsumBytes.Add(uint64(segBytes))
@@ -394,14 +337,13 @@ func (e *Engine) Transmit(frame []byte) error {
 		return nil
 	}
 
-	payLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.payAt
-	d := e.cfg.Costs.TxSetup.At(payLen)
+	d := e.cfg.Costs.TxSetup.At(v.End - v.PayAt)
 	for _, s := range slices {
-		take := len(s) - p.payAt
+		take := len(s) - v.PayAt
 		e.Stats.TSOSlices.Inc()
 		e.Stats.TxCsumFrames.Inc()
-		e.Stats.TxCsumBytes.Add(uint64(p.tcpHLen + take))
-		d += e.cfg.Costs.TxSegment.At(take) + e.cfg.Costs.Checksum.At(p.tcpHLen+take)
+		e.Stats.TxCsumBytes.Add(uint64(tcpHLen + take))
+		d += e.cfg.Costs.TxSegment.At(take) + e.cfg.Costs.Checksum.At(tcpHLen+take)
 		done := e.chargeTx(d)
 		d = 0
 		e.transmitAt(done, s)
@@ -421,75 +363,30 @@ func (e *Engine) transmitAt(t sim.Time, frame []byte) {
 
 // sliceSuper slices a TSO super-segment into MSS-sized wire frames with
 // patched IP/TCP headers and fresh checksums. The header template is the
-// frame's own Ethernet+IP+TCP headers; FIN/PSH ride only on the last
-// slice. Shared by the engine TSO path and the software GSO fallback —
-// the bytes on the wire are identical either way, only who is charged
-// for producing them differs.
-func (e *Engine) sliceSuper(frame []byte, p parsedFrame) [][]byte {
-	payload := frame[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
-	mss := e.cfg.MSS
-	hdrLen := p.payAt // Ethernet + IP + TCP headers, options included
+// frame's own Ethernet+IP+TCP headers, options included; FIN/PSH ride
+// only on the last slice. Shared by the engine TSO path and the software
+// GSO fallback — the bytes on the wire are identical either way, only who
+// is charged for producing them differs.
+func sliceSuper(frame []byte, v wire.View) [][]byte {
+	payload := frame[v.PayAt:v.End]
 	var slices [][]byte
 	for off, idx := 0, 0; off < len(payload); idx++ {
-		take := mss
-		last := false
-		if off+take >= len(payload) {
-			take = len(payload) - off
-			last = true
+		take := min(DefaultMSS, len(payload)-off)
+		slice := make([]byte, v.PayAt+take)
+		copy(slice, frame[:v.PayAt])
+		copy(slice[v.PayAt:], payload[off:off+take])
+
+		sv := v.SetTotalLen(slice, len(slice)-v.IPAt)
+		sv.SetID(slice, v.ID+uint16(idx))
+		sv.SetSeq(slice, v.Seq+uint32(off))
+		if off+take < len(payload) {
+			sv.SetTCPFlags(slice, v.Flags&^(wire.TCPFin|wire.TCPPsh))
 		}
-		slice := make([]byte, hdrLen+take)
-		copy(slice, frame[:hdrLen])
-		copy(slice[hdrLen:], payload[off:off+take])
-
-		// IP header: new length, per-slice ID, fresh checksum.
-		ih := p.ip
-		ih.TotalLen = uint16(int(p.ip.TotalLen) - len(payload) + take)
-		ih.ID = p.ip.ID + uint16(idx)
-		ih.Marshal(slice[p.ipHdrAt : p.ipHdrAt+wire.IPv4HeaderLen])
-
-		// TCP header: advance the sequence number.
-		tb := slice[p.tpAt:]
-		seq := p.tcp.Seq + uint32(off)
-		tb[4] = byte(seq >> 24)
-		tb[5] = byte(seq >> 16)
-		tb[6] = byte(seq >> 8)
-		tb[7] = byte(seq)
-		if !last {
-			tb[13] &^= wire.TCPFin | wire.TCPPsh
-		}
-
-		sp := parsedFrame{ip: ih, ipHdrAt: p.ipHdrAt, tpAt: p.tpAt, payAt: p.payAt}
-		e.patchTransportChecksum(slice, sp)
+		sv.SumTransport(slice)
 		slices = append(slices, slice)
 		off += take
 	}
 	return slices
-}
-
-// patchTransportChecksum zeroes and recomputes the TCP/UDP checksum of
-// a frame in place.
-func (e *Engine) patchTransportChecksum(frame []byte, p parsedFrame) {
-	end := wire.EthHeaderLen + int(p.ip.TotalLen)
-	seg := frame[p.tpAt:end]
-	var ckAt int
-	switch p.ip.Proto {
-	case wire.ProtoTCP:
-		ckAt = wire.TCPChecksumOffset
-	case wire.ProtoUDP:
-		ckAt = wire.UDPChecksumOffset
-	default:
-		return
-	}
-	seg[ckAt], seg[ckAt+1] = 0, 0
-	var ck wire.Checksummer
-	ck.PseudoHeader(p.ip.Src, p.ip.Dst, p.ip.Proto, uint16(len(seg)))
-	ck.Add(seg)
-	sum := ck.Sum()
-	if p.ip.Proto == wire.ProtoUDP && sum == 0 {
-		sum = 0xffff
-	}
-	seg[ckAt] = byte(sum >> 8)
-	seg[ckAt+1] = byte(sum)
 }
 
 // --- Receive path ------------------------------------------------------
@@ -501,7 +398,7 @@ func (e *Engine) Rx(f simnet.Frame) {
 	now := e.cfg.Sim.Now()
 	busy := e.observeArrival(now)
 
-	p, ok := parse(f.Data)
+	v, ok := dissect(f.Data)
 	if !ok {
 		// Non-IP (ARP) and ICMP flow straight up; the stack validates
 		// them itself.
@@ -509,19 +406,12 @@ func (e *Engine) Rx(f simnet.Frame) {
 		return
 	}
 
-	segLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.tpAt
-	seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+	segLen := v.End - v.TPAt
+	tcp := v.Flow.Proto == wire.ProtoTCP
 
 	// The same verification whoever pays for it: the engine, or the host
 	// when the engine's FIFO is full.
-	okSum := true
-	switch p.ip.Proto {
-	case wire.ProtoTCP:
-		okSum = wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg)
-	case wire.ProtoUDP:
-		okSum = wire.VerifyUDPChecksum(p.ip.Src, p.ip.Dst, seg)
-	}
-	key := flowKey{src: p.ip.Src, dst: p.ip.Dst, sport: p.tcp.SrcPort, dport: p.tcp.DstPort}
+	okSum := v.TransportSumOK(f.Data)
 
 	if e.rxFull() {
 		// FIFO full: degrade to the software path. The host verifies the
@@ -529,7 +419,7 @@ func (e *Engine) Rx(f simnet.Frame) {
 		// lapses under load — and LRO is skipped for this frame; an open
 		// merge for the flow flushes first so the stream stays in order.
 		e.Stats.RxOverflow.Inc()
-		if pend := e.pending[key]; pend != nil && p.ip.Proto == wire.ProtoTCP {
+		if pend := e.pending[v.Flow]; pend != nil {
 			e.flush(pend, 0)
 		}
 		e.Stats.SwCsumFrames.Inc()
@@ -556,17 +446,20 @@ func (e *Engine) Rx(f simnet.Frame) {
 		return
 	}
 
-	if p.ip.Proto != wire.ProtoTCP {
+	if !tcp {
 		e.deliverAfter(d, f)
 		return
 	}
 
-	payLen := wire.EthHeaderLen + int(p.ip.TotalLen) - p.payAt
+	// Mergeable: data with no SYN/FIN/RST/URG and no TCP options. IP
+	// options do not disqualify a segment: a merge is patched through a
+	// view of the opening frame's headers, wherever they end.
+	payLen := v.End - v.PayAt
 	mergeable := payLen > 0 &&
-		(p.tcp.Flags == wire.TCPAck || p.tcp.Flags == wire.TCPAck|wire.TCPPsh) &&
-		p.tcpHLen == wire.TCPHeaderLen // no SYN/FIN/RST/URG, no options
+		(v.Flags == wire.TCPAck || v.Flags == wire.TCPAck|wire.TCPPsh) &&
+		v.PayAt-v.TPAt == wire.TCPHeaderLen
 
-	pend := e.pending[key]
+	pend := e.pending[v.Flow]
 
 	if !mergeable {
 		// Pure ACKs and boundary segments (FIN, SYN, RST, URG, options):
@@ -580,10 +473,10 @@ func (e *Engine) Rx(f simnet.Frame) {
 	}
 
 	d += e.cfg.Costs.RxMerge.At(payLen)
-	psh := p.tcp.Flags&wire.TCPPsh != 0
+	psh := v.Flags&wire.TCPPsh != 0
 
 	if pend != nil {
-		if p.tcp.Seq != pend.nextSeq {
+		if v.Seq != pend.nextSeq {
 			// Sequence gap (loss or reordering upstream): flush what we
 			// have and deliver the new frame at once, so the stack sees
 			// the gap promptly and dup-ACKs.
@@ -596,18 +489,18 @@ func (e *Engine) Rx(f simnet.Frame) {
 		// are immutable, so the first absorption moves the opening frame
 		// into a private buffer sized for a full merge.
 		if pend.count == 1 {
-			pend.buf = append(make([]byte, 0, p.payAt+e.cfg.MaxCoalesce+e.cfg.MSS), pend.buf...)
+			pend.buf = append(make([]byte, 0, pend.payAt+DefaultMaxCoalesce+DefaultMSS), pend.buf...)
 		}
-		pend.buf = append(pend.buf, f.Data[p.payAt:wire.EthHeaderLen+int(p.ip.TotalLen)]...)
+		pend.buf = append(pend.buf, f.Data[v.PayAt:v.End]...)
 		pend.count++
 		pend.nextSeq += uint32(payLen)
-		pend.lastAck = p.tcp.Ack
-		pend.lastWin = p.tcp.Window
+		pend.lastAck = v.Ack
+		pend.lastWin = v.Window
 		pend.psh = pend.psh || psh
 		pend.lastTouch = now
 		e.Stats.LROMerged.Inc()
 		e.chargeRx(d)
-		if len(pend.buf)-pend.hlen-pend.key.hdrLen() >= e.cfg.MaxCoalesce || (psh && !busy) {
+		if len(pend.buf)-pend.payAt >= DefaultMaxCoalesce || (psh && !busy) {
 			// Full, or a push while idle: the sender is waiting on this
 			// data, hand it up now. Under load the push merges like any
 			// other byte — that deferral is the interrupt moderation.
@@ -621,17 +514,17 @@ func (e *Engine) Rx(f simnet.Frame) {
 	// padding: most merges on a request/response flow end as they began,
 	// and a one-byte request should not cost a 48 KB buffer.
 	pend = &mergeBuf{
-		key:       key,
-		buf:       f.Data[:wire.EthHeaderLen+int(p.ip.TotalLen)],
-		hlen:      p.tcpHLen,
+		flow:      v.Flow,
+		buf:       f.Data[:v.End],
+		payAt:     v.PayAt,
 		count:     1,
-		nextSeq:   p.tcp.Seq + uint32(payLen),
-		lastAck:   p.tcp.Ack,
-		lastWin:   p.tcp.Window,
+		nextSeq:   v.Seq + uint32(payLen),
+		lastAck:   v.Ack,
+		lastWin:   v.Window,
 		psh:       psh,
 		lastTouch: now,
 	}
-	e.pending[key] = pend
+	e.pending[v.Flow] = pend
 	e.Stats.LROMerged.Inc()
 	e.chargeRx(d)
 
@@ -641,7 +534,7 @@ func (e *Engine) Rx(f simnet.Frame) {
 		e.flush(pend, e.cfg.Costs.RxFlush.At(0))
 		return
 	}
-	e.armHold(pend, e.cfg.Hold)
+	e.armHold(pend, DefaultHold)
 }
 
 // armHold schedules the moderation timer: the merge flushes once the
@@ -650,72 +543,47 @@ func (e *Engine) Rx(f simnet.Frame) {
 // generation guard kills timers that outlive their merge.
 func (e *Engine) armHold(pend *mergeBuf, wait time.Duration) {
 	gen := pend.gen
-	key := pend.key
 	e.cfg.Sim.After(wait, func() {
-		if cur := e.pending[key]; cur != pend || pend.gen != gen {
+		if cur := e.pending[pend.flow]; cur != pend || pend.gen != gen {
 			return
 		}
-		if quiet := e.cfg.Sim.Now().Sub(pend.lastTouch); quiet < e.cfg.Hold {
-			e.armHold(pend, e.cfg.Hold-quiet)
+		if quiet := e.cfg.Sim.Now().Sub(pend.lastTouch); quiet < DefaultHold {
+			e.armHold(pend, DefaultHold-quiet)
 			return
 		}
 		e.flush(pend, e.cfg.Costs.RxFlush.At(0))
 	})
 }
 
-// hdrLen returns the Ethernet+IP header length preceding the transport
-// header (constant for the frames the engine merges).
-func (flowKey) hdrLen() int { return wire.EthHeaderLen + wire.IPv4HeaderLen }
-
 // flush delivers a pending merge, finalized if it absorbed anything; a
 // merge of one frame goes up as it arrived (its checksum is verified and
 // its ACK, window and PSH are its own). extra is added to the pipeline
 // charge.
 func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
-	delete(e.pending, pend.key)
+	delete(e.pending, pend.flow)
 	pend.gen++
 	if pend.count > 1 {
 		pend.finalize()
 	}
 	e.Stats.LROFlushes.Inc()
-	e.Stats.LROBytes.Add(uint64(len(pend.buf) - pend.key.hdrLen() - pend.hlen))
+	e.Stats.LROBytes.Add(uint64(len(pend.buf) - pend.payAt))
 	e.deliverAfter(extra, simnet.Frame{Data: pend.buf})
 }
 
-// finalize patches lengths, ACK, window, and checksums so the merged
-// super-segment is a well-formed frame.
+// finalize makes the merged super-segment a well-formed frame: the merged
+// length, the latest cumulative ACK and window, PSH if any merged frame
+// pushed, and a fresh checksum.
 func (pend *mergeBuf) finalize() {
-	frame := pend.buf
-	ipAt := wire.EthHeaderLen
-	tpAt := pend.key.hdrLen()
-	totalLen := len(frame) - wire.EthHeaderLen
-
-	// IP header: merged length, fresh checksum.
-	ih, _, err := wire.UnmarshalIPv4(frame[ipAt:])
-	if err == nil {
-		ih.TotalLen = uint16(totalLen)
-		ih.Marshal(frame[ipAt : ipAt+wire.IPv4HeaderLen])
-	}
-
-	// TCP header: latest cumulative ACK and window, PSH if any merged
-	// frame pushed, fresh checksum.
-	tb := frame[tpAt:]
+	// The buffer opens with the first frame's headers, whose IP length
+	// still describes that frame alone: they dissect as they did on arrival.
+	v, _ := wire.Dissect(pend.buf)
+	v = v.SetTotalLen(pend.buf, len(pend.buf)-v.IPAt)
 	if pend.psh {
-		tb[13] |= wire.TCPPsh
+		v.SetTCPFlags(pend.buf, v.Flags|wire.TCPPsh)
 	}
-	tb[8] = byte(pend.lastAck >> 24)
-	tb[9] = byte(pend.lastAck >> 16)
-	tb[10] = byte(pend.lastAck >> 8)
-	tb[11] = byte(pend.lastAck)
-	tb[14] = byte(pend.lastWin >> 8)
-	tb[15] = byte(pend.lastWin)
-	tb[wire.TCPChecksumOffset], tb[wire.TCPChecksumOffset+1] = 0, 0
-	var ck wire.Checksummer
-	ck.PseudoHeader(ih.Src, ih.Dst, wire.ProtoTCP, uint16(len(tb)))
-	ck.Add(tb)
-	sum := ck.Sum()
-	tb[wire.TCPChecksumOffset] = byte(sum >> 8)
-	tb[wire.TCPChecksumOffset+1] = byte(sum)
+	v.SetAck(pend.buf, pend.lastAck)
+	v.SetWindow(pend.buf, pend.lastWin)
+	v.SumTransport(pend.buf)
 }
 
 // deliverNow hands a frame up with no engine charge.
@@ -742,17 +610,17 @@ func (e *Engine) observeArrival(now sim.Time) bool {
 	if !e.sawArr {
 		e.sawArr = true
 		e.lastArr = now
-		e.ewmaGap = e.cfg.IdleGap // start idle: first packets go straight up
+		e.ewmaGap = DefaultIdleGap // start idle: first packets go straight up
 		return false
 	}
 	gap := now.Sub(e.lastArr)
 	e.lastArr = now
-	if gap > 4*e.cfg.IdleGap {
-		gap = 4 * e.cfg.IdleGap // clamp so one long silence doesn't poison the average
+	if gap > 4*DefaultIdleGap {
+		gap = 4 * DefaultIdleGap // clamp so one long silence doesn't poison the average
 	}
 	// EWMA with alpha = 1/4.
 	e.ewmaGap = (3*e.ewmaGap + gap) / 4
-	return e.ewmaGap < e.cfg.IdleGap
+	return e.ewmaGap < DefaultIdleGap
 }
 
 // PendingMerges reports the number of open LRO merges (diagnostics).

@@ -206,7 +206,7 @@ func TestTxFIFOOverflowFallsBackToSoftware(t *testing.T) {
 		t.Fatalf("wire frames = %d, want %d (overflow must never drop)", len(env.got), n)
 	}
 	for i, f := range env.got {
-		p, ok := parse(f.Data)
+		p, ok := codecParse(f.Data)
 		if !ok {
 			t.Fatalf("wire frame %d does not parse", i)
 		}
@@ -263,7 +263,7 @@ func TestTxFIFOOverflowSoftwareGSO(t *testing.T) {
 	var rebuilt []byte
 	var seqs []uint32
 	for i, f := range env.got {
-		p, ok := parse(f.Data)
+		p, ok := codecParse(f.Data)
 		if !ok {
 			t.Fatalf("wire frame %d does not parse", i)
 		}

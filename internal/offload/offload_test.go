@@ -91,10 +91,36 @@ func (env *rxEnv) run(t *testing.T) {
 	}
 }
 
+// codecFrame is a frame re-read with the wire codecs — independently of
+// the view the engine parsed and patched it through.
+type codecFrame struct {
+	ip          wire.IPv4Header
+	tcp         wire.TCPHeader
+	tpAt, payAt int
+}
+
+func codecParse(frame []byte) (p codecFrame, ok bool) {
+	eh, err := wire.UnmarshalEth(frame)
+	if err != nil || eh.Type != wire.EtherTypeIPv4 {
+		return p, false
+	}
+	ip, hlen, err := wire.UnmarshalIPv4(frame[wire.EthHeaderLen:])
+	if err != nil || ip.IsFragment() || ip.Proto != wire.ProtoTCP || int(ip.TotalLen) > len(frame)-wire.EthHeaderLen {
+		return p, false
+	}
+	p.ip, p.tpAt = ip, wire.EthHeaderLen+hlen
+	th, thl, err := wire.UnmarshalTCP(frame[p.tpAt : wire.EthHeaderLen+int(ip.TotalLen)])
+	if err != nil {
+		return p, false
+	}
+	p.tcp, p.payAt = th, p.tpAt+thl
+	return p, true
+}
+
 // parseDelivery re-parses a delivered frame.
 func parseDelivery(t *testing.T, d delivery) (wire.IPv4Header, wire.TCPHeader, []byte) {
 	t.Helper()
-	p, ok := parse(d.data)
+	p, ok := codecParse(d.data)
 	if !ok {
 		t.Fatalf("delivered frame does not parse")
 	}
@@ -151,10 +177,10 @@ func TestLROMergesAndHoldFlushes(t *testing.T) {
 	}
 	lastArrival := sim.Time(0).Add(time.Duration(n-1) * gap)
 	at := env.got[0].at
-	if at < lastArrival.Add(env.e.cfg.Hold) {
-		t.Fatalf("flush at %v, before hold window after last arrival (%v + %v)", at, lastArrival, env.e.cfg.Hold)
+	if at < lastArrival.Add(DefaultHold) {
+		t.Fatalf("flush at %v, before hold window after last arrival (%v + %v)", at, lastArrival, DefaultHold)
 	}
-	if at > lastArrival.Add(2*env.e.cfg.Hold) {
+	if at > lastArrival.Add(2*DefaultHold) {
 		t.Fatalf("flush at %v, far past the hold window", at)
 	}
 	_, th, got := parseDelivery(t, env.got[0])
@@ -172,6 +198,48 @@ func TestLROMergesAndHoldFlushes(t *testing.T) {
 	}
 	if v := env.e.Stats.LROFlushes.Value(); v != 1 {
 		t.Fatalf("lro_flushes = %d, want 1", v)
+	}
+}
+
+// withIPOption returns the frame with a 4-byte NOP/EOL option block in
+// its IP header (IHL 6), lengths and header checksum adjusted.
+func withIPOption(frame []byte) []byte {
+	const tpAt = wire.EthHeaderLen + wire.IPv4HeaderLen
+	out := append(append(append([]byte(nil), frame[:tpAt]...), 1, 1, 1, 0), frame[tpAt:]...)
+	ip := out[wire.EthHeaderLen : tpAt+4]
+	ip[0] = 0x46
+	total := len(out) - wire.EthHeaderLen
+	ip[2], ip[3], ip[10], ip[11] = byte(total>>8), byte(total), 0, 0
+	ck := wire.Checksum(ip)
+	ip[10], ip[11] = byte(ck>>8), byte(ck)
+	return out
+}
+
+// TestLROMergesThroughIPOptions: segments whose IP header carries
+// options merge like any others, patched where their headers really end.
+// The engine used to parse them at their true offsets and finalize the
+// merge at the option-less ones: two good 100-byte segments went up as
+// 258 bytes with an unparseable TCP header under a freshly valid
+// checksum.
+func TestLROMergesThroughIPOptions(t *testing.T) {
+	env := newRxEnv(t)
+	a, b := pattern(0, 100), pattern(100, 100)
+	env.inject(0, withIPOption(tcpFrame(9000, 100, wire.TCPAck, a)))
+	env.inject(200*time.Microsecond, withIPOption(tcpFrame(9100, 101, wire.TCPAck, b)))
+	env.run(t)
+
+	if len(env.got) != 1 {
+		t.Fatalf("deliveries = %d, want 1 merged super-segment", len(env.got))
+	}
+	ih, th, got := parseDelivery(t, env.got[0])
+	if want := wire.IPv4HeaderLen + 4 + wire.TCPHeaderLen + 200; int(ih.TotalLen) != want || len(env.got[0].data) != wire.EthHeaderLen+want {
+		t.Fatalf("super-segment is %d bytes with TotalLen %d, want TotalLen %d", len(env.got[0].data), ih.TotalLen, want)
+	}
+	if th.Seq != 9000 || th.Ack != 101 {
+		t.Fatalf("super-segment seq/ack = %d/%d, want 9000/101", th.Seq, th.Ack)
+	}
+	if !bytes.Equal(got, append(a, b...)) {
+		t.Fatalf("merged payload differs: got %d bytes %x", len(got), got)
 	}
 }
 
@@ -348,7 +416,7 @@ func TestTSOSlicing(t *testing.T) {
 	var rebuilt []byte
 	var firstID uint16
 	for i, f := range got {
-		p, ok := parse(f.Data)
+		p, ok := codecParse(f.Data)
 		if !ok {
 			t.Fatalf("slice %d does not parse", i)
 		}
@@ -428,7 +496,7 @@ func TestTransmitChecksumsPlainFrame(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("wire frames = %d, want 1", len(got))
 	}
-	p, ok := parse(got[0].Data)
+	p, ok := codecParse(got[0].Data)
 	if !ok {
 		t.Fatalf("frame does not parse")
 	}
@@ -458,8 +526,7 @@ func TestLROLoneFrameGoesUpAsItArrived(t *testing.T) {
 			t.Fatalf("flags %#x: deliveries = %d, want 1", flags, len(env.got))
 		}
 		old := &mergeBuf{
-			key: flowKey{src: testSrc, dst: testDst, sport: 1000, dport: 2000},
-			buf: append([]byte(nil), frame[:wireLen]...), hlen: wire.TCPHeaderLen,
+			buf:     append([]byte(nil), frame[:wireLen]...),
 			lastAck: 77, lastWin: 8192, psh: flags&wire.TCPPsh != 0,
 		}
 		old.finalize()

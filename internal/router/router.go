@@ -28,39 +28,20 @@ import (
 	"repro/internal/wire"
 )
 
+// A port's egress queue: Capacity is its one setting, the RED
+// parameters are fixed.
+const (
+	DefaultQueueCapacity = 32   // frames
+	redMaxP              = 0.1  // drop probability as the average reaches the high threshold
+	redWeight            = 0.25 // EWMA weight of the average queue length
+)
+
 // QueueConfig sets a port's egress-queue behaviour.
 type QueueConfig struct {
-	// Capacity is the hard queue limit in frames (tail drop). 0 means
-	// the default of 32.
+	// Capacity is the hard queue limit in frames (tail drop); 0 means
+	// DefaultQueueCapacity. The RED thresholds on the EWMA queue length
+	// sit at a quarter and three quarters of it.
 	Capacity int
-	// REDMin and REDMax are the RED thresholds on the EWMA queue length,
-	// in frames. Defaults: Capacity/4 and 3*Capacity/4.
-	REDMin, REDMax int
-	// REDMaxP is the drop probability as the average reaches REDMax
-	// (default 0.1). Set REDMax = 0 along with Capacity to keep defaults.
-	REDMaxP float64
-	// Weight is the EWMA weight for the average queue length
-	// (default 0.25).
-	Weight float64
-}
-
-func (q QueueConfig) withDefaults() QueueConfig {
-	if q.Capacity == 0 {
-		q.Capacity = 32
-	}
-	if q.REDMin == 0 {
-		q.REDMin = q.Capacity / 4
-	}
-	if q.REDMax == 0 {
-		q.REDMax = 3 * q.Capacity / 4
-	}
-	if q.REDMaxP == 0 {
-		q.REDMaxP = 0.1
-	}
-	if q.Weight == 0 {
-		q.Weight = 0.25
-	}
-	return q
 }
 
 // Stats counts router activity. The fields are metrics counters so a
@@ -122,7 +103,7 @@ type Port struct {
 	nic       *simnet.NIC
 	ip        wire.IPAddr
 	prefixLen int
-	q         QueueConfig
+	capacity  int // egress queue limit in frames
 
 	qlen int     // frames transmitted but not yet clear of the wire
 	avg  float64 // RED EWMA of qlen, updated per enqueue
@@ -149,12 +130,15 @@ const (
 // prefix length, installing the subnet's on-link route. The port's link
 // name — visible to the fault injector — is "<router>.<name>".
 func (r *Router) Attach(seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prefixLen int, q QueueConfig) *Port {
+	if q.Capacity == 0 {
+		q.Capacity = DefaultQueueCapacity
+	}
 	p := &Port{
 		r:         r,
 		index:     len(r.ports),
 		ip:        ip,
 		prefixLen: prefixLen,
-		q:         q.withDefaults(),
+		capacity:  q.Capacity,
 		arp:       make(map[wire.IPAddr]*arpState),
 	}
 	p.nic = seg.AttachOn(r.sim, r.name+"."+name, mac)
@@ -247,23 +231,25 @@ func (r *Router) rx(p *Port, f simnet.Frame) {
 	case wire.EtherTypeARP:
 		r.arpInput(p, f.Data[wire.EthHeaderLen:])
 	case wire.EtherTypeIPv4:
-		r.ipInput(p, f.Data[wire.EthHeaderLen:])
+		r.ipInput(p, f.Data)
 	}
 }
 
-// ipInput validates, delivers-or-forwards one IP packet.
-func (r *Router) ipInput(p *Port, pkt []byte) {
-	h, hlen, err := wire.UnmarshalIPv4(pkt)
+// ipInput validates, delivers-or-forwards the IP packet in one frame.
+func (r *Router) ipInput(p *Port, in []byte) {
+	v, ok := wire.DissectIP(in)
+	if !ok {
+		r.Stats.HeaderErrors.Inc()
+		return
+	}
+	// ICMP speaks the codec's header; unmarshalling it also verifies the
+	// header checksum.
+	h, _, err := wire.UnmarshalIPv4(in[v.IPAt:v.End])
 	if err != nil {
 		r.Stats.HeaderErrors.Inc()
 		return
 	}
-	if int(h.TotalLen) > len(pkt) {
-		r.Stats.HeaderErrors.Inc()
-		return
-	}
-	pkt = pkt[:h.TotalLen]
-	body := pkt[hlen:]
+	body := in[v.TPAt:v.End]
 
 	// Addressed to the router itself: answer pings, swallow the rest.
 	for _, lp := range r.ports {
@@ -295,14 +281,11 @@ func (r *Router) ipInput(p *Port, pkt []byte) {
 	}
 
 	// Rewrite into a fresh frame: received frame data is immutable
-	// (shared with other receivers and the flight recorder).
-	frame := make([]byte, wire.EthHeaderLen+len(pkt))
-	copy(frame[wire.EthHeaderLen:], pkt)
-	ip := frame[wire.EthHeaderLen:]
-	ip[8] = h.TTL - 1
-	ip[10], ip[11] = 0, 0
-	ck := wire.Checksum(ip[:hlen])
-	ip[10], ip[11] = byte(ck>>8), byte(ck)
+	// (shared with other receivers and the flight recorder). The link
+	// addresses are transmit's to fill in.
+	frame := make([]byte, v.End)
+	copy(frame[v.IPAt:], in[v.IPAt:v.End])
+	v.SetTTL(frame, v.TTL-1)
 
 	r.Stats.Forwarded.Inc()
 	r.transmit(out, nextHop, frame)
@@ -311,19 +294,19 @@ func (r *Router) ipInput(p *Port, pkt []byte) {
 // admit runs the egress queue's RED/tail admission test, counting any
 // drop it decides on.
 func (r *Router) admit(out *Port) bool {
-	q := out.q
-	out.avg += q.Weight * (float64(out.qlen) - out.avg)
+	redMin, redMax := out.capacity/4, 3*out.capacity/4
+	out.avg += redWeight * (float64(out.qlen) - out.avg)
 	switch {
-	case out.qlen >= q.Capacity:
+	case out.qlen >= out.capacity:
 		r.Stats.TailDrops.Inc()
 		return false
-	case out.avg < float64(q.REDMin):
+	case out.avg < float64(redMin):
 		return true
-	case out.avg >= float64(q.REDMax):
+	case out.avg >= float64(redMax):
 		r.Stats.REDDrops.Inc()
 		return false
 	default:
-		pb := q.REDMaxP * (out.avg - float64(q.REDMin)) / float64(q.REDMax-q.REDMin)
+		pb := redMaxP * (out.avg - float64(redMin)) / float64(redMax-redMin)
 		if r.rng.Float64() < pb {
 			r.Stats.REDDrops.Inc()
 			return false

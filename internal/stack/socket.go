@@ -56,6 +56,10 @@ type Socket struct {
 	Notify func()
 }
 
+// DefaultSockBuf is a new socket's send and receive buffer size
+// (SO_SNDBUF/SO_RCVBUF override it per socket).
+const DefaultSockBuf = 8 * 1024
+
 // NewSocket creates an unbound socket for proto (wire.ProtoTCP or
 // wire.ProtoUDP).
 func (st *Stack) NewSocket(proto uint8) *Socket {
@@ -64,8 +68,8 @@ func (st *Stack) NewSocket(proto uint8) *Socket {
 		st:         st,
 		uid:        st.sockSeq,
 		Proto:      proto,
-		sndbufSize: st.cfg.SndBuf,
-		rcvbufSize: st.cfg.RcvBuf,
+		sndbufSize: DefaultSockBuf,
+		rcvbufSize: DefaultSockBuf,
 	}
 	switch proto {
 	case wire.ProtoTCP:

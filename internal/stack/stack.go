@@ -97,20 +97,11 @@ type Config struct {
 	Ports    PortAllocator
 	Resolver Resolver
 	Routes   *RouteTable
-	Rand     *rand.Rand
-
-	// Buffer defaults; SetSockOpt can override per socket.
-	SndBuf int
-	RcvBuf int
 
 	// MaxTCPPayload, when nonzero, models the 386BSD/BNR2SS bug that
 	// prevents sending large TCP packets: segments are clamped to this
 	// size and sosend rejects messages needing larger ones.
 	MaxTCPPayload int
-
-	// DisableNagle turns off sender-side small-segment coalescing for all
-	// sockets (per-socket TCPNoDelay also exists).
-	DisableNagle bool
 
 	// TSOMaxPayload, when nonzero, enables TSO/GSO-style segmentation
 	// offload: tcp_output may emit one oversized frame carrying up to
@@ -157,6 +148,7 @@ type Stack struct {
 	conns   map[tuple]*Socket // fully-specified connections (TCP and connected UDP)
 	binds   map[tuple]*Socket // wildcard-remote sockets (listeners, unconnected UDP)
 	ipID    uint16
+	rng     *rand.Rand // the stack's own stream (ISS, ephemeral-port perturbation)
 	issSeed uint32
 	sockSeq uint64 // socket creation counter (deterministic iteration order)
 
@@ -262,20 +254,6 @@ func (s *Stats) ChecksumErrors() uint64 {
 // New builds a stack. The caller must arrange for Input to be fed frames
 // and should call StartTimers once a timer thread context exists.
 func New(cfg Config) *Stack {
-	if cfg.SndBuf == 0 {
-		cfg.SndBuf = 8 * 1024
-	}
-	if cfg.RcvBuf == 0 {
-		cfg.RcvBuf = 8 * 1024
-	}
-	if cfg.Rand == nil {
-		// A per-stack stream keyed by the stack's name: draws (ISS
-		// generation, ephemeral-port perturbation) stay identical no
-		// matter what else runs concurrently or which shard the stack
-		// lands on. The shared cfg.Sim.Rand() would make every draw
-		// depend on global event order.
-		cfg.Rand = cfg.Sim.Stream("stack." + cfg.Name)
-	}
 	if cfg.Routes == nil {
 		cfg.Routes = NewRouteTable()
 		// Single-segment default: everything is on-link.
@@ -286,8 +264,14 @@ func New(cfg Config) *Stack {
 		conns:    make(map[tuple]*Socket),
 		binds:    make(map[tuple]*Socket),
 		icmpEcho: make(map[uint16]*sim.Cond),
-		issSeed:  cfg.Rand.Uint32(),
+		// A per-stack stream keyed by the stack's name: draws (ISS
+		// generation, ephemeral-port perturbation) stay identical no
+		// matter what else runs concurrently or which shard the stack
+		// lands on. The shared cfg.Sim.Rand() would make every draw
+		// depend on global event order.
+		rng: cfg.Sim.Stream("stack." + cfg.Name),
 	}
+	st.issSeed = st.rng.Uint32()
 	st.reasm = st.NewReassembler()
 	if cfg.Resolver == nil {
 		st.arp = newARPEngine(st)
@@ -428,7 +412,7 @@ func (st *Stack) input(t *sim.Proc, frame []byte) {
 
 // iss generates an initial send sequence number.
 func (st *Stack) iss() uint32 {
-	st.issSeed += 64000 + uint32(st.cfg.Rand.Intn(64000))
+	st.issSeed += 64000 + uint32(st.rng.Intn(64000))
 	return st.issSeed
 }
 

@@ -119,7 +119,7 @@ func (st *Stack) tcpOutput(t *sim.Proc, tp *tcpcb) {
 		case length > 0 && seqLT(tp.sndNxt, tp.sndMax):
 			send = true // retransmission
 			reason = "rexmit"
-		case length > 0 && (s.noDelay || st.cfg.DisableNagle || idle):
+		case length > 0 && (s.noDelay || idle):
 			send = true // Nagle: small segments only when no data is in flight
 			reason = "nagle-idle"
 		case tp.ackNow:

@@ -1,7 +1,9 @@
 // Package wire defines the on-the-wire formats used by the protocol
 // stack: Ethernet framing, ARP, IPv4, UDP, and TCP headers, plus the
-// Internet checksum. Everything here is pure data encoding with no
-// protocol logic; the state machines live in internal/stack.
+// Internet checksum — the codecs the protocol code marshals with — and
+// the frame view (view.go), through which everything kernel-side reads
+// and patches a received frame. Everything here is pure data encoding
+// with no protocol logic; the state machines live in internal/stack.
 package wire
 
 import "fmt"

@@ -87,25 +87,34 @@ func UnmarshalTCP(b []byte) (TCPHeader, int, error) {
 	h.Window = binary.BigEndian.Uint16(b[14:16])
 	h.Checksum = binary.BigEndian.Uint16(b[16:18])
 	h.Urgent = binary.BigEndian.Uint16(b[18:20])
-	// Parse options (MSS only; others skipped).
-	opts := b[TCPHeaderLen:hl]
+	var ok bool
+	if h.MSS, ok = tcpOptions(b[TCPHeaderLen:hl]); !ok {
+		return h, 0, fmt.Errorf("wire: malformed TCP option")
+	}
+	return h, hl, nil
+}
+
+// tcpOptions walks a TCP option block and returns the MSS option's value
+// (0 when absent; the other kinds are skipped). ok is false when an
+// option's length runs past the block.
+func tcpOptions(opts []byte) (mss uint16, ok bool) {
 	for len(opts) > 0 {
 		switch opts[0] {
 		case TCPOptEnd:
-			opts = nil
+			return mss, true
 		case TCPOptNop:
 			opts = opts[1:]
 		default:
 			if len(opts) < 2 || int(opts[1]) < 2 || int(opts[1]) > len(opts) {
-				return h, 0, fmt.Errorf("wire: malformed TCP option")
+				return 0, false
 			}
 			if opts[0] == TCPOptMSS && opts[1] == 4 {
-				h.MSS = binary.BigEndian.Uint16(opts[2:4])
+				mss = binary.BigEndian.Uint16(opts[2:4])
 			}
 			opts = opts[opts[1]:]
 		}
 	}
-	return h, hl, nil
+	return mss, true
 }
 
 // TCPChecksum computes the TCP checksum over the pseudo-header, the

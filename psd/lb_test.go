@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TestLBConservation runs the VIP churn workload — kill one backend
@@ -115,5 +117,42 @@ func TestLBFlowPinning(t *testing.T) {
 	if rep.Resets != 0 || rep.Rehomed != 0 {
 		t.Fatalf("pool growth reset %d / rehomed %d flows; AddBackend must not touch existing state",
 			rep.Resets, rep.Rehomed)
+	}
+}
+
+// TestLBRuntUDPPassed: on a real host the balancer passes — does not
+// NAT, track or hairpin — a padded 60-byte frame whose UDP datagram ends
+// (IP total length 24) before its transport header does. The plane's own
+// parser used to find ports in the padding and forward the frame to a
+// backend (rewrites=1 hairpins=1).
+func TestLBRuntUDPPassed(t *testing.T) {
+	n := New(1)
+	lb := n.Host("lb", "10.0.0.1", Decomposed())
+	be := n.Host("be", "10.0.0.2", Decomposed())
+	cl := n.Host("cl", "10.0.0.3", Decomposed())
+	vip, _ := ParseIP("10.0.0.100")
+	if _, err := lb.InstallVIP("10.0.0.100", 80, BackendSpec{Host: be, Port: 8080}); err != nil {
+		t.Fatal(err)
+	}
+
+	frame := make([]byte, 60)
+	eh := wire.EthHeader{Dst: lb.kern.NIC.MAC(), Src: cl.kern.NIC.MAC(), Type: wire.EtherTypeIPv4}
+	eh.Marshal(frame)
+	ih := wire.IPv4Header{TotalLen: wire.IPv4HeaderLen + 4, TTL: wire.DefaultTTL, Proto: wire.ProtoUDP, Src: cl.ip, Dst: vip}
+	ih.Marshal(frame[wire.EthHeaderLen:])
+	ports := wire.UDPHeader{SrcPort: 4000, DstPort: 80, Length: 0xa5a5, Checksum: 0xa5a5}
+	ports.Marshal(frame[wire.EthHeaderLen+wire.IPv4HeaderLen:]) // only the ports lie inside the datagram
+
+	n.Spawn("inject", func(*Thread) { cl.kern.RawTransmit(frame) })
+	if err := n.RunFor(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	st := &lb.Dataplane().Stats
+	if st.RxFrames.Value() == 0 {
+		t.Fatal("the runt frame never reached the balancer's hook")
+	}
+	if st.Rewrites.Value() != 0 || st.Hairpins.Value() != 0 || st.CTCreated.Value() != 0 {
+		t.Fatalf("runt UDP was NAT'ed: rewrites=%d hairpins=%d flows created=%d",
+			st.Rewrites.Value(), st.Hairpins.Value(), st.CTCreated.Value())
 	}
 }

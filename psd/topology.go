@@ -14,11 +14,6 @@ import (
 	"repro/internal/wire"
 )
 
-// RouterQueue configures a router port's finite egress queue and its
-// RED (random early detection) drop behaviour. The zero value selects
-// the defaults (capacity 32, RED between 1/4 and 3/4 occupancy).
-type RouterQueue = router.QueueConfig
-
 // Subnet is one routed Ethernet segment inside a Network: its own
 // collision domain, bit rate, fault-injection scope, and a route table
 // shared by every host attached to it. Hosts on different subnets reach
@@ -126,9 +121,6 @@ func (s *Subnet) Gateway() (wire.IPAddr, bool) { return s.gw, s.hasGW }
 type Router struct {
 	net *Network
 	r   *router.Router
-	// Queue is applied to ports attached after it is set; the zero
-	// value means the RED defaults.
-	Queue RouterQueue
 }
 
 // NewRouter creates a router on shard 0; call Attach to join it to
@@ -165,7 +157,7 @@ func (r *Router) Attach(s *Subnet, addr string) *Router {
 	if ip.Mask(s.prefixLen) != s.prefix {
 		panic(fmt.Sprintf("psd: router %s port %s is outside subnet %s (%s)", r.Name(), addr, s.name, s.CIDR()))
 	}
-	p := r.r.Attach(s.seg, s.name, r.net.nextMAC(), ip, s.prefixLen, r.Queue)
+	p := r.r.Attach(s.seg, s.name, r.net.nextMAC(), ip, s.prefixLen, router.QueueConfig{})
 	if r.net.reg != nil {
 		p.BindMetrics(r.net.reg.Scope("router." + r.Name() + ".port." + p.LinkName()))
 	}
@@ -233,7 +225,7 @@ func (t *Trunk) Attach(r *Router, addr string) *Trunk {
 			r.Name(), addr, t.name, t.prefix, t.prefixLen))
 	}
 	n := t.net
-	p := r.r.Attach(t.seg, t.name, n.nextMAC(), ip, t.prefixLen, r.Queue)
+	p := r.r.Attach(t.seg, t.name, n.nextMAC(), ip, t.prefixLen, router.QueueConfig{})
 	nic := p.NIC()
 	if n.reg != nil {
 		nic.DirStats().Bind(n.reg.Scope("trunk." + t.name + "." + p.LinkName()))
