@@ -6,7 +6,7 @@ import "repro/psd"
 // that iterates architectures (-scenarios) or selects one by name
 // (-scale) resolves through psd.ArchFlavors, so a new column appears in
 // every suite at once. The bench-harness equivalent is bench.Columns(),
-// which the default suite and -proxy use.
+// which -proxy, -offload and -dataplane use.
 var archFlavors = psd.ArchFlavors()
 
 // archByName resolves a registry entry, listing the valid names on a

@@ -44,7 +44,6 @@ func main() {
 	jitter := flag.Duration("jitter", 0, "uniform random delay added per frame")
 	faultPlan := flag.String("faultplan", "", "fault plan (DSL, see EXPERIMENTS.md), e.g. '@2s partition A|B for=500ms'")
 	traceDir := flag.String("trace", "", "record every run on the flight recorder and dump the slowest run's trace (text, pcap, Chrome JSON) into this directory")
-	jsonOut := flag.String("json", "", "run the wall-clock hot-path suite and write BENCH_hotpath-style JSON to this file (\"-\" for stdout)")
 	metricsOut := flag.String("metrics", "", "run the metrics-registry digest suite and write BENCH_metrics-style JSON to this file (\"-\" for stdout)")
 	proxyOut := flag.String("proxy", "", "run the proxy forwarding suite (bsd vs chain vs splice on every architecture column) and write BENCH_proxy-style JSON to this file (\"-\" for stdout)")
 	proxyMB := flag.Int("proxy-mb", 4, "bytes forwarded per -proxy cell, in MB")
@@ -178,13 +177,6 @@ func main() {
 		ran = true
 		fmt.Println(bench.FormatAblations(bench.RunAblations(opt)))
 	}
-	if *jsonOut != "" {
-		ran = true
-		if err := runHotpath(*jsonOut, *benchLabel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	if *metricsOut != "" {
 		ran = true
 		if err := runMetrics(*metricsOut, *benchLabel); err != nil {
@@ -251,15 +243,6 @@ func main() {
 		}
 		fmt.Println(msg)
 	}
-}
-
-// runHotpath measures the wall-clock hot path and writes the report.
-func runHotpath(path, label string) error {
-	results, err := bench.RunHotpath(0, 0)
-	if err != nil {
-		return err
-	}
-	return writeReport(path, label, "hotpath", nil, "", results)
 }
 
 // runMetrics runs the registry digest suite against the paper's

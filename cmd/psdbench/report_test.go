@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // decodeReports strictly decodes one BENCH-style document: an array of
@@ -22,9 +25,71 @@ func decodeReports(t *testing.T, doc []byte) []report[json.RawMessage] {
 	return runs
 }
 
-// TestCheckedInReportsDecode holds the seven checked-in trajectories to
-// the one schema: every run carries a label, names its suite (the file
-// it sits in), and has rows.
+// reproduce maps a suite to the rows it returns now for a checked-in
+// run's envelope, at the sizes the flags default to. scale is absent:
+// it records wall time, so its file is only held to the schema.
+var reproduce = map[string]func(run report[json.RawMessage]) (any, error){
+	"metrics": func(run report[json.RawMessage]) (any, error) {
+		cfg, err := bench.FindConfig(run.Config)
+		if err != nil {
+			return nil, err
+		}
+		return bench.RunMetricsSuite(cfg)
+	},
+	"offload":   func(report[json.RawMessage]) (any, error) { return bench.RunOffloadSuite() },
+	"dataplane": func(report[json.RawMessage]) (any, error) { return bench.RunDataplaneSuite() },
+	"proxy":     func(report[json.RawMessage]) (any, error) { return bench.RunProxySuite(0) }, // 0 is the -proxy-mb default
+	"scenarios": func(run report[json.RawMessage]) (any, error) {
+		if run.Seed == nil {
+			return nil, errors.New("run records no seed")
+		}
+		return scenarioSuite(*run.Seed)
+	},
+}
+
+// checkReproduces re-runs the suite of a checked-in run and requires
+// the rows it returns now to equal the recorded ones, row for row and
+// field for field (the simulation is deterministic, so a difference
+// means the file no longer describes this tree: regenerate it with the
+// flag that wrote it and say in CHANGES.md which rows moved).
+func checkReproduces(t *testing.T, file string, run report[json.RawMessage]) {
+	t.Helper()
+	suite, ok := reproduce[run.Suite]
+	if !ok {
+		return
+	}
+	rows, err := suite(run)
+	if err != nil {
+		t.Errorf("%s: %v", file, err)
+		return
+	}
+	doc, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now []json.RawMessage
+	if err := json.Unmarshal(doc, &now); err != nil {
+		t.Fatal(err)
+	}
+	if len(now) != len(run.Results) {
+		t.Errorf("%s: %d rows checked in, the suite returns %d", file, len(run.Results), len(now))
+		return
+	}
+	for i, want := range run.Results {
+		var flat bytes.Buffer
+		if err := json.Compact(&flat, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(flat.Bytes(), now[i]) {
+			t.Errorf("%s row %d no longer reproduces:\n  checked in %s\n  now        %s", file, i, flat.Bytes(), now[i])
+		}
+	}
+}
+
+// TestCheckedInReportsDecode holds the six checked-in report files to
+// the one schema — every run carries a label, names its suite (the file
+// it sits in), and has rows — and, except under -short, holds the last
+// run of every virtual-clock suite to what that suite returns now.
 func TestCheckedInReportsDecode(t *testing.T) {
 	files, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
@@ -52,9 +117,12 @@ func TestCheckedInReportsDecode(t *testing.T) {
 				t.Errorf("%s run %d: label %q, suite %q", f, i, r.Label, r.Suite)
 			}
 		}
+		if len(runs) > 0 && !testing.Short() {
+			checkReproduces(t, f, runs[len(runs)-1])
+		}
 	}
-	if checked != 7 {
-		t.Errorf("checked %d BENCH_*.json files, want 7", checked)
+	if checked != 6 {
+		t.Errorf("checked %d BENCH_*.json files, want 6", checked)
 	}
 }
 

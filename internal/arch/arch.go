@@ -1,12 +1,10 @@
 // Package arch is the one construction path for a simulated host: the
 // paper's three architectures behind one small interface, so harnesses
-// (internal/bench, psd) wire tracing, metrics, routes and observers
-// once instead of once per architecture.
+// (internal/bench, psd) wire tracing, metrics and routes once instead
+// of once per architecture.
 package arch
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/costs"
 	"repro/internal/inkernel"
@@ -39,8 +37,6 @@ type System interface {
 	// stack on it, for netstat-style walks.
 	Kern() *kern.Host
 	Stacks() []*stack.Stack
-	// Observe installs the protocol-layer charge observer (Table 4).
-	Observe(fn func(comp costs.Component, d time.Duration))
 	SetTrace(r *trace.Recorder)
 	SetMetrics(hs *metrics.Scope)
 	// SetRoutes installs the host's routing table; nil keeps the

@@ -120,11 +120,11 @@ func OffloadConfig() SysConfig {
 }
 
 // Columns is the shared architecture registry for the comparison suites
-// (the psdbench default suite, -proxy, -scenarios, -scale): one
-// representative per architecture — in-kernel, server, decomposed
-// library — plus the offload column, in presentation order. Subcommands
-// take their architecture lists from here so a new column appears
-// everywhere at once.
+// (psdbench -proxy, -offload, -dataplane): one representative per
+// architecture — in-kernel, server, decomposed library — plus the
+// offload column, in presentation order. Subcommands take their
+// architecture lists from here so a new column appears everywhere at
+// once.
 func Columns() []SysConfig {
 	decs := DECConfigs()
 	return []SysConfig{decs[0], decs[2], decs[5], OffloadConfig()}
@@ -163,15 +163,30 @@ type World struct {
 	Rec *trace.Recorder
 
 	// Reg is the world's metrics registry when harness metrics are
-	// enabled (see EnableMetrics); nil otherwise.
+	// enabled (see EnableMetrics) or the suite that built the world
+	// reads its results from one; nil otherwise.
 	Reg *metrics.Registry
 
 	sysA, sysB   arch.System
 	hostA, hostB *kern.Host
 }
 
-// Build instantiates the configuration on a fresh simulator.
-func (c SysConfig) Build(seed int64) *World {
+// Build instantiates the configuration on a fresh simulator, with the
+// faults, flight recorder and registry the process defaults ask for
+// (SetFaults, EnableTrace, EnableMetrics).
+func (c SysConfig) Build(seed int64) *World { return c.build(seed, false) }
+
+// The seeds the three workloads have always run on; every table and
+// checked-in BENCH_*.json row depends on them.
+func streamWorld(c SysConfig, reg bool) *World { return c.build(42, reg) }
+func latWorld(c SysConfig, reg bool) *World    { return c.build(7, reg) }
+func proxyWorld(c SysConfig) *World            { return c.build(43, true) } // copy accounting is read from the registry
+
+// build is Build for a suite that reads its results from the registry:
+// reg gives this world one whatever the process default says. The
+// caller adjusts the world it gets back (fault rates, data planes, an
+// observer) before the first NewA/NewB or Spawn — nothing has run yet.
+func (c SysConfig) build(seed int64, reg bool) *World {
 	s := sim.New(seed)
 	s.Deadline = sim.Time(4 * time.Hour) // throughput runs take ~20 virtual seconds; leave margin
 	seg := simnet.NewSegment(s)
@@ -189,23 +204,15 @@ func (c SysConfig) Build(seed int64) *World {
 	w.NewA, w.NewB = w.sysA.NewApp, w.sysB.NewApp
 	applyFaults(w)
 	attachTrace(w)
-	attachMetrics(w)
-	if buildHook != nil {
-		buildHook(w)
+	if reg || metricsCfg.enabled {
+		attachMetrics(w)
 	}
 	return w
 }
 
-// Observe installs fn as the protocol-layer charge observer on both hosts
-// (stack layers via the deployments, kernel receive path via the hosts).
+// Observe installs fn as the charge observer on both hosts: the kernel
+// receive path and every observed stack's protocol layers (Table 4).
 func (w *World) Observe(fn func(comp costs.Component, d time.Duration)) {
-	w.sysA.Observe(fn)
-	w.sysB.Observe(fn)
-	m := meterFunc(fn)
-	w.hostA.Meter = m
-	w.hostB.Meter = m
+	w.hostA.Observe = fn
+	w.hostB.Observe = fn
 }
-
-type meterFunc func(comp costs.Component, d time.Duration)
-
-func (f meterFunc) Account(comp costs.Component, d time.Duration) { f(comp, d) }

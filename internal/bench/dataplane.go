@@ -60,10 +60,11 @@ type DataplaneCell struct {
 }
 
 // attachPlanes installs a data plane with a rule chain of n never-
-// matching programs on both hosts of a world, returning the chain's
-// instruction count. The rules match distinct unused TEST-NET remotes,
-// so every frame walks the entire chain — the traversal upper bound the
-// cost model charges.
+// matching programs on both hosts of a freshly built world (each plane
+// arms its GC timer, so before anything is spawned), returning the
+// chain's instruction count. The rules match distinct unused TEST-NET
+// remotes, so every frame walks the entire chain — the traversal upper
+// bound the cost model charges.
 func attachPlanes(w *World, n int) int {
 	instrs := 0
 	hosts := []struct {
@@ -96,12 +97,9 @@ func attachPlanes(w *World, n int) int {
 // an n-rule chain on both hosts.
 func RunDataplaneTTCP(cfg SysConfig, n int) (DataplaneCell, error) {
 	cell := DataplaneCell{Config: cfg.Name, Workload: "ttcp-chain", ChainRules: n}
-	var w *World
-	restore := captureBuild(&w, func(w *World) {
-		cell.ChainInstrs = attachPlanes(w, n)
-	})
-	res := RunTTCP(cfg, cfg.RcvBufKB, dataplaneTTCPBytes)
-	restore()
+	w := streamWorld(cfg, false)
+	cell.ChainInstrs = attachPlanes(w, n)
+	res := runStreamOn(w, "ttcp", cfg.RcvBufKB, dataplaneTTCPBytes, 0)
 	if res.Err != nil {
 		return cell, res.Err
 	}
@@ -113,12 +111,9 @@ func RunDataplaneTTCP(cfg SysConfig, n int) (DataplaneCell, error) {
 // under an n-rule chain on both hosts.
 func RunDataplaneLat(cfg SysConfig, n int) (DataplaneCell, error) {
 	cell := DataplaneCell{Config: cfg.Name, Workload: "protolat-chain", ChainRules: n}
-	var w *World
-	restore := captureBuild(&w, func(w *World) {
-		cell.ChainInstrs = attachPlanes(w, n)
-	})
-	res := RunProtolat(cfg, false, 64, dataplaneLatRounds)
-	restore()
+	w := latWorld(cfg, false)
+	cell.ChainInstrs = attachPlanes(w, n)
+	res := runProtolatOn(w, true, 64, dataplaneLatRounds, nil)
 	if res.Err != nil {
 		return cell, res.Err
 	}

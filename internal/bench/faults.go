@@ -44,7 +44,8 @@ func FaultsActive() bool { return faultCfg.Active() }
 
 // applyFaults wires the harness-wide fault configuration into a freshly
 // built world and remembers its injector for the aggregate report.
-// Called from Build before buildHook so tests can still override.
+// Called from build, so a caller that adjusts the rates of the world it
+// gets back overrides these defaults.
 func applyFaults(w *World) {
 	if !faultCfg.Active() {
 		return

@@ -7,7 +7,8 @@ import (
 // Registry capture for the harness: when enabled, every world the
 // benchmarks build carries a metrics registry, so psdbench can report
 // latency quantiles and loss/retransmit counts alongside the paper's
-// tables.
+// tables. Only EnableMetrics and DisableMetrics write the switch; a
+// suite that needs a registry asks its own build call for one.
 
 var metricsCfg struct {
 	enabled bool
@@ -20,12 +21,9 @@ func EnableMetrics() { metricsCfg.enabled = true }
 // DisableMetrics switches registry capture back off (tests).
 func DisableMetrics() { metricsCfg.enabled = false }
 
-// attachMetrics wires a registry into a freshly built world when capture
-// is enabled (called from Build).
+// attachMetrics wires a registry into a freshly built world (called from
+// build).
 func attachMetrics(w *World) {
-	if !metricsCfg.enabled {
-		return
-	}
 	w.Reg = metrics.NewRegistry()
 	w.Seg.SetMetrics(w.Reg.Scope("net"))
 	w.sysA.SetMetrics(w.Reg.Scope("host.A"))
@@ -46,9 +44,6 @@ type WorkloadMetrics struct {
 // digestWorld reduces a world's registry to a WorkloadMetrics row.
 func digestWorld(name string, w *World) WorkloadMetrics {
 	m := WorkloadMetrics{Name: name}
-	if w.Reg == nil {
-		return m
-	}
 	if h := w.Reg.MergedHistogram(".connect_ns"); h != nil && h.Count() > 0 {
 		m.ConnectP50Ns = int64(h.Quantile(0.50))
 		m.ConnectP99Ns = int64(h.Quantile(0.99))
@@ -59,73 +54,36 @@ func digestWorld(name string, w *World) WorkloadMetrics {
 	return m
 }
 
-// RunMetricsSuite runs a small fixed workload set on cfg with registry
-// capture enabled — a clean TCP stream, a clean latency ping-pong, and
-// a lossy TCP stream that forces retransmissions — and returns one
+// RunMetricsSuite runs a small fixed workload set on cfg, each on a world
+// built with a registry — a clean TCP stream, a clean latency ping-pong,
+// and a lossy TCP stream that forces retransmissions — and returns one
 // digest row per workload. Deterministic for a given configuration.
 func RunMetricsSuite(cfg SysConfig) ([]WorkloadMetrics, error) {
-	wasOn := metricsCfg.enabled
-	EnableMetrics()
-	defer func() { metricsCfg.enabled = wasOn }()
-
 	var out []WorkloadMetrics
 	var firstErr error
+	row := func(name string, w *World, err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		out = append(out, digestWorld(name, w))
+	}
 
 	// Clean bulk transfer (1 MB keeps the suite quick).
-	{
-		var w *World
-		restore := captureBuild(&w)
-		res := RunTTCP(cfg, cfg.RcvBufKB, 1<<20)
-		restore()
-		if res.Err != nil && firstErr == nil {
-			firstErr = res.Err
-		}
-		out = append(out, digestWorld("tcp-stream", w))
-	}
+	w := streamWorld(cfg, true)
+	row("tcp-stream", w, runStreamOn(w, "ttcp", cfg.RcvBufKB, 1<<20, 0).Err)
 
 	// Clean round-trip latency.
-	{
-		var w *World
-		restore := captureBuild(&w)
-		res := RunProtolat(cfg, false, 1024, 50)
-		restore()
-		if res.Err != nil && firstErr == nil {
-			firstErr = res.Err
-		}
-		out = append(out, digestWorld("tcp-latency", w))
-	}
+	w = latWorld(cfg, true)
+	row("tcp-latency", w, runProtolatOn(w, true, 1024, 50, nil).Err)
 
 	// Lossy bulk transfer: 1% frame loss exercises rexmit accounting.
-	{
-		var w *World
-		restore := captureBuild(&w, func(w *World) {
-			r := w.Seg.Faults().DefaultRates()
-			r.Drop = 0.01
-			w.Seg.Faults().SetDefaultRates(r)
-		})
-		res := RunTTCP(cfg, cfg.RcvBufKB, 1<<20)
-		restore()
-		if res.Err != nil && firstErr == nil {
-			firstErr = res.Err
-		}
-		out = append(out, digestWorld("tcp-stream-lossy", w))
-	}
+	// Only Drop is overridden, so the other -loss/-dup/... defaults the
+	// build installed stay in force.
+	w = streamWorld(cfg, true)
+	r := w.Seg.Faults().DefaultRates()
+	r.Drop = 0.01
+	w.Seg.Faults().SetDefaultRates(r)
+	row("tcp-stream-lossy", w, runStreamOn(w, "ttcp", cfg.RcvBufKB, 1<<20, 0).Err)
 
 	return out, firstErr
-}
-
-// captureBuild temporarily installs a build hook that records the next
-// world built (and applies any extra setup), returning a restore func.
-func captureBuild(dst **World, extra ...func(*World)) func() {
-	prev := buildHook
-	buildHook = func(w *World) {
-		if prev != nil {
-			prev(w)
-		}
-		*dst = w
-		for _, fn := range extra {
-			fn(w)
-		}
-	}
-	return func() { buildHook = prev }
 }

@@ -13,43 +13,18 @@ import (
 // allocations per segment even on a modest 2 MB transfer.
 const metricsEnabledExtraBudget = 2.0
 
-// TestMetricsOverhead measures the tcp-steady workload with the registry
-// off and on. Off must stay inside the PR 3 allocation budget (metrics
-// are embedded counters, not a parallel accounting layer); on may add at
-// most metricsEnabledExtraBudget allocations per segment.
+// TestMetricsOverhead measures the same tcp-steady workload on a world
+// built without a registry and on one built with. Off must stay inside
+// the PR 3 allocation budget (metrics are embedded counters, not a
+// parallel accounting layer); on may add at most
+// metricsEnabledExtraBudget allocations per segment.
 func TestMetricsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run skipped in -short")
 	}
-	cfg := DECConfigs()[5] // Library-SHM-IPF
-	unhook := setBuildHook(func(w *World) { hookWorld = w })
-	defer unhook()
-
-	segs := 0
-	run := func() {
-		r := RunTTCP(cfg, cfg.RcvBufKB, 2<<20)
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if hookWorld != nil && hookWorld.hostA.NIC.TxFrames.Value() > 0 {
-			segs = int(hookWorld.hostA.NIC.TxFrames.Value())
-		}
-	}
-
-	measure := func() float64 {
-		run() // warm pools and, when enabled, registry code paths
-		allocs := testing.AllocsPerRun(3, run)
-		if segs == 0 {
-			t.Fatal("no transmitted segments observed")
-		}
-		return allocs / float64(segs)
-	}
-
-	DisableMetrics()
-	off := measure()
-	EnableMetrics()
-	defer DisableMetrics()
-	on := measure()
+	cfg := HeadlineConfig() // Library-SHM-IPF
+	off := streamAllocsPerSegment(t, cfg, false)
+	on := streamAllocsPerSegment(t, cfg, true)
 
 	t.Logf("tcp-steady allocs/segment: metrics off %.2f, on %.2f (off budget %.0f, extra budget %.1f)",
 		off, on, allocsPerSegmentBudget, metricsEnabledExtraBudget)

@@ -99,19 +99,14 @@ func RunOffloadSuite() ([]OffloadCell, error) {
 	return out, nil
 }
 
-// RunOffloadSteady measures one paced tcp-steady cell with registry
-// capture, digesting the sink host's segment/wakeup accounting and the
+// RunOffloadSteady measures one paced tcp-steady cell on a world with a
+// registry, digesting the sink host's segment/wakeup accounting and the
 // world-wide checksum split.
 func RunOffloadSteady(cfg SysConfig, mbps float64) (OffloadCell, error) {
 	cell := OffloadCell{Config: cfg.Name, Workload: "tcp-steady", OfferedMbps: mbps}
 	interval := time.Duration(float64(ttcpChunk*8) / mbps * 1e9 / 1e6) // one 8 KB chunk per interval offers mbps
-	wasOn := metricsCfg.enabled
-	EnableMetrics()
-	var w *World
-	restore := captureBuild(&w)
-	res := runStream(cfg, "steady", cfg.RcvBufKB, offloadSteadyBytes, interval)
-	restore()
-	metricsCfg.enabled = wasOn
+	w := streamWorld(cfg, true)
+	res := runStreamOn(w, "steady", cfg.RcvBufKB, offloadSteadyBytes, interval)
 	if res.Err != nil {
 		return cell, res.Err
 	}
@@ -124,9 +119,6 @@ func RunOffloadSteady(cfg SysConfig, mbps float64) (OffloadCell, error) {
 // of a finished world's registry. Host B is the receive side in the
 // paced stream.
 func digestOffload(cell *OffloadCell, w *World) {
-	if w == nil || w.Reg == nil {
-		return
-	}
 	snap := w.Reg.Snapshot(w.Sim.Now().Duration())
 	get := func(name string) int64 {
 		it, _ := snap.Get(name)

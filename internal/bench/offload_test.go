@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // TestTSOUnderFaultRetransmits is the TSO-under-fault regression: when
@@ -12,18 +14,9 @@ import (
 // and the transfer must still complete byte-perfect.
 func TestTSOUnderFaultRetransmits(t *testing.T) {
 	cfg := OffloadConfig()
-	wasOn := metricsCfg.enabled
-	EnableMetrics()
-	defer func() { metricsCfg.enabled = wasOn }()
-
-	var w *World
-	restore := captureBuild(&w, func(w *World) {
-		r := w.Seg.Faults().DefaultRates()
-		r.Drop = 0.03
-		w.Seg.Faults().SetDefaultRates(r)
-	})
-	res := RunTTCP(cfg, cfg.RcvBufKB, 256<<10)
-	restore()
+	w := streamWorld(cfg, true)
+	w.Seg.Faults().SetDefaultRates(fault.Rates{Drop: 0.03})
+	res := runStreamOn(w, "ttcp", cfg.RcvBufKB, 256<<10, 0)
 	if res.Err != nil {
 		t.Fatalf("lossy transfer failed: %v", res.Err)
 	}
@@ -80,30 +73,7 @@ func TestTSOAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run skipped in -short")
 	}
-	cfg := OffloadConfig()
-	unhook := setBuildHook(func(w *World) { hookWorld = w })
-	defer unhook()
-
-	segs := 0
-	run := func() {
-		r := RunTTCP(cfg, cfg.RcvBufKB, 2<<20)
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if hookWorld != nil && hookWorld.hostA.NIC.TxFrames.Value() > 0 {
-			segs = int(hookWorld.hostA.NIC.TxFrames.Value())
-		}
-	}
-	run() // warm the global buffer pools
-
-	allocs := testing.AllocsPerRun(3, run)
-	if segs == 0 {
-		t.Fatal("no transmitted segments observed")
-	}
-	perSeg := allocs / float64(segs)
-	t.Logf("TSO path: %.0f allocs/run over %d wire segments = %.2f allocs/segment (budget %.0f)",
-		allocs, segs, perSeg, allocsPerSegmentBudget)
-	if perSeg > allocsPerSegmentBudget {
+	if perSeg := streamAllocsPerSegment(t, OffloadConfig(), false); perSeg > allocsPerSegmentBudget {
 		t.Fatalf("TSO path allocates %.2f objects/segment; budget is %.0f", perSeg, allocsPerSegmentBudget)
 	}
 }
@@ -136,7 +106,7 @@ func TestStreamPacedAndUnpacedAgree(t *testing.T) {
 	cfg := HeadlineConfig()
 	const total = 128 << 10
 	flat := RunTTCP(cfg, cfg.RcvBufKB, total)
-	paced := runStream(cfg, "steady", cfg.RcvBufKB, total, 30*time.Millisecond)
+	paced := runStreamOn(streamWorld(cfg, false), "steady", cfg.RcvBufKB, total, 30*time.Millisecond)
 	if flat.Err != nil || paced.Err != nil {
 		t.Fatalf("flat: %v, paced: %v", flat.Err, paced.Err)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"testing"
 	"time"
 
 	"repro/internal/sim"
@@ -68,21 +67,20 @@ func (r ProxyResult) CopiesPerByte() float64 {
 	return float64(r.CopiedBytes) / float64(r.Bytes)
 }
 
-// RunProxy forwards totalBytes through a proxy on host B using the
-// given mode, on a fresh world built from cfg. Deterministic for a
-// given (cfg, mode, totalBytes).
+// RunProxy forwards totalBytes (0 means 4 MB) through a proxy on host B
+// using the given mode, on a fresh world built from cfg. Deterministic
+// for a given (cfg, mode, totalBytes).
 func RunProxy(cfg SysConfig, mode string, totalBytes int) ProxyResult {
+	return runProxyOn(proxyWorld(cfg), mode, totalBytes)
+}
+
+// runProxyOn is the forwarding workload on the world it is handed; the
+// copy accounting is read from the world's registry.
+func runProxyOn(w *World, mode string, totalBytes int) ProxyResult {
 	if totalBytes == 0 {
 		totalBytes = 4 << 20
 	}
-	wasOn := metricsCfg.enabled
-	EnableMetrics()
-	var w *World
-	restore := captureBuild(&w)
-	w = cfg.Build(43)
-	restore()
-	metricsCfg.enabled = wasOn
-
+	cfg := w.Cfg
 	res := ProxyResult{Mode: mode}
 	var start, end sim.Time
 
@@ -272,9 +270,6 @@ func forward(p *sim.Proc, api socketapi.API, mode string, dst, src, totalBytes i
 // suffix — per-host copy accounting over all stacks running there (a
 // decomposed host runs one per library plus the OS server's).
 func hostSum(w *World, prefix, suffix string) int64 {
-	if w.Reg == nil {
-		return 0
-	}
 	snap := w.Reg.Snapshot(w.Sim.Now().Duration())
 	var total int64
 	for _, it := range snap.Items {
@@ -286,8 +281,7 @@ func hostSum(w *World, prefix, suffix string) int64 {
 }
 
 // ProxyMetrics is one row of BENCH_proxy.json: a (configuration,
-// forwarding mode) cell with throughput, copy accounting, and the Go
-// allocator's cost of carrying the run.
+// forwarding mode) cell with throughput and copy accounting.
 type ProxyMetrics struct {
 	Config        string  `json:"config"`
 	Mode          string  `json:"mode"`
@@ -297,59 +291,28 @@ type ProxyMetrics struct {
 	AliasedBytes  int64   `json:"aliased_bytes"`
 	SplicedBytes  int64   `json:"spliced_bytes"`
 	Segments      int     `json:"segments"`
-
-	NsPerOp          int64   `json:"ns_per_op"`
-	BytesPerOp       int64   `json:"bytes_per_op"`
-	AllocsPerOp      int64   `json:"allocs_per_op"`
-	AllocsPerSegment float64 `json:"allocs_per_segment"`
 }
-
-// proxyConfigs returns the architectures the proxy comparison runs
-// on: the shared registry, so the proxy tables carry the same columns
-// as the default suite, -scenarios, and -scale.
-func proxyConfigs() []SysConfig { return Columns() }
 
 // RunProxySuite measures every (configuration, mode) cell. totalBytes
 // sizes each transfer (0 means 4 MB).
 func RunProxySuite(totalBytes int) ([]ProxyMetrics, error) {
-	if totalBytes == 0 {
-		totalBytes = 4 << 20
-	}
 	var out []ProxyMetrics
-	for _, cfg := range proxyConfigs() {
+	for _, cfg := range Columns() {
 		for _, mode := range ProxyModes {
-			var last ProxyResult
-			var runErr error
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					last = RunProxy(cfg, mode, totalBytes)
-					if last.Err != nil {
-						runErr = last.Err
-						b.Fatalf("proxy %s/%s: %v", cfg.Name, mode, last.Err)
-					}
-				}
-			})
-			if runErr != nil {
-				return nil, fmt.Errorf("proxy %s/%s: %w", cfg.Name, mode, runErr)
+			r := RunProxy(cfg, mode, totalBytes)
+			if r.Err != nil {
+				return nil, fmt.Errorf("proxy %s/%s: %w", cfg.Name, mode, r.Err)
 			}
-			m := ProxyMetrics{
+			out = append(out, ProxyMetrics{
 				Config:        cfg.Name,
 				Mode:          mode,
-				KBps:          last.KBps(),
-				CopiesPerByte: last.CopiesPerByte(),
-				CopiedBytes:   last.CopiedBytes,
-				AliasedBytes:  last.AliasedBytes,
-				SplicedBytes:  last.SplicedBytes,
-				Segments:      last.Segments,
-				NsPerOp:       res.NsPerOp(),
-				BytesPerOp:    res.AllocedBytesPerOp(),
-				AllocsPerOp:   res.AllocsPerOp(),
-			}
-			if last.Segments > 0 {
-				m.AllocsPerSegment = float64(res.AllocsPerOp()) / float64(last.Segments)
-			}
-			out = append(out, m)
+				KBps:          r.KBps(),
+				CopiesPerByte: r.CopiesPerByte(),
+				CopiedBytes:   r.CopiedBytes,
+				AliasedBytes:  r.AliasedBytes,
+				SplicedBytes:  r.SplicedBytes,
+				Segments:      r.Segments,
+			})
 		}
 	}
 	return out, nil

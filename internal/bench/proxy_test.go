@@ -17,7 +17,7 @@ func TestProxySpliceZeroCopy(t *testing.T) {
 		t.Skip("proxy measurement run skipped in -short")
 	}
 	const total = 1 << 20
-	for _, cfg := range proxyConfigs() {
+	for _, cfg := range Columns() {
 		r := RunProxy(cfg, "splice", total)
 		if r.Err != nil {
 			t.Fatalf("%s/splice: %v", cfg.Name, r.Err)
@@ -89,7 +89,7 @@ func TestProxyDeterminism(t *testing.T) {
 		t.Skip("determinism re-run skipped in -short")
 	}
 	const total = 512 << 10
-	for _, cfg := range proxyConfigs() {
+	for _, cfg := range Columns() {
 		for _, mode := range ProxyModes {
 			a := RunProxy(cfg, mode, total)
 			b := RunProxy(cfg, mode, total)
@@ -113,7 +113,7 @@ func TestProxySuiteRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(proxyConfigs())*len(ProxyModes) {
+	if len(rows) != len(Columns())*len(ProxyModes) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, m := range rows {

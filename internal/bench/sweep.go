@@ -110,23 +110,13 @@ func RunAblations(opt Options) []AblationResult {
 	return out
 }
 
-// runTTCPWithLoss is RunTTCP with loss injection on the segment.
+// runTTCPWithLoss is RunTTCP on a world whose segment drops frames.
 func runTTCPWithLoss(cfg SysConfig, rcvBufKB, totalBytes int, loss float64) TTCPResult {
-	// Rebuild RunTTCP's flow with the segment knob set before traffic.
-	// Simplest faithful approach: run the standard workload on a world
-	// whose segment drops frames.
-	saved := buildHook
-	buildHook = func(w *World) {
-		w.Seg.Faults().SetDefaultRates(fault.Rates{Drop: loss})
-		w.Sim.Deadline = 0 // default hour; loss runs take longer
-	}
-	defer func() { buildHook = saved }()
-	return RunTTCP(cfg, rcvBufKB, totalBytes)
+	w := streamWorld(cfg, false)
+	w.Seg.Faults().SetDefaultRates(fault.Rates{Drop: loss})
+	w.Sim.Deadline = 0 // default hour; loss runs take longer
+	return runStreamOn(w, "ttcp", rcvBufKB, totalBytes, 0)
 }
-
-// buildHook lets harness internals adjust a freshly built world (fault
-// injection for ablations).
-var buildHook func(*World)
 
 // FormatAblations renders ablation results.
 func FormatAblations(results []AblationResult) string {

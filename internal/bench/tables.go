@@ -22,12 +22,6 @@ type Options struct {
 	TotalBytes int // ttcp transfer size
 }
 
-// DefaultOptions mirrors the paper closely enough for stable numbers
-// while keeping runs quick.
-func DefaultOptions() Options {
-	return Options{LatRounds: 300, TotalBytes: ttcpTotalBytes}
-}
-
 // QuickOptions is for tests.
 func QuickOptions() Options {
 	return Options{LatRounds: 50, TotalBytes: 2 << 20}
@@ -170,15 +164,14 @@ func RunBreakdown(cfg SysConfig, tcp bool, msgSize, rounds int) Breakdown {
 	acc := make(map[costs.Component]time.Duration)
 	counting := false
 
-	w := cfg.Build(7)
+	w := latWorld(cfg, false)
 	w.Observe(func(comp costs.Component, d time.Duration) {
 		if counting {
 			acc[comp] += d
 		}
 	})
-	// Piggyback on RunProtolat's logic by replicating its workload inline
-	// with observation windows; we run warmup rounds uncounted.
-	res := runProtolatOn(w, cfg, tcp, msgSize, rounds, func(on bool) { counting = on })
+	// The warmup round runs uncounted.
+	res := runProtolatOn(w, tcp, msgSize, rounds, func(on bool) { counting = on })
 	if res.Err != nil {
 		return bd
 	}

@@ -33,22 +33,23 @@ func (r TTCPResult) KBps() float64 {
 }
 
 // RunTTCP runs the throughput benchmark on a fresh world built from cfg,
-// with the given receive buffer size (KB).
+// with the given receive buffer size (KB); totalBytes 0 means the
+// paper's 16 MB.
 func RunTTCP(cfg SysConfig, rcvBufKB int, totalBytes int) TTCPResult {
+	return runStreamOn(streamWorld(cfg, false), "ttcp", rcvBufKB, totalBytes, 0)
+}
+
+// runStreamOn is the one-way TCP stream workload on the world it is
+// handed: a source on host A writes totalBytes (0 means 16 MB) in 8 KB
+// chunks to a sink on host B. A positive interval paces the source to
+// one chunk per interval, scheduled against absolute deadlines so
+// send-side blocking cannot skew the offered rate; 0 sends flat out.
+// name prefixes the process names (and so the registry scopes) and
+// labels the run.
+func runStreamOn(w *World, name string, rcvBufKB, totalBytes int, interval time.Duration) TTCPResult {
 	if totalBytes == 0 {
 		totalBytes = ttcpTotalBytes
 	}
-	return runStream(cfg, "ttcp", rcvBufKB, totalBytes, 0)
-}
-
-// runStream is the one-way TCP stream workload: a source on host A
-// writes totalBytes in 8 KB chunks to a sink on host B. A positive
-// interval paces the source to one chunk per interval, scheduled against
-// absolute deadlines so send-side blocking cannot skew the offered rate;
-// 0 sends flat out. name prefixes the process names (and so the registry
-// scopes) and labels the run.
-func runStream(cfg SysConfig, name string, rcvBufKB, totalBytes int, interval time.Duration) TTCPResult {
-	w := cfg.Build(42)
 	res := TTCPResult{}
 	var start, end sim.Time
 	payload := make([]byte, ttcpChunk)
@@ -79,7 +80,7 @@ func runStream(cfg SysConfig, name string, rcvBufKB, totalBytes int, interval ti
 		got := 0
 		buf := make([]byte, ttcpChunk)
 		zc, useZC := sink.(socketapi.ZeroCopyAPI)
-		useZC = useZC && cfg.NewAPI
+		useZC = useZC && w.Cfg.NewAPI
 		for {
 			var n int
 			var err error
@@ -119,7 +120,7 @@ func runStream(cfg SysConfig, name string, rcvBufKB, totalBytes int, interval ti
 		}
 		start = p.Now()
 		zc, useZC := source.(socketapi.ZeroCopyAPI)
-		useZC = useZC && cfg.NewAPI
+		useZC = useZC && w.Cfg.NewAPI
 		for i, sent := 0, 0; sent < totalBytes; i++ {
 			if target := start.Add(time.Duration(i) * interval); p.Now() < target {
 				p.Sleep(target.Sub(p.Now()))
@@ -151,7 +152,7 @@ func runStream(cfg SysConfig, name string, rcvBufKB, totalBytes int, interval ti
 	if res.Err == nil && res.Bytes != totalBytes {
 		res.Err = fmt.Errorf("%s: received %d of %d bytes", name, res.Bytes, totalBytes)
 	}
-	noteRun(cfg.Name+" "+name, res.Duration, w.Rec)
+	noteRun(w.Cfg.Name+" "+name, res.Duration, w.Rec)
 	return res
 }
 
@@ -177,21 +178,13 @@ func RunProtolat(cfg SysConfig, udp bool, msgSize, rounds int) LatResult {
 		// The 386BSD/BNR2SS large-TCP-packet bug: the paper reports NA.
 		return LatResult{NA: true}
 	}
-	w := cfg.Build(7)
-	res := runProtolatOn(w, cfg, !udp, msgSize, rounds, nil)
-	proto := "tcp"
-	if udp {
-		proto = "udp"
-	}
-	noteRun(fmt.Sprintf("%s protolat-%s-%d", cfg.Name, proto, msgSize),
-		time.Duration(res.Rounds)*res.Avg, w.Rec)
-	return res
+	return runProtolatOn(latWorld(cfg, false), !udp, msgSize, rounds, nil)
 }
 
-// runProtolatOn runs the latency workload on an already-built world.
+// runProtolatOn runs the latency workload on the world it is handed.
 // counting, when non-nil, is flipped on after the warmup round and off
 // after the measured rounds (the Table 4 instrumentation window).
-func runProtolatOn(w *World, cfg SysConfig, tcp bool, msgSize, rounds int, counting func(on bool)) LatResult {
+func runProtolatOn(w *World, tcp bool, msgSize, rounds int, counting func(on bool)) LatResult {
 	udp := !tcp
 	res := LatResult{Rounds: rounds}
 	styp := socketapi.SockStream
@@ -320,5 +313,11 @@ func runProtolatOn(w *World, cfg SysConfig, tcp bool, msgSize, rounds int, count
 	if err := w.Sim.Run(); err != nil && res.Err == nil {
 		res.Err = err
 	}
+	proto := "tcp"
+	if udp {
+		proto = "udp"
+	}
+	noteRun(fmt.Sprintf("%s protolat-%s-%d", w.Cfg.Name, proto, msgSize),
+		time.Duration(res.Rounds)*res.Avg, w.Rec)
 	return res
 }

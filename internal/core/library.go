@@ -84,7 +84,7 @@ func (sys *System) NewLibrary(name string) *Library {
 		LocalIP:  sys.Host.IP,
 		LocalMAC: sys.Host.NIC.MAC(),
 		Costs:    &sys.LibProf.Costs,
-		Charge:   sys.Host.ProtoCharge(&sys.LibProf.Costs, &sys.observer, nil),
+		Charge:   sys.Host.ProtoCharge(&sys.LibProf.Costs, true, nil),
 		Transmit: sys.Host.Transmit,
 		Ports:    grantedPorts{}, // naming is always done by the server
 		Routes:   sys.Routes,     // nil = default on-link table

@@ -52,9 +52,10 @@ type Host struct {
 	nextPID int
 	procs   map[int]*Process
 
-	// Meter, when set, receives every kernel-side receive-path charge for
-	// the Table 4 per-layer breakdown.
-	Meter Meter
+	// Observe, when set, receives every charge Table 4 attributes to a
+	// layer on this host: the kernel receive path (chargeRx) and the
+	// protocol layers of every stack whose ProtoCharge asked for it.
+	Observe func(comp costs.Component, d time.Duration)
 
 	// Trace, when set, records packet-filter verdicts (match with filter
 	// ID and bytes examined, or miss) on the flight recorder.
@@ -190,20 +191,20 @@ func (h *Host) ChargeIntrProc(p *sim.Proc, d time.Duration) {
 }
 
 // ProtoCharge returns the charge function a deployment hands its
-// protocol stack: each layer's work is priced from pc, reported to *obs
-// when an observer is installed (Table 4 instrumentation; obs may be
-// nil), and billed to the host CPU at task priority — or at interrupt
-// priority on the threads intr claims (the in-kernel baseline's
-// software-interrupt thread; intr may be nil).
-func (h *Host) ProtoCharge(pc *costs.ProtoCosts, obs *func(costs.Component, time.Duration), intr func(*sim.Proc) bool) func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
+// protocol stack: each layer's work is priced from pc, reported to
+// h.Observe when observed is set and an observer is installed (Table 4
+// instrumentation), and billed to the host CPU at task priority — or at
+// interrupt priority on the threads intr claims (the in-kernel
+// baseline's software-interrupt thread; intr may be nil).
+func (h *Host) ProtoCharge(pc *costs.ProtoCosts, observed bool, intr func(*sim.Proc) bool) func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
 	return func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
 		path := &pc.UDP
 		if tcp {
 			path = &pc.TCP
 		}
 		d := path[comp].At(n)
-		if obs != nil && *obs != nil && d > 0 {
-			(*obs)(comp, d)
+		if observed && h.Observe != nil && d > 0 {
+			h.Observe(comp, d)
 		}
 		if intr != nil && intr(t) {
 			h.ChargeIntrProc(t, d)
@@ -365,25 +366,18 @@ func (j *rxJob) deliver() {
 }
 
 // chargeRx charges one receive-path component at interrupt priority and
-// then continues, metering the charge if a Meter is installed. Zero-cost
-// components continue immediately without touching the CPU.
+// then continues, reporting the charge to the observer if one is
+// installed. Zero-cost components continue immediately without touching
+// the CPU.
 func (h *Host) chargeRx(comp costs.Component, d time.Duration, then func()) {
-	if h.Meter != nil && d > 0 {
-		h.Meter.Account(comp, d)
+	if h.Observe != nil && d > 0 {
+		h.Observe(comp, d)
 	}
 	if d == 0 {
 		then()
 		return
 	}
 	h.CPU.UseEvent(h.Sim, sim.IntrPriority, d, then)
-}
-
-// Meter is implemented by stacks that attribute per-layer costs for the
-// Table 4 reproduction. The host-level receive components are attributed
-// by the endpoint at delivery time instead, since the stack never sees
-// them directly.
-type Meter interface {
-	Account(comp costs.Component, d time.Duration)
 }
 
 // Inject runs a frame through the host's receive path as if it had just

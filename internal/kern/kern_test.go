@@ -178,28 +178,34 @@ func TestRxPipelineTiming(t *testing.T) {
 	}
 }
 
+// TestMeterSeesKernelCharges: the host's one observer sees the kernel
+// receive path and the protocol charges of the stacks that asked to be
+// observed, and nothing from a stack that did not.
 func TestMeterSeesKernelCharges(t *testing.T) {
 	r := newRig(costs.DECLibrarySHMIPF())
-	m := &fakeMeter{}
-	r.b.Meter = m
+	var got [costs.NumComponents]time.Duration
+	r.b.Observe = func(c costs.Component, d time.Duration) { got[c] += d }
 	ep := r.b.NewEndpoint(0)
 	ep.InstallProgram(CatchAllProgram(), 0)
 	r.a.NIC.Transmit(testFrame(r.b.NIC.MAC(), wire.ProtoUDP, r.a.IP, r.b.IP, 1, 2, 10))
+	observed := r.b.ProtoCharge(&r.b.Prof.Costs, true, nil)
+	unobserved := r.b.ProtoCharge(&r.b.Prof.Costs, false, nil)
+	r.s.Spawn("stack", func(p *sim.Proc) {
+		observed(p, false, costs.CompTransportInput, 10)
+		unobserved(p, false, costs.CompTransportOutput, 10)
+	})
 	if err := r.s.RunFor(50 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	for _, comp := range []costs.Component{costs.CompDeviceIntrRead, costs.CompNetisrPF, costs.CompKernelCopyout} {
-		if m.got[comp] == 0 {
+	for _, comp := range []costs.Component{costs.CompDeviceIntrRead, costs.CompNetisrPF, costs.CompKernelCopyout, costs.CompTransportInput} {
+		if got[comp] == 0 {
 			t.Errorf("component %v not metered", comp)
 		}
 	}
+	if d := got[costs.CompTransportOutput]; d != 0 {
+		t.Errorf("an unobserved stack's charge reached the observer: %v", d)
+	}
 }
-
-type fakeMeter struct {
-	got [costs.NumComponents]time.Duration
-}
-
-func (m *fakeMeter) Account(c costs.Component, d time.Duration) { m.got[c] += d }
 
 func TestEndpointCloseWakesReceiver(t *testing.T) {
 	r := newRig(costs.DECLibrarySHMIPF())

@@ -5,8 +5,6 @@
 package monolith
 
 import (
-	"time"
-
 	"repro/internal/costs"
 	"repro/internal/kern"
 	"repro/internal/metrics"
@@ -44,10 +42,6 @@ type System struct {
 	host *kern.Host
 	st   *stack.Stack
 
-	// observer, when set (Observe), receives every protocol-layer charge
-	// (Table 4 instrumentation).
-	observer func(comp costs.Component, d time.Duration)
-
 	stackName string
 	place     socklayer.Place
 	selCond   sim.Cond // BSD selwakeup: any socket status change wakes all selectors
@@ -80,7 +74,7 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		LocalIP:  ip,
 		LocalMAC: sys.host.NIC.MAC(),
 		Costs:    &sys.host.Prof.Costs,
-		Charge:   sys.host.ProtoCharge(&sys.host.Prof.Costs, &sys.observer, intr),
+		Charge:   sys.host.ProtoCharge(&sys.host.Prof.Costs, true, intr),
 		Transmit: sys.host.Transmit,
 		Ports:    stack.NewLocalPorts(),
 
@@ -118,9 +112,6 @@ func (sys *System) NewApp(name string) socketapi.API {
 
 // Kern returns the kernel host the system runs on.
 func (sys *System) Kern() *kern.Host { return sys.host }
-
-// Observe installs the protocol-layer charge observer.
-func (sys *System) Observe(fn func(comp costs.Component, d time.Duration)) { sys.observer = fn }
 
 // Stacks returns the system's one stack.
 func (sys *System) Stacks() []*stack.Stack { return []*stack.Stack{sys.st} }

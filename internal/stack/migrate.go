@@ -62,9 +62,6 @@ func (ss *TCPSessionState) WireSize() int {
 	return n
 }
 
-// StateName returns the TCP state name carried by the snapshot.
-func (ss *TCPSessionState) StateName() string { return tcpState(ss.State).String() }
-
 // ExportTCPSession snapshots a connection's state and detaches it from
 // this stack: the socket stops demultiplexing here, its timers go dead,
 // and the caller is expected to hand the snapshot to another stack. The

@@ -283,8 +283,5 @@ func ParseCIDR(s string) (wire.IPAddr, int, error) {
 	return ip.Mask(plen), plen, nil
 }
 
-// Subnets returns the network's subnets in creation order.
-func (n *Network) Subnets() []*Subnet { return n.subnets }
-
 // Routers returns the network's routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
