@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -44,22 +45,19 @@ func main() {
 	jitter := flag.Duration("jitter", 0, "uniform random delay added per frame")
 	faultPlan := flag.String("faultplan", "", "fault plan (DSL, see EXPERIMENTS.md), e.g. '@2s partition A|B for=500ms'")
 	traceDir := flag.String("trace", "", "record every run on the flight recorder and dump the slowest run's trace (text, pcap, Chrome JSON) into this directory")
-	metricsOut := flag.String("metrics", "", "run the metrics-registry digest suite and write BENCH_metrics-style JSON to this file (\"-\" for stdout)")
-	proxyOut := flag.String("proxy", "", "run the proxy forwarding suite (bsd vs chain vs splice on every architecture column) and write BENCH_proxy-style JSON to this file (\"-\" for stdout)")
+	metricsRun := flag.Bool("metrics", false, "run the metrics-registry digest suite; its report is its only output, so it goes to stdout without -json")
+	proxyRun := flag.Bool("proxy", false, "run the proxy forwarding suite (bsd vs chain vs splice on every architecture column); report to stdout without -json")
 	proxyMB := flag.Int("proxy-mb", 4, "bytes forwarded per -proxy cell, in MB")
 	offloadRun := flag.Bool("offload", false, "run the NIC-offload comparison suite (tcp-steady at several offered loads, splice proxy, churn on all four architecture columns)")
-	offloadOut := flag.String("offload-json", "", "with -offload, also write a BENCH_offload-style JSON report to this file (\"-\" for stdout)")
 	dataplaneRun := flag.Bool("dataplane", false, "run the programmable-data-plane suite (throughput/latency vs filter-chain length on all four architecture columns, plus the conservation-gated L4 load-balancer churn workload)")
-	dataplaneOut := flag.String("dataplane-json", "", "with -dataplane, also write a BENCH_dataplane-style JSON report to this file (\"-\" for stdout)")
 	scenarios := flag.Bool("scenarios", false, "run the internet-scale scenario suite (all scenarios x all architectures) and gate on its SLOs")
-	scenariosOut := flag.String("scenarios-json", "", "with -scenarios, also write a BENCH_scenarios-style JSON report to this file (\"-\" for stdout)")
 	scenarioSeed := flag.Int64("scenario-seed", 1, "seed for -scenarios traffic generators")
 	scale := flag.Bool("scale", false, "run the sharded-simulation scale sweep (RunCity at growing host counts, classic loop vs shard groups) and gate on conservation laws plus the multi-shard speedup")
 	scaleArch := flag.String("scale-arch", "decomposed", "architecture for the -scale city workload (decomposed, inkernel, server, offload)")
-	scaleOut := flag.String("scale-json", "", "with -scale, also write a BENCH_scale-style JSON report to this file (\"-\" for stdout)")
 	scaleHosts := flag.Int("scale-hosts", 10000, "largest host count for the -scale sweep")
 	scaleSeed := flag.Int64("scale-seed", 1, "seed for the -scale city workload")
 	shards := flag.Int("shards", -1, "with -scale, sweep only the classic loop plus this shard count (default: classic, 1, 4, and 8 shards)")
+	jsonOut := flag.String("json", "", "write the run of the one report suite selected (-metrics, -proxy, -offload, -dataplane, -scenarios or -scale) to this file in the shape of the checked-in BENCH_*.json (\"-\" for stdout)")
 	benchLabel := flag.String("label", "", "label stored in every JSON report (default \"psdbench\")")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
@@ -71,6 +69,17 @@ func main() {
 			os.Exit(1)
 		}
 		return
+	}
+
+	suites := 0
+	for _, on := range []bool{*metricsRun, *proxyRun, *all || *offloadRun, *all || *dataplaneRun, *scenarios, *scale} {
+		if on {
+			suites++
+		}
+	}
+	if *jsonOut != "" && suites != 1 {
+		fmt.Fprintf(os.Stderr, "-json holds one suite's report; %d of -metrics -proxy -offload -dataplane -scenarios -scale selected (-all selects two)\n", suites)
+		os.Exit(2)
 	}
 
 	if *cpuprofile != "" {
@@ -177,37 +186,37 @@ func main() {
 		ran = true
 		fmt.Println(bench.FormatAblations(bench.RunAblations(opt)))
 	}
-	if *metricsOut != "" {
+	if *metricsRun {
 		ran = true
-		if err := runMetrics(*metricsOut, *benchLabel); err != nil {
+		if err := runMetrics(cmp.Or(*jsonOut, "-"), *benchLabel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if *proxyOut != "" {
+	if *proxyRun {
 		ran = true
-		if err := runProxy(*proxyOut, *benchLabel, *proxyMB<<20); err != nil {
+		if err := runProxy(cmp.Or(*jsonOut, "-"), *benchLabel, *proxyMB<<20); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 	if *all || *offloadRun {
 		ran = true
-		if err := runOffload(*offloadOut, *benchLabel); err != nil {
+		if err := runOffload(*jsonOut, *benchLabel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 	if *all || *dataplaneRun {
 		ran = true
-		if err := runDataplane(*dataplaneOut, *benchLabel); err != nil {
+		if err := runDataplane(*jsonOut, *benchLabel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 	if *scenarios {
 		ran = true
-		if err := runScenarios(*scenariosOut, *benchLabel, *scenarioSeed); err != nil {
+		if err := runScenarios(*jsonOut, *benchLabel, *scenarioSeed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -221,7 +230,7 @@ func main() {
 				shardCounts = append(shardCounts, *shards)
 			}
 		}
-		if err := runScale(*scaleOut, *benchLabel, *scaleArch, *scaleSeed, *scaleHosts, shardCounts); err != nil {
+		if err := runScale(*jsonOut, *benchLabel, *scaleArch, *scaleSeed, *scaleHosts, shardCounts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

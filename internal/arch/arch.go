@@ -7,15 +7,14 @@ package arch
 import (
 	"repro/internal/core"
 	"repro/internal/costs"
-	"repro/internal/inkernel"
 	"repro/internal/kern"
 	"repro/internal/metrics"
+	"repro/internal/monolith"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
 	"repro/internal/stack"
 	"repro/internal/trace"
-	"repro/internal/uxserver"
 	"repro/internal/wire"
 )
 
@@ -51,9 +50,9 @@ type System interface {
 func New(k Kind, s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof, srvProf costs.Profile) System {
 	switch k {
 	case Kernel:
-		return inkernel.New(s, seg, name, mac, ip, prof)
+		return monolith.New(s, seg, name, mac, ip, prof, monolith.InKernel)
 	case Server:
-		return uxserver.New(s, seg, name, mac, ip, prof)
+		return monolith.New(s, seg, name, mac, ip, prof, monolith.UXServer)
 	}
 	return core.New(s, seg, name, mac, ip, prof, srvProf)
 }

@@ -1,0 +1,37 @@
+package arch_test
+
+import (
+	"testing"
+
+	"repro/internal/apitest"
+	"repro/internal/arch"
+	"repro/internal/costs"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/wire"
+)
+
+// TestConformance runs the socket conformance suite on both baselines,
+// built the way every harness builds them. (The decomposed architecture's
+// runs live in internal/core, next to its other tests.)
+func TestConformance(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		kind arch.Kind
+		prof costs.Profile
+	}{
+		{"inkernel", arch.Kernel, costs.DECKernelMach25()},
+		{"uxserver", arch.Server, costs.DECServerUX()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			apitest.RunAll(t, func(t *testing.T, seed int64) *apitest.Env {
+				s := sim.New(seed)
+				seg := simnet.NewSegment(s)
+				ipA, ipB := wire.IP(10, 0, 0, 1), wire.IP(10, 0, 0, 2)
+				sysA := arch.New(c.kind, s, seg, "A", wire.MAC{1}, ipA, c.prof, c.prof)
+				sysB := arch.New(c.kind, s, seg, "B", wire.MAC{2}, ipB, c.prof, c.prof)
+				return &apitest.Env{Sim: s, NewA: sysA.NewApp, NewB: sysB.NewApp, IPA: ipA, IPB: ipB}
+			})
+		})
+	}
+}

@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
+	"repro/internal/stack"
 	"repro/internal/wire"
 )
 
@@ -526,5 +529,31 @@ func TestDataPathBypassesServer(t *testing.T) {
 	if rpcsAtTransferEnd != rpcsAtTransferStart {
 		t.Errorf("data transfer made %d proxy calls; the server must not be on the data path",
 			rpcsAtTransferEnd-rpcsAtTransferStart)
+	}
+}
+
+// TestLibraryCannotNameControl pins the decomposition's line (Table 1)
+// where the compiler keeps it: the stack a library links has no method
+// that names, opens or closes a session and nowhere to keep a port
+// namespace or an ARP engine; the stack the OS server holds has them all.
+func TestLibraryCannotNameControl(t *testing.T) {
+	field := func(of any) reflect.Type {
+		f, _ := reflect.TypeOf(of).Elem().FieldByName("St")
+		return f.Type
+	}
+	lib, srv := field((*core.Library)(nil)), field((*core.Server)(nil))
+	for _, m := range []string{"NewSocket", "Bind", "Connect", "Listen", "Accept", "Close", "Abort", "ARP"} {
+		if _, ok := lib.MethodByName(m); ok {
+			t.Errorf("Library.St (%v) has %s: a library asks the server for that", lib, m)
+		}
+		if _, ok := srv.MethodByName(m); !ok {
+			t.Errorf("Server.St (%v) lacks %s", srv, m)
+		}
+	}
+	for i := 0; i < lib.Elem().NumField(); i++ {
+		f := lib.Elem().Field(i)
+		if f.Type == reflect.TypeOf((*stack.LocalPorts)(nil)) || strings.Contains(f.Type.String(), "arpEngine") {
+			t.Errorf("Library.St has a field %s %v: naming and ARP are the server's", f.Name, f.Type)
+		}
 	}
 }

@@ -29,7 +29,9 @@ type Library struct {
 	sys  *System
 	srv  *Server
 	name string
-	St   *stack.Stack
+	// St is the fast path only: Table 1's other column (socket, bind,
+	// connect, listen, accept, close) is not a method of its type.
+	St *stack.Stack
 
 	local  socklayer.Place // sessions migrated in: own stack, buffers shared with the application
 	remote socklayer.Place // sessions the OS server manages: its stack, behind proxy
@@ -86,21 +88,16 @@ func (sys *System) NewLibrary(name string) *Library {
 		Costs:    &sys.LibProf.Costs,
 		Charge:   sys.Host.ProtoCharge(&sys.LibProf.Costs, true, nil),
 		Transmit: sys.Host.Transmit,
-		Ports:    grantedPorts{}, // naming is always done by the server
-		Routes:   sys.Routes,     // nil = default on-link table
-		Resolver: lib.cache,
-		// A library only sees its own sessions' packets; strays are
-		// migration races, never protocol errors.
-		QuietOrphans: true,
+		Routes:   sys.Routes, // nil = default on-link table
 		// With an offload engine on the host NIC, libraries hand it
 		// super-segments and skip software checksumming.
 		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
 		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
-	})
+	}, lib.cache)
 	lib.local = socklayer.Place{St: lib.St, Alias: true, Sel: &lib.selCond}
 	// Server sockets report their status changes through the server's own
 	// watch (pokeSelectors), so the remote place has no select channel.
-	lib.remote = socklayer.Place{St: sys.Server.St, Cross: lib.proxy}
+	lib.remote = socklayer.Place{St: sys.Server.St.Stack, Ctl: sys.Server.St, Cross: lib.proxy}
 	lib.Table = socklayer.NewTable(sys.Host.NewProcess(name), &lib.remote)
 	lib.Table.Late = lib.implicitBind
 	lib.St.StartTimers(lib.Proc.GoDaemon)
@@ -110,15 +107,6 @@ func (sys *System) NewLibrary(name string) *Library {
 	}
 	return lib
 }
-
-// grantedPorts satisfies the stack's PortAllocator interface for library
-// stacks, which never allocate ports themselves: every local endpoint is
-// named by the operating-system server before the library sees it.
-type grantedPorts struct{}
-
-func (grantedPorts) AllocEphemeral(uint8) (uint16, error) { return 0, socketapi.ErrAddrNotAvail }
-func (grantedPorts) Reserve(uint8, uint16, bool) error    { return nil }
-func (grantedPorts) Release(uint8, uint16)                {}
 
 // proxy is the crossing to the operating-system server: one RPC,
 // charged the round-trip IPC cost for approxBytes of arguments, with

@@ -42,7 +42,7 @@ func (sys *System) SetMetrics(hs *metrics.Scope) {
 // first, then each library's in creation order — for netstat-style
 // socket-table walks (each stack's rows carry its own name).
 func (sys *System) Stacks() []*stack.Stack {
-	out := []*stack.Stack{sys.Server.St}
+	out := []*stack.Stack{sys.Server.St.Stack}
 	for _, lib := range sys.Server.libs {
 		out = append(out, lib.St)
 	}

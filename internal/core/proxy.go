@@ -363,6 +363,13 @@ func (srv *Server) returnSession(t *sim.Proc, sess *session, state *stack.TCPSes
 	if sess.loc != atApp {
 		return socketapi.ErrInvalid
 	}
+	if sess.proto == wire.ProtoTCP {
+		// The blob comes from the library's address space: refuse one that
+		// is not this session's before any table changes hands.
+		if err := state.Check(sess.local, sess.remote); err != nil {
+			return err
+		}
+	}
 	srv.Returns.Inc()
 	srv.dropAppSide(sess)
 	sess.loc = atServer
@@ -380,9 +387,6 @@ func (srv *Server) returnSession(t *sim.Proc, sess *session, state *stack.TCPSes
 		srv.watchServerSocket(sess)
 		return nil
 	case wire.ProtoTCP:
-		if state == nil {
-			return socketapi.ErrInvalid
-		}
 		sess.srvSock = srv.St.ImportTCPSession(t, state)
 		srv.watchServerSocket(sess)
 		if closing {
@@ -430,8 +434,11 @@ func (srv *Server) deathNotice(t *sim.Proc, dead *Library, tcp []orphan, udp []S
 			srv.traceEmit(trace.EvOrphanAbort, sessName(sess), "", int64(sid), 0)
 		}
 		srv.dropAppSide(sess)
-		sock := srv.St.ImportTCPSession(t, state)
-		srv.St.Abort(t, sock) // RST to the remote peer
+		// A blob that is not this session's (see returnSession) is not
+		// installed; the peer gets no RST and times out instead.
+		if state.Check(sess.local, sess.remote) == nil {
+			srv.St.Abort(t, srv.St.ImportTCPSession(t, state)) // RST to the remote peer
+		}
 		port := sess.local.Port
 		held := sess.portHeld
 		sess.portHeld = false // quarantine supersedes the plain release

@@ -159,7 +159,7 @@ func sessName(sess *session) string {
 type Server struct {
 	sys   *System
 	Proc  *kern.Process
-	St    *stack.Stack
+	St    *stack.Control
 	Ports *stack.LocalPorts
 	svc   *kern.Service
 
@@ -207,7 +207,7 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		panic(err)
 	}
 
-	srv.St = stack.New(stack.Config{
+	srv.St = stack.NewControl(stack.Config{
 		Sim:      s,
 		Name:     name + ".os-server",
 		LocalIP:  ip,
@@ -217,18 +217,15 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		// server's own stack, and observing it moves three of its cells.
 		Charge:   sys.Host.ProtoCharge(&sys.SrvProf.Costs, false, nil),
 		Transmit: sys.Host.Transmit,
-		Ports:    srv.Ports,
-		// Packets already queued at the server when a session's filter
-		// handoff happens must not be answered with RST/ICMP: the server
-		// checks its session table first.
-		OrphanFilter: func(proto uint8, local, remote stack.Addr) bool {
-			return srv.appSessionMatches(proto, local.IP, local.Port, remote.IP, remote.Port)
-		},
 		// The host NIC's offload engine (when attached) serves every
 		// stack on the host, the server's included.
 		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
 		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
-	})
+	}, srv.Ports)
+	// Packets already queued at the server when a session's filter
+	// handoff happens must not be answered with RST/ICMP: the server
+	// checks its session table first.
+	srv.St.SetOrphanFilter(srv.appSessionMatches)
 	srv.frags = srv.St.NewReassembler()
 	// Library caches are invalidated whenever shared metastate changes.
 	srv.St.ARP().OnChange = func(ip wire.IPAddr) {
@@ -281,7 +278,7 @@ func (srv *Server) fragIntercept(frame []byte, v wire.View, h wire.IPv4Header) b
 		// server stack's problem (either its own session, or an ordering
 		// we do not handle — the stack's reassembly copes).
 		sport, dport, ok := v.Ports(frame)
-		if h.FragOff != 0 || !ok || !srv.appSessionMatches(h.Proto, h.Dst, dport, h.Src, sport) {
+		if h.FragOff != 0 || !ok || !srv.appSessionMatches(h.Proto, stack.Addr{IP: h.Dst, Port: dport}, stack.Addr{IP: h.Src, Port: sport}) {
 			return false
 		}
 	}
@@ -306,7 +303,7 @@ func (srv *Server) fragIntercept(frame []byte, v wire.View, h wire.IPv4Header) b
 
 // appSessionMatches reports whether a migrated session would claim the
 // given flow.
-func (srv *Server) appSessionMatches(proto uint8, localIP wire.IPAddr, localPort uint16, remoteIP wire.IPAddr, remotePort uint16) bool {
+func (srv *Server) appSessionMatches(proto uint8, local, remote stack.Addr) bool {
 	for _, sess := range srv.sessions {
 		if sess.proto != proto {
 			continue
@@ -318,10 +315,10 @@ func (srv *Server) appSessionMatches(proto uint8, localIP wire.IPAddr, localPort
 		if sess.loc != atApp && !(sess.loc == atServer && sess.srvSock == nil) {
 			continue
 		}
-		if sess.local.Port != localPort {
+		if sess.local.Port != local.Port {
 			continue
 		}
-		if !sess.remote.IsZero() && (sess.remote.IP != remoteIP || sess.remote.Port != remotePort) {
+		if !sess.remote.IsZero() && sess.remote != remote {
 			continue
 		}
 		return true

@@ -1,7 +1,7 @@
 // Package monolith is the deployment the paper's two baselines share:
 // one protocol stack per host, owned by one address space, behind one
-// socket layer. internal/inkernel and internal/uxserver are thin
-// constructors over it; what differs between them is the Shape.
+// socket layer. What differs between them is the Shape: InKernel or
+// UXServer.
 package monolith
 
 import (
@@ -37,10 +37,50 @@ type Shape struct {
 	Workers int
 }
 
+// InKernel is the paper's in-kernel baseline (Mach 2.5, Ultrix 4.2A,
+// 386BSD): the protocol stack executes inside the simulated kernel.
+// Application socket calls trap into the kernel and run the socket layer
+// there, on the calling thread; received packets are processed at
+// software-interrupt level, which preempts application work on the
+// uniprocessor.
+//
+// There is no packet filter demultiplexing to user space and no
+// kernel-to-user packet copy: the stack reads the kernel buffer directly
+// and data is copied exactly once, at the copyout in recv (the zero
+// "kernel copyout" and "mbuf/queue" rows of Table 4's kernel column).
+var InKernel = Shape{
+	Owner: "kernel", StackName: "kstack",
+	// The software-interrupt thread: drains the device queue and runs
+	// protocol input at interrupt priority, preempting user work.
+	Input: "netisr", IntrInput: true,
+}
+
+// UXServer is the paper's server-based baseline (CMU's UX single server,
+// BNR2SS): the entire protocol stack runs in one user-level server
+// process, and every application socket call is a synchronous RPC into
+// it.
+//
+// The performance character the paper measures — four data copies per
+// send/receive RPC and heavyweight priority-level synchronization inside
+// the server — is priced by the server column of the cost model
+// (costs.DECServerUX and derivatives) as the stack runs; the shape
+// contributes the structure: one more address space on the path, a
+// server-side network input thread at task (not interrupt) priority, and
+// a bounded worker pool serving application RPCs.
+var UXServer = Shape{
+	Owner: "uxserver", StackName: "uxstack",
+	// Network input is an ordinary thread competing with the RPC
+	// workers: the server is a process, which is part of why its
+	// latency is worse.
+	Input: "netin",
+	// Blocking calls (accept, recv) occupy one worker each.
+	RPC: "ux", Workers: 32,
+}
+
 // System is one host running a monolithic protocol stack.
 type System struct {
 	host *kern.Host
-	st   *stack.Stack
+	st   *stack.Control
 
 	stackName string
 	place     socklayer.Place
@@ -68,7 +108,7 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 	if prof.LargeTCPSendBroken {
 		maxTCP = 1024
 	}
-	sys.st = stack.New(stack.Config{
+	sys.st = stack.NewControl(stack.Config{
 		Sim:      s,
 		Name:     name + "." + shape.StackName,
 		LocalIP:  ip,
@@ -76,14 +116,13 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		Costs:    &sys.host.Prof.Costs,
 		Charge:   sys.host.ProtoCharge(&sys.host.Prof.Costs, true, intr),
 		Transmit: sys.host.Transmit,
-		Ports:    stack.NewLocalPorts(),
 
 		MaxTCPPayload: maxTCP,
 
 		// NIC offload engine hookup (profiles that enable it).
 		TSOMaxPayload:   offload.TSOFor(sys.host.Prof),
 		ChecksumOffload: sys.host.Prof.Offload.Enabled,
-	})
+	}, stack.NewLocalPorts())
 
 	input = owner.GoDaemon(shape.Input, func(t *sim.Proc) {
 		for {
@@ -96,7 +135,7 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 	})
 	sys.st.StartTimers(owner.GoDaemon)
 
-	sys.place = socklayer.Place{St: sys.st, Sel: &sys.selCond}
+	sys.place = socklayer.Place{St: sys.st.Stack, Ctl: sys.st, Sel: &sys.selCond}
 	if shape.Workers > 0 {
 		svc := kern.NewService(owner, name+"."+shape.RPC, shape.Workers)
 		sys.place.Cross = func(t *sim.Proc, _ int, run func(on *sim.Proc)) { svc.Call(t, run) }
@@ -114,7 +153,7 @@ func (sys *System) NewApp(name string) socketapi.API {
 func (sys *System) Kern() *kern.Host { return sys.host }
 
 // Stacks returns the system's one stack.
-func (sys *System) Stacks() []*stack.Stack { return []*stack.Stack{sys.st} }
+func (sys *System) Stacks() []*stack.Stack { return []*stack.Stack{sys.st.Stack} }
 
 // SetRoutes installs the host's routing table (nil keeps the default
 // everything-on-link table).

@@ -1,7 +1,7 @@
 // Package socketapi defines the BSD socket programming interface that all
 // three protocol implementations in this repository export: the
-// decomposed library architecture (internal/core), the in-kernel baseline
-// (internal/inkernel), and the server baseline (internal/uxserver).
+// decomposed library architecture (internal/core) and the in-kernel and
+// server baselines (internal/monolith's InKernel and UXServer shapes).
 //
 // The paper's compatibility goal is that existing socket clients relink
 // against the new implementation unmodified; here that goal translates to

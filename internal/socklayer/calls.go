@@ -24,10 +24,10 @@ func (tb *Table) Socket(t *sim.Proc, typ int) (int, error) {
 	at := tb.Home
 	if at.Cross != nil {
 		var s *stack.Socket
-		at.Cross(t, 16, func(*sim.Proc) { s = at.St.NewSocket(proto) })
+		at.Cross(t, 16, func(*sim.Proc) { s = at.Ctl.NewSocket(proto) })
 		return tb.Install(&Entry{Sock: s, At: at}), nil
 	}
-	return tb.Install(&Entry{Sock: at.St.NewSocket(proto), At: at}), nil
+	return tb.Install(&Entry{Sock: at.Ctl.NewSocket(proto), At: at}), nil
 }
 
 // Bind implements socketapi.API.
@@ -38,10 +38,10 @@ func (tb *Table) Bind(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
 	}
 	if cross := e.At.Cross; cross != nil {
 		var err error
-		cross(t, 32, func(*sim.Proc) { err = e.At.St.Bind(e.Sock, ToStack(addr)) })
+		cross(t, 32, func(*sim.Proc) { err = e.At.Ctl.Bind(e.Sock, ToStack(addr)) })
 		return err
 	}
-	return e.At.St.Bind(e.Sock, ToStack(addr))
+	return e.At.Ctl.Bind(e.Sock, ToStack(addr))
 }
 
 // Connect implements socketapi.API.
@@ -52,10 +52,10 @@ func (tb *Table) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
 	}
 	if cross := e.At.Cross; cross != nil {
 		var err error
-		cross(t, 32, func(on *sim.Proc) { err = e.At.St.Connect(on, e.Sock, ToStack(addr)) })
+		cross(t, 32, func(on *sim.Proc) { err = e.At.Ctl.Connect(on, e.Sock, ToStack(addr)) })
 		return err
 	}
-	return e.At.St.Connect(t, e.Sock, ToStack(addr))
+	return e.At.Ctl.Connect(t, e.Sock, ToStack(addr))
 }
 
 // Listen implements socketapi.API.
@@ -66,10 +66,10 @@ func (tb *Table) Listen(t *sim.Proc, fd int, backlog int) error {
 	}
 	if cross := e.At.Cross; cross != nil {
 		var err error
-		cross(t, 16, func(*sim.Proc) { err = e.At.St.Listen(e.Sock, backlog) })
+		cross(t, 16, func(*sim.Proc) { err = e.At.Ctl.Listen(e.Sock, backlog) })
 		return err
 	}
-	return e.At.St.Listen(e.Sock, backlog)
+	return e.At.Ctl.Listen(e.Sock, backlog)
 }
 
 // Accept implements socketapi.API: the new connection's descriptor
@@ -85,10 +85,10 @@ func (tb *Table) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
 			ns  *stack.Socket
 			err error
 		}
-		cross(t, 16, func(on *sim.Proc) { r.ns, r.err = e.At.St.Accept(on, e.Sock) })
+		cross(t, 16, func(on *sim.Proc) { r.ns, r.err = e.At.Ctl.Accept(on, e.Sock) })
 		ns, err = r.ns, r.err
 	} else {
-		ns, err = e.At.St.Accept(t, e.Sock)
+		ns, err = e.At.Ctl.Accept(t, e.Sock)
 	}
 	if err != nil {
 		return -1, socketapi.SockAddr{}, err

@@ -1,7 +1,9 @@
-// Package socklayer is the BSD socket layer, written once over
-// *stack.Stack. The paper's architectures differ only in where the
-// protocol stack runs and what a socket call crosses to reach it, so a
-// deployment supplies exactly that and nothing else:
+// Package socklayer is the BSD socket layer, written once over the
+// stack's two types: data calls run on a *stack.Stack, the calls that
+// name, open and close sessions on a *stack.Control. The paper's
+// architectures differ only in where the protocol stack runs and what a
+// socket call crosses to reach it, so a deployment supplies exactly that
+// and nothing else:
 //
 //   - which stack a socket lives on,
 //   - whether the caller shares that stack's address space (chains and
@@ -41,6 +43,10 @@ type Crossing func(t *sim.Proc, marshalled int, run func(on *sim.Proc))
 // state lives.
 type Place struct {
 	St *stack.Stack
+	// Ctl is St with its control half, for the calls that name, open and
+	// close sessions. A decomposed library's own stack has none: every
+	// session on it was named elsewhere, and the library overrides those.
+	Ctl *stack.Control
 	// Alias: the caller shares St's address space, so SendChain,
 	// RecvPeek and the NEWAPI calls hand buffers over by reference.
 	// Implies no crossing.
@@ -238,7 +244,7 @@ func (e *Entry) release(on *sim.Proc) error {
 	if e.refs--; e.refs > 0 {
 		return nil
 	}
-	return e.At.St.Close(on, e.Sock)
+	return e.At.Ctl.Close(on, e.Sock)
 }
 
 // Select implements socketapi.API over the home place's select channel.

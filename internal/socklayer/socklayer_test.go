@@ -24,7 +24,7 @@ import (
 
 type node struct {
 	host  *kern.Host
-	st    *stack.Stack
+	st    *stack.Control
 	place socklayer.Place
 	sel   sim.Cond
 	calls int      // crossings made
@@ -44,7 +44,7 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, last byte, alias, cro
 	if _, err := ep.InstallProgram(kern.CatchAllProgram(), 0); err != nil {
 		panic(err)
 	}
-	n.st = stack.New(stack.Config{
+	n.st = stack.NewControl(stack.Config{
 		Sim: s, Name: name, LocalIP: ip, LocalMAC: n.host.NIC.MAC(),
 		Costs:  &n.host.Prof.Costs,
 		Charge: n.host.ProtoCharge(&n.host.Prof.Costs, false, nil),
@@ -57,8 +57,7 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, last byte, alias, cro
 			}
 			return n.host.Transmit(frame)
 		},
-		Ports: stack.NewLocalPorts(),
-	})
+	}, stack.NewLocalPorts())
 	owner.GoDaemon("rx", func(t *sim.Proc) {
 		for {
 			pkt, ok := ep.Recv(t)
@@ -69,7 +68,7 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, last byte, alias, cro
 		}
 	})
 	n.st.StartTimers(owner.GoDaemon)
-	n.place = socklayer.Place{St: n.st, Alias: alias, Sel: &n.sel}
+	n.place = socklayer.Place{St: n.st.Stack, Ctl: n.st, Alias: alias, Sel: &n.sel}
 	if crossed {
 		svc := kern.NewService(owner, name+".svc", 8)
 		n.place.Cross = func(t *sim.Proc, _ int, run func(on *sim.Proc)) {

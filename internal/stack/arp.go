@@ -223,11 +223,8 @@ func (a *arpEngine) timo(t *sim.Proc) {
 	}
 }
 
-// ARP exposes the stack's ARP engine (nil for library stacks).
-func (st *Stack) ARP() *arpEngine { return st.arp }
-
-// Routes exposes the stack's routing table.
-func (st *Stack) Routes() *RouteTable { return st.cfg.Routes }
+// ARP exposes the stack's ARP engine.
+func (st *Control) ARP() *arpEngine { return st.arp }
 
 // NextHop returns the link-layer destination for dst: dst itself when
 // on-link, the gateway when routed, dst when unroutable (the caller's

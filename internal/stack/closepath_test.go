@@ -100,7 +100,7 @@ func TestTimeWaitIgnoresPureAck(t *testing.T) {
 		w.s.Spawn("close-b", func(p *sim.Proc) { w.b.st.Close(p, b) })
 		w.a.st.Close(p, a)
 		p.Sleep(time.Second)
-		if sa, sb := tcpStates(w.a.st), tcpStates(w.b.st); len(sa) != 1 || len(sb) != 1 || sa[0] != "TIME_WAIT" || sb[0] != "TIME_WAIT" {
+		if sa, sb := tcpStates(w.a.st.Stack), tcpStates(w.b.st.Stack); len(sa) != 1 || len(sb) != 1 || sa[0] != "TIME_WAIT" || sb[0] != "TIME_WAIT" {
 			t.Fatalf("after simultaneous close: A %v, B %v, want TIME_WAIT on both", sa, sb)
 		}
 		replayed = true
@@ -109,7 +109,7 @@ func TestTimeWaitIgnoresPureAck(t *testing.T) {
 		}
 		// B restarts 2MSL on the duplicate FIN; one slow-timer tick on top.
 		p.Sleep(61 * time.Second)
-		if sa, sb := tcpStates(w.a.st), tcpStates(w.b.st); len(sa)+len(sb) != 0 {
+		if sa, sb := tcpStates(w.a.st.Stack), tcpStates(w.b.st.Stack); len(sa)+len(sb) != 0 {
 			t.Errorf("sockets left 2MSL after the duplicate FIN: A %v, B %v", sa, sb)
 		}
 	})
@@ -130,13 +130,13 @@ func TestFinWait2TimesOutOnlyWhenClosed(t *testing.T) {
 	}{
 		"close": {func(w *world, p *sim.Proc, a *stack.Socket) *stack.Stack {
 			w.a.st.Close(p, a)
-			return w.a.st
+			return w.a.st.Stack
 		}, true},
 		"shutdown-then-close": {func(w *world, p *sim.Proc, a *stack.Socket) *stack.Stack {
 			w.a.st.Shutdown(p, a, socketapi.ShutWr)
 			p.Sleep(time.Second) // FIN acknowledged: FIN_WAIT_2 before the close
 			w.a.st.Close(p, a)
-			return w.a.st
+			return w.a.st.Stack
 		}, true},
 		"imported-then-close": {func(w *world, p *sim.Proc, a *stack.Socket) *stack.Stack {
 			w.a.st.Shutdown(p, a, socketapi.ShutWr)
@@ -146,11 +146,11 @@ func TestFinWait2TimesOutOnlyWhenClosed(t *testing.T) {
 				panic(err)
 			}
 			w.a.st.Close(p, w.a.st.ImportTCPSession(p, ss))
-			return w.a.st
+			return w.a.st.Stack
 		}, true},
 		"shutdown-only": {func(w *world, p *sim.Proc, a *stack.Socket) *stack.Stack {
 			w.a.st.Shutdown(p, a, socketapi.ShutWr)
-			return w.a.st
+			return w.a.st.Stack
 		}, false},
 	}
 	for name, tc := range cases {

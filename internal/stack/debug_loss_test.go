@@ -76,7 +76,7 @@ func TestDebugLoss(t *testing.T) {
 		}
 		t.Fatalf("wedged: %v\nsent=%d received=%d\n%s\n%s\nclient detail: %s\nserver detail: %s\nclient waiters: %s\nserver waiters: %s",
 			err, sendOff, received.Len(),
-			dump("client", w.a.st, clientSock), dump("server", w.b.st, serverSock),
+			dump("client", w.a.st.Stack, clientSock), dump("server", w.b.st.Stack, serverSock),
 			stack.DebugTCB(clientSock), stack.DebugTCB(serverSock),
 			stack.DebugWaiters(clientSock), stack.DebugWaiters(serverSock))
 		t.Logf("parked: %v", w.s.ParkedProcs())

@@ -20,7 +20,7 @@ import (
 // tests: one host, one stack owning the whole interface.
 type node struct {
 	host *kern.Host
-	st   *stack.Stack
+	st   *stack.Control
 	pr   *kern.Process
 	prof costs.Profile
 
@@ -41,7 +41,7 @@ func newNodeProf(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip 
 	if _, err := ep.InstallProgram(kern.CatchAllProgram(), 0); err != nil {
 		panic(err)
 	}
-	n.st = stack.New(stack.Config{
+	n.st = stack.NewControl(stack.Config{
 		Sim:      s,
 		Name:     name,
 		LocalIP:  ip,
@@ -60,8 +60,7 @@ func newNodeProf(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip 
 			}
 			return n.host.NIC.Transmit(frame)
 		},
-		Ports: stack.NewLocalPorts(),
-	})
+	}, stack.NewLocalPorts())
 	n.pr.GoDaemon("rx", func(t *sim.Proc) {
 		for {
 			pkt, ok := ep.Recv(t)

@@ -232,7 +232,7 @@ func (st *Stack) emitIP(t *sim.Proc, tcp bool, h wire.IPv4Header, nextHop wire.I
 	}
 	payload.Release()
 
-	if mac, ok := st.cfg.Resolver.ResolveOrQueue(t, nextHop, func(mac wire.MAC) {
+	if mac, ok := st.resolver.ResolveOrQueue(t, nextHop, func(mac wire.MAC) {
 		copy(frame[0:6], mac[:])
 		st.cfg.Transmit(frame)
 	}); ok {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/socketapi"
 	"repro/internal/wire"
 )
 
@@ -62,6 +63,20 @@ func (ss *TCPSessionState) WireSize() int {
 	return n
 }
 
+// Check reports whether ss can be installed as the session local↔remote.
+// The OS server asks before importing what a library hands back: the
+// library is untrusted, and ImportTCPSession files the socket under
+// whatever endpoints the blob names. ErrInvalid for no blob, another
+// session's 4-tuple, a state no export produces (ExportTCPSession refuses
+// anything before ESTABLISHED) or an MSS tcp_output cannot segment by.
+func (ss *TCPSessionState) Check(local, remote Addr) error {
+	if ss == nil || ss.Local != local || ss.Remote != remote || ss.MSS <= 0 ||
+		tcpState(ss.State) < tcpEstablished || tcpState(ss.State) > tcpTimeWait {
+		return socketapi.ErrInvalid
+	}
+	return nil
+}
+
 // ExportTCPSession snapshots a connection's state and detaches it from
 // this stack: the socket stops demultiplexing here, its timers go dead,
 // and the caller is expected to hand the snapshot to another stack. The
@@ -100,7 +115,6 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket) (*TCPSessionState, err
 	}
 	// Detach without releasing the port.
 	s.portReserved = false
-	s.migratedElsewhere = true
 	tp.setState(tcpClosed)
 	for i := range tp.timers {
 		tp.timers[i] = 0
@@ -115,7 +129,7 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket) (*TCPSessionState, err
 func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 	st.lock(t)
 	defer st.unlock()
-	s := st.NewSocket(wire.ProtoTCP)
+	s := st.newSocket(wire.ProtoTCP)
 	s.local, s.remote = ss.Local, ss.Remote
 	s.sndbufSize, s.rcvbufSize = ss.SndBufSize, ss.RcvBufSize
 	s.snd.hiwat, s.rcv.hiwat = ss.SndBufSize, ss.RcvBufSize
@@ -168,7 +182,7 @@ func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 // the OS server (the library side of a migrated UDP session). No state
 // variables exist for UDP; only the binding moves.
 func (st *Stack) AdoptUDPSession(local, remote Addr) *Socket {
-	s := st.NewSocket(wire.ProtoUDP)
+	s := st.newSocket(wire.ProtoUDP)
 	s.local = local
 	if remote.IsZero() {
 		st.file(st.binds, tuple{wire.ProtoUDP, s.local, Addr{}}, s)

@@ -98,7 +98,7 @@ func runSend(t *testing.T, prof costs.Profile, mode int, payload []byte) sendRun
 			return
 		}
 		t0 := p.Now()
-		n, err := sendModes[mode].send(p, a.st, c, payload)
+		n, err := sendModes[mode].send(p, a.st.Stack, c, payload)
 		r.returned = p.Now().Sub(t0)
 		if n != len(payload) || err != nil {
 			t.Errorf("%s send of %d bytes = %d, %v", sendModes[mode].name, len(payload), n, err)
@@ -321,7 +321,7 @@ func TestRecvPathsAgree(t *testing.T) {
 				}
 				var streamed []byte
 				for reads := 0; ; reads++ {
-					b, from, err := m.recv(p, w.b.st, rs)
+					b, from, err := m.recv(p, w.b.st.Stack, rs)
 					if err != nil {
 						got.err = err
 						break

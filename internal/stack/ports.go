@@ -5,10 +5,10 @@ import (
 	"repro/internal/socketapi"
 )
 
-// LocalPorts is a PortAllocator for a stack that owns its whole port
-// namespace (the in-kernel and server baselines, and the OS server of the
-// decomposed architecture, where it implements the paper's "local IP port
-// manager").
+// LocalPorts is the port namespace of a host, held by the stack that
+// owns it: a Control (the in-kernel and server baselines, and the OS
+// server of the decomposed architecture, where it implements the paper's
+// "local IP port manager").
 type LocalPorts struct {
 	inUse     map[portKey]*portState
 	nextEphem uint16
@@ -44,7 +44,7 @@ func NewLocalPorts() *LocalPorts {
 	return &LocalPorts{inUse: make(map[portKey]*portState), nextEphem: ephemeralFirst}
 }
 
-// AllocEphemeral implements PortAllocator.
+// AllocEphemeral reserves a free ephemeral port for proto.
 func (lp *LocalPorts) AllocEphemeral(proto uint8) (uint16, error) {
 	for i := 0; i < ephemeralLast-ephemeralFirst; i++ {
 		p := lp.nextEphem
@@ -61,7 +61,8 @@ func (lp *LocalPorts) AllocEphemeral(proto uint8) (uint16, error) {
 	return 0, socketapi.ErrAddrNotAvail
 }
 
-// Reserve implements PortAllocator.
+// Reserve claims a specific port; it fails if the port is taken (unless
+// both the holder and the caller permit reuse).
 func (lp *LocalPorts) Reserve(proto uint8, port uint16, reuse bool) error {
 	if port == 0 {
 		return socketapi.ErrInvalid
@@ -83,7 +84,7 @@ func (lp *LocalPorts) Reserve(proto uint8, port uint16, reuse bool) error {
 	return nil
 }
 
-// Release implements PortAllocator.
+// Release returns a port to the namespace.
 func (lp *LocalPorts) Release(proto uint8, port uint16) {
 	k := portKey{proto, port}
 	if st, ok := lp.inUse[k]; ok {

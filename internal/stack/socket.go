@@ -19,7 +19,11 @@ type Socket struct {
 	Proto uint8
 
 	local, remote Addr
-	portReserved  bool
+	// ports is the namespace the socket names itself in: its Control's,
+	// if NewSocket made it; nil for a session that arrived named
+	// (imported, adopted, or spawned on its listener's port).
+	ports        *LocalPorts
+	portReserved bool
 
 	// TCP.
 	tcb           *tcpcb
@@ -42,12 +46,11 @@ type Socket struct {
 	zcRxBytes    int64 // bytes returned as RecvPeek aliased views
 	selCopyBytes int64 // bytes materialized by CopyRanges specs
 
-	err               error // so_error: async errors delivered to the next call
-	rdShut, wrShut    bool
-	closed            bool
-	accepting         sim.Cond
-	stateChanged      sim.Cond // connect()/close() progress
-	migratedElsewhere bool     // session currently managed by another stack
+	err            error // so_error: async errors delivered to the next call
+	rdShut, wrShut bool
+	closed         bool
+	accepting      sim.Cond
+	stateChanged   sim.Cond // connect()/close() progress
 
 	// Notify, when set, is invoked (in whatever thread caused the change)
 	// whenever the socket becomes readable/writable or its state changes.
@@ -62,7 +65,13 @@ const DefaultSockBuf = 8 * 1024
 
 // NewSocket creates an unbound socket for proto (wire.ProtoTCP or
 // wire.ProtoUDP).
-func (st *Stack) NewSocket(proto uint8) *Socket {
+func (st *Control) NewSocket(proto uint8) *Socket {
+	s := st.newSocket(proto)
+	s.ports = st.ports
+	return s
+}
+
+func (st *Stack) newSocket(proto uint8) *Socket {
 	st.sockSeq++
 	s := &Socket{
 		st:         st,
@@ -135,9 +144,13 @@ func (s *Socket) sowwakeup(t *sim.Proc, n int) {
 // ephemeral port. A zero IP binds to the stack's address (single-homed
 // hosts, so INADDR_ANY and the local address are interchangeable on
 // output; lookup handles both). It takes no lock and callers inside the
-// protocol lock use it too: Bind performs no yielding operations, so it
+// protocol lock use it too: bind performs no yielding operations, so it
 // is atomic with respect to other simulated threads either way.
-func (st *Stack) Bind(s *Socket, addr Addr) error {
+func (st *Control) Bind(s *Socket, addr Addr) error { return st.bind(s, addr) }
+
+// bind is Bind, also reached by the implicit bind of connect and of
+// sendto — on a socket still unnamed, which only NewSocket's can be.
+func (st *Stack) bind(s *Socket, addr Addr) error {
 	if s.local.Port != 0 {
 		return socketapi.ErrInvalid // already bound
 	}
@@ -147,9 +160,9 @@ func (st *Stack) Bind(s *Socket, addr Addr) error {
 	port := addr.Port
 	var err error
 	if port == 0 {
-		port, err = st.cfg.Ports.AllocEphemeral(s.Proto)
+		port, err = s.ports.AllocEphemeral(s.Proto)
 	} else {
-		err = st.cfg.Ports.Reserve(s.Proto, port, s.reuseAddr)
+		err = s.ports.Reserve(s.Proto, port, s.reuseAddr)
 	}
 	if err != nil {
 		return err
@@ -176,13 +189,13 @@ func (st *Stack) deregister(s *Socket) {
 	if s.portReserved {
 		// A listener's port may be shared with its spawned connections;
 		// only the reserving socket releases it.
-		st.cfg.Ports.Release(s.Proto, s.local.Port)
+		s.ports.Release(s.Proto, s.local.Port)
 		s.portReserved = false
 	}
 }
 
 // Listen marks a bound TCP socket passive.
-func (st *Stack) Listen(s *Socket, backlog int) error {
+func (st *Control) Listen(s *Socket, backlog int) error {
 	if s.Proto != wire.ProtoTCP {
 		return socketapi.ErrNotSupported
 	}
@@ -194,7 +207,7 @@ func (st *Stack) Listen(s *Socket, backlog int) error {
 	}
 	s.listenBacklog = backlog
 	if s.tcb == nil {
-		s.tcb = newTCPCB(st, s)
+		s.tcb = newTCPCB(st.Stack, s)
 		s.tcb.setState(tcpListen)
 	}
 	return nil
@@ -202,7 +215,7 @@ func (st *Stack) Listen(s *Socket, backlog int) error {
 
 // Accept blocks until an established connection is available on the
 // listen queue and returns it.
-func (st *Stack) Accept(t *sim.Proc, s *Socket) (*Socket, error) {
+func (st *Control) Accept(t *sim.Proc, s *Socket) (*Socket, error) {
 	if s.listenBacklog == 0 {
 		return nil, socketapi.ErrInvalid
 	}
@@ -222,14 +235,14 @@ func (st *Stack) Accept(t *sim.Proc, s *Socket) (*Socket, error) {
 
 // Connect actively opens a TCP connection (blocking until established or
 // failed) or sets a UDP socket's default remote endpoint.
-func (st *Stack) Connect(t *sim.Proc, s *Socket, raddr Addr) error {
+func (st *Control) Connect(t *sim.Proc, s *Socket, raddr Addr) error {
 	if raddr.IP.IsZero() || raddr.Port == 0 {
 		return socketapi.ErrInvalid
 	}
 	st.lock(t)
 	defer st.unlock()
 	if s.local.Port == 0 {
-		if err := st.Bind(s, Addr{}); err != nil {
+		if err := st.bind(s, Addr{}); err != nil {
 			return err
 		}
 	}
@@ -251,7 +264,7 @@ func (st *Stack) Connect(t *sim.Proc, s *Socket, raddr Addr) error {
 		}
 		s.remote = raddr
 		st.registerConn(s)
-		s.tcb = newTCPCB(st, s)
+		s.tcb = newTCPCB(st.Stack, s)
 		connStart := st.now()
 		if err := s.tcb.connect(t); err != nil {
 			return err
@@ -383,7 +396,7 @@ func (st *Stack) sosend(t *sim.Proc, s *Socket, src sendSrc, opts SendOpts) (int
 			return 0, socketapi.ErrNotConn
 		}
 		if s.local.Port == 0 {
-			if err := st.Bind(s, Addr{}); err != nil {
+			if err := st.bind(s, Addr{}); err != nil {
 				return 0, err
 			}
 		}
@@ -586,7 +599,7 @@ func (st *Stack) Shutdown(t *sim.Proc, s *Socket, how int) error {
 // Close releases the socket. TCP connections continue the shutdown
 // handshake in the background (the deployment may instead migrate the
 // session to the OS server first, which is the paper's design).
-func (st *Stack) Close(t *sim.Proc, s *Socket) error {
+func (st *Control) Close(t *sim.Proc, s *Socket) error {
 	st.lock(t)
 	defer st.unlock()
 	if s.closed {
@@ -627,7 +640,7 @@ func (st *Stack) Close(t *sim.Proc, s *Socket) error {
 
 // Abort resets the connection immediately (RST), as when a process dies
 // holding a session.
-func (st *Stack) Abort(t *sim.Proc, s *Socket) {
+func (st *Control) Abort(t *sim.Proc, s *Socket) {
 	st.lock(t)
 	defer st.unlock()
 	if s.tcb != nil && s.tcb.state != tcpClosed {

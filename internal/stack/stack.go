@@ -1,18 +1,24 @@
 // Package stack implements a complete 4.3BSD-structured TCP/IP and UDP/IP
 // protocol stack over the simulated Ethernet.
 //
-// The stack is deployment-agnostic, which is the paper's "reuse of
-// existing protocol code" goal: the same code runs
+// The same code is deployed three ways — the paper's "reuse of existing
+// protocol code" — and the line the paper's Table 1 (§3.2) draws between
+// them is a type here:
 //
-//   - inside the simulated kernel (internal/inkernel),
-//   - inside a user-level protocol server (internal/uxserver), and
-//   - inside each application as a protocol library (internal/core),
+//   - *Stack is the fast path: Input, the timers, every call that moves
+//     data on a session that exists, and the calls that move a session
+//     between stacks. It resolves next hops through the Resolver it was
+//     built over and never answers a segment no socket claims. A
+//     protocol library (internal/core's Library) links this and nothing
+//     more: it cannot name connect.
+//   - *Control embeds a Stack and adds the calls that name, open and
+//     close sessions — NewSocket, Bind, Connect, Listen, Accept, Close,
+//     Abort — with the port namespace and the ARP engine they need. The
+//     in-kernel and server baselines (internal/monolith) and the
+//     decomposed architecture's OS server (core.Server) hold one.
 //
-// differing only in the cost profile charged for each layer, the thread
-// priorities the deployment chooses, and which responsibilities are
-// delegated (a library stack never performs connection establishment or
-// teardown itself — sessions migrate in from, and back to, the
-// operating-system server).
+// Deployments otherwise differ only in the cost profile charged for each
+// layer and the thread priorities they choose.
 //
 // Structure mirrors the BSD original: a socket layer with send/receive
 // buffers, tcp_input/tcp_output/tcp_timers over a tcpcb, udp_input/
@@ -54,23 +60,9 @@ type tuple struct {
 // transport payload size involved (0 for pure control segments).
 type ChargeFunc func(t *sim.Proc, tcp bool, comp costs.Component, n int)
 
-// PortAllocator manages the local transport port namespace. In the
-// decomposed architecture it lives in the operating-system server so the
-// namespace is shared among all processes; the baselines use a local
-// allocator.
-type PortAllocator interface {
-	// AllocEphemeral reserves a free ephemeral port for proto.
-	AllocEphemeral(proto uint8) (uint16, error)
-	// Reserve claims a specific port; it fails if the port is taken
-	// (unless reuse is permitted by the owner).
-	Reserve(proto uint8, port uint16, reuse bool) error
-	// Release returns a port to the namespace.
-	Release(proto uint8, port uint16)
-}
-
-// Resolver maps next-hop IP addresses to hardware addresses. The kernel
-// and server stacks own an ARP engine; library stacks consult the
-// operating-system server's tables through a caching proxy (§3.3).
+// Resolver maps next-hop IP addresses to hardware addresses. A Control
+// resolves through its own ARP engine; a library's Stack is built over a
+// caching proxy of the operating-system server's tables (§3.3).
 type Resolver interface {
 	// ResolveOrQueue returns (mac, true) when the next hop's address is
 	// known. Otherwise it takes ownership of emit — which it must call
@@ -81,7 +73,7 @@ type Resolver interface {
 	ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, emit func(mac wire.MAC)) (wire.MAC, bool)
 }
 
-// Config assembles a stack.
+// Config assembles a stack; the constructor, not a field, picks its role.
 type Config struct {
 	Sim      *sim.Sim
 	Name     string
@@ -94,9 +86,7 @@ type Config struct {
 	// charge has already been applied when it is called.
 	Transmit func(frame []byte) error
 
-	Ports    PortAllocator
-	Resolver Resolver
-	Routes   *RouteTable
+	Routes *RouteTable
 
 	// MaxTCPPayload, when nonzero, models the 386BSD/BNR2SS bug that
 	// prevents sending large TCP packets: segments are clamped to this
@@ -117,23 +107,6 @@ type Config struct {
 	// skipped (the engine already verified and dropped bad frames).
 	ChecksumOffload bool
 
-	// QuietOrphans suppresses RST and ICMP-unreachable responses to
-	// segments that match no local socket. Library stacks set it: they
-	// only ever see their own sessions' traffic, and a stray segment
-	// means a migration race, not a protocol violation — the session's
-	// new owner will handle the retransmission.
-	QuietOrphans bool
-
-	// OrphanFilter, when set, is consulted before responding to a segment
-	// that matches no connection (or that would be rejected by a
-	// listener): returning true suppresses the RST/ICMP. The OS server of
-	// the decomposed architecture uses it to stay quiet about sessions
-	// that have migrated to an application — packets already queued at
-	// the server when the filter handoff happened must not reset a live
-	// connection; the peer's retransmission will reach the right address
-	// space.
-	OrphanFilter func(proto uint8, local, remote Addr) bool
-
 	// Trace, when set, is the flight recorder stack-layer events are
 	// emitted on: TCP state transitions, retransmissions, cwnd and RTT
 	// samples, and checksum discards. Tracing is passive — it charges no
@@ -141,9 +114,15 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-// Stack is one instance of the protocol stack.
+// Stack is one instance of the protocol stack: the fast path, which is
+// all of it that a protocol library holds.
 type Stack struct {
-	cfg Config
+	cfg      Config
+	resolver Resolver
+	// quiet reports whether a segment that matches no socket (or that a
+	// listener would reject) goes unanswered, drawing no RST or ICMP
+	// unreachable. The constructor sets it.
+	quiet func(proto uint8, local, remote Addr) bool
 
 	conns   map[tuple]*Socket // fully-specified connections (TCP and connected UDP)
 	binds   map[tuple]*Socket // wildcard-remote sockets (listeners, unconnected UDP)
@@ -164,11 +143,10 @@ type Stack struct {
 	// second, and at city scale were the dominant allocation site.
 	socks, timoSocks []*Socket
 
-	reasm     *Reassembler   // fragments addressed to this stack
-	reasms    []*Reassembler // every table the slow timer ages, reasm first
-	arp       *arpEngine     // nil for library stacks (server resolves)
-	icmpEcho  map[uint16]*sim.Cond
-	timerStop func()
+	reasm         *Reassembler   // fragments addressed to this stack
+	reasms        []*Reassembler // every table the slow timer ages, reasm first
+	icmpEcho      map[uint16]*sim.Cond
+	timersStopped bool // StopTimers: the timer threads exit at their next tick
 
 	// rxVerified is set by ipInput before dispatching to a transport:
 	// true when the NIC engine already verified this segment's checksum
@@ -251,9 +229,42 @@ func (s *Stats) ChecksumErrors() uint64 {
 		s.UDPChecksumErrors.Value() + s.ICMPChecksumErrors.Value()
 }
 
-// New builds a stack. The caller must arrange for Input to be fed frames
-// and should call StartTimers once a timer thread context exists.
-func New(cfg Config) *Stack {
+// Control is a stack that owns its host's names: the fast path plus the
+// calls of Table 1 that a protocol library must ask the OS server for
+// (the methods are in socket.go), the port namespace and the ARP engine.
+type Control struct {
+	*Stack
+	ports *LocalPorts
+	arp   *arpEngine
+}
+
+// NewControl builds a complete stack that names its sockets in ports,
+// resolves through its own ARP engine and answers every segment no
+// socket claims. The caller must arrange for Input to be fed frames and
+// should call StartTimers once a timer thread context exists.
+func NewControl(cfg Config, ports *LocalPorts) *Control {
+	c := &Control{Stack: New(cfg, nil), ports: ports}
+	c.arp = newARPEngine(c.Stack)
+	c.resolver = c.arp
+	c.quiet = func(uint8, Addr, Addr) bool { return false }
+	return c
+}
+
+// SetOrphanFilter installs f, consulted before responding to a segment
+// that matches no connection (or that would be rejected by a listener):
+// returning true suppresses the RST/ICMP. The OS server of the decomposed
+// architecture uses it to stay quiet about sessions that have migrated
+// to an application — packets already queued at the server when the
+// filter handoff happened must not reset a live connection; the peer's
+// retransmission will reach the right address space.
+func (st *Control) SetOrphanFilter(f func(proto uint8, local, remote Addr) bool) { st.quiet = f }
+
+// New builds the fast path alone, as a protocol library links it. Next
+// hops resolve through r, and a segment no socket claims goes unanswered:
+// a library only sees its own sessions' packets, so a stray is a
+// migration race, never a protocol error, and the session's new owner
+// will handle the retransmission. Input and StartTimers as for NewControl.
+func New(cfg Config, r Resolver) *Stack {
 	if cfg.Routes == nil {
 		cfg.Routes = NewRouteTable()
 		// Single-segment default: everything is on-link.
@@ -261,6 +272,8 @@ func New(cfg Config) *Stack {
 	}
 	st := &Stack{
 		cfg:      cfg,
+		resolver: r,
+		quiet:    func(uint8, Addr, Addr) bool { return true },
 		conns:    make(map[tuple]*Socket),
 		binds:    make(map[tuple]*Socket),
 		icmpEcho: make(map[uint16]*sim.Cond),
@@ -273,10 +286,6 @@ func New(cfg Config) *Stack {
 	}
 	st.issSeed = st.rng.Uint32()
 	st.reasm = st.NewReassembler()
-	if cfg.Resolver == nil {
-		st.arp = newARPEngine(st)
-		st.cfg.Resolver = st.arp
-	}
 	return st
 }
 
@@ -294,9 +303,6 @@ func (st *Stack) LocalIP() wire.IPAddr { return st.cfg.LocalIP }
 
 // Name returns the stack's diagnostic name.
 func (st *Stack) Name() string { return st.cfg.Name }
-
-// Sim returns the simulator the stack runs on.
-func (st *Stack) Sim() *sim.Sim { return st.cfg.Sim }
 
 func (st *Stack) now() sim.Time { return st.cfg.Sim.Now() }
 
@@ -342,14 +348,23 @@ func (st *Stack) condWaitTimeout(t *sim.Proc, c *sim.Cond, d time.Duration) bool
 
 // StartTimers launches the TCP fast (200 ms) and slow (500 ms) timers on
 // the given spawner. The deployment passes a function that creates a
-// daemon thread in the right process; returns a stop function.
+// daemon thread in the right process.
 func (st *Stack) StartTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc) {
-	stopped := false
-	st.timerStop = func() { stopped = true }
+	st.startTimers(spawn, func(*sim.Proc) {})
+}
+
+// StartTimers also ages the ARP table on the slow tick.
+func (st *Control) StartTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc) {
+	st.startTimers(spawn, st.arp.timo)
+}
+
+// startTimers runs slowTimo last on every slow tick, under the same hold
+// of the protocol lock as TCP's.
+func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc, slowTimo func(t *sim.Proc)) {
 	spawn(st.cfg.Name+".tcp-fast", func(t *sim.Proc) {
-		for !stopped {
+		for !st.timersStopped {
 			t.Sleep(tcpFastInterval)
-			if stopped {
+			if st.timersStopped {
 				return
 			}
 			st.lock(t)
@@ -358,9 +373,9 @@ func (st *Stack) StartTimers(spawn func(name string, body func(t *sim.Proc)) *si
 		}
 	})
 	spawn(st.cfg.Name+".tcp-slow", func(t *sim.Proc) {
-		for !stopped {
+		for !st.timersStopped {
 			t.Sleep(tcpSlowInterval)
-			if stopped {
+			if st.timersStopped {
 				return
 			}
 			st.lock(t)
@@ -368,46 +383,39 @@ func (st *Stack) StartTimers(spawn func(name string, body func(t *sim.Proc)) *si
 			for _, r := range st.reasms { // expire stale reassembly state
 				st.Stats.IPReasmTimeout.Add(uint64(r.tick()))
 			}
-			if st.arp != nil {
-				st.arp.timo(t)
-			}
+			slowTimo(t)
 			st.unlock()
 		}
 	})
 }
 
 // StopTimers halts the timer threads (used when a process exits).
-func (st *Stack) StopTimers() {
-	if st.timerStop != nil {
-		st.timerStop()
-	}
-}
+func (st *Stack) StopTimers() { st.timersStopped = true }
 
-// Input processes one received frame on the calling thread. Deployments
-// call it from their receive loop (library receive thread, server network
-// thread, or the kernel's software-interrupt thread).
+// Input processes one received frame on the calling thread: a library's
+// receive thread calls it per packet its session filter delivered, so
+// only IP arrives here.
 func (st *Stack) Input(t *sim.Proc, frame []byte) {
 	st.lock(t)
 	defer st.unlock()
-	st.input(t, frame)
-}
-
-func (st *Stack) input(t *sim.Proc, frame []byte) {
 	eh, err := wire.UnmarshalEth(frame)
-	if err != nil {
+	if err != nil || eh.Type != wire.EtherTypeIPv4 {
 		st.Stats.Drops.Inc()
 		return
 	}
-	switch eh.Type {
-	case wire.EtherTypeIPv4:
-		st.ipInput(t, eh, frame[wire.EthHeaderLen:])
-	case wire.EtherTypeARP:
-		if st.arp != nil {
-			st.arp.input(t, frame[wire.EthHeaderLen:])
-		}
-	default:
-		st.Stats.Drops.Inc()
+	st.ipInput(t, eh, frame[wire.EthHeaderLen:])
+}
+
+// Input also answers ARP; the server's network thread or the kernel's
+// software-interrupt thread calls it with every frame the host keeps.
+func (st *Control) Input(t *sim.Proc, frame []byte) {
+	if eh, err := wire.UnmarshalEth(frame); err != nil || eh.Type != wire.EtherTypeARP {
+		st.Stack.Input(t, frame)
+		return
 	}
+	st.lock(t)
+	defer st.unlock()
+	st.arp.input(t, frame[wire.EthHeaderLen:])
 }
 
 // iss generates an initial send sequence number.
@@ -461,15 +469,6 @@ func (st *Stack) unfile(m map[tuple]*Socket, key tuple) {
 }
 
 func (s *Socket) cmpUID(uid uint64) int { return cmp.Compare(s.uid, uid) }
-
-// orphanQuiet reports whether responses to an unmatched flow should be
-// suppressed.
-func (st *Stack) orphanQuiet(proto uint8, local, remote Addr) bool {
-	if st.cfg.QuietOrphans {
-		return true
-	}
-	return st.cfg.OrphanFilter != nil && st.cfg.OrphanFilter(proto, local, remote)
-}
 
 const (
 	tcpFastInterval = 200 * time.Millisecond

@@ -36,8 +36,8 @@ func (st *Stack) tcpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 	s := st.lookup(wire.ProtoTCP, local, remote)
 	if s == nil || s.tcb == nil {
 		// No socket: RST unless the segment itself is a RST (or this is a
-		// migration race; see QuietOrphans and OrphanFilter).
-		if th.Flags&flagRST == 0 && !st.orphanQuiet(wire.ProtoTCP, local, remote) {
+		// migration race; see Stack.quiet).
+		if th.Flags&flagRST == 0 && !st.quiet(wire.ProtoTCP, local, remote) {
 			st.respondToOrphan(t, th, local, remote, len(payload))
 		}
 		return
@@ -55,7 +55,7 @@ func (st *Stack) tcpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 			// A bare ACK at a listener is either a half-open remnant (RST
 			// it) or a data segment racing a session migration (drop it;
 			// the session's new owner handles the retransmission).
-			if !st.orphanQuiet(wire.ProtoTCP, local, remote) {
+			if !st.quiet(wire.ProtoTCP, local, remote) {
 				st.tcpRespond(t, local, remote, th.Ack, 0, flagRST)
 			}
 			return
@@ -67,7 +67,7 @@ func (st *Stack) tcpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 			st.Stats.Drops.Inc()
 			return
 		}
-		ns := st.NewSocket(wire.ProtoTCP)
+		ns := st.newSocket(wire.ProtoTCP)
 		ns.local = Addr{IP: st.cfg.LocalIP, Port: local.Port}
 		ns.remote = remote
 		ns.listener = s

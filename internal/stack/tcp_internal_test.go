@@ -10,17 +10,16 @@ import (
 	"repro/internal/wire"
 )
 
-func testStack(t *testing.T) *Stack {
+func testStack(t *testing.T) *Control {
 	t.Helper()
 	s := sim.New(1)
-	return New(Config{
+	return NewControl(Config{
 		Sim:      s,
 		Name:     "t",
 		LocalIP:  wire.IP(10, 0, 0, 1),
 		LocalMAC: wire.MAC{1},
 		Transmit: func([]byte) error { return nil },
-		Ports:    NewLocalPorts(),
-	})
+	}, NewLocalPorts())
 }
 
 func TestSeqArithmetic(t *testing.T) {
@@ -63,7 +62,7 @@ func TestQuickSeqOrderingTotality(t *testing.T) {
 // makeEstablishedTCB builds a socket+tcb pair in ESTABLISHED state with
 // rcvNxt at the given base, bypassing the handshake.
 func makeEstablishedTCB(st *Stack, base uint32) (*Socket, *tcpcb) {
-	s := st.NewSocket(wire.ProtoTCP)
+	s := st.newSocket(wire.ProtoTCP)
 	s.local = Addr{IP: st.cfg.LocalIP, Port: 5000}
 	s.remote = Addr{IP: wire.IP(10, 0, 0, 2), Port: 6000}
 	tp := newTCPCB(st, s)
@@ -85,7 +84,7 @@ func TestQuickReassemblyDeliversStream(t *testing.T) {
 		streamLen := 200 + rng.Intn(1800)
 		stream := make([]byte, streamLen)
 		rng.Read(stream)
-		s, tp := makeEstablishedTCB(st, base)
+		s, tp := makeEstablishedTCB(st.Stack, base)
 
 		// Cut the stream into segments.
 		type segment struct{ off, n int }
@@ -131,7 +130,7 @@ func TestQuickReassemblyDeliversStream(t *testing.T) {
 
 func TestReassemblyHoleThenFill(t *testing.T) {
 	st := testStack(t)
-	s, tp := makeEstablishedTCB(st, 100)
+	s, tp := makeEstablishedTCB(st.Stack, 100)
 	st.tcpReassemble(nil, tp, 110, []byte("world"), false)
 	if s.rcv.len() != 0 || len(tp.reasm) != 1 {
 		t.Fatalf("ooo segment delivered early: rcv=%d reasm=%d", s.rcv.len(), len(tp.reasm))
@@ -158,7 +157,7 @@ func TestReassemblyHoleThenFill(t *testing.T) {
 
 func TestReassemblyFinOutOfOrder(t *testing.T) {
 	st := testStack(t)
-	s, tp := makeEstablishedTCB(st, 100)
+	s, tp := makeEstablishedTCB(st.Stack, 100)
 	// FIN arrives with the second segment first.
 	st.tcpReassemble(nil, tp, 105, []byte("tail"), true)
 	if tp.sawFin {
@@ -179,7 +178,7 @@ func TestReassemblyFinOutOfOrder(t *testing.T) {
 
 func TestDelayedAckEverySecondSegment(t *testing.T) {
 	st := testStack(t)
-	_, tp := makeEstablishedTCB(st, 0)
+	_, tp := makeEstablishedTCB(st.Stack, 0)
 	st.tcpReassemble(nil, tp, 0, []byte("a"), false)
 	if tp.ackNow || !tp.delAck {
 		t.Fatal("first segment should set delayed ACK only")
@@ -198,11 +197,10 @@ func TestDelayedAckEverySecondSegment(t *testing.T) {
 func TestTimerWalksAllocationFree(t *testing.T) {
 	st := testStack(t)
 	for i := 0; i < 8; i++ {
-		s, _ := makeEstablishedTCB(st, uint32(1000*i))
+		s, _ := makeEstablishedTCB(st.Stack, uint32(1000*i))
 		s.local.Port = uint16(5000 + i)
 		st.registerConn(s)
 	}
-	st.arp = newARPEngine(st)
 	st.arp.Insert(wire.IP(10, 0, 0, 2), wire.MAC{2})
 	st.arp.Insert(wire.IP(10, 0, 0, 3), wire.MAC{3})
 	// First tick may grow the scratch slices; after that, nothing.
@@ -246,7 +244,7 @@ func min(a, b int) int {
 	return b
 }
 
-func TestPortAllocator(t *testing.T) {
+func TestLocalPorts(t *testing.T) {
 	lp := NewLocalPorts()
 	p1, err := lp.AllocEphemeral(wire.ProtoTCP)
 	if err != nil || p1 < ephemeralFirst {

@@ -52,7 +52,7 @@ func (st *Stack) udpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 	s := st.lookup(wire.ProtoUDP, local, remote)
 	if s == nil {
 		st.Stats.UDPNoPort.Inc()
-		if !ih.Dst.IsBroadcast() && !st.orphanQuiet(wire.ProtoUDP, local, remote) {
+		if !ih.Dst.IsBroadcast() && !st.quiet(wire.ProtoUDP, local, remote) {
 			st.icmpSendUnreachable(t, wire.ICMPCodePortUnreachable, ih, seg)
 		}
 		return
