@@ -50,10 +50,13 @@ func RunAll(t *testing.T, build Builder) {
 	}
 	tests = append(tests, moreTests...)
 	tests = append(tests, chainTests...)
-	tests = append(tests, struct {
+	tests = append(tests, []struct {
 		name string
 		fn   func(t *testing.T, e *Env)
-	}{"MisuseAgreement", testMisuseAgreement})
+	}{
+		{"MisuseAgreement", testMisuseAgreement},
+		{"AcceptMultipleHostIP", testAcceptMultipleHostIP},
+	}...)
 	for i, tc := range tests {
 		tc := tc
 		seed := int64(i + 1)
@@ -530,12 +533,22 @@ func testBadFD(t *testing.T, e *Env) {
 	})
 }
 
-func testAcceptMultiple(t *testing.T, e *Env) {
+func testAcceptMultiple(t *testing.T, e *Env) { acceptMultiple(t, e, wire.IPAddr{}) }
+
+// testAcceptMultipleHostIP binds the listener to the host's own address
+// instead of INADDR_ANY: closing an accepted connection, whose local
+// address is then the listener's, must leave the listener reachable.
+func testAcceptMultipleHostIP(t *testing.T, e *Env) { acceptMultiple(t, e, e.IPB) }
+
+func acceptMultiple(t *testing.T, e *Env, listenIP wire.IPAddr) {
 	srv := e.NewB("multiserver")
 	const clients = 3
 	e.Sim.Spawn("multiserver", func(p *sim.Proc) {
 		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 5001})
+		if err := srv.Bind(p, ls, socketapi.SockAddr{Addr: listenIP, Port: 5001}); err != nil {
+			t.Error(err)
+			return
+		}
 		srv.Listen(p, ls, clients)
 		for i := 0; i < clients; i++ {
 			fd, _, err := srv.Accept(p, ls)

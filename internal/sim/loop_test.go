@@ -1,0 +1,312 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// loopEntry is one line of a dispatch log: what happened, and when.
+type loopEntry struct {
+	at    Time
+	label string
+}
+
+// loopLog records a run's dispatch log and checks every entry against
+// the bound of the Run or RunUntil call that was active when it ran.
+type loopLog struct {
+	t       *testing.T
+	bound   Time
+	entries []loopEntry
+}
+
+func (l *loopLog) add(at Time, label string) {
+	if at > l.bound {
+		l.t.Errorf("%q ran at %v, past the active bound %v", label, at, l.bound)
+	}
+	l.entries = append(l.entries, loopEntry{at, label})
+}
+
+func (l *loopLog) EventDispatch(at Time, proc string) { l.add(at, "dispatch "+proc) }
+func (l *loopLog) ProcPark(at Time, proc string)      { l.add(at, "park "+proc) }
+func (l *loopLog) ProcUnpark(at Time, proc string)    { l.add(at, "unpark "+proc) }
+
+// loopProgram is a seeded random mix of everything the scheduler
+// dispatches: one-shot timers (some stopped before or after they are
+// due), recurring timers, event-context resource charges, and foreground
+// and daemon procs that sleep, yield, park, park with a timeout, unpark
+// each other and share two resources. Install builds the same program on
+// any sim, so runs can be compared.
+type loopProgram struct {
+	timers []loopTimer
+	everys []loopEvery
+	procs  []loopProc
+}
+
+type loopTimer struct {
+	at, stopAt Time // stopAt 0: never stopped; -1: stopped at once
+	res        int  // >= 0: UseEvent on that resource for d
+	d          time.Duration
+	unpark     int // >= 0: unpark that proc
+	after      bool
+}
+
+type loopEvery struct {
+	period time.Duration
+	ticks  int // the timer stops itself after this many ticks
+}
+
+type loopProc struct {
+	start  Time // > 0: spawned by an event at start
+	daemon bool // daemons repeat their actions for ever
+	acts   []loopAct
+}
+
+type loopAct struct {
+	kind int // 0 sleep, 1 yield, 2 park, 3 park with timeout, 4 use, 5 unpark
+	d    time.Duration
+	arg  int // resource, priority bit, or proc to unpark
+}
+
+// loopQuantum keeps times on a coarse grid so that many events share an
+// instant and the (at, seq) tie-break is exercised.
+const loopQuantum = 100 * time.Microsecond
+
+func genLoopProgram(r *rand.Rand) *loopProgram {
+	when := func(max int) Time { return Time(time.Duration(r.Intn(max)) * loopQuantum) }
+	dur := func(max int) time.Duration { return time.Duration(r.Intn(max)) * loopQuantum }
+	pg := &loopProgram{procs: make([]loopProc, 2+r.Intn(5))}
+	for i := range pg.procs {
+		p := &pg.procs[i]
+		if r.Intn(3) == 0 {
+			p.start = when(200) + 1
+		}
+		p.daemon = r.Intn(3) == 0
+		for k := 1 + r.Intn(12); k > 0; k-- {
+			p.acts = append(p.acts, loopAct{kind: r.Intn(6), d: dur(40), arg: r.Intn(len(pg.procs))})
+		}
+	}
+	for k := r.Intn(30); k > 0; k-- {
+		tm := loopTimer{at: when(700), res: -1, unpark: -1, after: r.Intn(2) == 0}
+		switch r.Intn(4) {
+		case 0:
+			tm.stopAt = -1
+		case 1:
+			tm.stopAt = when(700)
+		}
+		switch r.Intn(3) {
+		case 0:
+			tm.res, tm.d = r.Intn(2), dur(5)
+		case 1:
+			tm.unpark = r.Intn(len(pg.procs))
+		}
+		pg.timers = append(pg.timers, tm)
+	}
+	for k := r.Intn(4); k > 0; k-- {
+		pg.everys = append(pg.everys, loopEvery{period: dur(30) + loopQuantum, ticks: r.Intn(40)})
+	}
+	return pg
+}
+
+func (pg *loopProgram) install(s *Sim, l *loopLog) {
+	rec := func(format string, a ...any) { l.add(s.Now(), fmt.Sprintf(format, a...)) }
+	var res [2]Resource
+	procs := make([]*Proc, len(pg.procs))
+	// A daemon that never stops wakes every proc now and then, so no
+	// parked proc waits for ever and the queue never drains.
+	s.Every(7*loopQuantum, func() {
+		for _, p := range procs {
+			if p != nil {
+				p.Unpark()
+			}
+		}
+	})
+	for i, tm := range pg.timers {
+		i, tm := i, tm
+		fire := func() {
+			rec("timer %d", i)
+			if tm.res >= 0 {
+				res[tm.res].UseEvent(s, Priority(i%2), tm.d, func() { rec("timer %d charged", i) })
+			}
+			if tm.unpark >= 0 && procs[tm.unpark] != nil {
+				procs[tm.unpark].Unpark()
+			}
+		}
+		var h *Timer
+		if tm.after {
+			h = s.After(tm.at.Duration(), fire)
+		} else {
+			h = s.At(tm.at, fire)
+		}
+		switch {
+		case tm.stopAt < 0:
+			h.Stop()
+		case tm.stopAt > 0:
+			s.At(tm.stopAt, func() { rec("stop timer %d: %v", i, h.Stop()) })
+		}
+	}
+	for i, ev := range pg.everys {
+		i, ev := i, ev
+		n := 0
+		var h *Timer
+		h = s.Every(ev.period, func() {
+			n++
+			rec("every %d tick %d", i, n)
+			if n == ev.ticks {
+				h.Stop()
+			}
+		})
+	}
+	for i, sp := range pg.procs {
+		i, sp := i, sp
+		body := func(p *Proc) {
+			for round := 0; round == 0 || sp.daemon; round++ {
+				for k, a := range sp.acts {
+					switch a.kind {
+					case 0:
+						p.Sleep(a.d)
+					case 1:
+						p.YieldProc()
+					case 2:
+						p.Park()
+					case 3:
+						rec("p%d timeout-park unparked=%v", i, p.ParkTimeout(a.d))
+					case 4:
+						res[a.arg%2].Use(p, Priority(a.arg/2%2), a.d)
+					case 5:
+						if q := procs[a.arg]; q != nil {
+							q.Unpark()
+						}
+					}
+					rec("p%d round %d act %d", i, round, k)
+				}
+				if sp.daemon {
+					p.Sleep(loopQuantum) // a daemon round always advances time
+				}
+			}
+		}
+		spawn := func() {
+			name := fmt.Sprintf("p%d", i)
+			if sp.daemon {
+				procs[i] = s.SpawnDaemon(name, body)
+			} else {
+				procs[i] = s.Spawn(name, body)
+			}
+		}
+		if sp.start > 0 {
+			s.At(sp.start, spawn)
+		} else {
+			spawn()
+		}
+	}
+}
+
+// runOK accepts what a Run may legitimately end with here: success, or
+// the deadline (foreground procs still busy at the common end time).
+func runOK(t *testing.T, err error) {
+	t.Helper()
+	if err != nil && !strings.Contains(err.Error(), "deadline") {
+		t.Fatal(err)
+	}
+}
+
+// loopSteps cuts [0, end] into random RunUntil bounds, zero-length steps
+// included; the last one is end.
+func loopSteps(r *rand.Rand, end Time) []Time {
+	var steps []Time
+	for t := Time(0); t < end; {
+		t += Time(time.Duration(r.Intn(40)) * loopQuantum / 4)
+		steps = append(steps, min(t, end))
+	}
+	return append(steps, end)
+}
+
+// TestLoopsAgree is the one-loop property: every way of driving the
+// scheduler to a common time T — Sim.Run then RunUntil(T), RunUntil in
+// random steps, and a one-shard Group serially and on worker goroutines
+// — dispatches a random program identically. No entry of the log runs
+// past the bound that was active, and every RunUntil leaves the clock
+// exactly at its bound.
+func TestLoopsAgree(t *testing.T) {
+	const end = Time(50 * time.Millisecond)
+	for seed := int64(1); seed <= 60; seed++ {
+		pg := genLoopProgram(rand.New(rand.NewSource(seed)))
+		steps := loopSteps(rand.New(rand.NewSource(-seed)), end)
+
+		standalone := func(run bool) []loopEntry {
+			s := New(seed)
+			l := &loopLog{t: t, bound: end}
+			s.SetTracer(l)
+			pg.install(s, l)
+			todo := steps
+			if run {
+				s.Deadline = end
+				runOK(t, s.Run())
+				todo = []Time{end}
+			}
+			for _, b := range todo {
+				l.bound = b
+				if err := s.RunUntil(b); err != nil {
+					t.Fatal(err)
+				}
+				if s.Now() != b {
+					t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, b, s.Now())
+				}
+			}
+			return l.entries
+		}
+		grouped := func(serial bool) []loopEntry {
+			g := NewGroup(seed, 1)
+			g.SingleThreaded = serial
+			g.Deadline = end
+			l := &loopLog{t: t, bound: end}
+			g.Shard(0).SetTracer(l)
+			pg.install(g.Shard(0), l)
+			runOK(t, g.Run())
+			todo := []Time{end}
+			if !serial {
+				todo = steps
+			}
+			for _, b := range todo {
+				// Run may have gone past an early step; the clock never
+				// goes back.
+				at := max(b, g.Now())
+				l.bound = b
+				if err := g.RunUntil(b); err != nil {
+					t.Fatal(err)
+				}
+				if g.Now() != at {
+					t.Fatalf("seed %d: Group.RunUntil(%v) left the clock at %v", seed, b, g.Now())
+				}
+			}
+			return l.entries
+		}
+
+		want := standalone(true)
+		if len(want) == 0 {
+			t.Fatalf("seed %d: empty log", seed)
+		}
+		for name, got := range map[string][]loopEntry{
+			"RunUntil steps":        standalone(false),
+			"Group, serial":         grouped(true),
+			"Group, worker threads": grouped(false),
+		} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: %s diverges from Run+RunUntil at entry %d of %d/%d",
+					seed, name, firstDiff(got, want), len(got), len(want))
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []loopEntry) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}

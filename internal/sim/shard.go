@@ -31,7 +31,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -63,8 +62,9 @@ type Group struct {
 	// Sim.Deadline.
 	Deadline Time
 
-	// MaxWindow overrides DefaultMaxWindow (0 = default).
-	MaxWindow time.Duration
+	// standalone marks a standalone Sim's own one-shard group: its
+	// window is unbounded and Run checks foreground exit per event.
+	standalone bool
 
 	lookahead Time // min registered cross-shard propagation (0 = none yet)
 	originSeq uint64
@@ -138,7 +138,7 @@ func (g *Group) ObserveLookahead(prop time.Duration) time.Duration {
 }
 
 // Lookahead returns the current window bound from registered links
-// (0 = none registered, windows are capped by MaxWindow alone).
+// (0 = none registered, windows are capped by DefaultMaxWindow alone).
 func (g *Group) Lookahead() time.Duration { return g.lookahead.Duration() }
 
 // allocOrigin hands out group-wide stable band-1 origin ids.
@@ -212,27 +212,22 @@ func (g *Group) horizon() (Time, bool) {
 // delivery generated inside it lands at >= horizon + propagation >=
 // horizon + lookahead >= end, hence in a later window.
 func (g *Group) windowEnd(horizon Time) Time {
-	w := Time(g.MaxWindow)
-	if w == 0 {
-		w = Time(DefaultMaxWindow)
-	}
+	w := Time(DefaultMaxWindow)
 	if g.lookahead != 0 && g.lookahead < w {
 		w = g.lookahead
 	}
 	return horizon + w
 }
 
-// runShards executes one window on every shard, serially or on the
-// worker goroutines, then merges the outboxes. Any shard panic is
-// re-raised on the coordinator goroutine, lowest shard id first.
+// runShards executes one window of the inner loop on every shard,
+// serially or on the worker goroutines, then merges the outboxes. Any
+// shard panic is re-raised on the coordinator goroutine, lowest shard id
+// first.
 func (g *Group) runShards(end Time) {
 	g.windows++
 	if g.SingleThreaded {
 		for _, s := range g.shards {
-			s.runWindow(end)
-			if s.panicV != nil {
-				panic(s.panicV)
-			}
+			s.runTo(end, false)
 		}
 	} else {
 		for _, c := range g.starts {
@@ -279,20 +274,20 @@ func (g *Group) startWorkers() {
 		g.starts[i] = c
 		go func(s *Sim, c chan Time) {
 			for end := range c {
-				runWindowRecover(s, end)
+				runToRecover(s, end)
 				g.done <- s.shardID
 			}
 		}(s, c)
 	}
 }
 
-func runWindowRecover(s *Sim, end Time) {
+func runToRecover(s *Sim, end Time) {
 	defer func() {
 		if r := recover(); r != nil && s.panicV == nil {
 			s.panicV = r
 		}
 	}()
-	s.runWindow(end)
+	s.runTo(end, false)
 }
 
 func (g *Group) stopWorkers() {
@@ -308,53 +303,34 @@ func (g *Group) stopWorkers() {
 // deadline are only evaluated at barriers, so runs may execute up to
 // one window of daemon events past the last foreground exit; the window
 // schedule is shard-count-invariant, so this overshoot is too.
-func (g *Group) Run() error {
-	return g.drive(func() (Time, bool, error) {
-		everFg, fg := g.fgState()
-		if everFg && fg == 0 {
-			return 0, false, nil
-		}
-		horizon, ok := g.horizon()
-		if !ok {
-			if fg > 0 {
-				return 0, false, fmt.Errorf("sim: deadlock at %v: %d foreground process(es) parked with no pending events: %s",
-					g.Now(), fg, g.parkedNames())
-			}
-			return 0, false, nil
-		}
-		return horizon, true, nil
-	}, 0, false)
-}
+func (g *Group) Run() error { return g.drive(orHour(g.Deadline), true) }
 
 // RunFor advances the group clock by d (see Sim.RunFor).
 func (g *Group) RunFor(d time.Duration) error { return g.RunUntil(g.Now().Add(d)) }
 
 // RunUntil executes all events at or before t, then aligns every shard
-// clock to t.
+// clock to t. Like Sim.RunUntil, it ignores Deadline.
 func (g *Group) RunUntil(t Time) error {
-	err := g.drive(func() (Time, bool, error) {
-		horizon, ok := g.horizon()
-		if !ok || horizon > t {
-			return 0, false, nil
-		}
-		return horizon, true, nil
-	}, t, true)
-	if err == nil {
-		for _, s := range g.shards {
-			if s.now < t {
-				s.now = t
-			}
+	if err := g.drive(t, false); err != nil {
+		return err
+	}
+	for _, s := range g.shards {
+		if s.now < t {
+			s.now = t
 		}
 	}
-	return err
+	return nil
 }
 
-// drive is the window loop shared by Run and RunUntil. next reports the
-// horizon of the next window, or ok=false to finish. A bounded drive
-// caps windows at until+1 so events at exactly until still run.
-func (g *Group) drive(next func() (Time, bool, error), until Time, bounded bool) error {
+// drive is the one driver of Run and RunUntil, for a Group and for a
+// standalone Sim's one-shard group. Before every window it applies the
+// one termination rule: stop on Stop; for a run, finish once every
+// foreground process has exited and fail on deadlock; and once the next
+// event lies past bound, fail for a run (bound is its deadline) or
+// finish for a RunUntil. Events at exactly bound still run.
+func (g *Group) drive(bound Time, run bool) error {
 	if g.running {
-		return fmt.Errorf("sim: Group run called reentrantly")
+		return fmt.Errorf("sim: run called reentrantly")
 	}
 	g.running = true
 	defer func() { g.running = false }()
@@ -364,44 +340,30 @@ func (g *Group) drive(next func() (Time, bool, error), until Time, bounded bool)
 		g.startWorkers()
 		defer g.stopWorkers()
 	}
-	deadline := g.Deadline
-	if deadline == 0 {
-		deadline = Time(int64(time.Hour))
-	}
-	for {
-		if g.stopReq.Load() || g.anyStopped() {
+	for !g.stopReq.Load() && !g.anyStopped() {
+		everFg, fg := g.fgState()
+		if run && everFg && fg == 0 {
 			return nil
 		}
-		horizon, ok, err := next()
-		if err != nil || !ok {
-			return err
-		}
-		if horizon > deadline {
-			return fmt.Errorf("sim: virtual deadline %v exceeded (now %v)", deadline, horizon)
-		}
-		end := g.windowEnd(horizon)
-		if bounded && end > until+1 {
-			end = until + 1
-		}
-		if end > deadline+1 {
-			end = deadline + 1
-		}
-		g.runShards(end)
-	}
-}
-
-func (g *Group) parkedNames() string {
-	var names []string
-	for _, s := range g.shards {
-		for p := range s.procs {
-			if p.parked {
-				names = append(names, p.name)
+		horizon, ok := g.horizon()
+		if !ok {
+			if run && fg > 0 {
+				return fmt.Errorf("sim: deadlock at %v: %d foreground process(es) parked with no pending events: %v",
+					g.Now(), fg, parkedNames(g.shards))
 			}
+			return nil
+		}
+		if horizon > bound {
+			if run {
+				return fmt.Errorf("sim: virtual deadline %v exceeded (now %v, fg=%d)", bound, horizon, fg)
+			}
+			return nil
+		}
+		if g.standalone {
+			g.shards[0].runTo(bound+1, run)
+		} else {
+			g.runShards(min(bound+1, g.windowEnd(horizon)))
 		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return "(none)"
-	}
-	return fmt.Sprint(names)
+	return nil
 }

@@ -11,6 +11,15 @@
 // deterministic for a given seed. Simulation state may therefore be
 // mutated freely from event callbacks and from running Procs without
 // locking.
+//
+// One event loop: Sim.Run, Sim.RunUntil, Group.Run and Group.RunUntil
+// all go through one driver, Group.drive, which applies one termination
+// rule, and one inner loop, Sim.runTo. A standalone Sim is driven as a
+// one-shard Group whose window is unbounded and which checks for
+// foreground exit before every event rather than only at barriers.
+// Which event is next, and whether it may run before the bound, is
+// decided in one function, Sim.next; a shortcut that must know whether
+// anything precedes a wake-up belongs there.
 package sim
 
 import (
@@ -135,14 +144,15 @@ type Sim struct {
 	fg      int           // live foreground (non-daemon) processes
 	everFg  bool          // whether any foreground process was ever spawned
 	procs   map[*Proc]struct{}
-	running bool
 	stopped bool
 	panicV  any
 	tracer  Tracer
 	free    []*event // recycled events (the pool behind the heap)
 
 	// Sharding state. A standalone Sim has group == nil and none of it
-	// is touched on the hot path.
+	// is touched on the hot path; it is driven as solo, a one-shard
+	// Group made on its first run.
+	solo       *Group
 	group      *Group
 	shardID    int
 	outbox     []remoteMsg // cross-shard sends staged until the window barrier
@@ -361,72 +371,52 @@ func (s *Sim) Every(period time.Duration, fn func()) *Timer {
 // Stop makes Run return after the current event completes.
 func (s *Sim) Stop() { s.stopped = true }
 
-// Idle reports whether no events remain queued.
-func (s *Sim) Idle() bool { return s.pending() == 0 }
-
-func (s *Sim) pending() int {
-	n := 0
-	for _, ev := range s.events {
-		if !ev.stopped {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes events in virtual-time order until every foreground process
 // has exited, Stop is called, or the event queue drains. It returns an
 // error on deadlock (foreground processes parked with no pending events)
-// or when the virtual Deadline is exceeded.
+// or when the virtual Deadline is exceeded. Foreground exit is checked
+// before every event, so Run stops on the event that ended the last
+// foreground process.
 func (s *Sim) Run() error {
-	deadline := s.Deadline
-	if deadline == 0 {
-		deadline = Time(int64(time.Hour))
+	g, err := s.driver()
+	if err != nil {
+		return err
 	}
-	if s.group != nil {
-		return fmt.Errorf("sim: shard %d belongs to a Group; drive it with Group.Run", s.shardID)
-	}
-	if s.running {
-		return fmt.Errorf("sim: Run called reentrantly")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-	s.stopped = false
-	for !s.stopped {
-		if s.everFg && s.fg == 0 {
-			// All foreground work is done.
-			return nil
-		}
-		ev := s.next()
-		if ev == nil {
-			if s.fg > 0 {
-				return fmt.Errorf("sim: deadlock at %v: %d foreground process(es) parked with no pending events: %s",
-					s.now, s.fg, s.parkedNames())
-			}
-			return nil
-		}
-		if ev.at > deadline {
-			return fmt.Errorf("sim: virtual deadline %v exceeded (now %v, fg=%d)", Time(deadline), ev.at, s.fg)
-		}
-		s.now = ev.at
-		s.dispatch(ev)
-		if s.panicV != nil {
-			panic(s.panicV)
-		}
-	}
-	return nil
+	return g.drive(orHour(s.Deadline), true)
 }
 
-func (s *Sim) next() *event {
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		if ev.stopped {
-			s.recycle(ev)
-			continue
-		}
-		return ev
+// RunFor advances the simulation by d, executing all events scheduled in
+// [now, now+d]. Foreground completion does not stop it; it is intended for
+// draining (for example TIME_WAIT expiry) and for tests.
+func (s *Sim) RunFor(d time.Duration) error { return s.RunUntil(s.now.Add(d)) }
+
+// RunUntil executes all events scheduled at or before t, and none after,
+// and then sets the clock to t. It ignores Deadline.
+func (s *Sim) RunUntil(t Time) error {
+	g, err := s.driver()
+	if err != nil {
+		return err
 	}
-	return nil
+	return g.RunUntil(t)
+}
+
+// driver returns the one-shard Group a standalone sim is driven as.
+func (s *Sim) driver() (*Group, error) {
+	if s.group != nil {
+		return nil, fmt.Errorf("sim: shard %d belongs to a Group; drive it with the Group", s.shardID)
+	}
+	if s.solo == nil {
+		s.solo = &Group{shards: []*Sim{s}, seed: s.seed, SingleThreaded: true, standalone: true}
+	}
+	return s.solo, nil
+}
+
+// orHour reads a Deadline field: zero means one virtual hour.
+func orHour(deadline Time) Time {
+	if deadline == 0 {
+		return Time(time.Hour)
+	}
+	return deadline
 }
 
 // peek returns the earliest live event without removing it, discarding
@@ -443,46 +433,28 @@ func (s *Sim) peek() *event {
 	return nil
 }
 
-// runWindow executes every event strictly before end, in key order. It
-// is the per-shard inner loop of a Group window: no fg/deadline checks
-// (the Group applies those at barriers), and it stops early on Stop or
-// on a captured proc panic so the coordinator can surface it.
-func (s *Sim) runWindow(end Time) {
-	for !s.stopped && s.panicV == nil {
-		ev := s.peek()
-		if ev == nil || ev.at >= end {
-			return
-		}
-		heap.Pop(&s.events)
-		s.now = ev.at
-		s.dispatch(ev)
+// next decides which event runs next: the earliest live event in
+// (at, band, origin, seq) order, removed from the queue, if it lies
+// before the exclusive bound end; otherwise nil, and nothing is removed.
+// It is the only place the scheduler makes that decision.
+func (s *Sim) next(end Time) *event {
+	ev := s.peek()
+	if ev == nil || ev.at >= end {
+		return nil
 	}
+	heap.Pop(&s.events)
+	return ev
 }
 
-// RunFor advances the simulation by d, executing all events scheduled in
-// [now, now+d]. Foreground completion does not stop it; it is intended for
-// draining (for example TIME_WAIT expiry) and for tests.
-func (s *Sim) RunFor(d time.Duration) error { return s.RunUntil(s.now.Add(d)) }
-
-// RunUntil executes all events scheduled at or before t and then sets the
-// clock to t.
-func (s *Sim) RunUntil(t Time) error {
-	if s.group != nil {
-		return fmt.Errorf("sim: shard %d belongs to a Group; drive it with Group.RunUntil", s.shardID)
-	}
-	if s.running {
-		return fmt.Errorf("sim: RunUntil called reentrantly")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-	s.stopped = false
-	for !s.stopped {
-		if len(s.events) == 0 || s.events[0].at > t {
-			break
-		}
-		ev := s.next()
+// runTo is the one inner loop: it dispatches events while next yields
+// one before end, and stops early on Stop and, when fgExit is set (a
+// standalone Run), as soon as no foreground process is left. A proc
+// panic is re-raised on the goroutine running the loop.
+func (s *Sim) runTo(end Time, fgExit bool) {
+	for !s.stopped && !(fgExit && s.everFg && s.fg == 0) {
+		ev := s.next(end)
 		if ev == nil {
-			break
+			return
 		}
 		s.now = ev.at
 		s.dispatch(ev)
@@ -490,10 +462,6 @@ func (s *Sim) RunUntil(t Time) error {
 			panic(s.panicV)
 		}
 	}
-	if s.now < t {
-		s.now = t
-	}
-	return nil
 }
 
 func (s *Sim) dispatch(ev *event) {
@@ -524,26 +492,18 @@ func (s *Sim) dispatch(ev *event) {
 	s.recycle(ev)
 }
 
-func (s *Sim) parkedNames() string {
-	var names []string
-	for p := range s.procs {
-		if p.parked {
-			names = append(names, p.name)
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return "(none)"
-	}
-	return fmt.Sprint(names)
-}
-
 // ParkedProcs lists the names of currently-parked processes (diagnostics).
-func (s *Sim) ParkedProcs() []string {
+func (s *Sim) ParkedProcs() []string { return parkedNames([]*Sim{s}) }
+
+// parkedNames lists, sorted, the parked processes of every shard: the
+// names a deadlock error reports.
+func parkedNames(shards []*Sim) []string {
 	var names []string
-	for p := range s.procs {
-		if p.parked {
-			names = append(names, p.name)
+	for _, s := range shards {
+		for p := range s.procs {
+			if p.parked {
+				names = append(names, p.name)
+			}
 		}
 	}
 	sort.Strings(names)

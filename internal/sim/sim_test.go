@@ -456,3 +456,24 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 		t.Fatalf("now = %v", s.Now())
 	}
 }
+
+// TestRunUntilStopsAtBound: a cancelled event before the bound must not
+// carry RunUntil on to a live event after it.
+func TestRunUntilStopsAtBound(t *testing.T) {
+	s := New(1)
+	s.At(10, func() {}).Stop()
+	var ran []Time
+	s.At(20, func() { ran = append(ran, s.Now()) })
+	if err := s.RunUntil(15); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 0 || s.Now() != 15 {
+		t.Fatalf("RunUntil(15) ran %v and left the clock at %v", ran, s.Now())
+	}
+	if err := s.RunUntil(20); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 1 || ran[0] != 20 {
+		t.Fatalf("RunUntil(20) ran %v, want the event at 20", ran)
+	}
+}

@@ -175,16 +175,16 @@ func (st *Stack) bind(s *Socket, addr Addr) error {
 
 // registerConn moves a socket into the full-tuple connection map.
 func (st *Stack) registerConn(s *Socket) {
-	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}})
+	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}}, s)
 	st.file(st.conns, tuple{s.Proto, s.local, s.remote}, s)
 }
 
 // deregister removes the socket from all demultiplexing tables and
 // releases its port.
 func (st *Stack) deregister(s *Socket) {
-	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}})
+	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}}, s)
 	if !s.remote.IsZero() {
-		st.unfile(st.conns, tuple{s.Proto, s.local, s.remote})
+		st.unfile(st.conns, tuple{s.Proto, s.local, s.remote}, s)
 	}
 	if s.portReserved {
 		// A listener's port may be shared with its spawned connections;
@@ -248,12 +248,12 @@ func (st *Control) Connect(t *sim.Proc, s *Socket, raddr Addr) error {
 	}
 	// The bind table entry may be keyed under the wildcard IP; remove it
 	// under the old key before qualifying the local address.
-	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}})
+	st.unfile(st.binds, tuple{s.Proto, s.local, Addr{}}, s)
 	s.local.IP = st.cfg.LocalIP
 	switch s.Proto {
 	case wire.ProtoUDP:
 		if !s.remote.IsZero() {
-			st.unfile(st.conns, tuple{s.Proto, s.local, s.remote})
+			st.unfile(st.conns, tuple{s.Proto, s.local, s.remote}, s)
 		}
 		s.remote = raddr
 		st.registerConn(s)

@@ -446,9 +446,10 @@ func (st *Stack) lookup(proto uint8, local, remote Addr) *Socket {
 }
 
 // file enters s in a demultiplexing table (conns or binds) under key,
-// displacing whatever the key named; unfile removes that.
+// displacing whatever the key named; unfile removes s from under key,
+// and leaves an entry that names another socket alone.
 func (st *Stack) file(m map[tuple]*Socket, key tuple, s *Socket) {
-	st.unfile(m, key)
+	st.unfile(m, key, m[key])
 	m[key] = s
 	if s.filed++; s.filed == 1 {
 		i, _ := slices.BinarySearchFunc(st.socks, s.uid, (*Socket).cmpUID)
@@ -456,9 +457,8 @@ func (st *Stack) file(m map[tuple]*Socket, key tuple, s *Socket) {
 	}
 }
 
-func (st *Stack) unfile(m map[tuple]*Socket, key tuple) {
-	s := m[key]
-	if s == nil {
+func (st *Stack) unfile(m map[tuple]*Socket, key tuple, s *Socket) {
+	if s == nil || m[key] != s {
 		return
 	}
 	delete(m, key)
