@@ -56,6 +56,8 @@ func RunAll(t *testing.T, build Builder) {
 	}{
 		{"MisuseAgreement", testMisuseAgreement},
 		{"AcceptMultipleHostIP", testAcceptMultipleHostIP},
+		{"AcceptedCloseKeepsListenerPort", testAcceptedCloseKeepsListenerPort},
+		{"ExitClosesEveryDescriptor", testExitClosesEveryDescriptor},
 	}...)
 	for i, tc := range tests {
 		tc := tc
@@ -235,9 +237,7 @@ func testTCPEcho(t *testing.T, e *Env) {
 	srv := e.NewB("echod")
 	cli := e.NewA("client")
 	e.Sim.Spawn("echod", func(p *sim.Proc) {
-		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 7})
-		srv.Listen(p, ls, 1)
+		ls := listener(p, srv, 7, 1)
 		fd, _, err := srv.Accept(p, ls)
 		if err != nil {
 			t.Error(err)
@@ -301,9 +301,7 @@ func testTCPShutdownWrite(t *testing.T, e *Env) {
 	srv := e.NewB("server")
 	cli := e.NewA("client")
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 5001})
-		srv.Listen(p, ls, 1)
+		ls := listener(p, srv, 5001, 1)
 		fd, _, err := srv.Accept(p, ls)
 		if err != nil {
 			t.Error(err)
@@ -351,9 +349,7 @@ func testSockNames(t *testing.T, e *Env) {
 	srv := e.NewB("server")
 	cli := e.NewA("client")
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 5001})
-		srv.Listen(p, ls, 1)
+		ls := listener(p, srv, 5001, 1)
 		fd, _, err := srv.Accept(p, ls)
 		if err != nil {
 			t.Error(err)
@@ -461,9 +457,7 @@ func testForkSharesSessions(t *testing.T, e *Env) {
 	srv := e.NewB("forkserver")
 	parent := e.NewA("parent")
 	e.Sim.Spawn("forkserver", func(p *sim.Proc) {
-		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 5001})
-		srv.Listen(p, ls, 1)
+		ls := listener(p, srv, 5001, 1)
 		fd, _, err := srv.Accept(p, ls)
 		if err != nil {
 			t.Error(err)
@@ -501,8 +495,6 @@ func testForkSharesSessions(t *testing.T, e *Env) {
 		if _, err := parent.Send(p, fd, []byte("parent"), 0); err != nil {
 			t.Errorf("parent send: %v", err)
 		}
-		done := make(chan struct{})
-		_ = done
 		e.Sim.Spawn("child", func(cp *sim.Proc) {
 			if _, err := child.Send(cp, fd, []byte("child"), 0); err != nil {
 				t.Errorf("child send: %v", err)
@@ -533,14 +525,54 @@ func testBadFD(t *testing.T, e *Env) {
 	})
 }
 
-func testAcceptMultiple(t *testing.T, e *Env) { acceptMultiple(t, e, wire.IPAddr{}) }
+func testAcceptMultiple(t *testing.T, e *Env) { acceptMultiple(t, e, wire.IPAddr{}, false) }
 
 // testAcceptMultipleHostIP binds the listener to the host's own address
 // instead of INADDR_ANY: closing an accepted connection, whose local
 // address is then the listener's, must leave the listener reachable.
-func testAcceptMultipleHostIP(t *testing.T, e *Env) { acceptMultiple(t, e, e.IPB) }
+func testAcceptMultipleHostIP(t *testing.T, e *Env) { acceptMultiple(t, e, e.IPB, false) }
 
-func acceptMultiple(t *testing.T, e *Env, listenIP wire.IPAddr) {
+// testAcceptedCloseKeepsListenerPort: accepted connections share their
+// listener's port, so once they are closed and gone the port is still
+// the listener's until it closes.
+func testAcceptedCloseKeepsListenerPort(t *testing.T, e *Env) {
+	acceptMultiple(t, e, wire.IPAddr{}, true)
+}
+
+// testExitClosesEveryDescriptor: exit closes every descriptor, as BSD
+// exit() does, unconnected ones included: a listener's port and a bound
+// socket's are free at once.
+func testExitClosesEveryDescriptor(t *testing.T, e *Env) {
+	dying, heir := e.NewB("dying"), e.NewB("heir")
+	e.Sim.Spawn("dying", func(p *sim.Proc) {
+		listener(p, dying, 5001, 1)
+		bindNew(t, p, dying, socketapi.SockStream, 5002, nil)
+		dying.ExitProcess(p)
+		bindNew(t, p, heir, socketapi.SockStream, 5001, nil)
+		bindNew(t, p, heir, socketapi.SockStream, 5002, nil)
+	})
+}
+
+// listener is the socket, bind and listen a TCP server starts with.
+func listener(p *sim.Proc, api socketapi.API, port uint16, backlog int) int {
+	ls, _ := api.Socket(p, socketapi.SockStream)
+	api.Bind(p, ls, socketapi.SockAddr{Port: port})
+	api.Listen(p, ls, backlog)
+	return ls
+}
+
+// bindNew binds a new socket of api to port and checks the answer.
+func bindNew(t *testing.T, p *sim.Proc, api socketapi.API, typ int, port uint16, want error) {
+	fd, _ := api.Socket(p, typ)
+	if err := api.Bind(p, fd, socketapi.SockAddr{Port: port}); !errors.Is(err, want) {
+		t.Errorf("bind(%d) at %v = %v, want %v", port, p.Now(), err, want)
+	}
+}
+
+// acceptMultiple serves three connections on listenIP:5001. With squat,
+// another application binds the port after every connection's 2MSL and
+// again once the listener is closed.
+func acceptMultiple(t *testing.T, e *Env, listenIP wire.IPAddr, squat bool) {
 	srv := e.NewB("multiserver")
 	const clients = 3
 	e.Sim.Spawn("multiserver", func(p *sim.Proc) {
@@ -563,7 +595,14 @@ func acceptMultiple(t *testing.T, e *Env, listenIP wire.IPAddr) {
 			}
 			srv.Close(p, fd)
 		}
+		if !squat {
+			srv.Close(p, ls)
+			return
+		}
+		p.Sleep(90 * time.Second)
+		bindNew(t, p, e.NewB("squatter"), socketapi.SockStream, 5001, socketapi.ErrAddrInUse)
 		srv.Close(p, ls)
+		bindNew(t, p, e.NewB("squatter"), socketapi.SockStream, 5001, nil)
 	})
 	for i := 0; i < clients; i++ {
 		i := i
@@ -590,15 +629,8 @@ func testBindConflict(t *testing.T, e *Env) {
 			t.Error(err)
 			return
 		}
-		fd2, _ := a2.Socket(p, socketapi.SockDgram)
-		if err := a2.Bind(p, fd2, socketapi.SockAddr{Port: 4444}); !errors.Is(err, socketapi.ErrAddrInUse) {
-			t.Errorf("conflicting bind = %v, want EADDRINUSE", err)
-		}
+		bindNew(t, p, a2, socketapi.SockDgram, 4444, socketapi.ErrAddrInUse)
 		a1.Close(p, fd1)
-		// Port must be reusable after close.
-		fd3, _ := a2.Socket(p, socketapi.SockDgram)
-		if err := a2.Bind(p, fd3, socketapi.SockAddr{Port: 4444}); err != nil {
-			t.Errorf("bind after close = %v", err)
-		}
+		bindNew(t, p, a2, socketapi.SockDgram, 4444, nil) // reusable after close
 	})
 }

@@ -70,9 +70,7 @@ func testChainEchoTCP(t *testing.T, e *Env) {
 	cli := e.NewA("chaincli")
 	msg := bytes.Repeat([]byte("chain-echo-"), 300) // > one segment
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, fd, socketapi.SockAddr{Port: 700})
-		srv.Listen(p, fd, 4)
+		fd := listener(p, srv, 700, 4)
 		cfd, _, err := srv.Accept(p, fd)
 		if err != nil {
 			t.Error(err)
@@ -177,9 +175,7 @@ func testRecvPeekRanges(t *testing.T, e *Env) {
 	// A framed message: 4-byte type, 4-byte length, payload.
 	msg := append([]byte("TYPElen!"), bytes.Repeat([]byte("p"), 512)...)
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, fd, socketapi.SockAddr{Port: 702})
-		srv.Listen(p, fd, 4)
+		fd := listener(p, srv, 702, 4)
 		cfd, _, err := srv.Accept(p, fd)
 		if err != nil {
 			t.Error(err)
@@ -236,9 +232,7 @@ func testRecvPeekViewWrite(t *testing.T, e *Env) {
 	srv := e.NewB("cow")
 	cli := e.NewA("cowcli")
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, fd, socketapi.SockAddr{Port: 703})
-		srv.Listen(p, fd, 4)
+		fd := listener(p, srv, 703, 4)
 		cfd, _, err := srv.Accept(p, fd)
 		if err != nil {
 			t.Error(err)
@@ -286,9 +280,7 @@ func testSpliceEcho(t *testing.T, e *Env) {
 	cli := e.NewA("splicecli")
 	msg := bytes.Repeat([]byte("splice-echo!"), 512) // 6 KB
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, fd, socketapi.SockAddr{Port: 704})
-		srv.Listen(p, fd, 4)
+		fd := listener(p, srv, 704, 4)
 		cfd, _, err := srv.Accept(p, fd)
 		if err != nil {
 			t.Error(err)
@@ -335,9 +327,7 @@ func testSpliceForward(t *testing.T, e *Env) {
 	sink := e.NewA("fwdsink")
 	msg := bytes.Repeat([]byte("forward-me"), 800) // 8 KB
 	e.Sim.Spawn("sink", func(p *sim.Proc) {
-		fd, _ := sink.Socket(p, socketapi.SockStream)
-		sink.Bind(p, fd, socketapi.SockAddr{Port: 706})
-		sink.Listen(p, fd, 4)
+		fd := listener(p, sink, 706, 4)
 		cfd, _, err := sink.Accept(p, fd)
 		if err != nil {
 			t.Error(err)
@@ -361,9 +351,7 @@ func testSpliceForward(t *testing.T, e *Env) {
 	})
 	e.Sim.Spawn("proxy", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		lfd, _ := proxy.Socket(p, socketapi.SockStream)
-		proxy.Bind(p, lfd, socketapi.SockAddr{Port: 705})
-		proxy.Listen(p, lfd, 4)
+		lfd := listener(p, proxy, 705, 4)
 		sfd, _, err := proxy.Accept(p, lfd)
 		if err != nil {
 			t.Error(err)

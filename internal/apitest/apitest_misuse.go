@@ -201,6 +201,14 @@ var misuseRows = []struct {
 	{"splice/udp-src", socketapi.ErrNotSupported, func(m *misuse) error { return errFrom(m.ch.Splice(m.p, m.conn(), m.udp(), 1)) }},
 	{"recvzc/max=-1", nil, func(m *misuse) error { return m.recvAll(-1) }},
 	{"recvzc/max=0", nil, func(m *misuse) error { return m.recvAll(0) }},
+	{"select/unbound-udp-writable", nil, func(m *misuse) error {
+		fd := m.udp()
+		_, w, err := m.api.Select(m.p, nil, socketapi.NewFDSet(fd), time.Millisecond)
+		if err == nil && !w[fd] {
+			err = fmt.Errorf("select: an unbound UDP socket is not writable")
+		}
+		return err
+	}},
 }
 
 // testMisuseAgreement runs every misuse row on one application. The
@@ -209,9 +217,7 @@ var misuseRows = []struct {
 func testMisuseAgreement(t *testing.T, e *Env) {
 	peer := e.NewB("misuse-peer")
 	e.Sim.SpawnDaemon("misuse-peer", func(p *sim.Proc) {
-		ls, _ := peer.Socket(p, socketapi.SockStream)
-		peer.Bind(p, ls, socketapi.SockAddr{Port: peerPort})
-		peer.Listen(p, ls, 64)
+		ls := listener(p, peer, peerPort, 64)
 		for {
 			fd, _, err := peer.Accept(p, ls)
 			if err != nil {

@@ -60,9 +60,7 @@ func testScatterGather(t *testing.T, e *Env) {
 	srv := e.NewB("sg")
 	cli := e.NewA("sgc")
 	e.Sim.Spawn("sg", func(p *sim.Proc) {
-		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 5001})
-		srv.Listen(p, ls, 1)
+		ls := listener(p, srv, 5001, 1)
 		fd, _, err := srv.Accept(p, ls)
 		if err != nil {
 			t.Error(err)
@@ -103,9 +101,7 @@ func testScatterGather(t *testing.T, e *Env) {
 func testListenBacklog(t *testing.T, e *Env) {
 	srv := e.NewB("backlog")
 	e.Sim.Spawn("backlog", func(p *sim.Proc) {
-		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 5001})
-		srv.Listen(p, ls, 2)
+		ls := listener(p, srv, 5001, 2)
 		// Accept all three eventually: the third client's SYN is dropped
 		// while the backlog is full and retried, so everyone connects
 		// once we start accepting.
@@ -295,9 +291,7 @@ func testSelectWritable(t *testing.T, e *Env) {
 	srv := e.NewB("wsel")
 	cli := e.NewA("wselc")
 	e.Sim.Spawn("wsel", func(p *sim.Proc) {
-		ls, _ := srv.Socket(p, socketapi.SockStream)
-		srv.Bind(p, ls, socketapi.SockAddr{Port: 5001})
-		srv.Listen(p, ls, 1)
+		ls := listener(p, srv, 5001, 1)
 		fd, _, err := srv.Accept(p, ls)
 		if err != nil {
 			t.Error(err)

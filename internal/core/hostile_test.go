@@ -104,8 +104,8 @@ func hostileReturn(t *testing.T, forge func(*stack.TCPSessionState, *session), d
 			if !errors.Is(err, socketapi.ErrInvalid) {
 				t.Errorf("proxy_return of a forged blob = %v, want EINVAL", err)
 			}
-			if xs := srv.sessions[xid]; xs.loc != atApp || xs.ep == nil || srv.Returns.Value() != 1 {
-				t.Errorf("refused return still moved the session (loc=%v, ep=%v, returns=%d)", xs.loc, xs.ep, srv.Returns.Value())
+			if xs := srv.sessions[xid]; xs.state != libOwned || xs.ep == nil || srv.Returns.Value() != 1 {
+				t.Errorf("refused return still moved the session (state=%v, ep=%v, returns=%d)", xs.state, xs.ep, srv.Returns.Value())
 			}
 		}
 		if n := len(srv.St.SocketTable()); n != 1 {

@@ -56,10 +56,9 @@ type Library struct {
 // the shared layer's slot plus what the library itself records about it.
 type appSession struct {
 	socklayer.Entry
-	id     SessionID
-	proto  uint8
-	name   socketapi.SockAddr // local name as the application bound it (getsockname)
-	listen bool
+	id    SessionID
+	proto uint8
+	name  socketapi.SockAddr // local name as the application bound it (getsockname)
 }
 
 // newSession makes a server-managed entry whose Owner is the session.
@@ -216,7 +215,7 @@ func (lib *Library) bind(t *sim.Proc, e *socklayer.Entry, addr socketapi.SockAdd
 		bound
 		err error
 	}
-	lib.proxy(t, 32, func(*sim.Proc) { r.bound, r.err = lib.srv.proxyBind(s.id, socklayer.ToStack(addr), lib) })
+	lib.proxy(t, 32, func(on *sim.Proc) { r.bound, r.err = lib.srv.proxyBind(on, s.id, socklayer.ToStack(addr), lib) })
 	if r.err != nil {
 		return r.err
 	}
@@ -290,29 +289,23 @@ func (lib *Library) Listen(t *sim.Proc, fd int, backlog int) error {
 	if err != nil {
 		return err
 	}
-	s := sessOf(e)
-	lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxyListen(s.id, backlog) })
-	s.listen = err == nil
+	lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxyListen(sessOf(e).id, backlog) })
 	return err
 }
 
 // Accept implements socketapi.API (Table 1: accept -> proxy_accept;
 // the passively opened session migrates to the application once
-// established).
+// established). The server refuses a session that is not listening.
 func (lib *Library) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
 	e, err := lib.Lookup(fd)
 	if err != nil {
 		return -1, socketapi.SockAddr{}, err
 	}
-	s := sessOf(e)
-	if !s.listen {
-		return -1, socketapi.SockAddr{}, socketapi.ErrInvalid
-	}
 	var r struct {
 		migration
 		err error
 	}
-	lib.proxy(t, 64, func(on *sim.Proc) { r.migration, r.err = lib.srv.proxyAccept(on, s.id, lib) })
+	lib.proxy(t, 64, func(on *sim.Proc) { r.migration, r.err = lib.srv.proxyAccept(on, sessOf(e).id, lib) })
 	if r.err != nil {
 		return -1, socketapi.SockAddr{}, r.err
 	}
@@ -455,7 +448,8 @@ func (lib *Library) Fork(t *sim.Proc, childName string) (socketapi.API, error) {
 // ExitProcess implements socketapi.API: the unexpected-shutdown path. The
 // kernel notifies the operating-system server of the death; the server
 // scavenges the dead address space's session state, aborts the
-// connections with resets, and quarantines their ports.
+// connections with resets, quarantines their ports, and drops the
+// process's references on the sessions it manages itself.
 func (lib *Library) ExitProcess(t *sim.Proc) {
 	if lib.exited {
 		return
@@ -463,22 +457,22 @@ func (lib *Library) ExitProcess(t *sim.Proc) {
 	lib.exited = true
 	lib.quiesce(t)
 	var tcp []orphan
-	var udp []SessionID
+	var rest []SessionID
 	for _, fd := range lib.FDs() {
 		e, _ := lib.Lookup(fd)
 		lib.Remove(fd)
+		s := sessOf(e)
 		if e.At != &lib.local {
-			continue
-		}
-		if s := sessOf(e); s.proto == wire.ProtoUDP {
+			rest = append(rest, s.id)
+		} else if s.proto == wire.ProtoUDP {
 			lib.St.DropUDPSession(e.Sock)
-			udp = append(udp, s.id)
+			rest = append(rest, s.id)
 		} else if state, err := lib.St.ExportTCPSession(t, e.Sock); err == nil {
 			tcp = append(tcp, orphan{s.id, state})
 		}
 	}
 	lib.St.StopTimers()
-	lib.srv.svc.Call(t, func(on *sim.Proc) { lib.srv.deathNotice(on, lib, tcp, udp) })
+	lib.srv.svc.Call(t, func(on *sim.Proc) { lib.srv.deathNotice(on, lib, tcp, rest) })
 	lib.Proc.Exit()
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/filter"
@@ -47,9 +48,11 @@ type orphan struct {
 	state *stack.TCPSessionState
 }
 
+// get finds a session a descriptor can name: none is left on one
+// closing at the server.
 func (srv *Server) get(sid SessionID) (*session, error) {
 	sess, ok := srv.sessions[sid]
-	if !ok {
+	if !ok || sess.state == closing {
 		return nil, socketapi.ErrBadFD
 	}
 	return sess, nil
@@ -61,25 +64,22 @@ func (srv *Server) proxySocket(proto uint8) SessionID { return srv.newSession(pr
 
 // proxyBind names the session's local endpoint. UDP sessions migrate to
 // the application at bind (Table 1).
-func (srv *Server) proxyBind(sid SessionID, addr stack.Addr, lib *Library) (bound, error) {
+func (srv *Server) proxyBind(t *sim.Proc, sid SessionID, addr stack.Addr, lib *Library) (bound, error) {
 	sess, err := srv.get(sid)
 	if err != nil {
 		return bound{}, err
 	}
-	if sess.local.Port != 0 {
+	if sess.state != unnamed {
 		return bound{}, socketapi.ErrInvalid
 	}
 	if err := srv.name(sess, addr); err != nil {
 		return bound{}, err
 	}
-	if srv.traceOn() {
-		srv.traceEmit(trace.EvPortOp, protoName(sess.proto), "bind", int64(sess.local.Port), int64(sess.id))
-	}
+	srv.traceEmit(trace.EvPortOp, protoName(sess.proto), "bind", int64(sess.local.Port), int64(sess.id))
 	if sess.proto == wire.ProtoUDP {
-		ep, err := srv.migrateUDP(sess, lib)
-		return bound{local: sess.local, ep: ep}, err
+		srv.migrate(t, sess, lib, true)
 	}
-	return bound{local: sess.local, sock: sess.srvSock}, nil
+	return bound{local: sess.local, ep: sess.ep, sock: sess.srvSock}, nil
 }
 
 // proxyListen makes a bound TCP session passive; the operating system
@@ -92,13 +92,13 @@ func (srv *Server) proxyListen(sid SessionID, backlog int) error {
 	if sess.proto != wire.ProtoTCP {
 		return socketapi.ErrNotSupported
 	}
-	if sess.srvSock == nil {
-		return socketapi.ErrInvalid // unbound, or connected and migrated away
+	if !sess.state.in(1<<named | 1<<listening) {
+		return socketapi.ErrInvalid // unbound, or connected
 	}
 	if err := srv.St.Listen(sess.srvSock, backlog); err != nil {
 		return err
 	}
-	sess.listening = true
+	srv.move(sess, listening)
 	srv.watchServerSocket(sess)
 	return nil
 }
@@ -110,7 +110,7 @@ func (srv *Server) proxyAccept(t *sim.Proc, sid SessionID, lib *Library) (migrat
 	if err != nil {
 		return migration{}, err
 	}
-	if !sess.listening {
+	if sess.state != listening {
 		return migration{}, socketapi.ErrInvalid
 	}
 	ns, err := srv.St.Accept(t, sess.srvSock)
@@ -118,9 +118,8 @@ func (srv *Server) proxyAccept(t *sim.Proc, sid SessionID, lib *Library) (migrat
 		return migration{}, err
 	}
 	newSess := srv.newSession(wire.ProtoTCP)
-	newSess.local = ns.LocalAddr()
-	newSess.remote = ns.RemoteAddr()
-	newSess.srvSock = ns
+	newSess.local, newSess.remote, newSess.srvSock = ns.LocalAddr(), ns.RemoteAddr(), ns
+	srv.move(newSess, serverOwned)
 	return srv.established(t, newSess, "accept", lib)
 }
 
@@ -128,25 +127,41 @@ func (srv *Server) proxyAccept(t *sim.Proc, sid SessionID, lib *Library) (migrat
 // library's cache, and migrate the session into the application.
 func (srv *Server) established(t *sim.Proc, sess *session, how string, lib *Library) (migration, error) {
 	srv.ConnSetups.Inc()
-	if srv.traceOn() {
-		srv.traceEmit(trace.EvConnSetup, sessName(sess), how, int64(sess.id), 0)
-	}
+	srv.traceSess(trace.EvConnSetup, sess, how)
 	mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(sess.remote.IP), 10*time.Second)
-	ep, state, err := srv.migrateTCP(t, sess, lib)
-	return migration{sid: sess.id, local: sess.local, remote: sess.remote, state: state, ep: ep, remoteMAC: mac}, err
+	state, err := srv.migrate(t, sess, lib, how == "connect")
+	return migration{sid: sess.id, local: sess.local, remote: sess.remote, state: state, ep: sess.ep, remoteMAC: mac}, err
 }
 
-// proxyReturn takes a session back from the application (see
-// returnSession) and reports the server socket that manages it now —
-// nil once a closing session has been dealt with.
+// proxyReturn migrates a session back from the application (Table 1's
+// proxy_return): for close, the server runs the shutdown handshake and
+// 2MSL wait; for fork or splice, it manages the session from now on and
+// reports the server socket that does.
 func (srv *Server) proxyReturn(t *sim.Proc, sid SessionID, state *stack.TCPSessionState, closing bool) (*stack.Socket, error) {
 	sess, err := srv.get(sid)
 	if err != nil {
 		return nil, err
 	}
-	if err := srv.returnSession(t, sess, state, closing); err != nil || closing {
-		return nil, err
+	// The blob comes from the library's address space: refuse one that is
+	// not this session's before any table changes hands.
+	if sess.state != libOwned || sess.proto == wire.ProtoTCP && state.Check(sess.local, sess.remote) != nil {
+		return nil, socketapi.ErrInvalid
 	}
+	srv.move(sess, returning)
+	switch {
+	case sess.proto == wire.ProtoUDP && closing:
+		srv.move(sess, reaped)
+		return nil, nil
+	case sess.proto == wire.ProtoUDP:
+		sess.srvSock = srv.St.AdoptUDPSession(sess.local, sess.remote)
+	default:
+		sess.srvSock = srv.St.ImportTCPSession(t, state)
+	}
+	srv.watchServerSocket(sess)
+	if closing {
+		return nil, srv.shut(t, sess)
+	}
+	srv.move(sess, serverOwned)
 	return sess.srvSock, nil
 }
 
@@ -159,8 +174,8 @@ func (srv *Server) proxyDup(sid SessionID) error {
 	return err
 }
 
-// proxyRelease drops a descriptor reference; the last one closes a
-// server-managed session.
+// proxyRelease drops a descriptor reference; the last one closes the
+// session.
 func (srv *Server) proxyRelease(t *sim.Proc, sid SessionID) error {
 	sess, err := srv.get(sid)
 	if err != nil {
@@ -169,7 +184,11 @@ func (srv *Server) proxyRelease(t *sim.Proc, sid SessionID) error {
 	if sess.refs--; sess.refs > 0 {
 		return nil
 	}
-	return srv.closeServerSession(t, sess)
+	if sess.state == libOwned || sess.state == unnamed && sess.srvSock == nil {
+		srv.move(sess, reaped) // its export failed, or it never had a socket
+		return nil
+	}
+	return srv.shut(t, sess)
 }
 
 // proxyStatus is the server's half of the cooperative select: the
@@ -177,10 +196,12 @@ func (srv *Server) proxyRelease(t *sim.Proc, sid SessionID) error {
 func (srv *Server) proxyStatus(sids []SessionID) (readable, writable []bool) {
 	readable, writable = make([]bool, len(sids)), make([]bool, len(sids))
 	for i, sid := range sids {
-		sess, ok := srv.sessions[sid]
-		if !ok {
+		switch sess, ok := srv.sessions[sid]; {
+		case !ok:
 			readable[i], writable[i] = true, true // error state: select returns ready
-		} else if sess.srvSock != nil {
+		case sess.state == unnamed:
+			writable[i] = sess.proto == wire.ProtoUDP // sendto names it
+		case sess.state.in(1<<named | 1<<listening | 1<<serverOwned):
 			readable[i], writable[i] = sess.srvSock.Readable(), sess.srvSock.Writable()
 		}
 	}
@@ -227,41 +248,33 @@ func (srv *Server) proxyConnect(t *sim.Proc, sid SessionID, raddr stack.Addr, li
 	case wire.ProtoUDP:
 		// Connect narrows a (possibly already migrated) UDP session to
 		// one peer.
-		if sess.local.Port == 0 {
+		if sess.state == unnamed {
 			if err := srv.name(sess, stack.Addr{}); err != nil {
 				return migration{}, err
 			}
-			if _, err := srv.migrateUDP(sess, lib); err != nil {
-				return migration{}, err
-			}
+			srv.migrate(t, sess, lib, true)
 		}
-		sess.remote = raddr
+		if sess.state != libOwned {
+			return migration{}, socketapi.ErrNotSupported // returned for fork: the server manages it
+		}
 		// Replace the session filter with one narrowed to the peer.
-		if sess.ep != nil && sess.filterID != 0 {
-			sess.ep.RemoveFilter(sess.filterID)
-			fid, err := sess.ep.InstallFilter(filter.MatchSpec{
-				Proto: wire.ProtoUDP, LocalIP: sess.local.IP, LocalPort: sess.local.Port,
-				RemoteIP: raddr.IP, RemotePort: raddr.Port,
-			}, sessionFilterPriority)
-			if err != nil {
-				return migration{}, err
-			}
-			sess.filterID = fid
-		}
+		sess.remote = raddr
+		sess.ep.RemoveFilter(sess.filterID)
+		sess.installFilter()
 		mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(raddr.IP), 10*time.Second)
 		return migration{local: sess.local, remote: sess.remote, ep: sess.ep, remoteMAC: mac}, nil
 
 	case wire.ProtoTCP:
-		if sess.loc != atServer {
+		if !sess.state.in(1<<unnamed | 1<<named) {
 			return migration{}, socketapi.ErrIsConn
 		}
 		if err := srv.St.Connect(t, srv.socketOf(sess), raddr); err != nil {
-			sess.srvSock = nil
-			sess.local = stack.Addr{}
+			srv.move(sess, unnamed)
 			return migration{}, err
 		}
 		sess.local = sess.srvSock.LocalAddr()
 		sess.remote = sess.srvSock.RemoteAddr()
+		srv.move(sess, serverOwned)
 		return srv.established(t, sess, "connect", lib)
 	}
 	return migration{}, socketapi.ErrNotSupported
@@ -286,187 +299,82 @@ func (srv *Server) name(sess *session, addr stack.Addr) error {
 	}
 	sess.local = sock.LocalAddr()
 	sess.local.IP = srv.St.LocalIP()
+	srv.move(sess, named)
 	return nil
 }
 
 const sessionFilterPriority = 10
 
-// migrateUDP moves a bound UDP session into the application: install the
-// session's packet filter, detach the server socket (keeping the port
-// reservation alive in the namespace), and hand the endpoint over.
-func (srv *Server) migrateUDP(sess *session, lib *Library) (*kern.Endpoint, error) {
-	ep := srv.sys.Host.NewEndpoint(0)
-	spec := filter.MatchSpec{Proto: wire.ProtoUDP, LocalIP: sess.local.IP, LocalPort: sess.local.Port}
+// installFilter puts the session's packet filter on its endpoint: its
+// own port, and its peer's once it has one.
+func (sess *session) installFilter() {
+	spec := filter.MatchSpec{Proto: sess.proto, LocalIP: sess.local.IP, LocalPort: sess.local.Port}
 	if !sess.remote.IsZero() {
 		spec.RemoteIP, spec.RemotePort = sess.remote.IP, sess.remote.Port
 	}
-	fid, err := ep.InstallFilter(spec, sessionFilterPriority)
+	fid, err := sess.ep.InstallFilter(spec, sessionFilterPriority)
 	if err != nil {
-		ep.Close()
+		panic(err) // a compiled match spec always validates
+	}
+	sess.filterID = fid
+}
+
+// migrate moves a session into lib's address space: UDP at bind, TCP once
+// established (Table 1). The server socket is detached without releasing
+// its port; a session that reserved its own (ownPort) holds that reference
+// until it is reaped, and an accepted one shares its listener's.
+func (srv *Server) migrate(t *sim.Proc, sess *session, lib *Library, ownPort bool) (state *stack.TCPSessionState, err error) {
+	srv.move(sess, migrating)
+	if sess.proto == wire.ProtoUDP {
+		srv.St.DropUDPSession(sess.srvSock)
+	} else if state, err = srv.St.ExportTCPSession(t, sess.srvSock); err != nil {
+		srv.move(sess, serverOwned)
 		return nil, err
 	}
-	srv.St.DropUDPSession(sess.srvSock)
-	sess.srvSock = nil
-	sess.ep = ep
-	sess.filterID = fid
-	sess.portHeld = true
-	sess.loc = atApp
-	sess.owner = lib
-	srv.Migrations.Inc()
-	if srv.traceOn() {
-		srv.traceEmit(trace.EvMigrate, sessName(sess), "to-app", int64(sess.id), 0)
-	}
-	return ep, nil
+	sess.owner, sess.portHeld = lib, ownPort
+	srv.move(sess, libOwned)
+	return state, nil
 }
 
-// migrateTCP moves an established TCP session into the application. The
-// packet filter is installed before the state is exported so no segment
-// can fall between the two stacks.
-func (srv *Server) migrateTCP(t *sim.Proc, sess *session, lib *Library) (*kern.Endpoint, *stack.TCPSessionState, error) {
-	ep := srv.sys.Host.NewEndpoint(0)
-	fid, err := ep.InstallFilter(filter.MatchSpec{
-		Proto: wire.ProtoTCP, LocalIP: sess.local.IP, LocalPort: sess.local.Port,
-		RemoteIP: sess.remote.IP, RemotePort: sess.remote.Port,
-	}, sessionFilterPriority)
-	if err != nil {
-		ep.Close()
-		return nil, nil, err
-	}
-	hadPort := sess.srvSock != nil && !sess.listening
-	state, err := srv.St.ExportTCPSession(t, sess.srvSock)
-	if err != nil {
-		ep.Close()
-		return nil, nil, err
-	}
-	// An actively-opened session reserved its own (possibly ephemeral)
-	// port; an accepted session shares its listener's. Either way the
-	// namespace entry survives migration, held by the server.
-	if hadPort && sess.local.Port != 0 && srv.Ports.InUse(wire.ProtoTCP, sess.local.Port) {
-		sess.portHeld = true
-	}
-	sess.srvSock = nil
-	sess.ep = ep
-	sess.filterID = fid
-	sess.loc = atApp
-	sess.owner = lib
-	srv.Migrations.Inc()
-	if srv.traceOn() {
-		srv.traceEmit(trace.EvMigrate, sessName(sess), "to-app", int64(sess.id), 0)
-	}
-	return ep, state, nil
-}
-
-// returnSession migrates a session back from the application (Table 1's
-// proxy_return): for close, the server runs the shutdown handshake and
-// 2MSL wait; for fork, the server simply manages the session from now on.
-func (srv *Server) returnSession(t *sim.Proc, sess *session, state *stack.TCPSessionState, closing bool) error {
-	if sess.loc != atApp {
-		return socketapi.ErrInvalid
-	}
-	if sess.proto == wire.ProtoTCP {
-		// The blob comes from the library's address space: refuse one that
-		// is not this session's before any table changes hands.
-		if err := state.Check(sess.local, sess.remote); err != nil {
-			return err
-		}
-	}
-	srv.Returns.Inc()
-	srv.dropAppSide(sess)
-	sess.loc = atServer
-	sess.owner = nil
-	if srv.traceOn() {
-		srv.traceEmit(trace.EvMigrate, sessName(sess), "to-server", int64(sess.id), 0)
-	}
-	switch sess.proto {
-	case wire.ProtoUDP:
-		if closing {
-			srv.reapSession(sess)
-			return nil
-		}
-		sess.srvSock = srv.St.AdoptUDPSession(sess.local, sess.remote)
-		srv.watchServerSocket(sess)
-		return nil
-	case wire.ProtoTCP:
-		sess.srvSock = srv.St.ImportTCPSession(t, state)
-		srv.watchServerSocket(sess)
-		if closing {
-			sess.closing = true
-			srv.St.Close(t, sess.srvSock)
-			if stack.TCPStateOf(sess.srvSock) == "CLOSED" {
-				srv.reapSession(sess)
-			}
-		}
-		return nil
-	}
-	return socketapi.ErrNotSupported
-}
-
-// closeServerSession closes a server-located session once its last
-// descriptor reference is gone.
-func (srv *Server) closeServerSession(t *sim.Proc, sess *session) error {
-	if sess.srvSock == nil {
-		srv.reapSession(sess)
-		return nil
-	}
-	sess.closing = true
+// shut closes the server socket of a session no descriptor names any
+// more. A TCP connection stays closing through its handshake and 2MSL.
+func (srv *Server) shut(t *sim.Proc, sess *session) error {
+	srv.move(sess, closing)
 	err := srv.St.Close(t, sess.srvSock)
-	if sess.proto == wire.ProtoUDP || sess.listening || stack.TCPStateOf(sess.srvSock) == "CLOSED" {
-		srv.reapSession(sess)
-	}
+	srv.reapIfClosed(sess)
 	return err
 }
 
 // deathNotice handles the kernel's notification that a process died with
 // live sessions (paper §3.2 "unexpected shutdown"): the server aborts the
 // connections with resets and quarantines their ports so they cannot be
-// rebound while stale segments may still arrive. Sessions arrive in the
-// dead process's descriptor order, so the resets go out in the same
-// sequence on every same-seed run.
-func (srv *Server) deathNotice(t *sim.Proc, dead *Library, tcp []orphan, udp []SessionID) {
+// rebound while stale segments may still arrive. Of the rest, a migrated
+// UDP session dies with its owner, and the dead process's reference on
+// each session the server manages goes as proxy_release would take it
+// (BSD exit() closes every descriptor). Sessions arrive in the dead
+// process's descriptor order, so the resets go out in the same sequence
+// on every same-seed run.
+func (srv *Server) deathNotice(t *sim.Proc, dead *Library, tcp []orphan, rest []SessionID) {
 	for _, o := range tcp {
-		sid, state := o.sid, o.state
-		sess, ok := srv.sessions[sid]
-		if !ok || sess.owner != dead {
+		sess, ok := srv.sessions[o.sid]
+		if !ok || sess.state != libOwned || sess.owner != dead {
 			continue
 		}
-		srv.OrphansAborted.Inc()
-		if srv.traceOn() {
-			srv.traceEmit(trace.EvOrphanAbort, sessName(sess), "", int64(sid), 0)
-		}
-		srv.dropAppSide(sess)
-		// A blob that is not this session's (see returnSession) is not
+		srv.move(sess, aborting)
+		// A blob that is not this session's (see proxyReturn) is not
 		// installed; the peer gets no RST and times out instead.
-		if state.Check(sess.local, sess.remote) == nil {
-			srv.St.Abort(t, srv.St.ImportTCPSession(t, state)) // RST to the remote peer
+		if o.state.Check(sess.local, sess.remote) == nil {
+			srv.St.Abort(t, srv.St.ImportTCPSession(t, o.state)) // RST to the remote peer
 		}
-		port := sess.local.Port
-		held := sess.portHeld
-		sess.portHeld = false // quarantine supersedes the plain release
-		delete(srv.sessions, sid)
-		srv.SessionsReaped.Inc()
-		if held && port != 0 {
-			srv.Ports.Release(wire.ProtoTCP, port)
-			srv.Ports.Quarantine(wire.ProtoTCP, port)
-			if srv.traceOn() {
-				srv.traceEmit(trace.EvPortOp, "tcp", "quarantine", int64(port), 0)
-			}
-			srv.sys.Host.Sim.After(2*30*time.Second, func() {
-				srv.Ports.Unquarantine(wire.ProtoTCP, port)
-			})
-		}
+		srv.move(sess, reaped)
 	}
-	for _, sid := range udp {
-		sess, ok := srv.sessions[sid]
-		if !ok || sess.owner != dead {
-			continue
+	for _, sid := range rest {
+		if sess, ok := srv.sessions[sid]; !ok || sess.state != libOwned {
+			srv.proxyRelease(t, sid)
+		} else if sess.owner == dead {
+			srv.move(sess, reaped)
 		}
-		srv.reapSession(sess)
 	}
 	// Unregister the dead library from metastate callbacks.
-	for i, lib := range srv.libs {
-		if lib == dead {
-			srv.libs = append(srv.libs[:i], srv.libs[i+1:]...)
-			break
-		}
-	}
+	srv.libs = slices.DeleteFunc(srv.libs, func(lib *Library) bool { return lib == dead })
 }

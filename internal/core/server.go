@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/costs"
 	"repro/internal/kern"
@@ -35,13 +36,42 @@ import (
 // SessionID names a network session in the server's tables.
 type SessionID int64
 
-// sessionLoc records which address space currently manages a session.
-type sessionLoc int
+// sessionState is where a session is in its life, and so which address
+// space manages it (paper §3.2: exactly one at a time). move is its only
+// writer; next is its transition table.
+type sessionState uint8
 
 const (
-	atServer sessionLoc = iota
-	atApp
+	unborn      sessionState = iota // not yet in the server's table
+	unnamed                         // a record only: socket, or a failed connect
+	named                           // bound; the server socket holds the port
+	listening                       // passive; the server accepts its connections
+	serverOwned                     // established, or returned for fork or splice
+	migrating                       // filter installed, state export in flight
+	libOwned                        // its owner library manages it
+	returning                       // filter removed, state import in flight (proxy_return)
+	aborting                        // filter removed, the orphan's reset in flight (death notice)
+	closing                         // close handshake or 2MSL at the server
+	reaped                          // out of the table; everything released
 )
+
+// next is the transition table: move takes a session from s to t only if
+// next[s] has bit t. DESIGN.md §5 names the call behind each edge.
+var next = [reaped + 1]uint16{
+	unborn:      1 << unnamed,
+	unnamed:     1<<unnamed | 1<<named | 1<<serverOwned | 1<<closing | 1<<reaped,
+	named:       1<<unnamed | 1<<listening | 1<<serverOwned | 1<<migrating | 1<<closing,
+	listening:   1<<listening | 1<<closing,
+	serverOwned: 1<<migrating | 1<<closing,
+	migrating:   1<<serverOwned | 1<<libOwned,
+	libOwned:    1<<returning | 1<<aborting | 1<<reaped,
+	returning:   1<<serverOwned | 1<<closing | 1<<reaped,
+	aborting:    1 << reaped,
+	closing:     1 << reaped,
+}
+
+// in reports whether s is one of set, a mask of 1<<state bits.
+func (s sessionState) in(set uint16) bool { return set&(1<<s) != 0 }
 
 // session is the server's record of one network session (the 3-tuple plus
 // management state). The server tracks every session for its whole
@@ -49,20 +79,17 @@ const (
 type session struct {
 	id     SessionID
 	proto  uint8
-	loc    sessionLoc
+	state  sessionState
 	local  stack.Addr
 	remote stack.Addr
 
-	owner *Library // the application currently managing it (loc == atApp)
+	owner *Library // the library managing it (libOwned)
 	refs  int      // descriptor references across processes
 
-	srvSock  *stack.Socket  // server-side socket (loc == atServer)
-	ep       *kern.Endpoint // application delivery endpoint (loc == atApp)
-	filterID int            // session packet filter (0 = none)
-
-	listening bool
-	portHeld  bool // core must release the port when the session dies
-	closing   bool // close handshake running at the server
+	srvSock  *stack.Socket  // server-side socket, while the server manages it
+	ep       *kern.Endpoint // application delivery endpoint (migrating, libOwned)
+	filterID int            // its packet filter on ep
+	portHeld bool           // a reference on its own port, from migration until reaped (see migrate)
 }
 
 // System is one host running the decomposed architecture: a kernel with
@@ -131,9 +158,20 @@ func (sys *System) SetTrace(r *trace.Recorder) {
 // traceOn reports whether core-layer tracing is live for this server.
 func (srv *Server) traceOn() bool { return srv.sys.Trace.On(trace.LayerCore) }
 
-// traceEmit records one core-layer event tagged with the host name.
+// traceEmit records a core-layer event, tagged with the host name, when
+// core tracing is on.
 func (srv *Server) traceEmit(e trace.Event, name, aux string, a0, a1 int64) {
-	srv.sys.Trace.Emit(trace.LayerCore, e, srv.sys.Host.Name, name, aux, a0, a1, 0)
+	if srv.traceOn() {
+		srv.sys.Trace.Emit(trace.LayerCore, e, srv.sys.Host.Name, name, aux, a0, a1, 0)
+	}
+}
+
+// traceSess records a core event about sess under its flow's name, which
+// is built only when core tracing is on.
+func (srv *Server) traceSess(e trace.Event, sess *session, aux string) {
+	if srv.traceOn() {
+		srv.traceEmit(e, sessName(sess), aux, int64(sess.id), 0)
+	}
 }
 
 // protoName renders a transport protocol number for trace records.
@@ -302,40 +340,92 @@ func (srv *Server) fragIntercept(frame []byte, v wire.View, h wire.IPv4Header) b
 }
 
 // appSessionMatches reports whether a migrated session would claim the
-// given flow.
+// given flow. It does while a library manages the session and while the
+// session comes back: segments racing the hand-back must not be answered
+// with RST.
 func (srv *Server) appSessionMatches(proto uint8, local, remote stack.Addr) bool {
 	for _, sess := range srv.sessions {
-		if sess.proto != proto {
-			continue
+		if sess.proto == proto && sess.state.in(1<<libOwned|1<<returning|1<<aborting) &&
+			sess.local.Port == local.Port && (sess.remote.IsZero() || sess.remote == remote) {
+			return true
 		}
-		// Quiet while the application owns the session, and also during
-		// a return migration: loc has flipped to atServer but the state
-		// import has not landed yet (srvSock == nil), so segments racing
-		// the hand-back must not be answered with RST.
-		if sess.loc != atApp && !(sess.loc == atServer && sess.srvSock == nil) {
-			continue
-		}
-		if sess.local.Port != local.Port {
-			continue
-		}
-		if !sess.remote.IsZero() && sess.remote != remote {
-			continue
-		}
-		return true
 	}
 	return false
 }
 
 // newSession allocates a session record.
 func (srv *Server) newSession(proto uint8) *session {
-	sess := &session{id: srv.nextSID, proto: proto, refs: 1, loc: atServer}
+	sess := &session{id: srv.nextSID, proto: proto, refs: 1}
 	srv.nextSID++
-	srv.sessions[sess.id] = sess
-	srv.SessionsMade.Inc()
-	if srv.traceOn() {
-		srv.traceEmit(trace.EvSession, protoName(proto), "new", int64(sess.id), 0)
-	}
+	srv.move(sess, unnamed)
 	return sess
+}
+
+// move takes sess to state to, the only write of sess.state, and does
+// what the edge entails: the table entry, the packet filter, the
+// counters, the core trace record and the port reference. An edge next
+// does not allow is a bug in the server, so move panics on one.
+func (srv *Server) move(sess *session, to sessionState) {
+	from := sess.state
+	if !to.in(next[from]) {
+		panic(fmt.Sprintf("core: session %d: no edge from state %d to %d", sess.id, from, to))
+	}
+	sess.state = to
+	switch to {
+	case unnamed:
+		if from != unborn {
+			sess.srvSock, sess.local = nil, stack.Addr{} // a failed connect consumed the socket
+			return
+		}
+		srv.sessions[sess.id] = sess
+		srv.SessionsMade.Inc()
+		srv.traceEmit(trace.EvSession, protoName(sess.proto), "new", int64(sess.id), 0)
+	case migrating:
+		// The filter goes in before the state comes out, so no segment can
+		// fall between the two stacks.
+		sess.ep = srv.sys.Host.NewEndpoint(0)
+		sess.installFilter()
+	case serverOwned:
+		srv.dropAppSide(sess) // backing out of a failed export; nothing to drop on the other ways in
+	case libOwned:
+		sess.srvSock = nil
+		srv.Migrations.Inc()
+		srv.traceSess(trace.EvMigrate, sess, "to-app")
+	case returning:
+		// The filter comes out before the state goes in; appSessionMatches
+		// keeps the server quiet until it lands.
+		srv.dropAppSide(sess)
+		srv.Returns.Inc()
+		srv.traceSess(trace.EvMigrate, sess, "to-server")
+	case aborting:
+		srv.dropAppSide(sess)
+		srv.OrphansAborted.Inc()
+		srv.traceSess(trace.EvOrphanAbort, sess, "")
+	case reaped:
+		delete(srv.sessions, sess.id)
+		srv.SessionsReaped.Inc()
+		srv.dropAppSide(sess)
+		port := sess.local.Port
+		if from == aborting {
+			// Quarantine the orphan's port against rebinding while stale
+			// segments may still arrive (paper §3.2).
+			if sess.portHeld {
+				srv.Ports.Release(wire.ProtoTCP, port)
+			}
+			srv.Ports.Quarantine(wire.ProtoTCP, port)
+			srv.traceEmit(trace.EvPortOp, "tcp", "quarantine", int64(port), 0)
+			srv.sys.Host.Sim.After(2*30*time.Second, func() { srv.Ports.Unquarantine(wire.ProtoTCP, port) })
+			return
+		}
+		if sess.proto == wire.ProtoTCP && !sess.remote.IsZero() {
+			srv.ConnTeardowns.Inc()
+		}
+		srv.traceSess(trace.EvConnTeardown, sess, "")
+		if sess.portHeld {
+			srv.Ports.Release(sess.proto, port)
+			srv.traceEmit(trace.EvPortOp, protoName(sess.proto), "release", int64(port), 0)
+		}
+	}
 }
 
 // pokeSelectors wakes every library's select machinery; sockets recheck
@@ -349,45 +439,26 @@ func (srv *Server) pokeSelectors() {
 // watchServerSocket wires a server-located socket's status changes into
 // session lifecycle management and the select cooperation.
 func (srv *Server) watchServerSocket(sess *session) {
-	sock := sess.srvSock
-	sock.Notify = func() {
+	sess.srvSock.Notify = func() {
 		srv.pokeSelectors()
-		if sess.closing && stack.TCPStateOf(sock) == "CLOSED" {
-			srv.reapSession(sess)
-		}
+		srv.reapIfClosed(sess)
 	}
 }
 
-// reapSession releases everything a dead session held.
-func (srv *Server) reapSession(sess *session) {
-	if _, live := srv.sessions[sess.id]; !live {
-		return
-	}
-	delete(srv.sessions, sess.id)
-	srv.SessionsReaped.Inc()
-	if sess.proto == wire.ProtoTCP && !sess.remote.IsZero() {
-		srv.ConnTeardowns.Inc()
-	}
-	srv.dropAppSide(sess)
-	if srv.traceOn() {
-		srv.traceEmit(trace.EvConnTeardown, sessName(sess), "", int64(sess.id), 0)
-	}
-	if sess.portHeld && sess.local.Port != 0 {
-		srv.Ports.Release(sess.proto, sess.local.Port)
-		sess.portHeld = false
-		if srv.traceOn() {
-			srv.traceEmit(trace.EvPortOp, protoName(sess.proto), "release", int64(sess.local.Port), 0)
-		}
+// reapIfClosed reaps a session closing at the server once its socket is
+// closed (a UDP socket, a listener, or a TCP connection past 2MSL).
+func (srv *Server) reapIfClosed(sess *session) {
+	if sess.state == closing && stack.TCPStateOf(sess.srvSock) == "CLOSED" {
+		srv.move(sess, reaped)
 	}
 }
 
-// dropAppSide removes the session's packet filter and application
-// endpoint, so traffic falls back to the server's catch-all.
+// dropAppSide removes the session's packet filter, application endpoint
+// and owner, so traffic falls back to the server's catch-all.
 func (srv *Server) dropAppSide(sess *session) {
 	if sess.ep != nil {
 		sess.ep.Close() // also uninstalls the session filter
-		sess.ep = nil
-		sess.filterID = 0
+		sess.ep, sess.filterID, sess.owner = nil, 0, nil
 	}
 }
 
