@@ -24,14 +24,14 @@ type report[R any] struct {
 // writeReport writes one run of suite to path as indented JSON: "-" is
 // stdout, "" writes nothing. seed and config are recorded only by the
 // suites that have one.
-func writeReport[R any](path, label, suite string, seed *int64, config string, results []R) error {
+func writeReport[R any](stdout io.Writer, path, label, suite string, seed *int64, config string, results []R) error {
 	if path == "" {
 		return nil
 	}
 	if label == "" {
 		label = "psdbench"
 	}
-	var out io.Writer = os.Stdout
+	out := stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
@@ -47,7 +47,7 @@ func writeReport[R any](path, label, suite string, seed *int64, config string, r
 		Suite: suite, Seed: seed, Config: config, Results: results,
 	}})
 	if err == nil && path != "-" {
-		fmt.Printf("wrote %s report to %s\n", suite, path)
+		fmt.Fprintf(stdout, "wrote %s report to %s\n", suite, path)
 	}
 	return err
 }
