@@ -469,6 +469,8 @@ func (lib *Library) ExitProcess(t *sim.Proc) {
 			rest = append(rest, s.id)
 		} else if state, err := lib.St.ExportTCPSession(t, e.Sock); err == nil {
 			tcp = append(tcp, orphan{s.id, state})
+		} else {
+			rest = append(rest, s.id) // reset in the library: nothing to abort
 		}
 	}
 	lib.St.StopTimers()

@@ -131,6 +131,13 @@ var (
 		return lifeStep{"exit", func(r *lifeRig) { r.app.ExitProcess(r.p) }, p}
 	}
 	lifeWait2MSL = lifeStep{"2MSL", func(r *lifeRig) { r.p.Sleep(90 * time.Second) }, path(reaped)}
+	// The peer's reset kills the connection in the library, leaving the
+	// session library-owned with no state to hand back.
+	lifePeerResets = lifeStep{"peer resets", func(r *lifeRig) {
+		r.p.Sleep(10 * time.Millisecond) // the peer has accepted
+		r.peer.ExitProcess(r.p)
+		r.p.Sleep(10 * time.Millisecond) // its reset has arrived
+	}, path(libOwned)}
 
 	lifeEstablished = path(serverOwned, migrating, libOwned)
 	lifeMigratedUDP = path(named, migrating, libOwned)
@@ -171,15 +178,12 @@ func TestSessionLifecycle(t *testing.T) {
 		{"tcp/option-close", []lifeStep{lifeSocket(tcp),
 			{"setsockopt", func(r *lifeRig) { r.app.SetSockOpt(r.p, r.fd, socketapi.SoRcvBuf, 4096) }, path(unnamed)},
 			lifeClose(path(closing, reaped))}},
-		// The peer's reset kills the connection in the library, so close
-		// has no state to hand back: the server reaps the record.
-		{"tcp/reset-close", []lifeStep{lifeSocket(tcp), lifeConnect(7, nil, lifeEstablished),
-			{"peer resets", func(r *lifeRig) {
-				r.p.Sleep(10 * time.Millisecond) // the peer has accepted
-				r.peer.ExitProcess(r.p)
-				r.p.Sleep(10 * time.Millisecond) // its reset has arrived
-			}, path(libOwned)},
+		// Close or death of a connection the peer reset: the server reaps
+		// the record.
+		{"tcp/reset-close", []lifeStep{lifeSocket(tcp), lifeConnect(7, nil, lifeEstablished), lifePeerResets,
 			lifeClose(path(reaped))}},
+		{"tcp/reset-exit", []lifeStep{lifeSocket(tcp), lifeConnect(7, nil, lifeEstablished), lifePeerResets,
+			lifeExit(path(reaped))}},
 		// A connection dead at the server cannot be exported: the
 		// migration backs out and the server keeps the session.
 		{"tcp/export-fails", []lifeStep{lifeSocket(tcp), lifeConnect(7, nil, lifeEstablished), lifeFork,
