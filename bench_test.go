@@ -36,7 +36,7 @@ func BenchmarkTable2_Throughput(b *testing.B) {
 		b.Run(benchName(cfg.Platform+"/"+cfg.Name), func(b *testing.B) {
 			var kbps float64
 			for i := 0; i < b.N; i++ {
-				r := bench.RunTTCP(cfg, cfg.RcvBufKB, benchBytes)
+				r := bench.RunTTCP(nil, cfg, cfg.RcvBufKB, benchBytes)
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -65,7 +65,7 @@ func BenchmarkTable2_Latency(b *testing.B) {
 			b.Run(benchName(fmt.Sprintf("%s/%s/%dB", cfg.Name, c.proto, c.size)), func(b *testing.B) {
 				var ms float64
 				for i := 0; i < b.N; i++ {
-					r := bench.RunProtolat(cfg, c.udp, c.size, 100)
+					r := bench.RunProtolat(nil, cfg, c.udp, c.size, 100)
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}
@@ -86,12 +86,12 @@ func BenchmarkTable3_NEWAPI(b *testing.B) {
 		b.Run(benchName(cfg.Name), func(b *testing.B) {
 			var kbps, udpMS float64
 			for i := 0; i < b.N; i++ {
-				r := bench.RunTTCP(cfg, cfg.RcvBufKB, benchBytes)
+				r := bench.RunTTCP(nil, cfg, cfg.RcvBufKB, benchBytes)
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
 				kbps = r.KBps()
-				l := bench.RunProtolat(cfg, true, 1, 100)
+				l := bench.RunProtolat(nil, cfg, true, 1, 100)
 				if l.Err != nil {
 					b.Fatal(l.Err)
 				}
@@ -122,7 +122,7 @@ func BenchmarkTable4_Breakdown(b *testing.B) {
 			b.Run(benchName(fmt.Sprintf("%s/%s/%dB", name, c.proto, c.size)), func(b *testing.B) {
 				var oneWay time.Duration
 				for i := 0; i < b.N; i++ {
-					bd := bench.RunBreakdown(cfg, c.tcp, c.size, 100)
+					bd := bench.RunBreakdown(nil, cfg, c.tcp, c.size, 100)
 					oneWay = bd.SendTotal() + bd.RecvTotal() + bd.Transit
 				}
 				b.ReportMetric(float64(oneWay)/1000, "virtus/oneway")
@@ -142,7 +142,7 @@ func BenchmarkBufferSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("rcvbuf_%dKB", kb), func(b *testing.B) {
 			var kbps float64
 			for i := 0; i < b.N; i++ {
-				r := bench.RunTTCP(cfg, kb, benchBytes)
+				r := bench.RunTTCP(nil, cfg, kb, benchBytes)
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -162,8 +162,8 @@ func BenchmarkAblation_NEWAPI(b *testing.B) {
 	na := bench.NewAPIConfigs()[2]
 	var stdKB, naKB float64
 	for i := 0; i < b.N; i++ {
-		r1 := bench.RunTTCP(std, std.RcvBufKB, benchBytes)
-		r2 := bench.RunTTCP(na, na.RcvBufKB, benchBytes)
+		r1 := bench.RunTTCP(nil, std, std.RcvBufKB, benchBytes)
+		r2 := bench.RunTTCP(nil, na, na.RcvBufKB, benchBytes)
 		if r1.Err != nil || r2.Err != nil {
 			b.Fatal(r1.Err, r2.Err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkSimulatorOverhead(b *testing.B) {
 	cfg := bench.DECConfigs()[0]
 	segs := benchBytes / 1460
 	for i := 0; i < b.N; i++ {
-		r := bench.RunTTCP(cfg, cfg.RcvBufKB, benchBytes)
+		r := bench.RunTTCP(nil, cfg, cfg.RcvBufKB, benchBytes)
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}

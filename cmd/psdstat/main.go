@@ -32,7 +32,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 11, "simulation seed")
-	arch := flag.String("arch", "decomposed", "architecture: decomposed, inkernel, or server")
+	arch := flag.String("arch", "decomposed", "architecture: decomposed, inkernel, server, or offload")
 	ifaces := flag.Bool("i", false, "show per-interface counters")
 	summary := flag.Bool("s", false, "show per-protocol summaries")
 	jsonOut := flag.Bool("json", false, "dump the full registry snapshot as JSON")
@@ -56,27 +56,15 @@ func main() {
 	}
 }
 
-// archByName maps the -arch flag to a psd architecture.
-func archByName(name string) (psd.Arch, error) {
-	switch name {
-	case "decomposed":
-		return psd.Decomposed(), nil
-	case "inkernel":
-		return psd.InKernel(), nil
-	case "server":
-		return psd.ServerBased(), nil
-	}
-	return psd.Arch{}, fmt.Errorf("psdstat: unknown architecture %q (decomposed, inkernel, server)", name)
-}
-
 // run executes the canned scenario with metrics enabled and writes the
 // selected rendering to w. It is the whole program minus flag parsing,
 // so tests can run it against golden files.
 func run(w io.Writer, seed int64, archName, mode string) error {
-	arch, err := archByName(archName)
+	f, err := psd.FlavorByName(archName)
 	if err != nil {
 		return err
 	}
+	arch := f.New()
 	n := psd.NewConfig(psd.Config{Seed: seed, Metrics: true})
 	a := n.Host("alpha", "10.0.0.1", arch)
 	b := n.Host("beta", "10.0.0.2", arch)

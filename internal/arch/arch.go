@@ -43,16 +43,23 @@ type System interface {
 	SetRoutes(rt *stack.RouteTable)
 }
 
-// New attaches a host of the given architecture to the segment. prof
-// prices the protocol implementation (for Decomposed, the libraries and
-// the kernel delivery interface); srvProf prices the OS server backing
-// a Decomposed host and is ignored otherwise.
-func New(k Kind, s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof, srvProf costs.Profile) System {
-	switch k {
+// Spec is an architecture at its prices. Prof prices the protocol
+// implementation (for Decomposed, the libraries and the kernel delivery
+// interface); SrvProf prices the OS server backing a Decomposed host and
+// is ignored otherwise.
+type Spec struct {
+	Kind    Kind
+	Prof    costs.Profile
+	SrvProf costs.Profile
+}
+
+// New attaches a host of the given architecture to the segment.
+func New(a Spec, s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr) System {
+	switch a.Kind {
 	case Kernel:
-		return monolith.New(s, seg, name, mac, ip, prof, monolith.InKernel)
+		return monolith.New(s, seg, name, mac, ip, a.Prof, monolith.InKernel)
 	case Server:
-		return monolith.New(s, seg, name, mac, ip, prof, monolith.UXServer)
+		return monolith.New(s, seg, name, mac, ip, a.Prof, monolith.UXServer)
 	}
-	return core.New(s, seg, name, mac, ip, prof, srvProf)
+	return core.New(s, seg, name, mac, ip, a.Prof, a.SrvProf)
 }

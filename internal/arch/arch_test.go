@@ -17,19 +17,18 @@ import (
 func TestConformance(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		kind arch.Kind
-		prof costs.Profile
+		spec arch.Spec
 	}{
-		{"inkernel", arch.Kernel, costs.DECKernelMach25()},
-		{"uxserver", arch.Server, costs.DECServerUX()},
+		{"inkernel", arch.Spec{Kind: arch.Kernel, Prof: costs.DECKernelMach25()}},
+		{"uxserver", arch.Spec{Kind: arch.Server, Prof: costs.DECServerUX()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			apitest.RunAll(t, func(t *testing.T, seed int64) *apitest.Env {
 				s := sim.New(seed)
 				seg := simnet.NewSegment(s)
 				ipA, ipB := wire.IP(10, 0, 0, 1), wire.IP(10, 0, 0, 2)
-				sysA := arch.New(c.kind, s, seg, "A", wire.MAC{1}, ipA, c.prof, c.prof)
-				sysB := arch.New(c.kind, s, seg, "B", wire.MAC{2}, ipB, c.prof, c.prof)
+				sysA := arch.New(c.spec, s, seg, "A", wire.MAC{1}, ipA)
+				sysB := arch.New(c.spec, s, seg, "B", wire.MAC{2}, ipB)
 				return &apitest.Env{Sim: s, NewA: sysA.NewApp, NewB: sysB.NewApp, IPA: ipA, IPB: ipB}
 			})
 		})

@@ -21,14 +21,14 @@ func streamAllocsPerSegment(t *testing.T, cfg SysConfig, reg bool) float64 {
 	t.Helper()
 	segs := 0
 	run := func() {
-		w := streamWorld(cfg, reg)
+		w := streamWorld(nil, cfg, reg)
 		if (w.Reg != nil) != reg {
 			t.Fatalf("world has registry %v, want %v: a process default leaked in", w.Reg != nil, reg)
 		}
 		if r := runStreamOn(w, "ttcp", cfg.RcvBufKB, 2<<20, 0); r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		segs = int(w.hostA.NIC.TxFrames.Value())
+		segs = int(w.a.Kern().NIC.TxFrames.Value())
 	}
 	run()
 	allocs := testing.AllocsPerRun(3, run)

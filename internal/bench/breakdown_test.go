@@ -35,7 +35,7 @@ func TestBreakdownMatchesTable4(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		bd := RunBreakdown(c.cfg, false, 1, 100)
+		bd := RunBreakdown(nil, c.cfg, false, 1, 100)
 		for _, w := range c.wants {
 			got := float64(bd.PerLayer[w.comp]) / float64(time.Microsecond)
 			tol := w.us*0.20 + 15

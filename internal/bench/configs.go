@@ -11,35 +11,23 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/costs"
-	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
 	"repro/internal/trace"
 	"repro/internal/wire"
-)
-
-// Kind selects the implementation architecture for a configuration.
-type Kind = arch.Kind
-
-const (
-	KindKernel = arch.Kernel     // protocols in the kernel (Mach 2.5, Ultrix, 386BSD)
-	KindServer = arch.Server     // protocols in a user-level server (UX, BNR2SS)
-	KindCore   = arch.Decomposed // the decomposed architecture (this paper)
+	"repro/psd"
 )
 
 // SysConfig is one system-configuration row of the paper's tables.
 type SysConfig struct {
 	Name     string
 	Platform string
-	Kind     Kind
 
-	// Prof prices the protocol implementation (and, for KindCore, the
-	// library and the kernel delivery interface).
-	Prof costs.Profile
-	// SrvProf prices the OS server backing a KindCore configuration.
-	SrvProf costs.Profile
+	// Spec is the row's architecture at the per-layer prices of the
+	// paper's instrumented build (Table 4); Arch calibrates it.
+	Spec arch.Spec
 
 	// RcvBufKB is the receive buffer used for the throughput benchmark
 	// (the paper's per-configuration best, found by sweeping).
@@ -58,53 +46,65 @@ type SysConfig struct {
 	TCPLatNA bool
 }
 
+// Arch is the architecture the row's hosts run: Spec with its protocol
+// profile calibrated to Table 2, or as instrumented when RawCosts is set.
+func (c SysConfig) Arch() psd.Arch {
+	a := c.Spec
+	if !c.RawCosts {
+		a.Prof = costs.CalibrateTable2(a.Prof)
+	}
+	return a
+}
+
+func kernel(p costs.Profile) arch.Spec { return arch.Spec{Kind: arch.Kernel, Prof: p} }
+func server(p costs.Profile) arch.Spec { return arch.Spec{Kind: arch.Server, Prof: p} }
+func library(p, srv costs.Profile) arch.Spec {
+	return arch.Spec{Kind: arch.Decomposed, Prof: p, SrvProf: srv}
+}
+
 // DECConfigs returns the DECstation 5000/200 rows of Table 2, in the
 // paper's order.
 func DECConfigs() []SysConfig {
+	const dec = "DECstation 5000/200"
 	return []SysConfig{
-		{Name: "Mach 2.5 In-Kernel", Platform: "DECstation 5000/200", Kind: KindKernel,
-			Prof: costs.DECKernelMach25(), RcvBufKB: 24},
-		{Name: "Ultrix 4.2A In-Kernel", Platform: "DECstation 5000/200", Kind: KindKernel,
-			Prof: costs.DECKernelUltrix(), RcvBufKB: 16},
-		{Name: "Mach 3.0+UX Server", Platform: "DECstation 5000/200", Kind: KindServer,
-			Prof: costs.DECServerUX(), RcvBufKB: 24},
-		{Name: "Mach 3.0+UX Library-IPC", Platform: "DECstation 5000/200", Kind: KindCore,
-			Prof: costs.DECLibraryIPC(), SrvProf: costs.DECServerUX(), RcvBufKB: 24},
-		{Name: "Mach 3.0+UX Library-SHM", Platform: "DECstation 5000/200", Kind: KindCore,
-			Prof: costs.DECLibrarySHM(), SrvProf: costs.DECServerUX(), RcvBufKB: 120},
-		{Name: "Mach 3.0+UX Library-SHM-IPF", Platform: "DECstation 5000/200", Kind: KindCore,
-			Prof: costs.DECLibrarySHMIPF(), SrvProf: costs.DECServerUX(), RcvBufKB: 120},
+		{Name: "Mach 2.5 In-Kernel", Platform: dec, Spec: kernel(costs.DECKernelMach25()), RcvBufKB: 24},
+		{Name: "Ultrix 4.2A In-Kernel", Platform: dec, Spec: kernel(costs.DECKernelUltrix()), RcvBufKB: 16},
+		{Name: "Mach 3.0+UX Server", Platform: dec, Spec: server(costs.DECServerUX()), RcvBufKB: 24},
+		{Name: "Mach 3.0+UX Library-IPC", Platform: dec,
+			Spec: library(costs.DECLibraryIPC(), costs.DECServerUX()), RcvBufKB: 24},
+		{Name: "Mach 3.0+UX Library-SHM", Platform: dec,
+			Spec: library(costs.DECLibrarySHM(), costs.DECServerUX()), RcvBufKB: 120},
+		{Name: "Mach 3.0+UX Library-SHM-IPF", Platform: dec,
+			Spec: library(costs.DECLibrarySHMIPF(), costs.DECServerUX()), RcvBufKB: 120},
 	}
 }
 
 // I486Configs returns the Gateway 486 rows of Table 2.
 func I486Configs() []SysConfig {
+	const i486 = "Gateway 486"
 	return []SysConfig{
-		{Name: "Mach 2.5 In-Kernel", Platform: "Gateway 486", Kind: KindKernel,
-			Prof: costs.I486KernelMach25(), RcvBufKB: 8},
-		{Name: "386BSD In-Kernel", Platform: "Gateway 486", Kind: KindKernel,
-			Prof: costs.I486Kernel386BSD(), RcvBufKB: 8, TCPLatNA: true},
-		{Name: "Mach 3.0+UX Server", Platform: "Gateway 486", Kind: KindServer,
-			Prof: costs.I486ServerUX(), RcvBufKB: 16},
-		{Name: "Mach 3.0+BNR2SS Server", Platform: "Gateway 486", Kind: KindServer,
-			Prof: costs.I486ServerBNR2SS(), RcvBufKB: 12, TCPLatNA: true},
-		{Name: "Mach 3.0+UX Library-IPC", Platform: "Gateway 486", Kind: KindCore,
-			Prof: costs.I486LibraryIPC(), SrvProf: costs.I486ServerUX(), RcvBufKB: 24},
-		{Name: "Mach 3.0+UX Library-SHM", Platform: "Gateway 486", Kind: KindCore,
-			Prof: costs.I486LibrarySHM(), SrvProf: costs.I486ServerUX(), RcvBufKB: 24},
+		{Name: "Mach 2.5 In-Kernel", Platform: i486, Spec: kernel(costs.I486KernelMach25()), RcvBufKB: 8},
+		{Name: "386BSD In-Kernel", Platform: i486, Spec: kernel(costs.I486Kernel386BSD()), RcvBufKB: 8, TCPLatNA: true},
+		{Name: "Mach 3.0+UX Server", Platform: i486, Spec: server(costs.I486ServerUX()), RcvBufKB: 16},
+		{Name: "Mach 3.0+BNR2SS Server", Platform: i486, Spec: server(costs.I486ServerBNR2SS()), RcvBufKB: 12, TCPLatNA: true},
+		{Name: "Mach 3.0+UX Library-IPC", Platform: i486,
+			Spec: library(costs.I486LibraryIPC(), costs.I486ServerUX()), RcvBufKB: 24},
+		{Name: "Mach 3.0+UX Library-SHM", Platform: i486,
+			Spec: library(costs.I486LibrarySHM(), costs.I486ServerUX()), RcvBufKB: 24},
 	}
 }
 
 // NewAPIConfigs returns the Table 3 rows: the three DECstation library
 // configurations under the modified (shared-buffer) socket interface.
 func NewAPIConfigs() []SysConfig {
+	const dec = "DECstation 5000/200"
 	return []SysConfig{
-		{Name: "Mach 3.0+UX Library-NEWAPI-IPC", Platform: "DECstation 5000/200", Kind: KindCore,
-			Prof: costs.WithNewAPI(costs.DECLibraryIPC()), SrvProf: costs.DECServerUX(), RcvBufKB: 24, NewAPI: true},
-		{Name: "Mach 3.0+UX Library-NEWAPI-SHM", Platform: "DECstation 5000/200", Kind: KindCore,
-			Prof: costs.WithNewAPI(costs.DECLibrarySHM()), SrvProf: costs.DECServerUX(), RcvBufKB: 120, NewAPI: true},
-		{Name: "Mach 3.0+UX Library-NEWAPI-SHM-IPF", Platform: "DECstation 5000/200", Kind: KindCore,
-			Prof: costs.WithNewAPI(costs.DECLibrarySHMIPF()), SrvProf: costs.DECServerUX(), RcvBufKB: 120, NewAPI: true},
+		{Name: "Mach 3.0+UX Library-NEWAPI-IPC", Platform: dec,
+			Spec: library(costs.WithNewAPI(costs.DECLibraryIPC()), costs.DECServerUX()), RcvBufKB: 24, NewAPI: true},
+		{Name: "Mach 3.0+UX Library-NEWAPI-SHM", Platform: dec,
+			Spec: library(costs.WithNewAPI(costs.DECLibrarySHM()), costs.DECServerUX()), RcvBufKB: 120, NewAPI: true},
+		{Name: "Mach 3.0+UX Library-NEWAPI-SHM-IPF", Platform: dec,
+			Spec: library(costs.WithNewAPI(costs.DECLibrarySHMIPF()), costs.DECServerUX()), RcvBufKB: 120, NewAPI: true},
 	}
 }
 
@@ -115,8 +115,15 @@ func NewAPIConfigs() []SysConfig {
 // comparison with the "move per-packet work onto the NIC" step the
 // follow-on literature argues for.
 func OffloadConfig() SysConfig {
-	return SysConfig{Name: "Mach 3.0+UX Library-SHM-IPF-OFFLOAD", Platform: "DECstation 5000/200", Kind: KindCore,
-		Prof: costs.DECLibrarySHMIPFOffload(), SrvProf: costs.DECServerUX(), RcvBufKB: 120}
+	return SysConfig{Name: "Mach 3.0+UX Library-SHM-IPF-OFFLOAD", Platform: "DECstation 5000/200",
+		Spec: library(costs.DECLibrarySHMIPFOffload(), costs.DECServerUX()), RcvBufKB: 120}
+}
+
+// AllConfigs lists every registered row: Table 2 on both platforms,
+// Table 3, then the offload column.
+func AllConfigs() []SysConfig {
+	all := append(append(DECConfigs(), I486Configs()...), NewAPIConfigs()...)
+	return append(all, OffloadConfig())
 }
 
 // Columns is the shared architecture registry for the comparison suites
@@ -134,12 +141,10 @@ func Columns() []SysConfig {
 // on the DECstation), the reference column the others compare against.
 func HeadlineConfig() SysConfig { return DECConfigs()[5] }
 
-// FindConfig returns the registered configuration with the given name and
-// platform prefix, for ad-hoc runs.
+// FindConfig returns the first registered configuration with the given
+// name, for ad-hoc runs.
 func FindConfig(name string) (SysConfig, error) {
-	all := append(append(DECConfigs(), I486Configs()...), NewAPIConfigs()...)
-	all = append(all, OffloadConfig())
-	for _, c := range all {
+	for _, c := range AllConfigs() {
 		if c.Name == name {
 			return c, nil
 		}
@@ -148,7 +153,8 @@ func FindConfig(name string) (SysConfig, error) {
 }
 
 // World is a two-host instantiation of a configuration, ready to run a
-// workload.
+// workload: hosts A (10.0.0.1) and B (10.0.0.2) on the default segment
+// of a psd.Network.
 type World struct {
 	Cfg  SysConfig
 	Sim  *sim.Sim
@@ -158,61 +164,59 @@ type World struct {
 	NewA func(name string) socketapi.API
 	NewB func(name string) socketapi.API
 
-	// Rec is the world's flight recorder when harness tracing is
-	// enabled (see EnableTrace); nil otherwise.
+	// Rec is the world's flight recorder when it was built traced; nil
+	// otherwise.
 	Rec *trace.Recorder
 
-	// Reg is the world's metrics registry when harness metrics are
-	// enabled (see EnableMetrics) or the suite that built the world
-	// reads its results from one; nil otherwise.
+	// Reg is the world's metrics registry when it was built with one;
+	// nil otherwise.
 	Reg *metrics.Registry
 
-	sysA, sysB   arch.System
-	hostA, hostB *kern.Host
+	a, b *psd.Host
+	env  *Env // what the world was built in; nil when clean
 }
 
-// Build instantiates the configuration on a fresh simulator, with the
-// faults, flight recorder and registry the process defaults ask for
-// (SetFaults, EnableTrace, EnableMetrics).
-func (c SysConfig) Build(seed int64) *World { return c.build(seed, false) }
+// Build instantiates the configuration on a fresh network at seed, with
+// the flight recorder and registry that EnableTrace and EnableMetrics
+// ask for.
+func (c SysConfig) Build(seed int64) *World {
+	pc := buildDefaults
+	pc.Seed = seed
+	return c.build(pc, nil)
+}
 
 // The seeds the three workloads have always run on; every table and
 // checked-in BENCH_*.json row depends on them.
-func streamWorld(c SysConfig, reg bool) *World { return c.build(42, reg) }
-func latWorld(c SysConfig, reg bool) *World    { return c.build(7, reg) }
-func proxyWorld(c SysConfig) *World            { return c.build(43, true) } // copy accounting is read from the registry
+func streamWorld(env *Env, c SysConfig, reg bool) *World { return c.build(env.config(42, reg), env) }
+func latWorld(env *Env, c SysConfig, reg bool) *World    { return c.build(env.config(7, reg), env) }
+func proxyWorld(env *Env, c SysConfig) *World            { return c.build(env.config(43, true), env) } // copy accounting is read from the registry
 
-// build is Build for a suite that reads its results from the registry:
-// reg gives this world one whatever the process default says. The
-// caller adjusts the world it gets back (fault rates, data planes, an
-// observer) before the first NewA/NewB or Spawn — nothing has run yet.
-func (c SysConfig) build(seed int64, reg bool) *World {
-	s := sim.New(seed)
-	s.Deadline = sim.Time(4 * time.Hour) // throughput runs take ~20 virtual seconds; leave margin
-	seg := simnet.NewSegment(s)
-	w := &World{
-		Cfg: c, Sim: s, Seg: seg,
-		IPA: wire.IP(10, 0, 0, 1), IPB: wire.IP(10, 0, 0, 2),
+// build makes the world of pc in env: the network, hosts A and B, and
+// env's faults. The caller adjusts the world it gets back (fault rates,
+// data planes, an observer) before the first NewA/NewB or Spawn —
+// nothing has run yet.
+func (c SysConfig) build(pc psd.Config, env *Env) *World {
+	pc.Deadline = 4 * time.Hour // throughput runs take ~20 virtual seconds; leave margin
+	n := psd.NewConfig(pc)
+	spec := c.Arch()
+	a, b := n.Host("A", "10.0.0.1", spec), n.Host("B", "10.0.0.2", spec)
+	if env != nil && env.faults.Active() {
+		n.Faults().SetDefaultRates(env.faults.Rates)
+		if err := n.ApplyFaultPlan(env.faults.Plan); err != nil {
+			panic("bench: plan validated by SetFaults failed to parse: " + err.Error())
+		}
+		env.injs = append(env.injs, n.Faults())
 	}
-	macA, macB := wire.MAC{0, 0, 0, 0, 0, 1}, wire.MAC{0, 0, 0, 0, 0, 2}
-	if !c.RawCosts {
-		c.Prof = costs.CalibrateTable2(c.Prof)
+	return &World{
+		Cfg: c, Sim: n.Sim(), Seg: n.Segment(), Rec: n.Trace(), Reg: n.Metrics(),
+		IPA: a.Addr(0).Addr, IPB: b.Addr(0).Addr, NewA: a.NewApp, NewB: b.NewApp,
+		a: a, b: b, env: env,
 	}
-	w.sysA = arch.New(c.Kind, s, seg, "A", macA, w.IPA, c.Prof, c.SrvProf)
-	w.sysB = arch.New(c.Kind, s, seg, "B", macB, w.IPB, c.Prof, c.SrvProf)
-	w.hostA, w.hostB = w.sysA.Kern(), w.sysB.Kern()
-	w.NewA, w.NewB = w.sysA.NewApp, w.sysB.NewApp
-	applyFaults(w)
-	attachTrace(w)
-	if reg || metricsCfg.enabled {
-		attachMetrics(w)
-	}
-	return w
 }
 
 // Observe installs fn as the charge observer on both hosts: the kernel
 // receive path and every observed stack's protocol layers (Table 4).
 func (w *World) Observe(fn func(comp costs.Component, d time.Duration)) {
-	w.hostA.Observe = fn
-	w.hostB.Observe = fn
+	w.a.Kern().Observe = fn
+	w.b.Kern().Observe = fn
 }

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/dataplane"
 	"repro/internal/filter"
-	"repro/internal/kern"
 	"repro/internal/wire"
 	"repro/psd"
 )
@@ -59,26 +57,16 @@ type DataplaneCell struct {
 	SNATLeft  int64 `json:"snat_left,omitempty"`
 }
 
-// attachPlanes installs a data plane with a rule chain of n never-
-// matching programs on both hosts of a freshly built world (each plane
-// arms its GC timer, so before anything is spawned), returning the
-// chain's instruction count. The rules match distinct unused TEST-NET
-// remotes, so every frame walks the entire chain — the traversal upper
-// bound the cost model charges.
+// attachPlanes gives both hosts of a freshly built world their data
+// plane with a rule chain of n never-matching programs (each plane arms
+// its GC timer, so before anything is spawned), returning the chain's
+// instruction count. The rules match distinct unused TEST-NET remotes,
+// so every frame walks the entire chain — the traversal upper bound the
+// cost model charges.
 func attachPlanes(w *World, n int) int {
 	instrs := 0
-	hosts := []struct {
-		h  *kern.Host
-		ip wire.IPAddr
-	}{{w.hostA, w.IPA}, {w.hostB, w.IPB}}
-	for _, hh := range hosts {
-		h := hh.h
-		p := dataplane.New(dataplane.Config{
-			Sim:      w.Sim,
-			LocalIP:  hh.ip,
-			LocalMAC: h.NIC.MAC(),
-			Transmit: h.RawTransmit,
-		})
+	for _, h := range []*psd.Host{w.a, w.b} {
+		p := h.Dataplane()
 		for i := 0; i < n; i++ {
 			prog := filter.Compile(filter.MatchSpec{
 				RemoteIP: wire.IP(192, 0, 2, byte(1+i%250)),
@@ -87,17 +75,16 @@ func attachPlanes(w *World, n int) int {
 				panic(err) // Compile output always validates
 			}
 		}
-		h.SetHook(p)
 		instrs = p.Chain.Instructions()
 	}
 	return instrs
 }
 
 // RunDataplaneTTCP measures one throughput cell: bulk TCP transfer with
-// an n-rule chain on both hosts.
-func RunDataplaneTTCP(cfg SysConfig, n int) (DataplaneCell, error) {
+// an n-rule chain on both hosts of a world built in env.
+func RunDataplaneTTCP(env *Env, cfg SysConfig, n int) (DataplaneCell, error) {
 	cell := DataplaneCell{Config: cfg.Name, Workload: "ttcp-chain", ChainRules: n}
-	w := streamWorld(cfg, false)
+	w := streamWorld(env, cfg, false)
 	cell.ChainInstrs = attachPlanes(w, n)
 	res := runStreamOn(w, "ttcp", cfg.RcvBufKB, dataplaneTTCPBytes, 0)
 	if res.Err != nil {
@@ -108,10 +95,10 @@ func RunDataplaneTTCP(cfg SysConfig, n int) (DataplaneCell, error) {
 }
 
 // RunDataplaneLat measures one latency cell: 64-byte TCP round trips
-// under an n-rule chain on both hosts.
-func RunDataplaneLat(cfg SysConfig, n int) (DataplaneCell, error) {
+// under an n-rule chain on both hosts of a world built in env.
+func RunDataplaneLat(env *Env, cfg SysConfig, n int) (DataplaneCell, error) {
 	cell := DataplaneCell{Config: cfg.Name, Workload: "protolat-chain", ChainRules: n}
-	w := latWorld(cfg, false)
+	w := latWorld(env, cfg, false)
 	cell.ChainInstrs = attachPlanes(w, n)
 	res := runProtolatOn(w, true, 64, dataplaneLatRounds, nil)
 	if res.Err != nil {
@@ -146,13 +133,14 @@ func runDataplaneChurn(f psd.ArchFlavor) (DataplaneCell, error) {
 
 // RunDataplaneSuite measures every cell: throughput and latency at each
 // chain length on each Columns() configuration, then the VIP churn gate
-// on each architecture flavor. Deterministic: two calls return
-// identical rows.
-func RunDataplaneSuite() ([]DataplaneCell, error) {
+// on each architecture flavor. The chain cells are built in env; the
+// churn gate runs on its own psd network. Deterministic: two calls
+// return identical rows.
+func RunDataplaneSuite(env *Env) ([]DataplaneCell, error) {
 	var out []DataplaneCell
 	for _, cfg := range Columns() {
 		for _, n := range DataplaneChainLengths {
-			cell, err := RunDataplaneTTCP(cfg, n)
+			cell, err := RunDataplaneTTCP(env, cfg, n)
 			if err != nil {
 				return nil, fmt.Errorf("dataplane: %s ttcp chain=%d: %w", cfg.Name, n, err)
 			}
@@ -161,7 +149,7 @@ func RunDataplaneSuite() ([]DataplaneCell, error) {
 	}
 	for _, cfg := range Columns() {
 		for _, n := range DataplaneChainLengths {
-			cell, err := RunDataplaneLat(cfg, n)
+			cell, err := RunDataplaneLat(env, cfg, n)
 			if err != nil {
 				return nil, fmt.Errorf("dataplane: %s protolat chain=%d: %w", cfg.Name, n, err)
 			}

@@ -9,11 +9,11 @@ import "testing"
 func TestDataplaneChainCost(t *testing.T) {
 	cfg := HeadlineConfig()
 
-	t0, err := RunDataplaneTTCP(cfg, 0)
+	t0, err := RunDataplaneTTCP(nil, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t128, err := RunDataplaneTTCP(cfg, 128)
+	t128, err := RunDataplaneTTCP(nil, cfg, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +24,11 @@ func TestDataplaneChainCost(t *testing.T) {
 		t.Errorf("throughput did not degrade: 0 rules %.1f KB/s, 128 rules %.1f KB/s", t0.KBps, t128.KBps)
 	}
 
-	l0, err := RunDataplaneLat(cfg, 0)
+	l0, err := RunDataplaneLat(nil, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l128, err := RunDataplaneLat(cfg, 128)
+	l128, err := RunDataplaneLat(nil, cfg, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestDataplaneChainCost(t *testing.T) {
 // identical numbers.
 func TestDataplaneChainDeterminism(t *testing.T) {
 	cfg := HeadlineConfig()
-	a, err := RunDataplaneLat(cfg, 32)
+	a, err := RunDataplaneLat(nil, cfg, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDataplaneLat(cfg, 32)
+	b, err := RunDataplaneLat(nil, cfg, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

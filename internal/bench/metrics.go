@@ -1,35 +1,5 @@
 package bench
 
-import (
-	"repro/internal/metrics"
-)
-
-// Registry capture for the harness: when enabled, every world the
-// benchmarks build carries a metrics registry, so psdbench can report
-// latency quantiles and loss/retransmit counts alongside the paper's
-// tables. Only EnableMetrics and DisableMetrics write the switch; a
-// suite that needs a registry asks its own build call for one.
-
-var metricsCfg struct {
-	enabled bool
-}
-
-// EnableMetrics turns on the metrics registry for every world built
-// after the call.
-func EnableMetrics() { metricsCfg.enabled = true }
-
-// DisableMetrics switches registry capture back off (tests).
-func DisableMetrics() { metricsCfg.enabled = false }
-
-// attachMetrics wires a registry into a freshly built world (called from
-// build).
-func attachMetrics(w *World) {
-	w.Reg = metrics.NewRegistry()
-	w.Seg.SetMetrics(w.Reg.Scope("net"))
-	w.sysA.SetMetrics(w.Reg.Scope("host.A"))
-	w.sysB.SetMetrics(w.Reg.Scope("host.B"))
-}
-
 // WorkloadMetrics is the registry-derived digest of one benchmark
 // workload: connect-latency quantiles across every stack in the world,
 // wire-level drops, and TCP retransmissions.
@@ -55,10 +25,11 @@ func digestWorld(name string, w *World) WorkloadMetrics {
 }
 
 // RunMetricsSuite runs a small fixed workload set on cfg, each on a world
-// built with a registry — a clean TCP stream, a clean latency ping-pong,
-// and a lossy TCP stream that forces retransmissions — and returns one
-// digest row per workload. Deterministic for a given configuration.
-func RunMetricsSuite(cfg SysConfig) ([]WorkloadMetrics, error) {
+// built in env with a registry — a clean TCP stream, a clean latency
+// ping-pong, and a lossy TCP stream that forces retransmissions — and
+// returns one digest row per workload. Deterministic for a given
+// configuration and environment.
+func RunMetricsSuite(env *Env, cfg SysConfig) ([]WorkloadMetrics, error) {
 	var out []WorkloadMetrics
 	var firstErr error
 	row := func(name string, w *World, err error) {
@@ -69,17 +40,17 @@ func RunMetricsSuite(cfg SysConfig) ([]WorkloadMetrics, error) {
 	}
 
 	// Clean bulk transfer (1 MB keeps the suite quick).
-	w := streamWorld(cfg, true)
+	w := streamWorld(env, cfg, true)
 	row("tcp-stream", w, runStreamOn(w, "ttcp", cfg.RcvBufKB, 1<<20, 0).Err)
 
 	// Clean round-trip latency.
-	w = latWorld(cfg, true)
+	w = latWorld(env, cfg, true)
 	row("tcp-latency", w, runProtolatOn(w, true, 1024, 50, nil).Err)
 
 	// Lossy bulk transfer: 1% frame loss exercises rexmit accounting.
-	// Only Drop is overridden, so the other -loss/-dup/... defaults the
-	// build installed stay in force.
-	w = streamWorld(cfg, true)
+	// Only Drop is overridden, so the other rates env's faults installed
+	// stay in force.
+	w = streamWorld(env, cfg, true)
 	r := w.Seg.Faults().DefaultRates()
 	r.Drop = 0.01
 	w.Seg.Faults().SetDefaultRates(r)

@@ -44,7 +44,7 @@ func TestRunMetricsSuite(t *testing.T) {
 		t.Skip("metrics suite run skipped in -short")
 	}
 	cfg := DECConfigs()[5]
-	rows, err := RunMetricsSuite(cfg)
+	rows, err := RunMetricsSuite(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRunMetricsSuite(t *testing.T) {
 		t.Error("lossy stream shows zero retransmissions")
 	}
 
-	again, err := RunMetricsSuite(cfg)
+	again, err := RunMetricsSuite(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,13 +69,14 @@ type OffloadCell struct {
 
 // RunOffloadSuite measures every cell: tcp-steady on each Columns()
 // configuration at each offered-load point, the splice proxy on each
-// configuration, and connection churn on each architecture flavor.
+// configuration, and connection churn on each architecture flavor. The
+// two-host cells are built in env; churn runs on its own psd network.
 // Deterministic: two calls return identical rows.
-func RunOffloadSuite() ([]OffloadCell, error) {
+func RunOffloadSuite(env *Env) ([]OffloadCell, error) {
 	var out []OffloadCell
 	for _, cfg := range Columns() {
 		for _, mbps := range OffloadLoadPointsMbps {
-			cell, err := RunOffloadSteady(cfg, mbps)
+			cell, err := RunOffloadSteady(env, cfg, mbps)
 			if err != nil {
 				return nil, fmt.Errorf("offload: %s tcp-steady %.0f Mb/s: %w", cfg.Name, mbps, err)
 			}
@@ -83,7 +84,7 @@ func RunOffloadSuite() ([]OffloadCell, error) {
 		}
 	}
 	for _, cfg := range Columns() {
-		cell, err := runOffloadProxy(cfg)
+		cell, err := runOffloadProxy(env, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("offload: %s proxy: %w", cfg.Name, err)
 		}
@@ -99,13 +100,13 @@ func RunOffloadSuite() ([]OffloadCell, error) {
 	return out, nil
 }
 
-// RunOffloadSteady measures one paced tcp-steady cell on a world with a
-// registry, digesting the sink host's segment/wakeup accounting and the
-// world-wide checksum split.
-func RunOffloadSteady(cfg SysConfig, mbps float64) (OffloadCell, error) {
+// RunOffloadSteady measures one paced tcp-steady cell on a world built
+// in env with a registry, digesting the sink host's segment/wakeup
+// accounting and the world-wide checksum split.
+func RunOffloadSteady(env *Env, cfg SysConfig, mbps float64) (OffloadCell, error) {
 	cell := OffloadCell{Config: cfg.Name, Workload: "tcp-steady", OfferedMbps: mbps}
 	interval := time.Duration(float64(ttcpChunk*8) / mbps * 1e9 / 1e6) // one 8 KB chunk per interval offers mbps
-	w := streamWorld(cfg, true)
+	w := streamWorld(env, cfg, true)
 	res := runStreamOn(w, "steady", cfg.RcvBufKB, offloadSteadyBytes, interval)
 	if res.Err != nil {
 		return cell, res.Err
@@ -145,9 +146,9 @@ func digestOffload(cell *OffloadCell, w *World) {
 // runOffloadProxy measures the splice forwarding pump on one
 // configuration — the workload where payload never crosses the socket
 // API, so what remains is per-segment work the engine absorbs.
-func runOffloadProxy(cfg SysConfig) (OffloadCell, error) {
+func runOffloadProxy(env *Env, cfg SysConfig) (OffloadCell, error) {
 	cell := OffloadCell{Config: cfg.Name, Workload: "proxy-splice"}
-	r := RunProxy(cfg, "splice", 1<<20)
+	r := RunProxy(env, cfg, "splice", 1<<20)
 	if r.Err != nil {
 		return cell, r.Err
 	}

@@ -14,7 +14,7 @@ import (
 // and the transfer must still complete byte-perfect.
 func TestTSOUnderFaultRetransmits(t *testing.T) {
 	cfg := OffloadConfig()
-	w := streamWorld(cfg, true)
+	w := streamWorld(nil, cfg, true)
 	w.Seg.Faults().SetDefaultRates(fault.Rates{Drop: 0.03})
 	res := runStreamOn(w, "ttcp", cfg.RcvBufKB, 256<<10, 0)
 	if res.Err != nil {
@@ -42,11 +42,11 @@ func TestOffloadSteadyAcceptance(t *testing.T) {
 	}
 	lib, off := HeadlineConfig(), OffloadConfig()
 	for _, mbps := range []float64{2, 5} {
-		lc, err := RunOffloadSteady(lib, mbps)
+		lc, err := RunOffloadSteady(nil, lib, mbps)
 		if err != nil {
 			t.Fatalf("library %.0f Mb/s: %v", mbps, err)
 		}
-		oc, err := RunOffloadSteady(off, mbps)
+		oc, err := RunOffloadSteady(nil, off, mbps)
 		if err != nil {
 			t.Fatalf("offload %.0f Mb/s: %v", mbps, err)
 		}
@@ -86,11 +86,11 @@ func TestOffloadSteadyDeterminism(t *testing.T) {
 		t.Skip("multi-second steady-state cells")
 	}
 	cfg := OffloadConfig()
-	a, err := RunOffloadSteady(cfg, 5)
+	a, err := RunOffloadSteady(nil, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOffloadSteady(cfg, 5)
+	b, err := RunOffloadSteady(nil, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestOffloadSteadyDeterminism(t *testing.T) {
 func TestStreamPacedAndUnpacedAgree(t *testing.T) {
 	cfg := HeadlineConfig()
 	const total = 128 << 10
-	flat := RunTTCP(cfg, cfg.RcvBufKB, total)
-	paced := runStreamOn(streamWorld(cfg, false), "steady", cfg.RcvBufKB, total, 30*time.Millisecond)
+	flat := RunTTCP(nil, cfg, cfg.RcvBufKB, total)
+	paced := runStreamOn(streamWorld(nil, cfg, false), "steady", cfg.RcvBufKB, total, 30*time.Millisecond)
 	if flat.Err != nil || paced.Err != nil {
 		t.Fatalf("flat: %v, paced: %v", flat.Err, paced.Err)
 	}

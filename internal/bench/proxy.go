@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 )
@@ -68,10 +69,10 @@ func (r ProxyResult) CopiesPerByte() float64 {
 }
 
 // RunProxy forwards totalBytes (0 means 4 MB) through a proxy on host B
-// using the given mode, on a fresh world built from cfg. Deterministic
-// for a given (cfg, mode, totalBytes).
-func RunProxy(cfg SysConfig, mode string, totalBytes int) ProxyResult {
-	return runProxyOn(proxyWorld(cfg), mode, totalBytes)
+// using the given mode, on a fresh world built from cfg in env.
+// Deterministic for a given (env, cfg, mode, totalBytes).
+func RunProxy(env *Env, cfg SysConfig, mode string, totalBytes int) ProxyResult {
+	return runProxyOn(proxyWorld(env, cfg), mode, totalBytes)
 }
 
 // runProxyOn is the forwarding workload on the world it is handed; the
@@ -199,10 +200,12 @@ func runProxyOn(w *World, mode string, totalBytes int) ProxyResult {
 	if res.Err == nil && res.Bytes != totalBytes {
 		res.Err = fmt.Errorf("proxy: sank %d of %d bytes", res.Bytes, totalBytes)
 	}
-	res.CopiedBytes = hostSum(w, "host.B.", ".sock_copied_bytes")
-	res.AliasedBytes = hostSum(w, "host.B.", ".sock_aliased_bytes")
-	res.SplicedBytes = hostSum(w, "host.B.", ".splice_bytes")
-	res.Segments = int(w.hostB.NIC.TxFrames.Value())
+	snap := w.Reg.Snapshot(w.Sim.Now().Duration())
+	res.CopiedBytes = hostSum(snap, "host.B.", ".sock_copied_bytes")
+	res.AliasedBytes = hostSum(snap, "host.B.", ".sock_aliased_bytes")
+	res.SplicedBytes = hostSum(snap, "host.B.", ".splice_bytes")
+	segs, _ := snap.Get("host.B.nic.tx_frames")
+	res.Segments = int(segs.Value)
 	return res
 }
 
@@ -269,8 +272,7 @@ func forward(p *sim.Proc, api socketapi.API, mode string, dst, src, totalBytes i
 // hostSum totals every counter under the host prefix with the given
 // suffix — per-host copy accounting over all stacks running there (a
 // decomposed host runs one per library plus the OS server's).
-func hostSum(w *World, prefix, suffix string) int64 {
-	snap := w.Reg.Snapshot(w.Sim.Now().Duration())
+func hostSum(snap metrics.Snapshot, prefix, suffix string) int64 {
 	var total int64
 	for _, it := range snap.Items {
 		if strings.HasPrefix(it.Name, prefix) && strings.HasSuffix(it.Name, suffix) {
@@ -293,13 +295,13 @@ type ProxyMetrics struct {
 	Segments      int     `json:"segments"`
 }
 
-// RunProxySuite measures every (configuration, mode) cell. totalBytes
-// sizes each transfer (0 means 4 MB).
-func RunProxySuite(totalBytes int) ([]ProxyMetrics, error) {
+// RunProxySuite measures every (configuration, mode) cell in env.
+// totalBytes sizes each transfer (0 means 4 MB).
+func RunProxySuite(env *Env, totalBytes int) ([]ProxyMetrics, error) {
 	var out []ProxyMetrics
 	for _, cfg := range Columns() {
 		for _, mode := range ProxyModes {
-			r := RunProxy(cfg, mode, totalBytes)
+			r := RunProxy(env, cfg, mode, totalBytes)
 			if r.Err != nil {
 				return nil, fmt.Errorf("proxy %s/%s: %w", cfg.Name, mode, r.Err)
 			}

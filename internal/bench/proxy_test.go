@@ -18,7 +18,7 @@ func TestProxySpliceZeroCopy(t *testing.T) {
 	}
 	const total = 1 << 20
 	for _, cfg := range Columns() {
-		r := RunProxy(cfg, "splice", total)
+		r := RunProxy(nil, cfg, "splice", total)
 		if r.Err != nil {
 			t.Fatalf("%s/splice: %v", cfg.Name, r.Err)
 		}
@@ -31,7 +31,7 @@ func TestProxySpliceZeroCopy(t *testing.T) {
 	}
 
 	library := HeadlineConfig()
-	r := RunProxy(library, "chain", total)
+	r := RunProxy(nil, library, "chain", total)
 	if r.Err != nil {
 		t.Fatalf("library/chain: %v", r.Err)
 	}
@@ -40,7 +40,7 @@ func TestProxySpliceZeroCopy(t *testing.T) {
 	}
 	// And the flat-buffer loop must show the classic two copies per
 	// byte, so the contrast the report records is real.
-	r = RunProxy(library, "bsd", total)
+	r = RunProxy(nil, library, "bsd", total)
 	if r.Err != nil {
 		t.Fatalf("library/bsd: %v", r.Err)
 	}
@@ -59,7 +59,7 @@ func TestProxyAllocBudget(t *testing.T) {
 	cfg := HeadlineConfig() // Library-SHM-IPF
 	segs := 0
 	run := func() {
-		r := RunProxy(cfg, "splice", 2<<20)
+		r := RunProxy(nil, cfg, "splice", 2<<20)
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -91,8 +91,8 @@ func TestProxyDeterminism(t *testing.T) {
 	const total = 512 << 10
 	for _, cfg := range Columns() {
 		for _, mode := range ProxyModes {
-			a := RunProxy(cfg, mode, total)
-			b := RunProxy(cfg, mode, total)
+			a := RunProxy(nil, cfg, mode, total)
+			b := RunProxy(nil, cfg, mode, total)
 			if a.Err != nil || b.Err != nil {
 				t.Fatalf("%s/%s: %v / %v", cfg.Name, mode, a.Err, b.Err)
 			}
@@ -109,7 +109,7 @@ func TestProxySuiteRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke run skipped in -short")
 	}
-	rows, err := RunProxySuite(256 << 10)
+	rows, err := RunProxySuite(nil, 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ func TestSmokeTTCP(t *testing.T) {
 	for _, cfg := range DECConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
-			r := RunTTCP(cfg, cfg.RcvBufKB, 2<<20) // 2 MB for the smoke test
+			r := RunTTCP(nil, cfg, cfg.RcvBufKB, 2<<20) // 2 MB for the smoke test
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
@@ -19,11 +19,11 @@ func TestSmokeLatency(t *testing.T) {
 	for _, cfg := range DECConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
-			u := RunProtolat(cfg, true, 1, 50)
+			u := RunProtolat(nil, cfg, true, 1, 50)
 			if u.Err != nil {
 				t.Fatal(u.Err)
 			}
-			tcp := RunProtolat(cfg, false, 1, 50)
+			tcp := RunProtolat(nil, cfg, false, 1, 50)
 			if tcp.Err != nil {
 				t.Fatal(tcp.Err)
 			}

@@ -16,14 +16,14 @@ type SweepPoint struct {
 // SweepBuffers reproduces the paper's methodology for choosing each
 // configuration's receive buffer: "running the throughput benchmarks with
 // increasing buffer size until further increases did not improve
-// throughput."
-func SweepBuffers(cfg SysConfig, totalBytes int, sizesKB []int) []SweepPoint {
+// throughput." Every world is built in env.
+func SweepBuffers(env *Env, cfg SysConfig, totalBytes int, sizesKB []int) []SweepPoint {
 	if len(sizesKB) == 0 {
 		sizesKB = []int{8, 16, 24, 32, 48, 64, 96, 120}
 	}
 	var out []SweepPoint
 	for _, kb := range sizesKB {
-		r := RunTTCP(cfg, kb, totalBytes)
+		r := RunTTCP(env, cfg, kb, totalBytes)
 		p := SweepPoint{BufKB: kb}
 		if r.Err == nil {
 			p.Throughput = r.KBps()
@@ -83,26 +83,26 @@ func RunAblations(opt Options) []AblationResult {
 	var out []AblationResult
 
 	base := DECConfigs()[5] // Library-SHM-IPF
-	clean := RunTTCP(base, base.RcvBufKB, opt.TotalBytes)
+	clean := RunTTCP(opt.Env, base, base.RcvBufKB, opt.TotalBytes)
 
 	// Delivery-mode latency ablation.
-	ipf := RunProtolat(base, true, 1, opt.LatRounds)
-	shm := RunProtolat(DECConfigs()[4], true, 1, opt.LatRounds)
-	ipc := RunProtolat(DECConfigs()[3], true, 1, opt.LatRounds)
+	ipf := RunProtolat(opt.Env, base, true, 1, opt.LatRounds)
+	shm := RunProtolat(opt.Env, DECConfigs()[4], true, 1, opt.LatRounds)
+	ipc := RunProtolat(opt.Env, DECConfigs()[3], true, 1, opt.LatRounds)
 	out = append(out,
 		AblationResult{Name: "delivery SHM vs SHM-IPF", Metric: "UDP 1B RTT ms", Baseline: ipf.Ms(), Variant: shm.Ms()},
 		AblationResult{Name: "delivery IPC vs SHM-IPF", Metric: "UDP 1B RTT ms", Baseline: ipf.Ms(), Variant: ipc.Ms()},
 	)
 
 	// Loss resilience.
-	lossy := runTTCPWithLoss(base, base.RcvBufKB, opt.TotalBytes, 0.01)
+	lossy := runTTCPWithLoss(opt.Env, base, base.RcvBufKB, opt.TotalBytes, 0.01)
 	out = append(out, AblationResult{
 		Name: "1% packet loss", Metric: "TCP throughput KB/s",
 		Baseline: clean.KBps(), Variant: lossy.KBps(),
 	})
 
 	// NEWAPI vs standard socket interface (the §4.2 flexibility claim).
-	na := RunTTCP(NewAPIConfigs()[2], 120, opt.TotalBytes)
+	na := RunTTCP(opt.Env, NewAPIConfigs()[2], 120, opt.TotalBytes)
 	out = append(out, AblationResult{
 		Name: "NEWAPI shared buffers", Metric: "TCP throughput KB/s",
 		Baseline: clean.KBps(), Variant: na.KBps(),
@@ -111,8 +111,8 @@ func RunAblations(opt Options) []AblationResult {
 }
 
 // runTTCPWithLoss is RunTTCP on a world whose segment drops frames.
-func runTTCPWithLoss(cfg SysConfig, rcvBufKB, totalBytes int, loss float64) TTCPResult {
-	w := streamWorld(cfg, false)
+func runTTCPWithLoss(env *Env, cfg SysConfig, rcvBufKB, totalBytes int, loss float64) TTCPResult {
+	w := streamWorld(env, cfg, false)
 	w.Seg.Faults().SetDefaultRates(fault.Rates{Drop: loss})
 	w.Sim.Deadline = 0 // default hour; loss runs take longer
 	return runStreamOn(w, "ttcp", rcvBufKB, totalBytes, 0)

@@ -16,10 +16,12 @@ var (
 	UDPSizes = []int{1, 100, 512, 1024, 1472}
 )
 
-// Options tunes how much work the table runners do.
+// Options tunes how much work the table runners do, and names the
+// environment they build their worlds in.
 type Options struct {
-	LatRounds  int // round trips per latency cell
-	TotalBytes int // ttcp transfer size
+	LatRounds  int  // round trips per latency cell
+	TotalBytes int  // ttcp transfer size
+	Env        *Env // nil builds clean worlds
 }
 
 // QuickOptions is for tests.
@@ -40,16 +42,16 @@ type Table2Row struct {
 // RunTable2Row measures one configuration.
 func RunTable2Row(cfg SysConfig, opt Options) Table2Row {
 	row := Table2Row{Config: cfg.Name, Platform: cfg.Platform, RcvBufKB: cfg.RcvBufKB}
-	tr := RunTTCP(cfg, cfg.RcvBufKB, opt.TotalBytes)
+	tr := RunTTCP(opt.Env, cfg, cfg.RcvBufKB, opt.TotalBytes)
 	row.Throughput = tr.KBps()
 	if tr.Err != nil {
 		row.Throughput = 0
 	}
 	for _, size := range TCPSizes {
-		row.TCPLat = append(row.TCPLat, RunProtolat(cfg, false, size, opt.LatRounds))
+		row.TCPLat = append(row.TCPLat, RunProtolat(opt.Env, cfg, false, size, opt.LatRounds))
 	}
 	for _, size := range UDPSizes {
-		row.UDPLat = append(row.UDPLat, RunProtolat(cfg, true, size, opt.LatRounds))
+		row.UDPLat = append(row.UDPLat, RunProtolat(opt.Env, cfg, true, size, opt.LatRounds))
 	}
 	return row
 }
@@ -156,7 +158,8 @@ func (b Breakdown) RecvTotal() time.Duration {
 // accumulated charges to components and averaging per one-way message, as
 // the paper's Table 4 does. As in the paper, TCP numbers only approximate
 // the critical path because acknowledgement traffic is attributed too.
-func RunBreakdown(cfg SysConfig, tcp bool, msgSize, rounds int) Breakdown {
+// The world is built in env.
+func RunBreakdown(env *Env, cfg SysConfig, tcp bool, msgSize, rounds int) Breakdown {
 	cfg.RawCosts = true // the paper's Table 4 came from the instrumented build
 	bd := Breakdown{Config: cfg.Name, TCP: tcp, MsgSize: msgSize,
 		PerLayer: make(map[costs.Component]time.Duration)}
@@ -164,7 +167,7 @@ func RunBreakdown(cfg SysConfig, tcp bool, msgSize, rounds int) Breakdown {
 	acc := make(map[costs.Component]time.Duration)
 	counting := false
 
-	w := latWorld(cfg, false)
+	w := latWorld(env, cfg, false)
 	w.Observe(func(comp costs.Component, d time.Duration) {
 		if counting {
 			acc[comp] += d

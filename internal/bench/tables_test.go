@@ -5,12 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/costs"
 )
 
 func TestFindConfig(t *testing.T) {
 	cfg, err := FindConfig("Mach 2.5 In-Kernel")
-	if err != nil || cfg.Kind != KindKernel {
+	if err != nil || cfg.Spec.Kind != arch.Kernel {
 		t.Fatalf("FindConfig: %+v %v", cfg, err)
 	}
 	if _, err := FindConfig("No Such System"); err == nil {
@@ -68,11 +69,11 @@ func TestRunTable2RowQuick(t *testing.T) {
 
 func TestNARowsReportNA(t *testing.T) {
 	cfg := I486Configs()[1] // 386BSD
-	l := RunProtolat(cfg, false, 1024, 10)
+	l := RunProtolat(nil, cfg, false, 1024, 10)
 	if !l.NA {
 		t.Fatal("386BSD TCP 1024B must be NA")
 	}
-	l = RunProtolat(cfg, false, 100, 10)
+	l = RunProtolat(nil, cfg, false, 100, 10)
 	if l.NA || l.Err != nil {
 		t.Fatalf("386BSD TCP 100B should measure: %+v", l)
 	}
@@ -97,7 +98,7 @@ func TestFormatTable2(t *testing.T) {
 }
 
 func TestBreakdownCells(t *testing.T) {
-	bd := RunBreakdown(DECConfigs()[0], false, 1, 50)
+	bd := RunBreakdown(nil, DECConfigs()[0], false, 1, 50)
 	if bd.SendTotal() <= 0 || bd.RecvTotal() <= 0 {
 		t.Fatalf("empty breakdown: %+v", bd)
 	}
@@ -137,7 +138,7 @@ func TestBestBuffer(t *testing.T) {
 }
 
 func TestSweepBuffersRuns(t *testing.T) {
-	pts := SweepBuffers(DECConfigs()[0], 1<<20, []int{8, 24})
+	pts := SweepBuffers(nil, DECConfigs()[0], 1<<20, []int{8, 24})
 	if len(pts) != 2 || pts[0].Throughput <= 0 || pts[1].Throughput <= 0 {
 		t.Fatalf("sweep: %+v", pts)
 	}
@@ -151,11 +152,11 @@ func TestSweepBuffersRuns(t *testing.T) {
 }
 
 func TestLossAblationRecovers(t *testing.T) {
-	r := runTTCPWithLoss(DECConfigs()[0], 24, 1<<20, 0.02)
+	r := runTTCPWithLoss(nil, DECConfigs()[0], 24, 1<<20, 0.02)
 	if r.Err != nil {
 		t.Fatalf("lossy transfer failed: %v", r.Err)
 	}
-	clean := RunTTCP(DECConfigs()[0], 24, 1<<20)
+	clean := RunTTCP(nil, DECConfigs()[0], 24, 1<<20)
 	if r.KBps() >= clean.KBps() {
 		t.Fatalf("loss did not reduce throughput: %.0f vs %.0f", r.KBps(), clean.KBps())
 	}
@@ -167,7 +168,7 @@ func TestLossAblationRecovers(t *testing.T) {
 func TestThroughputOrderingMatchesPaper(t *testing.T) {
 	dec := DECConfigs()
 	get := func(i int) float64 {
-		r := RunTTCP(dec[i], dec[i].RcvBufKB, 4<<20)
+		r := RunTTCP(nil, dec[i], dec[i].RcvBufKB, 4<<20)
 		if r.Err != nil {
 			t.Fatalf("%s: %v", dec[i].Name, r.Err)
 		}
@@ -197,7 +198,7 @@ func TestLatencyMatchesTable2Anchors(t *testing.T) {
 		{0, 1.45}, {1, 1.52}, {2, 3.61}, {3, 1.40}, {4, 1.34}, {5, 1.23},
 	}
 	for _, a := range anchors {
-		r := RunProtolat(dec[a.idx], true, 1, 100)
+		r := RunProtolat(nil, dec[a.idx], true, 1, 100)
 		if r.Err != nil {
 			t.Fatalf("%s: %v", dec[a.idx].Name, r.Err)
 		}
@@ -211,16 +212,16 @@ func TestLatencyMatchesTable2Anchors(t *testing.T) {
 // bit-for-bit reproducible — same config, same seed, same numbers.
 func TestDeterministicMeasurements(t *testing.T) {
 	cfg := DECConfigs()[5]
-	r1 := RunTTCP(cfg, cfg.RcvBufKB, 2<<20)
-	r2 := RunTTCP(cfg, cfg.RcvBufKB, 2<<20)
+	r1 := RunTTCP(nil, cfg, cfg.RcvBufKB, 2<<20)
+	r2 := RunTTCP(nil, cfg, cfg.RcvBufKB, 2<<20)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
 	if r1.Duration != r2.Duration {
 		t.Fatalf("throughput runs differ: %v vs %v", r1.Duration, r2.Duration)
 	}
-	l1 := RunProtolat(cfg, true, 100, 50)
-	l2 := RunProtolat(cfg, true, 100, 50)
+	l1 := RunProtolat(nil, cfg, true, 100, 50)
+	l2 := RunProtolat(nil, cfg, true, 100, 50)
 	if l1.Avg != l2.Avg {
 		t.Fatalf("latency runs differ: %v vs %v", l1.Avg, l2.Avg)
 	}

@@ -63,10 +63,10 @@ func runTputDiag(t *testing.T, cfg SysConfig, bufKB int) {
 		t.Fatal(err)
 	}
 	dur := end.Sub(start)
-	txA := w.hostA.NIC.TxFrames.Value()
-	txB := w.hostB.NIC.TxFrames.Value()
-	cpuA := w.hostA.CPU.BusyTime()
-	cpuB := w.hostB.CPU.BusyTime()
+	txA := w.a.Kern().NIC.TxFrames.Value()
+	txB := w.b.Kern().NIC.TxFrames.Value()
+	cpuA := w.a.Kern().CPU.BusyTime()
+	cpuB := w.b.Kern().CPU.BusyTime()
 	t.Logf("%s buf=%dKB: %.0f KB/s; dataFrames(A)=%d (avg %0.f B/seg), acks(B)=%d, cpuA=%v (%.0f%%), cpuB=%v (%.0f%%), wire=%v busy",
 		cfg.Name, bufKB, float64(total)/1024/dur.Seconds(),
 		txA, float64(total)/float64(txA), txB,

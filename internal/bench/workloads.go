@@ -32,11 +32,11 @@ func (r TTCPResult) KBps() float64 {
 	return float64(r.Bytes) / 1024 / r.Duration.Seconds()
 }
 
-// RunTTCP runs the throughput benchmark on a fresh world built from cfg,
-// with the given receive buffer size (KB); totalBytes 0 means the
-// paper's 16 MB.
-func RunTTCP(cfg SysConfig, rcvBufKB int, totalBytes int) TTCPResult {
-	return runStreamOn(streamWorld(cfg, false), "ttcp", rcvBufKB, totalBytes, 0)
+// RunTTCP runs the throughput benchmark on a fresh world built from cfg
+// in env, with the given receive buffer size (KB); totalBytes 0 means
+// the paper's 16 MB.
+func RunTTCP(env *Env, cfg SysConfig, rcvBufKB int, totalBytes int) TTCPResult {
+	return runStreamOn(streamWorld(env, cfg, false), "ttcp", rcvBufKB, totalBytes, 0)
 }
 
 // runStreamOn is the one-way TCP stream workload on the world it is
@@ -152,7 +152,7 @@ func runStreamOn(w *World, name string, rcvBufKB, totalBytes int, interval time.
 	if res.Err == nil && res.Bytes != totalBytes {
 		res.Err = fmt.Errorf("%s: received %d of %d bytes", name, res.Bytes, totalBytes)
 	}
-	noteRun(w.Cfg.Name+" "+name, res.Duration, w.Rec)
+	w.env.noteRun(w.Cfg.Name+" "+name, res.Duration, w.Rec)
 	return res
 }
 
@@ -172,13 +172,14 @@ const protolatPort = 5002
 // RunProtolat measures average round-trip latency for msgSize-byte
 // messages over TCP or UDP, in the manner of the paper's protolat
 // program: a client-server ping-pong on an otherwise idle network,
-// excluding a warmup round (connection setup, ARP).
-func RunProtolat(cfg SysConfig, udp bool, msgSize, rounds int) LatResult {
+// excluding a warmup round (connection setup, ARP). The world is built
+// from cfg in env.
+func RunProtolat(env *Env, cfg SysConfig, udp bool, msgSize, rounds int) LatResult {
 	if !udp && cfg.TCPLatNA && msgSize >= 1024 {
 		// The 386BSD/BNR2SS large-TCP-packet bug: the paper reports NA.
 		return LatResult{NA: true}
 	}
-	return runProtolatOn(latWorld(cfg, false), !udp, msgSize, rounds, nil)
+	return runProtolatOn(latWorld(env, cfg, false), !udp, msgSize, rounds, nil)
 }
 
 // runProtolatOn runs the latency workload on the world it is handed.
@@ -317,7 +318,7 @@ func runProtolatOn(w *World, tcp bool, msgSize, rounds int, counting func(on boo
 	if udp {
 		proto = "udp"
 	}
-	noteRun(fmt.Sprintf("%s protolat-%s-%d", w.Cfg.Name, proto, msgSize),
+	w.env.noteRun(fmt.Sprintf("%s protolat-%s-%d", w.Cfg.Name, proto, msgSize),
 		time.Duration(res.Rounds)*res.Avg, w.Rec)
 	return res
 }

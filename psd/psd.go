@@ -137,24 +137,20 @@ const (
 	TCPNoDelay = socketapi.TCPNoDelay
 )
 
-// Arch selects a host's protocol architecture.
-type Arch struct {
-	kind arch.Kind
-	prof costs.Profile
-	srv  costs.Profile
-}
+// Arch selects a host's protocol architecture at its prices.
+type Arch = arch.Spec
 
 // Decomposed is the paper's architecture: an OS server plus per-
 // application protocol libraries over the integrated packet filter
 // (Library-SHM-IPF cost profile).
 func Decomposed() Arch {
-	return Arch{kind: arch.Decomposed, prof: costs.CalibrateTable2(costs.DECLibrarySHMIPF()), srv: costs.DECServerUX()}
+	return Arch{Kind: arch.Decomposed, Prof: costs.CalibrateTable2(costs.DECLibrarySHMIPF()), SrvProf: costs.DECServerUX()}
 }
 
 // DecomposedIPC is the decomposed architecture over per-packet IPC
 // delivery.
 func DecomposedIPC() Arch {
-	return Arch{kind: arch.Decomposed, prof: costs.CalibrateTable2(costs.DECLibraryIPC()), srv: costs.DECServerUX()}
+	return Arch{Kind: arch.Decomposed, Prof: costs.CalibrateTable2(costs.DECLibraryIPC()), SrvProf: costs.DECServerUX()}
 }
 
 // DecomposedOffload is the decomposed architecture with the simulated
@@ -162,18 +158,18 @@ func DecomposedIPC() Arch {
 // transmit segmentation, LRO receive coalescing, checksum offload, and
 // adaptive interrupt moderation on every host NIC.
 func DecomposedOffload() Arch {
-	return Arch{kind: arch.Decomposed, prof: costs.CalibrateTable2(costs.DECLibrarySHMIPFOffload()), srv: costs.DECServerUX()}
+	return Arch{Kind: arch.Decomposed, Prof: costs.CalibrateTable2(costs.DECLibrarySHMIPFOffload()), SrvProf: costs.DECServerUX()}
 }
 
 // InKernel is the Mach 2.5 / Ultrix baseline: protocols in the kernel.
 func InKernel() Arch {
-	return Arch{kind: arch.Kernel, prof: costs.CalibrateTable2(costs.DECKernelMach25())}
+	return Arch{Kind: arch.Kernel, Prof: costs.CalibrateTable2(costs.DECKernelMach25())}
 }
 
 // ServerBased is the UX baseline: protocols in a single user-level
 // server.
 func ServerBased() Arch {
-	return Arch{kind: arch.Server, prof: costs.CalibrateTable2(costs.DECServerUX())}
+	return Arch{Kind: arch.Server, Prof: costs.CalibrateTable2(costs.DECServerUX())}
 }
 
 // ArchFlavor is a named architecture constructor, for suites that
@@ -415,7 +411,7 @@ func (n *Network) hostOn(s *sim.Sim, seg *simnet.Segment, routes *stack.RouteTab
 		panic(err)
 	}
 	mac, rec := n.nextMAC(), n.lane(s)
-	sys := arch.New(a.kind, s, seg, name, mac, ip, a.prof, a.srv)
+	sys := arch.New(a, s, seg, name, mac, ip)
 	if rec != nil {
 		sys.SetTrace(rec)
 	}
@@ -490,6 +486,10 @@ func (h *Host) Netstat() []SocketInfo {
 
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
+
+// Kern exposes the host's kernel (CPU, NIC, packet-filter hook) for
+// harnesses that observe or count below the socket layer.
+func (h *Host) Kern() *kern.Host { return h.kern }
 
 // Addr returns the host's IP as a SockAddr with the given port.
 func (h *Host) Addr(port uint16) SockAddr { return SockAddr{Addr: h.ip, Port: port} }

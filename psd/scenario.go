@@ -16,12 +16,11 @@ import (
 type SLOResult = slo.Result
 
 // ScenarioConfig selects a named scenario, its seed, and the
-// architecture every host in it runs.
+// architecture every host in it runs (its Name labels the result).
 type ScenarioConfig struct {
-	Name     string
-	Seed     int64
-	Arch     Arch
-	ArchName string // label for reports; cosmetic
+	Name string
+	Seed int64
+	Arch ArchFlavor
 
 	// Trace adds flight-recorder layers beyond the scenario's own
 	// defaults (the partition scenario always records; others are
@@ -94,11 +93,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if def == nil {
 		return nil, fmt.Errorf("psd: unknown scenario %q (have %v)", cfg.Name, ScenarioNames())
 	}
-	if cfg.ArchName == "" {
-		cfg.ArchName = [...]string{"decomposed", "inkernel", "server"}[cfg.Arch.kind]
-	}
 
-	env := &scenarioEnv{cfg: cfg}
+	env := &scenarioEnv{cfg: cfg, arch: cfg.Arch.New()}
 	def.run(env)
 	if env.err != nil {
 		return nil, fmt.Errorf("psd: scenario %s: %w", cfg.Name, env.err)
@@ -110,6 +106,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 // instruments, the SLO suite under construction, and bookkeeping.
 type scenarioEnv struct {
 	cfg   ScenarioConfig
+	arch  Arch
 	n     *Network
 	rng   *rand.Rand
 	suite slo.Suite
@@ -178,7 +175,7 @@ func (e *scenarioEnv) finish() (*ScenarioResult, error) {
 
 	r := &ScenarioResult{
 		Name:     e.cfg.Name,
-		Arch:     e.cfg.ArchName,
+		Arch:     e.cfg.Arch.Name,
 		Seed:     e.cfg.Seed,
 		Requests: int64(e.requests.Value()),
 		Errors:   int64(e.errors.Value()),
@@ -363,12 +360,12 @@ func runIncast(e *scenarioEnv) {
 		rounds   = 4
 		upload   = 12 << 10
 	)
-	srv := agg.Host("agg", "10.1.0.10", e.cfg.Arch)
+	srv := agg.Host("agg", "10.1.0.10", e.arch)
 	e.scenarioServer(srv, nWorkers*rounds)
 
 	for w := 0; w < nWorkers; w++ {
 		w := w
-		host := workers.Host(fmt.Sprintf("w%d", w), fmt.Sprintf("10.2.0.%d", w+1), e.cfg.Arch)
+		host := workers.Host(fmt.Sprintf("w%d", w), fmt.Sprintf("10.2.0.%d", w+1), e.arch)
 		app := host.NewApp("push")
 		e.n.Spawn(fmt.Sprintf("push-%d", w), func(t *Thread) {
 			for r := 0; r < rounds; r++ {
@@ -397,7 +394,7 @@ func runFlashCrowd(e *scenarioEnv) {
 	west, east := e.routedPair("west", "east")
 
 	const nClients = 20
-	srv := east.Host("origin", "10.2.0.100", e.cfg.Arch)
+	srv := east.Host("origin", "10.2.0.100", e.arch)
 	e.scenarioServer(srv, nClients)
 
 	arrival := time.Duration(0)
@@ -407,7 +404,7 @@ func runFlashCrowd(e *scenarioEnv) {
 		if i%2 == 1 {
 			sub, base = east, "10.2.0"
 		}
-		host := sub.Host(fmt.Sprintf("c%d", i), fmt.Sprintf("%s.%d", base, i/2+1), e.cfg.Arch)
+		host := sub.Host(fmt.Sprintf("c%d", i), fmt.Sprintf("%s.%d", base, i/2+1), e.arch)
 		app := host.NewApp("browser")
 		arrival += e.expDelay(10 * time.Millisecond)
 		at := arrival
@@ -438,12 +435,12 @@ func runHeavyTail(e *scenarioEnv) {
 		sizeMin     = 512.0
 		paretoAlpha = 1.2
 	)
-	srv := east.Host("store", "10.2.0.10", e.cfg.Arch)
+	srv := east.Host("store", "10.2.0.10", e.arch)
 	e.scenarioServer(srv, nClients*perClient)
 
 	for c := 0; c < nClients; c++ {
 		c := c
-		host := west.Host(fmt.Sprintf("c%d", c), fmt.Sprintf("10.1.0.%d", c+1), e.cfg.Arch)
+		host := west.Host(fmt.Sprintf("c%d", c), fmt.Sprintf("10.1.0.%d", c+1), e.arch)
 		app := host.NewApp("get")
 		e.n.Spawn(fmt.Sprintf("tail-%d", c), func(t *Thread) {
 			t.Sleep(time.Duration(c) * 5 * time.Millisecond)
@@ -475,14 +472,14 @@ func runDiurnal(e *scenarioEnv) {
 		total += k
 	}
 
-	srv := east.Host("api", "10.2.0.10", e.cfg.Arch)
+	srv := east.Host("api", "10.2.0.10", e.arch)
 	e.scenarioServer(srv, total)
 
 	// A fixed pool of client hosts; each arrival is its own process.
 	const pool = 4
 	apps := make([]App, pool)
 	for i := 0; i < pool; i++ {
-		host := west.Host(fmt.Sprintf("pool%d", i), fmt.Sprintf("10.1.0.%d", i+1), e.cfg.Arch)
+		host := west.Host(fmt.Sprintf("pool%d", i), fmt.Sprintf("10.1.0.%d", i+1), e.arch)
 		apps[i] = host.NewApp("worker")
 	}
 	id := 0
@@ -527,12 +524,12 @@ func runPartition(e *scenarioEnv) {
 		nClients  = 4
 		perClient = 6
 	)
-	srv := east.Host("primary", "10.2.0.1", e.cfg.Arch)
+	srv := east.Host("primary", "10.2.0.1", e.arch)
 	e.scenarioServer(srv, nClients*perClient)
 
 	for c := 0; c < nClients; c++ {
 		c := c
-		host := west.Host(fmt.Sprintf("c%d", c), fmt.Sprintf("10.1.0.%d", c+1), e.cfg.Arch)
+		host := west.Host(fmt.Sprintf("c%d", c), fmt.Sprintf("10.1.0.%d", c+1), e.arch)
 		app := host.NewApp("region")
 		e.n.Spawn(fmt.Sprintf("part-%d", c), func(t *Thread) {
 			t.Sleep(time.Duration(c) * 20 * time.Millisecond)

@@ -5,16 +5,9 @@ import (
 	"testing"
 )
 
-// scenarioArchs pairs every architecture with its report label; the
-// scenario suite must hold on all three.
-var scenarioArchs = []struct {
-	name string
-	arch Arch
-}{
-	{"decomposed", Decomposed()},
-	{"inkernel", InKernel()},
-	{"server", ServerBased()},
-}
+// scenarioArchs are the three architectures the scenario suite must
+// hold on.
+var scenarioArchs = ArchFlavors()[:3]
 
 // TestScenarioSuite is the CI gate: every named scenario meets its SLOs
 // on every architecture. A failure prints the full SLO report so the
@@ -22,9 +15,9 @@ var scenarioArchs = []struct {
 func TestScenarioSuite(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		for _, a := range scenarioArchs {
-			t.Run(name+"/"+a.name, func(t *testing.T) {
+			t.Run(name+"/"+a.Name, func(t *testing.T) {
 				res, err := RunScenario(ScenarioConfig{
-					Name: name, Seed: 1, Arch: a.arch, ArchName: a.name,
+					Name: name, Seed: 1, Arch: a,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -37,7 +30,7 @@ func TestScenarioSuite(t *testing.T) {
 						t.Log(r.String())
 					}
 					t.Fatalf("%s/%s failed its SLOs (req=%d err=%d p99=%dns)",
-						name, a.name, res.Requests, res.Errors, res.ReqP99Ns)
+						name, a.Name, res.Requests, res.Errors, res.ReqP99Ns)
 				}
 			})
 		}
@@ -49,8 +42,8 @@ func TestScenarioSuite(t *testing.T) {
 // drop counts, SLO details, virtual time — everything.
 func TestScenarioDeterminism(t *testing.T) {
 	for _, a := range scenarioArchs {
-		t.Run(a.name, func(t *testing.T) {
-			cfg := ScenarioConfig{Name: "heavy-tail", Seed: 7, Arch: a.arch, ArchName: a.name}
+		t.Run(a.Name, func(t *testing.T) {
+			cfg := ScenarioConfig{Name: "heavy-tail", Seed: 7, Arch: a}
 			run := func() []byte {
 				res, err := RunScenario(cfg)
 				if err != nil {
@@ -74,11 +67,11 @@ func TestScenarioDeterminism(t *testing.T) {
 // traffic generators: different seeds must produce different latency
 // profiles (same structure, different draws).
 func TestScenarioSeedSensitivity(t *testing.T) {
-	r1, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 1, Arch: InKernel()})
+	r1, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 1, Arch: scenarioArchs[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 2, Arch: InKernel()})
+	r2, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 2, Arch: scenarioArchs[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +82,7 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 
 // TestScenarioUnknownName rejects typos instead of silently passing.
 func TestScenarioUnknownName(t *testing.T) {
-	if _, err := RunScenario(ScenarioConfig{Name: "no-such", Arch: InKernel()}); err == nil {
+	if _, err := RunScenario(ScenarioConfig{Name: "no-such", Arch: scenarioArchs[1]}); err == nil {
 		t.Fatal("want error for unknown scenario")
 	}
 }
@@ -99,18 +92,18 @@ func TestScenarioUnknownName(t *testing.T) {
 // must have retransmitted through the outage on every architecture.
 func TestScenarioPartitionEvidence(t *testing.T) {
 	for _, a := range scenarioArchs {
-		res, err := RunScenario(ScenarioConfig{Name: "partition", Seed: 1, Arch: a.arch, ArchName: a.name})
+		res, err := RunScenario(ScenarioConfig{Name: "partition", Seed: 1, Arch: a})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Passed {
-			t.Fatalf("%s: partition scenario failed", a.name)
+			t.Fatalf("%s: partition scenario failed", a.Name)
 		}
 		if res.NetDrops == 0 {
-			t.Errorf("%s: link cut produced no drops", a.name)
+			t.Errorf("%s: link cut produced no drops", a.Name)
 		}
 		if res.TCPRexmits == 0 {
-			t.Errorf("%s: no retransmissions through the outage", a.name)
+			t.Errorf("%s: no retransmissions through the outage", a.Name)
 		}
 	}
 }
