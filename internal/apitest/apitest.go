@@ -58,6 +58,7 @@ func RunAll(t *testing.T, build Builder) {
 		{"AcceptMultipleHostIP", testAcceptMultipleHostIP},
 		{"AcceptedCloseKeepsListenerPort", testAcceptedCloseKeepsListenerPort},
 		{"ExitClosesEveryDescriptor", testExitClosesEveryDescriptor},
+		{"UDPConnectAfterFork", testUDPConnectAfterFork},
 	}...)
 	for i, tc := range tests {
 		tc := tc
@@ -550,6 +551,43 @@ func testExitClosesEveryDescriptor(t *testing.T, e *Env) {
 		dying.ExitProcess(p)
 		bindNew(t, p, heir, socketapi.SockStream, 5001, nil)
 		bindNew(t, p, heir, socketapi.SockStream, 5002, nil)
+	})
+}
+
+// testUDPConnectAfterFork: connect on a UDP socket that fork shares with
+// a child narrows it to one peer as on any other socket: a send without
+// an address goes there and the peer's reply comes back.
+func testUDPConnectAfterFork(t *testing.T, e *Env) {
+	echo, parent := e.NewB("udpecho"), e.NewA("parent")
+	e.Sim.Spawn("udpecho", func(p *sim.Proc) {
+		fd, _ := echo.Socket(p, socketapi.SockDgram)
+		echo.Bind(p, fd, socketapi.SockAddr{Port: 7})
+		buf := make([]byte, 64)
+		if n, from, err := echo.RecvFrom(p, fd, buf, 0); err == nil {
+			echo.SendTo(p, fd, buf[:n], 0, from)
+		}
+	})
+	e.Sim.Spawn("parent", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		fd, _ := parent.Socket(p, socketapi.SockDgram)
+		parent.Bind(p, fd, socketapi.SockAddr{Port: 4000})
+		if _, err := parent.Fork(p, "child"); err != nil {
+			t.Errorf("fork: %v", err)
+			return
+		}
+		peer := socketapi.SockAddr{Addr: e.IPB, Port: 7}
+		if err := parent.Connect(p, fd, peer); err != nil {
+			t.Errorf("connect after fork: %v", err)
+			return
+		}
+		if got, err := parent.GetPeerName(p, fd); err != nil || got != peer {
+			t.Errorf("GetPeerName = %v, %v", got, err)
+		}
+		parent.Send(p, fd, []byte("ping"), 0)
+		buf := make([]byte, 64)
+		if n, err := parent.Recv(p, fd, buf, 0); err != nil || string(buf[:n]) != "ping" {
+			t.Errorf("echo = %q, %v", buf[:n], err)
+		}
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package arch is the one construction path for a simulated host: the
-// paper's three architectures behind one small interface, so harnesses
-// (internal/bench, psd) wire tracing, metrics and routes once instead
-// of once per architecture.
+// paper's three architectures behind one small interface, each built
+// whole by one call that takes the host's instruments and routes along
+// with its place on the network.
 package arch
 
 import (
@@ -36,11 +36,6 @@ type System interface {
 	// stack on it, for netstat-style walks.
 	Kern() *kern.Host
 	Stacks() []*stack.Stack
-	SetTrace(r *trace.Recorder)
-	SetMetrics(hs *metrics.Scope)
-	// SetRoutes installs the host's routing table; nil keeps the
-	// default everything-on-link table.
-	SetRoutes(rt *stack.RouteTable)
 }
 
 // Spec is an architecture at its prices. Prof prices the protocol
@@ -53,13 +48,20 @@ type Spec struct {
 	SrvProf costs.Profile
 }
 
-// New attaches a host of the given architecture to the segment.
-func New(a Spec, s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr) System {
+// New attaches a host of the given architecture to the segment. rec,
+// hs (the host's registry scope, "host.<name>") and rt (nil: everything
+// on-link) may each be nil; the kernel and every stack the host ever
+// builds share them (kern.Host.StackConfig).
+func New(a Spec, s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr,
+	rec *trace.Recorder, hs *metrics.Scope, rt *stack.RouteTable) System {
+	h := kern.NewHost(s, seg, name, mac, ip, a.Prof)
+	h.Trace, h.Routes = rec, rt
+	h.SetMetrics(hs)
 	switch a.Kind {
 	case Kernel:
-		return monolith.New(s, seg, name, mac, ip, a.Prof, monolith.InKernel)
+		return monolith.New(h, monolith.InKernel)
 	case Server:
-		return monolith.New(s, seg, name, mac, ip, a.Prof, monolith.UXServer)
+		return monolith.New(h, monolith.UXServer)
 	}
-	return core.New(s, seg, name, mac, ip, a.Prof, a.SrvProf)
+	return core.New(h, a.SrvProf)
 }

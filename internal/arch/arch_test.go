@@ -27,8 +27,8 @@ func TestConformance(t *testing.T) {
 				s := sim.New(seed)
 				seg := simnet.NewSegment(s)
 				ipA, ipB := wire.IP(10, 0, 0, 1), wire.IP(10, 0, 0, 2)
-				sysA := arch.New(c.spec, s, seg, "A", wire.MAC{1}, ipA)
-				sysB := arch.New(c.spec, s, seg, "B", wire.MAC{2}, ipB)
+				sysA := arch.New(c.spec, s, seg, "A", wire.MAC{1}, ipA, nil, nil, nil)
+				sysB := arch.New(c.spec, s, seg, "B", wire.MAC{2}, ipB, nil, nil, nil)
 				return &apitest.Env{Sim: s, NewA: sysA.NewApp, NewB: sysB.NewApp, IPA: ipA, IPB: ipB}
 			})
 		})

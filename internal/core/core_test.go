@@ -6,6 +6,7 @@ import (
 	"repro/internal/apitest"
 	"repro/internal/core"
 	"repro/internal/costs"
+	"repro/internal/kern"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
@@ -16,8 +17,8 @@ func build(t *testing.T, seed int64) *apitest.Env {
 	s := sim.New(seed)
 	seg := simnet.NewSegment(s)
 	ipA, ipB := wire.IP(10, 0, 0, 1), wire.IP(10, 0, 0, 2)
-	sysA := core.New(s, seg, "A", wire.MAC{1}, ipA, costs.DECLibrarySHMIPF(), costs.DECServerUX())
-	sysB := core.New(s, seg, "B", wire.MAC{2}, ipB, costs.DECLibrarySHMIPF(), costs.DECServerUX())
+	sysA := core.New(kern.NewHost(s, seg, "A", wire.MAC{1}, ipA, costs.DECLibrarySHMIPF()), costs.DECServerUX())
+	sysB := core.New(kern.NewHost(s, seg, "B", wire.MAC{2}, ipB, costs.DECLibrarySHMIPF()), costs.DECServerUX())
 	return &apitest.Env{
 		Sim:  s,
 		NewA: func(name string) socketapi.API { return sysA.NewLibrary(name) },
@@ -40,8 +41,8 @@ func buildOffload(t *testing.T, seed int64) *apitest.Env {
 	seg := simnet.NewSegment(s)
 	ipA, ipB := wire.IP(10, 0, 0, 1), wire.IP(10, 0, 0, 2)
 	prof := costs.DECLibrarySHMIPFOffload()
-	sysA := core.New(s, seg, "A", wire.MAC{1}, ipA, prof, costs.DECServerUX())
-	sysB := core.New(s, seg, "B", wire.MAC{2}, ipB, prof, costs.DECServerUX())
+	sysA := core.New(kern.NewHost(s, seg, "A", wire.MAC{1}, ipA, prof), costs.DECServerUX())
+	sysB := core.New(kern.NewHost(s, seg, "B", wire.MAC{2}, ipB, prof), costs.DECServerUX())
 	return &apitest.Env{
 		Sim:  s,
 		NewA: func(name string) socketapi.API { return sysA.NewLibrary(name) },

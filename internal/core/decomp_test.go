@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costs"
+	"repro/internal/kern"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
@@ -31,8 +32,8 @@ func newWorld(seed int64) *world {
 	return &world{
 		s:   s,
 		seg: seg,
-		a:   core.New(s, seg, "A", wire.MAC{1}, wire.IP(10, 0, 0, 1), costs.DECLibrarySHMIPF(), costs.DECServerUX()),
-		b:   core.New(s, seg, "B", wire.MAC{2}, wire.IP(10, 0, 0, 2), costs.DECLibrarySHMIPF(), costs.DECServerUX()),
+		a:   core.New(kern.NewHost(s, seg, "A", wire.MAC{1}, wire.IP(10, 0, 0, 1), costs.DECLibrarySHMIPF()), costs.DECServerUX()),
+		b:   core.New(kern.NewHost(s, seg, "B", wire.MAC{2}, wire.IP(10, 0, 0, 2), costs.DECLibrarySHMIPF()), costs.DECServerUX()),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/costs"
+	"repro/internal/kern"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
@@ -42,8 +43,8 @@ func hostileReturn(t *testing.T, forge func(*stack.TCPSessionState, *session), d
 	s := sim.New(21)
 	s.Deadline = sim.Time(time.Minute)
 	seg := simnet.NewSegment(s)
-	a := New(s, seg, "A", wire.MAC{1}, wire.IP(10, 0, 0, 1), costs.DECLibrarySHMIPF(), costs.DECServerUX())
-	b := New(s, seg, "B", wire.MAC{2}, wire.IP(10, 0, 0, 2), costs.DECLibrarySHMIPF(), costs.DECServerUX())
+	a := New(kern.NewHost(s, seg, "A", wire.MAC{1}, wire.IP(10, 0, 0, 1), costs.DECLibrarySHMIPF()), costs.DECServerUX())
+	b := New(kern.NewHost(s, seg, "B", wire.MAC{2}, wire.IP(10, 0, 0, 2), costs.DECLibrarySHMIPF()), costs.DECServerUX())
 	srv := a.Server
 	echo, victim, attacker := b.NewLibrary("echo"), a.NewLibrary("victim"), a.NewLibrary("attacker")
 	peer := socketapi.SockAddr{Addr: wire.IP(10, 0, 0, 2), Port: 7}

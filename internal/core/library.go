@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/kern"
-	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 	"repro/internal/socklayer"
@@ -47,6 +46,7 @@ type Library struct {
 	// session's state is never exported mid-update.
 	rxBusy  int
 	rxQuiet sim.Cond
+	rx      func(t *sim.Proc, frame []byte) // input, as every receive thread's step
 
 	proxyCalls int
 	exited     bool
@@ -78,32 +78,16 @@ var _ socketapi.ChainAPI = (*Library)(nil)
 func (sys *System) NewLibrary(name string) *Library {
 	lib := &Library{sys: sys, srv: sys.Server, name: name}
 	lib.cache = NewMetaCache(lib)
-	lib.St = stack.New(stack.Config{
-		Sim:      sys.Host.Sim,
-		Name:     sys.Host.Name + "." + name + ".lib",
-		Trace:    sys.Trace,
-		LocalIP:  sys.Host.IP,
-		LocalMAC: sys.Host.NIC.MAC(),
-		Costs:    &sys.LibProf.Costs,
-		Charge:   sys.Host.ProtoCharge(&sys.LibProf.Costs, true, nil),
-		Transmit: sys.Host.Transmit,
-		Routes:   sys.Routes, // nil = default on-link table
-		// With an offload engine on the host NIC, libraries hand it
-		// super-segments and skip software checksumming.
-		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
-		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
-	}, lib.cache)
+	lib.St = stack.New(sys.Host.StackConfig(name+".lib", &sys.Host.Prof, true, nil), lib.cache)
 	lib.local = socklayer.Place{St: lib.St, Alias: true, Sel: &lib.selCond}
 	// Server sockets report their status changes through the server's own
 	// watch (pokeSelectors), so the remote place has no select channel.
 	lib.remote = socklayer.Place{St: sys.Server.St.Stack, Ctl: sys.Server.St, Cross: lib.proxy}
 	lib.Table = socklayer.NewTable(sys.Host.NewProcess(name), &lib.remote)
 	lib.Table.Late = lib.implicitBind
+	lib.rx = lib.input // bound once, not per session's receive thread
 	lib.St.StartTimers(lib.Proc.GoDaemon)
 	sys.Server.libs = append(sys.Server.libs, lib)
-	if sys.metricsScope != nil {
-		lib.St.SetMetrics(sys.metricsScope.Sub("stack").Sub(name + ".lib"))
-	}
 	return lib
 }
 
@@ -119,21 +103,17 @@ func (lib *Library) proxy(t *sim.Proc, approxBytes int, run func(on *sim.Proc)) 
 // startRx spawns a session's receive thread: it drains the session's
 // packet filter endpoint into the library's protocol stack. This is the
 // fast path of the paper — no operating-system involvement per packet.
-func (lib *Library) startRx(ep *kern.Endpoint) {
-	lib.Proc.GoDaemon("rx", func(t *sim.Proc) {
-		for {
-			pkt, ok := ep.Recv(t)
-			if !ok {
-				return
-			}
-			lib.rxBusy++
-			lib.St.Input(t, pkt.Frame)
-			lib.rxBusy--
-			if lib.rxBusy == 0 {
-				lib.rxQuiet.Broadcast()
-			}
-		}
-	})
+func (lib *Library) startRx(ep *kern.Endpoint) { ep.Drain(lib.Proc, "rx", lib.rx) }
+
+// input is a receive thread's step: one frame into the library stack,
+// counted in rxBusy.
+func (lib *Library) input(t *sim.Proc, frame []byte) {
+	lib.rxBusy++
+	lib.St.Input(t, frame)
+	lib.rxBusy--
+	if lib.rxBusy == 0 {
+		lib.rxQuiet.Broadcast()
+	}
 }
 
 // quiesce waits until no receive thread is mid-packet, so a migration
@@ -264,6 +244,9 @@ func (lib *Library) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error 
 	s.name = socklayer.FromStack(r.local)
 	switch s.proto {
 	case wire.ProtoUDP:
+		if r.ep == nil {
+			return nil // the server manages it (returned for fork): its socket took the peer
+		}
 		lib.cache.Insert(lib.St.NextHop(raddr.IP), r.remoteMAC)
 		wasLocal := e.At == &lib.local
 		if wasLocal {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/costs"
+	"repro/internal/kern"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
@@ -79,6 +80,15 @@ func (r *lifeRig) invariants(at string) {
 
 func path(s ...sessionState) []sessionState { return s }
 
+// unclaimedFrame is an IP datagram to dst of a protocol no stack speaks:
+// IP input charges for it, then drops it.
+func unclaimedFrame(dst wire.IPAddr) []byte {
+	f := make([]byte, wire.EthHeaderLen+wire.IPv4HeaderLen+64)
+	(&wire.EthHeader{Type: wire.EtherTypeIPv4}).Marshal(f)
+	(&wire.IPv4Header{TotalLen: wire.IPv4HeaderLen + 64, TTL: 64, Proto: 99, Src: ipB, Dst: dst}).Marshal(f[wire.EthHeaderLen:])
+	return f
+}
+
 var (
 	ipA, ipB = wire.IP(10, 0, 0, 1), wire.IP(10, 0, 0, 2)
 
@@ -96,6 +106,21 @@ var (
 		return lifeStep{"connect", func(r *lifeRig) {
 			if err := r.app.Connect(r.p, r.fd, socketapi.SockAddr{Addr: ipB, Port: port}); !errors.Is(err, want) {
 				r.t.Errorf("connect = %v, want %v", err, want)
+			}
+		}, p}
+	}
+	// Another thread of the process closes the descriptor while the
+	// connect waits on a host that never answers: the close takes the
+	// session and the connect is refused.
+	lifeConnectUnderClose = func(p []sessionState) lifeStep {
+		return lifeStep{"connect under close", func(r *lifeRig) {
+			r.app.Proc.Go("closer", func(p *sim.Proc) {
+				p.Sleep(time.Second)
+				r.app.Close(p, r.fd)
+			})
+			err := r.app.Connect(r.p, r.fd, socketapi.SockAddr{Addr: wire.IP(10, 0, 0, 3), Port: 7})
+			if !errors.Is(err, socketapi.ErrBadFD) {
+				r.t.Errorf("connect under close = %v, want EBADF", err)
 			}
 		}, p}
 	}
@@ -195,6 +220,24 @@ func TestSessionLifecycle(t *testing.T) {
 				}
 			}, path(migrating, serverOwned)},
 			lifeClose(path(serverOwned)), lifeCloseChild(path(closing, reaped))}},
+		{"tcp/close-under-connect", []lifeStep{lifeSocket(tcp), lifeConnectUnderClose(path(closing, reaped))}},
+		{"udp/close-under-connect", []lifeStep{lifeSocket(udp), lifeBind(4003, lifeMigratedUDP),
+			lifeConnectUnderClose(path(returning, reaped))}},
+		// The last descriptor closes while the server's export of the
+		// session waits for its stack, held by a frame's IP input: the
+		// migration is refused and the server shuts the session.
+		{"tcp/close-under-export", []lifeStep{lifeSocket(tcp), lifeConnect(7, nil, lifeEstablished), lifeFork,
+			lifeClose(path(serverOwned)), {"export under close", func(r *lifeRig) {
+				r.s.Spawn("input", func(p *sim.Proc) { r.srv.St.Input(p, unclaimedFrame(ipA)) })
+				r.s.Spawn("closer", func(p *sim.Proc) {
+					p.Sleep(2) // the export is waiting
+					r.srv.proxyRelease(p, r.sid)
+				})
+				r.p.Sleep(1) // the input holds the stack
+				if _, err := r.srv.migrate(r.p, r.srv.sessions[r.sid], r.app, true); !errors.Is(err, socketapi.ErrBadFD) {
+					r.t.Errorf("migration under close = %v, want EBADF", err)
+				}
+			}, path(migrating, serverOwned, closing)}, lifeWait2MSL}},
 	}
 
 	covered := map[[2]sessionState]bool{}
@@ -203,8 +246,8 @@ func TestSessionLifecycle(t *testing.T) {
 			s := sim.New(28)
 			s.Deadline = sim.Time(10 * time.Minute)
 			seg := simnet.NewSegment(s)
-			a := New(s, seg, "A", wire.MAC{1}, ipA, costs.DECLibrarySHMIPF(), costs.DECServerUX())
-			b := New(s, seg, "B", wire.MAC{2}, ipB, costs.DECLibrarySHMIPF(), costs.DECServerUX())
+			a := New(kern.NewHost(s, seg, "A", wire.MAC{1}, ipA, costs.DECLibrarySHMIPF()), costs.DECServerUX())
+			b := New(kern.NewHost(s, seg, "B", wire.MAC{2}, ipB, costs.DECLibrarySHMIPF()), costs.DECServerUX())
 			r := &lifeRig{t: t, s: s, srv: a.Server, app: a.NewLibrary("app"), peer: b.NewLibrary("peer")}
 			s.SpawnDaemon("peer", func(p *sim.Proc) {
 				ls, _ := r.peer.Socket(p, socketapi.SockStream)

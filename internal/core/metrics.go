@@ -5,19 +5,13 @@ import (
 	"repro/internal/stack"
 )
 
-// SetMetrics attaches a registry scope (e.g. "host.alpha") to the whole
-// decomposed system: kernel host counters, the OS server's core-layer
-// counters and population gauges, the server stack, and every library
-// stack — both those already created and those created afterwards.
-func (sys *System) SetMetrics(hs *metrics.Scope) {
-	sys.metricsScope = hs
-	if hs == nil {
+// bindMetrics binds the OS server's core-layer counters and population
+// gauges under cs (e.g. "host.alpha.core"); the stacks bind their own
+// when they are built.
+func (srv *Server) bindMetrics(cs *metrics.Scope) {
+	if cs == nil {
 		return
 	}
-	sys.Host.SetMetrics(hs)
-
-	srv := sys.Server
-	cs := hs.Sub("core")
 	cs.Counter("migrations", &srv.Migrations)
 	cs.Counter("returns", &srv.Returns)
 	cs.Counter("orphans_aborted", &srv.OrphansAborted)
@@ -30,12 +24,6 @@ func (sys *System) SetMetrics(hs *metrics.Scope) {
 	cs.Counter("port_releases", &srv.Ports.Releases)
 	cs.GaugeFunc("sessions", func() int64 { return int64(len(srv.sessions)) })
 	cs.GaugeFunc("ports_in_use", func() int64 { return int64(srv.Ports.Active()) })
-
-	ss := hs.Sub("stack")
-	srv.St.SetMetrics(ss.Sub("os-server"))
-	for _, lib := range srv.libs {
-		lib.St.SetMetrics(ss.Sub(lib.name + ".lib"))
-	}
 }
 
 // Stacks returns every stack instance in the system — the OS server's

@@ -181,14 +181,30 @@ func (srv *Server) proxyRelease(t *sim.Proc, sid SessionID) error {
 	if err != nil {
 		return err
 	}
-	if sess.refs--; sess.refs > 0 {
-		return nil
+	if sess.refs--; sess.refs > 0 || sess.state == migrating {
+		return nil // a migrating session's export in flight refuses it (see migrate)
 	}
 	if sess.state == libOwned || sess.state == unnamed && sess.srvSock == nil {
 		srv.move(sess, reaped) // its export failed, or it never had a socket
 		return nil
 	}
 	return srv.shut(t, sess)
+}
+
+// closedUnder reports whether the last descriptor naming sess was closed,
+// on another thread of its process, while an open of it blocked. The open
+// is then refused: the server shuts the session, unless the close already
+// has, and reaps it once its socket is closed.
+func (srv *Server) closedUnder(t *sim.Proc, sess *session) bool {
+	if sess.refs > 0 {
+		return false
+	}
+	srv.watchServerSocket(sess)
+	if sess.state == serverOwned {
+		srv.shut(t, sess)
+	}
+	srv.reapIfClosed(sess)
+	return true
 }
 
 // proxyStatus is the server's half of the cooperative select: the
@@ -254,21 +270,32 @@ func (srv *Server) proxyConnect(t *sim.Proc, sid SessionID, raddr stack.Addr, li
 			}
 			srv.migrate(t, sess, lib, true)
 		}
-		if sess.state != libOwned {
-			return migration{}, socketapi.ErrNotSupported // returned for fork: the server manages it
+		if sess.state == serverOwned { // returned for fork: the server's socket takes the peer
+			if err := srv.St.Connect(t, sess.srvSock, raddr); err != nil {
+				return migration{}, err
+			}
+			sess.remote = raddr
+			return migration{local: sess.local, remote: raddr}, nil
 		}
 		// Replace the session filter with one narrowed to the peer.
 		sess.remote = raddr
 		sess.ep.RemoveFilter(sess.filterID)
 		sess.installFilter()
 		mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(raddr.IP), 10*time.Second)
+		if sess.state != libOwned {
+			return migration{}, socketapi.ErrBadFD // another thread closed (or forked) it meanwhile
+		}
 		return migration{local: sess.local, remote: sess.remote, ep: sess.ep, remoteMAC: mac}, nil
 
 	case wire.ProtoTCP:
 		if !sess.state.in(1<<unnamed | 1<<named) {
 			return migration{}, socketapi.ErrIsConn
 		}
-		if err := srv.St.Connect(t, srv.socketOf(sess), raddr); err != nil {
+		err := srv.St.Connect(t, srv.socketOf(sess), raddr)
+		if srv.closedUnder(t, sess) {
+			return migration{}, socketapi.ErrBadFD
+		}
+		if err != nil {
 			srv.move(sess, unnamed)
 			return migration{}, err
 		}
@@ -322,13 +349,19 @@ func (sess *session) installFilter() {
 // migrate moves a session into lib's address space: UDP at bind, TCP once
 // established (Table 1). The server socket is detached without releasing
 // its port; a session that reserved its own (ownPort) holds that reference
-// until it is reaped, and an accepted one shares its listener's.
+// until it is reaped, and an accepted one shares its listener's. A session
+// whose last descriptor closed during the export stays with the server,
+// which shuts it (closedUnder).
 func (srv *Server) migrate(t *sim.Proc, sess *session, lib *Library, ownPort bool) (state *stack.TCPSessionState, err error) {
 	srv.move(sess, migrating)
 	if sess.proto == wire.ProtoUDP {
 		srv.St.DropUDPSession(sess.srvSock)
-	} else if state, err = srv.St.ExportTCPSession(t, sess.srvSock); err != nil {
+	} else if state, err = srv.St.ExportTCPSession(t, sess.srvSock); err != nil || sess.refs == 0 {
+		if err == nil { // the export waited for the stack, and the close came meanwhile
+			sess.srvSock, err = srv.St.ImportTCPSession(t, state), socketapi.ErrBadFD
+		}
 		srv.move(sess, serverOwned)
+		srv.closedUnder(t, sess)
 		return nil, err
 	}
 	sess.owner, sess.portHeld = lib, ownPort

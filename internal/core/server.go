@@ -24,9 +24,7 @@ import (
 	"repro/internal/costs"
 	"repro/internal/kern"
 	"repro/internal/metrics"
-	"repro/internal/offload"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/socketapi"
 	"repro/internal/stack"
 	"repro/internal/trace"
@@ -96,30 +94,11 @@ type session struct {
 // the packet-filter interface, one OS server, and any number of
 // application libraries.
 type System struct {
+	// Host's profile prices the protocol libraries and the kernel-side
+	// delivery; its recorder, registry scope and routes are every stack's
+	// and the server's own (see kern.Host.StackConfig).
 	Host   *kern.Host
 	Server *Server
-
-	// LibProf prices the protocol libraries; the host's kernel-side
-	// delivery costs come from the same profile.
-	LibProf costs.Profile
-	// SrvProf prices the OS server's stack (the UX server that backs the
-	// decomposed system in the paper).
-	SrvProf costs.Profile
-
-	// Trace, when set, is the flight recorder for this system's core
-	// events (sessions, ports, migration) and is propagated to the
-	// kernel host, the server stack, and every library stack.
-	Trace *trace.Recorder
-
-	// metricsScope, when set by SetMetrics, is the host-level scope new
-	// library stacks bind into at creation time.
-	metricsScope *metrics.Scope
-
-	// Routes, when set by SetRoutes, is the host's routing table, shared
-	// by the OS server's stack and every library stack (the paper keeps
-	// the authoritative table in the server; here the subnet's table is
-	// shared read-only once topology construction is done).
-	Routes *stack.RouteTable
 }
 
 // NewApp creates an application process with its protocol library and
@@ -129,40 +108,14 @@ func (sys *System) NewApp(name string) socketapi.API { return sys.NewLibrary(nam
 // Kern returns the kernel host the system runs on.
 func (sys *System) Kern() *kern.Host { return sys.Host }
 
-// SetRoutes installs the host's routing table on the server stack and
-// on every library stack, current and future. Call it before traffic
-// flows (topology construction time).
-func (sys *System) SetRoutes(rt *stack.RouteTable) {
-	if rt == nil {
-		return
-	}
-	sys.Routes = rt
-	sys.Server.St.SetRoutes(rt)
-	for _, lib := range sys.Server.libs {
-		lib.St.SetRoutes(rt)
-	}
-}
-
-// SetTrace attaches a flight recorder to the whole system: the kernel
-// host's filter layer, the OS server's stack, and every library stack —
-// both those already created and those created afterwards.
-func (sys *System) SetTrace(r *trace.Recorder) {
-	sys.Trace = r
-	sys.Host.Trace = r
-	sys.Server.St.SetTrace(r)
-	for _, lib := range sys.Server.libs {
-		lib.St.SetTrace(r)
-	}
-}
-
 // traceOn reports whether core-layer tracing is live for this server.
-func (srv *Server) traceOn() bool { return srv.sys.Trace.On(trace.LayerCore) }
+func (srv *Server) traceOn() bool { return srv.sys.Host.Trace.On(trace.LayerCore) }
 
 // traceEmit records a core-layer event, tagged with the host name, when
 // core tracing is on.
 func (srv *Server) traceEmit(e trace.Event, name, aux string, a0, a1 int64) {
 	if srv.traceOn() {
-		srv.sys.Trace.Emit(trace.LayerCore, e, srv.sys.Host.Name, name, aux, a0, a1, 0)
+		srv.sys.Host.Trace.Emit(trace.LayerCore, e, srv.sys.Host.Name, name, aux, a0, a1, 0)
 	}
 }
 
@@ -224,14 +177,14 @@ type Server struct {
 
 const serverWorkers = 16
 
-// New assembles a host running the decomposed architecture.
-func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, libProf, srvProf costs.Profile) *System {
-	sys := &System{LibProf: libProf, SrvProf: srvProf}
-	sys.Host = kern.NewHost(s, seg, name, mac, ip, libProf)
-
+// New runs the decomposed architecture on h: the OS server, its stack
+// priced by srvProf (the UX server that backs the decomposed system in
+// the paper). Applications link their libraries with NewLibrary.
+func New(h *kern.Host, srvProf costs.Profile) *System {
+	sys := &System{Host: h}
 	srv := &Server{
 		sys:      sys,
-		Proc:     sys.Host.NewProcess("os-server"),
+		Proc:     h.NewProcess("os-server"),
 		Ports:    stack.NewLocalPorts(),
 		sessions: make(map[SessionID]*session),
 		nextSID:  1,
@@ -240,26 +193,14 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 
 	// The server's fallback endpoint: ARP, fragments, and anything no
 	// session filter claims.
-	ep := sys.Host.NewEndpoint(0)
+	ep := h.NewEndpoint(0)
 	if _, err := ep.InstallProgram(kern.CatchAllProgram(), 0); err != nil {
 		panic(err)
 	}
 
-	srv.St = stack.NewControl(stack.Config{
-		Sim:      s,
-		Name:     name + ".os-server",
-		LocalIP:  ip,
-		LocalMAC: sys.Host.NIC.MAC(),
-		Costs:    &sys.SrvProf.Costs,
-		// Unobserved: Table 4's Library column was measured without the
-		// server's own stack, and observing it moves three of its cells.
-		Charge:   sys.Host.ProtoCharge(&sys.SrvProf.Costs, false, nil),
-		Transmit: sys.Host.Transmit,
-		// The host NIC's offload engine (when attached) serves every
-		// stack on the host, the server's included.
-		TSOMaxPayload:   offload.TSOFor(sys.Host.Prof),
-		ChecksumOffload: sys.Host.Prof.Offload.Enabled,
-	}, srv.Ports)
+	// Unobserved: Table 4's Library column was measured without the
+	// server's own stack, and observing it moves three of its cells.
+	srv.St = stack.NewControl(h.StackConfig("os-server", &srvProf, false, nil), srv.Ports)
 	// Packets already queued at the server when a session's filter
 	// handoff happens must not be answered with RST/ICMP: the server
 	// checks its session table first.
@@ -272,17 +213,10 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 		}
 	}
 
-	srv.Proc.GoDaemon("netin", func(t *sim.Proc) {
-		for {
-			pkt, ok := ep.Recv(t)
-			if !ok {
-				return
-			}
-			srv.input(t, pkt.Frame)
-		}
-	})
+	ep.Drain(srv.Proc, "netin", srv.input)
 	srv.St.StartTimers(srv.Proc.GoDaemon)
-	srv.svc = kern.NewService(srv.Proc, name+".proxy", serverWorkers)
+	srv.svc = kern.NewService(srv.Proc, h.Name+".proxy", serverWorkers)
+	srv.bindMetrics(h.Metrics().Sub("core"))
 	return sys
 }
 

@@ -174,12 +174,19 @@ func (e *Endpoint) Recv(p *sim.Proc) (Packet, bool) {
 	return pkt, true
 }
 
-// TryRecv dequeues a packet if one is queued, without blocking.
-func (e *Endpoint) TryRecv(p *sim.Proc) (Packet, bool) {
-	if e.pending() == 0 {
-		return Packet{}, false
-	}
-	return e.Recv(p)
+// Drain spawns p's daemon thread name, which hands input every frame the
+// endpoint delivers until it closes: the network input thread of every
+// stack StackConfig builds.
+func (e *Endpoint) Drain(p *Process, name string, input func(t *sim.Proc, frame []byte)) *sim.Proc {
+	return p.GoDaemon(name, func(t *sim.Proc) {
+		for {
+			pkt, ok := e.Recv(t)
+			if !ok {
+				return
+			}
+			input(t, pkt.Frame)
+		}
+	})
 }
 
 // Pending returns the number of queued packets.

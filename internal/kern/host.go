@@ -20,6 +20,7 @@ import (
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stack"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -58,8 +59,13 @@ type Host struct {
 	Observe func(comp costs.Component, d time.Duration)
 
 	// Trace, when set, records packet-filter verdicts (match with filter
-	// ID and bytes examined, or miss) on the flight recorder.
+	// ID and bytes examined, or miss) on the flight recorder, and is the
+	// recorder of every stack StackConfig builds.
 	Trace *trace.Recorder
+
+	// Routes is the routing table every stack on the host shares; nil
+	// leaves each stack its default everything-on-link table.
+	Routes *stack.RouteTable
 
 	// Stats.
 	RxFrames      metrics.Counter
@@ -89,16 +95,17 @@ type Host struct {
 	mRxWait     *metrics.Histogram // ns from frame arrival to Recv dequeue
 	mWakeBatch  *metrics.Histogram // packets available when a blocked receiver wakes
 
-	// mKern is the host's kern registry scope, kept so components
-	// installed after SetMetrics (the data-plane hook) can bind under it.
-	mKern *metrics.Scope
+	// scope is the host's registry root, kept so everything built on the
+	// host after SetMetrics (stacks, the OS server, the data-plane hook)
+	// binds under it.
+	scope *metrics.Scope
 
 	freeRx []*rxJob // recycled receive-path jobs
 }
 
-// KernScope returns the host's "kern" metrics scope, or nil when metrics
-// are disabled. Late-installed components (SetHook planes) bind here.
-func (h *Host) KernScope() *metrics.Scope { return h.mKern }
+// Metrics returns the host's registry root (e.g. "host.alpha"), or nil
+// when metrics are disabled.
+func (h *Host) Metrics() *metrics.Scope { return h.scope }
 
 // SetMetrics binds the host's kernel-side counters into a per-host
 // registry scope and allocates the receive-path histograms. The scope
@@ -109,12 +116,12 @@ func (h *Host) SetMetrics(hs *metrics.Scope) {
 	if hs == nil {
 		return
 	}
+	h.scope = hs
 	h.NIC.BindMetrics(hs.Sub("nic"))
 	if h.Offload != nil {
 		h.Offload.BindMetrics(hs.Sub("nic").Sub("offload"))
 	}
 	ks := hs.Sub("kern")
-	h.mKern = ks
 	ks.Counter("rx_frames", &h.RxFrames)
 	ks.Counter("wakeups", &h.Wakeups)
 	ks.Counter("rx_dropped", &h.RxDropped)
@@ -211,6 +218,38 @@ func (h *Host) ProtoCharge(pc *costs.ProtoCosts, observed bool, intr func(*sim.P
 		} else {
 			h.ChargeProc(t, d)
 		}
+	}
+}
+
+// StackConfig is the one recipe for a protocol stack on this host, the
+// same for every deployment: the stack "<host>.<role>" at the host's
+// addresses, priced by prof and billed through ProtoCharge (observed is
+// false only for the decomposed OS server's stack; intr as there),
+// transmitting through the host's hook and egress filter with the NIC's
+// offloads, on the host's routes and flight recorder, and bound under
+// the host's registry scope as "stack.<role>". Its input thread is an
+// Endpoint.Drain.
+func (h *Host) StackConfig(role string, prof *costs.Profile, observed bool, intr func(*sim.Proc) bool) stack.Config {
+	var maxTCP int
+	if prof.LargeTCPSendBroken {
+		maxTCP = 1024
+	}
+	return stack.Config{
+		Sim:           h.Sim,
+		Name:          h.Name + "." + role,
+		LocalIP:       h.IP,
+		LocalMAC:      h.NIC.MAC(),
+		Costs:         &prof.Costs,
+		Charge:        h.ProtoCharge(&prof.Costs, observed, intr),
+		Transmit:      h.Transmit,
+		Routes:        h.Routes,
+		MaxTCPPayload: maxTCP,
+		// The NIC's offload engine, when attached, serves every stack on
+		// the host: super-segments out, no software checksums.
+		TSOMaxPayload:   offload.TSOFor(h.Prof),
+		ChecksumOffload: h.Prof.Offload.Enabled,
+		Trace:           h.Trace,
+		Metrics:         h.scope.Sub("stack").Sub(role),
 	}
 }
 

@@ -5,17 +5,11 @@
 package monolith
 
 import (
-	"repro/internal/costs"
 	"repro/internal/kern"
-	"repro/internal/metrics"
-	"repro/internal/offload"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/socketapi"
 	"repro/internal/socklayer"
 	"repro/internal/stack"
-	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // Shape is the three ways the baselines differ.
@@ -79,22 +73,19 @@ var UXServer = Shape{
 
 // System is one host running a monolithic protocol stack.
 type System struct {
-	host *kern.Host
-	st   *stack.Control
-
-	stackName string
-	place     socklayer.Place
-	selCond   sim.Cond // BSD selwakeup: any socket status change wakes all selectors
+	host    *kern.Host
+	st      *stack.Control
+	place   socklayer.Place
+	selCond sim.Cond // BSD selwakeup: any socket status change wakes all selectors
 }
 
-// New attaches a host running prof's stack in the given shape.
-func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof costs.Profile, shape Shape) *System {
-	sys := &System{stackName: shape.StackName}
-	sys.host = kern.NewHost(s, seg, name, mac, ip, prof)
-	owner := sys.host.NewProcess(shape.Owner) // the address space that owns the stack
+// New runs one protocol stack, priced by h.Prof, on h in the given shape.
+func New(h *kern.Host, shape Shape) *System {
+	sys := &System{host: h}
+	owner := h.NewProcess(shape.Owner) // the address space that owns the stack
 
 	// All traffic lands on the stack's one endpoint.
-	ep := sys.host.NewEndpoint(0)
+	ep := h.NewEndpoint(0)
 	if _, err := ep.InstallProgram(kern.CatchAllProgram(), 0); err != nil {
 		panic(err)
 	}
@@ -104,40 +95,13 @@ func New(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPA
 	if shape.IntrInput {
 		intr = func(t *sim.Proc) bool { return t == input }
 	}
-	var maxTCP int
-	if prof.LargeTCPSendBroken {
-		maxTCP = 1024
-	}
-	sys.st = stack.NewControl(stack.Config{
-		Sim:      s,
-		Name:     name + "." + shape.StackName,
-		LocalIP:  ip,
-		LocalMAC: sys.host.NIC.MAC(),
-		Costs:    &sys.host.Prof.Costs,
-		Charge:   sys.host.ProtoCharge(&sys.host.Prof.Costs, true, intr),
-		Transmit: sys.host.Transmit,
-
-		MaxTCPPayload: maxTCP,
-
-		// NIC offload engine hookup (profiles that enable it).
-		TSOMaxPayload:   offload.TSOFor(sys.host.Prof),
-		ChecksumOffload: sys.host.Prof.Offload.Enabled,
-	}, stack.NewLocalPorts())
-
-	input = owner.GoDaemon(shape.Input, func(t *sim.Proc) {
-		for {
-			pkt, ok := ep.Recv(t)
-			if !ok {
-				return
-			}
-			sys.st.Input(t, pkt.Frame)
-		}
-	})
+	sys.st = stack.NewControl(h.StackConfig(shape.StackName, &h.Prof, true, intr), stack.NewLocalPorts())
+	input = ep.Drain(owner, shape.Input, sys.st.Input)
 	sys.st.StartTimers(owner.GoDaemon)
 
 	sys.place = socklayer.Place{St: sys.st.Stack, Ctl: sys.st, Sel: &sys.selCond}
 	if shape.Workers > 0 {
-		svc := kern.NewService(owner, name+"."+shape.RPC, shape.Workers)
+		svc := kern.NewService(owner, h.Name+"."+shape.RPC, shape.Workers)
 		sys.place.Cross = func(t *sim.Proc, _ int, run func(on *sim.Proc)) { svc.Call(t, run) }
 	}
 	return sys
@@ -154,24 +118,3 @@ func (sys *System) Kern() *kern.Host { return sys.host }
 
 // Stacks returns the system's one stack.
 func (sys *System) Stacks() []*stack.Stack { return []*stack.Stack{sys.st.Stack} }
-
-// SetRoutes installs the host's routing table (nil keeps the default
-// everything-on-link table).
-func (sys *System) SetRoutes(rt *stack.RouteTable) { sys.st.SetRoutes(rt) }
-
-// SetTrace attaches a flight recorder to the system: the kernel host's
-// packet-filter layer and the protocol stack.
-func (sys *System) SetTrace(r *trace.Recorder) {
-	sys.host.Trace = r
-	sys.st.SetTrace(r)
-}
-
-// SetMetrics attaches a registry scope (e.g. "host.alpha") to the
-// system: kernel host counters plus the protocol stack.
-func (sys *System) SetMetrics(hs *metrics.Scope) {
-	if hs == nil {
-		return
-	}
-	sys.host.SetMetrics(hs)
-	sys.st.SetMetrics(hs.Sub("stack").Sub(sys.stackName))
-}

@@ -9,13 +9,12 @@ import (
 	"repro/internal/wire"
 )
 
-// SetMetrics binds the stack's counters into a registry scope (e.g.
-// "host.alpha.stack.kstack"), allocates the latency histograms, and
-// registers population gauges (sockets, per-TCP-state counts) that are
-// evaluated only at snapshot time by walking the live socket tables —
-// the netstat model of reading kernel state, with no per-transition
-// bookkeeping on the hot path.
-func (st *Stack) SetMetrics(sc *metrics.Scope) {
+// bindMetrics binds the stack's counters into its Config.Metrics scope,
+// allocates the latency histograms, and registers population gauges
+// (sockets, per-TCP-state counts) that are evaluated only at snapshot
+// time by walking the live socket tables — the netstat model of reading
+// kernel state, with no per-transition bookkeeping on the hot path.
+func (st *Stack) bindMetrics(sc *metrics.Scope) {
 	if sc == nil {
 		return
 	}

@@ -112,6 +112,11 @@ type Config struct {
 	// samples, and checksum discards. Tracing is passive — it charges no
 	// virtual CPU — and free when unset.
 	Trace *trace.Recorder
+
+	// Metrics, when set, is the registry scope (e.g.
+	// "host.alpha.stack.kstack") the stack binds its counters, latency
+	// histograms and population gauges into at construction.
+	Metrics *metrics.Scope
 }
 
 // Stack is one instance of the protocol stack: the fast path, which is
@@ -165,7 +170,7 @@ type Stack struct {
 	Stats Stats
 
 	// Latency histograms on the virtual clock; nil (free) unless
-	// SetMetrics is called.
+	// Config.Metrics is set.
 	mRTT     *metrics.Histogram // smoothed-RTT input samples (send-to-ACK), ns
 	mConnect *metrics.Histogram // active-open SYN-sent to ESTABLISHED, ns
 	mCwnd    *metrics.Histogram // congestion-window samples at change points, bytes
@@ -286,16 +291,8 @@ func New(cfg Config, r Resolver) *Stack {
 	}
 	st.issSeed = st.rng.Uint32()
 	st.reasm = st.NewReassembler()
+	st.bindMetrics(cfg.Metrics)
 	return st
-}
-
-// SetRoutes replaces the stack's routing table (multi-subnet
-// deployments share one table per subnet, built before any traffic
-// flows). A nil table is ignored.
-func (st *Stack) SetRoutes(rt *RouteTable) {
-	if rt != nil {
-		st.cfg.Routes = rt
-	}
 }
 
 // LocalIP returns the stack's IP address.
@@ -311,10 +308,6 @@ func (st *Stack) charge(t *sim.Proc, tcp bool, comp costs.Component, n int) {
 		st.cfg.Charge(t, tcp, comp, n)
 	}
 }
-
-// SetTrace attaches (or, with nil, detaches) a flight recorder after
-// construction. Deployments call it when the harness enables tracing.
-func (st *Stack) SetTrace(r *trace.Recorder) { st.cfg.Trace = r }
 
 // traceOn reports whether stack-layer tracing is live; every
 // instrumentation site guards on it so disabled tracing allocates

@@ -339,14 +339,6 @@ func (n *Network) shardSim(i int) *sim.Sim {
 // Group exposes the shard group, or nil in classic mode.
 func (n *Network) Group() *sim.Group { return n.group }
 
-// NumShards returns the shard count (1 in classic mode).
-func (n *Network) NumShards() int {
-	if n.group == nil {
-		return 1
-	}
-	return n.group.NumShards()
-}
-
 // Trace returns the flight recorder, or nil when tracing was not
 // enabled in the Config.
 func (n *Network) Trace() *Recorder { return n.rec }
@@ -386,13 +378,15 @@ func (n *Network) SetLossRate(rate float64) {
 
 // ApplyFaultPlan parses a fault plan in the compact text form (see
 // fault.ParsePlan) and schedules it on the network.
-func (n *Network) ApplyFaultPlan(text string) error {
+func (n *Network) ApplyFaultPlan(text string) error { return applyFaultPlan(n.Faults(), text) }
+
+// applyFaultPlan parses text and schedules the plan on in.
+func applyFaultPlan(in *fault.Injector, text string) error {
 	plan, err := fault.ParsePlan(text)
-	if err != nil {
-		return err
+	if err == nil {
+		in.Schedule(plan)
 	}
-	n.seg.Faults().Schedule(plan)
-	return nil
+	return err
 }
 
 // Host attaches a machine running the given architecture. addr is a
@@ -411,14 +405,7 @@ func (n *Network) hostOn(s *sim.Sim, seg *simnet.Segment, routes *stack.RouteTab
 		panic(err)
 	}
 	mac, rec := n.nextMAC(), n.lane(s)
-	sys := arch.New(a, s, seg, name, mac, ip)
-	if rec != nil {
-		sys.SetTrace(rec)
-	}
-	if n.reg != nil {
-		sys.SetMetrics(n.reg.Scope("host." + name))
-	}
-	sys.SetRoutes(routes)
+	sys := arch.New(a, s, seg, name, mac, ip, rec, n.reg.Scope("host."+name), routes)
 	return &Host{name: name, ip: ip, sim: s, sys: sys, kern: sys.Kern()}
 }
 
@@ -515,7 +502,7 @@ func (h *Host) Dataplane() *Plane {
 			Transmit: h.kern.RawTransmit,
 		})
 		h.kern.SetHook(h.plane)
-		h.plane.BindMetrics(h.kern.KernScope().Sub("dataplane"))
+		h.plane.BindMetrics(h.kern.Metrics().Sub("kern").Sub("dataplane"))
 	}
 	return h.plane
 }

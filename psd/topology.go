@@ -102,14 +102,7 @@ func (s *Subnet) SetBitRate(bps int64) { s.seg.SetBitRate(bps) }
 func (s *Subnet) Faults() *fault.Injector { return s.seg.Faults() }
 
 // ApplyFaultPlan schedules a compact-text fault plan on this subnet.
-func (s *Subnet) ApplyFaultPlan(text string) error {
-	plan, err := fault.ParsePlan(text)
-	if err != nil {
-		return err
-	}
-	s.seg.Faults().Schedule(plan)
-	return nil
-}
+func (s *Subnet) ApplyFaultPlan(text string) error { return applyFaultPlan(s.Faults(), text) }
 
 // Gateway returns the subnet's default-gateway address (the first
 // router port attached), or false if no router has attached yet.
