@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/costs"
+	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -20,6 +21,7 @@ type lifeRig struct {
 	t          *testing.T
 	p          *sim.Proc
 	s          *sim.Sim
+	seg        *simnet.Segment
 	srv        *Server
 	app, child *Library
 	peer       *Library
@@ -238,6 +240,27 @@ func TestSessionLifecycle(t *testing.T) {
 					r.t.Errorf("migration under close = %v, want EBADF", err)
 				}
 			}, path(migrating, serverOwned, closing)}, lifeWait2MSL}},
+		// The last descriptor closes while the server, the connection
+		// established, waits to resolve the peer for the library's cache:
+		// the peer's SYN-ACK, delayed on its link, arrives after the
+		// server's ARP entry for the peer (20 s) has aged out. The connect
+		// is refused and the server shuts the session.
+		{"tcp/close-under-resolve", []lifeStep{lifeSocket(tcp), {"connect under close, resolving", func(r *lifeRig) {
+			// Both entries start their lives now: neither side sends an
+			// ARP request until the server's has expired.
+			r.srv.St.ARP().Insert(ipB, wire.MAC{2})
+			r.peer.srv.St.ARP().Insert(ipA, wire.MAC{1})
+			r.seg.Faults().SetLinkRates("B", fault.Rates{Delay: 25 * time.Second})
+			r.app.Proc.Go("closer", func(p *sim.Proc) {
+				p.Sleep(27 * time.Second) // the SYN-ACK is in; the resolve waits
+				r.app.Close(p, r.fd)
+			})
+			err := r.app.Connect(r.p, r.fd, socketapi.SockAddr{Addr: ipB, Port: 7})
+			r.seg.Faults().ClearLinkRates("B")
+			if !errors.Is(err, socketapi.ErrBadFD) {
+				r.t.Errorf("connect under close = %v, want EBADF", err)
+			}
+		}, path(serverOwned, closing)}, lifeWait2MSL}},
 	}
 
 	covered := map[[2]sessionState]bool{}
@@ -248,7 +271,7 @@ func TestSessionLifecycle(t *testing.T) {
 			seg := simnet.NewSegment(s)
 			a := New(kern.NewHost(s, seg, "A", wire.MAC{1}, ipA, costs.DECLibrarySHMIPF()), costs.DECServerUX())
 			b := New(kern.NewHost(s, seg, "B", wire.MAC{2}, ipB, costs.DECLibrarySHMIPF()), costs.DECServerUX())
-			r := &lifeRig{t: t, s: s, srv: a.Server, app: a.NewLibrary("app"), peer: b.NewLibrary("peer")}
+			r := &lifeRig{t: t, s: s, seg: seg, srv: a.Server, app: a.NewLibrary("app"), peer: b.NewLibrary("peer")}
 			s.SpawnDaemon("peer", func(p *sim.Proc) {
 				ls, _ := r.peer.Socket(p, socketapi.SockStream)
 				r.peer.Bind(p, ls, socketapi.SockAddr{Port: 7})

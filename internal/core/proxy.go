@@ -129,6 +129,9 @@ func (srv *Server) established(t *sim.Proc, sess *session, how string, lib *Libr
 	srv.ConnSetups.Inc()
 	srv.traceSess(trace.EvConnSetup, sess, how)
 	mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(sess.remote.IP), 10*time.Second)
+	if srv.closedUnder(t, sess) {
+		return migration{}, socketapi.ErrBadFD
+	}
 	state, err := srv.migrate(t, sess, lib, how == "connect")
 	return migration{sid: sess.id, local: sess.local, remote: sess.remote, state: state, ep: sess.ep, remoteMAC: mac}, err
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -224,14 +226,22 @@ func loopSteps(r *rand.Rand, end Time) []Time {
 	return append(steps, end)
 }
 
+// loopsDigest is the SHA-256 of the Run+RunUntil dispatch logs of seeds
+// 1–60, recorded when every proc wake-up still went through the
+// scheduler's channel hand-off. The inline self-wake must reproduce that
+// order exactly: no dispatch or tracer record reordered, dropped or added.
+const loopsDigest = "3784a2dc2ba6812afdebf776a8d1754d631044d8e479ea14f6ac243ab3e71f0a"
+
 // TestLoopsAgree is the one-loop property: every way of driving the
 // scheduler to a common time T — Sim.Run then RunUntil(T), RunUntil in
 // random steps, and a one-shard Group serially and on worker goroutines
-// — dispatches a random program identically. No entry of the log runs
-// past the bound that was active, and every RunUntil leaves the clock
-// exactly at its bound.
+// — dispatches a random program identically, and as the channel path did
+// (loopsDigest). No entry of the log runs past the bound that was active,
+// and every RunUntil leaves the clock exactly at its bound.
 func TestLoopsAgree(t *testing.T) {
 	const end = Time(50 * time.Millisecond)
+	digest := sha256.New()
+	var inlined uint64 // wake-ups the fast path took, over every run
 	for seed := int64(1); seed <= 60; seed++ {
 		pg := genLoopProgram(rand.New(rand.NewSource(seed)))
 		steps := loopSteps(rand.New(rand.NewSource(-seed)), end)
@@ -256,6 +266,7 @@ func TestLoopsAgree(t *testing.T) {
 					t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, b, s.Now())
 				}
 			}
+			inlined += s.Inlined()
 			return l.entries
 		}
 		grouped := func(serial bool) []loopEntry {
@@ -282,12 +293,16 @@ func TestLoopsAgree(t *testing.T) {
 					t.Fatalf("seed %d: Group.RunUntil(%v) left the clock at %v", seed, b, g.Now())
 				}
 			}
+			inlined += g.Shard(0).Inlined()
 			return l.entries
 		}
 
 		want := standalone(true)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty log", seed)
+		}
+		for _, e := range want {
+			fmt.Fprintf(digest, "%d %d %s\n", seed, e.at, e.label)
 		}
 		for name, got := range map[string][]loopEntry{
 			"RunUntil steps":        standalone(false),
@@ -299,6 +314,12 @@ func TestLoopsAgree(t *testing.T) {
 					seed, name, firstDiff(got, want), len(got), len(want))
 			}
 		}
+	}
+	if got := hex.EncodeToString(digest.Sum(nil)); got != loopsDigest {
+		t.Errorf("dispatch logs digest %s, want the channel path's %s", got, loopsDigest)
+	}
+	if inlined == 0 {
+		t.Error("no wake-up ran inline: the self-wake fast path was never taken")
 	}
 }
 

@@ -79,26 +79,30 @@ func (p *Proc) yieldToScheduler() {
 	<-p.resume
 }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time; d <= 0 yields. A
+// wake-up that is the next event anyway (Sim.wakeIsNext) runs inline, with
+// no scheduler round trip, advancing what dispatching it would advance.
 func (p *Proc) Sleep(d time.Duration) {
-	if d <= 0 {
-		p.YieldProc()
+	s := p.sim
+	at := s.now.Add(max(d, 0))
+	if s.wakeIsNext(at) {
+		s.seq++
+		s.now = at
+		s.dispatched++
+		s.inlined++
+		if s.tracer != nil {
+			s.tracer.EventDispatch(at, p.name)
+		}
 		return
 	}
-	p.pendingResume = p.sim.schedule(p.sim.now.Add(d), nil, p)
+	p.pendingResume = s.schedule(at, nil, p)
 	p.parked = true
 	p.yieldToScheduler()
 	p.parked = false
 }
 
-// YieldProc reschedules the process at the current instant, letting other
-// events queued for this instant run first.
-func (p *Proc) YieldProc() {
-	p.pendingResume = p.sim.schedule(p.sim.now, nil, p)
-	p.parked = true
-	p.yieldToScheduler()
-	p.parked = false
-}
+// YieldProc reschedules the process at the current instant: Sleep(0).
+func (p *Proc) YieldProc() { p.Sleep(0) }
 
 // Park blocks the process until another party calls Unpark. If an Unpark
 // arrived since the last Park, it consumes that token and returns

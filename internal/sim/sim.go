@@ -18,8 +18,9 @@
 // one-shard Group whose window is unbounded and which checks for
 // foreground exit before every event rather than only at barriers.
 // Which event is next, and whether it may run before the bound, is
-// decided in one function, Sim.next; a shortcut that must know whether
-// anything precedes a wake-up belongs there.
+// decided in Sim.next, and for a proc's own wake-up in Sim.wakeIsNext: a
+// proc whose wake-up is next keeps running (an inline self-wake), and the
+// clock, dispatch count and tracer advance as the scheduler would have.
 package sim
 
 import (
@@ -157,7 +158,10 @@ type Sim struct {
 	shardID    int
 	outbox     []remoteMsg // cross-shard sends staged until the window barrier
 	dispatched uint64      // events executed (per-shard accounting)
+	inlined    uint64      // of those, proc wake-ups run inline (see wakeIsNext)
 	origins    uint64      // local origin-id allocator when no group exists
+	end        Time        // the active runTo's exclusive bound
+	fgExit     bool        // and its foreground-exit rule
 
 	// Deadline is the virtual time at which Run gives up and returns an
 	// error. It guards against livelock (for example, protocol timers that
@@ -334,6 +338,9 @@ func (s *Sim) ShardID() int { return s.shardID }
 // Dispatched returns the number of events this sim has executed.
 func (s *Sim) Dispatched() uint64 { return s.dispatched }
 
+// Inlined returns how many dispatched events were inline proc wake-ups.
+func (s *Sim) Inlined() uint64 { return s.inlined }
+
 // At schedules fn to run at virtual time t (or now, if t is in the past).
 func (s *Sim) At(t Time, fn func()) *Timer {
 	ev := s.schedule(t, fn, nil)
@@ -436,7 +443,7 @@ func (s *Sim) peek() *event {
 // next decides which event runs next: the earliest live event in
 // (at, band, origin, seq) order, removed from the queue, if it lies
 // before the exclusive bound end; otherwise nil, and nothing is removed.
-// It is the only place the scheduler makes that decision.
+// Only it, and wakeIsNext for a proc's own wake-up, make that decision.
 func (s *Sim) next(end Time) *event {
 	ev := s.peek()
 	if ev == nil || ev.at >= end {
@@ -446,12 +453,29 @@ func (s *Sim) next(end Time) *event {
 	return ev
 }
 
+// wakeIsNext reports whether a proc wake-up keyed (at, 0, 0, seq+1) would
+// be the next event the active runTo dispatches: at is before its bound,
+// its rule holds, and no live event precedes (band 0 at `at` would).
+func (s *Sim) wakeIsNext(at Time) bool {
+	if at >= s.end || !s.dispatching() {
+		return false
+	}
+	ev := s.peek()
+	return ev == nil || ev.at > at || ev.at == at && ev.band == 1
+}
+
+// dispatching is runTo's per-event rule (see runTo).
+func (s *Sim) dispatching() bool {
+	return !s.stopped && !(s.fgExit && s.everFg && s.fg == 0)
+}
+
 // runTo is the one inner loop: it dispatches events while next yields
 // one before end, and stops early on Stop and, when fgExit is set (a
 // standalone Run), as soon as no foreground process is left. A proc
 // panic is re-raised on the goroutine running the loop.
 func (s *Sim) runTo(end Time, fgExit bool) {
-	for !s.stopped && !(fgExit && s.everFg && s.fg == 0) {
+	s.end, s.fgExit = end, fgExit
+	for s.dispatching() {
 		ev := s.next(end)
 		if ev == nil {
 			return

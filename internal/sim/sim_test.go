@@ -477,3 +477,106 @@ func TestRunUntilStopsAtBound(t *testing.T) {
 		t.Fatalf("RunUntil(20) ran %v, want the event at 20", ran)
 	}
 }
+
+// TestSelfWake pins when a proc's wake-up runs inline, with no scheduler
+// round trip, and when it is left to the scheduler: each case's inline
+// and dispatched counts and the clock it ends at.
+func TestSelfWake(t *testing.T) {
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sleeper := func(s *Sim, d time.Duration) *Sim {
+		s.Spawn("p", func(p *Proc) { p.Sleep(d) })
+		return s
+	}
+	cases := []struct {
+		name                string
+		run                 func() *Sim
+		inlined, dispatched uint64
+		now                 Time
+	}{
+		{"idle Resource.Use runs inline", func() *Sim {
+			s := New(1)
+			var cpu Resource
+			s.Spawn("p", func(p *Proc) { cpu.Use(p, TaskPriority, 5) })
+			must(s.Run())
+			return s
+		}, 1, 2, 5},
+		{"a tie with a band-0 event is dispatched after it", func() *Sim {
+			s := New(1)
+			fired := false
+			s.At(5, func() { fired = true })
+			s.Spawn("p", func(p *Proc) {
+				p.Sleep(5)
+				if !fired {
+					t.Error("the wake-up overtook an earlier event at its instant")
+				}
+			})
+			must(s.Run())
+			return s
+		}, 0, 3, 5},
+		{"a tie with a band-1 delivery runs inline", func() *Sim {
+			s := New(1)
+			delivered := false
+			s.ScheduleRemote(5, 1, 1, func() { delivered = true })
+			s.Spawn("p", func(p *Proc) {
+				p.Sleep(5)
+				if delivered {
+					t.Error("a remote delivery at the wake-up's instant ran first")
+				}
+			})
+			must(s.RunUntil(5))
+			return s
+		}, 1, 3, 5},
+		{"a wake-up inside the Group window runs inline", func() *Sim {
+			g := NewGroup(1, 1)
+			sleeper(g.Shard(0), DefaultMaxWindow-1)
+			must(g.Run())
+			return g.Shard(0)
+		}, 1, 2, Time(DefaultMaxWindow - 1)},
+		{"a wake-up at the Group window end is dispatched", func() *Sim {
+			g := NewGroup(1, 1)
+			sleeper(g.Shard(0), DefaultMaxWindow)
+			must(g.Run())
+			return g.Shard(0)
+		}, 0, 2, Time(DefaultMaxWindow)},
+		{"a wake-up at the RunUntil bound runs inline", func() *Sim {
+			s := sleeper(New(1), 5)
+			must(s.RunUntil(5))
+			return s
+		}, 1, 2, 5},
+		{"a wake-up past the RunUntil bound waits; the clock lands on the bound", func() *Sim {
+			s := sleeper(New(1), 5)
+			must(s.RunUntil(4))
+			return s
+		}, 0, 1, 4},
+		{"after Stop the wake-up is left to the scheduler", func() *Sim {
+			s := New(1)
+			s.Spawn("p", func(p *Proc) {
+				s.Stop()
+				p.Sleep(5)
+			})
+			must(s.Run())
+			return s
+		}, 0, 1, 0},
+		{"a daemon's wake-up past the last foreground exit is left to the scheduler", func() *Sim {
+			s := sleeper(New(1), 10)
+			s.SpawnDaemon("d", func(p *Proc) {
+				for {
+					p.Sleep(3) // 3, 6 and 9 inline; 12 waits and never runs
+				}
+			})
+			must(s.Run())
+			return s
+		}, 3, 6, 10},
+	}
+	for _, c := range cases {
+		s := c.run()
+		if s.Inlined() != c.inlined || s.Dispatched() != c.dispatched || s.Now() != c.now {
+			t.Errorf("%s: %d inline of %d dispatched, clock %v; want %d of %d, %v",
+				c.name, s.Inlined(), s.Dispatched(), s.Now(), c.inlined, c.dispatched, c.now)
+		}
+	}
+}
