@@ -281,19 +281,17 @@ func runProxy(stdout io.Writer, env *bench.Env, path, label string, totalBytes i
 
 func runTable4(stdout io.Writer, opt bench.Options) {
 	decs := bench.DECConfigs()
-	styles := []bench.SysConfig{decs[5], decs[0], decs[2]} // Library, Kernel, Server
-
-	var tcpCells, udpCells []bench.Breakdown
-	for _, cfg := range styles {
-		for _, size := range []int{1, 1460} {
-			tcpCells = append(tcpCells, bench.RunBreakdown(opt.Env, cfg, true, size, opt.LatRounds))
+	for _, tcp := range []bool{true, false} {
+		proto, sizes := "TCP", bench.TCPSizes
+		if !tcp {
+			proto, sizes = "UDP", bench.UDPSizes
 		}
-	}
-	for _, cfg := range styles {
-		for _, size := range []int{1, 1472} {
-			udpCells = append(udpCells, bench.RunBreakdown(opt.Env, cfg, false, size, opt.LatRounds))
+		var cells []bench.Breakdown
+		for _, cfg := range []bench.SysConfig{decs[5], decs[0], decs[2]} { // Library, Kernel, Server
+			for _, size := range []int{sizes[0], sizes[len(sizes)-1]} { // the paper's min and max
+				cells = append(cells, bench.RunBreakdown(opt.Env, cfg, tcp, size, opt.LatRounds))
+			}
 		}
+		fmt.Fprintln(stdout, bench.FormatTable4("Table 4 ("+proto+"): per-layer latency, µs per one-way message", cells))
 	}
-	fmt.Fprintln(stdout, bench.FormatTable4("Table 4 (TCP): per-layer latency, µs per one-way message", tcpCells))
-	fmt.Fprintln(stdout, bench.FormatTable4("Table 4 (UDP): per-layer latency, µs per one-way message", udpCells))
 }

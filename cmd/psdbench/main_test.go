@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/faulttrace.golden")
+var update = flag.Bool("update", false, "rewrite the golden files in testdata")
 
 // TestGoldenFaultTraceDrive drives EXPERIMENTS.md's reproducible fault
 // example with the flight recorder on, through the same flag parsing the
@@ -37,7 +37,26 @@ func TestGoldenFaultTraceDrive(t *testing.T) {
 	got := strings.ReplaceAll(out.String(), dir, "<dir>") +
 		fmt.Sprintf("trace.txt: %d lines, sha256 %x\n", bytes.Count(txt, []byte("\n")), sha256.Sum256(txt))
 
-	golden := filepath.Join("testdata", "faulttrace.golden")
+	checkGolden(t, "faulttrace.golden", got)
+}
+
+// TestGoldenTable4 pins `psdbench -table 4`, both tables, byte for byte:
+// every cell is a difference of the hosts' CPU ledgers. Regenerate with
+//
+//	go test ./cmd/psdbench -run TestGoldenTable4 -update
+func TestGoldenTable4(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-table", "4"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "table4.golden", out.String())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

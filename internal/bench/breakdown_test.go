@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/costs"
+	"repro/internal/kern"
 )
 
 // TestBreakdownMatchesTable4 checks the Table 4 reproduction against the
@@ -46,5 +48,42 @@ func TestBreakdownMatchesTable4(t *testing.T) {
 		// One-way totals should be near the paper's sums.
 		oneWay := float64(bd.SendTotal()+bd.RecvTotal()+bd.Transit) / float64(time.Microsecond)
 		t.Logf("%s UDP 1B one-way total: %.0f µs", c.cfg.Name, oneWay)
+	}
+}
+
+// TestLedgerLaw: Table 4 reads the hosts' CPU ledgers, so they must hold
+// every charge. At the end of the stream and the TCP and UDP protolat
+// worlds of every configuration row, and of the proxy, paced-stream
+// (offload) and rule-chain (data-plane) worlds of every column, each
+// host's ledger sums to its CPU's busy time.
+func TestLedgerLaw(t *testing.T) {
+	check := func(w *World, what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Errorf("%s %s: %v", w.Cfg.Name, what, err)
+		}
+		if err := kern.CheckLedger(w.Reg.Snapshot(w.Sim.Now().Duration())); err != nil {
+			t.Errorf("%s %s: %v", w.Cfg.Name, what, err)
+		}
+	}
+	const total = 256 << 10
+	for _, cfg := range AllConfigs() {
+		w := streamWorld(nil, cfg, true)
+		check(w, "ttcp", runStreamOn(w, "ttcp", cfg.RcvBufKB, total, 0).Err)
+		for _, tcp := range []bool{true, false} {
+			w := latWorld(nil, cfg, true)
+			check(w, fmt.Sprintf("protolat tcp=%v", tcp), runProtolatOn(w, tcp, 100, 10, nil).Err)
+		}
+	}
+	for _, cfg := range Columns() {
+		for _, mode := range ProxyModes {
+			w := proxyWorld(nil, cfg)
+			check(w, "proxy "+mode, runProxyOn(w, mode, total).Err)
+		}
+		w := streamWorld(nil, cfg, true)
+		check(w, "paced stream", runStreamOn(w, "steady", cfg.RcvBufKB, total, 20*time.Millisecond).Err)
+		w = streamWorld(nil, cfg, true)
+		attachPlanes(w, 16)
+		check(w, "ttcp under a rule chain", runStreamOn(w, "ttcp", cfg.RcvBufKB, total, 0).Err)
 	}
 }

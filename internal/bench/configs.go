@@ -214,9 +214,17 @@ func (c SysConfig) build(pc psd.Config, env *Env) *World {
 	}
 }
 
-// Observe installs fn as the charge observer on both hosts: the kernel
-// receive path and every observed stack's protocol layers (Table 4).
+// Observe installs fn as the tap on both hosts' CPU ledgers: it sees
+// every charge as the ledger records it.
 func (w *World) Observe(fn func(comp costs.Component, d time.Duration)) {
 	w.a.Kern().Observe = fn
 	w.b.Kern().Observe = fn
+}
+
+// ledger is hosts A and B's CPU ledgers, summed per component.
+func (w *World) ledger() (l [costs.NumComponents]time.Duration) {
+	for c := range l {
+		l[c] = time.Duration(w.a.Kern().Ledger[c].Value() + w.b.Kern().Ledger[c].Value())
+	}
+	return l
 }

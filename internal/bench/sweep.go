@@ -73,12 +73,12 @@ type AblationResult struct {
 // RunAblations measures the design choices DESIGN.md calls out, on the
 // Library-SHM-IPF configuration:
 //
-//   - delayed ACKs on vs off (fast-timer flush only vs every-second-
-//     segment coalescing): throughput effect,
 //   - packet-filter delivery mode (SHM-IPF vs SHM vs per-packet IPC):
 //     small-message latency effect,
 //   - loss resilience: throughput at 1% injected loss vs clean network
-//     (exercises fast retransmit and RTO machinery).
+//     (exercises fast retransmit and RTO machinery),
+//   - the NEWAPI shared-buffer interface vs the standard one: throughput
+//     effect.
 func RunAblations(opt Options) []AblationResult {
 	var out []AblationResult
 

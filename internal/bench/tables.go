@@ -130,57 +130,49 @@ type Breakdown struct {
 	Config  string
 	TCP     bool
 	MsgSize int
-	// PerLayer is the average one-way time per message in each component,
-	// ordered as costs.SendComponents then costs.RecvComponents.
-	PerLayer map[costs.Component]time.Duration
+	// PerLayer is the average one-way time per message in each component.
+	PerLayer [costs.NumComponents]time.Duration
 	Transit  time.Duration
 }
 
-// SendTotal sums the send-path components.
-func (b Breakdown) SendTotal() time.Duration {
-	var t time.Duration
-	for _, c := range costs.SendComponents {
+// sum adds the per-layer times of comps.
+func (b Breakdown) sum(comps []costs.Component) (t time.Duration) {
+	for _, c := range comps {
 		t += b.PerLayer[c]
 	}
 	return t
 }
+
+// SendTotal sums the send-path components.
+func (b Breakdown) SendTotal() time.Duration { return b.sum(costs.SendComponents) }
 
 // RecvTotal sums the receive-path components.
-func (b Breakdown) RecvTotal() time.Duration {
-	var t time.Duration
-	for _, c := range costs.RecvComponents {
-		t += b.PerLayer[c]
-	}
-	return t
-}
+func (b Breakdown) RecvTotal() time.Duration { return b.sum(costs.RecvComponents) }
 
-// RunBreakdown runs protolat with per-layer instrumentation, attributing
-// accumulated charges to components and averaging per one-way message, as
-// the paper's Table 4 does. As in the paper, TCP numbers only approximate
-// the critical path because acknowledgement traffic is attributed too.
-// The world is built in env.
+// RunBreakdown runs protolat and reads the growth of both hosts' CPU
+// ledgers over the measured rounds (the warmup round is left out),
+// averaged per one-way message, as the paper's Table 4 does. As in the
+// paper, TCP numbers only approximate the critical path because
+// acknowledgement traffic is attributed too. The world is built in env.
 func RunBreakdown(env *Env, cfg SysConfig, tcp bool, msgSize, rounds int) Breakdown {
 	cfg.RawCosts = true // the paper's Table 4 came from the instrumented build
-	bd := Breakdown{Config: cfg.Name, TCP: tcp, MsgSize: msgSize,
-		PerLayer: make(map[costs.Component]time.Duration)}
-
-	acc := make(map[costs.Component]time.Duration)
-	counting := false
+	bd := Breakdown{Config: cfg.Name, TCP: tcp, MsgSize: msgSize}
 
 	w := latWorld(env, cfg, false)
-	w.Observe(func(comp costs.Component, d time.Duration) {
-		if counting {
-			acc[comp] += d
+	var from, to [costs.NumComponents]time.Duration
+	res := runProtolatOn(w, tcp, msgSize, rounds, func(on bool) {
+		if on {
+			from = w.ledger()
+		} else {
+			to = w.ledger()
 		}
 	})
-	// The warmup round runs uncounted.
-	res := runProtolatOn(w, tcp, msgSize, rounds, func(on bool) { counting = on })
 	if res.Err != nil {
 		return bd
 	}
 	// Each round trip crosses each path component twice (once per host).
-	for comp, total := range acc {
-		bd.PerLayer[comp] = total / time.Duration(2*rounds)
+	for comp := range bd.PerLayer {
+		bd.PerLayer[comp] = (to[comp] - from[comp]) / time.Duration(2*rounds)
 	}
 	bd.Transit = wireTransit(msgSize, tcp)
 	return bd
@@ -196,53 +188,32 @@ func FormatTable4(title string, cells []Breakdown) string {
 		fmt.Fprintf(&b, " %9s", fmt.Sprintf("%s/%d", shortName(c.Config), c.MsgSize))
 	}
 	fmt.Fprintln(&b)
-	us := func(d time.Duration) string { return fmt.Sprintf("%.0f", float64(d)/1000) }
-	fmt.Fprintln(&b, "Send path")
-	for _, comp := range costs.SendComponents {
-		fmt.Fprintf(&b, "  %-20s", comp)
+	row := func(name string, d func(Breakdown) time.Duration) {
+		fmt.Fprintf(&b, "  %-20s", name)
 		for _, c := range cells {
-			fmt.Fprintf(&b, " %9s", us(c.PerLayer[comp]))
+			fmt.Fprintf(&b, " %9.0f", float64(d(c))/1000)
 		}
 		fmt.Fprintln(&b)
 	}
-	fmt.Fprintf(&b, "  %-20s", "send total")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %9s", us(c.SendTotal()))
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "Receive path")
-	for _, comp := range costs.RecvComponents {
-		fmt.Fprintf(&b, "  %-20s", comp)
-		for _, c := range cells {
-			fmt.Fprintf(&b, " %9s", us(c.PerLayer[comp]))
+	path := func(title, total string, comps []costs.Component) {
+		fmt.Fprintln(&b, title)
+		for _, comp := range comps {
+			row(comp.String(), func(c Breakdown) time.Duration { return c.PerLayer[comp] })
 		}
-		fmt.Fprintln(&b)
+		row(total, func(c Breakdown) time.Duration { return c.sum(comps) })
 	}
-	fmt.Fprintf(&b, "  %-20s", "recv total")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %9s", us(c.RecvTotal()))
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintf(&b, "  %-20s", "network transit")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %9s", us(c.Transit))
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintf(&b, "  %-20s", "one-way total")
-	for _, c := range cells {
-		fmt.Fprintf(&b, " %9s", us(c.SendTotal()+c.RecvTotal()+c.Transit))
-	}
-	fmt.Fprintln(&b)
+	path("Send path", "send total", costs.SendComponents)
+	path("Receive path", "recv total", costs.RecvComponents)
+	row("network transit", func(c Breakdown) time.Duration { return c.Transit })
+	row("one-way total", func(c Breakdown) time.Duration { return c.SendTotal() + c.RecvTotal() + c.Transit })
 	return b.String()
 }
 
 func shortName(s string) string {
 	switch {
-	case strings.Contains(s, "SHM-IPF"):
-		return "Lib"
 	case strings.Contains(s, "Library"):
 		return "Lib"
-	case strings.Contains(s, "Kernel") || strings.Contains(s, "In-Kernel"):
+	case strings.Contains(s, "Kernel"):
 		return "Kern"
 	case strings.Contains(s, "Server"):
 		return "Srv"

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/costs"
 	"repro/internal/kern"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
@@ -78,7 +79,7 @@ var _ socketapi.ChainAPI = (*Library)(nil)
 func (sys *System) NewLibrary(name string) *Library {
 	lib := &Library{sys: sys, srv: sys.Server, name: name}
 	lib.cache = NewMetaCache(lib)
-	lib.St = stack.New(sys.Host.StackConfig(name+".lib", &sys.Host.Prof, true, nil), lib.cache)
+	lib.St = stack.New(sys.Host.StackConfig(name+".lib", &sys.Host.Prof, nil), lib.cache)
 	lib.local = socklayer.Place{St: lib.St, Alias: true, Sel: &lib.selCond}
 	// Server sockets report their status changes through the server's own
 	// watch (pokeSelectors), so the remote place has no select channel.
@@ -96,7 +97,8 @@ func (sys *System) NewLibrary(name string) *Library {
 // run executing on a server worker thread.
 func (lib *Library) proxy(t *sim.Proc, approxBytes int, run func(on *sim.Proc)) {
 	lib.proxyCalls++
-	lib.sys.Host.ChargeProxyRPC(t, approxBytes)
+	h := lib.sys.Host
+	h.Charge(t, sim.TaskPriority, costs.CompProxyRPC, h.Prof.ProxyRPC.At(approxBytes))
 	lib.srv.svc.Call(t, run)
 }
 

@@ -198,9 +198,7 @@ func New(h *kern.Host, srvProf costs.Profile) *System {
 		panic(err)
 	}
 
-	// Unobserved: Table 4's Library column was measured without the
-	// server's own stack, and observing it moves three of its cells.
-	srv.St = stack.NewControl(h.StackConfig("os-server", &srvProf, false, nil), srv.Ports)
+	srv.St = stack.NewControl(h.StackConfig("os-server", &srvProf, nil), srv.Ports)
 	// Packets already queued at the server when a session's filter
 	// handoff happens must not be answered with RST/ICMP: the server
 	// checks its session table first.

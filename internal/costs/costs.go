@@ -84,6 +84,13 @@ const (
 	// interrupt and the demultiplexing packet filter. Not part of the
 	// paper's Table 4 rows, so it is absent from RecvComponents.
 	CompDataplane
+	// The host CPU work outside the protocol layers, also absent from
+	// Table 4: a library's proxy RPC to the OS server (Profile.ProxyRPC),
+	// the per-packet IPC receive (Profile.IPCRecvPerPacket), and the
+	// offload engine's software fallback (OffloadCosts.SwChecksum).
+	CompProxyRPC
+	CompIPCRecv
+	CompOffloadSW
 
 	NumComponents
 )
@@ -92,7 +99,7 @@ var compNames = [NumComponents]string{
 	"entry/copyin", "tcp,udp_output", "ip_output", "ether_output",
 	"device intr/read", "netisr/packet filter", "kernel copyout",
 	"mbuf/queue", "ipintr", "tcp,udp_input", "wakeup user thread",
-	"copyout/exit", "dataplane",
+	"copyout/exit", "dataplane", "proxy rpc", "ipc recv", "offload sw",
 }
 
 func (c Component) String() string {
@@ -239,7 +246,3 @@ type Profile struct {
 	// report NA.
 	LargeTCPSendBroken bool
 }
-
-// Clone returns a deep copy of the profile (PathCosts are values, so a
-// struct copy suffices; the method exists for clarity at call sites).
-func (p Profile) Clone() Profile { return p }

@@ -203,8 +203,9 @@ func TestComponentNames(t *testing.T) {
 	if Component(99).String() != "unknown" {
 		t.Error("out-of-range name")
 	}
-	// CompDataplane is deliberately outside both Table 4 path lists.
-	if len(SendComponents)+len(RecvComponents) != int(NumComponents)-1 {
+	// CompDataplane and the three components after it are deliberately
+	// outside both Table 4 path lists.
+	if len(SendComponents)+len(RecvComponents) != int(CompDataplane) {
 		t.Error("component lists incomplete")
 	}
 	if CompDataplane.String() != "dataplane" {

@@ -167,9 +167,7 @@ func (e *Endpoint) Recv(p *sim.Proc) (Packet, bool) {
 	pkt := e.pop()
 	e.host.mRxWait.Observe(int64(e.host.Sim.Now().Sub(pkt.Arrived)))
 	if e.host.Prof.Delivery == costs.DeliverIPC {
-		if c := e.host.Prof.IPCRecvPerPacket.At(pkt.Payload); c > 0 {
-			e.host.ChargeProc(p, c)
-		}
+		e.host.Charge(p, sim.TaskPriority, costs.CompIPCRecv, e.host.Prof.IPCRecvPerPacket.At(pkt.Payload))
 	}
 	return pkt, true
 }
@@ -188,9 +186,6 @@ func (e *Endpoint) Drain(p *Process, name string, input func(t *sim.Proc, frame 
 		}
 	})
 }
-
-// Pending returns the number of queued packets.
-func (e *Endpoint) Pending() int { return e.pending() }
 
 func (e *Endpoint) String() string {
 	return fmt.Sprintf("endpoint(%s, %d queued, %d filters)", e.host.Name, e.pending(), len(e.filters))

@@ -12,7 +12,10 @@
 package kern
 
 import (
+	"fmt"
+	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/costs"
 	"repro/internal/filter"
@@ -46,16 +49,20 @@ type Host struct {
 	Offload *offload.Engine
 
 	Filters   *filter.Set
-	egress    *filter.Set
 	hook      filter.Hook
 	endpoints int64 // live (created, not yet closed) endpoints
 
 	nextPID int
 	procs   map[int]*Process
 
-	// Observe, when set, receives every charge Table 4 attributes to a
-	// layer on this host: the kernel receive path (chargeRx) and the
-	// protocol layers of every stack whose ProtoCharge asked for it.
+	// Ledger holds the nanoseconds of CPU charged to each component on
+	// this host. Every charge goes through Charge or chargeRx, so once
+	// each has been granted the ledger sums to CPU.BusyTime() (the law
+	// CheckLedger checks).
+	Ledger [costs.NumComponents]metrics.Counter
+
+	// Observe, when set, sees every charge as the ledger records it; it is
+	// the tap behind bench.World.Observe.
 	Observe func(comp costs.Component, d time.Duration)
 
 	// Trace, when set, records packet-filter verdicts (match with filter
@@ -71,7 +78,6 @@ type Host struct {
 	RxFrames      metrics.Counter
 	RxNoMatch     metrics.Counter // packet filter misses
 	RxDropped     metrics.Counter // endpoint queue overflows
-	TxBlocked     metrics.Counter // frames rejected by the egress filter
 	DeliveryBytes metrics.Counter
 	FilterMatch   metrics.Counter
 	FilterSteal   metrics.Counter // matches won by a priority>0 (session) filter over the catch-all
@@ -110,8 +116,10 @@ func (h *Host) Metrics() *metrics.Scope { return h.scope }
 // SetMetrics binds the host's kernel-side counters into a per-host
 // registry scope and allocates the receive-path histograms. The scope
 // is the host root (e.g. "host.alpha"); kern counters land under
-// "<host>.kern.*", filter verdicts under "<host>.kern.filter.*", and
-// the NIC under "<host>.nic.*".
+// "<host>.kern.*", filter verdicts under "<host>.kern.filter.*", the
+// NIC under "<host>.nic.*", and the ledger under "<host>.cpu.*": one
+// "<component>_ns" counter each (the component's name with everything
+// but letters and digits made '_') beside the CPU's "busy_ns".
 func (h *Host) SetMetrics(hs *metrics.Scope) {
 	if hs == nil {
 		return
@@ -121,11 +129,21 @@ func (h *Host) SetMetrics(hs *metrics.Scope) {
 	if h.Offload != nil {
 		h.Offload.BindMetrics(hs.Sub("nic").Sub("offload"))
 	}
+	cs := hs.Sub("cpu")
+	for c := range h.Ledger {
+		slug := strings.Map(func(r rune) rune {
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				return r
+			}
+			return '_'
+		}, costs.Component(c).String())
+		cs.Counter(slug+"_ns", &h.Ledger[c])
+	}
+	cs.GaugeFunc("busy_ns", func() int64 { return int64(h.CPU.BusyTime()) })
 	ks := hs.Sub("kern")
 	ks.Counter("rx_frames", &h.RxFrames)
 	ks.Counter("wakeups", &h.Wakeups)
 	ks.Counter("rx_dropped", &h.RxDropped)
-	ks.Counter("tx_blocked", &h.TxBlocked)
 	ks.Counter("delivery_bytes", &h.DeliveryBytes)
 	ks.Counter("delivered_ipc", &h.DeliveredIPC)
 	ks.Counter("delivered_shm", &h.DeliveredSHM)
@@ -166,70 +184,77 @@ func NewHost(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire
 			// Software fallback for full-FIFO frames: the checksum (or
 			// GSO slicing) work lands on the host CPU at interrupt
 			// priority, like the rest of the receive path.
-			SW: func(d time.Duration, then func()) {
-				if d <= 0 {
-					then()
-					return
-				}
-				h.CPU.UseEvent(s, sim.IntrPriority, d, then)
-			},
+			SW: func(d time.Duration, then func()) { h.chargeRx(costs.CompOffloadSW, d, then) },
 		})
 		h.NIC.Rx = h.Offload.Rx
 	}
 	return h
 }
 
-// ChargeProc charges d of task-priority CPU to the calling process thread.
-func (h *Host) ChargeProc(p *sim.Proc, d time.Duration) {
+// Charge bills d of CPU at priority pri to the calling thread p, as
+// component comp. A non-positive d does nothing: even a zero-length Use
+// would take a turn at admission and move the schedule.
+func (h *Host) Charge(p *sim.Proc, pri sim.Priority, comp costs.Component, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	h.CPU.Use(p, sim.TaskPriority, d)
+	h.record(comp, d)
+	h.CPU.Use(p, pri, d)
 }
 
-// ChargeIntrProc charges d of interrupt-priority CPU to the calling
-// thread. The in-kernel baseline's software-interrupt protocol processing
-// uses this so that it preempts (queue-jumps) application work.
-func (h *Host) ChargeIntrProc(p *sim.Proc, d time.Duration) {
-	if d <= 0 {
-		return
+// record adds d to comp's ledger entry and shows it to Observe.
+func (h *Host) record(comp costs.Component, d time.Duration) {
+	h.Ledger[comp].Add(uint64(d))
+	if h.Observe != nil {
+		h.Observe(comp, d)
 	}
-	h.CPU.Use(p, sim.IntrPriority, d)
+}
+
+// CheckLedger is the ledger law over a registry snapshot: on every host
+// bound by SetMetrics, the "<host>.cpu.*_ns" components sum to
+// "<host>.cpu.busy_ns", the time the host's CPU granted.
+func CheckLedger(s metrics.Snapshot) error {
+	sum := map[string]int64{}
+	for _, it := range s.Items {
+		if host, comp, ok := strings.Cut(it.Name, ".cpu."); ok && comp != "busy_ns" {
+			sum[host] += it.Value
+		}
+	}
+	for _, it := range s.Items {
+		if host, ok := strings.CutSuffix(it.Name, ".cpu.busy_ns"); ok && sum[host] != it.Value {
+			return fmt.Errorf("%s: the ledger sums to %d ns, the CPU was busy %d ns", host, sum[host], it.Value)
+		}
+	}
+	return nil
 }
 
 // ProtoCharge returns the charge function a deployment hands its
-// protocol stack: each layer's work is priced from pc, reported to
-// h.Observe when observed is set and an observer is installed (Table 4
-// instrumentation), and billed to the host CPU at task priority — or at
-// interrupt priority on the threads intr claims (the in-kernel
-// baseline's software-interrupt thread; intr may be nil).
-func (h *Host) ProtoCharge(pc *costs.ProtoCosts, observed bool, intr func(*sim.Proc) bool) func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
+// protocol stack: each layer's work is priced from pc and charged to the
+// calling thread at task priority, or at interrupt priority on the
+// threads intr claims (the in-kernel baseline's software-interrupt
+// thread; intr may be nil).
+func (h *Host) ProtoCharge(pc *costs.ProtoCosts, intr func(*sim.Proc) bool) func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
 	return func(t *sim.Proc, tcp bool, comp costs.Component, n int) {
 		path := &pc.UDP
 		if tcp {
 			path = &pc.TCP
 		}
-		d := path[comp].At(n)
-		if observed && h.Observe != nil && d > 0 {
-			h.Observe(comp, d)
-		}
+		pri := sim.TaskPriority
 		if intr != nil && intr(t) {
-			h.ChargeIntrProc(t, d)
-		} else {
-			h.ChargeProc(t, d)
+			pri = sim.IntrPriority
 		}
+		h.Charge(t, pri, comp, path[comp].At(n))
 	}
 }
 
 // StackConfig is the one recipe for a protocol stack on this host, the
 // same for every deployment: the stack "<host>.<role>" at the host's
-// addresses, priced by prof and billed through ProtoCharge (observed is
-// false only for the decomposed OS server's stack; intr as there),
-// transmitting through the host's hook and egress filter with the NIC's
-// offloads, on the host's routes and flight recorder, and bound under
-// the host's registry scope as "stack.<role>". Its input thread is an
+// addresses, priced by prof and billed through ProtoCharge (intr as
+// there), transmitting through the host's hook with the NIC's offloads,
+// on the host's routes and flight recorder, and bound under the host's
+// registry scope as "stack.<role>". Its input thread is an
 // Endpoint.Drain.
-func (h *Host) StackConfig(role string, prof *costs.Profile, observed bool, intr func(*sim.Proc) bool) stack.Config {
+func (h *Host) StackConfig(role string, prof *costs.Profile, intr func(*sim.Proc) bool) stack.Config {
 	var maxTCP int
 	if prof.LargeTCPSendBroken {
 		maxTCP = 1024
@@ -240,7 +265,7 @@ func (h *Host) StackConfig(role string, prof *costs.Profile, observed bool, intr
 		LocalIP:       h.IP,
 		LocalMAC:      h.NIC.MAC(),
 		Costs:         &prof.Costs,
-		Charge:        h.ProtoCharge(&prof.Costs, observed, intr),
+		Charge:        h.ProtoCharge(&prof.Costs, intr),
 		Transmit:      h.Transmit,
 		Routes:        h.Routes,
 		MaxTCPPayload: maxTCP,
@@ -404,18 +429,15 @@ func (j *rxJob) deliver() {
 	j.h.putRxJob(j)
 }
 
-// chargeRx charges one receive-path component at interrupt priority and
-// then continues, reporting the charge to the observer if one is
-// installed. Zero-cost components continue immediately without touching
-// the CPU.
+// chargeRx is Charge for event context: it bills d of interrupt-priority
+// CPU as comp and then continues. Zero-cost components continue
+// immediately without touching the CPU.
 func (h *Host) chargeRx(comp costs.Component, d time.Duration, then func()) {
-	if h.Observe != nil && d > 0 {
-		h.Observe(comp, d)
-	}
-	if d == 0 {
+	if d <= 0 {
 		then()
 		return
 	}
+	h.record(comp, d)
 	h.CPU.UseEvent(h.Sim, sim.IntrPriority, d, then)
 }
 
@@ -427,29 +449,19 @@ func (h *Host) Inject(frame []byte) {
 	h.rx(simnet.Frame{Data: frame})
 }
 
-// Egress, when non-nil, is the outbound packet filter the paper's §3.4
-// suggests ("a packet limiting mechanism ... could be implemented by
-// checking each outgoing packet using a service similar to the packet
-// filter"): a frame accepted by no installed program is dropped instead
-// of transmitted. Installed by the operating system; applications cannot
-// bypass it because their only path to the wire is this transmit call.
-func (h *Host) SetEgress(s *filter.Set) { h.egress = s }
-
 // SetHook installs (or, with nil, removes) the host's data-plane hook.
 // The hook sees every received frame between the device interrupt and
 // the demultiplexing packet filter, and every locally-originated frame
-// before the egress filter — on all architectures, since each is built
+// before it is transmitted — on all architectures, since each is built
 // on this host substrate.
 func (h *Host) SetHook(hk filter.Hook) { h.hook = hk }
 
-// Hook returns the installed data-plane hook, or nil.
-func (h *Host) Hook() filter.Hook { return h.hook }
-
-// Transmit sends a frame, subject to the data-plane hook's egress stage
-// and the egress filter. Deployments use this as the stack's transmit
-// function. The egress hook runs synchronously (locally-originated
-// frames were already priced by the stack's send components) and owns
-// the frame, so un-NAT rewrites happen in place.
+// Transmit sends a frame, subject to the data-plane hook's egress stage.
+// Deployments use this as the stack's transmit function. The egress hook
+// runs synchronously (locally-originated frames were already priced by
+// the stack's send components) and owns the frame, so un-NAT rewrites
+// happen in place. Sends are otherwise unrestricted: nothing checks that
+// a library transmits only as its own sessions.
 func (h *Host) Transmit(frame []byte) error {
 	if h.hook != nil {
 		nf, v := h.hook.Egress(frame)
@@ -465,18 +477,12 @@ func (h *Host) Transmit(frame []byte) error {
 			frame = nf
 		}
 	}
-	if h.egress != nil {
-		if m, _ := h.egress.Match(frame); m == nil {
-			h.TxBlocked.Inc()
-			return nil // silently dropped, like a firewall
-		}
-	}
 	return h.RawTransmit(frame)
 }
 
-// RawTransmit bypasses the egress hook and filter — the path data-plane
-// hooks use for frames they originate or forward (hairpinned rewrites,
-// ARP replies), mirroring netfilter's FORWARD-vs-OUTPUT distinction.
+// RawTransmit bypasses the egress hook — the path data-plane hooks use
+// for frames they originate or forward (hairpinned rewrites, ARP
+// replies), mirroring netfilter's FORWARD-vs-OUTPUT distinction.
 // When an offload engine is attached it goes through it, so forwarded
 // LRO super-segments are re-sliced instead of rejected by the MTU check.
 func (h *Host) RawTransmit(frame []byte) error {

@@ -54,9 +54,3 @@ func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
 		c.doneCV.Wait(t)
 	}
 }
-
-// ChargeProxyRPC charges the caller for one proxy round trip of n bytes
-// of marshalled arguments, per the host profile.
-func (h *Host) ChargeProxyRPC(t *sim.Proc, n int) {
-	h.ChargeProc(t, h.Prof.ProxyRPC.At(n))
-}

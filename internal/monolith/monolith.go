@@ -95,7 +95,7 @@ func New(h *kern.Host, shape Shape) *System {
 	if shape.IntrInput {
 		intr = func(t *sim.Proc) bool { return t == input }
 	}
-	sys.st = stack.NewControl(h.StackConfig(shape.StackName, &h.Prof, true, intr), stack.NewLocalPorts())
+	sys.st = stack.NewControl(h.StackConfig(shape.StackName, &h.Prof, intr), stack.NewLocalPorts())
 	input = ep.Drain(owner, shape.Input, sys.st.Input)
 	sys.st.StartTimers(owner.GoDaemon)
 

@@ -53,8 +53,6 @@ func (q *waiterQ) pop() *resWaiter {
 	return w
 }
 
-func (q *waiterQ) len() int { return len(q.q) - q.head }
-
 // Priority selects the admission band for resource use.
 type Priority int
 
@@ -159,6 +157,3 @@ func (r *Resource) BusyTime() time.Duration { return r.busyTime }
 
 // Uses returns the number of grants made.
 func (r *Resource) Uses() int { return r.uses }
-
-// QueueLen returns the number of waiters in both bands.
-func (r *Resource) QueueLen() int { return r.intrQ.len() + r.taskQ.len() }

@@ -47,7 +47,7 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, last byte, alias, cro
 	n.st = stack.NewControl(stack.Config{
 		Sim: s, Name: name, LocalIP: ip, LocalMAC: n.host.NIC.MAC(),
 		Costs:  &n.host.Prof.Costs,
-		Charge: n.host.ProtoCharge(&n.host.Prof.Costs, false, nil),
+		Charge: n.host.ProtoCharge(&n.host.Prof.Costs, nil),
 		Transmit: func(frame []byte) error {
 			if eh, err := wire.UnmarshalEth(frame); err == nil && eh.Type == wire.EtherTypeIPv4 {
 				ip, hl, _ := wire.UnmarshalIPv4(frame[wire.EthHeaderLen:])

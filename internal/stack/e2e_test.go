@@ -47,13 +47,7 @@ func newNodeProf(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip 
 		LocalIP:  ip,
 		LocalMAC: n.host.NIC.MAC(),
 		Costs:    &n.prof.Costs,
-		Charge: func(t *sim.Proc, tcp bool, comp costs.Component, nb int) {
-			pc := &n.prof.Costs.UDP
-			if tcp {
-				pc = &n.prof.Costs.TCP
-			}
-			n.host.ChargeProc(t, pc[comp].At(nb))
-		},
+		Charge:   n.host.ProtoCharge(&n.prof.Costs, nil),
 		Transmit: func(frame []byte) error {
 			if n.txFilter != nil && !n.txFilter(frame) {
 				return nil

@@ -3,6 +3,8 @@ package psd
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/kern"
 )
 
 // ChurnConfig parameterizes the connection-churn scale workload: many
@@ -100,7 +102,12 @@ type ChurnReport struct {
 }
 
 // Check verifies the workload's conservation laws against the registry.
-func (r *ChurnReport) Check() error { return r.check("churn", r.ConnsPlan) }
+func (r *ChurnReport) Check() error {
+	if err := r.check("churn", r.ConnsPlan); err != nil {
+		return err
+	}
+	return kern.CheckLedger(*r.Snapshot)
+}
 
 const churnPort = 5001
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/psd"
 )
@@ -63,6 +64,24 @@ func TestChurnBaselineArchitectures(t *testing.T) {
 				t.Errorf("TIME_WAIT residue after drain = %d", rep.TimeWait)
 			}
 		})
+	}
+}
+
+// TestChurnLedgerEveryColumn: on all four architecture columns, every
+// host's CPU ledger sums to its busy time at the end of a churn.
+func TestChurnLedgerEveryColumn(t *testing.T) {
+	for _, f := range psd.ArchFlavors() {
+		cfg := smallChurn(1, f.New())
+		if f.Name != "decomposed" && f.Name != "offload" {
+			cfg.OrphanEvery = 0
+		}
+		rep, err := psd.RunChurn(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if err := kern.CheckLedger(*rep.Snapshot); err != nil {
+			t.Errorf("%s: %v", f.Name, err)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package psd
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/kern"
 )
 
 // CityConfig parameterizes the internet-scale sharded workload: many
@@ -107,9 +109,13 @@ type CityReport struct {
 //   - every frame a trunk direction serialized is accounted for:
 //     sent + duplicated == delivered + drops-with-cause,
 //   - every delivered frame was received on the peer shard,
-//   - the per-shard dispatch counters sum to the group total.
+//   - the per-shard dispatch counters sum to the group total,
+//   - every host's CPU ledger sums to its busy time.
 func (r *CityReport) Check() error {
 	if err := r.Churn.check("city", r.ConnsPlan); err != nil {
+		return err
+	}
+	if err := kern.CheckLedger(*r.Snapshot); err != nil {
 		return err
 	}
 	for _, d := range r.Trunks {

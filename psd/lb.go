@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/kern"
 )
 
 // LBConfig parameterizes the load-balancer churn workload: clients
@@ -72,8 +74,8 @@ type LBReport struct {
 
 // Check verifies the run's conservation laws: every planned connection
 // either completed against exactly one backend or failed visibly, at
-// least one backend served, and the churn left no flow-table entry or
-// SNAT port behind.
+// least one backend served, the churn left no flow-table entry or SNAT
+// port behind, and every host's CPU ledger sums to its busy time.
 func (r *LBReport) Check() error {
 	if r.Served+r.Failed != int64(r.ConnsPlan) {
 		return fmt.Errorf("lb: served %d + failed %d != planned %d", r.Served, r.Failed, r.ConnsPlan)
@@ -95,7 +97,7 @@ func (r *LBReport) Check() error {
 	if r.SNATLeft != 0 {
 		return fmt.Errorf("lb: %d SNAT ports leaked", r.SNATLeft)
 	}
-	return nil
+	return kern.CheckLedger(*r.Snapshot)
 }
 
 const (

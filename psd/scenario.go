@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/slo"
 	"repro/internal/trace"
@@ -81,7 +82,8 @@ var scenarioDefs = []scenarioDef{
 }
 
 // RunScenario builds and executes the named scenario, evaluates its
-// SLOs, and returns the deterministic verdict.
+// SLOs, and returns the deterministic verdict. A host whose CPU ledger
+// does not sum to its busy time is an error, not a failed SLO.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	var def *scenarioDef
 	for i := range scenarioDefs {
@@ -192,6 +194,9 @@ func (e *scenarioEnv) finish() (*ScenarioResult, error) {
 		r.ConnectP99Ns = int64(h.Quantile(0.99))
 	}
 	snap := ctx.Snap
+	if err := kern.CheckLedger(snap); err != nil {
+		return nil, fmt.Errorf("psd: scenario %s: %w", e.cfg.Name, err)
+	}
 	r.NetDrops = snap.Sum(".drops_loss") + snap.Sum(".drops_down") + snap.Sum(".partition_drops")
 	r.RouterDrops = snap.Sum(".red_drops") + snap.Sum(".tail_drops")
 	r.Forwarded = snap.Sum(".forwarded")
