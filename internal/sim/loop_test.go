@@ -331,3 +331,256 @@ func firstDiff(a, b []loopEntry) int {
 	}
 	return min(len(a), len(b))
 }
+
+// tickProgram adds periodic procs to a loopProgram, shaped like the
+// protocol timers: each ticker wakes every period and, under a mutex that
+// holders keep across sleeps, works off a count that seeded events raise,
+// until an event sets its stop flag. A holder is a proc, or a pair of
+// events queued up front, which can free the mutex with waiters queued
+// just before a ticker's wake-up at the same instant.
+type tickProgram struct {
+	tickers []loopTicker
+	bumps   []loopBump
+	holders []loopHolder
+}
+
+type loopTicker struct {
+	period, work time.Duration
+	stopAt       Time
+}
+
+type loopBump struct {
+	at     Time
+	ticker int
+}
+
+type loopHolder struct {
+	start  Time
+	hold   time.Duration
+	rounds int
+	events bool
+}
+
+func genTickProgram(r *rand.Rand) *tickProgram {
+	tp := &tickProgram{tickers: make([]loopTicker, 2+r.Intn(4))}
+	for i := range tp.tickers {
+		tp.tickers[i] = loopTicker{
+			period: time.Duration(1+r.Intn(6)) * loopQuantum,
+			work:   time.Duration(r.Intn(4)) * loopQuantum,
+			stopAt: Time(time.Duration(100+r.Intn(500)) * loopQuantum),
+		}
+	}
+	for k := r.Intn(25); k > 0; k-- {
+		tp.bumps = append(tp.bumps, loopBump{Time(time.Duration(r.Intn(600)) * loopQuantum), r.Intn(len(tp.tickers))})
+	}
+	for k := 1 + r.Intn(4); k > 0; k-- {
+		tp.holders = append(tp.holders, loopHolder{
+			Time(time.Duration(r.Intn(300)) * loopQuantum), time.Duration(1+r.Intn(4)) * loopQuantum, 1 + r.Intn(30), r.Intn(2) == 0})
+	}
+	return tp
+}
+
+// install builds the program on s. With sleepIdle the tickers sleep in
+// SleepIdle; without, in a Sleep loop whose body does nothing while idle
+// — the two must dispatch identically.
+func (tp *tickProgram) install(s *Sim, l *loopLog, sleepIdle bool) {
+	rec := func(format string, a ...any) { l.add(s.Now(), fmt.Sprintf(format, a...)) }
+	var mu Mutex
+	pending := make([]int, len(tp.tickers))
+	stop := make([]bool, len(tp.tickers))
+	for _, b := range tp.bumps {
+		s.At(b.at, func() { pending[b.ticker]++ })
+	}
+	for i, tk := range tp.tickers {
+		s.At(tk.stopAt, func() { stop[i] = true })
+		idle := func() bool { return !stop[i] && mu.Idle() && pending[i] == 0 }
+		s.SpawnDaemon(fmt.Sprintf("t%d", i), func(p *Proc) {
+			for !stop[i] {
+				if sleepIdle {
+					p.SleepIdle(tk.period, idle)
+				} else {
+					p.Sleep(tk.period)
+				}
+				if stop[i] {
+					rec("t%d exits", i)
+					return
+				}
+				mu.Lock(p)
+				if pending[i] > 0 {
+					pending[i]--
+					rec("t%d works", i)
+					p.Sleep(tk.work)
+				}
+				mu.Unlock()
+			}
+		})
+	}
+	for i, h := range tp.holders {
+		if h.events {
+			for k := range h.rounds {
+				at := h.start.Add(time.Duration(2*k) * h.hold)
+				locked := false
+				s.At(at, func() { locked = mu.TryLock() })
+				s.At(at.Add(h.hold), func() {
+					if locked {
+						mu.Unlock()
+					}
+				})
+			}
+			continue
+		}
+		s.At(h.start, func() {
+			s.SpawnDaemon(fmt.Sprintf("h%d", i), func(p *Proc) {
+				for range h.rounds {
+					mu.Lock(p)
+					rec("h%d holds", i)
+					p.Sleep(h.hold)
+					mu.Unlock()
+					p.Sleep(h.hold)
+				}
+			})
+		})
+	}
+}
+
+// TestSleepIdle checks the idle-tick fast path two ways: seeded programs
+// whose tickers use SleepIdle dispatch exactly as the same programs
+// written as a plain Sleep loop (standalone and on a one-shard Group's
+// worker goroutine), and pinned cases fix when the proc is resumed.
+func TestSleepIdle(t *testing.T) {
+	const end = Time(60 * time.Millisecond)
+	var idled uint64
+	for seed := int64(1); seed <= 40; seed++ {
+		pg := genLoopProgram(rand.New(rand.NewSource(seed)))
+		tp := genTickProgram(rand.New(rand.NewSource(1000 + seed)))
+		steps := loopSteps(rand.New(rand.NewSource(-seed)), end)
+		run := func(sleepIdle, grouped bool) ([]loopEntry, uint64) {
+			l := &loopLog{t: t, bound: end}
+			var s *Sim
+			var g *Group
+			if grouped {
+				g = NewGroup(seed, 1)
+				s = g.Shard(0)
+			} else {
+				s = New(seed)
+				s.Deadline = end
+			}
+			s.SetTracer(l)
+			pg.install(s, l)
+			tp.install(s, l, sleepIdle)
+			if grouped {
+				for _, b := range steps {
+					l.bound = b
+					if err := g.RunUntil(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				runOK(t, s.Run())
+				if err := s.RunUntil(end); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !sleepIdle && s.Idled() != 0 {
+				t.Fatalf("seed %d: a Sleep loop counted %d idle ticks", seed, s.Idled())
+			}
+			idled += s.Idled()
+			l.entries = append(l.entries, loopEntry{s.Now(), fmt.Sprintf("dispatched %d, seq %d", s.Dispatched(), s.seq)})
+			return l.entries, s.Idled()
+		}
+		for _, grouped := range []bool{false, true} {
+			want, _ := run(false, grouped)
+			got, n := run(true, grouped)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (grouped %v): SleepIdle diverges from the Sleep loop at entry %d of %d/%d (%d idle ticks)",
+					seed, grouped, firstDiff(got, want), len(got), len(want), n)
+			}
+		}
+	}
+	if idled == 0 {
+		t.Error("no tick was idle: the fast path was never taken")
+	}
+
+	// ticker spawns a daemon that sleeps in SleepIdle(10) for ever,
+	// counting the times it is resumed and the instant it exits on stop.
+	type ticker struct{ resumed, exitAt Time }
+	spawn := func(s *Sim, idle func() bool, stop *bool) *ticker {
+		tk := &ticker{exitAt: -1}
+		s.SpawnDaemon("t", func(p *Proc) {
+			for {
+				p.SleepIdle(10, idle)
+				tk.resumed++
+				if stop != nil && *stop {
+					tk.exitAt = p.Now()
+					return
+				}
+			}
+		})
+		return tk
+	}
+	always := func() bool { return true }
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name                     string
+		run                      func() (*Sim, *ticker)
+		resumed, exitAt          Time
+		idled, dispatched, inlin uint64
+		now                      Time
+	}{
+		{"an idle tick does not resume the proc", func() (*Sim, *ticker) {
+			s := New(1)
+			tk := spawn(s, always, nil)
+			s.Spawn("fg", func(p *Proc) { p.Sleep(35) })
+			must(s.Run())
+			return s, tk
+		}, 0, -1, 3, 6, 0, 35},
+		{"a busy tick resumes it; its next wake-up then runs inline", func() (*Sim, *ticker) {
+			s := New(1)
+			tk := spawn(s, func() bool { return false }, nil)
+			s.Spawn("fg", func(p *Proc) { p.Sleep(35) })
+			must(s.Run())
+			return s, tk
+		}, 3, -1, 0, 6, 2, 35},
+		{"a stop flag makes the proc exit at the tick it would have", func() (*Sim, *ticker) {
+			s := New(1)
+			stop := false
+			s.At(25, func() { stop = true })
+			tk := spawn(s, func() bool { return !stop }, &stop)
+			s.Spawn("fg", func(p *Proc) { p.Sleep(40) })
+			must(s.Run())
+			return s, tk
+		}, 1, 30, 2, 7, 0, 40},
+		{"a RunUntil bound between ticks leaves the next one queued", func() (*Sim, *ticker) {
+			s := New(1)
+			s.Every(7, func() {})
+			tk := spawn(s, always, nil)
+			must(s.RunUntil(25))
+			if s.Idled() != 2 || s.Dispatched() != 6 {
+				t.Errorf("RunUntil(25): %d idle of %d dispatched, want 2 of 6", s.Idled(), s.Dispatched())
+			}
+			must(s.RunUntil(45))
+			return s, tk
+		}, 0, -1, 4, 11, 0, 45},
+		{"a one-shard Group runs idle ticks on its worker goroutine", func() (*Sim, *ticker) {
+			g := NewGroup(1, 1)
+			s := g.Shard(0)
+			s.Every(7, func() {})
+			tk := spawn(s, always, nil)
+			must(g.RunUntil(45))
+			return s, tk
+		}, 0, -1, 4, 11, 0, 45},
+	}
+	for _, c := range cases {
+		s, tk := c.run()
+		if tk.resumed != c.resumed || tk.exitAt != c.exitAt || s.Idled() != c.idled ||
+			s.Dispatched() != c.dispatched || s.Inlined() != c.inlin || s.Now() != c.now {
+			t.Errorf("%s: resumed %d, exit at %v, %d idle and %d inline of %d dispatched, clock %v; want %d, %v, %d, %d of %d, %v",
+				c.name, tk.resumed, tk.exitAt, s.Idled(), s.Inlined(), s.Dispatched(), s.Now(),
+				c.resumed, c.exitAt, c.idled, c.inlin, c.dispatched, c.now)
+		}
+	}
+}

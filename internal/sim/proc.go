@@ -19,12 +19,16 @@ type Proc struct {
 	name   string
 	daemon bool
 
-	resume        chan struct{}
+	// The flags sit together so that a Proc stays in the 64-byte size
+	// class: every thread of every simulated host is one.
 	parked        bool
-	unparkPending bool   // an Unpark arrived while the proc was running
+	unparkPending bool // an Unpark arrived while the proc was running
+	exited        bool
+	resume        chan struct{}
 	pendingResume *event // the event that will resume this proc, if any
 
-	exited bool
+	idle   func() bool   // SleepIdle: a tick the scheduler answers alone
+	period time.Duration // and the sleep it then schedules
 }
 
 // Spawn starts a foreground simulated process. The body begins executing
@@ -99,6 +103,21 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.parked = true
 	p.yieldToScheduler()
 	p.parked = false
+}
+
+// SleepIdle is Sleep(d) for a periodic proc whose loop body does nothing
+// while idle() holds: a dispatched wake-up that finds idle() true
+// schedules the next one d later and leaves the proc parked, exactly as
+//
+//	for { p.Sleep(d); if !idle() { body() } }
+//
+// would run, minus the goroutine hand-off. idle runs on the scheduler's
+// goroutine; it must not block, schedule or change state, and any state
+// the body acts on must make it false.
+func (p *Proc) SleepIdle(d time.Duration, idle func() bool) {
+	p.idle, p.period = idle, d
+	p.Sleep(d)
+	p.idle = nil
 }
 
 // YieldProc reschedules the process at the current instant: Sleep(0).

@@ -21,10 +21,11 @@
 // decided in Sim.next, and for a proc's own wake-up in Sim.wakeIsNext: a
 // proc whose wake-up is next keeps running (an inline self-wake), and the
 // clock, dispatch count and tracer advance as the scheduler would have.
+// A periodic proc's idle tick (Proc.SleepIdle) is answered by the
+// scheduler alone: it schedules the next tick and the proc stays parked.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -101,39 +102,67 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// before is the queue order on (at, band, origin, seq). Keys are unique,
+// so the order is total and the pop sequence does not depend on the
+// heap's layout.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	if e.band != o.band {
+		return e.band < o.band
+	}
+	if e.origin != o.origin {
+		return e.origin < o.origin
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap in before order. Every queued event's
+// index is its slot; pop sets it to -1 (Timer.Stop reads that).
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push inserts ev, moving parents down until its slot is found.
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
 	}
-	if h[i].band != h[j].band {
-		return h[i].band < h[j].band
+	q[i], ev.index = ev, i
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap is not empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n], top.index = nil, -1
+	*h = q[:n]
+	if n == 0 {
+		return top
 	}
-	if h[i].origin != h[j].origin {
-		return h[i].origin < h[j].origin
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	q[i], last.index = last, i
+	return top
 }
 
 // Sim is a discrete-event simulator instance.
@@ -159,6 +188,7 @@ type Sim struct {
 	outbox     []remoteMsg // cross-shard sends staged until the window barrier
 	dispatched uint64      // events executed (per-shard accounting)
 	inlined    uint64      // of those, proc wake-ups run inline (see wakeIsNext)
+	idled      uint64      // of those, idle ticks that left their proc parked (SleepIdle)
 	origins    uint64      // local origin-id allocator when no group exists
 	end        Time        // the active runTo's exclusive bound
 	fgExit     bool        // and its foreground-exit rule
@@ -240,21 +270,23 @@ func (s *Sim) Stream(name string) *rand.Rand {
 }
 
 func (s *Sim) schedule(at Time, fn func(), p *Proc) *event {
-	if at < s.now {
-		at = s.now
-	}
 	s.seq++
+	return s.enqueue(max(at, s.now), 0, 0, s.seq, fn, p)
+}
+
+// enqueue queues an event keyed (at, band, origin, seq), reusing one from
+// the free list when there is one.
+func (s *Sim) enqueue(at Time, band uint8, origin, seq uint64, fn func(), p *Proc) *event {
 	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.proc = at, s.seq, fn, p
 	} else {
-		ev = &event{at: at, seq: s.seq, fn: fn, proc: p}
+		ev = new(event)
 	}
-	ev.index = -1
-	heap.Push(&s.events, ev)
+	ev.at, ev.band, ev.origin, ev.seq, ev.fn, ev.proc = at, band, origin, seq, fn, p
+	s.events.push(ev)
 	return ev
 }
 
@@ -277,18 +309,7 @@ func (s *Sim) ScheduleRemote(at Time, origin, oseq uint64, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: lookahead violation: remote delivery at %v but shard %d is already at %v", at, s.shardID, s.now))
 	}
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.proc = at, oseq, fn, nil
-	} else {
-		ev = &event{at: at, seq: oseq, fn: fn}
-	}
-	ev.band, ev.origin = 1, origin
-	ev.index = -1
-	heap.Push(&s.events, ev)
+	s.enqueue(at, 1, origin, oseq, fn, nil)
 }
 
 // remoteMsg is one staged cross-shard delivery awaiting the barrier.
@@ -340,6 +361,10 @@ func (s *Sim) Dispatched() uint64 { return s.dispatched }
 
 // Inlined returns how many dispatched events were inline proc wake-ups.
 func (s *Sim) Inlined() uint64 { return s.inlined }
+
+// Idled returns how many dispatched events were idle ticks (see
+// Proc.SleepIdle) that the scheduler answered without resuming the proc.
+func (s *Sim) Idled() uint64 { return s.idled }
 
 // At schedules fn to run at virtual time t (or now, if t is in the past).
 func (s *Sim) At(t Time, fn func()) *Timer {
@@ -434,7 +459,7 @@ func (s *Sim) peek() *event {
 		if !ev.stopped {
 			return ev
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 		s.recycle(ev)
 	}
 	return nil
@@ -449,7 +474,7 @@ func (s *Sim) next(end Time) *event {
 	if ev == nil || ev.at >= end {
 		return nil
 	}
-	heap.Pop(&s.events)
+	s.events.pop()
 	return ev
 }
 
@@ -500,6 +525,13 @@ func (s *Sim) dispatch(ev *event) {
 	switch {
 	case ev.proc != nil:
 		p := ev.proc
+		if p.idle != nil && p.idle() {
+			// The proc's loop would find nothing to do and sleep again:
+			// schedule that wake-up for it, at the same point in seq.
+			s.idled++
+			p.pendingResume = s.schedule(s.now.Add(p.period), nil, p)
+			break
+		}
 		p.pendingResume = nil
 		p.resume <- struct{}{}
 		<-s.yield

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -578,5 +580,91 @@ func TestSelfWake(t *testing.T) {
 			t.Errorf("%s: %d inline of %d dispatched, clock %v; want %d of %d, %v",
 				c.name, s.Inlined(), s.Dispatched(), s.Now(), c.inlined, c.dispatched, c.now)
 		}
+	}
+}
+
+// TestEventHeapOrder drives the event queue with random interleavings of
+// local and remote inserts, Timer.Stop and pops: every pop returns the
+// least live key in (at, band, origin, seq) order, a stopped event is
+// never returned, every Stop reports what the model says, and after each
+// step every queued event's index is its slot and no child precedes its
+// parent.
+func TestEventHeapOrder(t *testing.T) {
+	type key struct {
+		at          Time
+		band        uint8
+		origin, seq uint64
+	}
+	keyOf := func(ev *event) key { return key{ev.at, ev.band, ev.origin, ev.seq} }
+	less := func(a, b key) bool {
+		return (&event{at: a.at, band: a.band, origin: a.origin, seq: a.seq}).before(
+			&event{at: b.at, band: b.band, origin: b.origin, seq: b.seq})
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := New(seed)
+		live := map[key]bool{}
+		type handle struct {
+			tm *Timer
+			k  key
+		}
+		var handles []handle
+		oseq := uint64(0)
+		for step := 0; step < 2000; step++ {
+			switch op := r.Intn(10); {
+			case op < 4:
+				tm := s.At(s.now+Time(r.Intn(20)), func() {})
+				k := keyOf(tm.ev)
+				live[k] = true
+				handles = append(handles, handle{tm, k})
+			case op < 6:
+				oseq++
+				k := key{s.now + Time(r.Intn(20)), 1, uint64(1 + r.Intn(3)), oseq}
+				s.ScheduleRemote(k.at, k.origin, k.seq, func() {})
+				live[k] = true
+			case op < 7 && len(handles) > 0:
+				h := handles[r.Intn(len(handles))]
+				if got := h.tm.Stop(); got != live[h.k] {
+					t.Fatalf("seed %d step %d: Stop = %v, model says live %v", seed, step, got, live[h.k])
+				}
+				delete(live, h.k)
+			default:
+				ev := s.next(Time(1 << 62))
+				if ev == nil {
+					if len(live) != 0 {
+						t.Fatalf("seed %d step %d: queue empty with %d live events", seed, step, len(live))
+					}
+					continue
+				}
+				k := keyOf(ev)
+				if !live[k] {
+					t.Fatalf("seed %d step %d: popped %+v, which is not live", seed, step, k)
+				}
+				for o := range live {
+					if less(o, k) {
+						t.Fatalf("seed %d step %d: popped %+v before live %+v", seed, step, k, o)
+					}
+				}
+				delete(live, k)
+				s.now = ev.at
+				s.recycle(ev)
+			}
+			for i, ev := range s.events {
+				if ev.index != i {
+					t.Fatalf("seed %d step %d: event in slot %d has index %d", seed, step, i, ev.index)
+				}
+				if i > 0 && ev.before(s.events[(i-1)/2]) {
+					t.Fatalf("seed %d step %d: slot %d precedes its parent", seed, step, i)
+				}
+			}
+		}
+	}
+}
+
+// TestProcFitsSizeClass pins a Proc at 64 bytes on 64-bit platforms: one
+// is allocated per simulated thread, and the next size class is 80.
+func TestProcFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Proc{}); unsafe.Sizeof(uintptr(0)) == 8 && n > 64 {
+		t.Fatalf("Proc is %d bytes, want at most 64", n)
 	}
 }

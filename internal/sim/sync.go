@@ -299,3 +299,8 @@ func (m *Mutex) Unlock() {
 
 // Held reports whether the mutex is currently held.
 func (m *Mutex) Held() bool { return m.held }
+
+// Idle reports whether the mutex is free with no waiter queued: only then
+// is Lock followed by Unlock a no-op (a free mutex can still have waiters
+// queued behind the one its last Unlock signalled).
+func (m *Mutex) Idle() bool { return !m.held && m.cond.Waiters() == 0 }

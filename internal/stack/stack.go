@@ -343,20 +343,23 @@ func (st *Stack) condWaitTimeout(t *sim.Proc, c *sim.Cond, d time.Duration) bool
 // the given spawner. The deployment passes a function that creates a
 // daemon thread in the right process.
 func (st *Stack) StartTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc) {
-	st.startTimers(spawn, func(*sim.Proc) {})
+	st.startTimers(spawn, nil)
 }
 
 // StartTimers also ages the ARP table on the slow tick.
 func (st *Control) StartTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc) {
-	st.startTimers(spawn, st.arp.timo)
+	st.startTimers(spawn, st.arp)
 }
 
-// startTimers runs slowTimo last on every slow tick, under the same hold
-// of the protocol lock as TCP's.
-func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc, slowTimo func(t *sim.Proc)) {
+// startTimers runs arp's timo (if any) last on every slow tick, under the
+// same hold of the protocol lock as TCP's. A tick its idle predicate
+// calls a no-op never resumes the thread (sim.Proc.SleepIdle).
+func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc, arp *arpEngine) {
+	fastIdle := st.fastTickIdle
+	slowIdle := func() bool { return st.slowTickIdle(arp) }
 	spawn(st.cfg.Name+".tcp-fast", func(t *sim.Proc) {
 		for !st.timersStopped {
-			t.Sleep(tcpFastInterval)
+			t.SleepIdle(tcpFastInterval, fastIdle)
 			if st.timersStopped {
 				return
 			}
@@ -367,7 +370,7 @@ func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc)) *si
 	})
 	spawn(st.cfg.Name+".tcp-slow", func(t *sim.Proc) {
 		for !st.timersStopped {
-			t.Sleep(tcpSlowInterval)
+			t.SleepIdle(tcpSlowInterval, slowIdle)
 			if st.timersStopped {
 				return
 			}
@@ -376,7 +379,9 @@ func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc)) *si
 			for _, r := range st.reasms { // expire stale reassembly state
 				st.Stats.IPReasmTimeout.Add(uint64(r.tick()))
 			}
-			slowTimo(t)
+			if arp != nil {
+				arp.timo(t)
+			}
 			st.unlock()
 		}
 	})

@@ -212,8 +212,71 @@ func TestTimerWalksAllocationFree(t *testing.T) {
 		st.tcpSlowTimo(nil)
 		st.reasm.tick()
 		st.arp.timo(nil)
+		st.fastTickIdle()
+		st.slowTickIdle(st.arp)
 	}); n != 0 {
 		t.Fatalf("timer tick allocates %.1f objects per run, want 0", n)
+	}
+}
+
+// TestTimerIdleExact pins the timer threads' idle predicates against
+// what each tick body acts on: a predicate may call a tick idle only if
+// the tick would change nothing, and must not call a tick busy that
+// would change nothing (else the fast path is lost, not just slower).
+func TestTimerIdleExact(t *testing.T) {
+	// lockWaiters leaves the protocol lock free with n procs queued on it
+	// after the first, which Unlock has signalled but which has not run.
+	lockWaiters := func(st *Control, n int) {
+		st.mu.TryLock()
+		s := st.cfg.Sim
+		for i := 0; i <= n; i++ {
+			s.SpawnDaemon("waiter", func(p *sim.Proc) { st.mu.Lock(p) })
+		}
+		if err := s.RunUntil(1); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Unlock()
+	}
+	cases := []struct {
+		name       string
+		set        func(st *Control, tp *tcpcb)
+		fast, slow bool // the tick acts
+	}{
+		{"quiescent", func(*Control, *tcpcb) {}, false, false},
+		{"pending delayed ACK", func(_ *Control, tp *tcpcb) { tp.delAck = true }, true, false},
+		{"rexmt armed", func(_ *Control, tp *tcpcb) { tp.timers[timerRexmt] = 3 }, false, true},
+		{"persist armed", func(_ *Control, tp *tcpcb) { tp.timers[timerPersist] = 3 }, false, true},
+		{"keep armed", func(_ *Control, tp *tcpcb) { tp.timers[timerKeep] = 3 }, false, true},
+		{"2MSL armed", func(_ *Control, tp *tcpcb) { tp.state, tp.timers[timer2MSL] = tcpTimeWait, 3 }, false, true},
+		{"keepalive on an established connection", func(_ *Control, tp *tcpcb) { tp.sock.keepAlive = true }, false, true},
+		{"keepalive past established, no timer", func(_ *Control, tp *tcpcb) {
+			tp.sock.keepAlive, tp.state = true, tcpCloseWait
+		}, false, false},
+		{"a timer on a listener", func(_ *Control, tp *tcpcb) { tp.state, tp.timers[timerRexmt] = tcpListen, 3 }, false, false},
+		{"a held fragment", func(st *Control, _ *tcpcb) {
+			h := wire.IPv4Header{ID: 7, Proto: wire.ProtoUDP, Src: wire.IP(10, 0, 0, 2), Dst: wire.IP(10, 0, 0, 1), Flags: wire.IPFlagMF}
+			st.NewReassembler().Add(h, make([]byte, 16))
+		}, false, true},
+		{"a pending ARP entry", func(st *Control, _ *tcpcb) {
+			st.arp.ResolveOrQueue(nil, wire.IP(10, 0, 0, 9), func(wire.MAC) {})
+		}, false, true},
+		{"a resolved ARP entry", func(st *Control, _ *tcpcb) { st.arp.Insert(wire.IP(10, 0, 0, 9), wire.MAC{9}) }, false, true},
+		{"the lock held", func(st *Control, _ *tcpcb) { st.mu.TryLock() }, true, true},
+		{"the lock free with a waiter", func(st *Control, _ *tcpcb) { lockWaiters(st, 1) }, true, true},
+		{"the lock free, its one waiter signalled", func(st *Control, _ *tcpcb) { lockWaiters(st, 0) }, false, false},
+		{"StopTimers", func(st *Control, _ *tcpcb) { st.StopTimers() }, true, true},
+	}
+	for _, c := range cases {
+		st := testStack(t)
+		s, tp := makeEstablishedTCB(st.Stack, 0)
+		st.registerConn(s)
+		c.set(st, tp)
+		if got := !st.fastTickIdle(); got != c.fast {
+			t.Errorf("%s: fast tick busy = %v, want %v", c.name, got, c.fast)
+		}
+		if got := !st.slowTickIdle(st.arp); got != c.slow {
+			t.Errorf("%s: slow tick busy = %v, want %v", c.name, got, c.slow)
+		}
 	}
 }
 

@@ -48,6 +48,51 @@ func (st *Stack) tcpSlowTimo(t *sim.Proc) {
 	}
 }
 
+// fastTickIdle reports whether a fast tick would be a no-op: the timers
+// run, the protocol lock is free with no waiter, and no delayed ACK is
+// pending.
+func (st *Stack) fastTickIdle() bool {
+	if st.timersStopped || !st.mu.Idle() {
+		return false
+	}
+	for _, s := range st.socks {
+		if s.tcb != nil && s.tcb.delAck {
+			return false
+		}
+	}
+	return true
+}
+
+// slowTickIdle reports whether a slow tick would be a no-op: the timers
+// run, the lock is idle, no fragment is held, arp (if any) has no entry
+// to age, and no connection tcpSlowTimo visits has a timer armed or
+// keepalive idle tracking to advance.
+func (st *Stack) slowTickIdle(arp *arpEngine) bool {
+	if st.timersStopped || !st.mu.Idle() || arp != nil && len(arp.entries) > 0 {
+		return false
+	}
+	for _, r := range st.reasms {
+		if len(r.held) > 0 {
+			return false
+		}
+	}
+	for _, s := range st.socks {
+		tp := s.tcb
+		if tp == nil || tp.state == tcpClosed || tp.state == tcpListen {
+			continue
+		}
+		if s.keepAlive && tp.state == tcpEstablished {
+			return false
+		}
+		for _, n := range tp.timers {
+			if n > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // timerWalk snapshots the sockets under management, in creation order.
 func (st *Stack) timerWalk() []*Socket {
 	st.timoSocks = append(st.timoSocks[:0], st.socks...)
