@@ -274,18 +274,22 @@ func (g *Group) startWorkers() {
 		g.starts[i] = c
 		go func(s *Sim, c chan Time) {
 			for end := range c {
-				runToRecover(s, end)
-				g.done <- s.shardID
+				g.runWindow(s, end)
 			}
 		}(s, c)
 	}
 }
 
-func runToRecover(s *Sim, end Time) {
+// runWindow runs one shard's window on its worker and reports done even
+// when the worker dies: a proc body's runtime.Goexit reaches the worker
+// through the coroutine, after coro.exec has filed it as the shard's
+// panicV, which the coordinator then raises.
+func (g *Group) runWindow(s *Sim, end Time) {
 	defer func() {
 		if r := recover(); r != nil && s.panicV == nil {
 			s.panicV = r
 		}
+		g.done <- s.shardID
 	}()
 	s.runTo(end, false)
 }
@@ -331,6 +335,11 @@ func (g *Group) RunUntil(t Time) error {
 func (g *Group) drive(bound Time, run bool) error {
 	if g.running {
 		return fmt.Errorf("sim: run called reentrantly")
+	}
+	for _, s := range g.shards {
+		if s.closed {
+			return fmt.Errorf("sim: shard %d was closed", s.shardID)
+		}
 	}
 	g.running = true
 	defer func() { g.running = false }()

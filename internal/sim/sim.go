@@ -5,12 +5,14 @@
 // advance a shared virtual clock by scheduling events on a single Sim.
 //
 // Concurrency model: the scheduler executes exactly one event at a time.
-// Simulated processes (Proc) are goroutines, but control is handed between
-// the scheduler and at most one process goroutine through unbuffered
-// channels, so logically the whole simulation is single-threaded and fully
-// deterministic for a given seed. Simulation state may therefore be
-// mutated freely from event callbacks and from running Procs without
-// locking.
+// Simulated processes (Proc) run on coroutines (iter.Pull): dispatching a
+// proc's wake-up switches directly to its coroutine, and the proc switches
+// straight back when it blocks or exits, so logically the whole
+// simulation is single-threaded and fully deterministic for a given seed.
+// Simulation state may therefore be mutated freely from event callbacks
+// and from running Procs without locking. Coroutines are pooled process
+// wide and run one body after another; Sim.Close ends a finished run's
+// live procs and hands their coroutines back.
 //
 // One event loop: Sim.Run, Sim.RunUntil, Group.Run and Group.RunUntil
 // all go through one driver, Group.drive, which applies one termination
@@ -170,11 +172,12 @@ type Sim struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	yield   chan struct{} // a running Proc signals the scheduler here
-	fg      int           // live foreground (non-daemon) processes
-	everFg  bool          // whether any foreground process was ever spawned
-	procs   map[*Proc]struct{}
+	fg      int              // live foreground (non-daemon) processes
+	everFg  bool             // whether any foreground process was ever spawned
+	procs   map[*Proc]uint64 // live procs, each with its spawn number
+	spawned uint64           // procs spawned so far
 	stopped bool
+	closed  bool // see Close
 	panicV  any
 	tracer  Tracer
 	free    []*event // recycled events (the pool behind the heap)
@@ -207,8 +210,7 @@ type Sim struct {
 // seed.
 func New(seed int64) *Sim {
 	return &Sim{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
+		procs: make(map[*Proc]uint64),
 		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -533,8 +535,7 @@ func (s *Sim) dispatch(ev *event) {
 			break
 		}
 		p.pendingResume = nil
-		p.resume <- struct{}{}
-		<-s.yield
+		p.switchTo()
 	case ev.rw != nil:
 		// Resource grant expired: run the continuation, then hand the
 		// resource to the next waiter.

@@ -255,6 +255,7 @@ func cityTarget(cfg *CityConfig, d, j, k int) (td, ts int) {
 // RunChurn's single flat one) and reads the laws out of the registry.
 func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 	n := c.net
+	defer n.Close()
 	if cfg.MsgBytes <= 0 {
 		cfg.MsgBytes = 512
 	}

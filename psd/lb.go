@@ -125,6 +125,7 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 		cfg.Drain = 90 * time.Second
 	}
 	n := NewConfig(Config{Seed: cfg.Seed, Metrics: true})
+	defer n.Close()
 
 	lb := n.Host("lb", "10.0.0.2", cfg.Arch)
 	// One spare pool slot: AddAt installs backend index cfg.Backends.

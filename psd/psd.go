@@ -437,6 +437,19 @@ func (n *Network) RunFor(d time.Duration) error {
 	return n.sim.RunFor(d)
 }
 
+// Close ends a finished run: every live thread on every shard is ended
+// and its coroutine returned to the process-wide pool (see sim.Sim.Close).
+// Call it after every read of the run; the network cannot run again.
+func (n *Network) Close() {
+	if n.group == nil {
+		n.sim.Close()
+		return
+	}
+	for _, s := range n.group.Shards() {
+		s.Close()
+	}
+}
+
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration {
 	if n.group != nil {

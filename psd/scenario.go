@@ -97,6 +97,11 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 
 	env := &scenarioEnv{cfg: cfg, arch: cfg.Arch.New()}
+	defer func() {
+		if env.n != nil {
+			env.n.Close()
+		}
+	}()
 	def.run(env)
 	if env.err != nil {
 		return nil, fmt.Errorf("psd: scenario %s: %w", cfg.Name, env.err)

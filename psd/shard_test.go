@@ -2,13 +2,18 @@ package psd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/trace"
 )
 
@@ -21,8 +26,16 @@ import (
 // simulation.
 func cityDigest(t *testing.T, cfg CityConfig) string {
 	t.Helper()
-	cfg.Trace = []TraceLayer{TraceNet, TraceStack, TraceCore, TraceFilter}
+	cfg.Trace = cityDigestLayers
 	rep, err := RunCity(cfg)
+	return reportDigest(t, cfg, rep, err)
+}
+
+var cityDigestLayers = []TraceLayer{TraceNet, TraceStack, TraceCore, TraceFilter}
+
+// reportDigest is cityDigest's reduction of a finished run.
+func reportDigest(t *testing.T, cfg CityConfig, rep *CityReport, err error) string {
+	t.Helper()
 	if err != nil {
 		t.Fatalf("RunCity(shards=%d single=%v): %v", cfg.Shards, cfg.SingleThreaded, err)
 	}
@@ -124,6 +137,105 @@ func TestCityShardCountInvariance(t *testing.T) {
 	for _, k := range counts {
 		cfg := DefaultCity(7, k)
 		diffDigest(t, fmt.Sprintf("shards=1 vs shards=%d", k), ref, cityDigest(t, cfg))
+	}
+}
+
+// cityReferenceDigests are the SHA-256s of the battery's two reference
+// digests above (seed 42 on 3 shards, seed 7 on 1), recorded while every
+// proc ran on its own goroutine and no run was closed. Every shard count,
+// threading mode and random topology of the battery reproduced them too.
+var cityReferenceDigests = map[int64]string{
+	42: "c92122af79744b61dd9288c3c0c8349a48237ddf1324432dee63ea6d97ceab38",
+	7:  "cab71b9896fa0dbb4eddfa5b9c28d3dce976f62f1add116d5b7a2c9f0cec51d8",
+}
+
+// TestRunCityReleasesWorld: a finished city hands its threads back. The
+// world is garbage once the run returns, a second run leaves no more
+// goroutines behind than the first, and closing the run moves no trace
+// record, counter or ledger. The Network sits in reference cycles (every
+// subnet points back to it), which Go never finalizes, so the finalizer
+// goes on a leaf that every host's stack holds: district 0's route table.
+func TestRunCityReleasesWorld(t *testing.T) {
+	run := func(cfg CityConfig) (digest string, freed chan struct{}) {
+		cfg.Trace = cityDigestLayers
+		c, err := buildCity(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed = make(chan struct{})
+		runtime.SetFinalizer(c.net.subnets[0].routes, func(*stack.RouteTable) { close(freed) })
+		rep, err := runCity(c, cfg)
+		sum := sha256.Sum256([]byte(reportDigest(t, cfg, rep, err)))
+		return hex.EncodeToString(sum[:]), freed
+	}
+	var first int
+	for i, cfg := range []CityConfig{DefaultCity(42, 3), DefaultCity(42, 3), DefaultCity(7, 1)} {
+		digest, freed := run(cfg)
+		if want := cityReferenceDigests[cfg.Seed]; digest != want {
+			t.Errorf("seed %d: city digest %s, want %s", cfg.Seed, digest, want)
+		}
+		released := false
+		for try := 0; try < 20 && !released; try++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				released = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !released {
+			t.Errorf("seed %d: the world outlived RunCity: district 0's route table is still reachable", cfg.Seed)
+		}
+		switch n := runtime.NumGoroutine(); i {
+		case 0:
+			first = n
+		case 1:
+			// Worker goroutines may still be on their way out.
+			for wait := 0; wait < 100 && n > first; wait++ {
+				time.Sleep(10 * time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > first {
+				t.Errorf("%d goroutines after a second city run, %d after the first", n, first)
+			}
+		}
+	}
+}
+
+// TestRunCityFailureReturnsError: a city run that fails while a server
+// thread is still blocked in a socket receive returns the run's error.
+// Closing the network unwinds that thread out of the stack's condition
+// wait, where its deferred unlock finds the protocol lock dropped; that
+// is teardown, not a panic out of RunCity.
+func TestRunCityFailureReturnsError(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		cfg := DefaultCity(42, shards)
+		c, err := buildCity(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deadline := sim.Time(2 * time.Minute); c.net.group != nil {
+			c.net.group.Deadline = deadline
+		} else {
+			c.net.sim.Deadline = deadline
+		}
+		srv := c.servers[0][0]
+		app := srv.NewApp("stuck")
+		srv.Spawn("stuck", func(p *Thread) {
+			fd, err := app.Socket(p, SockDgram)
+			if err == nil {
+				err = app.Bind(p, fd, SockAddr{Port: 9})
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			app.RecvFrom(p, fd, make([]byte, 16), 0) // nobody sends
+		})
+		rep, err := runCity(c, cfg)
+		if err == nil || !strings.Contains(err.Error(), "deadline") {
+			t.Errorf("shards=%d: runCity = %v, %v; want the run's deadline error", shards, rep, err)
+		}
 	}
 }
 
