@@ -37,12 +37,11 @@ func (s State) String() string {
 	return "state(?)"
 }
 
-// xlate is the rewrite applied to one direction of a tracked flow.
+// xlate is the rewrite applied to one direction of a tracked flow
+// before it is hairpinned back out the wire.
 type xlate struct {
-	to      wire.Flow // the 5-tuple the frame leaves with
-	dstMAC  wire.MAC
-	hairpin bool // forward back out the wire instead of up the stack
-	rewrite bool // false: direction passes untouched
+	to     wire.Flow // the 5-tuple the frame leaves with
+	dstMAC wire.MAC
 }
 
 // flow is one tracked connection, registered in conntrack under two
@@ -67,8 +66,8 @@ type flow struct {
 
 	clientMAC wire.MAC // initiator's MAC, captured from its first frame
 
-	backend int  // backend pool index a VIP flow is pinned to; -1 otherwise
-	vip     *VIP // owning VIP for backend accounting; nil otherwise
+	backend int  // backend pool index the flow is pinned to
+	vip     *VIP // owning VIP, for backend accounting
 	snat    uint16
 }
 
@@ -153,11 +152,9 @@ func (p *Plane) insertFlow(f *flow) {
 	p.flowCount++
 	p.stateCount[f.state]++
 	p.Stats.CTCreated.Inc()
-	if f.vip != nil && f.backend >= 0 {
-		b := f.vip.backends[f.backend]
-		b.Conns.Inc()
-		b.liveFlows++
-	}
+	b := f.vip.backends[f.backend]
+	b.Conns.Inc()
+	b.liveFlows++
 }
 
 // removeFlow drops a flow from the table, releasing its SNAT port and
@@ -171,9 +168,7 @@ func (p *Plane) removeFlow(f *flow) {
 		p.snat.free(f.snat)
 		f.snat = 0
 	}
-	if f.vip != nil && f.backend >= 0 {
-		f.vip.backends[f.backend].liveFlows--
-	}
+	f.vip.backends[f.backend].liveFlows--
 }
 
 // evictOne removes the least recently seen flow (ties break toward the

@@ -8,10 +8,9 @@
 //   - Connection tracking: 5-tuple flow entries with a TCP-state-aware
 //     lifecycle, idle garbage collection on the virtual clock, a
 //     deterministic table-full eviction policy, and per-state gauges.
-//   - NAT: DNAT redirect rules and the load balancer's full NAT, with
-//     every rewrite's IP and transport checksums updated incrementally
-//     (RFC 1624) via the fused wire checksummer — payload is never
-//     re-summed.
+//   - NAT: the load balancer's full NAT, with every rewrite's IP and
+//     transport checksums updated incrementally (RFC 1624) via the fused
+//     wire checksummer — payload is never re-summed.
 //   - L4 load balancing: one simulated VIP spreads client connections
 //     across a backend pool by Maglev-style consistent hashing.
 //     Conntrack pins established flows across pool resizes; when a
@@ -62,9 +61,8 @@ type Config struct {
 	LocalIP  wire.IPAddr
 	LocalMAC wire.MAC
 
-	// Transmit is the raw egress path for frames the plane originates or
-	// hairpins (kern.Host.RawTransmit): it bypasses the egress hook so
-	// forwarded traffic is not re-processed.
+	// Transmit sends the frames the plane originates or hairpins
+	// (kern.Host.Transmit).
 	Transmit func(frame []byte) error
 
 	MaxFlows  int // conntrack table size (default DefaultMaxFlows)
@@ -74,7 +72,7 @@ type Config struct {
 // Stats counts plane activity; BindMetrics registers every counter.
 type Stats struct {
 	RxFrames   metrics.Counter // frames the ingress hook examined
-	Rewrites   metrics.Counter // frames NAT-rewritten (either direction)
+	Rewrites   metrics.Counter // frames NAT-rewritten (both flow directions)
 	Hairpins   metrics.Counter // rewritten frames forwarded back out the wire
 	Drops      metrics.Counter // frames the plane dropped
 	ARPReplies metrics.Counter // proxy-ARP answers for owned VIPs
@@ -135,13 +133,6 @@ func sortFlowsByID(fs []*flow) {
 	sort.Slice(fs, func(i, j int) bool { return fs[i].id < fs[j].id })
 }
 
-// redirect is a DNAT-to-local rule: connections to an owned (IP, port)
-// are rewritten to the host's own address and delivered up its stack;
-// replies are un-NATted on the egress hook.
-type redirect struct {
-	localPort uint16
-}
-
 // Plane is the host's programmable data plane. It implements
 // filter.Hook; install with kern.Host.SetHook.
 type Plane struct {
@@ -153,9 +144,8 @@ type Plane struct {
 	stateCount [numStates]int64
 	nextFlowID uint64
 
-	vips      map[vipKey]*VIP
-	redirects map[vipKey]redirect
-	arpOwned  map[wire.IPAddr]int // VIP addresses we proxy-ARP for (refcounted)
+	vips     map[vipKey]*VIP
+	arpOwned map[wire.IPAddr]int // VIP addresses we proxy-ARP for (refcounted)
 
 	snat  *portAlloc
 	scope *metrics.Scope // bound registry scope, for late-added backends
@@ -172,13 +162,12 @@ func New(cfg Config) *Plane {
 		cfg.SNATCount = DefaultSNATCount
 	}
 	p := &Plane{
-		cfg:       cfg,
-		Chain:     filter.NewChain(),
-		ct:        make(map[wire.Flow]ctEntry),
-		vips:      make(map[vipKey]*VIP),
-		redirects: make(map[vipKey]redirect),
-		arpOwned:  make(map[wire.IPAddr]int),
-		snat:      newPortAlloc(DefaultSNATBase, cfg.SNATCount),
+		cfg:      cfg,
+		Chain:    filter.NewChain(),
+		ct:       make(map[wire.Flow]ctEntry),
+		vips:     make(map[vipKey]*VIP),
+		arpOwned: make(map[wire.IPAddr]int),
+		snat:     newPortAlloc(DefaultSNATBase, cfg.SNATCount),
 	}
 	cfg.Sim.Every(DefaultGCInterval, p.gc)
 	return p
@@ -246,9 +235,6 @@ func (p *Plane) InstallVIP(ip wire.IPAddr, port uint16, backends []Backend) (*VI
 	if _, dup := p.vips[key]; dup {
 		return nil, fmt.Errorf("dataplane: VIP %v:%d already installed", ip, port)
 	}
-	if _, dup := p.redirects[key]; dup {
-		return nil, fmt.Errorf("dataplane: %v:%d already redirected", ip, port)
-	}
 	v := &VIP{IP: ip, Port: port, plane: p}
 	for i := range backends {
 		b := backends[i]
@@ -260,23 +246,6 @@ func (p *Plane) InstallVIP(ip wire.IPAddr, port uint16, backends []Backend) (*VI
 	p.vips[key] = v
 	p.arpOwned[ip]++
 	return v, nil
-}
-
-// InstallRedirect creates a DNAT rule: connections to (ip, port) are
-// rewritten to the host's own (LocalIP, localPort) and delivered up its
-// stack; replies are un-NATted on the way out. The plane answers ARP
-// for ip.
-func (p *Plane) InstallRedirect(ip wire.IPAddr, port, localPort uint16) error {
-	key := vipKey{ip: ip, port: port}
-	if _, dup := p.vips[key]; dup {
-		return fmt.Errorf("dataplane: %v:%d already a VIP", ip, port)
-	}
-	if _, dup := p.redirects[key]; dup {
-		return fmt.Errorf("dataplane: %v:%d already redirected", ip, port)
-	}
-	p.redirects[key] = redirect{localPort: localPort}
-	p.arpOwned[ip]++
-	return nil
 }
 
 // sortedVIPs returns the installed VIPs in (ip, port) order.
@@ -413,9 +382,11 @@ func (p *Plane) IngressCost(frame []byte) time.Duration {
 	return DefaultPerPacket + time.Duration(p.Chain.Instructions())*DefaultPerInstr
 }
 
-// Ingress classifies one received frame. It may rewrite (returning a
-// fresh frame — the original is the network's and is never written),
-// absorb it into a hairpin forward, answer it (ARP), or drop it.
+// Ingress classifies one received frame. It may absorb it into a
+// hairpin forward (a rewritten copy — the original is the network's and
+// is never written), answer it (ARP), drop it, or pass it untouched; it
+// never hands a rewritten frame up the stack, so its frame result is
+// always nil.
 func (p *Plane) Ingress(frame []byte) ([]byte, filter.Verdict) {
 	p.Stats.RxFrames.Inc()
 
@@ -441,43 +412,10 @@ func (p *Plane) Ingress(frame []byte) ([]byte, filter.Verdict) {
 		return p.conntracked(frame, v, e)
 	}
 
-	key := vipKey{ip: v.Flow.Dst, port: v.Flow.DstPort}
-	if vip, isVIP := p.vips[key]; isVIP {
+	if vip, isVIP := p.vips[vipKey{ip: v.Flow.Dst, port: v.Flow.DstPort}]; isVIP {
 		return p.admitVIP(frame, v, vip)
 	}
-	if r, isRedir := p.redirects[key]; isRedir {
-		return p.admitRedirect(frame, v, r)
-	}
 	return nil, filter.VerdictPass
-}
-
-// Egress intercepts locally-originated frames. Only redirect replies
-// need attention: they are un-NATted in place (the transmit path owns
-// its frame) so the client sees the VIP it connected to.
-func (p *Plane) Egress(frame []byte) ([]byte, filter.Verdict) {
-	if len(p.redirects) == 0 {
-		return nil, filter.VerdictPass
-	}
-	v, ok := wire.Dissect(frame)
-	if !ok {
-		return nil, filter.VerdictPass
-	}
-	e, hit := p.ct[v.Flow]
-	if !hit || e.dir != 1 || !e.f.rev.rewrite {
-		return nil, filter.VerdictPass
-	}
-	f := e.f
-	f.lastSeen = p.cfg.Sim.Now()
-	if v.Flow.Proto == wire.ProtoTCP {
-		p.updateTCP(f, 1, v.Flags)
-		f.sawReply = true
-	}
-	if !p.applyXlate(frame, v, &f.rev) {
-		p.Stats.Drops.Inc()
-		return nil, filter.VerdictDrop
-	}
-	p.Stats.Rewrites.Inc()
-	return frame, filter.VerdictPass
 }
 
 // conntracked handles a frame whose tuple is already tracked.
@@ -504,15 +442,11 @@ func (p *Plane) conntracked(frame []byte, v wire.View, e ctEntry) ([]byte, filte
 	if e.dir == 1 {
 		x = &f.rev
 	}
-	if !x.rewrite {
-		return nil, filter.VerdictPass
-	}
 	return p.forward(frame, v, x)
 }
 
 // forward applies x to a private copy of frame (the original is the
-// network's and is never written) and hairpins it back out the wire or
-// hands it on up the stack.
+// network's and is never written) and hairpins it back out the wire.
 func (p *Plane) forward(frame []byte, v wire.View, x *xlate) ([]byte, filter.Verdict) {
 	out := append([]byte(nil), frame...)
 	if !p.applyXlate(out, v, x) {
@@ -520,17 +454,18 @@ func (p *Plane) forward(frame []byte, v wire.View, x *xlate) ([]byte, filter.Ver
 		return nil, filter.VerdictDrop
 	}
 	p.Stats.Rewrites.Inc()
-	if x.hairpin {
-		p.Stats.Hairpins.Inc()
-		p.cfg.Transmit(out)
-		return nil, filter.VerdictAbsorb
-	}
-	return out, filter.VerdictPass
+	p.Stats.Hairpins.Inc()
+	p.cfg.Transmit(out)
+	return nil, filter.VerdictAbsorb
 }
 
 // admitVIP begins tracking a new connection to a virtual service: pick
 // a backend by consistent hash, allocate a SNAT port, install both
 // directions in conntrack, and forward the (rewritten) first frame.
+// The forward translation full-NATs toward the backend; the reply key is
+// what the backend will answer with, and replies are rewritten back into
+// the reverse of what the initiator sent, leaving the way the first
+// frame does.
 func (p *Plane) admitVIP(frame []byte, v wire.View, vip *VIP) ([]byte, filter.Verdict) {
 	if p.midStream(v) {
 		return nil, filter.VerdictDrop
@@ -548,21 +483,34 @@ func (p *Plane) admitVIP(frame []byte, v wire.View, vip *VIP) ([]byte, filter.Ve
 		p.Stats.Drops.Inc()
 		return nil, filter.VerdictDrop
 	}
-	to := wire.Flow{Src: p.cfg.LocalIP, SrcPort: snat, Dst: b.IP, DstPort: b.Port, Proto: v.Flow.Proto}
 	p.Stats.LBConns.Inc()
-	return p.admit(frame, v, xlate{to: to, dstMAC: b.MAC, hairpin: true, rewrite: true}, vip, bi, snat)
-}
-
-// admitRedirect begins tracking a DNAT-to-local connection: the frame
-// is rewritten toward the host's own stack and delivered normally;
-// the reply direction (local stack -> client) is handled by Egress.
-func (p *Plane) admitRedirect(frame []byte, v wire.View, r redirect) ([]byte, filter.Verdict) {
-	if p.midStream(v) {
-		return nil, filter.VerdictDrop
+	eh, _ := wire.UnmarshalEth(frame) // cannot fail: Dissect accepted the frame
+	tcp := v.Flow.Proto == wire.ProtoTCP
+	now := p.cfg.Sim.Now()
+	p.nextFlowID++
+	f := &flow{
+		id:   p.nextFlowID,
+		orig: v.Flow,
+		fwd: xlate{
+			to:     wire.Flow{Src: p.cfg.LocalIP, SrcPort: snat, Dst: b.IP, DstPort: b.Port, Proto: v.Flow.Proto},
+			dstMAC: b.MAC,
+		},
+		rev:       xlate{to: v.Flow.Reverse(), dstMAC: eh.Src},
+		created:   now,
+		lastSeen:  now,
+		clientMAC: eh.Src,
+		backend:   bi,
+		vip:       vip,
+		snat:      snat,
 	}
-	to := v.Flow
-	to.Dst, to.DstPort = p.cfg.LocalIP, r.localPort
-	return p.admit(frame, v, xlate{to: to, dstMAC: p.cfg.LocalMAC, rewrite: true}, nil, -1, 0)
+	if tcp {
+		f.clientEndSeq = v.Seq + uint32(v.End-v.PayAt) + 1 // +1 for the SYN
+	}
+	p.insertFlow(f)
+	if tcp {
+		p.updateTCP(f, 0, v.Flags)
+	}
+	return p.forward(frame, v, &f.fwd)
 }
 
 // midStream counts and reports a TCP segment with no SYN and no flow: a
@@ -575,38 +523,6 @@ func (p *Plane) midStream(v wire.View) bool {
 	p.Stats.CTInvalid.Inc()
 	p.Stats.Drops.Inc()
 	return true
-}
-
-// admit tracks the flow a first frame opens and forwards that frame.
-// fwd is the translation of the initiating direction and the rest follows
-// from it: the reply key is what the translated frame's receiver will
-// answer with, and replies are rewritten back into the reverse of what
-// the initiator sent, leaving the way the first frame does.
-func (p *Plane) admit(frame []byte, v wire.View, fwd xlate, vip *VIP, backend int, snat uint16) ([]byte, filter.Verdict) {
-	eh, _ := wire.UnmarshalEth(frame) // cannot fail: Dissect accepted the frame
-	tcp := v.Flow.Proto == wire.ProtoTCP
-	now := p.cfg.Sim.Now()
-	p.nextFlowID++
-	f := &flow{
-		id:        p.nextFlowID,
-		orig:      v.Flow,
-		fwd:       fwd,
-		rev:       xlate{to: v.Flow.Reverse(), dstMAC: eh.Src, hairpin: fwd.hairpin, rewrite: true},
-		created:   now,
-		lastSeen:  now,
-		clientMAC: eh.Src,
-		backend:   backend,
-		vip:       vip,
-		snat:      snat,
-	}
-	if tcp {
-		f.clientEndSeq = v.Seq + uint32(v.End-v.PayAt) + 1 // +1 for the SYN
-	}
-	p.insertFlow(f)
-	if tcp {
-		p.updateTCP(f, 0, v.Flags)
-	}
-	return p.forward(frame, v, &f.fwd)
 }
 
 // arpIngress answers ARP requests for owned VIP addresses with the
@@ -648,8 +564,8 @@ func (p *Plane) arpIngress(frame []byte) ([]byte, filter.Verdict) {
 type FlowInfo struct {
 	Proto   string
 	Client  string // initiator address
-	Service string // the VIP/redirect identity the initiator targeted
-	Backend string // translated destination ("" for untranslated flows)
+	Service string // the VIP the initiator targeted
+	Backend string // the backend the flow is pinned to
 	State   string
 	Idle    time.Duration
 }
@@ -664,11 +580,9 @@ func (p *Plane) Flows() []FlowInfo {
 			Proto:   wire.ProtoName(f.orig.Proto),
 			Client:  fmt.Sprintf("%v:%d", f.orig.Src, f.orig.SrcPort),
 			Service: fmt.Sprintf("%v:%d", f.orig.Dst, f.orig.DstPort),
+			Backend: fmt.Sprintf("%v:%d", f.fwd.to.Dst, f.fwd.to.DstPort),
 			State:   f.state.String(),
 			Idle:    now.Sub(f.lastSeen),
-		}
-		if f.fwd.rewrite {
-			fi.Backend = fmt.Sprintf("%v:%d", f.fwd.to.Dst, f.fwd.to.DstPort)
 		}
 		out = append(out, fi)
 	}

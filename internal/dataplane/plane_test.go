@@ -492,37 +492,6 @@ func TestARPProxy(t *testing.T) {
 	}
 }
 
-// TestRedirect: a DNAT-to-local rule rewrites inbound connections to
-// the host's own stack, and Egress un-NATs the replies in place.
-func TestRedirect(t *testing.T) {
-	h := newHarness(t, nil)
-	rdIP := wire.IP(10, 0, 0, 200)
-	if err := h.p.InstallRedirect(rdIP, 80, 8080); err != nil {
-		t.Fatal(err)
-	}
-
-	syn := tcpFrame(clientMAC, lbMAC, clientIP, rdIP, clPort, 80, wire.TCPSyn, 500, 0, nil)
-	nf, verdict := h.p.Ingress(syn)
-	if verdict != filter.VerdictPass || nf == nil {
-		t.Fatalf("verdict %v, frame %v", verdict, nf != nil)
-	}
-	// The rewritten frame heads for the local stack, client identity kept.
-	checkFrame(t, nf, lbMAC, clientIP, lbIP, clPort, 8080)
-
-	// The stack's reply is un-NATted on egress so the client sees the
-	// address it connected to.
-	reply := tcpFrame(lbMAC, clientMAC, lbIP, clientIP, 8080, clPort, wire.TCPSyn|wire.TCPAck, 300, 501, nil)
-	nf, verdict = h.p.Egress(reply)
-	if verdict != filter.VerdictPass || nf == nil {
-		t.Fatalf("egress: verdict %v, frame %v", verdict, nf != nil)
-	}
-	checkFrame(t, nf, clientMAC, rdIP, clientIP, 80, clPort)
-	f := h.p.sortedFlows()[0]
-	if f.state != StateSynRecv || !f.sawReply {
-		t.Fatalf("state %v sawReply %v", f.state, f.sawReply)
-	}
-}
-
 // TestChainVerdicts: the plane's rule chain drops or passes ahead of
 // the stateful stages.
 func TestChainVerdicts(t *testing.T) {

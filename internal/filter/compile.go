@@ -205,9 +205,9 @@ func SpecOf(p Program) (MatchSpec, bool) {
 	return m, true
 }
 
-// Matches is a direct (non-VM) evaluation of the spec against a frame,
-// used as a reference implementation in tests and by the in-kernel and
-// server baselines, which demultiplex without a filter VM.
+// Matches is a direct (non-VM) evaluation of the spec against a frame:
+// the tests' reference for what a compiled spec accepts. (The in-kernel
+// and server baselines install kern.CatchAllProgram instead.)
 func (m MatchSpec) Matches(frame []byte) bool {
 	eh, err := wire.UnmarshalEth(frame)
 	if err != nil || eh.Type != wire.EtherTypeIPv4 {

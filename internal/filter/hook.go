@@ -29,11 +29,13 @@ func (v Verdict) String() string {
 	return "verdict(?)"
 }
 
-// Hook is the kernel's stateful data-plane extension point. Where an
-// installed filter Program is a pure predicate that picks a delivery
-// endpoint, a Hook may keep state across frames (connection tracking),
-// rewrite frames (NAT), and originate frames of its own (load-balancer
-// hairpins) — the position netfilter/eBPF occupy in a modern kernel.
+// Hook is the kernel's stateful data-plane extension point on the
+// receive path. Where an installed filter Program is a pure predicate
+// that picks a delivery endpoint, a Hook may keep state across frames
+// (connection tracking), rewrite frames (NAT), and originate frames of
+// its own (load-balancer hairpins) — the position netfilter/eBPF occupy
+// in a modern kernel. It sees received frames only: locally-originated
+// frames go straight out.
 //
 // The cost/act split exists because the kernel charges virtual CPU
 // before effects occur: IngressCost is evaluated first and charged at
@@ -43,12 +45,10 @@ func (v Verdict) String() string {
 // Ingress receives the frame by reference under the network's
 // immutability contract: the hook must not write to it. A rewriting
 // hook returns a fresh frame (and the original is forgotten); returning
-// nil keeps the original. Egress runs synchronously on the transmit
-// path and owns the frame it is given, so it may rewrite in place.
+// nil keeps the original.
 type Hook interface {
 	IngressCost(frame []byte) time.Duration
 	Ingress(frame []byte) ([]byte, Verdict)
-	Egress(frame []byte) ([]byte, Verdict)
 }
 
 // Chain is an ordered rule chain evaluated by a data-plane hook — the

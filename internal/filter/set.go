@@ -116,8 +116,9 @@ func (s *Set) Len() int { return len(s.filters) }
 // Match returns what running the installed programs in match order over
 // pkt returns: the first accepting filter (or nil) and the high-water
 // mark of bytes examined by the programs run up to and including it.
-// The examined count is what the integrated packet filter uses to size
-// its deferred header copy.
+// The kernel reports the examined count only on the flight recorder
+// (Arg1 of EvFilterMatch/EvFilterMiss); what it charges for delivery is
+// priced by payload length.
 func (s *Set) Match(pkt []byte) (match *Filter, examined int) {
 	s.Runs++
 	match, examined, steps, exact := s.classify(pkt)

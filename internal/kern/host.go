@@ -81,8 +81,8 @@ type Host struct {
 	DeliveryBytes metrics.Counter
 	FilterMatch   metrics.Counter
 	FilterSteal   metrics.Counter // matches won by a priority>0 (session) filter over the catch-all
-	HookDrops     metrics.Counter // frames the data-plane hook dropped (either direction)
-	HookAbsorbed  metrics.Counter // frames the data-plane hook consumed (either direction)
+	HookDrops     metrics.Counter // received frames the data-plane hook dropped
+	HookAbsorbed  metrics.Counter // received frames the data-plane hook consumed
 
 	// Per-interface delivery counts, by user/kernel receive interface.
 	DeliveredIPC    metrics.Counter
@@ -250,10 +250,9 @@ func (h *Host) ProtoCharge(pc *costs.ProtoCosts, intr func(*sim.Proc) bool) func
 // StackConfig is the one recipe for a protocol stack on this host, the
 // same for every deployment: the stack "<host>.<role>" at the host's
 // addresses, priced by prof and billed through ProtoCharge (intr as
-// there), transmitting through the host's hook with the NIC's offloads,
-// on the host's routes and flight recorder, and bound under the host's
-// registry scope as "stack.<role>". Its input thread is an
-// Endpoint.Drain.
+// there), transmitting with the NIC's offloads, on the host's routes and
+// flight recorder, and bound under the host's registry scope as
+// "stack.<role>". Its input thread is an Endpoint.Drain.
 func (h *Host) StackConfig(role string, prof *costs.Profile, intr func(*sim.Proc) bool) stack.Config {
 	var maxTCP int
 	if prof.LargeTCPSendBroken {
@@ -451,41 +450,17 @@ func (h *Host) Inject(frame []byte) {
 
 // SetHook installs (or, with nil, removes) the host's data-plane hook.
 // The hook sees every received frame between the device interrupt and
-// the demultiplexing packet filter, and every locally-originated frame
-// before it is transmitted — on all architectures, since each is built
-// on this host substrate.
+// the demultiplexing packet filter — on all architectures, since each
+// is built on this host substrate.
 func (h *Host) SetHook(hk filter.Hook) { h.hook = hk }
 
-// Transmit sends a frame, subject to the data-plane hook's egress stage.
-// Deployments use this as the stack's transmit function. The egress hook
-// runs synchronously (locally-originated frames were already priced by
-// the stack's send components) and owns the frame, so un-NAT rewrites
-// happen in place. Sends are otherwise unrestricted: nothing checks that
-// a library transmits only as its own sessions.
+// Transmit sends a frame. It is every stack's transmit function and the
+// path a data-plane hook sends its own frames on (hairpinned rewrites,
+// ARP replies); no hook sees it, and nothing checks that a library
+// transmits only as its own sessions. When an offload engine is
+// attached it goes through it, so forwarded LRO super-segments are
+// re-sliced instead of rejected by the MTU check.
 func (h *Host) Transmit(frame []byte) error {
-	if h.hook != nil {
-		nf, v := h.hook.Egress(frame)
-		switch v {
-		case filter.VerdictDrop:
-			h.HookDrops.Inc()
-			return nil
-		case filter.VerdictAbsorb:
-			h.HookAbsorbed.Inc()
-			return nil
-		}
-		if nf != nil {
-			frame = nf
-		}
-	}
-	return h.RawTransmit(frame)
-}
-
-// RawTransmit bypasses the egress hook — the path data-plane hooks use
-// for frames they originate or forward (hairpinned rewrites, ARP
-// replies), mirroring netfilter's FORWARD-vs-OUTPUT distinction.
-// When an offload engine is attached it goes through it, so forwarded
-// LRO super-segments are re-sliced instead of rejected by the MTU check.
-func (h *Host) RawTransmit(frame []byte) error {
 	if h.Offload != nil {
 		return h.Offload.Transmit(frame)
 	}

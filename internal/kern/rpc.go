@@ -24,7 +24,7 @@ type call struct {
 // NewService creates a service on the owner's host and spawns `workers`
 // daemon threads in the owner process to serve it.
 func NewService(owner *Process, name string, workers int) *Service {
-	s := &Service{queue: sim.NewChan[*call](0)}
+	s := &Service{queue: sim.NewChan[*call]()}
 	for i := 0; i < workers; i++ {
 		owner.GoDaemon(fmt.Sprintf("%s-worker%d", name, i), func(t *sim.Proc) {
 			for {
@@ -49,7 +49,7 @@ func NewService(owner *Process, name string, workers int) *Service {
 // costs are in its entry/exit components).
 func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
 	c := &call{run: run}
-	s.queue.Send(t, c)
+	s.queue.Send(c)
 	for !c.done {
 		c.doneCV.Wait(t)
 	}

@@ -29,7 +29,7 @@ func TestCloseReapsEverything(t *testing.T) {
 	s.SetTracer(&log)
 	var m Mutex
 	var cond Cond
-	q := NewChan[int](0)
+	q := NewChan[int]()
 	var deferStarted, deferFinished bool
 	s.SpawnDaemon("condwaiter", func(p *Proc) {
 		m.Lock(p)

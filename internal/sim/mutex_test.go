@@ -87,34 +87,13 @@ func TestMutexUnlockUnheldPanics(t *testing.T) {
 	m.Unlock()
 }
 
-func TestChanTryOps(t *testing.T) {
-	q := NewChan[int](1)
-	if _, ok := q.TryRecv(); ok {
-		t.Fatal("TryRecv on empty queue")
-	}
-	if !q.TrySend(1) {
-		t.Fatal("TrySend on empty queue failed")
-	}
-	if q.TrySend(2) {
-		t.Fatal("TrySend on full queue succeeded")
-	}
-	v, ok := q.TryRecv()
-	if !ok || v != 1 {
-		t.Fatalf("TryRecv = %d %v", v, ok)
-	}
-	q.Close()
-	if q.TrySend(3) {
-		t.Fatal("TrySend on closed queue succeeded")
-	}
-}
-
 func TestChanCloseDrains(t *testing.T) {
 	s := New(1)
-	q := NewChan[int](0)
+	q := NewChan[int]()
 	var got []int
 	s.Spawn("producer", func(p *Proc) {
-		q.Send(p, 1)
-		q.Send(p, 2)
+		q.Send(1)
+		q.Send(2)
 		q.Close()
 	})
 	s.Spawn("consumer", func(p *Proc) {

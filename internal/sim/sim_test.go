@@ -280,22 +280,24 @@ func TestCondWaitTimeout(t *testing.T) {
 
 func TestChanFIFOAndBlocking(t *testing.T) {
 	s := New(1)
-	q := NewChan[int](2)
+	q := NewChan[int]()
 	var got []int
+	var at []Time
 	s.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			q.Send(p, i) // must block when full
+			p.Sleep(time.Millisecond)
+			q.Send(i)
 		}
 		q.Close()
 	})
 	s.Spawn("consumer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
 		for {
-			v, ok := q.Recv(p)
+			v, ok := q.Recv(p) // must block until the next send
 			if !ok {
 				return
 			}
 			got = append(got, v)
+			at = append(at, p.Now())
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -308,24 +310,9 @@ func TestChanFIFOAndBlocking(t *testing.T) {
 		if v != i {
 			t.Fatalf("out of order: %v", got)
 		}
-	}
-}
-
-func TestChanRecvTimeout(t *testing.T) {
-	s := New(1)
-	q := NewChan[int](0)
-	var ok bool
-	s.Spawn("c", func(p *Proc) {
-		_, ok = q.RecvTimeout(p, 3*time.Millisecond)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("RecvTimeout returned ok on empty queue")
-	}
-	if s.Now() != Time(3*time.Millisecond) {
-		t.Fatalf("timeout at %v, want 3ms", s.Now())
+		if want := Time(time.Duration(i+1) * time.Millisecond); at[i] != want {
+			t.Fatalf("item %d received at %v, want %v (its send)", i, at[i], want)
+		}
 	}
 }
 

@@ -153,52 +153,28 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	}
 }
 
-// Chan is a bounded FIFO message queue in virtual time. A capacity of zero
-// means unbounded. The backing array is reused: the head index advances on
-// receive and resets when the queue drains.
+// Chan is an unbounded FIFO message queue in virtual time. The backing
+// array is reused: the head index advances on receive and resets when
+// the queue drains.
 type Chan[T any] struct {
-	cap      int
 	items    []T
 	head     int
 	closed   bool
 	notEmpty Cond
-	notFull  Cond
 }
 
-// NewChan returns a queue holding at most capacity items (0 = unbounded).
-func NewChan[T any](capacity int) *Chan[T] {
-	return &Chan[T]{cap: capacity}
-}
-
-// Len returns the number of queued items.
-func (q *Chan[T]) Len() int { return len(q.items) - q.head }
-
-// popItem removes the head item; the caller has checked Len() > 0.
-func (q *Chan[T]) popItem() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v
-}
+// NewChan returns an empty queue.
+func NewChan[T any]() *Chan[T] { return &Chan[T]{} }
 
 // Close marks the queue closed. Receivers drain remaining items and then
 // see ok=false; senders panic, as on a native Go channel.
 func (q *Chan[T]) Close() {
 	q.closed = true
 	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
 }
 
-// Send enqueues v, parking while the queue is full.
-func (q *Chan[T]) Send(p *Proc, v T) {
-	for q.cap > 0 && q.Len() >= q.cap && !q.closed {
-		q.notFull.Wait(p)
-	}
+// Send enqueues v.
+func (q *Chan[T]) Send(v T) {
 	if q.closed {
 		panic("sim: send on closed Chan")
 	}
@@ -206,58 +182,23 @@ func (q *Chan[T]) Send(p *Proc, v T) {
 	q.notEmpty.Signal()
 }
 
-// TrySend enqueues v if there is room, reporting whether it did.
-func (q *Chan[T]) TrySend(v T) bool {
-	if q.closed || (q.cap > 0 && q.Len() >= q.cap) {
-		return false
-	}
-	q.items = append(q.items, v)
-	q.notEmpty.Signal()
-	return true
-}
-
 // Recv dequeues an item, parking while the queue is empty. ok is false if
 // the queue is closed and drained.
 func (q *Chan[T]) Recv(p *Proc) (v T, ok bool) {
-	for q.Len() == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.notEmpty.Wait(p)
 	}
-	if q.Len() == 0 {
+	if q.head == len(q.items) {
 		return v, false
 	}
-	v = q.popItem()
-	q.notFull.Signal()
-	return v, true
-}
-
-// TryRecv dequeues an item if one is available.
-func (q *Chan[T]) TryRecv() (v T, ok bool) {
-	if q.Len() == 0 {
-		return v, false
+	v = q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
 	}
-	v = q.popItem()
-	q.notFull.Signal()
-	return v, true
-}
-
-// RecvTimeout dequeues an item, waiting at most d. ok is false on timeout
-// or when the queue is closed and drained.
-func (q *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool) {
-	deadline := p.Now().Add(d)
-	for q.Len() == 0 && !q.closed {
-		remain := deadline.Sub(p.Now())
-		if remain <= 0 {
-			return v, false
-		}
-		if !q.notEmpty.WaitTimeout(p, remain) && q.Len() == 0 {
-			return v, false
-		}
-	}
-	if q.Len() == 0 {
-		return v, false
-	}
-	v = q.popItem()
-	q.notFull.Signal()
 	return v, true
 }
 

@@ -512,7 +512,7 @@ func (h *Host) Dataplane() *Plane {
 			Name:     h.name,
 			LocalIP:  h.ip,
 			LocalMAC: h.kern.NIC.MAC(),
-			Transmit: h.kern.RawTransmit,
+			Transmit: h.kern.Transmit,
 		})
 		h.kern.SetHook(h.plane)
 		h.plane.BindMetrics(h.kern.Metrics().Sub("kern").Sub("dataplane"))
