@@ -51,7 +51,7 @@ func (c *MetaCache) Invalidate(ip wire.IPAddr) {
 func (c *MetaCache) Len() int { return len(c.entries) }
 
 // ResolveOrQueue implements stack.Resolver.
-func (c *MetaCache) ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, emit func(mac wire.MAC)) (wire.MAC, bool) {
+func (c *MetaCache) ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, frame []byte) (wire.MAC, bool) {
 	if ip.IsBroadcast() {
 		return wire.BroadcastMAC, true
 	}
@@ -69,7 +69,7 @@ func (c *MetaCache) ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, emit func(mac wi
 	}
 	c.lib.proxy(t, 16, func(on *sim.Proc) { r.mac, r.err = c.lib.srv.proxyARP(on, ip) })
 	if r.err != nil {
-		return wire.MAC{}, false // emit is never called; upper layers recover
+		return wire.MAC{}, false // the frame is dropped; upper layers recover
 	}
 	mac := r.mac
 	c.entries[ip] = mac

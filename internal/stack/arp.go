@@ -28,8 +28,9 @@ type arpEngine struct {
 	// expired; the OS server uses it to invalidate library caches.
 	OnChange func(ip wire.IPAddr)
 
-	// PendingDropped counts output packets dropped because resolution
-	// failed or the per-entry queue overflowed.
+	// PendingDropped counts output frames dropped because resolution
+	// failed or the per-entry queue overflowed; WaitResolve callers are
+	// never counted.
 	PendingDropped int
 
 	timoIPs []wire.IPAddr // timo scratch, reused across ticks
@@ -40,7 +41,18 @@ type arpEntry struct {
 	resolved bool
 	ttlTicks int
 	retries  int
-	pending  []func(mac wire.MAC)
+	// pending holds, in arrival order, the output frames and the
+	// WaitResolve callers waiting on this entry; frames counts the
+	// former, the only ones arpMaxPendingPkts caps.
+	pending []arpHeld
+	frames  int
+}
+
+// arpHeld is one thing waiting on an unresolved entry: an output frame
+// to address and transmit, or a WaitResolve caller to wake.
+type arpHeld struct {
+	frame []byte
+	cv    *sim.Cond
 }
 
 const (
@@ -83,28 +95,39 @@ func (a *arpEngine) Insert(ip wire.IPAddr, mac wire.MAC) {
 }
 
 // ResolveOrQueue implements Resolver.
-func (a *arpEngine) ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, emit func(mac wire.MAC)) (wire.MAC, bool) {
+func (a *arpEngine) ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, frame []byte) (wire.MAC, bool) {
+	mac, e := a.resolve(ip)
+	if e == nil {
+		return mac, true
+	}
+	if e.frames >= arpMaxPendingPkts {
+		a.PendingDropped++
+		return wire.MAC{}, false
+	}
+	e.frames++
+	e.pending = append(e.pending, arpHeld{frame: frame})
+	return wire.MAC{}, false
+}
+
+// resolve returns ip's hardware address, or else the unresolved entry
+// for ip, creating it and sending the first request if there is none.
+func (a *arpEngine) resolve(ip wire.IPAddr) (wire.MAC, *arpEntry) {
 	if ip.IsBroadcast() {
-		return wire.BroadcastMAC, true
+		return wire.BroadcastMAC, nil
 	}
 	if ip == a.st.cfg.LocalIP {
-		return a.st.cfg.LocalMAC, true
+		return a.st.cfg.LocalMAC, nil
 	}
 	e, ok := a.entries[ip]
 	if ok && e.resolved {
-		return e.mac, true
+		return e.mac, nil
 	}
 	if !ok {
 		e = &arpEntry{ttlTicks: arpEntryTTLTicks}
 		a.entries[ip] = e
 		a.sendRequest(ip)
 	}
-	if len(e.pending) >= arpMaxPendingPkts {
-		a.PendingDropped++
-		return wire.MAC{}, false
-	}
-	e.pending = append(e.pending, emit)
-	return wire.MAC{}, false
+	return wire.MAC{}, e
 }
 
 func (a *arpEngine) sendRequest(ip wire.IPAddr) {
@@ -143,9 +166,14 @@ func (a *arpEngine) learn(ip wire.IPAddr, mac wire.MAC, force bool) {
 	e.ttlTicks = arpEntryTTLTicks
 	e.retries = 0
 	pending := e.pending
-	e.pending = nil
-	for _, emit := range pending {
-		emit(mac)
+	e.pending, e.frames = nil, 0
+	for _, h := range pending {
+		if h.cv != nil {
+			h.cv.Broadcast()
+			continue
+		}
+		copy(h.frame[0:6], mac[:])
+		_ = a.st.cfg.Transmit(h.frame) // a refused frame is lost; upper layers recover
 	}
 	if changed {
 		a.version++
@@ -204,8 +232,9 @@ func (a *arpEngine) timo(t *sim.Proc) {
 			if e.ttlTicks%arpRetryTicks == 0 {
 				e.retries++
 				if e.retries > arpMaxRetries {
-					// Give up: drop whatever was waiting.
-					a.PendingDropped += len(e.pending)
+					// Give up: drop the queued frames; waiters
+					// time out on their own.
+					a.PendingDropped += e.frames
 					delete(a.entries, ip)
 					continue
 				}
@@ -239,15 +268,16 @@ func (st *Stack) NextHop(dst wire.IPAddr) wire.IPAddr {
 // WaitResolve resolves ip, blocking the calling thread up to timeout.
 // It is safe only on threads that do not process this stack's input
 // (the OS server's RPC workers use it to answer library proxy_arp calls;
-// the ARP reply arrives on the server's separate input thread).
+// the ARP reply arrives on the server's separate input thread). The
+// caller waits in the entry's queue beside its frames, taking no frame
+// slot, and is woken in queue order when the address is learned.
 func (a *arpEngine) WaitResolve(t *sim.Proc, ip wire.IPAddr, timeout time.Duration) (wire.MAC, bool) {
-	if mac, ok := a.LookupCached(ip); ok {
+	mac, e := a.resolve(ip)
+	if e == nil {
 		return mac, true
 	}
 	cv := &sim.Cond{}
-	if mac, ok := a.ResolveOrQueue(t, ip, func(wire.MAC) { cv.Broadcast() }); ok {
-		return mac, true
-	}
+	e.pending = append(e.pending, arpHeld{cv: cv})
 	cv.WaitTimeout(t, timeout)
 	return a.LookupCached(ip)
 }

@@ -138,3 +138,64 @@ func TestARPEntryExpiryForcesReResolution(t *testing.T) {
 		t.Errorf("no fresh resolution after expiry: version %d -> %d", first, second)
 	}
 }
+
+// TestARPWaiterBesideFullQueue pins a WaitResolve caller's place on an
+// entry whose frame queue is full: it is not a frame, so it takes no
+// frame slot and is never counted in PendingDropped. A reply wakes it
+// with the learned address when the reply arrives, not when its timeout
+// runs out; if resolution gives up instead, it times out uncounted.
+func TestARPWaiterBesideFullQueue(t *testing.T) {
+	for _, replyAt := range []time.Duration{time.Second, 0} {
+		w := newWorld(20)
+		ghost := wire.IP(10, 0, 0, 60)
+		ghostMAC := wire.MAC{0xde, 0xad, 0, 0, 0, 60}
+		const burst, timeout = arpPendingMax + 2, 15 * time.Second
+
+		var (
+			mac      wire.MAC
+			resolved bool
+			asked    sim.Time
+			woke     sim.Time
+		)
+		w.s.Spawn("sender", func(p *sim.Proc) {
+			s := w.a.st.NewSocket(wire.ProtoUDP)
+			for i := 0; i < burst; i++ {
+				w.a.st.Send(p, s, [][]byte{[]byte("z")}, stack.SendOpts{To: &stack.Addr{IP: ghost, Port: 7}})
+			}
+			if got := w.a.st.ARP().PendingDropped; got != burst-arpPendingMax {
+				t.Errorf("PendingDropped after burst = %d, want %d", got, burst-arpPendingMax)
+			}
+			asked = p.Now()
+			mac, resolved = w.a.st.ARP().WaitResolve(p, ghost, timeout)
+			woke = p.Now()
+		})
+		if replyAt > 0 {
+			w.s.Spawn("reply", func(p *sim.Proc) {
+				p.Sleep(replyAt)
+				w.a.st.ARP().Insert(ghost, ghostMAC)
+			})
+		}
+		if err := w.s.Run(); err != nil {
+			t.Fatal(err)
+		}
+
+		arp := w.a.st.ARP()
+		if replyAt > 0 {
+			if !resolved || mac != ghostMAC || woke != sim.Time(replyAt) {
+				t.Errorf("reply at %v: waiter got (%v, %v) at %v, want (%v, true) at the reply",
+					replyAt, mac, resolved, woke, ghostMAC)
+			}
+			if arp.PendingDropped != burst-arpPendingMax {
+				t.Errorf("reply at %v: PendingDropped = %d, want %d (the overflowing frames only)",
+					replyAt, arp.PendingDropped, burst-arpPendingMax)
+			}
+			continue
+		}
+		if resolved || woke.Sub(asked) != timeout {
+			t.Errorf("no reply: waiter got (%v, %v) after %v, want a timeout after %v", mac, resolved, woke.Sub(asked), timeout)
+		}
+		if arp.PendingDropped != burst {
+			t.Errorf("no reply: PendingDropped = %d, want %d (every frame, not the waiter)", arp.PendingDropped, burst)
+		}
+	}
+}

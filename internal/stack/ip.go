@@ -194,14 +194,18 @@ func (st *Stack) patchTransportChecksum(seg **mbuf.Chain, proto uint8, dst wire.
 // emitIP builds the link frame — Ethernet header, IP header, and a fused
 // copy+checksum pass over the transport chain — charges the device-output
 // cost, and transmits: immediately when the next hop's hardware address
-// is known, otherwise when ARP resolution completes (the frame waits on
-// the ARP entry; this path never blocks). The payload chain is consumed.
+// is known, otherwise the resolver takes the frame, fills in its
+// destination and transmits it when ARP resolution completes (this path
+// never blocks). The payload chain is consumed. The frame is the only
+// allocation: a resolved next hop costs nothing more.
 //
 // Frame buffers are deliberately GC-allocated rather than pooled: a
 // transmitted frame may be shared by several receivers, the flight
 // recorder, and kernel delivery queues, so its lifetime has no single
 // release point — and fresh storage guarantees no stale pooled bytes can
-// leak into frames or pcap exports.
+// leak into frames or pcap exports. A frame is immutable once
+// transmitted; a queued one is written once more, its destination
+// address, before it is.
 func (st *Stack) emitIP(t *sim.Proc, tcp bool, h wire.IPv4Header, nextHop wire.IPAddr, payload *mbuf.Chain, n, ckOff int) error {
 	st.charge(t, tcp, costs.CompEtherOutput, n)
 	frame := make([]byte, wire.EthHeaderLen+wire.IPv4HeaderLen+payload.Len())
@@ -232,10 +236,7 @@ func (st *Stack) emitIP(t *sim.Proc, tcp bool, h wire.IPv4Header, nextHop wire.I
 	}
 	payload.Release()
 
-	if mac, ok := st.resolver.ResolveOrQueue(t, nextHop, func(mac wire.MAC) {
-		copy(frame[0:6], mac[:])
-		st.cfg.Transmit(frame)
-	}); ok {
+	if mac, ok := st.resolver.ResolveOrQueue(t, nextHop, frame); ok {
 		copy(frame[0:6], mac[:])
 		return st.cfg.Transmit(frame)
 	}

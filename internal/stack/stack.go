@@ -65,12 +65,15 @@ type ChargeFunc func(t *sim.Proc, tcp bool, comp costs.Component, n int)
 // caching proxy of the operating-system server's tables (§3.3).
 type Resolver interface {
 	// ResolveOrQueue returns (mac, true) when the next hop's address is
-	// known. Otherwise it takes ownership of emit — which it must call
-	// with the address if resolution later succeeds, or never — and
-	// returns false. Implementations must not block protocol input
-	// threads: output triggered by packet processing (ACKs, RSTs, ICMP
-	// errors) flows through here.
-	ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, emit func(mac wire.MAC)) (wire.MAC, bool)
+	// known; the caller then writes mac into frame[0:6] and transmits
+	// frame itself. Otherwise it takes ownership of frame, a complete
+	// link frame but for its destination address, and returns false:
+	// if resolution later succeeds it writes the address into
+	// frame[0:6] and transmits the frame, else it drops it.
+	// Implementations must not block protocol input threads: output
+	// triggered by packet processing (ACKs, RSTs, ICMP errors) flows
+	// through here.
+	ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, frame []byte) (wire.MAC, bool)
 }
 
 // Config assembles a stack; the constructor, not a field, picks its role.

@@ -258,7 +258,7 @@ func TestTimerIdleExact(t *testing.T) {
 			st.NewReassembler().Add(h, make([]byte, 16))
 		}, false, true},
 		{"a pending ARP entry", func(st *Control, _ *tcpcb) {
-			st.arp.ResolveOrQueue(nil, wire.IP(10, 0, 0, 9), func(wire.MAC) {})
+			st.arp.ResolveOrQueue(nil, wire.IP(10, 0, 0, 9), make([]byte, wire.EthHeaderLen))
 		}, false, true},
 		{"a resolved ARP entry", func(st *Control, _ *tcpcb) { st.arp.Insert(wire.IP(10, 0, 0, 9), wire.MAC{9}) }, false, true},
 		{"the lock held", func(st *Control, _ *tcpcb) { st.mu.TryLock() }, true, true},

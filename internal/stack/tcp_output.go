@@ -21,7 +21,7 @@ var DebugSendReasons map[string]int
 var DebugSegTrace bool
 
 // outputFlags gives the TCP flags appropriate to each state (tcp_outflags).
-var outputFlags = map[tcpState]uint8{
+var outputFlags = [...]uint8{
 	tcpClosed:      flagRST | flagACK,
 	tcpListen:      0,
 	tcpSynSent:     flagSYN,

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -327,14 +326,5 @@ func TestFlagString(t *testing.T) {
 	}
 	if FlagString(0) != "none" {
 		t.Fatal("zero flags")
-	}
-}
-
-func BenchmarkChecksum1460(b *testing.B) {
-	data := make([]byte, 1460)
-	rand.New(rand.NewSource(1)).Read(data)
-	b.SetBytes(1460)
-	for i := 0; i < b.N; i++ {
-		Checksum(data)
 	}
 }
