@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/costs"
-	"repro/internal/kern"
 )
 
 // TestBreakdownMatchesTable4 checks the Table 4 reproduction against the
@@ -55,23 +54,23 @@ func TestBreakdownMatchesTable4(t *testing.T) {
 // every charge. At the end of the stream and the TCP and UDP protolat
 // worlds of every configuration row, and of the proxy, paced-stream
 // (offload) and rule-chain (data-plane) worlds of every column, each
-// host's ledger sums to its CPU's busy time.
+// host's ledger sums to its CPU's busy time: the world's audit, which
+// every runner ends with, reports a broken law as the run's Err. The
+// stream and protolat worlds have no registry; the audit reads the
+// hosts.
 func TestLedgerLaw(t *testing.T) {
 	check := func(w *World, what string, err error) {
 		t.Helper()
 		if err != nil {
 			t.Errorf("%s %s: %v", w.Cfg.Name, what, err)
 		}
-		if err := kern.CheckLedger(w.Reg.Snapshot(w.Sim.Now().Duration())); err != nil {
-			t.Errorf("%s %s: %v", w.Cfg.Name, what, err)
-		}
 	}
 	const total = 256 << 10
 	for _, cfg := range AllConfigs() {
-		w := streamWorld(nil, cfg, true)
+		w := streamWorld(nil, cfg, false)
 		check(w, "ttcp", runStreamOn(w, "ttcp", cfg.RcvBufKB, total, 0).Err)
 		for _, tcp := range []bool{true, false} {
-			w := latWorld(nil, cfg, true)
+			w := latWorld(nil, cfg, false)
 			check(w, fmt.Sprintf("protolat tcp=%v", tcp), runProtolatOn(w, tcp, 100, 10, nil).Err)
 		}
 	}

@@ -172,8 +172,19 @@ type World struct {
 	// nil otherwise.
 	Reg *metrics.Registry
 
+	net  *psd.Network
 	a, b *psd.Host
 	env  *Env // what the world was built in; nil when clean
+}
+
+// audit is what a runner reports as its Err: the run's own error, or else
+// the first undrained conservation law the finished run broke (see
+// psd.Network.Audit).
+func (w *World) audit(err error) error {
+	if err != nil {
+		return err
+	}
+	return w.net.Audit(nil, 0, false)
 }
 
 // Build instantiates the configuration on a fresh network at seed, with
@@ -210,7 +221,7 @@ func (c SysConfig) build(pc psd.Config, env *Env) *World {
 	return &World{
 		Cfg: c, Sim: n.Sim(), Seg: n.Segment(), Rec: n.Trace(), Reg: n.Metrics(),
 		IPA: a.Addr(0).Addr, IPB: b.Addr(0).Addr, NewA: a.NewApp, NewB: b.NewApp,
-		a: a, b: b, env: env,
+		net: n, a: a, b: b, env: env,
 	}
 }
 

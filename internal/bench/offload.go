@@ -174,13 +174,8 @@ func runOffloadChurn(f psd.ArchFlavor) (OffloadCell, error) {
 	if err != nil {
 		return cell, err
 	}
-	// The conservation laws read the decomposed OS server's session
-	// accounting; the in-kernel and server baselines don't expose it
-	// (no ".core" scope), so only check where the counters exist.
-	if rep.ConnSetups > 0 {
-		if err := rep.Check(); err != nil {
-			return cell, err
-		}
+	if err := rep.Check(); err != nil {
+		return cell, err
 	}
 	snap := rep.Snapshot
 	cell.Conns = int64(rep.ConnsPlan)

@@ -200,6 +200,7 @@ func runProxyOn(w *World, mode string, totalBytes int) ProxyResult {
 	if res.Err == nil && res.Bytes != totalBytes {
 		res.Err = fmt.Errorf("proxy: sank %d of %d bytes", res.Bytes, totalBytes)
 	}
+	res.Err = w.audit(res.Err)
 	snap := w.Reg.Snapshot(w.Sim.Now().Duration())
 	res.CopiedBytes = hostSum(snap, "host.B.", ".sock_copied_bytes")
 	res.AliasedBytes = hostSum(snap, "host.B.", ".sock_aliased_bytes")

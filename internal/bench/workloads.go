@@ -152,6 +152,7 @@ func runStreamOn(w *World, name string, rcvBufKB, totalBytes int, interval time.
 	if res.Err == nil && res.Bytes != totalBytes {
 		res.Err = fmt.Errorf("%s: received %d of %d bytes", name, res.Bytes, totalBytes)
 	}
+	res.Err = w.audit(res.Err)
 	w.env.noteRun(w.Cfg.Name+" "+name, res.Duration, w.Rec)
 	return res
 }
@@ -314,6 +315,7 @@ func runProtolatOn(w *World, tcp bool, msgSize, rounds int, counting func(on boo
 	if err := w.Sim.Run(); err != nil && res.Err == nil {
 		res.Err = err
 	}
+	res.Err = w.audit(res.Err)
 	proto := "tcp"
 	if udp {
 		proto = "udp"

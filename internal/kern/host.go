@@ -12,7 +12,6 @@
 package kern
 
 import (
-	"fmt"
 	"strings"
 	"time"
 	"unicode"
@@ -57,8 +56,8 @@ type Host struct {
 
 	// Ledger holds the nanoseconds of CPU charged to each component on
 	// this host. Every charge goes through Charge or chargeRx, so once
-	// each has been granted the ledger sums to CPU.BusyTime() (the law
-	// CheckLedger checks).
+	// each has been granted the ledger sums to CPU.BusyTime() (the
+	// ledger law of psd.Network.Audit).
 	Ledger [costs.NumComponents]metrics.Counter
 
 	// Observe, when set, sees every charge as the ledger records it; it is
@@ -157,8 +156,12 @@ func (h *Host) SetMetrics(hs *metrics.Scope) {
 	h.mQueueDepth = ks.Histogram("queue_depth")
 	h.mRxWait = ks.Histogram("rx_wait_ns")
 	h.mWakeBatch = ks.Histogram("wakeup_batch")
-	ks.GaugeFunc("endpoints", func() int64 { return h.endpoints })
+	ks.GaugeFunc("endpoints", h.Endpoints)
 }
+
+// Endpoints returns how many endpoints are live (created, not yet
+// closed) on the host.
+func (h *Host) Endpoints() int64 { return h.endpoints }
 
 // NewHost attaches a new machine to the segment.
 func NewHost(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prof costs.Profile) *Host {
@@ -208,24 +211,6 @@ func (h *Host) record(comp costs.Component, d time.Duration) {
 	if h.Observe != nil {
 		h.Observe(comp, d)
 	}
-}
-
-// CheckLedger is the ledger law over a registry snapshot: on every host
-// bound by SetMetrics, the "<host>.cpu.*_ns" components sum to
-// "<host>.cpu.busy_ns", the time the host's CPU granted.
-func CheckLedger(s metrics.Snapshot) error {
-	sum := map[string]int64{}
-	for _, it := range s.Items {
-		if host, comp, ok := strings.Cut(it.Name, ".cpu."); ok && comp != "busy_ns" {
-			sum[host] += it.Value
-		}
-	}
-	for _, it := range s.Items {
-		if host, ok := strings.CutSuffix(it.Name, ".cpu.busy_ns"); ok && sum[host] != it.Value {
-			return fmt.Errorf("%s: the ledger sums to %d ns, the CPU was busy %d ns", host, sum[host], it.Value)
-		}
-	}
-	return nil
 }
 
 // ProtoCharge returns the charge function a deployment hands its

@@ -246,9 +246,6 @@ func TestLedgerTakesEveryCharge(t *testing.T) {
 	if it, ok := snap.Get("host.alpha.cpu.tcp_udp_output_ns"); !ok || it.Value == 0 {
 		t.Errorf("tcp,udp_output not in the registry as tcp_udp_output_ns: %+v", it)
 	}
-	if err := CheckLedger(snap); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestEndpointCloseWakesReceiver(t *testing.T) {

@@ -110,14 +110,13 @@ func (g *Group) Shards() []*Sim { return g.shards }
 // Windows returns how many synchronization windows have executed.
 func (g *Group) Windows() uint64 { return g.windows }
 
-// Dispatched returns total events executed and the per-shard breakdown.
-func (g *Group) Dispatched() (total uint64, perShard []uint64) {
-	perShard = make([]uint64, len(g.shards))
-	for i, s := range g.shards {
-		perShard[i] = s.dispatched
+// Dispatched returns the events executed on every shard together; each
+// shard's own count is its Sim.Dispatched.
+func (g *Group) Dispatched() (total uint64) {
+	for _, s := range g.shards {
 		total += s.dispatched
 	}
-	return total, perShard
+	return total
 }
 
 // ObserveLookahead registers a cross-shard link's propagation delay,

@@ -109,8 +109,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 		if err := g.Run(); err != nil {
 			t.Fatal(err)
 		}
-		total, _ := g.Dispatched()
-		return logs, g.Now(), total
+		return logs, g.Now(), g.Dispatched()
 	}
 	sLog, sNow, sN := run(true)
 	pLog, pNow, pN := run(false)

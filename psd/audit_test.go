@@ -1,0 +1,107 @@
+package psd
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+// auditWorld runs one echoed TCP connection between two subnets joined
+// by a router-to-router trunk, then drains the network. keepListener
+// leaves the server's listening socket open.
+func auditWorld(t *testing.T, arch Arch, keepListener bool) (*Network, *MetricsSnapshot) {
+	t.Helper()
+	n := NewConfig(Config{Seed: 1, Metrics: true})
+	t.Cleanup(n.Close)
+	west, east := n.NewSubnet("west", "10.1.0.0/24"), n.NewSubnet("east", "10.2.0.0/24")
+	rw := n.NewRouter("rw").Attach(west, "10.1.0.254")
+	re := n.NewRouter("re").Attach(east, "10.2.0.254")
+	n.NewTrunk("t", "172.16.0.0/30", time.Millisecond).Attach(rw, "172.16.0.1").Attach(re, "172.16.0.2")
+	if err := rw.AddRoute("10.2.0.0/24", "172.16.0.2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.AddRoute("10.1.0.0/24", "172.16.0.1"); err != nil {
+		t.Fatal(err)
+	}
+	cli, srv := west.Host("cli", "10.1.0.1", arch), east.Host("srv", "10.2.0.1", arch)
+
+	var errs errSink
+	sapp, capp := srv.NewApp("echo"), cli.NewApp("client")
+	n.Spawn("srv", func(p *Thread) {
+		ls, err := listenOn(sapp, p, 7)
+		if err != nil {
+			errs.fail(0, 0, err)
+			return
+		}
+		fd, _, err := sapp.Accept(p, ls)
+		if err != nil {
+			errs.fail(0, 0, err)
+			return
+		}
+		buf := make([]byte, 4)
+		if err := recvFull(sapp, p, fd, buf); err == nil {
+			errs.fail(0, 0, sendFull(sapp, p, fd, buf))
+		}
+		sapp.Close(p, fd)
+		if !keepListener {
+			sapp.Close(p, ls)
+		}
+	})
+	n.Spawn("cli", func(p *Thread) {
+		fd, err := capp.Socket(p, SockStream)
+		if err == nil {
+			err = capp.Connect(p, fd, srv.Addr(7))
+		}
+		if err == nil {
+			err = sendFull(capp, p, fd, []byte("ping"))
+		}
+		if err == nil {
+			err = recvFull(capp, p, fd, make([]byte, 4))
+		}
+		errs.fail(0, 0, err)
+		capp.Close(p, fd)
+	})
+	if err := n.runAndDrain(&errs, 75*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return n, n.MetricsSnapshot()
+}
+
+// TestAuditCatchesEachLaw: the audit passes a clean drained run without
+// allocating, and names the law when one live quantity is doctored. The
+// open listener runs in-kernel: on an OS server its session record is
+// unreaped too, which the conns law, earlier in the list, reports first.
+func TestAuditCatchesEachLaw(t *testing.T) {
+	n, snap := auditWorld(t, Decomposed(), false)
+	if err := n.Audit(snap, 1, true); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = n.Audit(snap, 1, true) }); allocs != 0 {
+		t.Errorf("a passing audit allocated %v times", allocs)
+	}
+
+	for _, c := range []struct {
+		law    string
+		keep   bool // leave the listener open
+		plan   int
+		doctor func(n *Network)
+	}{
+		{law: "ledger", plan: 1, doctor: func(n *Network) { n.hosts[0].kern.Ledger[0].Add(1) }},
+		{law: "trunks", plan: 1, doctor: func(n *Network) { n.trunks[0].dirs[0].DirStats().FramesSent.Inc() }},
+		{law: "conns", plan: 2},
+		{law: "residue", keep: true, plan: 1},
+	} {
+		arch := Decomposed()
+		if c.keep {
+			arch = InKernel()
+		}
+		n, snap := auditWorld(t, arch, c.keep)
+		if c.doctor != nil {
+			c.doctor(n)
+		}
+		err := n.Audit(snap, c.plan, true)
+		if err == nil || !strings.HasPrefix(err.Error(), c.law+": ") {
+			t.Errorf("doctored %s: audit = %v, want a %q failure", c.law, err, c.law)
+		}
+	}
+}

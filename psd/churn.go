@@ -3,15 +3,13 @@ package psd
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/kern"
 )
 
 // ChurnConfig parameterizes the connection-churn scale workload: many
 // hosts opening and closing thousands of short-lived TCP connections,
 // with a fraction of clients dying without cleanup so the OS servers'
-// orphan-abort machinery runs at scale. Acceptance is expressed
-// entirely in metrics-registry assertions (see ChurnLaws).
+// orphan-abort machinery runs at scale. Acceptance is the drained
+// run's Network.Audit (see ChurnReport.Check).
 //
 // All hosts share one flat Ethernet segment; the routed, shardable form
 // of the same workload is RunCity.
@@ -41,7 +39,8 @@ func DefaultChurn(seed int64) ChurnConfig {
 }
 
 // ChurnLaws are the churn conservation quantities, summed over every
-// host's OS-server scope.
+// host's OS-server scope; the audit's conns and residue laws hold them
+// in balance.
 type ChurnLaws struct {
 	ConnSetups     int64 `json:"conn_setups"`
 	ConnTeardowns  int64 `json:"conn_teardowns"`
@@ -68,45 +67,11 @@ func readChurnLaws(snap *MetricsSnapshot) ChurnLaws {
 	}
 }
 
-// check verifies the conservation laws against a plan of connections:
-// every connection established was either torn down normally or orphan-
-// aborted, every session record was reaped, and no port, session, or
-// TIME_WAIT socket leaked through the churn.
-func (c *ChurnLaws) check(who string, plan int) error {
-	// Each logical connection is set up on both the client's and the
-	// server's OS server, so the global count is 2x the plan.
-	if want := int64(2 * plan); c.ConnSetups < want {
-		return fmt.Errorf("%s: %d connection setups, want >= %d", who, c.ConnSetups, want)
-	}
-	if c.ConnSetups != c.ConnTeardowns+c.OrphansAborted {
-		return fmt.Errorf("%s: setups %d != teardowns %d + orphans aborted %d",
-			who, c.ConnSetups, c.ConnTeardowns, c.OrphansAborted)
-	}
-	if c.SessionsMade != c.SessionsReaped {
-		return fmt.Errorf("%s: sessions made %d != reaped %d", who, c.SessionsMade, c.SessionsReaped)
-	}
-	if c.LiveSessions != 0 || c.PortsInUse != 0 || c.TimeWait != 0 {
-		return fmt.Errorf("%s: residue after drain: %d sessions, %d ports, %d time-wait",
-			who, c.LiveSessions, c.PortsInUse, c.TimeWait)
-	}
-	return nil
-}
-
-// ChurnReport is the registry-derived outcome of a churn run.
+// ChurnReport is a churn run's city report (one district, no router)
+// with its conservation quantities promoted.
 type ChurnReport struct {
-	Hosts     int `json:"hosts"`
-	ConnsPlan int `json:"conns_planned"`
 	ChurnLaws
-
-	Snapshot *MetricsSnapshot `json:"-"`
-}
-
-// Check verifies the workload's conservation laws against the registry.
-func (r *ChurnReport) Check() error {
-	if err := r.check("churn", r.ConnsPlan); err != nil {
-		return err
-	}
-	return kern.CheckLedger(*r.Snapshot)
+	*CityReport
 }
 
 const churnPort = 5001
@@ -140,5 +105,5 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ChurnReport{Hosts: city.Hosts, ConnsPlan: city.ConnsPlan, ChurnLaws: city.Churn, Snapshot: city.Snapshot}, nil
+	return &ChurnReport{city.Churn, city}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/psd"
 )
@@ -25,10 +24,11 @@ func smallChurn(seed int64, arch psd.Arch) psd.ChurnConfig {
 	}
 }
 
-// TestChurnSmall runs a small churn on each architecture. The
-// conservation checks only apply where an OS server tracks sessions
-// (the decomposed architecture); on the baselines the workload must
-// simply complete and leave no TIME_WAIT residue.
+// TestChurnSmall runs a small decomposed churn: it passes the audit,
+// its orphans are aborted, and both ends of every planned connection are
+// set up on an OS server. TestChurnBaselineArchitectures runs the
+// baselines, which have no OS server to count setups: the workload must
+// complete and leave no TIME_WAIT residue.
 func TestChurnSmall(t *testing.T) {
 	rep, err := psd.RunChurn(smallChurn(1, psd.Decomposed()))
 	if err != nil {
@@ -67,19 +67,17 @@ func TestChurnBaselineArchitectures(t *testing.T) {
 	}
 }
 
-// TestChurnLedgerEveryColumn: on all four architecture columns, every
-// host's CPU ledger sums to its busy time at the end of a churn.
+// TestChurnLedgerEveryColumn: on all four architecture columns a churn,
+// orphans included, passes every conservation law of the audit: the
+// CPU ledgers, the planned connections, the OS-server balances and a
+// clean drain.
 func TestChurnLedgerEveryColumn(t *testing.T) {
 	for _, f := range psd.ArchFlavors() {
-		cfg := smallChurn(1, f.New())
-		if f.Name != "decomposed" && f.Name != "offload" {
-			cfg.OrphanEvery = 0
-		}
-		rep, err := psd.RunChurn(cfg)
+		rep, err := psd.RunChurn(smallChurn(1, f.New()))
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
-		if err := kern.CheckLedger(*rep.Snapshot); err != nil {
+		if err := rep.Check(); err != nil {
 			t.Errorf("%s: %v", f.Name, err)
 		}
 	}

@@ -3,8 +3,6 @@ package psd
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/kern"
 )
 
 // CityConfig parameterizes the internet-scale sharded workload: many
@@ -17,8 +15,7 @@ import (
 //
 // Districts are placed round-robin on the configured shards; the
 // backbone router and every trunk's backbone end live on shard 0.
-// Acceptance is expressed as conservation laws over the metrics
-// registry and the trunk direction counters (see CityReport.Check).
+// Acceptance is the drained run's Network.Audit (see CityReport.Check).
 type CityConfig struct {
 	Seed               int64
 	Districts          int
@@ -64,20 +61,6 @@ func DefaultCity(seed int64, shards int) CityConfig {
 	}
 }
 
-// TrunkDirDigest is the frame ledger of one trunk direction, used by
-// the conservation checks: everything the direction serialized must be
-// accounted for as a delivery or an attributed drop, and everything
-// delivered must have been received on the far end.
-type TrunkDirDigest struct {
-	Name      string `json:"name"`
-	Sent      uint64 `json:"sent"`
-	Dup       uint64 `json:"dup"`
-	Delivered uint64 `json:"delivered"`
-	PeerRecv  uint64 `json:"peer_recv"`
-	Drops     uint64 `json:"drops"` // loss + down + malformed
-	PartDrops uint64 `json:"part_drops"`
-}
-
 // CityReport is the registry-derived outcome of a city run.
 type CityReport struct {
 	Churn ChurnLaws `json:"churn"`
@@ -86,8 +69,6 @@ type CityReport struct {
 	Districts int `json:"districts"`
 	Shards    int `json:"shards"`
 	ConnsPlan int `json:"conns_planned"`
-
-	Trunks []TrunkDirDigest `json:"trunks"`
 
 	// DispatchedTotal is the group's event count; DispatchedPerShard
 	// must sum to it (classic runs have one implicit shard).
@@ -100,42 +81,13 @@ type CityReport struct {
 	// Trace is the run's flight recorder when CityConfig.Trace was set
 	// (nil otherwise); equivalence tests diff its merged records.
 	Trace *Recorder `json:"-"`
+
+	audit error
 }
 
-// Check verifies the run's conservation laws:
-//
-//   - connection/session/port accounting balances and leaves no residue
-//     (the churn laws),
-//   - every frame a trunk direction serialized is accounted for:
-//     sent + duplicated == delivered + drops-with-cause,
-//   - every delivered frame was received on the peer shard,
-//   - the per-shard dispatch counters sum to the group total,
-//   - every host's CPU ledger sums to its busy time.
-func (r *CityReport) Check() error {
-	if err := r.Churn.check("city", r.ConnsPlan); err != nil {
-		return err
-	}
-	if err := kern.CheckLedger(*r.Snapshot); err != nil {
-		return err
-	}
-	for _, d := range r.Trunks {
-		if d.Sent+d.Dup != d.Delivered+d.Drops+d.PartDrops {
-			return fmt.Errorf("city: trunk %s: sent %d + dup %d != delivered %d + drops %d + partition %d",
-				d.Name, d.Sent, d.Dup, d.Delivered, d.Drops, d.PartDrops)
-		}
-		if d.Delivered != d.PeerRecv {
-			return fmt.Errorf("city: trunk %s: delivered %d != peer received %d", d.Name, d.Delivered, d.PeerRecv)
-		}
-	}
-	var sum uint64
-	for _, v := range r.DispatchedPerShard {
-		sum += v
-	}
-	if sum != r.DispatchedTotal {
-		return fmt.Errorf("city: per-shard dispatch counters sum to %d, group total is %d", sum, r.DispatchedTotal)
-	}
-	return nil
-}
+// Check returns the run's verdict: the first conservation law of
+// Network.Audit the drained run broke, or nil.
+func (r *CityReport) Check() error { return r.audit }
 
 // districtCIDR carves districts out of 10/8: /24 per district, gateway
 // at .1, hosts from .2. Supports up to 250 hosts per district and
@@ -160,8 +112,8 @@ func trunkCIDR(d int) (cidr, bbAddr, distAddr string) {
 }
 
 // RunCity builds the districted topology, runs the workload to
-// completion plus the drain period, and reads the registry and trunk
-// ledgers into a report. Deterministic for a given config — and
+// completion plus the drain period, and audits and reads the registry
+// into a report. Deterministic for a given config — and
 // identical for every shard count and threading mode, which the
 // equivalence tests in shard_test.go verify byte for byte.
 func RunCity(cfg CityConfig) (*CityReport, error) {
@@ -252,7 +204,8 @@ func cityTarget(cfg *CityConfig, d, j, k int) (td, ts int) {
 
 // runCity is the one churn traffic plan: it drives the echo workload
 // over whatever topology c holds (RunCity's routed districts, or
-// RunChurn's single flat one) and reads the laws out of the registry.
+// RunChurn's single flat one), audits the drained run and reads the
+// registry.
 func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 	n := c.net
 	defer n.Close()
@@ -360,35 +313,22 @@ func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 	}
 
 	snap := n.MetricsSnapshot()
+	plan := cfg.Districts * cfg.ClientsPerDistrict * cfg.ConnsPerClient
 	rep := &CityReport{
 		Hosts:     cfg.Districts * (cfg.ServersPerDistrict + cfg.ClientsPerDistrict),
 		Districts: cfg.Districts,
 		Shards:    cfg.Shards,
-		ConnsPlan: cfg.Districts * cfg.ClientsPerDistrict * cfg.ConnsPerClient,
+		ConnsPlan: plan,
 		Churn:     readChurnLaws(snap),
 		Snapshot:  snap,
 		Trace:     n.Trace(),
-	}
-	for _, tr := range n.Trunks() {
-		dirs := tr.Directions()
-		for i, nic := range dirs {
-			peer := dirs[1-i]
-			st := nic.DirStats()
-			rep.Trunks = append(rep.Trunks, TrunkDirDigest{
-				Name:      nic.Name(),
-				Sent:      st.FramesSent.Value(),
-				Dup:       st.FramesDup.Value(),
-				Delivered: st.DeliveryEvents.Value(),
-				PeerRecv:  peer.RxFrames.Value(),
-				Drops:     st.FramesDropped(),
-				PartDrops: st.PartitionDrops.Value(),
-			})
-		}
+		audit:     n.Audit(snap, plan, true),
 	}
 	if g := n.Group(); g != nil {
-		total, per := g.Dispatched()
-		rep.DispatchedTotal, rep.DispatchedPerShard = total, per
-		rep.Windows = g.Windows()
+		for _, s := range g.Shards() {
+			rep.DispatchedPerShard = append(rep.DispatchedPerShard, s.Dispatched())
+		}
+		rep.DispatchedTotal, rep.Windows = g.Dispatched(), g.Windows()
 	} else {
 		rep.DispatchedTotal = n.Sim().Dispatched()
 		rep.DispatchedPerShard = []uint64{rep.DispatchedTotal}

@@ -221,6 +221,7 @@ type Network struct {
 	rec     *trace.Recorder
 	reg     *metrics.Registry
 	next    int
+	hosts   []*Host
 	subnets []*Subnet
 	routers []*Router
 	trunks  []*Trunk
@@ -406,7 +407,9 @@ func (n *Network) hostOn(s *sim.Sim, seg *simnet.Segment, routes *stack.RouteTab
 	}
 	mac, rec := n.nextMAC(), n.lane(s)
 	sys := arch.New(a, s, seg, name, mac, ip, rec, n.reg.Scope("host."+name), routes)
-	return &Host{name: name, ip: ip, sim: s, sys: sys, kern: sys.Kern()}
+	h := &Host{name: name, ip: ip, sim: s, sys: sys, kern: sys.Kern()}
+	n.hosts = append(n.hosts, h)
+	return h
 }
 
 // nextMAC hands out locally-administered MACs in attach order.

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
-	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/slo"
 	"repro/internal/trace"
@@ -82,17 +82,12 @@ var scenarioDefs = []scenarioDef{
 }
 
 // RunScenario builds and executes the named scenario, evaluates its
-// SLOs, and returns the deterministic verdict. A host whose CPU ledger
-// does not sum to its busy time is an error, not a failed SLO.
+// SLOs, and returns the deterministic verdict. A broken conservation law
+// of Network.Audit (the completed requests are the planned connections)
+// is an error, not a failed SLO.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
-	var def *scenarioDef
-	for i := range scenarioDefs {
-		if scenarioDefs[i].name == cfg.Name {
-			def = &scenarioDefs[i]
-			break
-		}
-	}
-	if def == nil {
+	i := slices.IndexFunc(scenarioDefs, func(d scenarioDef) bool { return d.name == cfg.Name })
+	if i < 0 {
 		return nil, fmt.Errorf("psd: unknown scenario %q (have %v)", cfg.Name, ScenarioNames())
 	}
 
@@ -102,7 +97,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			env.n.Close()
 		}
 	}()
-	def.run(env)
+	scenarioDefs[i].run(env)
 	if env.err != nil {
 		return nil, fmt.Errorf("psd: scenario %s: %w", cfg.Name, env.err)
 	}
@@ -122,21 +117,14 @@ type scenarioEnv struct {
 	reqH     *metrics.Histogram
 	requests *metrics.Counter
 	errors   *metrics.Counter
-
-	drain time.Duration
 }
 
 // setup creates the network (metrics always on; trace layers as given)
 // and the scenario-scoped instruments.
 func (e *scenarioEnv) setup(layers ...TraceLayer) {
-	seen := map[TraceLayer]bool{}
-	for _, l := range layers {
-		seen[l] = true
-	}
 	for _, l := range e.cfg.Trace {
-		if !seen[l] {
+		if !slices.Contains(layers, l) {
 			layers = append(layers, l)
-			seen[l] = true
 		}
 	}
 	e.n = NewConfig(Config{Seed: e.cfg.Seed, Metrics: true, Trace: layers})
@@ -148,16 +136,15 @@ func (e *scenarioEnv) setup(layers ...TraceLayer) {
 	e.reqH = sc.Histogram("req_ns")
 	e.requests = sc.NewCounter("requests")
 	e.errors = sc.NewCounter("errors")
-	e.drain = 75 * time.Second
 }
 
-// run executes the workload plus the drain period (2MSL + port
-// quarantine), so conservation SLOs see a quiescent network.
+// run executes the workload plus a 75 s drain (2MSL + port quarantine),
+// so conservation SLOs and the audit see a quiescent network.
 func (e *scenarioEnv) run() {
 	if e.err != nil {
 		return
 	}
-	e.err = e.n.runAndDrain(nil, e.drain)
+	e.err = e.n.runAndDrain(nil, 75*time.Second)
 }
 
 // baseSLOs installs the assertions every scenario shares: the workload
@@ -199,7 +186,7 @@ func (e *scenarioEnv) finish() (*ScenarioResult, error) {
 		r.ConnectP99Ns = int64(h.Quantile(0.99))
 	}
 	snap := ctx.Snap
-	if err := kern.CheckLedger(snap); err != nil {
+	if err := e.n.Audit(&ctx.Snap, int(r.Requests), true); err != nil {
 		return nil, fmt.Errorf("psd: scenario %s: %w", e.cfg.Name, err)
 	}
 	r.NetDrops = snap.Sum(".drops_loss") + snap.Sum(".drops_down") + snap.Sum(".partition_drops")
@@ -268,11 +255,11 @@ func (e *scenarioEnv) serveConn(app App, t *Thread, fd int) {
 	}
 	up := int(binary.BigEndian.Uint32(hdr[0:4]))
 	down := int(binary.BigEndian.Uint32(hdr[4:8]))
-	if up > 0 && !discardN(app, t, fd, up) {
+	if up > 0 && !moveN(app, t, fd, up, false) {
 		e.errors.Inc()
 		return
 	}
-	if down > 0 && !sendN(app, t, fd, down) {
+	if down > 0 && !moveN(app, t, fd, down, true) {
 		e.errors.Inc()
 		return
 	}
@@ -303,7 +290,7 @@ func (e *scenarioEnv) doRequest(app App, t *Thread, dst SockAddr, up, down int) 
 		e.errors.Inc()
 		return
 	}
-	if down > 0 && !discardN(app, t, fd, down) {
+	if down > 0 && !moveN(app, t, fd, down, false) {
 		e.errors.Inc()
 		return
 	}
@@ -311,37 +298,26 @@ func (e *scenarioEnv) doRequest(app App, t *Thread, dst SockAddr, up, down int) 
 	e.requests.Inc()
 }
 
-func discardN(app App, t *Thread, fd, n int) bool {
-	buf := make([]byte, 4096)
-	for got := 0; got < n; {
-		want := n - got
-		if want > len(buf) {
-			want = len(buf)
-		}
-		nr, err := app.Recv(t, fd, buf[:want], 0)
-		if err != nil || nr == 0 {
-			return false
-		}
-		got += nr
-	}
-	return true
-}
-
-func sendN(app App, t *Thread, fd, n int) bool {
+// moveN sends n bytes on fd, or receives and discards n bytes, at most
+// 4 KB per call.
+func moveN(app App, t *Thread, fd, n int, send bool) bool {
 	buf := make([]byte, 4096)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
-	for sent := 0; sent < n; {
-		want := n - sent
-		if want > len(buf) {
-			want = len(buf)
+	for done := 0; done < n; {
+		chunk := buf[:min(n-done, len(buf))]
+		var k int
+		var err error
+		if send {
+			k, err = app.Send(t, fd, chunk, 0)
+		} else {
+			k, err = app.Recv(t, fd, chunk, 0)
 		}
-		nw, err := app.Send(t, fd, buf[:want], 0)
-		if err != nil || nw == 0 {
+		if err != nil || k == 0 {
 			return false
 		}
-		sent += nw
+		done += k
 	}
 	return true
 }

@@ -231,13 +231,6 @@ func (t *Trunk) Attach(r *Router, addr string) *Trunk {
 	return t
 }
 
-// Directions returns the trunk's two attached stations in attach
-// order (fewer while attachment is in progress).
-func (t *Trunk) Directions() []*simnet.NIC { return t.dirs }
-
-// Trunks returns the network's trunks in creation order.
-func (n *Network) Trunks() []*Trunk { return n.trunks }
-
 // AddRoute installs a static route on the router: destinations in cidr
 // go through gateway via, which must be on one of the router's attached
 // subnets. Used to chain routers into multi-hop paths.
