@@ -195,7 +195,6 @@ func (p *Plane) BindMetrics(sc *metrics.Scope) {
 	ct.GaugeFunc("flows", func() int64 { return int64(p.flowCount) })
 	states := ct.Sub("state")
 	for s := StateNew; s < numStates; s++ {
-		s := s
 		states.GaugeFunc(stateNames[s], func() int64 { return p.stateCount[s] })
 	}
 
@@ -377,24 +376,29 @@ func (p *Plane) sortedFlowsByID() []*flow {
 // IngressCost prices one frame's trip through the plane: the fixed hook
 // cost plus a full traversal of the rule chain (netfilter semantics — a
 // frame matching no rule visits every instruction). It is evaluated
-// before Ingress runs and charged at interrupt priority by the host.
+// before Take runs and charged at interrupt priority by the host.
 func (p *Plane) IngressCost(frame []byte) time.Duration {
 	return DefaultPerPacket + time.Duration(p.Chain.Instructions())*DefaultPerInstr
 }
 
-// Ingress classifies one received frame. It may absorb it into a
-// hairpin forward (a rewritten copy — the original is the network's and
-// is never written), answer it (ARP), drop it, or pass it untouched; it
-// never hands a rewritten frame up the stack, so its frame result is
-// always nil.
+// Ingress is Take for a caller that keeps its frame: the plane takes a
+// copy, so frame is never written. The plane never hands a rewritten
+// frame up the stack, so the frame result is always nil.
 func (p *Plane) Ingress(frame []byte) ([]byte, filter.Verdict) {
+	return nil, p.Take(append([]byte(nil), frame...))
+}
+
+// Take classifies one received frame, which is the plane's: it may
+// rewrite it in place and hairpin it back out the wire (absorb), answer
+// it (ARP), drop it, or pass it up unwritten.
+func (p *Plane) Take(frame []byte) filter.Verdict {
 	p.Stats.RxFrames.Inc()
 
 	if v, matched := p.Chain.Eval(frame); matched && v != filter.VerdictPass {
 		if v == filter.VerdictDrop {
 			p.Stats.Drops.Inc()
 		}
-		return nil, v
+		return v
 	}
 
 	// Everything but unfragmented TCP/UDP is not the plane's business and
@@ -405,7 +409,7 @@ func (p *Plane) Ingress(frame []byte) ([]byte, filter.Verdict) {
 		if len(p.arpOwned) > 0 {
 			return p.arpIngress(frame)
 		}
-		return nil, filter.VerdictPass
+		return filter.VerdictPass
 	}
 
 	if e, hit := p.ct[v.Flow]; hit {
@@ -415,11 +419,11 @@ func (p *Plane) Ingress(frame []byte) ([]byte, filter.Verdict) {
 	if vip, isVIP := p.vips[vipKey{ip: v.Flow.Dst, port: v.Flow.DstPort}]; isVIP {
 		return p.admitVIP(frame, v, vip)
 	}
-	return nil, filter.VerdictPass
+	return filter.VerdictPass
 }
 
 // conntracked handles a frame whose tuple is already tracked.
-func (p *Plane) conntracked(frame []byte, v wire.View, e ctEntry) ([]byte, filter.Verdict) {
+func (p *Plane) conntracked(frame []byte, v wire.View, e ctEntry) filter.Verdict {
 	f := e.f
 	f.lastSeen = p.cfg.Sim.Now()
 	if v.Flow.Proto == wire.ProtoTCP {
@@ -445,18 +449,17 @@ func (p *Plane) conntracked(frame []byte, v wire.View, e ctEntry) ([]byte, filte
 	return p.forward(frame, v, x)
 }
 
-// forward applies x to a private copy of frame (the original is the
-// network's and is never written) and hairpins it back out the wire.
-func (p *Plane) forward(frame []byte, v wire.View, x *xlate) ([]byte, filter.Verdict) {
-	out := append([]byte(nil), frame...)
-	if !p.applyXlate(out, v, x) {
+// forward applies x to frame in place and hairpins it back out the
+// wire.
+func (p *Plane) forward(frame []byte, v wire.View, x *xlate) filter.Verdict {
+	if !p.applyXlate(frame, v, x) {
 		p.Stats.Drops.Inc()
-		return nil, filter.VerdictDrop
+		return filter.VerdictDrop
 	}
 	p.Stats.Rewrites.Inc()
 	p.Stats.Hairpins.Inc()
-	p.cfg.Transmit(out)
-	return nil, filter.VerdictAbsorb
+	p.cfg.Transmit(frame)
+	return filter.VerdictAbsorb
 }
 
 // admitVIP begins tracking a new connection to a virtual service: pick
@@ -466,22 +469,22 @@ func (p *Plane) forward(frame []byte, v wire.View, x *xlate) ([]byte, filter.Ver
 // what the backend will answer with, and replies are rewritten back into
 // the reverse of what the initiator sent, leaving the way the first
 // frame does.
-func (p *Plane) admitVIP(frame []byte, v wire.View, vip *VIP) ([]byte, filter.Verdict) {
+func (p *Plane) admitVIP(frame []byte, v wire.View, vip *VIP) filter.Verdict {
 	if p.midStream(v) {
-		return nil, filter.VerdictDrop
+		return filter.VerdictDrop
 	}
 	bi := vip.pick(v.Flow)
 	if bi < 0 {
 		p.Stats.LBRefused.Inc()
 		p.Stats.Drops.Inc()
-		return nil, filter.VerdictDrop
+		return filter.VerdictDrop
 	}
 	b := vip.backends[bi]
 	snat, ok := p.snat.alloc()
 	if !ok {
 		p.Stats.SNATFailed.Inc()
 		p.Stats.Drops.Inc()
-		return nil, filter.VerdictDrop
+		return filter.VerdictDrop
 	}
 	p.Stats.LBConns.Inc()
 	eh, _ := wire.UnmarshalEth(frame) // cannot fail: Dissect accepted the frame
@@ -528,17 +531,17 @@ func (p *Plane) midStream(v wire.View) bool {
 // arpIngress answers ARP requests for owned VIP addresses with the
 // host's own MAC (proxy ARP), so clients on the segment resolve the
 // virtual address without any host actually configuring it.
-func (p *Plane) arpIngress(frame []byte) ([]byte, filter.Verdict) {
+func (p *Plane) arpIngress(frame []byte) filter.Verdict {
 	eh, err := wire.UnmarshalEth(frame)
 	if err != nil || eh.Type != wire.EtherTypeARP {
-		return nil, filter.VerdictPass
+		return filter.VerdictPass
 	}
 	pkt, err := wire.UnmarshalARP(frame[wire.EthHeaderLen:])
 	if err != nil || pkt.Op != wire.ARPRequest {
-		return nil, filter.VerdictPass
+		return filter.VerdictPass
 	}
 	if p.arpOwned[pkt.TargetIP] == 0 {
-		return nil, filter.VerdictPass
+		return filter.VerdictPass
 	}
 	reply := wire.ARPPacket{
 		Op:        wire.ARPReply,
@@ -553,7 +556,7 @@ func (p *Plane) arpIngress(frame []byte) ([]byte, filter.Verdict) {
 	copy(out[wire.EthHeaderLen:], reply.Marshal())
 	p.Stats.ARPReplies.Inc()
 	p.cfg.Transmit(out)
-	return nil, filter.VerdictAbsorb
+	return filter.VerdictAbsorb
 }
 
 // --- Introspection -------------------------------------------------------

@@ -6,8 +6,8 @@ import "time"
 type Verdict int
 
 const (
-	// VerdictPass continues normal processing (possibly with a rewritten
-	// frame).
+	// VerdictPass continues normal processing with the frame as it
+	// arrived.
 	VerdictPass Verdict = iota
 	// VerdictDrop discards the frame.
 	VerdictDrop
@@ -39,16 +39,17 @@ func (v Verdict) String() string {
 //
 // The cost/act split exists because the kernel charges virtual CPU
 // before effects occur: IngressCost is evaluated first and charged at
-// interrupt priority, then Ingress runs when the charge completes.
-// IngressCost must be cheap and must not mutate hook state.
+// interrupt priority, then Take runs when the charge completes.
+// IngressCost must be cheap, and neither writes the frame nor mutates
+// hook state.
 //
-// Ingress receives the frame by reference under the network's
-// immutability contract: the hook must not write to it. A rewriting
-// hook returns a fresh frame (and the original is forgotten); returning
-// nil keeps the original.
+// Take is handed a frame that is the hook's: it may rewrite it and
+// transmit it (a forward), and on Drop or Absorb the kernel forgets it.
+// A frame the hook passes goes up the receive path as it arrived, so a
+// passing hook has not written it.
 type Hook interface {
 	IngressCost(frame []byte) time.Duration
-	Ingress(frame []byte) ([]byte, Verdict)
+	Take(frame []byte) Verdict
 }
 
 // Chain is an ordered rule chain evaluated by a data-plane hook — the

@@ -294,7 +294,7 @@ type rxJob struct {
 	ep *Endpoint
 
 	planeFn   func() // routes through the data-plane hook after the device charge
-	hookFn    func() // runs the hook's Ingress after the dataplane charge
+	hookFn    func() // hands the frame to the hook after the dataplane charge
 	filterFn  func() // charges the software interrupt after the device charge
 	matchFn   func() // runs the packet filter after the softint charge
 	deliverFn func() // delivers to the endpoint after the copyout charge
@@ -350,13 +350,18 @@ func (j *rxJob) plane() {
 	h.chargeRx(costs.CompDataplane, h.hook.IngressCost(j.f.Data), j.hookFn)
 }
 
-// runHook applies the hook's ingress verdict: drop and absorb terminate
-// the receive path here; pass continues (with the rewritten frame, if
-// the hook produced one) into the packet-filter stage.
+// runHook hands the frame to the hook and applies its verdict: drop and
+// absorb terminate the receive path here; pass continues into the
+// packet-filter stage. The hook owns what it is given: an Owned delivery
+// itself, else a copy, for the network's read-only frame is never
+// written.
 func (j *rxJob) runHook() {
 	h := j.h
-	nf, v := h.hook.Ingress(j.f.Data)
-	switch v {
+	frame := j.f.Data
+	if !j.f.Owned {
+		frame = append([]byte(nil), frame...)
+	}
+	switch h.hook.Take(frame) {
 	case filter.VerdictDrop:
 		h.HookDrops.Inc()
 		h.putRxJob(j)
@@ -365,11 +370,6 @@ func (j *rxJob) runHook() {
 		h.HookAbsorbed.Inc()
 		h.putRxJob(j)
 		return
-	}
-	if nf != nil {
-		j.f.Data = nf
-		j.pc = h.pathFor(nf)
-		j.n = payloadLen(nf)
 	}
 	j.filter()
 }

@@ -172,6 +172,7 @@ type mergeBuf struct {
 	lastAck   uint32    // latest cumulative ACK seen (patched in at flush)
 	lastWin   uint16    // latest advertised window
 	psh       bool      // a merged frame carried PSH (set on the super-segment)
+	owned     bool      // buf is the engine's: an Owned opening frame, or the private merge buffer
 	lastTouch sim.Time  // arrival time of the newest merged frame (hold timer base)
 	gen       int       // guards the hold timer against early flushes
 }
@@ -485,11 +486,12 @@ func (e *Engine) Rx(f simnet.Frame) {
 			return
 		}
 		// In-order continuation: absorb. The merged super-segment is a
-		// new frame that never existed on the wire, and delivered frames
-		// are immutable, so the first absorption moves the opening frame
-		// into a private buffer sized for a full merge.
+		// new frame that never existed on the wire, so the first
+		// absorption moves the opening frame into a private buffer sized
+		// for a full merge; the engine owns it, whoever owned the frame.
 		if pend.count == 1 {
 			pend.buf = append(make([]byte, 0, pend.payAt+DefaultMaxCoalesce+DefaultMSS), pend.buf...)
+			pend.owned = true
 		}
 		pend.buf = append(pend.buf, f.Data[v.PayAt:v.End]...)
 		pend.count++
@@ -522,6 +524,7 @@ func (e *Engine) Rx(f simnet.Frame) {
 		lastAck:   v.Ack,
 		lastWin:   v.Window,
 		psh:       psh,
+		owned:     f.Owned,
 		lastTouch: now,
 	}
 	e.pending[v.Flow] = pend
@@ -557,8 +560,8 @@ func (e *Engine) armHold(pend *mergeBuf, wait time.Duration) {
 
 // flush delivers a pending merge, finalized if it absorbed anything; a
 // merge of one frame goes up as it arrived (its checksum is verified and
-// its ACK, window and PSH are its own). extra is added to the pipeline
-// charge.
+// its ACK, window, PSH and ownership are its own). extra is added to the
+// pipeline charge.
 func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	delete(e.pending, pend.flow)
 	pend.gen++
@@ -567,7 +570,7 @@ func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	}
 	e.Stats.LROFlushes.Inc()
 	e.Stats.LROBytes.Add(uint64(len(pend.buf) - pend.payAt))
-	e.deliverAfter(extra, simnet.Frame{Data: pend.buf})
+	e.deliverAfter(extra, simnet.Frame{Data: pend.buf, Owned: pend.owned})
 }
 
 // finalize makes the merged super-segment a well-formed frame: the merged

@@ -53,10 +53,12 @@ func pattern(base, n int) []byte {
 	return p
 }
 
-// delivery is one frame handed up by the engine, with its virtual time.
+// delivery is one frame handed up by the engine, with its virtual time
+// and ownership.
 type delivery struct {
-	at   sim.Time
-	data []byte
+	at    sim.Time
+	data  []byte
+	owned bool
 }
 
 // rxEnv is a receive-side test harness: an engine whose Up callback
@@ -73,15 +75,19 @@ func newRxEnv(t *testing.T) *rxEnv {
 	env.e = New(Config{
 		Sim:   env.s,
 		Name:  "rx-test",
-		Up:    func(f simnet.Frame) { env.got = append(env.got, delivery{at: env.s.Now(), data: f.Data}) },
+		Up:    func(f simnet.Frame) { env.got = append(env.got, delivery{env.s.Now(), f.Data, f.Owned}) },
 		Costs: costs.DECLibrarySHMIPFOffload().Offload,
 	})
 	return env
 }
 
-// inject schedules a frame into the engine at virtual time d.
+// inject schedules a read-only frame into the engine at virtual time d.
 func (env *rxEnv) inject(d time.Duration, frame []byte) {
-	env.s.After(d, func() { env.e.Rx(simnet.Frame{Data: frame}) })
+	env.injectFrame(d, simnet.Frame{Data: frame})
+}
+
+func (env *rxEnv) injectFrame(d time.Duration, f simnet.Frame) {
+	env.s.After(d, func() { env.e.Rx(f) })
 }
 
 func (env *rxEnv) run(t *testing.T) {
@@ -566,5 +572,39 @@ func TestLROLoneFrameAllocatesNoBuffer(t *testing.T) {
 	}
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1024 {
 		t.Fatalf("a lone pushed segment allocates %d bytes, want < 1 KiB", perRun)
+	}
+}
+
+// TestRxOwnership: the engine passes ownership through. A frame
+// delivered unmerged keeps its flag, a one-frame merge goes up with the
+// flag of the frame that opened it, and a merged super-segment is the
+// engine's private buffer, so it is Owned whatever its frames were.
+func TestRxOwnership(t *testing.T) {
+	for _, owned := range []bool{false, true} {
+		cases := []struct {
+			name   string
+			frames [][]byte
+			want   bool
+		}{
+			{"unmerged", [][]byte{tcpFrame(5000, 77, wire.TCPSyn, nil)}, owned},
+			{"one-frame merge", [][]byte{tcpFrame(5000, 77, wire.TCPAck|wire.TCPPsh, pattern(0, 100))}, owned},
+			{"merged", [][]byte{
+				tcpFrame(5000, 77, wire.TCPAck, pattern(0, 1000)),
+				tcpFrame(6000, 78, wire.TCPAck, pattern(1, 1000)),
+			}, true},
+		}
+		for _, tc := range cases {
+			env := newRxEnv(t)
+			for i, fr := range tc.frames {
+				env.injectFrame(time.Duration(i)*100*time.Microsecond, simnet.Frame{Data: fr, Owned: owned})
+			}
+			env.run(t)
+			if len(env.got) != 1 {
+				t.Fatalf("%s (Owned=%v): deliveries = %d, want 1", tc.name, owned, len(env.got))
+			}
+			if env.got[0].owned != tc.want {
+				t.Errorf("%s (Owned=%v): delivered Owned = %v, want %v", tc.name, owned, env.got[0].owned, tc.want)
+			}
+		}
 	}
 }

@@ -56,6 +56,7 @@ type Stats struct {
 	ARPDrops     metrics.Counter // dropped waiting for ARP resolution
 	ICMPSent     metrics.Counter // ICMP errors + echo replies originated
 	HeaderErrors metrics.Counter // unparseable / bad-checksum IP headers
+	Broadcasts   metrics.Counter // link- or IP-broadcast packets not forwarded, no ICMP (RFC 1812 §5.3.4, §4.3.2.7)
 }
 
 // Router forwards IP packets between the segments its ports join.
@@ -200,6 +201,7 @@ func (r *Router) BindMetrics(sc *metrics.Scope) {
 	sc.Counter("arp_drops", &r.Stats.ARPDrops)
 	sc.Counter("icmp_sent", &r.Stats.ICMPSent)
 	sc.Counter("header_errors", &r.Stats.HeaderErrors)
+	sc.Counter("broadcast_drops", &r.Stats.Broadcasts)
 }
 
 // BindMetrics registers the port's NIC counters and queue gauges under a
@@ -231,12 +233,14 @@ func (r *Router) rx(p *Port, f simnet.Frame) {
 	case wire.EtherTypeARP:
 		r.arpInput(p, f.Data[wire.EthHeaderLen:])
 	case wire.EtherTypeIPv4:
-		r.ipInput(p, f.Data)
+		r.ipInput(p, f, eh.Dst.IsBroadcast())
 	}
 }
 
-// ipInput validates, delivers-or-forwards the IP packet in one frame.
-func (r *Router) ipInput(p *Port, in []byte) {
+// ipInput validates, delivers-or-forwards the IP packet in one frame;
+// linkBcast reports that the frame was sent to the broadcast MAC.
+func (r *Router) ipInput(p *Port, f simnet.Frame, linkBcast bool) {
+	in := f.Data
 	v, ok := wire.DissectIP(in)
 	if !ok {
 		r.Stats.HeaderErrors.Inc()
@@ -260,6 +264,12 @@ func (r *Router) ipInput(p *Port, in []byte) {
 		}
 	}
 
+	// A broadcast is never forwarded, and never earns an ICMP error.
+	if linkBcast || h.Dst.IsBroadcast() {
+		r.Stats.Broadcasts.Inc()
+		return
+	}
+
 	// TTL check happens before routing: a packet that arrives with one
 	// hop left dies here, and its source learns why.
 	if h.TTL <= 1 {
@@ -280,11 +290,14 @@ func (r *Router) ipInput(p *Port, in []byte) {
 		return // counted inside admit
 	}
 
-	// Rewrite into a fresh frame: received frame data is immutable
-	// (shared with other receivers and the flight recorder). The link
+	// An owned frame is forwarded in place, as BSD's ip_forward reuses
+	// the received mbuf; a read-only one is copied first. The link
 	// addresses are transmit's to fill in.
-	frame := make([]byte, v.End)
-	copy(frame[v.IPAt:], in[v.IPAt:v.End])
+	frame := in[:v.End]
+	if !f.Owned {
+		frame = make([]byte, v.End)
+		copy(frame[v.IPAt:], in[v.IPAt:v.End])
+	}
 	v.SetTTL(frame, v.TTL-1)
 
 	r.Stats.Forwarded.Inc()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -13,6 +14,7 @@ import (
 // testHost is a bare station that answers ARP for its address and
 // captures every IP packet delivered to it.
 type testHost struct {
+	seg *simnet.Segment
 	nic *simnet.NIC
 	mac wire.MAC
 	ip  wire.IPAddr
@@ -25,7 +27,7 @@ type ipPacket struct {
 }
 
 func newTestHost(seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr) *testHost {
-	h := &testHost{mac: mac, ip: ip}
+	h := &testHost{seg: seg, mac: mac, ip: ip}
 	h.nic = seg.AttachNamed(name, mac)
 	h.nic.Rx = func(f simnet.Frame) {
 		eh, err := wire.UnmarshalEth(f.Data)
@@ -64,6 +66,11 @@ func newTestHost(seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr)
 // sendIP builds a UDP/IP frame addressed (at the link layer) to dstMAC
 // and transmits it.
 func (h *testHost) sendIP(dstMAC wire.MAC, dst wire.IPAddr, ttl uint8, payload []byte) {
+	h.nic.Transmit(h.ipFrame(dstMAC, dst, ttl, payload))
+}
+
+// ipFrame builds the UDP/IP frame sendIP sends.
+func (h *testHost) ipFrame(dstMAC wire.MAC, dst wire.IPAddr, ttl uint8, payload []byte) []byte {
 	udp := make([]byte, wire.UDPHeaderLen+len(payload))
 	binary.BigEndian.PutUint16(udp[0:2], 1111)
 	binary.BigEndian.PutUint16(udp[2:4], 2222)
@@ -80,7 +87,7 @@ func (h *testHost) sendIP(dstMAC wire.MAC, dst wire.IPAddr, ttl uint8, payload [
 	(&wire.EthHeader{Dst: dstMAC, Src: h.mac, Type: wire.EtherTypeIPv4}).Marshal(frame)
 	iph.Marshal(frame[wire.EthHeaderLen : wire.EthHeaderLen+wire.IPv4HeaderLen])
 	copy(frame[wire.EthHeaderLen+wire.IPv4HeaderLen:], udp)
-	h.nic.Transmit(frame)
+	return frame
 }
 
 func mac(b byte) wire.MAC { return wire.MAC{0x02, 0, 0, 0, 0, b} }
@@ -304,5 +311,97 @@ func TestREDDropsUnderOverload(t *testing.T) {
 	if f2 != forwarded || r2 != red || t2 != tail || q2 != maxQ {
 		t.Errorf("burst not deterministic: (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
 			forwarded, red, tail, maxQ, f2, r2, t2, q2)
+	}
+}
+
+// TestBroadcastsAreNotForwarded: a packet received as a link-layer
+// broadcast is never forwarded (RFC 1812 §5.3.4), and neither it nor a
+// packet to the limited broadcast address earns an ICMP error
+// (§4.3.2.7). Both are counted under broadcast_drops.
+func TestBroadcastsAreNotForwarded(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		dstMAC wire.MAC
+		dst    func(hb *testHost) wire.IPAddr
+	}{
+		{"link broadcast", wire.BroadcastMAC, func(hb *testHost) wire.IPAddr { return hb.ip }},
+		{"limited broadcast", mac(0xa0), func(*testHost) wire.IPAddr { return wire.IP(255, 255, 255, 255) }},
+	} {
+		s := sim.New(6)
+		r, ha, hb := topo2(s, QueueConfig{})
+		ha.sendIP(tc.dstMAC, tc.dst(hb), 64, []byte("everyone"))
+		if err := s.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if len(hb.got) != 0 || len(ha.got) != 0 {
+			t.Errorf("%s: hostB got %d packets, hostA %d, want 0 and 0", tc.name, len(hb.got), len(ha.got))
+		}
+		st := &r.Stats
+		if st.Broadcasts.Value() != 1 || st.Forwarded.Value() != 0 || st.NoRoute.Value() != 0 || st.ICMPSent.Value() != 0 {
+			t.Errorf("%s: Broadcasts/Forwarded/NoRoute/ICMPSent = %d/%d/%d/%d, want 1/0/0/0", tc.name,
+				st.Broadcasts.Value(), st.Forwarded.Value(), st.NoRoute.Value(), st.ICMPSent.Value())
+		}
+	}
+}
+
+// TestDuplicateForwardedTwice: both halves of a duplicated frame share
+// one read-only buffer, so the router must forward each from its own
+// copy — rewriting the shared buffer in place would send the second out
+// with its TTL decremented twice.
+func TestDuplicateForwardedTwice(t *testing.T) {
+	s := sim.New(7)
+	r, ha, hb := topo2(s, QueueConfig{})
+	ha.seg.Faults().SetLinkRates("ha", fault.Rates{Dup: 1})
+	ha.sendIP(mac(0xa0), hb.ip, 64, []byte("twice"))
+	if err := s.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(hb.got) != 2 {
+		t.Fatalf("hostB received %d packets, want 2", len(hb.got))
+	}
+	for i, pkt := range hb.got {
+		if pkt.h.TTL != 63 || string(pkt.body[wire.UDPHeaderLen:]) != "twice" {
+			t.Errorf("copy %d: TTL %d payload %q, want 63 %q", i, pkt.h.TTL, pkt.body[wire.UDPHeaderLen:], "twice")
+		}
+	}
+	if got := r.Stats.Forwarded.Value(); got != 2 {
+		t.Errorf("Forwarded = %d, want 2", got)
+	}
+}
+
+// TestForwardAllocs: an owned frame is forwarded in place, so a forward
+// to a resolved next hop allocates nothing; a read-only one costs its
+// copy and nothing more.
+func TestForwardAllocs(t *testing.T) {
+	s := sim.New(8)
+	r, ha, hb := topo2(s, QueueConfig{})
+	ha.sendIP(mac(0xa0), hb.ip, 64, []byte("warm")) // resolves hb
+	if err := s.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(hb.got) != 1 {
+		t.Fatalf("warm-up packet not forwarded")
+	}
+	hb.nic.Rx = func(simnet.Frame) {}
+	in := r.Ports()[0]
+	tmpl := ha.ipFrame(mac(0xa0), hb.ip, 64, make([]byte, 512))
+	buf := make([]byte, len(tmpl))
+	for _, tc := range []struct {
+		owned bool
+		want  float64
+	}{{true, 0}, {false, 1}} {
+		got := testing.AllocsPerRun(100, func() {
+			copy(buf, tmpl)
+			r.rx(in, simnet.Frame{Data: buf, Owned: tc.owned})
+			if err := s.RunFor(10 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("Owned=%v: a forward allocates %.2f objects, want %.0f", tc.owned, got, tc.want)
+		}
+	}
+	if got := r.Stats.Forwarded.Value(); got != 1+2*101 {
+		t.Errorf("Forwarded = %d, want %d (warm-up + two runs of 1+100)", got, 1+2*101)
 	}
 }

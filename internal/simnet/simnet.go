@@ -30,17 +30,19 @@ const ByteTime = 800 * time.Nanosecond
 // Frame is an Ethernet frame in flight: header plus payload, no CRC
 // (the CRC is accounted for in wire size only).
 //
-// Ownership rules: Data is owned by the network from the moment it is
-// passed to Transmit and is IMMUTABLE from then on. A frame is delivered
-// to every matching receiver — and to a duplicate-fault's second
-// delivery — by reference, with no per-hop copy; receivers (and anything
-// downstream of them: endpoint queues, socket buffers that alias frame
-// payloads, pcap exports) must therefore never write to Data. The only
-// mutation in the system is fault-injected corruption, which takes a
-// private copy first (see Segment.inject), so a corrupted delivery can
-// never alias the sender's buffer or another receiver's copy.
+// Ownership rules: the sender surrenders Data at Transmit. Delivery is
+// by reference, with no per-hop copy. A delivery is Owned when no other
+// delivery shares its buffer — a unicast that only its addressee takes,
+// or a trunk delivery, and in either case not one half of a duplicate —
+// and then the buffer is the receiving station's: it may rewrite it and
+// Transmit it again. Every other delivery (a broadcast, a promiscuous
+// sighting, either half of a duplicate) is read-only, and so is the zero
+// value: nobody writes a Frame that is not Owned. Fault-injected
+// corruption takes a private copy first (see Segment.inject), so a
+// corrupted delivery never aliases the sender's buffer.
 type Frame struct {
-	Data []byte
+	Data  []byte
+	Owned bool
 }
 
 // WireSize returns the frame's size on the wire, including CRC and
@@ -338,9 +340,8 @@ func (j *txJob) done() {
 // direction's private wire on a trunk). It may be called from event or
 // process context on the station's own shard; the frame is delivered to
 // receivers after the medium has been acquired and the frame
-// serialized. The data slice is owned by the network after the call and
-// must not be mutated by anyone afterwards — delivery is by reference
-// (see Frame).
+// serialized. The sender gives up the data slice with the call: delivery
+// is by reference, and only an Owned delivery may write it (see Frame).
 func (n *NIC) Transmit(data []byte) error {
 	if len(data) < wire.EthHeaderLen {
 		return fmt.Errorf("simnet: frame shorter than Ethernet header (%d bytes)", len(data))
@@ -365,7 +366,7 @@ func (n *NIC) Transmit(data []byte) error {
 // hands the surviving copies to deliver.
 func (g *Segment) inject(from *NIC, f Frame) {
 	if g.inj == nil {
-		g.deliver(from, f, 0)
+		g.deliver(from, f, 0, false)
 		return
 	}
 	// Only bits past the Ethernet header are corruptible: a real NIC's
@@ -405,17 +406,19 @@ func (g *Segment) inject(from *NIC, f Frame) {
 			r.Emit(trace.LayerNet, trace.EvFrameDelay, from.name, "", "", int64(d.Delay), 0, 0)
 		}
 	}
-	g.deliver(from, f, d.Delay)
+	g.deliver(from, f, d.Delay, d.Dup)
 	if d.Dup {
 		from.stats.FramesDup.Inc()
 		if on {
 			r.Emit(trace.LayerNet, trace.EvFrameDup, from.name, "", "", 0, 0, 0)
 		}
-		g.deliver(from, f, d.Delay)
+		g.deliver(from, f, d.Delay, true)
 	}
 }
 
-func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration) {
+// deliver hands f to every station that takes it; dup marks one half of
+// a duplicated frame, whose buffer the other half shares.
+func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 	hdr, err := wire.UnmarshalEth(f.Data)
 	if err != nil {
 		from.stats.DropsMalformed.Inc()
@@ -424,10 +427,15 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration) {
 		}
 		return
 	}
+	owned := !dup && !hdr.Dst.IsBroadcast()
 	if g.ptp {
-		g.deliverTrunk(from, hdr, f, delay)
+		g.deliverTrunk(from, hdr, Frame{Data: f.Data, Owned: owned}, delay)
 		return
 	}
+	for _, nic := range g.nics { // a promiscuous station shares a unicast
+		owned = owned && (!nic.Promisc || nic == from || nic.mac == hdr.Dst)
+	}
+	rf := Frame{Data: f.Data, Owned: owned}
 	for _, nic := range g.nics {
 		if nic == from {
 			continue // Ethernet does not deliver a frame to its sender
@@ -442,7 +450,6 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration) {
 			}
 			continue
 		}
-		nic := nic
 		g.stats.DeliveryEvents.Inc()
 		nic.RxFrames.Inc()
 		nic.RxBytes.Add(uint64(f.WireSize()))
@@ -453,14 +460,14 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration) {
 			if g.tr.On(trace.LayerNet) {
 				g.tr.Emit(trace.LayerNet, trace.EvFrameRx, nic.name, from.name, "", int64(len(f.Data)), 0, 0)
 			}
-			nic.Rx(f)
+			nic.Rx(rf)
 		} else {
 			fromName := from.name
 			g.sim.After(delay, func() {
 				if g.tr.On(trace.LayerNet) {
-					g.tr.Emit(trace.LayerNet, trace.EvFrameRx, nic.name, fromName, "", int64(len(f.Data)), 0, 0)
+					g.tr.Emit(trace.LayerNet, trace.EvFrameRx, nic.name, fromName, "", int64(len(rf.Data)), 0, 0)
 				}
-				nic.Rx(f)
+				nic.Rx(rf)
 			})
 		}
 	}

@@ -200,12 +200,12 @@ func (st *Stack) patchTransportChecksum(seg **mbuf.Chain, proto uint8, dst wire.
 // allocation: a resolved next hop costs nothing more.
 //
 // Frame buffers are deliberately GC-allocated rather than pooled: a
-// transmitted frame may be shared by several receivers, the flight
-// recorder, and kernel delivery queues, so its lifetime has no single
-// release point — and fresh storage guarantees no stale pooled bytes can
-// leak into frames or pcap exports. A frame is immutable once
-// transmitted; a queued one is written once more, its destination
-// address, before it is.
+// transmitted frame may be shared by several receivers, kernel delivery
+// queues and socket buffers that alias its payload, or forwarded on by
+// the station it was delivered to, so its lifetime has no single release
+// point — and fresh storage guarantees no stale pooled bytes can leak
+// into frames or pcap exports. The stack gives the frame up at transmit;
+// a queued one is written once more, its destination address, before.
 func (st *Stack) emitIP(t *sim.Proc, tcp bool, h wire.IPv4Header, nextHop wire.IPAddr, payload *mbuf.Chain, n, ckOff int) error {
 	st.charge(t, tcp, costs.CompEtherOutput, n)
 	frame := make([]byte, wire.EthHeaderLen+wire.IPv4HeaderLen+payload.Len())

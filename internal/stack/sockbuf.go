@@ -23,9 +23,9 @@ func (sb *streamBuf) space() int { return sb.hiwat - sb.data.Len() }
 // appendBytes copies b into the buffer.
 func (sb *streamBuf) appendBytes(b []byte) { sb.data.AppendBytes(b) }
 
-// appendAlias appends b without copying. The caller guarantees b is
-// immutable (received frame bytes under the simnet ownership rules, or a
-// NEWAPI send buffer the application has given up).
+// appendAlias appends b without copying. The caller guarantees no one
+// writes b (received frame bytes, which a receiving stack never writes,
+// or a NEWAPI send buffer the application has given up).
 func (sb *streamBuf) appendAlias(b []byte) { sb.data.AppendAlias(b) }
 
 // drop discards n bytes from the front (sbdrop; TCP acked data).

@@ -441,8 +441,8 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 		// Common case: in order, nothing queued.
 		st.charge(t, true, costs.CompMbufQueue, len(data))
 		tp.rcvNxt += uint32(len(data))
-		// Frame bytes are immutable once delivered (simnet ownership
-		// rules): queue them by reference instead of copying.
+		// A receiving stack never writes its frame, and no one else
+		// writes a delivered one: queue the bytes by reference.
 		s.rcv.appendAlias(data)
 		if tp.delAck {
 			tp.ackNow = true // ACK every second segment
@@ -496,7 +496,7 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 // insertReasm places a segment into the sorted reassembly queue, trimming
 // overlap against existing segments conservatively.
 func (st *Stack) insertReasm(tp *tcpcb, seq uint32, data []byte, fin bool) {
-	c := mbuf.FromBytes(data) // frame bytes are immutable: alias, don't copy
+	c := mbuf.FromBytes(data) // no one writes a received frame: alias, don't copy
 	seg := reasmSeg{seq: seq, data: c, fin: fin}
 	// Find insertion point.
 	i := 0

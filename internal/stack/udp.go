@@ -58,8 +58,8 @@ func (st *Stack) udpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 		return
 	}
 	st.charge(t, false, costs.CompMbufQueue, len(payload))
-	// The frame's bytes are immutable once delivered (simnet ownership
-	// rules), so the datagram buffer aliases them instead of copying.
+	// A receiving stack never writes its frame, and no one else writes
+	// a delivered one, so the datagram buffer aliases it.
 	d := mbuf.FromBytes(payload)
 	if !s.drcv.enqueue(remote, d) {
 		d.Release()

@@ -181,9 +181,11 @@ func TestCityShardCountInvariance(t *testing.T) {
 // digests above (seed 42 on 3 shards, seed 7 on 1), recorded while every
 // proc ran on its own goroutine and no run was closed. Every shard count,
 // threading mode and random topology of the battery reproduced them too.
+// They were re-recorded once since, when each router's snapshot gained
+// a broadcast_drops counter (zero in both runs); nothing else moved.
 var cityReferenceDigests = map[int64]string{
-	42: "c92122af79744b61dd9288c3c0c8349a48237ddf1324432dee63ea6d97ceab38",
-	7:  "cab71b9896fa0dbb4eddfa5b9c28d3dce976f62f1add116d5b7a2c9f0cec51d8",
+	42: "c1057ef923c228352597aef58e557f7d6544806b8a4449b6667ee881980e863d",
+	7:  "870e4eaf221e0adf614830b3cac44eaefb2e893628d91f1a2e68197394d906d4",
 }
 
 // TestRunCityReleasesWorld: a finished city hands its threads back. The
