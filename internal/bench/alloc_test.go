@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -51,5 +52,43 @@ func TestSteadyStateTCPAllocBudget(t *testing.T) {
 	}
 	if perSeg := streamAllocsPerSegment(t, HeadlineConfig(), false); perSeg > allocsPerSegmentBudget {
 		t.Fatalf("TCP hot path allocates %.2f objects/segment; budget is %.0f", perSeg, allocsPerSegmentBudget)
+	}
+}
+
+// Heap bytes per delivered payload byte on the same run. Before frames
+// came from mbuf's pools every segment allocated its frame, and the run
+// measured 1.31 bytes per payload byte; pooled, it measures 0.22. The
+// budget leaves headroom for pool warm-up across machines, and a return
+// to a fresh frame per segment fails it.
+const bytesPerPayloadByteBudget = 0.5
+
+// TestSteadyStateTCPBytesBudget runs the headline configuration's 2 MB
+// transfer, world construction included, and gates the heap bytes it
+// allocates per payload byte delivered.
+func TestSteadyStateTCPBytesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting run skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; heap bytes are not meaningful")
+	}
+	cfg := HeadlineConfig()
+	const total, runs = 2 << 20, 3
+	run := func() {
+		if r := runStreamOn(streamWorld(nil, cfg, false), "ttcp", cfg.RcvBufKB, total, 0); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	run() // warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / runs / total
+	t.Logf("%s: %.3f heap bytes per payload byte", cfg.Name, perByte)
+	if perByte > bytesPerPayloadByteBudget {
+		t.Fatalf("TCP data path allocates %.3f heap bytes per payload byte; budget is %.2f", perByte, bytesPerPayloadByteBudget)
 	}
 }

@@ -1,6 +1,6 @@
 //go:build race
 
-package mbuf
+package bench
 
 // raceEnabled reports that the race detector is active, under which
 // sync.Pool deliberately drops items so allocation counts are not

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costs"
 	"repro/internal/kern"
+	"repro/internal/mbuf"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
@@ -425,6 +426,71 @@ func TestFragmentTimeout(t *testing.T) {
 	}
 	if srv.FragForwards.Value() != 1 || len(got) != 1 || !bytes.Equal(got[0], dgram[wire.UDPHeaderLen:]) {
 		t.Fatalf("complete pair: %d forwards, deliveries %q", srv.FragForwards.Value(), got)
+	}
+}
+
+// TestServerFragmentsOutliveReuse: the server's table of fragments for
+// migrated sessions keeps each fragment by alias, so a fragment it holds
+// must never go back to mbuf's pools. A first fragment arrives as an
+// owned delivery in pooled storage; a second burst then draws full-size
+// frames from the pools and overwrites them; the last fragment completes
+// the datagram, which must arrive as sent.
+func TestServerFragmentsOutliveReuse(t *testing.T) {
+	w := newWorld(6)
+	libB := w.b.NewLibrary("sink")
+	x := w.seg.AttachOn(w.s, "X", wire.MAC{9})
+	var got []byte
+	w.s.Spawn("sink", func(p *sim.Proc) {
+		fd, _ := libB.Socket(p, socketapi.SockDgram)
+		libB.SetSockOpt(p, fd, socketapi.SoRcvBuf, 16384)
+		libB.Bind(p, fd, socketapi.SockAddr{Port: 2000})
+		buf := make([]byte, 4096)
+		n, _, err := libB.RecvFrom(p, fd, buf, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got = buf[:n]
+	})
+
+	// One datagram 10.0.0.9:3000 → 10.0.0.2:2000 in two fragments, the
+	// first a full-size frame.
+	dgram := make([]byte, 2000)
+	w.s.Rand().Read(dgram)
+	(&wire.UDPHeader{SrcPort: 3000, DstPort: 2000, Length: uint16(len(dgram))}).Marshal(dgram)
+	const split = 1480
+	frag := func(second bool) []byte {
+		body := dgram[:split]
+		h := wire.IPv4Header{ID: 7, TTL: wire.DefaultTTL, Proto: wire.ProtoUDP,
+			Src: wire.IP(10, 0, 0, 9), Dst: wire.IP(10, 0, 0, 2), Flags: wire.IPFlagMF}
+		if second {
+			body, h.Flags, h.FragOff = dgram[split:], 0, split/8
+		}
+		h.TotalLen = uint16(wire.IPv4HeaderLen + len(body))
+		f := mbuf.Frame(wire.EthHeaderLen + wire.IPv4HeaderLen + len(body))
+		(&wire.EthHeader{Dst: wire.MAC{2}, Src: wire.MAC{9}, Type: wire.EtherTypeIPv4}).Marshal(f)
+		h.Marshal(f[wire.EthHeaderLen:])
+		copy(f[wire.EthHeaderLen+wire.IPv4HeaderLen:], body)
+		return f
+	}
+	w.s.After(100*time.Millisecond, func() { x.Transmit(frag(false)) })
+	var burst [][]byte
+	w.s.After(time.Second, func() {
+		for range 32 {
+			f := mbuf.Frame(wire.EthHeaderLen + wire.IPv4HeaderLen + split)
+			for i := range f {
+				f[i] = 0xee
+			}
+			burst = append(burst, f)
+		}
+	})
+	w.s.After(2*time.Second, func() { x.Transmit(frag(true)) })
+	if err := w.s.RunFor(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if w.b.Server.FragForwards.Value() != 1 || !bytes.Equal(got, dgram[wire.UDPHeaderLen:]) {
+		t.Fatalf("%d forwards; datagram arrived as %d bytes, equal to the sent %d: %v",
+			w.b.Server.FragForwards.Value(), len(got), len(dgram)-wire.UDPHeaderLen, bytes.Equal(got, dgram[wire.UDPHeaderLen:]))
 	}
 }
 

@@ -47,7 +47,7 @@ type Library struct {
 	// session's state is never exported mid-update.
 	rxBusy  int
 	rxQuiet sim.Cond
-	rx      func(t *sim.Proc, frame []byte) // input, as every receive thread's step
+	rx      func(t *sim.Proc, frame []byte, owned bool) // input, as every receive thread's step
 
 	proxyCalls int
 	exited     bool
@@ -109,9 +109,9 @@ func (lib *Library) startRx(ep *kern.Endpoint) { ep.Drain(lib.Proc, "rx", lib.rx
 
 // input is a receive thread's step: one frame into the library stack,
 // counted in rxBusy.
-func (lib *Library) input(t *sim.Proc, frame []byte) {
+func (lib *Library) input(t *sim.Proc, frame []byte, owned bool) {
 	lib.rxBusy++
-	lib.St.Input(t, frame)
+	lib.St.Input(t, frame, owned)
 	lib.rxBusy--
 	if lib.rxBusy == 0 {
 		lib.rxQuiet.Broadcast()

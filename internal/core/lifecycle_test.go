@@ -230,7 +230,7 @@ func TestSessionLifecycle(t *testing.T) {
 		// migration is refused and the server shuts the session.
 		{"tcp/close-under-export", []lifeStep{lifeSocket(tcp), lifeConnect(7, nil, lifeEstablished), lifeFork,
 			lifeClose(path(serverOwned)), {"export under close", func(r *lifeRig) {
-				r.s.Spawn("input", func(p *sim.Proc) { r.srv.St.Input(p, unclaimedFrame(ipA)) })
+				r.s.Spawn("input", func(p *sim.Proc) { r.srv.St.Input(p, unclaimedFrame(ipA), false) })
 				r.s.Spawn("closer", func(p *sim.Proc) {
 					p.Sleep(2) // the export is waiting
 					r.srv.proxyRelease(p, r.sid)

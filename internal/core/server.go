@@ -223,8 +223,9 @@ func New(h *kern.Host, srvProf costs.Profile) *System {
 // datagram completes, re-injected through the kernel filter set so the
 // session's filter can claim it (ports are only present in the first
 // fragment — the paper's "exceptional packets" case). Everything else
-// flows into the server stack.
-func (srv *Server) input(t *sim.Proc, frame []byte) {
+// flows into the server stack, with its ownership; a fragment the
+// interception keeps is never handed back, as its reassembler aliases it.
+func (srv *Server) input(t *sim.Proc, frame []byte, owned bool) {
 	if v, ok := wire.DissectIP(frame); ok && v.IsFragment() {
 		// The reassembler speaks the codec's header; unmarshalling it
 		// also verifies the header checksum.
@@ -234,7 +235,7 @@ func (srv *Server) input(t *sim.Proc, frame []byte) {
 		}
 		// Not ours: the server stack's own reassembly takes it.
 	}
-	srv.St.Input(t, frame)
+	srv.St.Input(t, frame, owned)
 }
 
 // fragIntercept collects fragments of datagrams destined for migrated

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/costs"
 	"repro/internal/filter"
+	"repro/internal/mbuf"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -18,6 +19,7 @@ const DefaultEndpointDepth = 512
 // Packet is a received frame queued at an endpoint.
 type Packet struct {
 	Frame   []byte
+	Owned   bool // simnet.Frame.Owned: the receiver hands the storage back
 	Arrived sim.Time
 	Payload int // transport payload length, for cost accounting
 }
@@ -123,15 +125,17 @@ func (e *Endpoint) Close() {
 // deliver runs in event (interrupt) context after the delivery copy has
 // been charged.
 func (e *Endpoint) deliver(h *Host, f simnet.Frame, payload int) {
-	if e.closed {
+	if e.closed || e.pending() >= e.depth {
+		if !e.closed {
+			e.Drops.Inc()
+			h.RxDropped.Inc()
+		}
+		if f.Owned {
+			mbuf.Free(f.Data)
+		}
 		return
 	}
-	if e.pending() >= e.depth {
-		e.Drops.Inc()
-		h.RxDropped.Inc()
-		return
-	}
-	e.queue = append(e.queue, Packet{Frame: f.Data, Arrived: h.Sim.Now(), Payload: payload})
+	e.queue = append(e.queue, Packet{Frame: f.Data, Owned: f.Owned, Arrived: h.Sim.Now(), Payload: payload})
 	e.Delivered.Inc()
 	h.DeliveryBytes.Add(uint64(payload))
 	switch h.Prof.Delivery {
@@ -173,16 +177,16 @@ func (e *Endpoint) Recv(p *sim.Proc) (Packet, bool) {
 }
 
 // Drain spawns p's daemon thread name, which hands input every frame the
-// endpoint delivers until it closes: the network input thread of every
-// stack StackConfig builds.
-func (e *Endpoint) Drain(p *Process, name string, input func(t *sim.Proc, frame []byte)) *sim.Proc {
+// endpoint delivers, with its ownership, until it closes: the network
+// input thread of every stack StackConfig builds.
+func (e *Endpoint) Drain(p *Process, name string, input func(t *sim.Proc, frame []byte, owned bool)) *sim.Proc {
 	return p.GoDaemon(name, func(t *sim.Proc) {
 		for {
 			pkt, ok := e.Recv(t)
 			if !ok {
 				return
 			}
-			input(t, pkt.Frame)
+			input(t, pkt.Frame, pkt.Owned)
 		}
 	})
 }

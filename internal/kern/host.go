@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/costs"
 	"repro/internal/filter"
+	"repro/internal/mbuf"
 	"repro/internal/metrics"
 	"repro/internal/offload"
 	"repro/internal/sim"
@@ -387,6 +388,9 @@ func (j *rxJob) match() {
 		h.RxNoMatch.Inc()
 		if h.Trace.On(trace.LayerFilter) {
 			h.Trace.Emit(trace.LayerFilter, trace.EvFilterMiss, h.Name, "", "", 0, int64(examined), 0)
+		}
+		if j.f.Owned {
+			mbuf.Free(j.f.Data)
 		}
 		h.putRxJob(j)
 		return

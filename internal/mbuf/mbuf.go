@@ -21,6 +21,14 @@
 // what makes the steady-state data path allocation-free. After Release
 // the chain is empty and may be reused; any byte slices previously
 // obtained from the chain (Prepend, Pullup, Writer, Iter) are invalid.
+//
+// Link frames use the same pools and the same reference counts, with no
+// unsafe code: Frame lends a pooled array as a bare slice, and the
+// frame's last owner either hands it back (Free) or adopts it into a
+// chain (Adopt) whose references return it when the last one drops. A
+// frame nobody hands back is garbage collected like an abandoned chain.
+// Under the race detector every array is poisoned on its way back into a
+// pool.
 package mbuf
 
 import (
@@ -87,7 +95,68 @@ func (b *buf) retain() { b.refs++ }
 func (b *buf) release() {
 	b.refs--
 	if b.refs == 0 && b.class >= 0 {
+		if raceEnabled {
+			for i := range b.b {
+				b.b[i] = 0xdb
+			}
+		}
 		bufPools[b.class].Put(b)
+	}
+}
+
+// husks holds the buffers whose arrays Frame lent out, so that a frame
+// coming back is re-wrapped without allocating.
+var husks = sync.Pool{New: func() any { return new(buf) }}
+
+// Frame lends n bytes of pooled storage for a link frame. Like every
+// pooled array it holds whatever it last held: the caller must write all
+// n bytes. The frame's last owner hands it back with Free or Adopt.
+func Frame(n int) []byte {
+	b := getBuf(n)
+	if b.class < 0 {
+		return b.b
+	}
+	f := b.b[:n]
+	b.b = nil
+	husks.Put(b)
+	return f
+}
+
+// wrap returns a buffer holding f's array with one reference.
+func wrap(f []byte) *buf {
+	cl := exactClass(cap(f))
+	if cl < 0 {
+		return &buf{b: f[:cap(f)], refs: 1, class: -1}
+	}
+	b := husks.Get().(*buf)
+	b.b, b.refs, b.class = f[:cap(f)], 1, int8(cl)
+	return b
+}
+
+// exactClass returns the class of an array of exactly n bytes, such as
+// every array Frame lends, or -1: other storage is never pooled.
+func exactClass(n int) int {
+	if cl := classFor(n); cl >= 0 && n == 1<<(cl+minClassBits) {
+		return cl
+	}
+	return -1
+}
+
+// Free hands back a frame its caller owns and that no chain references;
+// the caller must not touch it again.
+func Free(f []byte) {
+	if exactClass(cap(f)) >= 0 {
+		wrap(f).release()
+	}
+}
+
+// Adopt appends f, a frame the caller owns, as a segment holding its
+// storage's one reference: when that reference and every one shared
+// from it (CopyRegion, Split) have dropped, the array goes back to its
+// pool. The caller gives f up.
+func (c *Chain) Adopt(f []byte) {
+	if len(f) > 0 {
+		c.appendSeg(newSeg(wrap(f), 0, len(f)))
 	}
 }
 

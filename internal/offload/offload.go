@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/costs"
+	"repro/internal/mbuf"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -158,6 +159,8 @@ type Engine struct {
 	// merge is open (bounded by concurrently-held flows, and never
 	// iterated, so the map cannot perturb determinism).
 	pending map[wire.Flow]*mergeBuf
+
+	free []*job // idle jobs, reused so the per-frame path schedules no closures
 
 	Stats Stats
 }
@@ -312,9 +315,12 @@ func (e *Engine) Transmit(frame []byte) error {
 		return e.cfg.NIC.Transmit(frame)
 	}
 
-	// TSO: slice the super-segment into MSS-sized wire frames.
+	// TSO: slice the super-segment into MSS-sized wire frames. The
+	// stack gave the super-segment up at Transmit, so once sliced its
+	// storage goes back to mbuf's pools.
 	e.Stats.TSOSuper.Inc()
 	slices := sliceSuper(frame, v)
+	mbuf.Free(frame)
 	tcpHLen := v.PayAt - v.TPAt
 
 	if e.txFull() {
@@ -356,10 +362,68 @@ func (e *Engine) Transmit(frame []byte) error {
 // at t, then sends the frame out.
 func (e *Engine) transmitAt(t sim.Time, frame []byte) {
 	e.txQueued++
-	e.at(t, func() {
-		e.txQueued--
-		e.cfg.NIC.Transmit(frame)
-	})
+	j := e.getJob()
+	j.f.Data = frame
+	e.at(t, j.txFn)
+}
+
+// job is one scheduled continuation of the engine: a frame leaving the
+// transmit pipeline, a frame reaching the host, or a merge's hold timer.
+// Jobs are pooled per engine and their continuations bound once, as
+// simnet's txJob and kern's rxJob are, so the per-frame path schedules no
+// new closures.
+type job struct {
+	e    *Engine
+	f    simnet.Frame
+	pend *mergeBuf
+	gen  int
+
+	txFn, upFn, holdFn func()
+}
+
+func (e *Engine) getJob() *job {
+	if n := len(e.free); n > 0 {
+		j := e.free[n-1]
+		e.free = e.free[:n-1]
+		return j
+	}
+	j := &job{e: e}
+	j.txFn, j.upFn, j.holdFn = j.tx, j.up, j.hold
+	return j
+}
+
+// done returns the job to the engine's free list.
+func (j *job) done() {
+	j.f, j.pend = simnet.Frame{}, nil
+	j.e.free = append(j.e.free, j)
+}
+
+func (j *job) tx() {
+	e, frame := j.e, j.f.Data
+	j.done()
+	e.txQueued--
+	e.cfg.NIC.Transmit(frame)
+}
+
+func (j *job) up() {
+	e, f := j.e, j.f
+	j.done()
+	e.rxQueued--
+	e.cfg.Up(f)
+}
+
+// hold is the moderation timer of armHold.
+func (j *job) hold() {
+	e, pend, gen := j.e, j.pend, j.gen
+	j.done()
+	if cur := e.pending[pend.flow]; cur != pend || pend.gen != gen {
+		return
+	}
+	if quiet := e.cfg.Sim.Now().Sub(pend.lastTouch); quiet < DefaultHold {
+		e.armHold(pend, DefaultHold-quiet)
+		return
+	}
+	e.flush(pend, e.cfg.Costs.RxFlush.At(0))
 }
 
 // sliceSuper slices a TSO super-segment into MSS-sized wire frames with
@@ -373,7 +437,7 @@ func sliceSuper(frame []byte, v wire.View) [][]byte {
 	var slices [][]byte
 	for off, idx := 0, 0; off < len(payload); idx++ {
 		take := min(DefaultMSS, len(payload)-off)
-		slice := make([]byte, v.PayAt+take)
+		slice := mbuf.Frame(v.PayAt + take)
 		copy(slice, frame[:v.PayAt])
 		copy(slice[v.PayAt:], payload[off:off+take])
 
@@ -488,12 +552,22 @@ func (e *Engine) Rx(f simnet.Frame) {
 		// In-order continuation: absorb. The merged super-segment is a
 		// new frame that never existed on the wire, so the first
 		// absorption moves the opening frame into a private buffer sized
-		// for a full merge; the engine owns it, whoever owned the frame.
+		// for a full merge, lent by mbuf's pools; the engine owns it,
+		// whoever owned the frame. An owned frame's storage goes back to
+		// the pools once its bytes are in the merge; one the engine does
+		// not own is only read.
 		if pend.count == 1 {
-			pend.buf = append(make([]byte, 0, pend.payAt+DefaultMaxCoalesce+DefaultMSS), pend.buf...)
+			open := pend.buf
+			pend.buf = append(mbuf.Frame(pend.payAt + DefaultMaxCoalesce + DefaultMSS)[:0], open...)
+			if pend.owned {
+				mbuf.Free(open)
+			}
 			pend.owned = true
 		}
 		pend.buf = append(pend.buf, f.Data[v.PayAt:v.End]...)
+		if f.Owned {
+			mbuf.Free(f.Data)
+		}
 		pend.count++
 		pend.nextSeq += uint32(payLen)
 		pend.lastAck = v.Ack
@@ -545,17 +619,9 @@ func (e *Engine) Rx(f simnet.Frame) {
 // so the timer re-arms itself until the quiet period is real; the
 // generation guard kills timers that outlive their merge.
 func (e *Engine) armHold(pend *mergeBuf, wait time.Duration) {
-	gen := pend.gen
-	e.cfg.Sim.After(wait, func() {
-		if cur := e.pending[pend.flow]; cur != pend || pend.gen != gen {
-			return
-		}
-		if quiet := e.cfg.Sim.Now().Sub(pend.lastTouch); quiet < DefaultHold {
-			e.armHold(pend, DefaultHold-quiet)
-			return
-		}
-		e.flush(pend, e.cfg.Costs.RxFlush.At(0))
-	})
+	j := e.getJob()
+	j.pend, j.gen = pend, pend.gen
+	e.cfg.Sim.After(wait, j.holdFn)
 }
 
 // flush delivers a pending merge, finalized if it absorbed anything; a
@@ -601,10 +667,9 @@ func (e *Engine) deliverNow(f simnet.Frame) {
 func (e *Engine) deliverAfter(d time.Duration, f simnet.Frame) {
 	done := e.chargeRx(d)
 	e.rxQueued++
-	e.at(done, func() {
-		e.rxQueued--
-		e.cfg.Up(f)
-	})
+	j := e.getJob()
+	j.f = f
+	e.at(done, j.upFn)
 }
 
 // observeArrival updates the inter-arrival EWMA and reports whether the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/costs"
+	"repro/internal/mbuf"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -606,5 +607,66 @@ func TestRxOwnership(t *testing.T) {
 				t.Errorf("%s (Owned=%v): delivered Owned = %v, want %v", tc.name, owned, env.got[0].owned, tc.want)
 			}
 		}
+	}
+}
+
+// TestEngineHandsBackOnlyWhatItOwns: storage the engine owns goes back
+// to mbuf's pools — each owned frame absorbed into a merge, and a
+// super-segment once it is sliced — while a frame it was only lent is
+// read and never handed back. Once a burst has drawn full-size frames
+// from the pools and overwritten them, every frame the engine did not
+// own still holds what it was sent with, and the storage it did own has
+// been reused (or, under the race detector, poisoned on release).
+func TestEngineHandsBackOnlyWhatItOwns(t *testing.T) {
+	pooled := func(f []byte) []byte {
+		p := mbuf.Frame(len(f))
+		copy(p, f)
+		return p
+	}
+	drawBurst := func(n int) {
+		for range 64 {
+			f := mbuf.Frame(n)
+			for i := range f {
+				f[i] = 0xee
+			}
+		}
+	}
+	for _, owned := range []bool{false, true} {
+		env := newRxEnv(t)
+		var in, sent [][]byte
+		for i := range 3 {
+			f := tcpFrame(5000+uint32(i)*1000, 77, wire.TCPAck, pattern(i, 1000))
+			sent = append(sent, f)
+			in = append(in, pooled(f))
+			env.injectFrame(time.Duration(i)*100*time.Microsecond, simnet.Frame{Data: in[i], Owned: owned})
+		}
+		env.run(t)
+		if len(env.got) != 1 || !env.got[0].owned {
+			t.Fatalf("Owned=%v: %d deliveries, want one merged super-segment", owned, len(env.got))
+		}
+		drawBurst(len(in[0]))
+		for i := range in {
+			if intact := bytes.Equal(in[i], sent[i]); intact == owned {
+				t.Errorf("Owned=%v: merged frame %d intact after the burst = %v", owned, i, intact)
+			}
+		}
+	}
+
+	s := sim.New(1)
+	seg := simnet.NewSegment(s)
+	nicA := seg.AttachNamed("A", wire.MAC{1})
+	seg.AttachNamed("B", wire.MAC{2}).Rx = func(simnet.Frame) {}
+	e := New(Config{Sim: s, Name: "tso", NIC: nicA, Up: func(simnet.Frame) {}, Costs: costs.DECLibrarySHMIPFOffload().Offload})
+	sent := tcpFrame(70000, 42, wire.TCPAck, pattern(0, 3*DefaultMSS))
+	super := pooled(sent)
+	if err := e.Transmit(super); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	drawBurst(len(super))
+	if bytes.Equal(super, sent) {
+		t.Error("a sliced super-segment was not handed back")
 	}
 }

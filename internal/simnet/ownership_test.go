@@ -26,6 +26,7 @@ func TestDeliveryOwnership(t *testing.T) {
 		trunk   bool
 		dst     wire.MAC
 		promisc bool        // attach station "c" in promiscuous mode
+		twin    bool        // attach station "c" with b's MAC
 		rates   fault.Rates // on the sender's link
 		want    map[string]int
 		owned   bool
@@ -35,6 +36,7 @@ func TestDeliveryOwnership(t *testing.T) {
 		{name: "unicast", dst: mB, want: map[string]int{"b": 1}, owned: true, sameBuf: true},
 		{name: "broadcast", dst: wire.BroadcastMAC, want: map[string]int{"b": 1, "c": 1}, sameBuf: true, shared: true},
 		{name: "promiscuous", dst: mB, promisc: true, want: map[string]int{"b": 1, "c": 1}, sameBuf: true, shared: true},
+		{name: "two stations one MAC", dst: mB, twin: true, want: map[string]int{"b": 1, "c": 1}, sameBuf: true, shared: true},
 		{name: "dup", dst: mB, rates: fault.Rates{Dup: 1}, want: map[string]int{"b": 2}, sameBuf: true, shared: true},
 		{name: "corrupt", dst: mB, rates: fault.Rates{Corrupt: 1}, want: map[string]int{"b": 1}, owned: true},
 		{name: "trunk", trunk: true, dst: mB, want: map[string]int{"b": 1}, owned: true, sameBuf: true},
@@ -55,7 +57,11 @@ func TestDeliveryOwnership(t *testing.T) {
 			}
 			watch(g.AttachOn(s, "b", mB))
 			if !tc.trunk {
-				c := g.AttachOn(s, "c", mC)
+				mac := mC
+				if tc.twin {
+					mac = mB
+				}
+				c := g.AttachOn(s, "c", mac)
 				c.Promisc = tc.promisc
 				watch(c)
 			}

@@ -32,14 +32,17 @@ const ByteTime = 800 * time.Nanosecond
 //
 // Ownership rules: the sender surrenders Data at Transmit. Delivery is
 // by reference, with no per-hop copy. A delivery is Owned when no other
-// delivery shares its buffer — a unicast that only its addressee takes,
+// delivery shares its buffer — a unicast that exactly one station takes,
 // or a trunk delivery, and in either case not one half of a duplicate —
 // and then the buffer is the receiving station's: it may rewrite it and
-// Transmit it again. Every other delivery (a broadcast, a promiscuous
-// sighting, either half of a duplicate) is read-only, and so is the zero
-// value: nobody writes a Frame that is not Owned. Fault-injected
-// corruption takes a private copy first (see Segment.inject), so a
-// corrupted delivery never aliases the sender's buffer.
+// Transmit it again, or hand its storage back to mbuf's pools (mbuf.Free,
+// or mbuf.Chain.Adopt and the chain's reference counts) once nothing
+// reads it. Every other delivery (a broadcast, a promiscuous sighting,
+// either half of a duplicate) is read-only and never handed back, and so
+// is the zero value: nobody writes or frees a Frame that is not Owned.
+// Fault-injected corruption takes a private copy first (see
+// Segment.inject), so a corrupted delivery never aliases the sender's
+// buffer.
 type Frame struct {
 	Data  []byte
 	Owned bool
@@ -432,10 +435,13 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 		g.deliverTrunk(from, hdr, Frame{Data: f.Data, Owned: owned}, delay)
 		return
 	}
-	for _, nic := range g.nics { // a promiscuous station shares a unicast
-		owned = owned && (!nic.Promisc || nic == from || nic.mac == hdr.Dst)
+	takers := 0 // a promiscuous station, or a second one with the MAC, shares a unicast
+	for _, nic := range g.nics {
+		if nic != from && (nic.Promisc || nic.mac == hdr.Dst) {
+			takers++
+		}
 	}
-	rf := Frame{Data: f.Data, Owned: owned}
+	rf := Frame{Data: f.Data, Owned: owned && takers == 1}
 	for _, nic := range g.nics {
 		if nic == from {
 			continue // Ethernet does not deliver a frame to its sender

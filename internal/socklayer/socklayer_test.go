@@ -64,7 +64,7 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, last byte, alias, cro
 			if !ok {
 				return
 			}
-			n.st.Input(t, pkt.Frame)
+			n.st.Input(t, pkt.Frame, pkt.Owned)
 		}
 	})
 	n.st.StartTimers(owner.GoDaemon)

@@ -145,11 +145,11 @@ func TestStackDiscardsCorruptedPackets(t *testing.T) {
 			w.s.Spawn("inject", func(p *sim.Proc) {
 				p.Sleep(time.Millisecond)
 				frame := buildFrame(w.a, w.b, c.proto, c.seg(w.a, w.b), c.mutate)
-				w.b.st.Input(p, frame)
+				w.b.st.Input(p, frame, false)
 				// The same frame undamaged must parse cleanly, proving the
 				// counter increment below is the mutation's doing.
 				clean := buildFrame(w.a, w.b, c.proto, c.seg(w.a, w.b), nil)
-				w.b.st.Input(p, clean)
+				w.b.st.Input(p, clean, false)
 			})
 			if err := w.s.RunFor(50 * time.Millisecond); err != nil {
 				t.Fatal(err)

@@ -61,7 +61,7 @@ func newNodeProf(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip 
 			if !ok {
 				return
 			}
-			n.st.Input(t, pkt.Frame)
+			n.st.Input(t, pkt.Frame, pkt.Owned)
 		}
 	})
 	n.st.StartTimers(n.pr.GoDaemon)

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -10,28 +11,57 @@ import (
 	"repro/internal/wire"
 )
 
-// TestResolvedEmitAllocatesOnlyTheFrame pins the transmit path's heap
-// cost: a UDP datagram to a resolved next hop allocates its link frame
-// and nothing else.
-func TestResolvedEmitAllocatesOnlyTheFrame(t *testing.T) {
+// TestFrameStorageCirculates pins the data path's heap cost: once the
+// pools are warm, a UDP datagram's round trip — emitted to a resolved
+// next hop, delivered to a second stack as an owned frame, consumed by
+// Recv — allocates the queued datagram's chain and no frame storage: the
+// frame's array comes back to mbuf's pools when Recv releases it.
+func TestFrameStorageCirculates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
 	}
-	st := testStack(t)
-	peer := Addr{IP: wire.IP(10, 0, 0, 2), Port: 7}
-	st.arp.Insert(peer.IP, wire.MAC{2})
-	src := Addr{IP: st.cfg.LocalIP, Port: 5000}
-	payload := make([]byte, 512)
+	rcv := testStack(t)
+	snd := NewControl(Config{
+		Sim:      rcv.cfg.Sim,
+		Name:     "s",
+		LocalIP:  wire.IP(10, 0, 0, 2),
+		LocalMAC: wire.MAC{2},
+		Transmit: func(frame []byte) error {
+			rcv.Input(nil, frame, true)
+			return nil
+		},
+	}, NewLocalPorts())
+	dst := Addr{IP: rcv.cfg.LocalIP, Port: 7}
+	snd.arp.Insert(dst.IP, rcv.cfg.LocalMAC)
+	so := rcv.NewSocket(wire.ProtoUDP)
+	if err := rcv.Bind(so, dst); err != nil {
+		t.Fatal(err)
+	}
+	src := Addr{IP: snd.cfg.LocalIP, Port: 5000}
+	payload := make([]byte, 1400)
+	buf := make([]byte, len(payload))
 	ch := mbuf.New()
-	send := func() {
+	round := func() {
 		ch.AppendBytes(payload)
-		if err := st.udpOutput(nil, src, peer, ch); err != nil {
+		if err := snd.udpOutput(nil, src, dst, ch); err != nil {
 			t.Fatal(err)
 		}
+		if n, _, _, err := rcv.Recv(nil, so, buf, RecvOpts{}); err != nil || n != len(payload) {
+			t.Fatalf("recv: %d bytes, %v", n, err)
+		}
 	}
-	send() // warm the mbuf pools
-	if n := testing.AllocsPerRun(100, send); n != 1 {
-		t.Fatalf("a resolved UDP send allocates %.1f objects, want 1 (the frame)", n)
+	round() // warm the mbuf pools
+	if n := testing.AllocsPerRun(100, round); n > 1 {
+		t.Fatalf("a UDP round trip allocates %.1f objects, want at most 1 (the datagram's chain)", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 100 {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if perRound := (after.TotalAlloc - before.TotalAlloc) / 100; perRound >= 256 {
+		t.Fatalf("a UDP round trip allocates %d bytes; a %d-byte frame must come from the pools", perRound, len(payload))
 	}
 }
 

@@ -196,19 +196,19 @@ func (st *Stack) patchTransportChecksum(seg **mbuf.Chain, proto uint8, dst wire.
 // cost, and transmits: immediately when the next hop's hardware address
 // is known, otherwise the resolver takes the frame, fills in its
 // destination and transmits it when ARP resolution completes (this path
-// never blocks). The payload chain is consumed. The frame is the only
-// allocation: a resolved next hop costs nothing more.
+// never blocks). The payload chain is consumed.
 //
-// Frame buffers are deliberately GC-allocated rather than pooled: a
-// transmitted frame may be shared by several receivers, kernel delivery
-// queues and socket buffers that alias its payload, or forwarded on by
-// the station it was delivered to, so its lifetime has no single release
-// point — and fresh storage guarantees no stale pooled bytes can leak
-// into frames or pcap exports. The stack gives the frame up at transmit;
+// The frame's storage is lent by mbuf's pools (mbuf.Frame), and every
+// byte of it is written here. The stack gives the frame up at transmit;
 // a queued one is written once more, its destination address, before.
+// Whoever owns the frame last hands the storage back: a receiving stack
+// when its Input returns or when the queue that kept the bytes lets go
+// of them (see rxFrame), the offload engine for a super-segment it
+// sliced. A frame shared by several receivers has no owner and is
+// garbage collected.
 func (st *Stack) emitIP(t *sim.Proc, tcp bool, h wire.IPv4Header, nextHop wire.IPAddr, payload *mbuf.Chain, n, ckOff int) error {
 	st.charge(t, tcp, costs.CompEtherOutput, n)
-	frame := make([]byte, wire.EthHeaderLen+wire.IPv4HeaderLen+payload.Len())
+	frame := mbuf.Frame(wire.EthHeaderLen + wire.IPv4HeaderLen + payload.Len())
 	eh := wire.EthHeader{Src: st.cfg.LocalMAC, Type: wire.EtherTypeIPv4}
 	eh.Marshal(frame[:wire.EthHeaderLen])
 	h.Marshal(frame[wire.EthHeaderLen : wire.EthHeaderLen+wire.IPv4HeaderLen])
@@ -280,6 +280,9 @@ func (st *Stack) ipInput(t *sim.Proc, eh wire.EthHeader, pkt []byte) {
 
 	if h.IsFragment() {
 		st.rxVerified = false
+		// The reassembler keeps the fragment by alias, so the frame is
+		// never handed back; a completed datagram is fresh storage.
+		st.rx.owned = false
 		full, ok := st.reasm.Add(h, body)
 		if !ok {
 			return
@@ -302,6 +305,43 @@ func (st *Stack) ipInput(t *sim.Proc, eh wire.EthHeader, pkt []byte) {
 	}
 }
 
+// rxFrame is the frame an Input call is processing. An owned frame
+// (simnet.Frame.Owned) is the call's to hand back: a queue that keeps
+// received bytes takes a reference to their region of it, and when the
+// call returns its own reference drops, so a pure ACK's storage is back
+// in mbuf's pools before the next frame arrives and a data frame's
+// storage returns when the application consumes the bytes. Bytes of a
+// frame the call does not own are kept by alias, as nobody writes or
+// frees such a frame.
+type rxFrame struct {
+	frame []byte
+	owned bool
+	held  mbuf.Chain // the owned frame, once a queue has taken a region of it
+}
+
+// keep appends data, a slice of the frame (or of storage nobody writes
+// when the frame is not owned), onto dst.
+func (r *rxFrame) keep(dst *mbuf.Chain, data []byte) {
+	if !r.owned {
+		dst.AppendAlias(data)
+		return
+	}
+	if r.held.Len() == 0 {
+		r.held.Adopt(r.frame)
+	}
+	r.held.CopyRegionInto(dst, cap(r.frame)-cap(data), len(data))
+}
+
+// done drops the call's reference to an owned frame.
+func (r *rxFrame) done() {
+	if r.held.Len() > 0 {
+		r.held.Release()
+	} else if r.owned {
+		mbuf.Free(r.frame)
+	}
+	r.frame, r.owned = nil, false
+}
+
 // --- Reassembly ---
 
 type reasmKey struct {
@@ -319,7 +359,7 @@ type reasmEntry struct {
 
 type ipFrag struct {
 	off  int
-	data []byte
+	data []byte // an alias of the fragment's frame, which is never handed back
 }
 
 const reasmTTLTicks = 30 // 15 s, BSD's IPFRAGTTL
@@ -349,7 +389,9 @@ func keyOf(h wire.IPv4Header) reasmKey {
 func (r *Reassembler) Holds(h wire.IPv4Header) bool { return r.held[keyOf(h)] != nil }
 
 // Add files one fragment; when it completes its datagram Add returns the
-// full transport payload and forgets the datagram.
+// full transport payload, in fresh storage, and forgets the datagram.
+// The table keeps body by alias: its frame must never be handed back to
+// mbuf's pools, nor written.
 func (r *Reassembler) Add(h wire.IPv4Header, body []byte) ([]byte, bool) {
 	key := keyOf(h)
 	e := r.held[key]
@@ -358,11 +400,10 @@ func (r *Reassembler) Add(h wire.IPv4Header, body []byte) ([]byte, bool) {
 		r.held[key] = e
 	}
 	off := int(h.FragOff) * 8
-	data := append([]byte(nil), body...)
-	e.frags = append(e.frags, ipFrag{off: off, data: data})
+	e.frags = append(e.frags, ipFrag{off: off, data: body})
 	if !h.MoreFragments() {
 		e.gotLast = true
-		e.total = off + len(data)
+		e.total = off + len(body)
 	}
 	if !e.gotLast {
 		return nil, false

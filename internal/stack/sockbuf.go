@@ -24,8 +24,7 @@ func (sb *streamBuf) space() int { return sb.hiwat - sb.data.Len() }
 func (sb *streamBuf) appendBytes(b []byte) { sb.data.AppendBytes(b) }
 
 // appendAlias appends b without copying. The caller guarantees no one
-// writes b (received frame bytes, which a receiving stack never writes,
-// or a NEWAPI send buffer the application has given up).
+// writes b: a NEWAPI send buffer the application has given up.
 func (sb *streamBuf) appendAlias(b []byte) { sb.data.AppendAlias(b) }
 
 // drop discards n bytes from the front (sbdrop; TCP acked data).
@@ -81,11 +80,17 @@ func (db *dgramBuf) enqueue(from Addr, data *mbuf.Chain) bool {
 	return true
 }
 
-// dequeue removes the next datagram.
+// dequeue removes the next datagram. Emptying the queue keeps its
+// array, so a queue that drains as it fills allocates nothing.
 func (db *dgramBuf) dequeue() (datagram, bool) {
 	d, ok := db.peek()
 	if ok {
-		db.q = db.q[1:]
+		db.q[0] = datagram{}
+		if len(db.q) == 1 {
+			db.q = db.q[:0]
+		} else {
+			db.q = db.q[1:]
+		}
 		db.bytes -= d.data.Len()
 	}
 	return d, ok

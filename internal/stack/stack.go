@@ -161,6 +161,7 @@ type Stack struct {
 	// (checksum offload, unfragmented), so the software pass is skipped.
 	// Guarded by mu like all input-path state.
 	rxVerified bool
+	rx         rxFrame // the frame the running Input call is processing
 
 	// mu serializes protocol processing, playing the role of BSD's
 	// splnet/priority-level machinery: application calls, input
@@ -395,23 +396,26 @@ func (st *Stack) StopTimers() { st.timersStopped = true }
 
 // Input processes one received frame on the calling thread: a library's
 // receive thread calls it per packet its session filter delivered, so
-// only IP arrives here.
-func (st *Stack) Input(t *sim.Proc, frame []byte) {
+// only IP arrives here. owned is the delivery's simnet.Frame.Owned: an
+// owned frame's storage goes back to mbuf's pools once nothing keeps its
+// bytes (see rxFrame).
+func (st *Stack) Input(t *sim.Proc, frame []byte, owned bool) {
 	st.lock(t)
 	defer st.unlock()
-	eh, err := wire.UnmarshalEth(frame)
-	if err != nil || eh.Type != wire.EtherTypeIPv4 {
+	st.rx.frame, st.rx.owned = frame, owned
+	if eh, err := wire.UnmarshalEth(frame); err != nil || eh.Type != wire.EtherTypeIPv4 {
 		st.Stats.Drops.Inc()
-		return
+	} else {
+		st.ipInput(t, eh, frame[wire.EthHeaderLen:])
 	}
-	st.ipInput(t, eh, frame[wire.EthHeaderLen:])
+	st.rx.done()
 }
 
 // Input also answers ARP; the server's network thread or the kernel's
 // software-interrupt thread calls it with every frame the host keeps.
-func (st *Control) Input(t *sim.Proc, frame []byte) {
+func (st *Control) Input(t *sim.Proc, frame []byte, owned bool) {
 	if eh, err := wire.UnmarshalEth(frame); err != nil || eh.Type != wire.EtherTypeARP {
-		st.Stack.Input(t, frame)
+		st.Stack.Input(t, frame, owned)
 		return
 	}
 	st.lock(t)

@@ -441,9 +441,7 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 		// Common case: in order, nothing queued.
 		st.charge(t, true, costs.CompMbufQueue, len(data))
 		tp.rcvNxt += uint32(len(data))
-		// A receiving stack never writes its frame, and no one else
-		// writes a delivered one: queue the bytes by reference.
-		s.rcv.appendAlias(data)
+		st.rx.keep(s.rcv.data, data)
 		if tp.delAck {
 			tp.ackNow = true // ACK every second segment
 		} else {
@@ -476,6 +474,8 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 			tp.rcvNxt += uint32(n)
 			s.rcv.data.AppendChain(head.data)
 			progress += n
+		} else {
+			head.data.Release() // all duplicate
 		}
 		if head.fin {
 			tp.reasm = tp.reasm[1:]
@@ -496,7 +496,8 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 // insertReasm places a segment into the sorted reassembly queue, trimming
 // overlap against existing segments conservatively.
 func (st *Stack) insertReasm(tp *tcpcb, seq uint32, data []byte, fin bool) {
-	c := mbuf.FromBytes(data) // no one writes a received frame: alias, don't copy
+	c := mbuf.New()
+	st.rx.keep(c, data)
 	seg := reasmSeg{seq: seq, data: c, fin: fin}
 	// Find insertion point.
 	i := 0

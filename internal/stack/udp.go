@@ -58,9 +58,8 @@ func (st *Stack) udpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 		return
 	}
 	st.charge(t, false, costs.CompMbufQueue, len(payload))
-	// A receiving stack never writes its frame, and no one else writes
-	// a delivered one, so the datagram buffer aliases it.
-	d := mbuf.FromBytes(payload)
+	d := mbuf.New()
+	st.rx.keep(d, payload)
 	if !s.drcv.enqueue(remote, d) {
 		d.Release()
 		st.Stats.Drops.Inc() // receive buffer full: datagram lost
