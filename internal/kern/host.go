@@ -56,9 +56,10 @@ type Host struct {
 	procs   map[int]*Process
 
 	// Ledger holds the nanoseconds of CPU charged to each component on
-	// this host. Every charge goes through Charge or chargeRx, so once
-	// each has been granted the ledger sums to CPU.BusyTime() (the
-	// ledger law of psd.Network.Audit).
+	// this host. Every charge goes through Charge or chargeRx, which
+	// record it before the CPU admits it, so the ledger sums to
+	// CPU.BusyTime() + CPU.Waiting() (the ledger law of
+	// psd.Network.Audit).
 	Ledger [costs.NumComponents]metrics.Counter
 
 	// Observe, when set, sees every charge as the ledger records it; it is

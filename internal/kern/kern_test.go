@@ -366,6 +366,44 @@ func TestServiceWorkersRunConcurrently(t *testing.T) {
 	}
 }
 
+// TestServiceCallAllocatesNothing: once warm, an RPC whose run is bound
+// once allocates nothing. Two clients keep two calls in flight at once,
+// so each takes a record of its own from the service and hands it back.
+func TestServiceCallAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	r := newRig(costs.DECLibrarySHMIPF())
+	svc := NewService(r.a.NewProcess("server"), "echo", 2)
+	calls := 0
+	run := func(w *sim.Proc) {
+		w.Sleep(100 * time.Microsecond)
+		calls++
+	}
+	const period = time.Millisecond
+	for range 2 {
+		r.s.SpawnDaemon("client", func(p *sim.Proc) {
+			for {
+				svc.Call(p, run)
+				p.Sleep(period)
+			}
+		})
+	}
+	step := func() {
+		if err := r.s.RunFor(period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	warm := calls
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("a step of two RPCs allocates %.2f objects, want 0", n)
+	}
+	if calls-warm < 180 {
+		t.Fatalf("only %d calls in 101 periods", calls-warm)
+	}
+}
+
 func TestChargeProcAdvancesClock(t *testing.T) {
 	r := newRig(costs.DECLibrarySHMIPF())
 	var took time.Duration

@@ -13,8 +13,12 @@ import (
 // worker has run it.
 type Service struct {
 	queue *sim.Chan[*call]
+	free  []*call // records whose callers have woken
 }
 
+// call is one RPC in flight. Records are reused, so each keeps its
+// Cond's waiter arrays warm; a worker stops touching a record at
+// Broadcast, and only the woken caller hands it back.
 type call struct {
 	run    func(worker *sim.Proc)
 	done   bool
@@ -46,11 +50,22 @@ func NewService(owner *Process, name string, workers int) *Service {
 // thread (blocking it for as long as run blocks) while t waits. The
 // cost of the IPC itself is charged by the caller (libraries charge
 // Profile.ProxyRPC for proxy calls; the server baseline's data-path
-// costs are in its entry/exit components).
+// costs are in its entry/exit components). A run bound once, rather
+// than a closure built per call, makes the call allocation-free.
 func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
-	c := &call{run: run}
+	var c *call
+	if n := len(s.free); n > 0 {
+		c = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		c = new(call)
+	}
+	c.run = run
 	s.queue.Send(c)
 	for !c.done {
 		c.doneCV.Wait(t)
 	}
+	c.run, c.done = nil, false
+	s.free = append(s.free, c)
 }

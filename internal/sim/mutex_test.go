@@ -135,6 +135,31 @@ func TestResourceUseEventQueues(t *testing.T) {
 	}
 }
 
+// TestResourceWaiting: at every stop, the charges asked of a resource
+// are its busy time plus what is still waiting, whether a proc or an
+// event asked, and nothing waits once the queue drains.
+func TestResourceWaiting(t *testing.T) {
+	s := New(1)
+	var r Resource
+	for i := 0; i < 2; i++ {
+		s.Spawn("user", func(p *Proc) { r.Use(p, TaskPriority, 10*time.Millisecond) })
+	}
+	r.UseEvent(s, IntrPriority, 4*time.Millisecond, func() {})
+	r.UseEvent(s, TaskPriority, 6*time.Millisecond, func() {})
+	const asked = 30 * time.Millisecond
+	for _, step := range []time.Duration{0, 3 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond, 20 * time.Millisecond} {
+		if err := s.RunFor(step); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.BusyTime() + r.Waiting(); got != asked {
+			t.Fatalf("at %v: busy %v + waiting %v = %v, want %v", s.Now(), r.BusyTime(), r.Waiting(), got, asked)
+		}
+	}
+	if r.Waiting() != 0 || r.BusyTime() != asked {
+		t.Fatalf("drained: busy %v, waiting %v", r.BusyTime(), r.Waiting())
+	}
+}
+
 func TestTimeHelpers(t *testing.T) {
 	a := Time(time.Second)
 	if a.Add(time.Second) != Time(2*time.Second) {

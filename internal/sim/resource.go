@@ -16,6 +16,7 @@ type Resource struct {
 	taskQ    waiterQ // task band (FIFO)
 	freeW    []*resWaiter
 	busyTime time.Duration
+	waiting  time.Duration // charges queued or granted but not yet in busyTime
 	uses     int
 }
 
@@ -86,10 +87,12 @@ func (r *Resource) Use(p *Proc, pri Priority, d time.Duration) {
 	if r.busy {
 		w := r.getWaiter()
 		w.proc = p
+		r.waiting += d
 		r.enqueue(pri, w)
 		for !w.granted {
 			p.Park()
 		}
+		r.waiting -= d
 		r.putWaiter(w)
 	} else {
 		r.busy = true
@@ -110,6 +113,7 @@ func (r *Resource) UseEvent(s *Sim, pri Priority, d time.Duration, done func()) 
 	w := r.getWaiter()
 	w.done, w.d = done, d
 	if r.busy {
+		r.waiting += d
 		r.enqueue(pri, w)
 		return
 	}
@@ -149,11 +153,18 @@ func (r *Resource) release(s *Sim) {
 		next.proc.Unpark()
 		return
 	}
+	r.waiting -= next.d
 	r.grant(s, next)
 }
 
 // BusyTime returns the total virtual time the resource has been charged.
 func (r *Resource) BusyTime() time.Duration { return r.busyTime }
+
+// Waiting returns the charge time asked of the resource that BusyTime
+// does not hold yet: charges still queued for admission, and granted
+// Use charges whose proc has not resumed. It is non-zero only while the
+// resource is contended.
+func (r *Resource) Waiting() time.Duration { return r.waiting }
 
 // Uses returns the number of grants made.
 func (r *Resource) Uses() int { return r.uses }

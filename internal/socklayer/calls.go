@@ -11,9 +11,60 @@ import (
 // stack operation — directly on the calling thread, or inside the
 // entry's crossing. The direct arm must stay free of closures and of
 // variables a closure captures by reference (each would be a heap
-// allocation per socket call on the kernel and library columns), which
-// is why crossed results live in a struct declared inside the crossing
-// arm.
+// allocation per socket call on the kernel and library columns). The
+// data calls, send and recv, cross with a dataCall record taken from
+// the place and handed back, so the crossed arm allocates nothing
+// either; the calls that name, open and close sessions run once per
+// connection and cross with a closure.
+
+// dataCall is one crossed send or recv: the arguments that go over and
+// the results that come back. Its two bodies are bound as method values
+// once, when the record is made, so a crossing builds no closure.
+// Records circulate through their Place's free list: two threads of a
+// process, or a forked child sharing an entry, can be inside crossings
+// on one place at once, and each holds a record of its own.
+type dataCall struct {
+	e          *Entry
+	b          []byte
+	iov        [][]byte
+	flags      int
+	to         *socketapi.SockAddr // &dst, or nil
+	dst        socketapi.SockAddr
+	zc         bool
+	n          int
+	from       socketapi.SockAddr
+	err        error
+	send, recv func(on *sim.Proc)
+}
+
+func (c *dataCall) runSend(on *sim.Proc) {
+	c.n, c.err = c.e.sosend(on, c.b, c.iov, c.flags, c.to, c.zc)
+}
+
+func (c *dataCall) runRecv(on *sim.Proc) {
+	c.n, c.from, c.err = c.e.soreceive(on, c.b, c.flags)
+}
+
+// getCall takes a record for a crossed call on e.
+func (p *Place) getCall(e *Entry) *dataCall {
+	var c *dataCall
+	if n := len(p.calls); n > 0 {
+		c = p.calls[n-1]
+		p.calls[n-1] = nil
+		p.calls = p.calls[:n-1]
+	} else {
+		c = new(dataCall)
+		c.send, c.recv = c.runSend, c.runRecv
+	}
+	c.e = e
+	return c
+}
+
+// putCall drops what the record refers to and hands it back.
+func (p *Place) putCall(c *dataCall) {
+	*c = dataCall{send: c.send, recv: c.recv}
+	p.calls = append(p.calls, c)
+}
 
 // Socket implements socketapi.API.
 func (tb *Table) Socket(t *sim.Proc, typ int) (int, error) {
@@ -101,22 +152,20 @@ func (tb *Table) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
 // the single buffer b when iov is nil.
 func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
 	if cross := e.At.Cross; cross != nil {
+		c := e.At.getCall(e)
+		c.b, c.iov, c.flags, c.zc = b, iov, flags, zc
+		if to != nil {
+			c.dst = *to
+			c.to = &c.dst
+		}
 		n := len(b)
 		for _, v := range iov {
 			n += len(v)
 		}
-		var r struct {
-			n   int
-			err error
-			dst socketapi.SockAddr
-			to  *socketapi.SockAddr
-		}
-		if to != nil {
-			r.dst = *to
-			r.to = &r.dst
-		}
-		cross(t, n, func(on *sim.Proc) { r.n, r.err = e.sosend(on, b, iov, flags, r.to, zc) })
-		return r.n, r.err
+		cross(t, n, c.send)
+		n, err := c.n, c.err
+		e.At.putCall(c)
+		return n, err
 	}
 	return e.sosend(t, b, iov, flags, to, zc)
 }
@@ -167,13 +216,12 @@ func (tb *Table) SendMsg(t *sim.Proc, fd int, iov [][]byte, flags int, to *socke
 // priced by the profile.
 func (e *Entry) recv(t *sim.Proc, b []byte, flags int) (int, socketapi.SockAddr, error) {
 	if cross := e.At.Cross; cross != nil {
-		var r struct {
-			n    int
-			from socketapi.SockAddr
-			err  error
-		}
-		cross(t, 32, func(on *sim.Proc) { r.n, r.from, r.err = e.soreceive(on, b, flags) })
-		return r.n, r.from, r.err
+		c := e.At.getCall(e)
+		c.b, c.flags = b, flags
+		cross(t, 32, c.recv)
+		n, from, err := c.n, c.from, c.err
+		e.At.putCall(c)
+		return n, from, err
 	}
 	return e.soreceive(t, b, flags)
 }

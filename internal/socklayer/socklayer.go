@@ -59,7 +59,8 @@ type Place struct {
 	// sockets are watched some other way leaves it nil.
 	Sel *sim.Cond
 
-	wake func()
+	wake  func()
+	calls []*dataCall // crossed data-call records not in use
 }
 
 // Entry is one open-file slot: the socket a descriptor names and where

@@ -40,15 +40,19 @@ func (n *Network) Audit(snap *MetricsSnapshot, plan int, drained bool) error {
 	return nil
 }
 
-// auditLedger: every host's CPU ledger sums to the time its CPU was busy.
+// auditLedger: every host's CPU ledger sums to the time its CPU was busy
+// plus the charges still waiting for it. A charge enters the ledger when
+// it is asked for and the CPU's busy time when it is admitted, so a run
+// stopped while the CPU is contended leaves the difference waiting.
 func auditLedger(n *Network, _ *MetricsSnapshot, _ int) error {
 	for _, h := range n.hosts {
 		var sum time.Duration
 		for c := range h.kern.Ledger {
 			sum += time.Duration(h.kern.Ledger[c].Value())
 		}
-		if busy := h.kern.CPU.BusyTime(); sum != busy {
-			return fmt.Errorf("%s: the ledger sums to %d ns, the CPU was busy %d ns", h.name, sum, busy)
+		cpu := &h.kern.CPU
+		if busy, waiting := cpu.BusyTime(), cpu.Waiting(); sum != busy+waiting {
+			return fmt.Errorf("%s: the ledger sums to %d ns, the CPU was busy %d ns with %d ns waiting", h.name, sum, busy, waiting)
 		}
 	}
 	return nil

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/costs"
+	"repro/internal/sim"
 )
 
 // auditWorld runs one echoed TCP connection between two subnets joined
@@ -103,5 +106,42 @@ func TestAuditCatchesEachLaw(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), c.law+": ") {
 			t.Errorf("doctored %s: audit = %v, want a %q failure", c.law, err, c.law)
 		}
+	}
+}
+
+// TestLedgerLawStoppedMidCharge: a run stopped while charges wait for a
+// busy CPU keeps the ledger law, because a charge enters the ledger
+// when it is asked for and the CPU's busy time when it is admitted. The
+// run stops with one of three charges running and two queued, then with
+// the second running and one queued. A charge that skips the ledger
+// still breaks the law.
+func TestLedgerLawStoppedMidCharge(t *testing.T) {
+	run := func(stop time.Duration, unledgered bool) error {
+		n := New(1)
+		t.Cleanup(n.Close)
+		h := n.Host("a", "10.0.0.1", InKernel()).Kern()
+		for i := 0; i < 3; i++ {
+			n.Spawn("charger", func(p *Thread) {
+				h.Charge(p, sim.TaskPriority, costs.CompProxyRPC, 10*time.Millisecond)
+			})
+		}
+		if unledgered {
+			n.Spawn("bypass", func(p *Thread) { h.CPU.Use(p, sim.TaskPriority, 10*time.Millisecond) })
+		}
+		if err := n.RunFor(stop); err != nil {
+			t.Fatal(err)
+		}
+		if h.CPU.Waiting() == 0 {
+			t.Fatalf("stopped at %v with nothing waiting for the CPU", stop)
+		}
+		return n.Audit(nil, 0, false)
+	}
+	for _, stop := range []time.Duration{5 * time.Millisecond, 15 * time.Millisecond} {
+		if err := run(stop, false); err != nil {
+			t.Errorf("stopped at %v: %v", stop, err)
+		}
+	}
+	if err := run(15*time.Millisecond, true); err == nil || !strings.HasPrefix(err.Error(), "ledger: ") {
+		t.Errorf("a charge outside the ledger: audit = %v, want a ledger failure", err)
 	}
 }
