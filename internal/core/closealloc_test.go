@@ -1,0 +1,96 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/costs"
+	"repro/internal/kern"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/socketapi"
+	"repro/internal/wire"
+)
+
+// TestCloseMigrationAllocBudget: a library Close with a 16 KiB reply
+// still unacknowledged hands the session back to the OS server by
+// reference. The heap it allocates per close is the imported socket and
+// the blob, not a copy of the reply.
+func TestCloseMigrationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	s := sim.New(1)
+	s.Deadline = sim.Time(time.Minute)
+	seg := simnet.NewSegment(s)
+	a := New(kern.NewHost(s, seg, "A", wire.MAC{1}, wire.IP(10, 0, 0, 1), costs.DECLibrarySHMIPF()), costs.DECServerUX())
+	b := New(kern.NewHost(s, seg, "B", wire.MAC{2}, wire.IP(10, 0, 0, 2), costs.DECLibrarySHMIPF()), costs.DECServerUX())
+	sink, lib := b.NewLibrary("sink"), a.NewLibrary("backend")
+	peer := socketapi.SockAddr{Addr: wire.IP(10, 0, 0, 2), Port: 9}
+	const reply, rounds = 16 << 10, 16
+
+	s.SpawnDaemon("sink", func(p *sim.Proc) {
+		ls, _ := sink.Socket(p, socketapi.SockStream)
+		sink.Bind(p, ls, socketapi.SockAddr{Port: peer.Port})
+		sink.Listen(p, ls, 4)
+		for {
+			fd, _, err := sink.Accept(p, ls)
+			if err != nil {
+				return
+			}
+			s.SpawnDaemon("sink.conn", func(p *sim.Proc) {
+				buf := make([]byte, 4096)
+				for {
+					if n, err := sink.Recv(p, fd, buf, 0); err != nil || n == 0 {
+						sink.Close(p, fd)
+						return
+					}
+				}
+			})
+		}
+	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: count the run's allocations alone
+	var closeBytes uint64
+	s.Spawn("backend", func(p *sim.Proc) {
+		p.Sleep(10 * time.Millisecond)
+		data := make([]byte, reply)
+		var before, after runtime.MemStats
+		for i := range rounds + 1 { // the first round warms the pools
+			fd, _ := lib.Socket(p, socketapi.SockStream)
+			lib.SetSockOpt(p, fd, socketapi.SoSndBuf, reply)
+			if err := lib.Connect(p, fd, peer); err != nil {
+				t.Error(err)
+				return
+			}
+			if n, err := lib.Send(p, fd, data, 0); n != reply || err != nil {
+				t.Errorf("send = %d, %v", n, err)
+				return
+			}
+			e, _ := lib.Lookup(fd)
+			if e.Sock.Writable() {
+				t.Error("the send buffer drained before the close")
+			}
+			runtime.ReadMemStats(&before)
+			if err := lib.Close(p, fd); err != nil {
+				t.Error(err)
+			}
+			runtime.ReadMemStats(&after)
+			if i > 0 {
+				closeBytes += after.TotalAlloc - before.TotalAlloc
+			}
+			p.Sleep(time.Second) // the sink drains it and both ends finish closing
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	perClose := closeBytes / rounds
+	t.Logf("%d heap bytes per close", perClose)
+	if perClose > 2048 {
+		t.Errorf("a close with %d bytes unacked allocates %d heap bytes, want <= 2048", reply, perClose)
+	}
+	if r := a.Server.Returns.Value(); r != rounds+1 {
+		t.Errorf("%d sessions returned to the server, want %d", r, rounds+1)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -85,6 +86,11 @@ func hostileReturn(t *testing.T, forge func(*stack.TCPSessionState, *session), d
 			t.Error(err)
 			return
 		}
+		// The attacker's blob carries bytes: an echo it never read, and a
+		// send still unacknowledged.
+		attacker.Send(p, xfd, []byte("echoed"), 0)
+		p.Sleep(50 * time.Millisecond)
+		attacker.Send(p, xfd, []byte("unacked"), 0)
 		xe, _ := attacker.Lookup(xfd)
 		xid := sessOf(xe).id
 		attacker.quiesce(p)
@@ -92,6 +98,9 @@ func hostileReturn(t *testing.T, forge func(*stack.TCPSessionState, *session), d
 		if err != nil {
 			t.Error(err)
 			return
+		}
+		if blob.RcvQ.Len() == 0 || blob.SndQ.Len() == 0 {
+			t.Errorf("blob holds %d unread and %d unsent bytes, want both", blob.RcvQ.Len(), blob.SndQ.Len())
 		}
 		forge(blob, srv.sessions[sessOf(ve).id])
 
@@ -113,12 +122,31 @@ func hostileReturn(t *testing.T, forge func(*stack.TCPSessionState, *session), d
 			t.Errorf("server stack holds %d sockets, want the victim's alone", n)
 			return // the victim's echo below would wait for ever
 		}
-		buf := make([]byte, 8)
-		if _, err := victim.Send(p, vfd, []byte("ping"), 0); err != nil {
+		if n := blob.WireSize(); n != 120 {
+			t.Errorf("the refused blob still holds %d bytes", n-120)
+		}
+		// The refused blob's storage went back to the pools (poisoned
+		// under -race): the victim's echo, queued in storage taken from
+		// them since, must come back intact.
+		ping := make([]byte, 2000)
+		for i := range ping {
+			ping[i] = byte(i)
+		}
+		if _, err := victim.Send(p, vfd, ping, 0); err != nil {
 			t.Errorf("victim send: %v", err)
 		}
-		if n, err := victim.Recv(p, vfd, buf, 0); err != nil || string(buf[:n]) != "ping" {
-			t.Errorf("victim echo = %q, %v", buf[:n], err)
+		var echoed []byte
+		buf := make([]byte, 512)
+		for len(echoed) < len(ping) {
+			n, err := victim.Recv(p, vfd, buf, 0)
+			if err != nil || n == 0 {
+				t.Errorf("victim echo ended after %d bytes: %v", len(echoed), err)
+				return
+			}
+			echoed = append(echoed, buf[:n]...)
+		}
+		if !bytes.Equal(echoed, ping) {
+			t.Error("victim echo came back corrupted")
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -142,13 +142,15 @@ func (srv *Server) established(t *sim.Proc, sess *session, how string, lib *Libr
 // reports the server socket that does.
 func (srv *Server) proxyReturn(t *sim.Proc, sid SessionID, state *stack.TCPSessionState, closing bool) (*stack.Socket, error) {
 	sess, err := srv.get(sid)
-	if err != nil {
-		return nil, err
-	}
 	// The blob comes from the library's address space: refuse one that is
-	// not this session's before any table changes hands.
-	if sess.state != libOwned || sess.proto == wire.ProtoTCP && state.Check(sess.local, sess.remote) != nil {
-		return nil, socketapi.ErrInvalid
+	// not this session's before any table changes hands, and hand its
+	// storage back.
+	if err == nil && (sess.state != libOwned || sess.proto == wire.ProtoTCP && state.Check(sess.local, sess.remote) != nil) {
+		err = socketapi.ErrInvalid
+	}
+	if err != nil {
+		state.Release()
+		return nil, err
 	}
 	srv.move(sess, returning)
 	switch {
@@ -394,6 +396,7 @@ func (srv *Server) deathNotice(t *sim.Proc, dead *Library, tcp []orphan, rest []
 	for _, o := range tcp {
 		sess, ok := srv.sessions[o.sid]
 		if !ok || sess.state != libOwned || sess.owner != dead {
+			o.state.Release()
 			continue
 		}
 		srv.move(sess, aborting)
@@ -401,6 +404,8 @@ func (srv *Server) deathNotice(t *sim.Proc, dead *Library, tcp []orphan, rest []
 		// installed; the peer gets no RST and times out instead.
 		if o.state.Check(sess.local, sess.remote) == nil {
 			srv.St.Abort(t, srv.St.ImportTCPSession(t, o.state)) // RST to the remote peer
+		} else {
+			o.state.Release()
 		}
 		srv.move(sess, reaped)
 	}

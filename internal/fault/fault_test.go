@@ -170,6 +170,8 @@ func TestParsePlan(t *testing.T) {
 		"@0 partition |b",       // empty group
 		"@0 down a for=banana",  // bad duration
 		"@0 down a every=cheez", // bad period
+		"@-1s heal",             // negative time
+		"@0 rates delay=-1ms",   // negative delay
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted invalid input", bad)

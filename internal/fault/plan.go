@@ -287,10 +287,15 @@ func splitGroup(s string) []string {
 	return out
 }
 
-// parseDur accepts Go duration syntax plus a bare "0".
+// parseDur accepts Go duration syntax plus a bare "0". Every time in a
+// plan runs forward: a negative one is refused.
 func parseDur(s string) (time.Duration, error) {
 	if s == "0" {
 		return 0, nil
 	}
-	return time.ParseDuration(s)
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %q", s)
+	}
+	return d, err
 }

@@ -140,7 +140,7 @@ func (st *Stack) Splice(t *sim.Proc, dst, src *Socket, n int) (int, error) {
 		if err := st.waitWritable(t, dst); err != nil {
 			return moved, err
 		}
-		chunk := dst.snd.takeFrom(src.rcv.data, min(dst.snd.space(), n-moved))
+		chunk := dst.snd.takeFrom(&src.rcv.data, min(dst.snd.space(), n-moved))
 		if chunk == 0 {
 			continue // raced: re-evaluate both wait conditions
 		}

@@ -3,6 +3,7 @@ package stack
 import (
 	"fmt"
 
+	"repro/internal/mbuf"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 	"repro/internal/wire"
@@ -14,18 +15,28 @@ import (
 // any unacknowledged or undelivered data — is packaged up and moved into
 // the application's protocol library, which manages the session until an
 // exceptional operation (close, fork, process death) migrates it back.
+//
+// Both stacks share one address space here, so the data moves by
+// reference: the blob takes the exporting socket's chains and the
+// importing socket takes them from the blob. Nobody reads those bytes
+// until the other stack sends or delivers them. The migration RPC is
+// still priced as the copy a real one makes (WireSize).
 
 // ReasmSegState is one out-of-order segment captured by a migration.
 type ReasmSegState struct {
 	Seq  uint32
-	Data []byte
+	Data mbuf.Chain
 	Fin  bool
 }
 
-// TCPSessionState is the serializable protocol state of one TCP session:
-// what actually travels between the OS server and a protocol library.
+// TCPSessionState is the protocol state of one TCP session in flight
+// between the OS server and a protocol library. It owns its queues from
+// export until import, or until Release hands a refused blob's storage
+// back.
 type TCPSessionState struct {
-	Local, Remote Addr
+	Local, Remote      Addr
+	RdShut, WrShut     bool
+	NoDelay, KeepAlive bool
 
 	State int // tcpState
 
@@ -35,32 +46,42 @@ type TCPSessionState struct {
 	RcvNxt, RcvUp          uint32
 	IRS, RcvAdv            uint32
 	Cwnd, Ssthresh         uint32
+	FinSeq                 uint32
+	FinSent, SawFin        bool
+	AckPending             bool // an ACK was owed (delayed or immediate) at export
 	SRTT, RTTVar           float64
 	MSS                    int
-	FinSent                bool
-	FinSeq                 uint32
-	SawFin                 bool
-	AckPending             bool // an ACK was owed (delayed or immediate) at export
 
-	SndQ  []byte // bytes in the send buffer (unacked + unsent)
-	RcvQ  []byte // bytes received but not yet read by the application
+	SndQ  mbuf.Chain // bytes in the send buffer (unacked + unsent)
+	RcvQ  mbuf.Chain // bytes received but not yet read by the application
 	OOB   []byte
 	Reasm []ReasmSegState
 
 	SndBufSize, RcvBufSize int
-	NoDelay                bool
-	KeepAlive              bool
-	RdShut, WrShut         bool
 }
 
 // WireSize estimates the bytes moved by the migration RPC, used to charge
 // its cost.
 func (ss *TCPSessionState) WireSize() int {
-	n := 120 + len(ss.SndQ) + len(ss.RcvQ) + len(ss.OOB)
-	for _, r := range ss.Reasm {
-		n += 8 + len(r.Data)
+	n := 120 + ss.SndQ.Len() + ss.RcvQ.Len() + len(ss.OOB)
+	for i := range ss.Reasm {
+		n += 8 + ss.Reasm[i].Data.Len()
 	}
 	return n
+}
+
+// Release hands the queued bytes of a blob that will not be imported
+// back to mbuf's pools, leaving it empty. A nil blob holds nothing.
+func (ss *TCPSessionState) Release() {
+	if ss == nil {
+		return
+	}
+	ss.SndQ.Release()
+	ss.RcvQ.Release()
+	for i := range ss.Reasm {
+		ss.Reasm[i].Data.Release()
+	}
+	ss.Reasm, ss.OOB = nil, nil
 }
 
 // Check reports whether ss can be installed as the session local↔remote.
@@ -77,12 +98,13 @@ func (ss *TCPSessionState) Check(local, remote Addr) error {
 	return nil
 }
 
-// ExportTCPSession snapshots a connection's state and detaches it from
+// ExportTCPSession captures a connection's state and detaches it from
 // this stack: the socket stops demultiplexing here, its timers go dead,
-// and the caller is expected to hand the snapshot to another stack. The
-// socket's port reservation is NOT released — in the decomposed
-// architecture the namespace entry belongs to the OS server for the
-// session's whole lifetime.
+// its queues move into the blob (leaving the socket's empty), and the
+// caller is expected to hand the blob to another stack. The socket's
+// port reservation is NOT released — in the decomposed architecture the
+// namespace entry belongs to the OS server for the session's whole
+// lifetime.
 func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket) (*TCPSessionState, error) {
 	st.lock(t)
 	defer st.unlock()
@@ -103,16 +125,20 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket) (*TCPSessionState, err
 		MSS:     tp.mss,
 		FinSent: tp.finSent, FinSeq: tp.finSeq, SawFin: tp.sawFin,
 		AckPending: tp.delAck || tp.ackNow,
-		SndQ:       s.snd.data.Bytes(),
-		RcvQ:       s.rcv.data.Bytes(),
-		OOB:        append([]byte(nil), s.oob...),
+		OOB:        s.oob,
 		SndBufSize: s.sndbufSize, RcvBufSize: s.rcvbufSize,
 		NoDelay: s.noDelay, KeepAlive: s.keepAlive,
 		RdShut: s.rdShut, WrShut: s.wrShut,
 	}
-	for _, r := range tp.reasm {
-		ss.Reasm = append(ss.Reasm, ReasmSegState{Seq: r.seq, Data: r.data.Bytes(), Fin: r.fin})
+	ss.SndQ.AppendChain(&s.snd.data)
+	ss.RcvQ.AppendChain(&s.rcv.data)
+	s.oob = nil
+	ss.Reasm = make([]ReasmSegState, len(tp.reasm))
+	for i, r := range tp.reasm {
+		ss.Reasm[i].Seq, ss.Reasm[i].Fin = r.seq, r.fin
+		ss.Reasm[i].Data.AppendChain(r.data)
 	}
+	tp.reasm = nil
 	// Detach without releasing the port.
 	s.portReserved = false
 	tp.setState(tcpClosed)
@@ -124,8 +150,9 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket) (*TCPSessionState, err
 }
 
 // ImportTCPSession installs a migrated session into this stack, returning
-// the socket that now manages it. Packet-filter redirection is the
-// caller's responsibility.
+// the socket that now manages it. The socket takes the blob's queues,
+// leaving it empty: a blob's bytes are installed at most once.
+// Packet-filter redirection is the caller's responsibility.
 func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 	st.lock(t)
 	defer st.unlock()
@@ -136,13 +163,9 @@ func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 	s.noDelay = ss.NoDelay
 	s.keepAlive = ss.KeepAlive
 	s.rdShut, s.wrShut = ss.RdShut, ss.WrShut
-	s.oob = append([]byte(nil), ss.OOB...)
-	if len(ss.SndQ) > 0 {
-		s.snd.appendBytes(ss.SndQ)
-	}
-	if len(ss.RcvQ) > 0 {
-		s.rcv.appendBytes(ss.RcvQ)
-	}
+	s.oob, ss.OOB = ss.OOB, nil
+	s.snd.data.AppendChain(&ss.SndQ)
+	s.rcv.data.AppendChain(&ss.RcvQ)
 
 	tp := newTCPCB(st, s)
 	s.tcb = tp
@@ -156,9 +179,13 @@ func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 	tp.srtt, tp.rttvar = ss.SRTT, ss.RTTVar
 	tp.mss = ss.MSS
 	tp.finSent, tp.finSeq, tp.sawFin = ss.FinSent, ss.FinSeq, ss.SawFin
-	for _, r := range ss.Reasm {
-		st.insertReasm(tp, r.Seq, r.Data, r.Fin)
+	for i := range ss.Reasm {
+		r := &ss.Reasm[i]
+		c := mbuf.New()
+		c.AppendChain(&r.Data)
+		tp.insertReasm(r.Seq, c, r.Fin)
 	}
+	ss.Reasm = nil
 
 	st.file(st.conns, tuple{wire.ProtoTCP, s.local, s.remote}, s)
 

@@ -6,15 +6,12 @@ import (
 )
 
 // streamBuf is a byte-stream socket buffer (TCP), the equivalent of a BSD
-// sockbuf holding an mbuf chain.
+// sockbuf holding an mbuf chain. The chain is a value: a socket carries
+// no chain header of its own to allocate.
 type streamBuf struct {
-	data  *mbuf.Chain
+	data  mbuf.Chain
 	hiwat int
 	cond  sim.Cond // waiters for space (send) or data (receive)
-}
-
-func newStreamBuf(hiwat int) *streamBuf {
-	return &streamBuf{data: mbuf.New(), hiwat: hiwat}
 }
 
 func (sb *streamBuf) len() int   { return sb.data.Len() }

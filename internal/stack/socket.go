@@ -82,8 +82,8 @@ func (st *Stack) newSocket(proto uint8) *Socket {
 	}
 	switch proto {
 	case wire.ProtoTCP:
-		s.snd = newStreamBuf(s.sndbufSize)
-		s.rcv = newStreamBuf(s.rcvbufSize)
+		bufs := &[2]streamBuf{{hiwat: s.sndbufSize}, {hiwat: s.rcvbufSize}} // one allocation for both
+		s.snd, s.rcv = &bufs[0], &bufs[1]
 	case wire.ProtoUDP:
 		s.drcv = newDgramBuf(s.rcvbufSize)
 	}
@@ -547,7 +547,7 @@ func (st *Stack) soreceive(t *sim.Proc, s *Socket, peek bool) (*mbuf.Chain, Addr
 			}
 			return nil, s.remote, nil
 		}
-		return s.rcv.data, s.remote, nil
+		return &s.rcv.data, s.remote, nil
 	}
 	return nil, Addr{}, socketapi.ErrNotSupported
 }

@@ -117,11 +117,10 @@ type tcpcb struct {
 	dupAcks   int
 
 	// Round-trip timing (Jacobson/Karn).
-	srtt      float64 // smoothed RTT, ns
-	rttvar    float64 // smoothed mean deviation, ns
-	rttTiming bool
-	rttStart  sim.Time
-	rttSeq    uint32
+	srtt     float64 // smoothed RTT, ns
+	rttvar   float64 // smoothed mean deviation, ns
+	rttStart sim.Time
+	rttSeq   uint32
 
 	// Timers (slow ticks; 0 = off).
 	timers     [numTimers]int
@@ -141,13 +140,14 @@ type tcpcb struct {
 	finSeq      uint32
 	sawFin      bool // peer's FIN has been received (in order)
 	forceUrgent bool
+	rttTiming   bool // a segment is being timed (rttStart, rttSeq)
 
 	reasm []reasmSeg
 
 	// txc is the scratch chain segments are assembled in; ipOutput
 	// consumes and empties it, so every send reuses the same chain and
-	// its pooled segments (allocated lazily by tcpSendSegment).
-	txc *mbuf.Chain
+	// its pooled segments.
+	txc mbuf.Chain
 }
 
 func newTCPCB(st *Stack, s *Socket) *tcpcb {

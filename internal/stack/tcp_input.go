@@ -441,7 +441,7 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 		// Common case: in order, nothing queued.
 		st.charge(t, true, costs.CompMbufQueue, len(data))
 		tp.rcvNxt += uint32(len(data))
-		st.rx.keep(s.rcv.data, data)
+		st.rx.keep(&s.rcv.data, data)
 		if tp.delAck {
 			tp.ackNow = true // ACK every second segment
 		} else {
@@ -457,7 +457,9 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 
 	// Out of order (or filling a hole): insert into the reassembly queue.
 	tp.ackNow = true // duplicate ACK tells the peer what we're missing
-	st.insertReasm(tp, seq, data, fin)
+	c := mbuf.New()
+	st.rx.keep(c, data)
+	tp.insertReasm(seq, c, fin)
 
 	// Drain whatever is now contiguous.
 	progress := 0
@@ -493,11 +495,11 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 	}
 }
 
-// insertReasm places a segment into the sorted reassembly queue, trimming
-// overlap against existing segments conservatively.
-func (st *Stack) insertReasm(tp *tcpcb, seq uint32, data []byte, fin bool) {
-	c := mbuf.New()
-	st.rx.keep(c, data)
+// insertReasm places the chain c, which it takes, into the sorted
+// reassembly queue, trimming overlap against existing segments
+// conservatively. Segments may come in any order: a migrated blob's are
+// not trusted to be sorted.
+func (tp *tcpcb) insertReasm(seq uint32, c *mbuf.Chain, fin bool) {
 	seg := reasmSeg{seq: seq, data: c, fin: fin}
 	// Find insertion point.
 	i := 0

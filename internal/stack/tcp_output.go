@@ -204,10 +204,7 @@ func (st *Stack) tcpSendSegment(t *sim.Proc, tp *tcpcb, flags uint8, length int,
 	// The segment is assembled in the control block's scratch chain:
 	// ipOutput consumes and recycles it, so steady-state sends reuse the
 	// same chain and pooled segments run after run.
-	if tp.txc == nil {
-		tp.txc = mbuf.New()
-	}
-	seg := tp.txc
+	seg := &tp.txc
 	if length > 0 {
 		off := int(tp.sndNxt - tp.sndUna)
 		s.snd.regionInto(seg, off, length)

@@ -110,11 +110,12 @@ func auditConns(_ *Network, snap *MetricsSnapshot, plan int) error {
 }
 
 // residueGauges are the registry gauges a drained network holds at zero.
-var residueGauges = []string{".core.sessions", ".core.ports_in_use", ".sockets", ".tcp_state.time_wait", ".ct.flows", ".lb.snat_in_use"}
+var residueGauges = []string{".core.sessions", ".core.ports_in_use", ".sockets", ".tcp_state.established", ".tcp_state.close_wait",
+	".tcp_state.time_wait", ".ct.flows", ".lb.snat_in_use"}
 
-// auditResidue: the drain left no session, port, socket, TIME_WAIT,
-// conntrack flow or SNAT port, and every host is back to its one
-// standing endpoint.
+// auditResidue: the drain left no session, port, socket, ESTABLISHED,
+// CLOSE_WAIT or TIME_WAIT connection, conntrack flow or SNAT port, and
+// every host is back to its one standing endpoint.
 func auditResidue(n *Network, snap *MetricsSnapshot, _ int) error {
 	for _, g := range residueGauges {
 		if v := snap.Sum(g); v != 0 {
