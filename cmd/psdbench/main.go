@@ -13,6 +13,8 @@
 //	psdbench -sweep             # buffer-size sweeps
 //	psdbench -ablations         # design-choice ablations
 //	psdbench -rounds N -mb M    # adjust effort
+//	psdbench -faultplan '@0 rates drop=0.01; @2s partition A|B for=300ms' ...
+//	                            # run under the faults a plan describes
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/bench"
-	"repro/internal/fault"
 )
 
 func main() {
@@ -56,14 +57,7 @@ func run(args []string, stdout io.Writer) error {
 	all := fs.Bool("all", false, "run everything")
 	rounds := fs.Int("rounds", 300, "round trips per latency cell")
 	mb := fs.Int("mb", 16, "ttcp transfer size in MB")
-	loss := fs.Float64("loss", 0, "frame drop probability on every link")
-	dup := fs.Float64("dup", 0, "frame duplication probability")
-	corrupt := fs.Float64("corrupt", 0, "single-bit corruption probability")
-	reorder := fs.Float64("reorder", 0, "frame reordering probability")
-	reorderBy := fs.Duration("reorderby", 0, "extra delay given to reordered frames (default 2ms)")
-	delay := fs.Duration("delay", 0, "fixed extra delay on every frame")
-	jitter := fs.Duration("jitter", 0, "uniform random delay added per frame")
-	faultPlan := fs.String("faultplan", "", "fault plan (DSL, see EXPERIMENTS.md), e.g. '@2s partition A|B for=500ms'")
+	faultPlan := fs.String("faultplan", "", "faults on every world, as a fault plan (DSL, see EXPERIMENTS.md), e.g. '@0 rates drop=0.01 jitter=1ms; @2s partition A|B for=500ms'")
 	traceDir := fs.String("trace", "", "record every run on the flight recorder and dump the slowest run's trace (text, pcap, Chrome JSON) into this directory")
 	metricsRun := fs.Bool("metrics", false, "run the metrics-registry digest suite; its report is its only output, so it goes to stdout without -json")
 	proxyRun := fs.Bool("proxy", false, "run the proxy forwarding suite (bsd vs chain vs splice on every architecture column); report to stdout without -json")
@@ -130,24 +124,8 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"loss", *loss}, {"dup", *dup}, {"corrupt", *corrupt}, {"reorder", *reorder}} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("-%s=%g: want probability in [0,1]", p.name, p.v)
-		}
-	}
 	env := &bench.Env{Trace: *traceDir != ""}
-	err := env.SetFaults(bench.FaultConfig{
-		Rates: fault.Rates{
-			Drop: *loss, Dup: *dup, Corrupt: *corrupt,
-			Reorder: *reorder, ReorderBy: *reorderBy,
-			Delay: *delay, Jitter: *jitter,
-		},
-		Plan: *faultPlan,
-	})
-	if err != nil {
+	if err := env.SetFaults(*faultPlan); err != nil {
 		return err
 	}
 

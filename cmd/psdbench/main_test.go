@@ -25,7 +25,7 @@ func TestGoldenFaultTraceDrive(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-config", "Mach 3.0+UX Library-SHM-IPF", "-mb", "1", "-rounds", "20",
-		"-loss", "0.01", "-faultplan", "@2s partition A|B for=300ms", "-trace", dir,
+		"-faultplan", "@0 rates drop=0.01; @2s partition A|B for=300ms", "-trace", dir,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,10 @@ type pointSpec struct {
 }
 
 // runScalePointCmd is the -scale-point child entry: measure one cell and
-// print the ScalePoint as JSON. Each cell runs in its own process
-// because a finished simulation's parked daemon goroutines are pinned
-// until process exit — a shared process would tax every later cell's GC
-// with the previous cells' heaps and make the comparison order-dependent.
+// print the ScalePoint as JSON. A finished cell pins nothing (RunCity
+// closes its network, which ends every thread), but each cell still runs
+// in its own process so that its malloc count, AllocsPerWindow, sees its
+// own run and no other.
 func runScalePointCmd(stdout io.Writer, spec string) error {
 	var ps pointSpec
 	if err := json.Unmarshal([]byte(spec), &ps); err != nil {

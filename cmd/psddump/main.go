@@ -14,7 +14,7 @@
 //	psddump -trace out.json    # Chrome trace_event, chrome://tracing
 //	psddump -stats             # append the final metrics-registry snapshot
 //
-// Usage: go run ./cmd/psddump [-seed 11] [-loss 0.02] [-layers net,stack,core] [-stats]
+// Usage: go run ./cmd/psddump [-seed 11] [-faultplan '@0 rates drop=0.02'] [-layers net,stack,core] [-stats]
 package main
 
 import (
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 11, "simulation seed")
-	loss := flag.Float64("loss", 0, "frame loss rate to inject")
+	faultPlan := flag.String("faultplan", "", "faults to inject, as a fault plan (DSL, see EXPERIMENTS.md), e.g. '@0 rates drop=0.02'")
 	layers := flag.String("layers", "net,stack,core",
 		"comma-separated trace layers (sim,net,filter,stack,core; net is needed for -pcap)")
 	pcapPath := flag.String("pcap", "", "write the transmitted-frame stream to this pcap file")
@@ -41,7 +41,7 @@ func main() {
 	stats := flag.Bool("stats", false, "append the final metrics-registry snapshot after the trace")
 	flag.Parse()
 
-	rec, err := run(os.Stdout, *seed, *loss, *layers, *stats)
+	rec, err := run(os.Stdout, *seed, *faultPlan, *layers, *stats)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -70,11 +70,12 @@ func export(path string, write func(io.Writer) error) {
 	fmt.Printf("wrote %s\n", path)
 }
 
-// run executes the canned scenario with tracing enabled and writes the
-// textual trace to w, followed by the final metrics-registry snapshot
-// when stats is set. It is the whole program minus flag parsing and
-// file output, so tests can run it against a golden file.
-func run(w io.Writer, seed int64, loss float64, layerSpec string, stats bool) (*psd.Recorder, error) {
+// run executes the canned scenario under the fault plan text with
+// tracing enabled and writes the textual trace to w, followed by the
+// final metrics-registry snapshot when stats is set. It is the whole
+// program minus flag parsing and file output, so tests can run it
+// against a golden file.
+func run(w io.Writer, seed int64, faultPlan, layerSpec string, stats bool) (*psd.Recorder, error) {
 	var layers []psd.TraceLayer
 	for _, name := range strings.Split(layerSpec, ",") {
 		l, err := trace.ParseLayer(strings.TrimSpace(name))
@@ -85,7 +86,9 @@ func run(w io.Writer, seed int64, loss float64, layerSpec string, stats bool) (*
 	}
 
 	n := psd.NewConfig(psd.Config{Seed: seed, Trace: layers, Metrics: stats})
-	n.SetLossRate(loss)
+	if err := n.ApplyFaultPlan(faultPlan); err != nil {
+		return nil, err
+	}
 	a := n.Host("alpha", "10.0.0.1", psd.Decomposed())
 	b := n.Host("beta", "10.0.0.2", psd.Decomposed())
 

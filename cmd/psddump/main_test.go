@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite testdata/psddump.golden")
 //	go test ./cmd/psddump -run TestGolden -update
 func TestGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, 11, 0, "net,stack,core", false); err != nil {
+	if _, err := run(&buf, 11, "", "net,stack,core", false); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "psddump.golden")
@@ -65,7 +65,7 @@ func TestGolden(t *testing.T) {
 func TestGoldenStable(t *testing.T) {
 	render := func() []byte {
 		var buf bytes.Buffer
-		if _, err := run(&buf, 11, 0.01, "net,stack,core", false); err != nil {
+		if _, err := run(&buf, 11, "@0 rates drop=0.01", "net,stack,core", false); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -79,7 +79,7 @@ func TestGoldenStable(t *testing.T) {
 // registry snapshot against its golden file; regenerate with -update.
 func TestStatsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, 11, 0, "net,stack,core", true); err != nil {
+	if _, err := run(&buf, 11, "", "net,stack,core", true); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -109,7 +109,7 @@ func TestStatsGolden(t *testing.T) {
 // TestLayerFlagRejected covers the flag-parsing path of run.
 func TestLayerFlagRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := run(&buf, 11, 0, "net,bogus", false); err == nil {
+	if _, err := run(&buf, 11, "", "net,bogus", false); err == nil {
 		t.Fatal("bad -layers value should be rejected")
 	}
 }
@@ -118,7 +118,7 @@ func TestMainSmoke(t *testing.T) {
 	// Exercise the export paths end to end via run + the Write helpers.
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	rec, err := run(&buf, 3, 0, "net", false)
+	rec, err := run(&buf, 3, "", "net", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,11 +211,8 @@ func (c SysConfig) build(pc psd.Config, env *Env) *World {
 	n := psd.NewConfig(pc)
 	spec := c.Arch()
 	a, b := n.Host("A", "10.0.0.1", spec), n.Host("B", "10.0.0.2", spec)
-	if env != nil && env.faults.Active() {
-		n.Faults().SetDefaultRates(env.faults.Rates)
-		if err := n.ApplyFaultPlan(env.faults.Plan); err != nil {
-			panic("bench: plan validated by SetFaults failed to parse: " + err.Error())
-		}
+	if env != nil && env.plan != nil {
+		n.Faults().Schedule(env.plan)
 		env.injs = append(env.injs, n.Faults())
 	}
 	return &World{

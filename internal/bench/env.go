@@ -24,25 +24,13 @@ type Env struct {
 	// core layers).
 	Trace bool
 
-	faults FaultConfig
-	injs   []*fault.Injector
+	plan *fault.Plan // nil: no faults
+	injs []*fault.Injector
 
 	slowLabel   string
 	slowElapsed time.Duration
 	slowRec     *trace.Recorder
 }
-
-// FaultConfig is the fault-injection setting applied to every world an
-// Env builds: static default rates on all links, plus an optional fault
-// plan (the text DSL of internal/fault) scheduled on each world's
-// simulator.
-type FaultConfig struct {
-	Rates fault.Rates
-	Plan  string
-}
-
-// Active reports whether the configuration injects anything at all.
-func (c FaultConfig) Active() bool { return !c.Rates.IsZero() || c.Plan != "" }
 
 // config is the network of a world built in env at seed, with a
 // registry when reg is set.
@@ -54,20 +42,26 @@ func (env *Env) config(seed int64, reg bool) psd.Config {
 	return pc
 }
 
-// SetFaults makes cfg the fault setting of every world env builds from
-// now on and empties the report. The plan text is validated eagerly so a
-// bad -faultplan fails before any benchmark runs.
-func (env *Env) SetFaults(cfg FaultConfig) error {
-	if _, err := fault.ParsePlan(cfg.Plan); err != nil {
+// SetFaults makes the fault plan text (the DSL of internal/fault) the
+// faults of every world env builds from now on, scheduled on each
+// world's injector, and empties the report. The text is parsed here, so
+// a bad -faultplan fails before any benchmark runs.
+func (env *Env) SetFaults(text string) error {
+	plan, err := fault.ParsePlan(text)
+	if err != nil {
 		return err
 	}
-	env.faults, env.injs = cfg, nil
+	if len(plan.Events) == 0 {
+		plan = nil
+	}
+	env.plan, env.injs = plan, nil
 	return nil
 }
 
 // FaultReport aggregates per-link fault counters across every world
-// built in env since SetFaults, formatted as the injector's standard
-// table. Empty when no faults were configured or no world was built.
+// built in env since SetFaults, formatted as one table: a row per link
+// name, sorted, and a total. It is the one formatter of fault counters.
+// Empty when no faults were configured or no world was built.
 func (env *Env) FaultReport() string {
 	if len(env.injs) == 0 {
 		return ""

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -24,7 +23,7 @@ func TestBuildNeedsAreLocal(t *testing.T) {
 	}
 
 	env := &Env{Trace: true}
-	if err := env.SetFaults(FaultConfig{Rates: fault.Rates{Drop: 0.01}, Plan: "@1s partition A|B for=10ms"}); err != nil {
+	if err := env.SetFaults("@0 rates drop=0.01; @1s partition A|B for=10ms"); err != nil {
 		t.Fatal(err)
 	}
 	built := []*World{streamWorld(env, cfg, false), latWorld(env, cfg, true)}

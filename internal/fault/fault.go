@@ -12,10 +12,11 @@
 //     which means independently configured faults compose without
 //     changing each other's outcomes.
 //
-// Faults are driven either by static Rates (set once, apply forever) or
-// by a Plan: a schedule of fault events over virtual time ("partition
-// hosts a/b at t=2s for 500ms", "flap link a every second"). Plans have
-// a compact text form for command-line use; see ParsePlan.
+// A Plan is the description of faults: a schedule of events over
+// virtual time ("2% loss from the start", "partition hosts a/b at t=2s
+// for 500ms", "flap link a every second"), written in the compact text
+// form ParsePlan reads. Rates, downed links and partitions are the
+// injector's state, which a scheduled plan sets and reverts.
 package fault
 
 import "time"
@@ -73,11 +74,6 @@ func (c *Counters) Add(o Counters) {
 	c.Delayed += o.Delayed
 	c.DownDrops += o.DownDrops
 	c.PartDrops += o.PartDrops
-}
-
-// Total returns the number of frames the injector interfered with.
-func (c Counters) Total() int {
-	return c.Dropped + c.Duplicated + c.Corrupted + c.Reordered + c.Delayed + c.DownDrops + c.PartDrops
 }
 
 // Decision is the injector's verdict on one transmitted frame.

@@ -44,7 +44,8 @@ func FuzzParsePlan(f *testing.F) {
 }
 
 // runPlan schedules p on a fresh simulator and samples two links' fate
-// every millisecond for two virtual seconds.
+// every millisecond for two virtual seconds, then reads every link's
+// counters.
 func runPlan(t *testing.T, p *Plan) []string {
 	s := sim.New(1)
 	defer s.Close()
@@ -60,5 +61,8 @@ func runPlan(t *testing.T, p *Plan) []string {
 	if err := s.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	return append(out, in.Report())
+	for _, l := range in.Links() {
+		out = append(out, fmt.Sprint(l, in.Counters(l)))
+	}
+	return out
 }

@@ -20,7 +20,7 @@
 // for correctness (an abandoned chain is simply garbage collected) but is
 // what makes the steady-state data path allocation-free. After Release
 // the chain is empty and may be reused; any byte slices previously
-// obtained from the chain (Prepend, Pullup, Writer, Iter) are invalid.
+// obtained from the chain (Prepend, Writer, Iter) are invalid.
 //
 // Link frames use the same pools and the same reference counts, with no
 // unsafe code: Frame lends a pooled array as a bare slice, and the
@@ -556,36 +556,6 @@ func (c *Chain) Bytes() []byte {
 	out := make([]byte, c.length)
 	c.ReadAt(out, 0)
 	return out
-}
-
-// Pullup ensures the first n bytes of the chain are contiguous and returns
-// a slice viewing them. It panics if the chain is shorter than n. The
-// returned slice must be treated as read-only if the chain has been
-// shared.
-func (c *Chain) Pullup(n int) []byte {
-	if n > c.length {
-		panic(fmt.Sprintf("mbuf: Pullup(%d) on chain of %d bytes", n, c.length))
-	}
-	if n == 0 {
-		return nil
-	}
-	if c.head.n >= n {
-		s := c.head
-		return s.b[s.off : s.off+n]
-	}
-	// Coalesce the prefix into one fresh segment.
-	b := getBuf(LeadingSpace + n)
-	off := len(b.b) - n
-	ns := newSeg(b, off, n)
-	c.ReadAt(ns.b[off:], 0)
-	c.TrimFront(n)
-	ns.next = c.head
-	c.head = ns
-	if ns.next == nil {
-		c.tail = ns
-	}
-	c.length += n
-	return ns.b[off:]
 }
 
 // unshare replaces the segment's window with a private copy in a fresh

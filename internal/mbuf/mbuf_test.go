@@ -118,32 +118,6 @@ func TestCopyRegionSharesStorage(t *testing.T) {
 	}
 }
 
-func TestPullup(t *testing.T) {
-	c := New()
-	c.AppendBytes([]byte("ab"))
-	c.AppendBytes([]byte("cd"))
-	c.AppendBytes([]byte("ef"))
-	p := c.Pullup(5)
-	if string(p) != "abcde" {
-		t.Fatalf("Pullup = %q", p)
-	}
-	if c.Len() != 6 {
-		t.Fatalf("Pullup changed length to %d", c.Len())
-	}
-	if string(c.Bytes()) != "abcdef" {
-		t.Fatalf("chain after pullup = %q", c.Bytes())
-	}
-}
-
-func TestPullupAlreadyContiguous(t *testing.T) {
-	c := FromBytesCopy([]byte("abcdef"))
-	before := c.Segments()
-	_ = c.Pullup(3)
-	if c.Segments() != before {
-		t.Fatal("needless pullup copy")
-	}
-}
-
 func TestReadAtOffsets(t *testing.T) {
 	c := New()
 	c.AppendBytes([]byte("0123"))
@@ -209,7 +183,7 @@ func TestQuickChainMatchesModel(t *testing.T) {
 		c := New()
 		m := &model{}
 		for _, op := range ops {
-			switch op % 6 {
+			switch op % 5 {
 			case 0: // append
 				n := rng.Intn(20)
 				data := make([]byte, n)
@@ -238,14 +212,6 @@ func TestQuickChainMatchesModel(t *testing.T) {
 						return false
 					}
 					c.AppendChain(rest)
-				}
-			case 5: // pullup a random prefix
-				if c.Len() > 0 {
-					n := rng.Intn(c.Len()) + 1
-					got := c.Pullup(n)
-					if !bytes.Equal(got, m.b[:n]) {
-						return false
-					}
 				}
 			}
 			if c.Len() != len(m.b) {

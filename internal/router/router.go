@@ -179,9 +179,6 @@ func (p *Port) NIC() *simnet.NIC { return p.nic }
 // Sim returns the event queue (shard) the router runs on.
 func (r *Router) Sim() *sim.Sim { return r.sim }
 
-// QueueLen returns the port's instantaneous egress-queue length.
-func (p *Port) QueueLen() int { return p.qlen }
-
 // LinkName returns the port's fault-injector link name.
 func (p *Port) LinkName() string { return p.nic.Name() }
 

@@ -369,14 +369,6 @@ func (n *Network) Sim() *sim.Sim { return n.sim }
 // link names.
 func (n *Network) Faults() *fault.Injector { return n.seg.Faults() }
 
-// SetLossRate injects uniform random frame loss (exercises TCP's
-// recovery). It is shorthand for setting a Drop rate on Faults.
-func (n *Network) SetLossRate(rate float64) {
-	r := n.seg.Faults().DefaultRates()
-	r.Drop = rate
-	n.seg.Faults().SetDefaultRates(r)
-}
-
 // ApplyFaultPlan parses a fault plan in the compact text form (see
 // fault.ParsePlan) and schedules it on the network.
 func (n *Network) ApplyFaultPlan(text string) error { return applyFaultPlan(n.Faults(), text) }

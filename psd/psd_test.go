@@ -112,7 +112,9 @@ func TestServerStats(t *testing.T) {
 
 func TestLossySimulationStillWorks(t *testing.T) {
 	n := psd.New(13)
-	n.SetLossRate(0.05)
+	if err := n.ApplyFaultPlan("@0 rates drop=0.05"); err != nil {
+		t.Fatal(err)
+	}
 	a := n.Host("a", "10.0.0.1", psd.Decomposed())
 	b := n.Host("b", "10.0.0.2", psd.Decomposed())
 	const total = 32 * 1024
