@@ -22,18 +22,17 @@ import (
 
 // ScalePoint is one measured (workload size, scheduler shape) cell.
 type ScalePoint struct {
-	Arch           string  `json:"arch,omitempty"`
-	Hosts          int     `json:"hosts"`
-	Districts      int     `json:"districts"`
-	Conns          int     `json:"conns"`
-	Shards         int     `json:"shards"` // 0 = classic single loop
-	SingleThreaded bool    `json:"single_threaded,omitempty"`
-	VirtSeconds    float64 `json:"virt_seconds"`
-	RealSeconds    float64 `json:"real_seconds"`
-	SimPerReal     float64 `json:"sim_per_real"`
-	Events         uint64  `json:"events"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	Windows        uint64  `json:"windows,omitempty"`
+	Arch         string  `json:"arch,omitempty"`
+	Hosts        int     `json:"hosts"`
+	Districts    int     `json:"districts"`
+	Conns        int     `json:"conns"`
+	Shards       int     `json:"shards"` // 0 = classic single loop
+	VirtSeconds  float64 `json:"virt_seconds"`
+	RealSeconds  float64 `json:"real_seconds"`
+	SimPerReal   float64 `json:"sim_per_real"`
+	Events       uint64  `json:"events"`
+	EventsPerSec float64 `json:"events_per_sec"`
+	Windows      uint64  `json:"windows,omitempty"`
 	// AllocsPerWindow is heap allocations per synchronization window
 	// (sharded cells only) — the window-loop efficiency gauge. Cells run
 	// in fresh child processes, so the malloc counter sees one run.
@@ -43,7 +42,7 @@ type ScalePoint struct {
 // scaleCity sizes a city to roughly the requested host count: 100
 // hosts per district (10 echo servers, 90 clients), one connection per
 // client, a quarter of them crossing districts over the trunks.
-func scaleCity(seed int64, hosts, shards int, single bool, arch psd.Arch) psd.CityConfig {
+func scaleCity(seed int64, hosts, shards int, arch psd.Arch) psd.CityConfig {
 	districts := hosts / 100
 	if districts < 1 {
 		districts = 1
@@ -59,7 +58,6 @@ func scaleCity(seed int64, hosts, shards int, single bool, arch psd.Arch) psd.Ci
 		MsgBytes:           256,
 		Arch:               arch,
 		Shards:             shards,
-		SingleThreaded:     single,
 		TrunkProp:          time.Millisecond,
 	}
 }
@@ -70,7 +68,6 @@ type pointSpec struct {
 	Arch   string `json:"arch"`
 	Hosts  int    `json:"hosts"`
 	Shards int    `json:"shards"`
-	Single bool   `json:"single"`
 }
 
 // runScalePointCmd is the -scale-point child entry: measure one cell and
@@ -86,7 +83,7 @@ func runScalePointCmd(stdout io.Writer, spec string) error {
 	if ps.Arch == "" {
 		ps.Arch = "decomposed"
 	}
-	p, err := runScalePoint(ps.Seed, ps.Arch, ps.Hosts, ps.Shards, ps.Single)
+	p, err := runScalePoint(ps.Seed, ps.Arch, ps.Hosts, ps.Shards)
 	if err != nil {
 		return err
 	}
@@ -94,12 +91,12 @@ func runScalePointCmd(stdout io.Writer, spec string) error {
 }
 
 // spawnScalePoint measures one cell in a fresh child process.
-func spawnScalePoint(seed int64, archName string, hosts, shards int, single bool) (ScalePoint, error) {
+func spawnScalePoint(seed int64, archName string, hosts, shards int) (ScalePoint, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	spec, _ := json.Marshal(pointSpec{Seed: seed, Arch: archName, Hosts: hosts, Shards: shards, Single: single})
+	spec, _ := json.Marshal(pointSpec{Seed: seed, Arch: archName, Hosts: hosts, Shards: shards})
 	cmd := exec.Command(exe, "-scale-point", string(spec))
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -114,12 +111,12 @@ func spawnScalePoint(seed int64, archName string, hosts, shards int, single bool
 }
 
 // runScalePoint executes one cell and folds the run into a point.
-func runScalePoint(seed int64, archName string, hosts, shards int, single bool) (ScalePoint, error) {
+func runScalePoint(seed int64, archName string, hosts, shards int) (ScalePoint, error) {
 	f, err := psd.FlavorByName(archName)
 	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale: %w", err)
 	}
-	cfg := scaleCity(seed, hosts, shards, single, f.New())
+	cfg := scaleCity(seed, hosts, shards, f.New())
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
@@ -138,18 +135,17 @@ func runScalePoint(seed int64, archName string, hosts, shards int, single bool) 
 	// variable under test.
 	virt := float64(rep.Snapshot.At) / float64(time.Second)
 	p := ScalePoint{
-		Arch:           archName,
-		Hosts:          rep.Hosts,
-		Districts:      rep.Districts,
-		Conns:          rep.ConnsPlan,
-		Shards:         shards,
-		SingleThreaded: single,
-		VirtSeconds:    virt,
-		RealSeconds:    real.Seconds(),
-		SimPerReal:     virt / real.Seconds(),
-		Events:         rep.DispatchedTotal,
-		EventsPerSec:   float64(rep.DispatchedTotal) / real.Seconds(),
-		Windows:        rep.Windows,
+		Arch:         archName,
+		Hosts:        rep.Hosts,
+		Districts:    rep.Districts,
+		Conns:        rep.ConnsPlan,
+		Shards:       shards,
+		VirtSeconds:  virt,
+		RealSeconds:  real.Seconds(),
+		SimPerReal:   virt / real.Seconds(),
+		Events:       rep.DispatchedTotal,
+		EventsPerSec: float64(rep.DispatchedTotal) / real.Seconds(),
+		Windows:      rep.Windows,
 	}
 	if rep.Windows > 0 {
 		p.AllocsPerWindow = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(rep.Windows)
@@ -187,7 +183,7 @@ func runScale(stdout io.Writer, path, label, archName string, seed int64, maxHos
 	var baseline, bestMulti float64
 	for _, h := range hosts {
 		for _, k := range shardCounts {
-			p, err := spawnScalePoint(seed, archName, h, k, false)
+			p, err := spawnScalePoint(seed, archName, h, k)
 			if err != nil {
 				return err
 			}
@@ -196,7 +192,7 @@ func runScale(stdout io.Writer, path, label, archName string, seed int64, maxHos
 				// twice and keep the faster run, so single-run timing
 				// noise cannot flip the speedup verdict. The simulation
 				// itself is deterministic — only wall time varies.
-				p2, err := spawnScalePoint(seed, archName, h, k, false)
+				p2, err := spawnScalePoint(seed, archName, h, k)
 				if err != nil {
 					return err
 				}

@@ -8,7 +8,7 @@ import "testing"
 // though no OS server counts it.
 func TestScalePointEveryColumn(t *testing.T) {
 	for _, arch := range []string{"inkernel", "server"} {
-		p, err := runScalePoint(1, arch, 100, 0, false)
+		p, err := runScalePoint(1, arch, 100, 0)
 		if err != nil {
 			t.Errorf("%s: %v", arch, err)
 			continue

@@ -79,6 +79,15 @@ func testScatterGather(t *testing.T, e *Env) {
 		if got != "hello world" {
 			t.Errorf("scattered read = %q", got)
 		}
+		// Four queued bytes exactly fill the first buffer: the read
+		// returns them rather than waiting for the next send to fill the
+		// second.
+		p.Sleep(200 * time.Millisecond)
+		iov = [][]byte{make([]byte, 4), make([]byte, 4)}
+		n, _, err = srv.RecvMsg(p, fd, iov, 0)
+		if err != nil || n != 4 || string(iov[0]) != "abcd" {
+			t.Errorf("read filling the first buffer: n=%d err=%v %q", n, err, iov[0])
+		}
 		srv.Close(p, fd)
 		srv.Close(p, ls)
 	})
@@ -89,11 +98,18 @@ func testScatterGather(t *testing.T, e *Env) {
 			t.Error(err)
 			return
 		}
+		// The connection stays open past the first read, so Nagle must
+		// not hold back the tail of the gathered write.
+		cli.SetSockOpt(p, fd, socketapi.TCPNoDelay, 1)
 		// Gather the write from three pieces.
 		n, err := cli.SendMsg(p, fd, [][]byte{[]byte("hello"), []byte(" "), []byte("world")}, 0, nil)
 		if err != nil || n != 11 {
 			t.Errorf("gathered write: n=%d err=%v", n, err)
 		}
+		p.Sleep(200 * time.Millisecond)
+		cli.Send(p, fd, []byte("abcd"), 0)
+		p.Sleep(500 * time.Millisecond)
+		cli.Send(p, fd, []byte("efgh"), 0)
 		cli.Close(p, fd)
 	})
 }
@@ -162,6 +178,18 @@ func testUDPTruncation(t *testing.T, e *Env) {
 		if string(small[:n]) != "next" {
 			t.Errorf("after truncation got %q, want next datagram", small[:n])
 		}
+		// A scatter list takes one datagram whole, peeked or read.
+		for _, flags := range []int{socketapi.MsgPeek, 0} {
+			iov := [][]byte{make([]byte, 4), make([]byte, 4)}
+			n, _, err = srv.RecvMsg(p, fd, iov, flags)
+			if err != nil || n != 8 || string(iov[0])+string(iov[1]) != "abcdefgh" {
+				t.Errorf("scattered datagram (flags %d): n=%d err=%v %q %q", flags, n, err, iov[0], iov[1])
+			}
+		}
+		n, _, _ = srv.RecvFrom(p, fd, small, 0)
+		if string(small[:n]) != "1234" {
+			t.Errorf("after the scattered datagram got %q, want 1234", small[:n])
+		}
 	})
 	e.Sim.Spawn("truncc", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
@@ -170,6 +198,8 @@ func testUDPTruncation(t *testing.T, e *Env) {
 		cli.SendTo(p, fd, []byte("0123456789"), 0, dst)
 		p.Sleep(10 * time.Millisecond)
 		cli.SendTo(p, fd, []byte("next"), 0, dst)
+		cli.SendTo(p, fd, []byte("abcdefgh"), 0, dst)
+		cli.SendTo(p, fd, []byte("1234"), 0, dst)
 	})
 }
 

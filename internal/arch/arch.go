@@ -18,15 +18,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Kind selects the implementation architecture.
-type Kind int
-
-const (
-	Kernel     Kind = iota // protocols in the kernel (Mach 2.5, Ultrix, 386BSD)
-	Server                 // protocols in a user-level server (UX, BNR2SS)
-	Decomposed             // OS server plus per-application libraries (this paper)
-)
-
 // System is one host running some architecture. *monolith.System (both
 // baselines) and *core.System implement it.
 type System interface {
@@ -39,11 +30,12 @@ type System interface {
 }
 
 // Spec is an architecture at its prices. Prof prices the protocol
-// implementation (for Decomposed, the libraries and the kernel delivery
-// interface); SrvProf prices the OS server backing a Decomposed host and
-// is ignored otherwise.
+// implementation, and its Style says where that runs: in the kernel, in a
+// user-level server, or (StyleLibrary, this paper) in per-application
+// libraries over the kernel delivery interface Prof.Delivery names.
+// SrvProf prices the OS server backing a library host and is ignored
+// otherwise.
 type Spec struct {
-	Kind    Kind
 	Prof    costs.Profile
 	SrvProf costs.Profile
 }
@@ -57,10 +49,10 @@ func New(a Spec, s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip 
 	h := kern.NewHost(s, seg, name, mac, ip, a.Prof)
 	h.Trace, h.Routes = rec, rt
 	h.SetMetrics(hs)
-	switch a.Kind {
-	case Kernel:
+	switch a.Prof.Style {
+	case costs.StyleKernel:
 		return monolith.New(h, monolith.InKernel)
-	case Server:
+	case costs.StyleServer:
 		return monolith.New(h, monolith.UXServer)
 	}
 	return core.New(h, a.SrvProf)

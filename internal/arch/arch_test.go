@@ -19,8 +19,8 @@ func TestConformance(t *testing.T) {
 		name string
 		spec arch.Spec
 	}{
-		{"inkernel", arch.Spec{Kind: arch.Kernel, Prof: costs.DECKernelMach25()}},
-		{"uxserver", arch.Spec{Kind: arch.Server, Prof: costs.DECServerUX()}},
+		{"inkernel", arch.Spec{Prof: costs.DECKernelMach25()}},
+		{"uxserver", arch.Spec{Prof: costs.DECServerUX()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			apitest.RunAll(t, func(t *testing.T, seed int64) *apitest.Env {

@@ -40,10 +40,6 @@ type SysConfig struct {
 	// instrumented per-layer costs of Table 4 (used by the breakdown
 	// reproduction, which models the paper's instrumented build).
 	RawCosts bool
-
-	// TCPLatNA marks TCP latency cells at >= 1024-byte messages NA: the
-	// 386BSD/BNR2SS bug that prevents sending large TCP packets.
-	TCPLatNA bool
 }
 
 // Arch is the architecture the row's hosts run: Spec with its protocol
@@ -56,20 +52,17 @@ func (c SysConfig) Arch() psd.Arch {
 	return a
 }
 
-func kernel(p costs.Profile) arch.Spec { return arch.Spec{Kind: arch.Kernel, Prof: p} }
-func server(p costs.Profile) arch.Spec { return arch.Spec{Kind: arch.Server, Prof: p} }
-func library(p, srv costs.Profile) arch.Spec {
-	return arch.Spec{Kind: arch.Decomposed, Prof: p, SrvProf: srv}
-}
+func mono(p costs.Profile) arch.Spec         { return arch.Spec{Prof: p} }
+func library(p, srv costs.Profile) arch.Spec { return arch.Spec{Prof: p, SrvProf: srv} }
 
 // DECConfigs returns the DECstation 5000/200 rows of Table 2, in the
 // paper's order.
 func DECConfigs() []SysConfig {
 	const dec = "DECstation 5000/200"
 	return []SysConfig{
-		{Name: "Mach 2.5 In-Kernel", Platform: dec, Spec: kernel(costs.DECKernelMach25()), RcvBufKB: 24},
-		{Name: "Ultrix 4.2A In-Kernel", Platform: dec, Spec: kernel(costs.DECKernelUltrix()), RcvBufKB: 16},
-		{Name: "Mach 3.0+UX Server", Platform: dec, Spec: server(costs.DECServerUX()), RcvBufKB: 24},
+		{Name: "Mach 2.5 In-Kernel", Platform: dec, Spec: mono(costs.DECKernelMach25()), RcvBufKB: 24},
+		{Name: "Ultrix 4.2A In-Kernel", Platform: dec, Spec: mono(costs.DECKernelUltrix()), RcvBufKB: 16},
+		{Name: "Mach 3.0+UX Server", Platform: dec, Spec: mono(costs.DECServerUX()), RcvBufKB: 24},
 		{Name: "Mach 3.0+UX Library-IPC", Platform: dec,
 			Spec: library(costs.DECLibraryIPC(), costs.DECServerUX()), RcvBufKB: 24},
 		{Name: "Mach 3.0+UX Library-SHM", Platform: dec,
@@ -83,10 +76,10 @@ func DECConfigs() []SysConfig {
 func I486Configs() []SysConfig {
 	const i486 = "Gateway 486"
 	return []SysConfig{
-		{Name: "Mach 2.5 In-Kernel", Platform: i486, Spec: kernel(costs.I486KernelMach25()), RcvBufKB: 8},
-		{Name: "386BSD In-Kernel", Platform: i486, Spec: kernel(costs.I486Kernel386BSD()), RcvBufKB: 8, TCPLatNA: true},
-		{Name: "Mach 3.0+UX Server", Platform: i486, Spec: server(costs.I486ServerUX()), RcvBufKB: 16},
-		{Name: "Mach 3.0+BNR2SS Server", Platform: i486, Spec: server(costs.I486ServerBNR2SS()), RcvBufKB: 12, TCPLatNA: true},
+		{Name: "Mach 2.5 In-Kernel", Platform: i486, Spec: mono(costs.I486KernelMach25()), RcvBufKB: 8},
+		{Name: "386BSD In-Kernel", Platform: i486, Spec: mono(costs.I486Kernel386BSD()), RcvBufKB: 8},
+		{Name: "Mach 3.0+UX Server", Platform: i486, Spec: mono(costs.I486ServerUX()), RcvBufKB: 16},
+		{Name: "Mach 3.0+BNR2SS Server", Platform: i486, Spec: mono(costs.I486ServerBNR2SS()), RcvBufKB: 12},
 		{Name: "Mach 3.0+UX Library-IPC", Platform: i486,
 			Spec: library(costs.I486LibraryIPC(), costs.I486ServerUX()), RcvBufKB: 24},
 		{Name: "Mach 3.0+UX Library-SHM", Platform: i486,

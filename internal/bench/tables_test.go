@@ -5,13 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/costs"
 )
 
 func TestFindConfig(t *testing.T) {
 	cfg, err := FindConfig("Mach 2.5 In-Kernel")
-	if err != nil || cfg.Spec.Kind != arch.Kernel {
+	if err != nil || cfg.Spec.Prof.Style != costs.StyleKernel {
 		t.Fatalf("FindConfig: %+v %v", cfg, err)
 	}
 	if _, err := FindConfig("No Such System"); err == nil {
@@ -37,10 +36,10 @@ func TestConfigRegistryShape(t *testing.T) {
 			t.Errorf("NEWAPI row misconfigured: %+v", cfg.Name)
 		}
 	}
-	// The quirky systems carry their NA flag.
+	// The quirky systems carry the large-TCP-send bug in their profile.
 	quirky := 0
 	for _, cfg := range i486 {
-		if cfg.TCPLatNA {
+		if cfg.Spec.Prof.LargeTCPSendBroken {
 			quirky++
 		}
 	}

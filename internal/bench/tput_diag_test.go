@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"sort"
-
-	"repro/internal/core"
-	"repro/internal/stack"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 )
@@ -86,25 +83,4 @@ func TestTputDiag(t *testing.T) {
 	runTputDiag(t, cfgs[5], 120) // lib SHM-IPF
 	runTputDiag(t, cfgs[5], 24)
 	runTputDiag(t, cfgs[3], 24) // lib IPC
-}
-
-func TestSegLenHistogram(t *testing.T) {
-	stack.DebugSegLens = map[int]int{}
-	stack.DebugSendReasons = map[string]int{}
-	stack.DebugSegTrace = true
-	defer func() { stack.DebugSegLens = nil; stack.DebugSendReasons = nil; stack.DebugSegTrace = false }()
-	runTputDiag(t, DECConfigs()[5], 120)
-	t.Logf("resend reasons: %v", stack.DebugSendReasons)
-	type kv struct{ l, c int }
-	var all []kv
-	for l, c := range stack.DebugSegLens {
-		all = append(all, kv{l, c})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].c > all[j].c })
-	for i, e := range all {
-		if i > 12 {
-			break
-		}
-		t.Logf("len %5d x %d", e.l, e.c)
-	}
 }

@@ -176,7 +176,7 @@ const protolatPort = 5002
 // excluding a warmup round (connection setup, ARP). The world is built
 // from cfg in env.
 func RunProtolat(env *Env, cfg SysConfig, udp bool, msgSize, rounds int) LatResult {
-	if !udp && cfg.TCPLatNA && msgSize >= 1024 {
+	if !udp && cfg.Spec.Prof.LargeTCPSendBroken && msgSize >= 1024 {
 		// The 386BSD/BNR2SS large-TCP-packet bug: the paper reports NA.
 		return LatResult{NA: true}
 	}

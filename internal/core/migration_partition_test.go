@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 	"repro/internal/wire"
@@ -109,7 +110,11 @@ func TestForkWhileNetworkPartitioned(t *testing.T) {
 	if !healed {
 		t.Fatal("run finished before the partition healed")
 	}
-	if c := inj.TotalCounters(); c.PartDrops == 0 {
+	var c fault.Counters
+	for _, l := range inj.Links() {
+		c.Add(inj.Counters(l))
+	}
+	if c.PartDrops == 0 {
 		t.Fatalf("partition never cut a frame: %+v", c)
 	}
 	if !bytes.Equal(got.Bytes(), payload) {

@@ -152,13 +152,12 @@ func DECLibrarySHMIPF() Profile {
 	}
 }
 
-// SWChecksumShare is the fraction of the per-byte slope a software
+// swChecksumShare is the fraction of the per-byte slope a software
 // in_cksum pass contributes to a fused copy+checksum loop on the R3000
-// (one load+add+carry per word against a load/store pair). Offload
-// profiles subtract it when the checksum moves to the NIC; user-space
-// byte-scan stages (the psd adapters) price their per-byte work with
-// it, so both directions of the calibration share one constant.
-const SWChecksumShare = 0.45
+// (one load+add+carry per word against a load/store pair).
+// DECLibrarySHMIPFOffload, its one user, subtracts it from the send and
+// receive slopes when the checksum moves to the NIC.
+const swChecksumShare = 0.45
 
 // DECLibrarySHMIPFOffload derives the fourth receive architecture from
 // the instrumented Library-SHM-IPF profile: a NIC that segments
@@ -184,10 +183,10 @@ func DECLibrarySHMIPFOffload() Profile {
 	p := DECLibrarySHMIPF()
 	p.Name = "Mach 3.0+UX Library-SHM-IPF-OFFLOAD"
 	p.Costs.applyBoth(CompEtherOutput, func(l Lin) Lin {
-		return Lin{FixedNS: l.FixedNS, PerByteNS: l.PerByteNS * (1 - SWChecksumShare)}
+		return Lin{FixedNS: l.FixedNS, PerByteNS: l.PerByteNS * (1 - swChecksumShare)}
 	})
 	p.Costs.applyBoth(CompTransportInput, func(l Lin) Lin {
-		return Lin{FixedNS: l.FixedNS, PerByteNS: l.PerByteNS * (1 - SWChecksumShare)}
+		return Lin{FixedNS: l.FixedNS, PerByteNS: l.PerByteNS * (1 - swChecksumShare)}
 	})
 	p.Offload = OffloadCosts{
 		Enabled:   true,

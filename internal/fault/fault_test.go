@@ -120,13 +120,6 @@ func TestRatesZeroMeansPristine(t *testing.T) {
 			t.Fatalf("zero-rate injector interfered with frame %d: %+v", i, d)
 		}
 	}
-	if in.Active() {
-		t.Errorf("zero-rate injector claims to be active")
-	}
-	in.SetDefaultRates(Rates{Drop: 0.5})
-	if !in.Active() {
-		t.Errorf("injector with drop rate claims to be inactive")
-	}
 }
 
 func TestParsePlan(t *testing.T) {
@@ -348,7 +341,10 @@ func TestCountersAggregate(t *testing.T) {
 	in.Outbound("a", 0)
 	in.Outbound("b", 0)
 	in.Outbound("b", 0)
-	tot := in.TotalCounters()
+	var tot Counters
+	for _, l := range in.Links() {
+		tot.Add(in.Counters(l))
+	}
 	if tot.Frames != 3 || tot.Dropped != 3 {
 		t.Errorf("totals = %+v, want 3 frames / 3 dropped", tot)
 	}

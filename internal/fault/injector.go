@@ -236,31 +236,8 @@ func (in *Injector) CutTx(from, to string) bool {
 	return false
 }
 
-// Active reports whether the injector currently interferes with any
-// traffic at all (rates, overrides, downed links, or partitions).
-func (in *Injector) Active() bool {
-	if !in.defaults.IsZero() || len(in.parts) > 0 {
-		return true
-	}
-	for _, l := range in.links {
-		if l.down || (l.rates != nil && !l.rates.IsZero()) {
-			return true
-		}
-	}
-	return false
-}
-
 // Links returns the names of all links seen so far, in creation order.
 func (in *Injector) Links() []string { return append([]string(nil), in.order...) }
 
 // Counters returns a copy of one link's fault counters.
 func (in *Injector) Counters(name string) Counters { return in.link(name).c }
-
-// TotalCounters sums the counters of every link.
-func (in *Injector) TotalCounters() Counters {
-	var t Counters
-	for _, l := range in.links {
-		t.Add(l.c)
-	}
-	return t
-}

@@ -257,10 +257,9 @@ func (h *Host) StackConfig(role string, prof *costs.Profile, intr func(*sim.Proc
 		MaxTCPPayload: maxTCP,
 		// The NIC's offload engine, when attached, serves every stack on
 		// the host: super-segments out, no software checksums.
-		TSOMaxPayload:   offload.TSOFor(h.Prof),
-		ChecksumOffload: h.Prof.Offload.Enabled,
-		Trace:           h.Trace,
-		Metrics:         h.scope.Sub("stack").Sub(role),
+		Offload: h.Prof.Offload.Enabled,
+		Trace:   h.Trace,
+		Metrics: h.scope.Sub("stack").Sub(role),
 	}
 }
 

@@ -65,21 +65,10 @@ const (
 	DefaultHold    = 2500 * time.Microsecond
 	DefaultIdleGap = 3 * time.Millisecond // EWMA gap above which the engine is idle
 
-	// DefaultTSOMax is the transmit super-segment payload cap that
-	// deployments configure their stacks with when the engine is
-	// attached (stack.Config.TSOMaxPayload).
+	// DefaultTSOMax is the largest super-segment payload a stack hands
+	// the engine when it is attached (stack.Config.Offload).
 	DefaultTSOMax = 8 * DefaultMSS
 )
-
-// TSOFor returns the stack TSOMaxPayload for a host profile: the
-// default super-segment cap when the engine is enabled, 0 (TSO off)
-// otherwise.
-func TSOFor(p costs.Profile) int {
-	if p.Offload.Enabled {
-		return DefaultTSOMax
-	}
-	return 0
-}
 
 // Config assembles an engine between a host's receive path and its NIC.
 type Config struct {

@@ -28,21 +28,14 @@ import (
 	"repro/internal/wire"
 )
 
-// A port's egress queue: Capacity is its one setting, the RED
-// parameters are fixed.
+// A port's egress queue. The capacity is the hard queue limit (tail
+// drop); the RED thresholds on the EWMA queue length sit at a quarter
+// and three quarters of it.
 const (
-	DefaultQueueCapacity = 32   // frames
-	redMaxP              = 0.1  // drop probability as the average reaches the high threshold
-	redWeight            = 0.25 // EWMA weight of the average queue length
+	queueCapacity = 32   // frames
+	redMaxP       = 0.1  // drop probability as the average reaches the high threshold
+	redWeight     = 0.25 // EWMA weight of the average queue length
 )
-
-// QueueConfig sets a port's egress-queue behaviour.
-type QueueConfig struct {
-	// Capacity is the hard queue limit in frames (tail drop); 0 means
-	// DefaultQueueCapacity. The RED thresholds on the EWMA queue length
-	// sit at a quarter and three quarters of it.
-	Capacity int
-}
 
 // Stats counts router activity. The fields are metrics counters so a
 // registry can bind to the same storage tests read.
@@ -130,16 +123,13 @@ const (
 // Attach joins the router to a segment with the given port IP and subnet
 // prefix length, installing the subnet's on-link route. The port's link
 // name — visible to the fault injector — is "<router>.<name>".
-func (r *Router) Attach(seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prefixLen int, q QueueConfig) *Port {
-	if q.Capacity == 0 {
-		q.Capacity = DefaultQueueCapacity
-	}
+func (r *Router) Attach(seg *simnet.Segment, name string, mac wire.MAC, ip wire.IPAddr, prefixLen int) *Port {
 	p := &Port{
 		r:         r,
 		index:     len(r.ports),
 		ip:        ip,
 		prefixLen: prefixLen,
-		capacity:  q.Capacity,
+		capacity:  queueCapacity,
 		arp:       make(map[wire.IPAddr]*arpState),
 	}
 	p.nic = seg.AttachOn(r.sim, r.name+"."+name, mac)

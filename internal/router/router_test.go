@@ -93,11 +93,11 @@ func (h *testHost) ipFrame(dstMAC wire.MAC, dst wire.IPAddr, ttl uint8, payload 
 func mac(b byte) wire.MAC { return wire.MAC{0x02, 0, 0, 0, 0, b} }
 
 // topo2 builds two subnets joined by one router and a host on each.
-func topo2(s *sim.Sim, q QueueConfig) (*Router, *testHost, *testHost) {
+func topo2(s *sim.Sim) (*Router, *testHost, *testHost) {
 	segA, segB := simnet.NewSegment(s), simnet.NewSegment(s)
 	r := New(s, "core")
-	r.Attach(segA, "a", mac(0xa0), wire.IP(10, 1, 0, 254), 24, q)
-	r.Attach(segB, "b", mac(0xb0), wire.IP(10, 2, 0, 254), 24, q)
+	r.Attach(segA, "a", mac(0xa0), wire.IP(10, 1, 0, 254), 24)
+	r.Attach(segB, "b", mac(0xb0), wire.IP(10, 2, 0, 254), 24)
 	ha := newTestHost(segA, "ha", mac(0x01), wire.IP(10, 1, 0, 1))
 	hb := newTestHost(segB, "hb", mac(0x02), wire.IP(10, 2, 0, 1))
 	return r, ha, hb
@@ -105,7 +105,7 @@ func topo2(s *sim.Sim, q QueueConfig) (*Router, *testHost, *testHost) {
 
 func TestForwardDecrementsTTL(t *testing.T) {
 	s := sim.New(1)
-	r, ha, hb := topo2(s, QueueConfig{})
+	r, ha, hb := topo2(s)
 
 	ha.sendIP(mac(0xa0), hb.ip, 64, []byte("hello"))
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
@@ -131,7 +131,7 @@ func TestForwardDecrementsTTL(t *testing.T) {
 
 func TestTTLExpiryEmitsTimeExceeded(t *testing.T) {
 	s := sim.New(2)
-	r, ha, hb := topo2(s, QueueConfig{})
+	r, ha, hb := topo2(s)
 
 	ha.sendIP(mac(0xa0), hb.ip, 1, []byte("doomed"))
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
@@ -169,7 +169,7 @@ func TestTTLExpiryEmitsTimeExceeded(t *testing.T) {
 
 func TestNoRouteEmitsUnreachable(t *testing.T) {
 	s := sim.New(3)
-	r, ha, _ := topo2(s, QueueConfig{})
+	r, ha, _ := topo2(s)
 
 	ha.sendIP(mac(0xa0), wire.IP(172, 16, 9, 9), 64, []byte("lost"))
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
@@ -192,7 +192,7 @@ func TestNoRouteEmitsUnreachable(t *testing.T) {
 
 func TestNoErrorAboutICMPError(t *testing.T) {
 	s := sim.New(4)
-	r, ha, _ := topo2(s, QueueConfig{})
+	r, ha, _ := topo2(s)
 
 	// An ICMP time-exceeded with an unroutable destination must be
 	// dropped silently, not answered with unreachable.
@@ -224,7 +224,7 @@ func TestNoErrorAboutICMPError(t *testing.T) {
 
 func TestPingRouterPort(t *testing.T) {
 	s := sim.New(5)
-	_, ha, _ := topo2(s, QueueConfig{})
+	_, ha, _ := topo2(s)
 
 	req := wire.ICMPHeader{Type: wire.ICMPEchoRequest, ID: 7, Seq: 1}
 	body := req.Marshal([]byte("probe"))
@@ -265,8 +265,9 @@ func burst(t *testing.T, seed int64, frames int) (forwarded, red, tail uint64, m
 	segA, segB := simnet.NewSegment(s), simnet.NewSegment(s)
 	segB.SetBitRate(1_000_000) // 1 Mb/s uplink behind a 10 Mb/s LAN
 	r := New(s, "core")
-	r.Attach(segA, "a", mac(0xa0), wire.IP(10, 1, 0, 254), 24, QueueConfig{Capacity: 8})
-	r.Attach(segB, "b", mac(0xb0), wire.IP(10, 2, 0, 254), 24, QueueConfig{Capacity: 8})
+	// An 8-frame queue, a quarter of the default, so a short burst fills it.
+	r.Attach(segA, "a", mac(0xa0), wire.IP(10, 1, 0, 254), 24).capacity = 8
+	r.Attach(segB, "b", mac(0xb0), wire.IP(10, 2, 0, 254), 24).capacity = 8
 	ha := newTestHost(segA, "ha", mac(0x01), wire.IP(10, 1, 0, 1))
 	hb := newTestHost(segB, "hb", mac(0x02), wire.IP(10, 2, 0, 1))
 	_ = hb
@@ -328,7 +329,7 @@ func TestBroadcastsAreNotForwarded(t *testing.T) {
 		{"limited broadcast", mac(0xa0), func(*testHost) wire.IPAddr { return wire.IP(255, 255, 255, 255) }},
 	} {
 		s := sim.New(6)
-		r, ha, hb := topo2(s, QueueConfig{})
+		r, ha, hb := topo2(s)
 		ha.sendIP(tc.dstMAC, tc.dst(hb), 64, []byte("everyone"))
 		if err := s.RunFor(100 * time.Millisecond); err != nil {
 			t.Fatal(err)
@@ -350,7 +351,7 @@ func TestBroadcastsAreNotForwarded(t *testing.T) {
 // with its TTL decremented twice.
 func TestDuplicateForwardedTwice(t *testing.T) {
 	s := sim.New(7)
-	r, ha, hb := topo2(s, QueueConfig{})
+	r, ha, hb := topo2(s)
 	ha.seg.Faults().SetLinkRates("ha", fault.Rates{Dup: 1})
 	ha.sendIP(mac(0xa0), hb.ip, 64, []byte("twice"))
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
@@ -374,7 +375,7 @@ func TestDuplicateForwardedTwice(t *testing.T) {
 // copy and nothing more.
 func TestForwardAllocs(t *testing.T) {
 	s := sim.New(8)
-	r, ha, hb := topo2(s, QueueConfig{})
+	r, ha, hb := topo2(s)
 	ha.sendIP(mac(0xa0), hb.ip, 64, []byte("warm")) // resolves hb
 	if err := s.RunFor(100 * time.Millisecond); err != nil {
 		t.Fatal(err)

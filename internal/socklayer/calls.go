@@ -247,25 +247,24 @@ func (tb *Table) RecvFrom(t *sim.Proc, fd int, b []byte, flags int) (int, socket
 	return e.recv(t, b, flags)
 }
 
-// RecvMsg implements socketapi.API: fill the scatter list in order,
-// stopping at the first short read.
+// RecvMsg implements socketapi.API. Like BSD's single soreceive, it is
+// one receive of as many bytes as the scatter list holds, laid over the
+// buffers in order: one datagram, one peek, one wait for data.
 func (tb *Table) RecvMsg(t *sim.Proc, fd int, iov [][]byte, flags int) (int, socketapi.SockAddr, error) {
-	total := 0
-	var from socketapi.SockAddr
-	for i, b := range iov {
-		n, f, err := tb.RecvFrom(t, fd, b, flags)
-		if i == 0 {
-			from = f
-		}
-		total += n
-		if err != nil {
-			return total, from, err
-		}
-		if n < len(b) {
-			break
-		}
+	e, err := tb.live(t, fd)
+	if err != nil {
+		return 0, socketapi.SockAddr{}, err
 	}
-	return total, from, nil
+	size := 0
+	for _, b := range iov {
+		size += len(b)
+	}
+	buf := make([]byte, size)
+	n, from, err := e.recv(t, buf, flags)
+	for rest := buf[:n]; len(rest) > 0; iov = iov[1:] {
+		rest = rest[copy(iov[0], rest):]
+	}
+	return n, from, err
 }
 
 // Shutdown implements socketapi.API.

@@ -110,7 +110,7 @@ func (st *Stack) ipOutput(t *sim.Proc, tcp bool, proto uint8, dst wire.IPAddr, s
 	// A TSO super-segment exceeds the MTU on purpose: it leaves as one
 	// oversized frame for the NIC engine to slice, bypassing IP
 	// fragmentation entirely.
-	if total <= wire.EthMTU || (tcp && st.cfg.TSOMaxPayload > 0) {
+	if total <= wire.EthMTU || (tcp && st.cfg.Offload) {
 		return st.emitIP(t, tcp, wire.IPv4Header{
 			TotalLen: uint16(total),
 			ID:       st.nextIPID(),
@@ -218,7 +218,7 @@ func (st *Stack) emitIP(t *sim.Proc, tcp bool, h wire.IPv4Header, nextHop wire.I
 	// checksum offload the copy still happens but the field is left
 	// zero for the NIC engine to fill, and no software-checksum bytes
 	// are accounted.
-	sw := ckOff >= 0 && !st.cfg.ChecksumOffload
+	sw := ckOff >= 0 && !st.cfg.Offload
 	var ck wire.Checksummer
 	if sw {
 		ck.PseudoHeader(h.Src, h.Dst, h.Proto, uint16(payload.Len()))
@@ -276,7 +276,7 @@ func (st *Stack) ipInput(t *sim.Proc, eh wire.EthHeader, pkt []byte) {
 	// dropped bad) unfragmented TCP/UDP segments — but the engine passes
 	// fragments through untouched, so reassembled datagrams still get
 	// the software pass.
-	st.rxVerified = st.cfg.ChecksumOffload
+	st.rxVerified = st.cfg.Offload
 
 	if h.IsFragment() {
 		st.rxVerified = false

@@ -96,19 +96,16 @@ type Config struct {
 	// size and sosend rejects messages needing larger ones.
 	MaxTCPPayload int
 
-	// TSOMaxPayload, when nonzero, enables TSO/GSO-style segmentation
-	// offload: tcp_output may emit one oversized frame carrying up to
-	// this many payload bytes, and the NIC offload engine — not the
-	// stack — slices it into MSS-sized wire frames. The send queue keeps
-	// holding the unsegmented byte stream, so retransmission after a
-	// dropped slice works unchanged.
-	TSOMaxPayload int
-
-	// ChecksumOffload, when true, moves transport checksumming to the
-	// NIC engine: outbound TCP/UDP frames leave the stack with a zero
-	// checksum field for the engine to fill, and inbound verification is
-	// skipped (the engine already verified and dropped bad frames).
-	ChecksumOffload bool
+	// Offload says the host's NIC offload engine is attached, and the
+	// stack hands it two jobs. Segmentation (TSO/GSO): tcp_output may
+	// emit one oversized frame carrying up to tsoMaxPayload bytes, and
+	// the engine — not the stack — slices it into MSS-sized wire frames;
+	// the send queue keeps holding the unsegmented byte stream, so
+	// retransmission after a dropped slice works unchanged. Checksums:
+	// outbound TCP/UDP frames leave the stack with a zero checksum field
+	// for the engine to fill, and inbound verification is skipped (the
+	// engine already verified and dropped bad frames).
+	Offload bool
 
 	// Trace, when set, is the flight recorder stack-layer events are
 	// emitted on: TCP state transitions, retransmissions, cwnd and RTT

@@ -60,6 +60,9 @@ const (
 	slowHz = 2 // slow timer ticks per second
 
 	tcpDefaultMSS = 1460 // Ethernet MTU - IP - TCP headers
+	// tsoMaxPayload caps a TSO super-segment's payload at eight MSS, the
+	// engine's offload.DefaultTSOMax.
+	tsoMaxPayload = 8 * tcpDefaultMSS
 
 	// BSD Net/2 timer values, in slow ticks.
 	tcpMinRexmtTicks = 2   // 1 s

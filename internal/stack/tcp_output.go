@@ -1,24 +1,11 @@
 package stack
 
 import (
-	"fmt"
-
 	"repro/internal/costs"
 	"repro/internal/mbuf"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
-
-// DebugSegLens, when non-nil, histograms outgoing data segment lengths
-// (diagnostics).
-var DebugSegLens map[int]int
-
-// DebugSendReasons, when non-nil, histograms the send-decision reason for
-// segments that re-cover previously sent sequence space (diagnostics).
-var DebugSendReasons map[string]int
-
-// DebugSegTrace prints every outgoing data segment (diagnostics).
-var DebugSegTrace bool
 
 // outputFlags gives the TCP flags appropriate to each state (tcp_outflags).
 var outputFlags = [...]uint8{
@@ -67,12 +54,12 @@ func (st *Stack) tcpOutput(t *sim.Proc, tp *tcpcb) {
 		}
 		mss := tp.effMSS()
 		segMax := mss
-		if st.cfg.TSOMaxPayload > mss && !seqGT(tp.sndUp, tp.sndUna) {
+		if st.cfg.Offload && tsoMaxPayload > mss && !seqGT(tp.sndUp, tp.sndUna) {
 			// TSO: emit one super-segment and let the NIC engine slice it
 			// to MSS frames. Urgent data opts out — the urgent pointer is
 			// relative to one segment's sequence number and would not
 			// survive slicing.
-			segMax = st.cfg.TSOMaxPayload
+			segMax = tsoMaxPayload
 		}
 		sendalot := false
 		if length > segMax {
@@ -99,38 +86,25 @@ func (st *Stack) tcpOutput(t *sim.Proc, tp *tcpcb) {
 
 		// Decide whether to transmit.
 		send := false
-		reason := ""
 		switch {
 		case flags&(flagSYN|flagRST) != 0:
 			send = true
-			reason = "syn/rst"
 		case flags&flagFIN != 0 && (!tp.finSent || tp.sndNxt == tp.finSeq):
 			send = true
-			reason = "fin"
 		case tp.force && length > 0:
 			send = true
-			reason = "force"
 		case length >= mss:
 			send = true
-			reason = "mss"
 		case length > 0 && seqLT(tp.sndNxt, tp.sndMax):
 			send = true // retransmission
-			reason = "rexmit"
 		case length > 0 && (s.noDelay || idle):
 			send = true // Nagle: small segments only when no data is in flight
-			reason = "nagle-idle"
 		case tp.ackNow:
 			send = true
-			reason = "acknow"
 		case seqGT(tp.sndUp, tp.sndUna):
 			send = true // urgent data pending
-			reason = "urgent"
 		case st.tcpWindowUpdateWorthwhile(tp, rwin):
 			send = true
-			reason = "winupdate"
-		}
-		if send && DebugSendReasons != nil && length > 0 && seqLT(tp.sndNxt, tp.sndMax) {
-			DebugSendReasons[reason]++
 		}
 
 		if !send {
@@ -240,12 +214,6 @@ func (st *Stack) tcpSendSegment(t *sim.Proc, tp *tcpcb, flags uint8, length int,
 	st.Stats.TCPOut.Inc()
 	if length > tp.effMSS() {
 		st.Stats.TSOSends.Inc()
-	}
-	if DebugSegLens != nil && length > 0 {
-		DebugSegLens[length]++
-		if DebugSegTrace {
-			fmt.Printf("%s t=%v DATA seq %d len %d sndbuf %d una %d nxt %d max %d sock %p\n", st.cfg.Name, st.now(), seq-tp.iss, length, s.snd.len(), tp.sndUna-tp.iss, tp.sndNxt-tp.iss, tp.sndMax-tp.iss, s)
-		}
 	}
 	if length == 0 && flags&(flagSYN|flagFIN|flagRST) == 0 {
 		st.Stats.TCPPureAcks.Inc()

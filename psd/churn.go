@@ -1,9 +1,6 @@
 package psd
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // ChurnConfig parameterizes the connection-churn scale workload: many
 // hosts opening and closing thousands of short-lived TCP connections,
@@ -21,7 +18,6 @@ type ChurnConfig struct {
 	OrphanEvery    int // every Nth client exits without closing its last conn (0 = none)
 	MsgBytes       int // payload echoed once per connection
 	Arch           Arch
-	Drain          time.Duration // virtual time after the workload for TIME_WAIT and port quarantines to expire (0 = 75 s)
 }
 
 // DefaultChurn is the scale point the acceptance criteria call for:
@@ -100,7 +96,6 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 		ConnsPerClient:     cfg.ConnsPerClient,
 		OrphanEvery:        cfg.OrphanEvery,
 		MsgBytes:           cfg.MsgBytes,
-		Drain:              cfg.Drain,
 	})
 	if err != nil {
 		return nil, err

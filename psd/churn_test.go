@@ -3,7 +3,6 @@ package psd_test
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/psd"
@@ -20,7 +19,6 @@ func smallChurn(seed int64, arch psd.Arch) psd.ChurnConfig {
 		OrphanEvery:    4,
 		MsgBytes:       256,
 		Arch:           arch,
-		Drain:          75 * time.Second,
 	}
 }
 

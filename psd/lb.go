@@ -15,34 +15,32 @@ import (
 // connection was served by exactly one backend or visibly failed, and
 // that no flow or SNAT port leaked through the churn.
 type LBConfig struct {
-	Seed           int64
-	Arch           Arch
-	Backends       int // initial pool size
-	Clients        int
-	ConnsPerClient int           // sequential connections per client
-	MsgBytes       int           // request/response payload per connection
-	ConnGap        time.Duration // client pause between connections (paces the run)
+	Seed int64
+	Arch Arch
 
 	KillAt time.Duration // virtual time to kill backend 0 (0 = never)
 	AddAt  time.Duration // virtual time to add a fresh backend (0 = never)
-
-	Drain time.Duration // idle time for conntrack GC to empty the table (0 = 90 s)
 }
 
-// DefaultLB is the churn point the acceptance gate runs at: 48
-// connections across 4 clients and a 3-backend pool, with a kill and a
-// re-add landing mid-run.
+// The workload's fixed shape: 48 connections across 4 clients and a
+// 3-backend pool.
+const (
+	lbBackends       = 3                     // initial pool size
+	lbClients        = 4                     // client hosts
+	lbConnsPerClient = 12                    // sequential connections per client
+	lbMsgBytes       = 256                   // request/response payload per connection
+	lbConnGap        = 50 * time.Millisecond // client pause between connections (paces the run)
+	lbDrain          = 90 * time.Second      // idle time for conntrack GC to empty the table
+)
+
+// DefaultLB is the churn point the acceptance gate runs at: a kill and
+// a re-add landing mid-run.
 func DefaultLB(seed int64) LBConfig {
 	return LBConfig{
-		Seed:           seed,
-		Arch:           Decomposed(),
-		Backends:       3,
-		Clients:        4,
-		ConnsPerClient: 12,
-		MsgBytes:       256,
-		ConnGap:        50 * time.Millisecond,
-		KillAt:         150 * time.Millisecond,
-		AddAt:          300 * time.Millisecond,
+		Seed:   seed,
+		Arch:   Decomposed(),
+		KillAt: 150 * time.Millisecond,
+		AddAt:  300 * time.Millisecond,
 	}
 }
 
@@ -108,24 +106,12 @@ const (
 // Deterministic for a given config: two runs produce byte-identical
 // registry snapshots.
 func RunLB(cfg LBConfig) (*LBReport, error) {
-	if cfg.Backends < 2 {
-		return nil, fmt.Errorf("lb: need at least 2 backends")
-	}
-	if cfg.MsgBytes < 8 {
-		cfg.MsgBytes = 8
-	}
-	if cfg.ConnGap <= 0 {
-		cfg.ConnGap = 20 * time.Millisecond
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = 90 * time.Second
-	}
 	n := NewConfig(Config{Seed: cfg.Seed, Metrics: true})
 	defer n.Close()
 
 	lb := n.Host("lb", "10.0.0.2", cfg.Arch)
-	// One spare pool slot: AddAt installs backend index cfg.Backends.
-	total := cfg.Backends
+	// One spare pool slot: AddAt installs backend index lbBackends.
+	total := lbBackends
 	if cfg.AddAt > 0 {
 		total++
 	}
@@ -133,12 +119,12 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 	for i := range backends {
 		backends[i] = n.Host(fmt.Sprintf("be%d", i), fmt.Sprintf("10.0.1.%d", i+1), cfg.Arch)
 	}
-	clients := make([]*Host, cfg.Clients)
+	clients := make([]*Host, lbClients)
 	for j := range clients {
 		clients[j] = n.Host(fmt.Sprintf("cli%d", j), fmt.Sprintf("10.0.2.%d", j+1), cfg.Arch)
 	}
 
-	specs := make([]BackendSpec, cfg.Backends)
+	specs := make([]BackendSpec, lbBackends)
 	for i := range specs {
 		specs[i] = BackendSpec{Host: backends[i], Port: lbBackPort}
 	}
@@ -162,8 +148,8 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 				fail(err)
 				return
 			}
-			req := make([]byte, cfg.MsgBytes)
-			resp := make([]byte, cfg.MsgBytes)
+			req := make([]byte, lbMsgBytes)
+			resp := make([]byte, lbMsgBytes)
 			copy(resp, h.Name())
 			for {
 				fd, _, err := app.Accept(t, ls)
@@ -209,18 +195,18 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 
 	// Clients: sequential connections through the VIP, tolerating (and
 	// counting) failures during the churn window.
-	rep := &LBReport{ConnsPlan: cfg.Clients * cfg.ConnsPerClient, BackendServed: make([]int64, total)}
+	rep := &LBReport{ConnsPlan: lbClients * lbConnsPerClient, BackendServed: make([]int64, total)}
 	for j, h := range clients {
 		j, h := j, h
 		app := h.NewApp("client")
 		h.Spawn(fmt.Sprintf("cli%d", j), func(t *Thread) {
 			t.Sleep(time.Duration(j) * 5 * time.Millisecond)
-			req := make([]byte, cfg.MsgBytes)
+			req := make([]byte, lbMsgBytes)
 			copy(req, fmt.Sprintf("req cli%d", j))
-			buf := make([]byte, cfg.MsgBytes)
-			for k := 0; k < cfg.ConnsPerClient; k++ {
+			buf := make([]byte, lbMsgBytes)
+			for k := 0; k < lbConnsPerClient; k++ {
 				if k > 0 {
-					t.Sleep(cfg.ConnGap)
+					t.Sleep(lbConnGap)
 				}
 				fd, err := app.Socket(t, SockStream)
 				if err != nil {
@@ -248,13 +234,13 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 	// (not through the VIP) to stop serving, so their accept loops exit.
 	// Clients' threads are tracked by Run; we order the quitter after
 	// them with a generous sleep past the workload's worst-case span.
-	span := time.Duration(cfg.Clients)*5*time.Millisecond +
-		time.Duration(cfg.ConnsPerClient)*(cfg.ConnGap+200*time.Millisecond) +
+	span := lbClients*5*time.Millisecond +
+		lbConnsPerClient*(lbConnGap+200*time.Millisecond) +
 		5*time.Second
 	qapp := clients[0].NewApp("quitter")
 	clients[0].Spawn("quitter", func(t *Thread) {
 		t.Sleep(span)
-		req := make([]byte, cfg.MsgBytes)
+		req := make([]byte, lbMsgBytes)
 		req[0] = lbQuitByte
 		for i, b := range backends {
 			fd, err := qapp.Socket(t, SockStream)
@@ -273,7 +259,7 @@ func RunLB(cfg LBConfig) (*LBReport, error) {
 		}
 	})
 
-	if err := n.runAndDrain(&errs, cfg.Drain); err != nil {
+	if err := n.runAndDrain(&errs, lbDrain); err != nil {
 		return nil, err
 	}
 

@@ -144,13 +144,13 @@ type Arch = arch.Spec
 // application protocol libraries over the integrated packet filter
 // (Library-SHM-IPF cost profile).
 func Decomposed() Arch {
-	return Arch{Kind: arch.Decomposed, Prof: costs.CalibrateTable2(costs.DECLibrarySHMIPF()), SrvProf: costs.DECServerUX()}
+	return Arch{Prof: costs.CalibrateTable2(costs.DECLibrarySHMIPF()), SrvProf: costs.DECServerUX()}
 }
 
 // DecomposedIPC is the decomposed architecture over per-packet IPC
 // delivery.
 func DecomposedIPC() Arch {
-	return Arch{Kind: arch.Decomposed, Prof: costs.CalibrateTable2(costs.DECLibraryIPC()), SrvProf: costs.DECServerUX()}
+	return Arch{Prof: costs.CalibrateTable2(costs.DECLibraryIPC()), SrvProf: costs.DECServerUX()}
 }
 
 // DecomposedOffload is the decomposed architecture with the simulated
@@ -158,18 +158,18 @@ func DecomposedIPC() Arch {
 // transmit segmentation, LRO receive coalescing, checksum offload, and
 // adaptive interrupt moderation on every host NIC.
 func DecomposedOffload() Arch {
-	return Arch{Kind: arch.Decomposed, Prof: costs.CalibrateTable2(costs.DECLibrarySHMIPFOffload()), SrvProf: costs.DECServerUX()}
+	return Arch{Prof: costs.CalibrateTable2(costs.DECLibrarySHMIPFOffload()), SrvProf: costs.DECServerUX()}
 }
 
 // InKernel is the Mach 2.5 / Ultrix baseline: protocols in the kernel.
 func InKernel() Arch {
-	return Arch{Kind: arch.Kernel, Prof: costs.CalibrateTable2(costs.DECKernelMach25())}
+	return Arch{Prof: costs.CalibrateTable2(costs.DECKernelMach25())}
 }
 
 // ServerBased is the UX baseline: protocols in a single user-level
 // server.
 func ServerBased() Arch {
-	return Arch{Kind: arch.Server, Prof: costs.CalibrateTable2(costs.DECServerUX())}
+	return Arch{Prof: costs.CalibrateTable2(costs.DECServerUX())}
 }
 
 // ArchFlavor is a named architecture constructor, for suites that
@@ -565,13 +565,23 @@ func ParseIP(s string) (wire.IPAddr, error) {
 	}
 	var ip wire.IPAddr
 	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
+		v, ok := decimal(p, 255)
+		if !ok {
 			return wire.IPAddr{}, fmt.Errorf("psd: bad IPv4 address %q", s)
 		}
 		ip[i] = byte(v)
 	}
 	return ip, nil
+}
+
+// decimal parses an address field: ASCII digits only (strconv.Atoi
+// alone would take a sign), at most max.
+func decimal(s string, max int) (int, bool) {
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return 0, false
+	}
+	v, err := strconv.Atoi(s)
+	return v, err == nil && v <= max
 }
 
 // Addr builds a SockAddr from a dotted address and port, panicking on a

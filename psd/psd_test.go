@@ -12,7 +12,7 @@ func TestParseIP(t *testing.T) {
 	if _, err := psd.ParseIP("10.0.0.1"); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "10.0.0", "10.0.0.256", "a.b.c.d", "1.2.3.4.5"} {
+	for _, bad := range []string{"", "10.0.0", "10.0.0.256", "a.b.c.d", "1.2.3.4.5", "10.0.0.+1", "10.0.0.-0", "+10.0.0.1", "10. 0.0.1", "10..0.1"} {
 		if _, err := psd.ParseIP(bad); err == nil {
 			t.Errorf("ParseIP(%q) accepted", bad)
 		}

@@ -115,7 +115,10 @@ func runRobustTransfer(t *testing.T, arch psd.Arch, rates fault.Rates, plan stri
 	}
 	// The named faults must actually have fired (a vacuous pass here
 	// would mean the injector is wired to the wrong links).
-	c := n.Faults().TotalCounters()
+	var c fault.Counters
+	for _, l := range n.Faults().Links() {
+		c.Add(n.Faults().Counters(l))
+	}
 	switch {
 	case rates.Drop > 0 && c.Dropped == 0:
 		t.Fatalf("no frames dropped: %+v", c)

@@ -22,11 +22,6 @@ type ScenarioConfig struct {
 	Name string
 	Seed int64
 	Arch ArchFlavor
-
-	// Trace adds flight-recorder layers beyond the scenario's own
-	// defaults (the partition scenario always records; others are
-	// untraced unless asked).
-	Trace []TraceLayer
 }
 
 // ScenarioResult is a scenario's deterministic verdict plus headline
@@ -119,14 +114,10 @@ type scenarioEnv struct {
 	errors   *metrics.Counter
 }
 
-// setup creates the network (metrics always on; trace layers as given)
-// and the scenario-scoped instruments.
+// setup creates the network (metrics always on; the flight recorder on
+// the given layers, which only the partition scenario names) and the
+// scenario-scoped instruments.
 func (e *scenarioEnv) setup(layers ...TraceLayer) {
-	for _, l := range e.cfg.Trace {
-		if !slices.Contains(layers, l) {
-			layers = append(layers, l)
-		}
-	}
 	e.n = NewConfig(Config{Seed: e.cfg.Seed, Metrics: true, Trace: layers})
 	// Scenario-local stream: deterministic, and independent of the
 	// simulator's own stream so traffic shaping never perturbs

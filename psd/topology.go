@@ -2,7 +2,6 @@ package psd
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -150,7 +149,7 @@ func (r *Router) Attach(s *Subnet, addr string) *Router {
 	if ip.Mask(s.prefixLen) != s.prefix {
 		panic(fmt.Sprintf("psd: router %s port %s is outside subnet %s (%s)", r.Name(), addr, s.name, s.CIDR()))
 	}
-	p := r.r.Attach(s.seg, s.name, r.net.nextMAC(), ip, s.prefixLen, router.QueueConfig{})
+	p := r.r.Attach(s.seg, s.name, r.net.nextMAC(), ip, s.prefixLen)
 	if r.net.reg != nil {
 		p.BindMetrics(r.net.reg.Scope("router." + r.Name() + ".port." + p.LinkName()))
 	}
@@ -218,7 +217,7 @@ func (t *Trunk) Attach(r *Router, addr string) *Trunk {
 			r.Name(), addr, t.name, t.prefix, t.prefixLen))
 	}
 	n := t.net
-	p := r.r.Attach(t.seg, t.name, n.nextMAC(), ip, t.prefixLen, router.QueueConfig{})
+	p := r.r.Attach(t.seg, t.name, n.nextMAC(), ip, t.prefixLen)
 	nic := p.NIC()
 	if n.reg != nil {
 		nic.DirStats().Bind(n.reg.Scope("trunk." + t.name + "." + p.LinkName()))
@@ -262,8 +261,8 @@ func ParseCIDR(s string) (wire.IPAddr, int, error) {
 	if err != nil {
 		return wire.IPAddr{}, 0, err
 	}
-	plen, err := strconv.Atoi(s[slash+1:])
-	if err != nil || plen < 0 || plen > 32 {
+	plen, ok := decimal(s[slash+1:], 32)
+	if !ok {
 		return wire.IPAddr{}, 0, fmt.Errorf("psd: bad CIDR %q (prefix length)", s)
 	}
 	return ip.Mask(plen), plen, nil

@@ -16,7 +16,7 @@ func TestParseCIDR(t *testing.T) {
 	if ip.String() != "10.1.0.0" || plen != 24 {
 		t.Fatalf("ParseCIDR = %v/%d, want masked 10.1.0.0/24", ip, plen)
 	}
-	for _, bad := range []string{"", "10.1.0.0", "10.1.0.0/33", "10.1.0.0/-1", "x/24", "10.1.0.0/x"} {
+	for _, bad := range []string{"", "10.1.0.0", "10.1.0.0/33", "10.1.0.0/-1", "x/24", "10.1.0.0/x", "10.0.0.0/+8", "10.0.0.0/-0", "10.0.0.0/", "10.0.0.-0/8"} {
 		if _, _, err := psd.ParseCIDR(bad); err == nil {
 			t.Errorf("ParseCIDR(%q) accepted", bad)
 		}
