@@ -4,9 +4,9 @@
 // reports the paper's metric (virtual KB/s or virtual milliseconds) via
 // b.ReportMetric — wall-clock ns/op measures only the simulator itself.
 //
-// Regenerate everything at full scale with:
+// Regenerate each at full scale with its psdbench suite:
 //
-//	go run ./cmd/psdbench -all
+//	go run ./cmd/psdbench table2   # likewise table3, table4, sweep, ablations
 package repro_test
 
 import (

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +25,7 @@ func TestGoldenFaultTraceDrive(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	err := run([]string{
-		"-config", "Mach 3.0+UX Library-SHM-IPF", "-mb", "1", "-rounds", "20",
+		"table2", "-config", "Mach 3.0+UX Library-SHM-IPF", "-mb", "1", "-rounds", "20",
 		"-faultplan", "@0 rates drop=0.01; @2s partition A|B for=300ms", "-trace", dir,
 	}, &out)
 	if err != nil {
@@ -40,13 +41,13 @@ func TestGoldenFaultTraceDrive(t *testing.T) {
 	checkGolden(t, "faulttrace.golden", got)
 }
 
-// TestGoldenTable4 pins `psdbench -table 4`, both tables, byte for byte:
+// TestGoldenTable4 pins `psdbench table4`, both tables, byte for byte:
 // every cell is a difference of the hosts' CPU ledgers. Regenerate with
 //
 //	go test ./cmd/psdbench -run TestGoldenTable4 -update
 func TestGoldenTable4(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-table", "4"}, &out); err != nil {
+	if err := run([]string{"table4"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "table4.golden", out.String())
@@ -73,5 +74,28 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	if got != string(want) {
 		t.Fatalf("output differs from %s (run with -update to regenerate):\n--- got\n%s--- want\n%s", golden, got, want)
+	}
+}
+
+// TestUsageRunsNothing: a command line without a suite, naming an
+// unknown one, or setting a flag its suite does not read is errUsage,
+// and nothing runs: no output, no file.
+func TestUsageRunsNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	for _, args := range [][]string{
+		nil,
+		{"table5"},
+		{"list", "-trace", dir},
+		{"scenarios", "-faultplan", "@0 rates drop=0.5"},
+		{"table3", "-json", "-"},
+		{"metrics", "-config", "X"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); !errors.Is(err, errUsage) || out.Len() > 0 {
+			t.Errorf("psdbench %q: %v, %d bytes out; want a usage error and nothing run", args, err, out.Len())
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("list -trace made %s: %v", dir, err)
 	}
 }

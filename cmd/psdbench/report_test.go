@@ -3,13 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 // decodeReports strictly decodes one BENCH-style document: an array of
@@ -25,54 +25,21 @@ func decodeReports(t *testing.T, doc []byte) []report[json.RawMessage] {
 	return runs
 }
 
-// reproduce maps a suite to the rows it returns now for a checked-in
-// run's envelope, at the sizes the flags default to. scale is absent:
-// it records wall time, so its file is only held to the schema.
-var reproduce = map[string]func(run report[json.RawMessage]) (any, error){
-	"metrics": func(run report[json.RawMessage]) (any, error) {
-		cfg, err := bench.FindConfig(run.Config)
-		if err != nil {
-			return nil, err
-		}
-		return bench.RunMetricsSuite(nil, cfg)
-	},
-	"offload":   func(report[json.RawMessage]) (any, error) { return bench.RunOffloadSuite(nil) },
-	"dataplane": func(report[json.RawMessage]) (any, error) { return bench.RunDataplaneSuite(nil) },
-	"proxy":     func(report[json.RawMessage]) (any, error) { return bench.RunProxySuite(nil, 0) }, // 0 is the -proxy-mb default
-	"scenarios": func(run report[json.RawMessage]) (any, error) {
-		if run.Seed == nil {
-			return nil, errors.New("run records no seed")
-		}
-		return scenarioSuite(*run.Seed)
-	},
-}
-
-// checkReproduces re-runs the suite of a checked-in run and requires
-// the rows it returns now to equal the recorded ones, row for row and
+// checkReproduces re-runs suite s at its flag defaults and requires the
+// rows it returns now to equal the checked-in run's, row for row and
 // field for field (the simulation is deterministic, so a difference
-// means the file no longer describes this tree: regenerate it with the
-// flag that wrote it and say in CHANGES.md which rows moved).
-func checkReproduces(t *testing.T, file string, run report[json.RawMessage]) {
+// means the file no longer describes this tree: regenerate it with
+// `psdbench <suite> -json BENCH_<suite>.json` and say in CHANGES.md
+// which rows moved).
+func checkReproduces(t *testing.T, file string, s *suite, o *opts, run report[json.RawMessage]) {
 	t.Helper()
-	suite, ok := reproduce[run.Suite]
-	if !ok {
-		return
-	}
-	rows, err := suite(run)
+	rows, err := runSuite(s, o, io.Discard)
 	if err != nil {
 		t.Errorf("%s: %v", file, err)
 		return
 	}
-	doc, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now []json.RawMessage
-	if err := json.Unmarshal(doc, &now); err != nil {
-		t.Fatal(err)
-	}
-	if len(now) != len(run.Results) {
-		t.Errorf("%s: %d rows checked in, the suite returns %d", file, len(run.Results), len(now))
+	if len(rows) != len(run.Results) {
+		t.Errorf("%s: %d rows checked in, the suite returns %d", file, len(run.Results), len(rows))
 		return
 	}
 	for i, want := range run.Results {
@@ -80,28 +47,44 @@ func checkReproduces(t *testing.T, file string, run report[json.RawMessage]) {
 		if err := json.Compact(&flat, want); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(flat.Bytes(), now[i]) {
-			t.Errorf("%s row %d no longer reproduces:\n  checked in %s\n  now        %s", file, i, flat.Bytes(), now[i])
+		now, err := json.Marshal(rows[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(flat.Bytes(), now) {
+			t.Errorf("%s row %d no longer reproduces:\n  checked in %s\n  now        %s", file, i, flat.Bytes(), now)
 		}
 	}
 }
 
-// TestCheckedInReportsDecode holds the six checked-in report files to
-// the one schema — every run carries a label, names its suite (the file
-// it sits in), and has rows — and, except under -short, holds the last
-// run of every virtual-clock suite to what that suite returns now.
+// TestCheckedInReportsDecode holds the checked-in report of every report
+// suite of the table to the one schema — every run carries a label,
+// names its suite (the file it sits in), records the seed and config the
+// suite records at its flag defaults, and has rows — and, except under
+// -short, holds the last run of every suite that does not measure the
+// host's clock to what that suite returns now.
 func TestCheckedInReportsDecode(t *testing.T) {
 	files, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
-	for _, f := range files {
-		if strings.HasSuffix(f, ".ci.json") {
-			continue // a CI artifact left in the checkout, not a trajectory
+	files = slices.DeleteFunc(files, func(f string) bool {
+		return strings.HasSuffix(f, ".ci.json") // a CI artifact left in the checkout, not a trajectory
+	})
+	reports := 0
+	for i := range suites {
+		s := &suites[i]
+		if !s.report {
+			continue
 		}
-		checked++
+		reports++
+		f := "../../BENCH_" + s.name + ".json"
 		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		_, o, err := parse([]string{s.name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,17 +96,33 @@ func TestCheckedInReportsDecode(t *testing.T) {
 			if len(r.Results) == 0 {
 				t.Errorf("%s run %d: no results", f, i)
 			}
-			if want := "BENCH_" + r.Suite + ".json"; r.Label == "" || filepath.Base(f) != want {
+			if r.Label == "" || r.Suite != s.name {
 				t.Errorf("%s run %d: label %q, suite %q", f, i, r.Label, r.Suite)
 			}
 		}
-		if len(runs) > 0 && !testing.Short() {
-			checkReproduces(t, f, runs[len(runs)-1])
+		if len(runs) == 0 {
+			continue
+		}
+		last := runs[len(runs)-1]
+		if seed := s.seed(o); !reflect.DeepEqual(last.Seed, seed) || last.Config != s.config {
+			t.Errorf("%s: last run records seed %v, config %q; the suite records %v, %q",
+				f, ptr(last.Seed), last.Config, ptr(seed), s.config)
+		}
+		if !s.wall && !testing.Short() {
+			checkReproduces(t, f, s, o, last)
 		}
 	}
-	if checked != 6 {
-		t.Errorf("checked %d BENCH_*.json files, want 6", checked)
+	if len(files) != reports {
+		t.Errorf("%d BENCH_*.json files, %d report suites: %v", len(files), reports, files)
 	}
+}
+
+// ptr prints an optional seed.
+func ptr(p *int64) any {
+	if p == nil {
+		return "none"
+	}
+	return *p
 }
 
 // TestWriteReportRoundTrip writes a run to "-" and reads it back: the
@@ -159,5 +158,44 @@ func TestWriteReportRoundTrip(t *testing.T) {
 
 	if err := writeReport(&stdout, "", "x", "scale", nil, "", []row{{"a", 1}}); err != nil {
 		t.Errorf(`path "" must write nothing: %v`, err)
+	}
+}
+
+// TestReportRowsPrintAsColumns drives the one renderer through a suite
+// entry: a header of the scalar fields' JSON names, one aligned line per
+// row, non-scalar fields skipped, a failed row's failures under it, and
+// the failed row failing the run while its rows are still returned.
+func TestReportRowsPrintAsColumns(t *testing.T) {
+	type row struct {
+		Name   string   `json:"name"`
+		KBps   float64  `json:"kbps"`
+		Detail []string `json:"detail"`
+		OK     bool     `json:"ok"`
+		hidden int
+	}
+	s := &suite{
+		name: "demo", report: true,
+		rows: func(_ *opts, emit func(any)) (any, error) {
+			emit([]row{{Name: "a", KBps: 1234.56789, OK: true}})
+			return []*row{{Name: "longer", KBps: 2, Detail: []string{"x"}}}, nil
+		},
+		failures: func(r any) []string {
+			if r, ok := r.(*row); ok && !r.OK {
+				return []string{"FAIL " + r.Name}
+			}
+			return nil
+		},
+	}
+	var out bytes.Buffer
+	rows, err := runSuite(s, nil, &out)
+	if err == nil || len(rows) != 2 {
+		t.Errorf("runSuite = %d rows, %v; want 2 rows and the failed row's error", len(rows), err)
+	}
+	want := "name  kbps     ok\n" +
+		"a     1234.57  true\n" +
+		"longer  2        false\n" + // widths are the first batch's
+		"    FAIL longer\n"
+	if out.String() != want {
+		t.Errorf("printed\n%s\nwant\n%s", out.String(), want)
 	}
 }

@@ -3,24 +3,18 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/psd"
 )
 
-// The scale suite measures the simulator's own scheduler at internet
-// scale: the RunCity districted workload at growing host counts, run on
-// the classic single event loop (shards=0, the baseline) and on shard
-// groups of increasing width. Every point must pass the conservation
-// laws; the headline number is sim_per_real — virtual seconds simulated
-// per wall-clock second — whose trajectory across host counts is what
-// BENCH_scale.json records.
-
-// ScalePoint is one measured (workload size, scheduler shape) cell.
+// ScalePoint is one measured (workload size, scheduler shape) cell of
+// the scale suite. Its headline number is sim_per_real, virtual seconds
+// simulated per wall-clock second.
 type ScalePoint struct {
 	Arch         string  `json:"arch,omitempty"`
 	Hosts        int     `json:"hosts"`
@@ -39,95 +33,125 @@ type ScalePoint struct {
 	AllocsPerWindow float64 `json:"allocs_per_window,omitempty"`
 }
 
-// scaleCity sizes a city to roughly the requested host count: 100
-// hosts per district (10 echo servers, 90 clients), one connection per
-// client, a quarter of them crossing districts over the trunks.
-func scaleCity(seed int64, hosts, shards int, arch psd.Arch) psd.CityConfig {
-	districts := hosts / 100
-	if districts < 1 {
-		districts = 1
+// scale measures the simulator's own scheduler: the RunCity workload at
+// growing host counts, on the classic single event loop (shards=0, the
+// baseline) and on shard groups, each cell in a child process, `scale
+// -scale-point <hosts>/<shards>`, so that its malloc count sees its own
+// run and no other. It emits each point as it is measured, and fails if
+// a conservation law fails or if no multi-shard run at the largest host
+// count beats the baseline on sim_per_real.
+func scale(o *opts, emit func(any)) (any, error) {
+	if o.scalePoint != "" { // the child: measure the one cell
+		var hosts, shards int
+		if _, err := fmt.Sscanf(o.scalePoint, "%d/%d", &hosts, &shards); err != nil {
+			return nil, fmt.Errorf("scale-point: %w", err)
+		}
+		p, err := runScalePoint(o.seed, o.scaleArch, hosts, shards)
+		if err != nil {
+			return nil, err
+		}
+		return []ScalePoint{p}, nil
 	}
-	return psd.CityConfig{
+	shardCounts := []int{0, 1, 4, 8}
+	if o.shards == 0 {
+		shardCounts = []int{0}
+	} else if o.shards > 0 {
+		shardCounts = []int{0, o.shards}
+	}
+	hosts := slices.DeleteFunc([]int{2500, 10000, 40000, 100000}, func(h int) bool { return h > o.scaleHosts })
+	if len(hosts) == 0 {
+		hosts = []int{o.scaleHosts}
+	}
+
+	var baseline, bestMulti float64
+	for _, h := range hosts {
+		for _, k := range shardCounts {
+			p, err := spawnScalePoint(o, h, k)
+			if h == hosts[len(hosts)-1] && err == nil {
+				// The largest host count is the gating row: measure it
+				// twice and keep the faster run, so single-run timing
+				// noise cannot flip the speedup verdict. The simulation
+				// itself is deterministic — only wall time varies.
+				var p2 ScalePoint
+				if p2, err = spawnScalePoint(o, h, k); p2.SimPerReal > p.SimPerReal {
+					p = p2
+				}
+				if k == 0 {
+					baseline = p.SimPerReal
+				} else {
+					bestMulti = max(bestMulti, p.SimPerReal)
+				}
+			}
+			if err != nil {
+				return nil, err
+			}
+			emit([]ScalePoint{p})
+		}
+	}
+	if baseline == 0 || bestMulti == 0 {
+		return nil, nil
+	}
+	if bestMulti <= baseline {
+		return nil, fmt.Errorf("scale: no multi-shard run beat the single-loop baseline (%.1f vs %.1f sim/real)",
+			bestMulti, baseline)
+	}
+	return fmt.Sprintf("multi-shard best %.1f sim/real vs single-loop %.1f (%+.0f%%)",
+		bestMulti, baseline, 100*(bestMulti/baseline-1)), nil
+}
+
+// spawnScalePoint measures one cell in a fresh child process, which
+// writes it as a one-row report to its stdout.
+func spawnScalePoint(o *opts, hosts, shards int) (ScalePoint, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return ScalePoint{}, err
+	}
+	cmd := exec.Command(exe, "scale", "-seed", fmt.Sprint(o.seed), "-scale-arch", o.scaleArch,
+		"-scale-point", fmt.Sprintf("%d/%d", hosts, shards), "-json", "-")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	var runs [1]report[ScalePoint] // of one row: the child exits non-zero when it measures none
+	if err == nil {
+		err = json.Unmarshal(out, &runs)
+	}
+	if err != nil {
+		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: %w", hosts, shards, err)
+	}
+	return runs[0].Results[0], nil
+}
+
+// runScalePoint runs the city of one cell — 100 hosts per district (10
+// echo servers, 90 clients), one connection per client, a quarter of
+// them crossing districts over the trunks — and folds the run into a
+// point.
+func runScalePoint(seed int64, archName string, hosts, shards int) (ScalePoint, error) {
+	f, err := psd.FlavorByName(archName)
+	if err != nil {
+		return ScalePoint{}, fmt.Errorf("scale: %w", err)
+	}
+	cfg := psd.CityConfig{
 		Seed:               seed,
-		Districts:          districts,
+		Districts:          max(hosts/100, 1),
 		ServersPerDistrict: 10,
 		ClientsPerDistrict: 90,
 		ConnsPerClient:     1,
 		CrossEvery:         4,
 		OrphanEvery:        16,
 		MsgBytes:           256,
-		Arch:               arch,
+		Arch:               f.New(),
 		Shards:             shards,
 		TrunkProp:          time.Millisecond,
 	}
-}
-
-// pointSpec is the child-process work order for one cell.
-type pointSpec struct {
-	Seed   int64  `json:"seed"`
-	Arch   string `json:"arch"`
-	Hosts  int    `json:"hosts"`
-	Shards int    `json:"shards"`
-}
-
-// runScalePointCmd is the -scale-point child entry: measure one cell and
-// print the ScalePoint as JSON. A finished cell pins nothing (RunCity
-// closes its network, which ends every thread), but each cell still runs
-// in its own process so that its malloc count, AllocsPerWindow, sees its
-// own run and no other.
-func runScalePointCmd(stdout io.Writer, spec string) error {
-	var ps pointSpec
-	if err := json.Unmarshal([]byte(spec), &ps); err != nil {
-		return fmt.Errorf("scale-point: %w", err)
-	}
-	if ps.Arch == "" {
-		ps.Arch = "decomposed"
-	}
-	p, err := runScalePoint(ps.Seed, ps.Arch, ps.Hosts, ps.Shards)
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(stdout).Encode(p)
-}
-
-// spawnScalePoint measures one cell in a fresh child process.
-func spawnScalePoint(seed int64, archName string, hosts, shards int) (ScalePoint, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	spec, _ := json.Marshal(pointSpec{Seed: seed, Arch: archName, Hosts: hosts, Shards: shards})
-	cmd := exec.Command(exe, "-scale-point", string(spec))
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: %w", hosts, shards, err)
-	}
-	var p ScalePoint
-	if err := json.Unmarshal(out, &p); err != nil {
-		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: bad child output: %w", hosts, shards, err)
-	}
-	return p, nil
-}
-
-// runScalePoint executes one cell and folds the run into a point.
-func runScalePoint(seed int64, archName string, hosts, shards int) (ScalePoint, error) {
-	f, err := psd.FlavorByName(archName)
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale: %w", err)
-	}
-	cfg := scaleCity(seed, hosts, shards, f.New())
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
+	var ms [2]runtime.MemStats
+	runtime.ReadMemStats(&ms[0])
 	start := time.Now()
 	rep, err := psd.RunCity(cfg)
 	real := time.Since(start)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-	if err != nil {
-		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: %w", hosts, shards, err)
+	runtime.ReadMemStats(&ms[1])
+	if err == nil {
+		err = rep.Check()
 	}
-	if err := rep.Check(); err != nil {
+	if err != nil {
 		return ScalePoint{}, fmt.Errorf("scale: hosts=%d shards=%d: %w", hosts, shards, err)
 	}
 	// Virtual time is identical across scheduler shapes for a given
@@ -148,86 +172,7 @@ func runScalePoint(seed int64, archName string, hosts, shards int) (ScalePoint, 
 		Windows:      rep.Windows,
 	}
 	if rep.Windows > 0 {
-		p.AllocsPerWindow = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(rep.Windows)
+		p.AllocsPerWindow = float64(ms[1].Mallocs-ms[0].Mallocs) / float64(rep.Windows)
 	}
 	return p, nil
-}
-
-// runScale sweeps host counts x scheduler shapes, prints a table, and
-// writes a BENCH_scale-style JSON entry to path ("-" for stdout, "" for
-// none). The sweep fails if any conservation law fails, or if no
-// multi-shard run at the largest host count beats the classic
-// single-loop baseline on sim_per_real.
-func runScale(stdout io.Writer, path, label, archName string, seed int64, maxHosts int, shardCounts []int) error {
-	if archName == "" {
-		archName = "decomposed"
-	}
-	if _, err := psd.FlavorByName(archName); err != nil {
-		return fmt.Errorf("scale: %w", err)
-	}
-	hostSteps := []int{2500, 10000, 40000, 100000}
-	var hosts []int
-	for _, h := range hostSteps {
-		if h <= maxHosts {
-			hosts = append(hosts, h)
-		}
-	}
-	if len(hosts) == 0 {
-		hosts = []int{maxHosts}
-	}
-
-	var points []ScalePoint
-	fmt.Fprintf(stdout, "Scale sweep (arch %s)\n", archName)
-	fmt.Fprintf(stdout, "%8s %10s %7s %8s %10s %10s %12s %9s %11s\n",
-		"hosts", "conns", "shards", "virt_s", "real_s", "sim/real", "events", "windows", "allocs/win")
-	var baseline, bestMulti float64
-	for _, h := range hosts {
-		for _, k := range shardCounts {
-			p, err := spawnScalePoint(seed, archName, h, k)
-			if err != nil {
-				return err
-			}
-			if h == hosts[len(hosts)-1] {
-				// The largest host count is the gating row: measure it
-				// twice and keep the faster run, so single-run timing
-				// noise cannot flip the speedup verdict. The simulation
-				// itself is deterministic — only wall time varies.
-				p2, err := spawnScalePoint(seed, archName, h, k)
-				if err != nil {
-					return err
-				}
-				if p2.SimPerReal > p.SimPerReal {
-					p = p2
-				}
-			}
-			points = append(points, p)
-			mode := "classic"
-			if k > 0 {
-				mode = fmt.Sprintf("%d", k)
-			}
-			apw := "-"
-			if p.AllocsPerWindow > 0 {
-				apw = fmt.Sprintf("%.0f", p.AllocsPerWindow)
-			}
-			fmt.Fprintf(stdout, "%8d %10d %7s %8.1f %10.2f %10.1f %12d %9d %11s\n",
-				p.Hosts, p.Conns, mode, p.VirtSeconds, p.RealSeconds, p.SimPerReal, p.Events, p.Windows, apw)
-			if h == hosts[len(hosts)-1] {
-				if k == 0 {
-					baseline = p.SimPerReal
-				} else if p.SimPerReal > bestMulti {
-					bestMulti = p.SimPerReal
-				}
-			}
-		}
-	}
-	if baseline > 0 && bestMulti > 0 && bestMulti <= baseline {
-		return fmt.Errorf("scale: no multi-shard run beat the single-loop baseline (%.1f vs %.1f sim/real)",
-			bestMulti, baseline)
-	}
-	if baseline > 0 && bestMulti > 0 {
-		fmt.Fprintf(stdout, "multi-shard best %.1f sim/real vs single-loop %.1f (%+.0f%%)\n",
-			bestMulti, baseline, 100*(bestMulti/baseline-1))
-	}
-
-	return writeReport(stdout, path, label, "scale", &seed, "", points)
 }

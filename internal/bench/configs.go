@@ -120,7 +120,7 @@ func AllConfigs() []SysConfig {
 }
 
 // Columns is the shared architecture registry for the comparison suites
-// (psdbench -proxy, -offload, -dataplane): one representative per
+// (psdbench proxy, offload, dataplane): one representative per
 // architecture — in-kernel, server, decomposed library — plus the
 // offload column, in presentation order. Subcommands take their
 // architecture lists from here so a new column appears everywhere at

@@ -291,9 +291,6 @@ func (v *VIP) pick(t wire.Flow) int {
 	return v.table[flowHash(t)%uint64(len(v.table))]
 }
 
-// Backends returns the pool (install order, dead members included).
-func (v *VIP) Backends() []*Backend { return v.backends }
-
 // AddBackend grows the pool. The Maglev rebuild moves only ~1/n of the
 // table's slots, and flows already pinned by conntrack never move.
 func (v *VIP) AddBackend(b Backend) *Backend {

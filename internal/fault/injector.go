@@ -15,8 +15,7 @@ import (
 type Injector struct {
 	sim      *sim.Sim
 	seed     int64
-	defaults Rates
-	defSets  int // sets of defaults not yet reverted: a for= window reverts only its own
+	defaults *Rates // replaced, never written through, by each set
 	links    map[string]*link
 	order    []string // link creation order, for stable reports
 	parts    []*Partition
@@ -25,7 +24,7 @@ type Injector struct {
 type link struct {
 	name      string
 	rng       *rand.Rand
-	rates     *Rates // nil: use the injector default
+	rates     *Rates // nil: use the injector default; replaced, never written through, by each set
 	down      bool
 	downUntil sim.Time // end of the latest open down window; forever if held down
 	c         Counters
@@ -33,7 +32,7 @@ type link struct {
 
 // NewInjector returns an idle injector drawing per-link seeds from s.
 func NewInjector(s *sim.Sim) *Injector {
-	return &Injector{sim: s, seed: s.Seed(), links: make(map[string]*link)}
+	return &Injector{sim: s, seed: s.Seed(), defaults: &Rates{}, links: make(map[string]*link)}
 }
 
 // link materializes per-link state. The stream seed depends only on the
@@ -66,10 +65,10 @@ func (in *Injector) Prime(names ...string) {
 }
 
 // SetDefaultRates installs the rates used by links with no override.
-func (in *Injector) SetDefaultRates(r Rates) { in.defaults, in.defSets = r, in.defSets+1 }
+func (in *Injector) SetDefaultRates(r Rates) { in.defaults = &r }
 
 // DefaultRates returns the injector-wide rates.
-func (in *Injector) DefaultRates() Rates { return in.defaults }
+func (in *Injector) DefaultRates() Rates { return *in.defaults }
 
 // SetLinkRates overrides the rates for one link.
 func (in *Injector) SetLinkRates(name string, r Rates) { in.link(name).rates = &r }
@@ -148,11 +147,11 @@ func (in *Injector) Partitioned(x, y string) bool {
 	return false
 }
 
-func (l *link) effective(def Rates) Rates {
+func (l *link) effective(def *Rates) Rates {
 	if l.rates != nil {
 		return *l.rates
 	}
-	return def
+	return *def
 }
 
 // Outbound decides the fate of one frame serialized onto the medium by

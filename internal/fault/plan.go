@@ -96,27 +96,20 @@ func (in *Injector) apply(ev Event) {
 
 // setRates installs r as the default rates (name "") or as one link's,
 // and returns its undo: what was in force before comes back, unless
-// those rates have been set again since. Undoing the default rates
-// restores their set count too, so an enclosing window's own rates are
-// again the ones in force when an inner window closes.
+// those rates have been set again since. Every set installs a new
+// pointer, so the undo's test is whether its own is still in place; an
+// enclosing window's rates are again the ones in force when an inner
+// window closes.
 func (in *Injector) setRates(name string, r Rates) (undo func()) {
-	if name == "" {
-		old, prev := in.defaults, in.defSets
-		in.SetDefaultRates(r)
-		mine := in.defSets
-		return func() {
-			if in.defSets == mine {
-				in.defaults, in.defSets = old, prev
-			}
-		}
+	slot := &in.defaults
+	if name != "" {
+		slot = &in.link(name).rates
 	}
-	l := in.link(name)
-	old := l.rates
-	in.SetLinkRates(name, r)
-	mine := l.rates
+	old, mine := *slot, &r
+	*slot = mine
 	return func() {
-		if l.rates == mine {
-			l.rates = old
+		if *slot == mine {
+			*slot = old
 		}
 	}
 }

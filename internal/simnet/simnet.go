@@ -123,14 +123,6 @@ func NewTrunk(s *sim.Sim, prop time.Duration) *Segment {
 	return &Segment{sim: s, byteTime: ByteTime, ptp: true, prop: prop}
 }
 
-// Prop returns a trunk's propagation delay (0 for shared segments).
-func (g *Segment) Prop() time.Duration {
-	if !g.ptp {
-		return 0
-	}
-	return g.prop
-}
-
 // SetBitRate overrides the default 10 Mb/s serialization rate.
 func (g *Segment) SetBitRate(bitsPerSec int64) {
 	g.byteTime = time.Duration(8 * int64(time.Second) / bitsPerSec)

@@ -193,9 +193,6 @@ func (n *Network) NewTrunk(name, cidr string, prop time.Duration) *Trunk {
 // Name returns the trunk name.
 func (t *Trunk) Name() string { return t.name }
 
-// Prop returns the trunk's propagation delay after clamping.
-func (t *Trunk) Prop() time.Duration { return t.seg.Prop() }
-
 // Segment exposes the trunk's raw segment for monitoring.
 func (t *Trunk) Segment() *simnet.Segment { return t.seg }
 
