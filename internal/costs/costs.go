@@ -109,6 +109,19 @@ func (c Component) String() string {
 	return "unknown"
 }
 
+// compSlugs are the names as metric names use them: everything but
+// letters and digits made '_'.
+var compSlugs = [NumComponents]string{
+	"entry_copyin", "tcp_udp_output", "ip_output", "ether_output",
+	"device_intr_read", "netisr_packet_filter", "kernel_copyout",
+	"mbuf_queue", "ipintr", "tcp_udp_input", "wakeup_user_thread",
+	"copyout_exit", "dataplane", "proxy_rpc", "ipc_recv", "offload_sw",
+}
+
+// Slug returns the component's name in the form metric names use:
+// "tcp,udp_output" is "tcp_udp_output".
+func (c Component) Slug() string { return compSlugs[c] }
+
 // SendComponents and RecvComponents list the components of each path in
 // Table 4 order.
 var (

@@ -1,8 +1,10 @@
 package costs
 
 import (
+	"strings"
 	"testing"
 	"time"
+	"unicode"
 )
 
 func us(d time.Duration) float64 { return float64(d) / 1000 }
@@ -210,6 +212,18 @@ func TestComponentNames(t *testing.T) {
 	}
 	if CompDataplane.String() != "dataplane" {
 		t.Error("dataplane component name wrong")
+	}
+	// Slug is the name with everything but letters and digits made '_'.
+	for c := Component(0); c < NumComponents; c++ {
+		want := strings.Map(func(r rune) rune {
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				return r
+			}
+			return '_'
+		}, c.String())
+		if got := c.Slug(); got != want {
+			t.Errorf("%q.Slug() = %q, want %q", c, got, want)
+		}
 	}
 }
 

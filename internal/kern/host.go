@@ -12,9 +12,7 @@
 package kern
 
 import (
-	"strings"
 	"time"
-	"unicode"
 
 	"repro/internal/costs"
 	"repro/internal/filter"
@@ -114,6 +112,14 @@ type Host struct {
 // when metrics are disabled.
 func (h *Host) Metrics() *metrics.Scope { return h.scope }
 
+// ledgerNames are the ledger counters' names, "<component slug>_ns".
+var ledgerNames = func() (names [costs.NumComponents]string) {
+	for c := range names {
+		names[c] = costs.Component(c).Slug() + "_ns"
+	}
+	return names
+}()
+
 // SetMetrics binds the host's kernel-side counters into a per-host
 // registry scope and allocates the receive-path histograms. The scope
 // is the host root (e.g. "host.alpha"); kern counters land under
@@ -132,13 +138,7 @@ func (h *Host) SetMetrics(hs *metrics.Scope) {
 	}
 	cs := hs.Sub("cpu")
 	for c := range h.Ledger {
-		slug := strings.Map(func(r rune) rune {
-			if unicode.IsLetter(r) || unicode.IsDigit(r) {
-				return r
-			}
-			return '_'
-		}, costs.Component(c).String())
-		cs.Counter(slug+"_ns", &h.Ledger[c])
+		cs.Counter(ledgerNames[c], &h.Ledger[c])
 	}
 	cs.GaugeFunc("busy_ns", func() int64 { return int64(h.CPU.BusyTime()) })
 	ks := hs.Sub("kern")

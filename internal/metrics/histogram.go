@@ -9,8 +9,9 @@ import (
 // buckets; above that, each power-of-two octave is split into 8
 // sub-buckets, so any reported quantile is within 12.5% of the true
 // sample value. 60 octaves of 8 sub-buckets after the 16 exact ones
-// cover the full uint64 range in 496 fixed buckets (~4 KB per
-// histogram, no allocation on Observe).
+// cover the full uint64 range in 496 fixed buckets: a ~4 KB array that
+// the first sample allocates, so a histogram nothing observes costs its
+// 40-byte header alone, and no later Observe allocates.
 const (
 	histLinearMax  = 16 // values below this index themselves
 	histSubBuckets = 8  // sub-buckets per octave above the linear range
@@ -22,7 +23,7 @@ const (
 // The zero value is ready to use; all methods are nil-safe so disabled
 // metrics cost one nil check per Observe.
 type Histogram struct {
-	counts     [histBuckets]uint64
+	counts     *[histBuckets]uint64 // nil until the first sample
 	count, sum uint64
 	min, max   uint64
 }
@@ -55,16 +56,11 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	u := uint64(v)
-	if v < 0 {
-		u = 0
+	u := uint64(max(v, 0))
+	if h.counts == nil { // the first sample
+		h.counts, h.min = new([histBuckets]uint64), u
 	}
-	if h.count == 0 || u < h.min {
-		h.min = u
-	}
-	if u > h.max {
-		h.max = u
-	}
+	h.min, h.max = min(h.min, u), max(h.max, u)
 	h.count++
 	h.sum += u
 	h.counts[bucketOf(u)]++
@@ -102,14 +98,6 @@ func (h *Histogram) Max() uint64 {
 	return h.max
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
 // bucket boundary at or above the sample of that rank, clamped to the
 // observed [min, max]. The bound is within 12.5% of the true sample.
@@ -117,25 +105,11 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	if h == nil || h.count == 0 {
 		return 0
 	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
+	rank := min(max(uint64(math.Ceil(q*float64(h.count))), 1), h.count)
 	var cum uint64
 	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			u := bucketUpper(i)
-			if u > h.max {
-				u = h.max
-			}
-			if u < h.min {
-				u = h.min
-			}
-			return u
+		if cum += c; cum >= rank {
+			return max(min(bucketUpper(i), h.max), h.min)
 		}
 	}
 	return h.max
@@ -147,12 +121,10 @@ func (h *Histogram) Merge(other *Histogram) {
 	if h == nil || other == nil || other.count == 0 {
 		return
 	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
+	if h.counts == nil {
+		h.counts, h.min = new([histBuckets]uint64), other.min
 	}
-	if other.max > h.max {
-		h.max = other.max
-	}
+	h.min, h.max = min(h.min, other.min), max(h.max, other.max)
 	h.count += other.count
 	h.sum += other.sum
 	for i, c := range other.counts {

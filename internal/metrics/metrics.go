@@ -1,18 +1,20 @@
 // Package metrics is the deterministic metrics subsystem: counters,
-// gauges, and log-bucketed latency histograms keyed to the virtual
-// clock, collected in a hierarchical registry with byte-stable
-// renderings (text, JSON, Prometheus exposition).
+// snapshot-time gauges, and log-bucketed latency histograms keyed to
+// the virtual clock, collected in a hierarchical registry with
+// byte-stable renderings (text, JSON, Prometheus exposition).
 //
 // Design constraints, in order:
 //
-//  1. Zero cost on the hot path when disabled. Counter and Gauge are
-//     value types embedded directly in the subsystems' Stats structs, so
-//     "counting" is a plain uint64 increment whether or not a registry
-//     exists — exactly what the ad-hoc int counters cost before. The
-//     registry binds pointers to those same fields, so the counters the
-//     tests read and the counters an operator scrapes can never
-//     disagree. Histograms are only allocated when metrics are enabled;
-//     Observe on a nil histogram is a single nil check.
+//  1. Zero cost on the hot path when disabled, and next to none when
+//     enabled. Counter is a value type embedded directly in the
+//     subsystems' Stats structs, so "counting" is a plain uint64
+//     increment whether or not a registry exists — exactly what the
+//     ad-hoc int counters cost before. The registry binds pointers to
+//     those same fields, so the counters the tests read and the counters
+//     an operator scrapes can never disagree. Registering allocates
+//     nothing per instrument: names are built at snapshot time, and a
+//     histogram's bucket array is allocated by its first sample; Observe
+//     on a nil histogram is a single nil check.
 //
 //  2. Determinism. The simulation is single-threaded under the event
 //     scheduler, so instruments need no atomics; snapshots iterate in
@@ -53,39 +55,4 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is an instantaneous level that can move both ways (queue
-// depths, populations). The zero value is ready to use; methods are
-// nil-safe.
-type Gauge struct {
-	v int64
-}
-
-// Set replaces the level.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add moves the level by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }

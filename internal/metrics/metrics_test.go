@@ -2,9 +2,12 @@ package metrics
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -14,19 +17,11 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter must read 0")
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Inc()
-	g.Dec()
-	if g.Value() != 0 {
-		t.Fatal("nil gauge must read 0")
-	}
 	var sc *Scope
 	if sc.Sub("x") != nil || sc.NewCounter("c") != nil || sc.Histogram("h") != nil {
 		t.Fatal("nil scope must return nil instruments")
 	}
 	sc.Counter("c", &Counter{})
-	sc.GaugeVar("g", &Gauge{})
 	sc.GaugeFunc("f", func() int64 { return 1 })
 	var r *Registry
 	if r.Scope("x") != nil {
@@ -46,9 +41,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	var rx Counter
 	rx.Add(7)
 	host.Sub("nic").Counter("rx_frames", &rx)
-	var depth Gauge
-	depth.Set(3)
-	host.GaugeVar("queue_depth", &depth)
+	host.GaugeFunc("queue_depth", func() int64 { return 3 })
 	host.GaugeFunc("sessions", func() int64 { return 11 })
 	h := host.Histogram("rtt_ns")
 	h.Observe(100)
@@ -89,48 +82,179 @@ func TestRegistrySnapshot(t *testing.T) {
 }
 
 func TestDuplicateNamesGetSuffix(t *testing.T) {
+	names := func(s Snapshot) []string {
+		var names []string
+		for _, it := range s.Items {
+			names = append(names, it.Name)
+		}
+		return names
+	}
 	r := NewRegistry()
 	sc := r.Scope("host.a")
 	sc.NewCounter("x")
 	sc.NewCounter("x")
 	sc.NewCounter("x")
-	s := r.Snapshot(0)
-	var names []string
-	for _, it := range s.Items {
-		names = append(names, it.Name)
+	if got, want := names(r.Snapshot(0)), []string{"host.a.x", "host.a.x#2", "host.a.x#3"}; !slices.Equal(got, want) {
+		t.Fatalf("names = %v, want %v", got, want)
 	}
-	want := []string{"host.a.x", "host.a.x#2", "host.a.x#3"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
+
+	// A name taken explicitly is skipped by the suffixes: the first "x"
+	// keeps its name and the second gets the next free one.
+	r = NewRegistry()
+	sc = r.Scope("host.a")
+	sc.NewCounter("x#2").Add(2)
+	sc.NewCounter("x").Add(1)
+	sc.NewCounter("x").Add(3)
+	s := r.Snapshot(0)
+	if got, want := names(s), []string{"host.a.x", "host.a.x#2", "host.a.x#3"}; !slices.Equal(got, want) {
+		t.Fatalf("names = %v, want %v", got, want)
+	}
+	for i, want := range []int64{1, 2, 3} {
+		if s.Items[i].Value != want {
+			t.Fatalf("%s = %d, want %d (suffixes follow registration order)", s.Items[i].Name, s.Items[i].Value, want)
 		}
+	}
+
+	// MergedHistogram matches the snapshot's names: a suffixed duplicate
+	// does not end in ".h".
+	r = NewRegistry()
+	sc = r.Scope("host.a")
+	sc.Histogram("h").Observe(10)
+	sc.Histogram("h").Observe(20)
+	r.Scope("host.b").Histogram("h").Observe(40)
+	if m := r.MergedHistogram(".h"); m.Count() != 2 || m.Sum() != 50 {
+		t.Fatalf("merged count=%d sum=%d, want 2 and 50 (host.a.h#2 skipped)", m.Count(), m.Sum())
+	}
+
+	// A second snapshot of an unchanged registry builds no names: it
+	// allocates its items and its histogram views, nothing else.
+	first := r.Snapshot(0)
+	var second Snapshot
+	if n := testing.AllocsPerRun(10, func() { second = r.Snapshot(0) }); n > 2 {
+		t.Fatalf("second snapshot made %v allocations, want at most 2", n)
+	}
+	for i := range first.Items {
+		if unsafe.StringData(first.Items[i].Name) != unsafe.StringData(second.Items[i].Name) {
+			t.Fatalf("%s was built again", second.Items[i].Name)
+		}
+	}
+	// A registration after a snapshot is named by the next one.
+	sc.Histogram("h")
+	if got, want := names(r.Snapshot(0)), []string{"host.a.h", "host.a.h#2", "host.a.h#3", "host.b.h"}; !slices.Equal(got, want) {
+		t.Fatalf("names = %v, want %v", got, want)
 	}
 }
 
+// TestRegisterAllocates pins registration as allocation-free per
+// instrument: records live in blocks that are never regrown, and no
+// name is built until a snapshot.
+func TestRegisterAllocates(t *testing.T) {
+	const n = 10000
+	counters := make([]Counter, n)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "c" + strconv.Itoa(i)
+	}
+	fn := func() int64 { return 1 }
+	allocs := testing.AllocsPerRun(5, func() {
+		sc := NewRegistry().Scope("host.a").Sub("stack")
+		for i := range counters {
+			sc.Counter(names[i], &counters[i])
+			sc.GaugeFunc(names[i], fn)
+		}
+	})
+	if per := allocs / (2 * n); per > 0.05 {
+		t.Fatalf("%.0f allocations for %d instruments: %.4f each, want at most 0.05", allocs, 2*n, per)
+	}
+}
+
+// TestEmptyHistogramAllocatesNoBuckets: a histogram nothing observes
+// holds no bucket array, and renders as an all-zero summary.
+func TestEmptyHistogramAllocatesNoBuckets(t *testing.T) {
+	r := NewRegistry()
+	h := r.Scope("n").Histogram("h")
+	s := r.Snapshot(0)
+	r.MergedHistogram(".h")
+	if h.counts != nil {
+		t.Fatal("an unobserved histogram allocated its buckets")
+	}
+	var text, js, prom bytes.Buffer
+	if err := WriteText(&text, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSON(&js, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteProm(&prom, s); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want string }{
+		{text.String(), "# at 0\nn.h.count 0\nn.h.sum 0\nn.h.min 0\nn.h.max 0\nn.h.p50 0\nn.h.p90 0\nn.h.p99 0\n"},
+		{js.String(), `{
+  "at_ns": 0,
+  "items": [
+    {
+      "name": "n.h",
+      "kind": "histogram",
+      "value": 0,
+      "hist": {
+        "count": 0,
+        "sum": 0,
+        "min": 0,
+        "max": 0,
+        "p50": 0,
+        "p90": 0,
+        "p99": 0
+      }
+    }
+  ]
+}
+`},
+		{prom.String(), "# TYPE psd_n_h summary\npsd_n_h{quantile=\"0.5\"} 0\npsd_n_h{quantile=\"0.9\"} 0\npsd_n_h{quantile=\"0.99\"} 0\npsd_n_h_sum 0\npsd_n_h_count 0\n"},
+	} {
+		if c.got != c.want {
+			t.Fatalf("rendered\n%s\nwant\n%s", c.got, c.want)
+		}
+	}
+	h.Observe(7)
+	if h.counts == nil || h.Quantile(0.5) != 7 {
+		t.Fatal("the first sample must allocate the buckets")
+	}
+}
+
+// TestDelta reads the change between two snapshots of one registry: the
+// second snapshot reuses the first one's names but reads live values.
 func TestDelta(t *testing.T) {
 	r := NewRegistry()
 	sc := r.Scope("n")
 	c := sc.NewCounter("c")
-	var g Gauge
-	sc.GaugeVar("g", &g)
+	var g int64
+	sc.GaugeFunc("g", func() int64 { return g })
 	h := sc.Histogram("h")
 	c.Add(10)
-	g.Set(5)
+	g = 5
 	h.Observe(100)
 	prev := r.Snapshot(time.Second)
 	c.Add(3)
-	g.Set(9)
+	g = 9
 	h.Observe(200)
 	cur := r.Snapshot(2 * time.Second)
-	d := Delta(prev, cur)
-	if it, _ := d.Get("n.c"); it.Value != 3 {
-		t.Fatalf("counter delta = %d", it.Value)
+	delta := func(name string) (Item, Item) {
+		p, _ := prev.Get(name)
+		c, ok := cur.Get(name)
+		if !ok {
+			t.Fatalf("%s missing from the second snapshot", name)
+		}
+		return p, c
 	}
-	if it, _ := d.Get("n.g"); it.Value != 9 {
-		t.Fatalf("gauge should pass through: %d", it.Value)
+	if p, c := delta("n.c"); c.Value-p.Value != 3 {
+		t.Fatalf("counter delta = %d", c.Value-p.Value)
 	}
-	if it, _ := d.Get("n.h"); it.Hist.Count != 1 || it.Hist.Sum != 200 {
-		t.Fatalf("hist delta = %+v", it.Hist)
+	if p, c := delta("n.g"); p.Value != 5 || c.Value != 9 {
+		t.Fatalf("gauge func read %d then %d, want 5 then 9", p.Value, c.Value)
+	}
+	if p, c := delta("n.h"); c.Hist.Count-p.Hist.Count != 1 || c.Hist.Sum-p.Hist.Sum != 200 {
+		t.Fatalf("hist delta: %+v then %+v", p.Hist, c.Hist)
 	}
 }
 
@@ -157,9 +281,7 @@ func TestRenderingsStable(t *testing.T) {
 		r := NewRegistry()
 		sc := r.Scope("host.alpha")
 		sc.NewCounter("nic.rx_frames").Add(42)
-		var g Gauge
-		g.Set(-3)
-		sc.GaugeVar("balance", &g)
+		sc.GaugeFunc("balance", func() int64 { return -3 })
 		h := sc.Histogram("rtt_ns")
 		h.Observe(150)
 		h.Observe(250)

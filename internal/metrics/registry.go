@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -29,28 +29,43 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// instrument is one registered metric.
+// instrument is one registered metric: its scope, its literal leaf name
+// and exactly one of counter, gaugeFn and hist. The full name is built
+// at snapshot time (Registry.resolve).
 type instrument struct {
-	name    string
-	kind    Kind
+	scope   *Scope
+	leaf    string
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() int64
 	hist    *Histogram
+}
+
+// blockSize is how many instruments one storage block holds. Blocks are
+// never reallocated, so registering copies nothing.
+const blockSize = 512
+
+// named is one instrument's final name in snapshot order; idx is its
+// registration order.
+type named struct {
+	name string
+	idx  int
 }
 
 // Registry holds the full instrument tree for one simulation. It is not
 // safe for concurrent use — the simulation is single-threaded, and the
 // registry inherits that model.
 type Registry struct {
-	byName map[string]int
-	items  []instrument
+	blocks []*[blockSize]instrument
+	n      int // instruments registered
+	hists  int // of which histograms
+
+	// sorted holds every instrument's final name in snapshot order. It is
+	// built again whenever a registration has left it short.
+	sorted []named
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]int)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Scope returns a scope rooted at name (dotted-path prefix, e.g.
 // "host.alpha").
@@ -58,23 +73,86 @@ func (r *Registry) Scope(name string) *Scope {
 	if r == nil {
 		return nil
 	}
-	return &Scope{reg: r, prefix: name}
+	return &Scope{reg: r, name: name}
 }
 
-// register adds an instrument, deterministically suffixing the name
-// (#2, #3, ...) if it is already taken so two same-named subsystems
-// cannot silently share or clobber an entry.
+// register appends an instrument to the current block, starting a new
+// block when it is full.
 func (r *Registry) register(ins instrument) {
-	name := ins.name
-	for i := 2; ; i++ {
-		if _, taken := r.byName[name]; !taken {
+	if r.n%blockSize == 0 {
+		r.blocks = append(r.blocks, new([blockSize]instrument))
+	}
+	r.blocks[r.n/blockSize][r.n%blockSize] = ins
+	r.n++
+	if ins.hist != nil {
+		r.hists++
+	}
+}
+
+// at returns the instrument registered idx-th.
+func (r *Registry) at(idx int) *instrument { return &r.blocks[idx/blockSize][idx%blockSize] }
+
+// resolve returns every instrument's final name, sorted. A name is the
+// scope's dotted path, a dot and the leaf; a name an earlier
+// registration already holds gets the first free suffix (#2, #3, ...),
+// in registration order, so two same-named subsystems cannot silently
+// share or clobber an entry. All names are built into one buffer.
+func (r *Registry) resolve() []named {
+	if len(r.sorted) == r.n {
+		return r.sorted
+	}
+	total := 0
+	for i := 0; i < r.n; i++ {
+		ins := r.at(i)
+		total += ins.scope.pathLen() + 1 + len(ins.leaf)
+	}
+	var b strings.Builder
+	b.Grow(total)
+	for i := 0; i < r.n; i++ {
+		ins := r.at(i)
+		ins.scope.writePath(&b)
+		b.WriteByte('.')
+		b.WriteString(ins.leaf)
+	}
+	all := b.String()
+	sorted := make([]named, r.n)
+	for i, off := 0, 0; i < r.n; i++ {
+		ins := r.at(i)
+		end := off + ins.scope.pathLen() + 1 + len(ins.leaf)
+		sorted[i] = named{all[off:end], i}
+		off = end
+	}
+	byName := func(a, b named) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
+		}
+		return a.idx - b.idx
+	}
+	slices.SortFunc(sorted, byName)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].name == sorted[i-1].name {
+			suffixDuplicates(sorted)
+			slices.SortFunc(sorted, byName)
 			break
 		}
-		name = ins.name + "#" + strconv.Itoa(i)
 	}
-	ins.name = name
-	r.byName[name] = len(r.items)
-	r.items = append(r.items, ins)
+	r.sorted = sorted
+	return sorted
+}
+
+// suffixDuplicates renames, in registration order, every name an
+// earlier registration already took to the first free name#k.
+func suffixDuplicates(sorted []named) {
+	slices.SortFunc(sorted, func(a, b named) int { return a.idx - b.idx })
+	taken := make(map[string]bool, len(sorted))
+	for i := range sorted {
+		base, name := sorted[i].name, sorted[i].name
+		for k := 2; taken[name]; k++ {
+			name = base + "#" + strconv.Itoa(k)
+		}
+		taken[name] = true
+		sorted[i].name = name
+	}
 }
 
 // Scope is a named subtree of a registry. A nil *Scope is valid and
@@ -83,7 +161,8 @@ func (r *Registry) register(ins instrument) {
 // enabled.
 type Scope struct {
 	reg    *Registry
-	prefix string
+	parent *Scope
+	name   string // the root's dotted prefix, or one path element
 }
 
 // Sub returns a child scope ("kern" under "host.alpha" names
@@ -92,18 +171,25 @@ func (s *Scope) Sub(name string) *Scope {
 	if s == nil {
 		return nil
 	}
-	return &Scope{reg: s.reg, prefix: s.prefix + "." + name}
+	return &Scope{reg: s.reg, parent: s, name: name}
 }
 
-// Name returns the scope's full dotted prefix.
-func (s *Scope) Name() string {
-	if s == nil {
-		return ""
+// pathLen is the length of the scope's full dotted path.
+func (s *Scope) pathLen() int {
+	if s.parent == nil {
+		return len(s.name)
 	}
-	return s.prefix
+	return s.parent.pathLen() + 1 + len(s.name)
 }
 
-func (s *Scope) full(name string) string { return s.prefix + "." + name }
+// writePath writes the scope's full dotted path to b.
+func (s *Scope) writePath(b *strings.Builder) {
+	if s.parent != nil {
+		s.parent.writePath(b)
+		b.WriteByte('.')
+	}
+	b.WriteString(s.name)
+}
 
 // Counter binds an existing counter (typically a Stats struct field)
 // into the registry under the scope.
@@ -111,7 +197,7 @@ func (s *Scope) Counter(name string, c *Counter) {
 	if s == nil || c == nil {
 		return
 	}
-	s.reg.register(instrument{name: s.full(name), kind: KindCounter, counter: c})
+	s.reg.register(instrument{scope: s, leaf: name, counter: c})
 }
 
 // NewCounter creates, registers, and returns a counter (nil when the
@@ -125,14 +211,6 @@ func (s *Scope) NewCounter(name string) *Counter {
 	return c
 }
 
-// GaugeVar binds an existing gauge into the registry.
-func (s *Scope) GaugeVar(name string, g *Gauge) {
-	if s == nil || g == nil {
-		return
-	}
-	s.reg.register(instrument{name: s.full(name), kind: KindGauge, gauge: g})
-}
-
 // GaugeFunc registers a gauge evaluated at snapshot time. fn must be
 // deterministic for a given simulation state; it costs nothing until a
 // snapshot is taken.
@@ -140,17 +218,18 @@ func (s *Scope) GaugeFunc(name string, fn func() int64) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.reg.register(instrument{name: s.full(name), kind: KindGauge, gaugeFn: fn})
+	s.reg.register(instrument{scope: s, leaf: name, gaugeFn: fn})
 }
 
 // Histogram creates, registers, and returns a histogram (nil when the
-// scope is nil, making Observe free).
+// scope is nil, making Observe free). Its buckets are allocated by its
+// first sample.
 func (s *Scope) Histogram(name string) *Histogram {
 	if s == nil {
 		return nil
 	}
 	h := &Histogram{}
-	s.reg.register(instrument{name: s.full(name), kind: KindHistogram, hist: h})
+	s.reg.register(instrument{scope: s, leaf: name, hist: h})
 	return h
 }
 
@@ -175,53 +254,24 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 	if r == nil {
 		return Snapshot{At: at}
 	}
-	s := Snapshot{At: at, Items: make([]Item, 0, len(r.items))}
-	for _, ins := range r.items {
-		it := Item{Name: ins.name, Kind: ins.kind.String()}
-		switch ins.kind {
-		case KindCounter:
-			it.Value = int64(ins.counter.Value())
-		case KindGauge:
-			if ins.gaugeFn != nil {
-				it.Value = ins.gaugeFn()
-			} else {
-				it.Value = ins.gauge.Value()
-			}
-		case KindHistogram:
-			v := ins.hist.View()
-			it.Hist = &v
-			it.Value = int64(v.Count)
+	sorted := r.resolve()
+	s := Snapshot{At: at, Items: make([]Item, len(sorted))}
+	views := make([]HistView, r.hists)
+	for i, e := range sorted {
+		ins, it := r.at(e.idx), &s.Items[i]
+		it.Name = e.name
+		switch {
+		case ins.counter != nil:
+			it.Kind, it.Value = KindCounter.String(), int64(ins.counter.Value())
+		case ins.hist != nil:
+			views[0] = ins.hist.View()
+			it.Kind, it.Hist, it.Value = KindHistogram.String(), &views[0], int64(views[0].Count)
+			views = views[1:]
+		default:
+			it.Kind, it.Value = KindGauge.String(), ins.gaugeFn()
 		}
-		s.Items = append(s.Items, it)
 	}
-	sort.Slice(s.Items, func(i, j int) bool { return s.Items[i].Name < s.Items[j].Name })
 	return s
-}
-
-// Delta returns cur minus prev for counters (and histogram counts);
-// gauges pass through cur unchanged, since a level has no meaningful
-// difference over an interval here.
-func Delta(prev, cur Snapshot) Snapshot {
-	prevBy := make(map[string]Item, len(prev.Items))
-	for _, it := range prev.Items {
-		prevBy[it.Name] = it
-	}
-	d := Snapshot{At: cur.At, Items: make([]Item, 0, len(cur.Items))}
-	for _, it := range cur.Items {
-		p, ok := prevBy[it.Name]
-		if ok && it.Kind == KindCounter.String() {
-			it.Value -= p.Value
-		}
-		if ok && it.Hist != nil && p.Hist != nil {
-			h := *it.Hist
-			h.Count -= p.Hist.Count
-			h.Sum -= p.Hist.Sum
-			it.Hist = &h
-			it.Value = int64(h.Count)
-		}
-		d.Items = append(d.Items, it)
-	}
-	return d
 }
 
 // Sum adds the values of every item whose name ends in suffix — the
@@ -249,14 +299,15 @@ func (s Snapshot) Get(name string) (Item, bool) {
 
 // MergedHistogram merges every live histogram whose name ends in suffix
 // into a fresh histogram (for cross-stack quantiles, e.g. connect
-// latency over all hosts).
+// latency over all hosts). Names are the snapshot's: a suffixed
+// duplicate ("x.connect_ns#2") does not end in ".connect_ns".
 func (r *Registry) MergedHistogram(suffix string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	out := &Histogram{}
-	for _, ins := range r.items {
-		if ins.kind == KindHistogram && strings.HasSuffix(ins.name, suffix) {
+	for _, e := range r.resolve() {
+		if ins := r.at(e.idx); ins.hist != nil && strings.HasSuffix(e.name, suffix) {
 			out.Merge(ins.hist)
 		}
 	}

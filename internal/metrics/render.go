@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,26 +12,18 @@ import (
 // expanded into .count/.sum/.min/.max/.p50/.p90/.p99 sublines. Output
 // is byte-stable for a given snapshot.
 func WriteText(w io.Writer, s Snapshot) error {
-	if _, err := fmt.Fprintf(w, "# at %d\n", int64(s.At)); err != nil {
-		return err
-	}
+	bw := bufio.NewWriter(w) // keeps the first write error; Flush returns it
+	fmt.Fprintf(bw, "# at %d\n", int64(s.At))
 	for _, it := range s.Items {
-		if it.Hist != nil {
-			h := it.Hist
-			_, err := fmt.Fprintf(w,
-				"%s.count %d\n%s.sum %d\n%s.min %d\n%s.max %d\n%s.p50 %d\n%s.p90 %d\n%s.p99 %d\n",
+		if h := it.Hist; h != nil {
+			fmt.Fprintf(bw, "%s.count %d\n%s.sum %d\n%s.min %d\n%s.max %d\n%s.p50 %d\n%s.p90 %d\n%s.p99 %d\n",
 				it.Name, h.Count, it.Name, h.Sum, it.Name, h.Min, it.Name, h.Max,
 				it.Name, h.P50, it.Name, h.P90, it.Name, h.P99)
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", it.Name, it.Value); err != nil {
-			return err
+		} else {
+			fmt.Fprintf(bw, "%s %d\n", it.Name, it.Value)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // WriteJSON renders the snapshot as indented JSON. encoding/json emits
@@ -66,39 +59,27 @@ func promName(name string) string {
 // each carries its own TYPE line once; we emit TYPE per metric name the
 // first time it appears.
 func WriteProm(w io.Writer, s Snapshot) error {
+	bw := bufio.NewWriter(w) // keeps the first write error; Flush returns it
 	seenType := make(map[string]bool)
 	for _, it := range s.Items {
 		pn := promName(it.Name)
+		typ := "gauge"
 		switch {
 		case it.Hist != nil:
-			if !seenType[pn] {
-				if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", pn); err != nil {
-					return err
-				}
-				seenType[pn] = true
-			}
-			h := it.Hist
-			_, err := fmt.Fprintf(w,
-				"%s{quantile=\"0.5\"} %d\n%s{quantile=\"0.9\"} %d\n%s{quantile=\"0.99\"} %d\n%s_sum %d\n%s_count %d\n",
+			typ = "summary"
+		case it.Kind == KindCounter.String():
+			typ = "counter"
+		}
+		if !seenType[pn] {
+			fmt.Fprintf(bw, "# TYPE %s %s\n", pn, typ)
+			seenType[pn] = true
+		}
+		if h := it.Hist; h != nil {
+			fmt.Fprintf(bw, "%s{quantile=\"0.5\"} %d\n%s{quantile=\"0.9\"} %d\n%s{quantile=\"0.99\"} %d\n%s_sum %d\n%s_count %d\n",
 				pn, h.P50, pn, h.P90, pn, h.P99, pn, h.Sum, pn, h.Count)
-			if err != nil {
-				return err
-			}
-		default:
-			if !seenType[pn] {
-				typ := "gauge"
-				if it.Kind == KindCounter.String() {
-					typ = "counter"
-				}
-				if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", pn, typ); err != nil {
-					return err
-				}
-				seenType[pn] = true
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", pn, it.Value); err != nil {
-				return err
-			}
+		} else {
+			fmt.Fprintf(bw, "%s %d\n", pn, it.Value)
 		}
 	}
-	return nil
+	return bw.Flush()
 }

@@ -57,10 +57,8 @@ func (st *Stack) bindMetrics(sc *metrics.Scope) {
 
 	sc.GaugeFunc("sockets", func() int64 { return int64(len(st.socks)) })
 	ts := sc.Sub("tcp_state")
-	for i := range tcpStateNames {
-		name := strings.ToLower(tcpStateNames[i])
-		state := tcpStateNames[i]
-		ts.GaugeFunc(name, func() int64 {
+	for i, state := range tcpStateNames {
+		ts.GaugeFunc(tcpStateMetrics[i], func() int64 {
 			var n int64
 			for _, sk := range st.socks {
 				if sk.Proto == wire.ProtoTCP && TCPStateOf(sk) == state {
@@ -71,6 +69,15 @@ func (st *Stack) bindMetrics(sc *metrics.Scope) {
 		})
 	}
 }
+
+// tcpStateMetrics names the per-state gauges: tcpStateNames in lower
+// case, built once rather than per stack.
+var tcpStateMetrics = func() (names [len(tcpStateNames)]string) {
+	for i, s := range tcpStateNames {
+		names[i] = strings.ToLower(s)
+	}
+	return names
+}()
 
 // SocketInfo is one row of the netstat-style socket table.
 type SocketInfo struct {

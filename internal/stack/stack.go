@@ -132,7 +132,7 @@ type Stack struct {
 	conns   map[tuple]*Socket // fully-specified connections (TCP and connected UDP)
 	binds   map[tuple]*Socket // wildcard-remote sockets (listeners, unconnected UDP)
 	ipID    uint16
-	rng     *rand.Rand // the stack's own stream (ISS, ephemeral-port perturbation)
+	rng     *rand.Rand // the stack's own stream, opened by the first iss()
 	issSeed uint32
 	sockSeq uint64 // socket creation counter (deterministic iteration order)
 
@@ -283,14 +283,7 @@ func New(cfg Config, r Resolver) *Stack {
 		conns:    make(map[tuple]*Socket),
 		binds:    make(map[tuple]*Socket),
 		icmpEcho: make(map[uint16]*sim.Cond),
-		// A per-stack stream keyed by the stack's name: draws (ISS
-		// generation, ephemeral-port perturbation) stay identical no
-		// matter what else runs concurrently or which shard the stack
-		// lands on. The shared cfg.Sim.Rand() would make every draw
-		// depend on global event order.
-		rng: cfg.Sim.Stream("stack." + cfg.Name),
 	}
-	st.issSeed = st.rng.Uint32()
 	st.reasm = st.NewReassembler()
 	st.bindMetrics(cfg.Metrics)
 	return st
@@ -420,8 +413,17 @@ func (st *Control) Input(t *sim.Proc, frame []byte, owned bool) {
 	st.arp.input(t, frame[wire.EthHeaderLen:])
 }
 
-// iss generates an initial send sequence number.
+// iss generates an initial send sequence number. The first call opens
+// the stack's own stream, keyed by the stack's name: draws stay
+// identical no matter what else runs concurrently or which shard the
+// stack lands on (the shared cfg.Sim.Rand() would make every draw depend
+// on global event order), and a stack that never connects, as a
+// library's usually does not, never pays for one.
 func (st *Stack) iss() uint32 {
+	if st.rng == nil {
+		st.rng = st.cfg.Sim.Stream("stack." + st.cfg.Name)
+		st.issSeed = st.rng.Uint32()
+	}
 	st.issSeed += 64000 + uint32(st.rng.Intn(64000))
 	return st.issSeed
 }
