@@ -85,11 +85,6 @@ func New(s *sim.Sim, name string) *Router {
 // Name returns the router's name.
 func (r *Router) Name() string { return r.name }
 
-// Routes exposes the router's longest-prefix routing table. Attach adds
-// the on-link route for each port's subnet; AddRoute installs static
-// routes through neighbouring routers.
-func (r *Router) Routes() *stack.RouteTable { return r.rt }
-
 // Port is one router interface on a segment.
 type Port struct {
 	r         *Router
@@ -200,12 +195,6 @@ func (p *Port) BindMetrics(ps *metrics.Scope) {
 	p.nic.BindMetrics(ps)
 	ps.GaugeFunc("queue", func() int64 { return int64(p.qlen) })
 	ps.GaugeFunc("queue_max", func() int64 { return int64(p.MaxQLen) })
-}
-
-// Drops is the total number of packets the router dropped at egress
-// queues (RED early drops plus tail drops).
-func (r *Router) Drops() uint64 {
-	return r.Stats.REDDrops.Value() + r.Stats.TailDrops.Value()
 }
 
 // rx handles one frame arriving on a port; it runs in event context and

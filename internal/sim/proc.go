@@ -30,6 +30,7 @@ type Proc struct {
 	parked        bool
 	unparkPending bool // an Unpark arrived while the proc was running
 	exited        bool
+	signalled     bool   // Cond.Signal chose this proc (see Cond)
 	co            *coro  // the coroutine running the body; nil once exited
 	pendingResume *event // the event that will resume this proc, if any
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -275,6 +276,102 @@ func TestCondWaitTimeout(t *testing.T) {
 	}
 	if c.Waiters() != 0 {
 		t.Fatal("timed-out waiter left on queue")
+	}
+}
+
+// TestCondWaitAllocatesNothing: a wait needs no record of its own, so a
+// Wait/Signal cycle allocates nothing, on a Cond never waited on before
+// (one waiter, held inline) or on a warm one with three waiters queued.
+func TestCondWaitAllocatesNothing(t *testing.T) {
+	s := New(1)
+	defer s.Close()
+	fresh := make([]Cond, 256)
+	s.Spawn("fresh", func(p *Proc) {
+		for i := range fresh {
+			fresh[i].Wait(p)
+		}
+	})
+	var warm Cond
+	for _, name := range []string{"a", "b", "c"} {
+		s.Spawn(name, func(p *Proc) {
+			for {
+				warm.Wait(p)
+			}
+		})
+	}
+	if err := s.RunFor(0); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(100, func() {
+		fresh[next].Signal()
+		next++
+		_ = s.RunFor(0)
+	}); n != 0 {
+		t.Errorf("Wait/Signal on a fresh Cond allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		warm.Signal()
+		warm.Signal()
+		warm.Signal()
+		_ = s.RunFor(0)
+	}); n != 0 {
+		t.Errorf("Wait/Signal with three waiters allocates %v times, want 0", n)
+	}
+	if got := fresh[next].Waiters() + warm.Waiters(); got != 4 {
+		t.Fatalf("%d waiters after the cycles, want 4", got)
+	}
+}
+
+// TestCondWaitTimeoutKeepsOrder: a waiter that times out leaves the queue
+// from wherever it sits, inline slot or slice, and the rest keep their
+// order; a Signal at the deadline instant still counts as a signal.
+func TestCondWaitTimeoutKeepsOrder(t *testing.T) {
+	s := New(1)
+	var c Cond
+	var got []string
+	wait := func(name string, d time.Duration) {
+		s.Spawn(name, func(p *Proc) {
+			got = append(got, fmt.Sprintf("%s:%v@%v", name, c.WaitTimeout(p, d), p.Now()))
+		})
+	}
+	wait("a", 2*time.Millisecond) // inline slot
+	wait("b", time.Millisecond)   // slice, times out first
+	wait("c", time.Hour)
+	var waiters []int
+	for _, at := range []time.Duration{0, 1500 * time.Microsecond, 2500 * time.Microsecond} {
+		s.After(at, func() { waiters = append(waiters, c.Waiters()) })
+	}
+	s.After(3*time.Millisecond, c.Signal)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[b:false@1ms a:false@2ms c:true@3ms] [3 2 1 0]"
+	if g := fmt.Sprint(got, " ", append(waiters, c.Waiters())); g != want {
+		t.Fatalf("got %s, want %s", g, want)
+	}
+
+	// The signal lands at the deadline, before and after the timer.
+	for _, signalFirst := range []bool{true, false} {
+		s := New(1)
+		var c Cond
+		var ok bool
+		if signalFirst {
+			s.After(5*time.Millisecond, c.Signal)
+		}
+		s.Spawn("w", func(p *Proc) { ok = c.WaitTimeout(p, 5*time.Millisecond) })
+		if !signalFirst {
+			s.Spawn("s", func(p *Proc) {
+				p.Sleep(5 * time.Millisecond)
+				c.Signal()
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !ok || c.Waiters() != 0 {
+			t.Fatalf("signal first %v: WaitTimeout = %v with %d queued, want true with none", signalFirst, ok, c.Waiters())
+		}
 	}
 }
 

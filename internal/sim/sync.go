@@ -10,51 +10,53 @@ import "time"
 //	for !pred() {
 //		cond.Wait(p)
 //	}
+//
+// The queue holds the waiting Procs themselves, and the "signalled" flag
+// lives on the Proc: a proc waits on at most one Cond at a time and a
+// Proc is never reused, so a wait needs no record of its own. The longest
+// waiter sits inline in first, later ones in a reused slice, so a Cond
+// that never has two waiters at once never allocates.
 type Cond struct {
-	waiters []*condWaiter
-	head    int           // first live waiter; backing array is reused
-	free    []*condWaiter // recycled waiter records
+	first   *Proc   // longest waiter; nil only when the queue is empty
+	waiters []*Proc // the rest, in order from head; backing array is reused
+	head    int
 }
 
-type condWaiter struct {
-	p     *Proc
-	woken bool
-}
-
-func (c *Cond) getWaiter(p *Proc) *condWaiter {
-	var w *condWaiter
-	if n := len(c.free); n > 0 {
-		w = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		w.p, w.woken = p, false
+func (c *Cond) push(p *Proc) {
+	p.signalled = false
+	if c.first == nil {
+		c.first = p
 	} else {
-		w = &condWaiter{p: p}
+		c.waiters = append(c.waiters, p)
 	}
-	c.waiters = append(c.waiters, w)
-	return w
 }
 
-func (c *Cond) putWaiter(w *condWaiter) {
-	w.p = nil
-	c.free = append(c.free, w)
+// pop removes and returns the longest waiter, nil if none. The next one
+// moves into first; the head index walks forward and resets when the
+// slice drains, so steady-state wait/signal traffic reuses its array.
+func (c *Cond) pop() *Proc {
+	p := c.first
+	c.first = nil
+	if c.head < len(c.waiters) {
+		c.first = c.waiters[c.head]
+		c.removeAt(c.head)
+	}
+	return p
 }
 
-// pop removes and returns the longest waiter, nil if none. The head index
-// walks forward and resets when the queue drains, so steady-state
-// wait/signal traffic reuses the same backing array.
-func (c *Cond) pop() *condWaiter {
-	if c.head >= len(c.waiters) {
-		return nil
+func (c *Cond) removeAt(i int) {
+	if i == c.head {
+		c.waiters[i] = nil
+		c.head++
+	} else {
+		copy(c.waiters[i:], c.waiters[i+1:])
+		c.waiters[len(c.waiters)-1] = nil
+		c.waiters = c.waiters[:len(c.waiters)-1]
 	}
-	w := c.waiters[c.head]
-	c.waiters[c.head] = nil
-	c.head++
 	if c.head == len(c.waiters) {
 		c.waiters = c.waiters[:0]
 		c.head = 0
 	}
-	return w
 }
 
 // Wait parks the calling process until Signal or Broadcast. Stray wakeup
@@ -62,42 +64,35 @@ func (c *Cond) pop() *condWaiter {
 // was running) are absorbed by re-parking, so Wait returns only on a real
 // signal.
 func (c *Cond) Wait(p *Proc) {
-	w := c.getWaiter(p)
-	for !w.woken {
+	c.push(p)
+	for !p.signalled {
 		p.Park()
 	}
-	c.putWaiter(w)
 }
 
 // WaitTimeout parks for at most d; it reports whether the process was
 // signalled (true) rather than timed out (false).
 func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
-	w := c.getWaiter(p)
+	c.push(p)
 	deadline := p.Now().Add(d)
-	for !w.woken {
+	for !p.signalled {
 		remain := deadline.Sub(p.Now())
-		if remain <= 0 || !p.ParkTimeout(remain) && !w.woken {
-			if !w.woken {
-				c.remove(w)
-				c.putWaiter(w)
-				return false
-			}
+		if (remain <= 0 || !p.ParkTimeout(remain)) && !p.signalled {
+			c.remove(p)
+			return false
 		}
 	}
-	c.putWaiter(w)
 	return true
 }
 
-func (c *Cond) remove(w *condWaiter) {
+func (c *Cond) remove(p *Proc) {
+	if c.first == p {
+		c.pop()
+		return
+	}
 	for i := c.head; i < len(c.waiters); i++ {
-		if c.waiters[i] == w {
-			copy(c.waiters[i:], c.waiters[i+1:])
-			c.waiters[len(c.waiters)-1] = nil
-			c.waiters = c.waiters[:len(c.waiters)-1]
-			if c.head == len(c.waiters) {
-				c.waiters = c.waiters[:0]
-				c.head = 0
-			}
+		if c.waiters[i] == p {
+			c.removeAt(i)
 			return
 		}
 	}
@@ -105,26 +100,26 @@ func (c *Cond) remove(w *condWaiter) {
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if w := c.pop(); w != nil {
-		w.woken = true
-		w.p.Unpark()
+	if p := c.pop(); p != nil {
+		p.signalled = true
+		p.Unpark()
 	}
 }
 
 // Broadcast wakes all waiting processes.
 func (c *Cond) Broadcast() {
-	for {
-		w := c.pop()
-		if w == nil {
-			return
-		}
-		w.woken = true
-		w.p.Unpark()
+	for c.first != nil {
+		c.Signal()
 	}
 }
 
 // Waiters returns the number of processes currently waiting.
-func (c *Cond) Waiters() int { return len(c.waiters) - c.head }
+func (c *Cond) Waiters() int {
+	if c.first == nil {
+		return 0
+	}
+	return 1 + len(c.waiters) - c.head
+}
 
 // WaitGroup counts outstanding work in virtual time.
 type WaitGroup struct {

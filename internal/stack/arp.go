@@ -77,18 +77,6 @@ func (a *arpEngine) LookupCached(ip wire.IPAddr) (wire.MAC, bool) {
 	return wire.MAC{}, false
 }
 
-// Entries returns a snapshot of resolved mappings (the OS server exports
-// these to library caches).
-func (a *arpEngine) Entries() map[wire.IPAddr]wire.MAC {
-	out := make(map[wire.IPAddr]wire.MAC)
-	for ip, e := range a.entries {
-		if e.resolved {
-			out[ip] = e.mac
-		}
-	}
-	return out
-}
-
 // Insert installs a static/learned mapping directly.
 func (a *arpEngine) Insert(ip wire.IPAddr, mac wire.MAC) {
 	a.learn(ip, mac, true)

@@ -77,7 +77,7 @@ func (rt *RouteTable) LookupIf(dst wire.IPAddr) (nextHop wire.IPAddr, ifindex in
 	return wire.IPAddr{}, 0, false
 }
 
-// Routes returns a copy of the table's entries in match-preference order
+// Entries returns a copy of the table's entries in match-preference order
 // (longest prefix first), for diagnostics and tests.
 func (rt *RouteTable) Entries() []Route {
 	out := make([]Route, len(rt.routes))
