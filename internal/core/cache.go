@@ -63,15 +63,14 @@ func (c *MetaCache) ResolveOrQueue(t *sim.Proc, ip wire.IPAddr, frame []byte) (w
 		return mac, true
 	}
 	c.Misses++
-	var r struct {
-		mac wire.MAC
-		err error
-	}
-	c.lib.proxy(t, 16, func(on *sim.Proc) { r.mac, r.err = c.lib.srv.proxyARP(on, ip) })
-	if r.err != nil {
+	call := c.lib.getCall(opARP)
+	call.ip = ip
+	c.lib.proxy(t, call, 16)
+	mac, err := call.mac, call.err
+	c.lib.putCall(call)
+	if err != nil {
 		return wire.MAC{}, false // the frame is dropped; upper layers recover
 	}
-	mac := r.mac
 	c.entries[ip] = mac
 	return mac, true
 }

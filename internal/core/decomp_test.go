@@ -599,6 +599,68 @@ func TestDataPathBypassesServer(t *testing.T) {
 	}
 }
 
+// TestProxyCallsByOperation pins Table 1 as counted: one TCP connection
+// opened, accepted and closed crosses to the server once per control
+// operation, and the data between makes no crossing at all.
+func TestProxyCallsByOperation(t *testing.T) {
+	w := newWorld(1)
+	libB := w.b.NewLibrary("sink")
+	libA := w.a.NewLibrary("source")
+	w.s.Spawn("sink", func(p *sim.Proc) {
+		ls, _ := libB.Socket(p, socketapi.SockStream)
+		libB.Bind(p, ls, socketapi.SockAddr{Port: 5001})
+		libB.Listen(p, ls, 1)
+		fd, _, err := libB.Accept(p, ls)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 512)
+		for {
+			if n, err := libB.Recv(p, fd, buf, 0); err != nil || n == 0 {
+				break
+			}
+		}
+		libB.Close(p, fd)
+		libB.Close(p, ls)
+	})
+	w.s.Spawn("source", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		fd, _ := libA.Socket(p, socketapi.SockStream)
+		if err := libA.Connect(p, fd, socketapi.SockAddr{Addr: wire.IP(10, 0, 0, 2), Port: 5001}); err != nil {
+			t.Error(err)
+			return
+		}
+		libA.Send(p, fd, make([]byte, 4096), 0)
+		libA.Close(p, fd)
+	})
+	if err := w.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		lib  *core.Library
+		want map[string]int
+	}{
+		{libA, map[string]int{"socket": 1, "connect": 1, "return": 1}},
+		{libB, map[string]int{"socket": 1, "bind": 1, "listen": 1, "accept": 1, "return": 1, "release": 1}},
+	} {
+		if got := c.lib.ProxyCallsByOp(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s crossed %v, want %v", c.lib.Proc.Name, got, c.want)
+		}
+		if sum := c.lib.ProxyCalls(); sum != sumOf(c.want) {
+			t.Errorf("ProxyCalls = %d, want the %d counted by operation", sum, sumOf(c.want))
+		}
+	}
+}
+
+func sumOf(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
 // TestLibraryCannotNameControl pins the decomposition's line (Table 1)
 // where the compiler keeps it: the stack a library links has no method
 // that names, opens or closes a session and nowhere to keep a port

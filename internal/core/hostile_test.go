@@ -94,8 +94,8 @@ func hostileReturn(t *testing.T, forge func(*stack.TCPSessionState, *session), d
 		xe, _ := attacker.Lookup(xfd)
 		xid := sessOf(xe).id
 		attacker.quiesce(p)
-		blob, err := attacker.St.ExportTCPSession(p, xe.Sock)
-		if err != nil {
+		blob := new(stack.TCPSessionState)
+		if err := attacker.St.ExportTCPSession(p, xe.Sock, blob); err != nil {
 			t.Error(err)
 			return
 		}
@@ -110,7 +110,8 @@ func hostileReturn(t *testing.T, forge func(*stack.TCPSessionState, *session), d
 				t.Errorf("dead library's session not reaped (live=%v, aborted=%d)", live, srv.OrphansAborted.Value())
 			}
 		} else {
-			attacker.proxy(p, blob.WireSize(), func(on *sim.Proc) { _, err = srv.proxyReturn(on, xid, blob, false) })
+			var err error
+			attacker.cross(p, opReturn, blob.WireSize(), func(on *sim.Proc) { _, err = srv.proxyReturn(on, xid, blob, false) })
 			if !errors.Is(err, socketapi.ErrInvalid) {
 				t.Errorf("proxy_return of a forged blob = %v, want EINVAL", err)
 			}

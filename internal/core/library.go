@@ -49,8 +49,9 @@ type Library struct {
 	rxQuiet sim.Cond
 	rx      func(t *sim.Proc, frame []byte, owned bool) // input, as every receive thread's step
 
-	proxyCalls int
-	exited     bool
+	calls     []*ctlCall  // control-crossing records not in use
+	crossings [numOps]int // RPCs to the server, by operation
+	exited    bool
 }
 
 // appSession is the library's descriptor-table entry for one session:
@@ -83,7 +84,8 @@ func (sys *System) NewLibrary(name string) *Library {
 	lib.local = socklayer.Place{St: lib.St, Alias: true, Sel: &lib.selCond}
 	// Server sockets report their status changes through the server's own
 	// watch (pokeSelectors), so the remote place has no select channel.
-	lib.remote = socklayer.Place{St: sys.Server.St.Stack, Ctl: sys.Server.St, Cross: lib.proxy}
+	lib.remote = socklayer.Place{St: sys.Server.St.Stack, Ctl: sys.Server.St,
+		Cross: func(t *sim.Proc, n int, run func(on *sim.Proc)) { lib.cross(t, opData, n, run) }}
 	lib.Table = socklayer.NewTable(sys.Host.NewProcess(name), &lib.remote)
 	lib.Table.Late = lib.implicitBind
 	lib.rx = lib.input // bound once, not per session's receive thread
@@ -92,14 +94,29 @@ func (sys *System) NewLibrary(name string) *Library {
 	return lib
 }
 
-// proxy is the crossing to the operating-system server: one RPC,
-// charged the round-trip IPC cost for approxBytes of arguments, with
-// run executing on a server worker thread.
-func (lib *Library) proxy(t *sim.Proc, approxBytes int, run func(on *sim.Proc)) {
-	lib.proxyCalls++
+// cross is the crossing to the operating-system server: one RPC,
+// counted under op and charged the round-trip IPC cost for approxBytes
+// of arguments, with run executing on a server worker thread.
+func (lib *Library) cross(t *sim.Proc, op proxyOp, approxBytes int, run func(on *sim.Proc)) {
+	lib.crossings[op]++
 	h := lib.sys.Host
 	h.Charge(t, sim.TaskPriority, costs.CompProxyRPC, h.Prof.ProxyRPC.At(approxBytes))
 	lib.srv.svc.Call(t, run)
+}
+
+// proxy crosses with c: its operation runs on a server worker thread.
+func (lib *Library) proxy(t *sim.Proc, c *ctlCall, approxBytes int) {
+	lib.cross(t, c.op, approxBytes, c.run)
+}
+
+// ask crosses with an operation on session sid whose arguments and
+// result are at most two ints: listen, release, dup, setopt, getopt.
+func (lib *Library) ask(t *sim.Proc, op proxyOp, sid SessionID, n, value int) (int, error) {
+	c := lib.getCall(op)
+	defer lib.putCall(c)
+	c.sid, c.n, c.value = sid, n, value
+	lib.proxy(t, c, 16)
+	return c.value, c.err
 }
 
 // startRx spawns a session's receive thread: it drains the session's
@@ -135,10 +152,11 @@ func (lib *Library) goLocal(e *socklayer.Entry, ep *kern.Endpoint) {
 	lib.startRx(ep)
 }
 
-// adoptTCP installs a migrated TCP session into the library stack.
-func (lib *Library) adoptTCP(t *sim.Proc, e *socklayer.Entry, m migration) {
+// adoptTCP installs a migrated TCP session into the library stack,
+// emptying the blob it arrived in.
+func (lib *Library) adoptTCP(t *sim.Proc, e *socklayer.Entry, m *migration, blob *stack.TCPSessionState) {
 	lib.cache.Insert(lib.St.NextHop(m.remote.IP), m.remoteMAC)
-	e.Sock = lib.St.ImportTCPSession(t, m.state)
+	e.Sock = lib.St.ImportTCPSession(t, blob)
 	lib.goLocal(e, m.ep)
 }
 
@@ -148,25 +166,22 @@ func (lib *Library) adoptTCP(t *sim.Proc, e *socklayer.Entry, m migration) {
 // (fork, splice), after which calls on the entry cross to the server.
 func (lib *Library) giveBack(t *sim.Proc, e *socklayer.Entry, closing bool) error {
 	s := sessOf(e)
-	var state *stack.TCPSessionState
+	c := lib.getCall(opReturn)
+	defer lib.putCall(c)
 	bytes := 32
 	if s.proto == wire.ProtoUDP {
 		lib.St.DropUDPSession(e.Sock)
 	} else {
-		var err error
-		if state, err = lib.St.ExportTCPSession(t, e.Sock); err != nil {
+		if err := lib.St.ExportTCPSession(t, e.Sock, &c.state); err != nil {
 			return err
 		}
-		bytes = state.WireSize()
+		bytes = c.state.WireSize()
 	}
 	e.At = &lib.remote
-	var r struct {
-		sock *stack.Socket
-		err  error
-	}
-	lib.proxy(t, bytes, func(on *sim.Proc) { r.sock, r.err = lib.srv.proxyReturn(on, s.id, state, closing) })
-	e.Sock = r.sock
-	return r.err
+	c.sid, c.closing = s.id, closing
+	lib.proxy(t, c, bytes)
+	e.Sock = c.sock
+	return c.err
 }
 
 // Socket implements socketapi.API (Table 1: socket -> proxy_socket). The
@@ -177,7 +192,11 @@ func (lib *Library) Socket(t *sim.Proc, typ int) (int, error) {
 		return -1, err
 	}
 	s := lib.newSession(proto)
-	lib.proxy(t, 16, func(*sim.Proc) { s.id = lib.srv.proxySocket(proto) })
+	c := lib.getCall(opSocket)
+	c.proto = proto
+	lib.proxy(t, c, 16)
+	s.id = c.sid
+	lib.putCall(c)
 	return lib.Install(&s.Entry), nil
 }
 
@@ -193,13 +212,13 @@ func (lib *Library) Bind(t *sim.Proc, fd int, addr socketapi.SockAddr) error {
 
 func (lib *Library) bind(t *sim.Proc, e *socklayer.Entry, addr socketapi.SockAddr) error {
 	s := sessOf(e)
-	var r struct {
-		bound
-		err error
-	}
-	lib.proxy(t, 32, func(on *sim.Proc) { r.bound, r.err = lib.srv.proxyBind(on, s.id, socklayer.ToStack(addr), lib) })
-	if r.err != nil {
-		return r.err
+	c := lib.getCall(opBind)
+	c.sid, c.addr = s.id, socklayer.ToStack(addr)
+	lib.proxy(t, c, 32)
+	r, err := c.bound, c.err
+	lib.putCall(c)
+	if err != nil {
+		return err
 	}
 	s.name = socketapi.SockAddr{Addr: addr.Addr, Port: r.local.Port}
 	e.Sock = r.sock // TCP: the server's socket keeps managing the session
@@ -232,17 +251,17 @@ func (lib *Library) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error 
 	}
 	s := sessOf(e)
 	raddr := socklayer.ToStack(addr)
-	var r struct {
-		migration
-		err error
-	}
-	lib.proxy(t, 64, func(on *sim.Proc) { r.migration, r.err = lib.srv.proxyConnect(on, s.id, raddr, lib) })
-	if r.err != nil {
+	c := lib.getCall(opConnect)
+	defer lib.putCall(c)
+	c.sid, c.addr = s.id, raddr
+	lib.proxy(t, c, 64)
+	if c.err != nil {
 		if s.proto == wire.ProtoTCP && e.At == &lib.remote {
 			e.Sock = nil // the failed open consumed the server's socket
 		}
-		return r.err
+		return c.err
 	}
+	r := &c.mig
 	s.name = socklayer.FromStack(r.local)
 	switch s.proto {
 	case wire.ProtoUDP:
@@ -262,7 +281,7 @@ func (lib *Library) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error 
 			lib.goLocal(e, r.ep)
 		}
 	case wire.ProtoTCP:
-		lib.adoptTCP(t, e, r.migration)
+		lib.adoptTCP(t, e, r, &c.state)
 	}
 	return nil
 }
@@ -274,7 +293,7 @@ func (lib *Library) Listen(t *sim.Proc, fd int, backlog int) error {
 	if err != nil {
 		return err
 	}
-	lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxyListen(sessOf(e).id, backlog) })
+	_, err = lib.ask(t, opListen, sessOf(e).id, backlog, 0)
 	return err
 }
 
@@ -286,17 +305,17 @@ func (lib *Library) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error)
 	if err != nil {
 		return -1, socketapi.SockAddr{}, err
 	}
-	var r struct {
-		migration
-		err error
+	c := lib.getCall(opAccept)
+	defer lib.putCall(c)
+	c.sid = sessOf(e).id
+	lib.proxy(t, c, 64)
+	if c.err != nil {
+		return -1, socketapi.SockAddr{}, c.err
 	}
-	lib.proxy(t, 64, func(on *sim.Proc) { r.migration, r.err = lib.srv.proxyAccept(on, sessOf(e).id, lib) })
-	if r.err != nil {
-		return -1, socketapi.SockAddr{}, r.err
-	}
+	r := &c.mig
 	ns := lib.newSession(wire.ProtoTCP)
 	ns.id, ns.name = r.sid, socklayer.FromStack(r.local)
-	lib.adoptTCP(t, &ns.Entry, r.migration)
+	lib.adoptTCP(t, &ns.Entry, r, &c.state)
 	return lib.Install(&ns.Entry), socklayer.FromStack(r.remote), nil
 }
 
@@ -319,7 +338,7 @@ func (lib *Library) Close(t *sim.Proc, fd int) error {
 		// The export failed: the connection is already dead locally (reset
 		// or fully closed), so there is nothing to hand back but the record.
 	}
-	lib.proxy(t, 16, func(on *sim.Proc) { err = lib.srv.proxyRelease(on, sessOf(e).id) })
+	_, err = lib.ask(t, opRelease, sessOf(e).id, 0, 0)
 	return err
 }
 
@@ -333,7 +352,7 @@ func (lib *Library) SetSockOpt(t *sim.Proc, fd int, opt, value int) error {
 	if e.Sock != nil {
 		return lib.Table.SetSockOpt(t, fd, opt, value)
 	}
-	lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxySetOpt(sessOf(e).id, opt, value) })
+	_, err = lib.ask(t, opSetOpt, sessOf(e).id, opt, value)
 	return err
 }
 
@@ -346,8 +365,7 @@ func (lib *Library) GetSockOpt(t *sim.Proc, fd int, opt int) (v int, err error) 
 	if e.Sock != nil {
 		return lib.Table.GetSockOpt(t, fd, opt)
 	}
-	lib.proxy(t, 16, func(*sim.Proc) { v, err = lib.srv.proxyGetOpt(sessOf(e).id, opt) })
-	return v, err
+	return lib.ask(t, opGetOpt, sessOf(e).id, opt, 0)
 }
 
 // GetSockName implements socketapi.API from the name the library
@@ -391,8 +409,11 @@ func (lib *Library) Select(t *sim.Proc, read, write socketapi.FDSet, timeout tim
 			check(fd, true)
 		}
 		if len(sids) > 0 {
-			var readable, writable []bool
-			lib.proxy(t, 16*len(sids), func(*sim.Proc) { readable, writable = lib.srv.proxyStatus(sids) })
+			c := lib.getCall(opStatus)
+			c.sids = sids
+			lib.proxy(t, c, 16*len(sids))
+			readable, writable := c.readable, c.writable
+			lib.putCall(c)
 			for i, fd := range fds {
 				if wantWrite[i] && writable[i] {
 					w[fd] = true
@@ -423,8 +444,7 @@ func (lib *Library) Fork(t *sim.Proc, childName string) (socketapi.API, error) {
 	err := lib.Inherit(child.Table, func(e *socklayer.Entry) (*socklayer.Entry, error) {
 		cs := *sessOf(e) // the child's own record of the same server session
 		cs.At, cs.Owner = &child.remote, &cs
-		var err error
-		lib.proxy(t, 16, func(*sim.Proc) { err = lib.srv.proxyDup(cs.id) })
+		_, err := lib.ask(t, opDup, cs.id, 0, 0)
 		return &cs.Entry, err
 	})
 	return child, err
@@ -452,7 +472,7 @@ func (lib *Library) ExitProcess(t *sim.Proc) {
 		} else if s.proto == wire.ProtoUDP {
 			lib.St.DropUDPSession(e.Sock)
 			rest = append(rest, s.id)
-		} else if state, err := lib.St.ExportTCPSession(t, e.Sock); err == nil {
+		} else if state := new(stack.TCPSessionState); lib.St.ExportTCPSession(t, e.Sock, state) == nil {
 			tcp = append(tcp, orphan{s.id, state})
 		} else {
 			rest = append(rest, s.id) // reset in the library: nothing to abort
@@ -498,4 +518,23 @@ func (lib *Library) Splice(t *sim.Proc, dstFD, srcFD int, n int) (int, error) {
 func (lib *Library) Cache() *MetaCache { return lib.cache }
 
 // ProxyCalls returns the number of proxy RPCs this library has made.
-func (lib *Library) ProxyCalls() int { return lib.proxyCalls }
+func (lib *Library) ProxyCalls() int {
+	n := 0
+	for _, c := range lib.crossings {
+		n += c
+	}
+	return n
+}
+
+// ProxyCallsByOp returns the proxy RPCs this library has made, by Table
+// 1 operation ("data" for a socket call on a session the server
+// manages); operations never crossed are absent.
+func (lib *Library) ProxyCallsByOp() map[string]int {
+	m := map[string]int{}
+	for op, c := range lib.crossings {
+		if c > 0 {
+			m[proxyOpNames[op]] = c
+		}
+	}
+	return m
+}

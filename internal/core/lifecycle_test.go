@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/socketapi"
+	"repro/internal/stack"
 	"repro/internal/wire"
 )
 
@@ -217,7 +218,7 @@ func TestSessionLifecycle(t *testing.T) {
 			{"dead migration", func(r *lifeRig) {
 				sess := r.srv.sessions[r.sid]
 				r.srv.St.Abort(r.p, sess.srvSock)
-				if _, err := r.srv.migrate(r.p, sess, r.app, true); err == nil {
+				if err := r.srv.migrate(r.p, sess, r.app, true, new(stack.TCPSessionState)); err == nil {
 					r.t.Error("a closed connection migrated")
 				}
 			}, path(migrating, serverOwned)},
@@ -236,7 +237,7 @@ func TestSessionLifecycle(t *testing.T) {
 					r.srv.proxyRelease(p, r.sid)
 				})
 				r.p.Sleep(1) // the input holds the stack
-				if _, err := r.srv.migrate(r.p, r.srv.sessions[r.sid], r.app, true); !errors.Is(err, socketapi.ErrBadFD) {
+				if err := r.srv.migrate(r.p, r.srv.sessions[r.sid], r.app, true, new(stack.TCPSessionState)); !errors.Is(err, socketapi.ErrBadFD) {
 					r.t.Errorf("migration under close = %v, want EBADF", err)
 				}
 			}, path(migrating, serverOwned, closing)}, lifeWait2MSL}},

@@ -20,6 +20,112 @@ import (
 // not here: that is the shared socket layer running against the server's
 // stack behind the same crossing.
 
+// proxyOp is a Table 1 operation, as a crossing counts it.
+type proxyOp uint8
+
+const (
+	opSocket proxyOp = iota
+	opBind
+	opConnect
+	opListen
+	opAccept
+	opReturn
+	opRelease
+	opDup
+	opSetOpt
+	opGetOpt
+	opStatus
+	opARP
+	opData // a socket call on a session the server manages (send, recv, ...)
+	numOps
+)
+
+var proxyOpNames = [numOps]string{"socket", "bind", "connect", "listen", "accept", "return",
+	"release", "dup", "setopt", "getopt", "status", "arp", "data"}
+
+// ctlCall is one control crossing: the operation, the arguments that go
+// over and the results that come back, with the blob of a migration in
+// either direction embedded. Its body is bound as a method value once,
+// when the record is made, so a crossing builds no closure. Records
+// circulate through their Library's free list: two threads of a process
+// can be inside crossings at once, and each holds a record of its own.
+type ctlCall struct {
+	lib *Library
+	op  proxyOp
+
+	sid      SessionID // the session named; socket's result
+	proto    uint8
+	closing  bool
+	n, value int         // listen's backlog; the option and its value
+	addr     stack.Addr  // bind's name, connect's peer
+	ip       wire.IPAddr // arp's next hop
+	sids     []SessionID // status
+
+	bound              bound
+	mig                migration
+	sock               *stack.Socket // return's server socket
+	readable, writable []bool
+	mac                wire.MAC
+	err                error
+
+	state stack.TCPSessionState // connect's and accept's blob in, return's out
+	run   func(on *sim.Proc)
+}
+
+// exec runs c's operation on a server worker thread.
+func (c *ctlCall) exec(on *sim.Proc) {
+	srv := c.lib.srv
+	switch c.op {
+	case opSocket:
+		c.sid = srv.proxySocket(c.proto)
+	case opBind:
+		c.bound, c.err = srv.proxyBind(on, c.sid, c.addr, c.lib)
+	case opConnect:
+		c.mig, c.err = srv.proxyConnect(on, c.sid, c.addr, c.lib, &c.state)
+	case opListen:
+		c.err = srv.proxyListen(c.sid, c.n)
+	case opAccept:
+		c.mig, c.err = srv.proxyAccept(on, c.sid, c.lib, &c.state)
+	case opReturn:
+		c.sock, c.err = srv.proxyReturn(on, c.sid, &c.state, c.closing)
+	case opRelease:
+		c.err = srv.proxyRelease(on, c.sid)
+	case opDup:
+		c.err = srv.proxyDup(c.sid)
+	case opSetOpt:
+		c.err = srv.proxySetOpt(c.sid, c.n, c.value)
+	case opGetOpt:
+		c.value, c.err = srv.proxyGetOpt(c.sid, c.n)
+	case opStatus:
+		c.readable, c.writable = srv.proxyStatus(c.sids)
+	case opARP:
+		c.mac, c.err = srv.proxyARP(on, c.ip)
+	}
+}
+
+// getCall takes a record for a crossing of op.
+func (lib *Library) getCall(op proxyOp) *ctlCall {
+	var c *ctlCall
+	if n := len(lib.calls); n > 0 {
+		c = lib.calls[n-1]
+		lib.calls[n-1] = nil
+		lib.calls = lib.calls[:n-1]
+	} else {
+		c = &ctlCall{lib: lib}
+		c.run = c.exec
+	}
+	c.op = op
+	return c
+}
+
+// putCall clears the record, so no session, socket or chain it named
+// outlives the call, and hands it back. Its blob is empty by then: an
+// import or a refusal's Release took what a migration carried.
+func (lib *Library) putCall(c *ctlCall) {
+	*c = ctlCall{lib: c.lib, run: c.run}
+	lib.calls = append(lib.calls, c)
+}
+
 // bound is proxy_bind's reply: the endpoint's name, and either the
 // packet-filter endpoint of a session that migrated at once (UDP) or
 // the server socket that keeps managing it (TCP).
@@ -29,14 +135,13 @@ type bound struct {
 	sock  *stack.Socket
 }
 
-// migration is what proxy_connect and proxy_accept hand the library:
-// the session's names, its exported protocol state (TCP), the endpoint
-// its packet filter now delivers to, and the peer's link address to
-// warm the metastate cache with.
+// migration is what proxy_connect and proxy_accept hand the library
+// beside the exported protocol state (TCP, in the call's blob): the
+// session's names, the endpoint its packet filter now delivers to, and
+// the peer's link address to warm the metastate cache with.
 type migration struct {
 	sid           SessionID
 	local, remote stack.Addr
-	state         *stack.TCPSessionState
 	ep            *kern.Endpoint
 	remoteMAC     wire.MAC
 }
@@ -77,7 +182,7 @@ func (srv *Server) proxyBind(t *sim.Proc, sid SessionID, addr stack.Addr, lib *L
 	}
 	srv.traceEmit(trace.EvPortOp, protoName(sess.proto), "bind", int64(sess.local.Port), int64(sess.id))
 	if sess.proto == wire.ProtoUDP {
-		srv.migrate(t, sess, lib, true)
+		srv.migrate(t, sess, lib, true, nil)
 	}
 	return bound{local: sess.local, ep: sess.ep, sock: sess.srvSock}, nil
 }
@@ -104,8 +209,8 @@ func (srv *Server) proxyListen(sid SessionID, backlog int) error {
 }
 
 // proxyAccept waits for an established connection and migrates it into
-// the application.
-func (srv *Server) proxyAccept(t *sim.Proc, sid SessionID, lib *Library) (migration, error) {
+// the application, its state exported into dst.
+func (srv *Server) proxyAccept(t *sim.Proc, sid SessionID, lib *Library, dst *stack.TCPSessionState) (migration, error) {
 	sess, err := srv.get(sid)
 	if err != nil {
 		return migration{}, err
@@ -120,20 +225,21 @@ func (srv *Server) proxyAccept(t *sim.Proc, sid SessionID, lib *Library) (migrat
 	newSess := srv.newSession(wire.ProtoTCP)
 	newSess.local, newSess.remote, newSess.srvSock = ns.LocalAddr(), ns.RemoteAddr(), ns
 	srv.move(newSess, serverOwned)
-	return srv.established(t, newSess, "accept", lib)
+	return srv.established(t, newSess, "accept", lib, dst)
 }
 
 // established finishes either open: count it, resolve the peer for the
-// library's cache, and migrate the session into the application.
-func (srv *Server) established(t *sim.Proc, sess *session, how string, lib *Library) (migration, error) {
+// library's cache, and migrate the session into the application through
+// dst.
+func (srv *Server) established(t *sim.Proc, sess *session, how string, lib *Library, dst *stack.TCPSessionState) (migration, error) {
 	srv.ConnSetups.Inc()
 	srv.traceSess(trace.EvConnSetup, sess, how)
 	mac, _ := srv.St.ARP().WaitResolve(t, srv.St.NextHop(sess.remote.IP), 10*time.Second)
 	if srv.closedUnder(t, sess) {
 		return migration{}, socketapi.ErrBadFD
 	}
-	state, err := srv.migrate(t, sess, lib, how == "connect")
-	return migration{sid: sess.id, local: sess.local, remote: sess.remote, state: state, ep: sess.ep, remoteMAC: mac}, err
+	err := srv.migrate(t, sess, lib, how == "connect", dst)
+	return migration{sid: sess.id, local: sess.local, remote: sess.remote, ep: sess.ep, remoteMAC: mac}, err
 }
 
 // proxyReturn migrates a session back from the application (Table 1's
@@ -260,7 +366,7 @@ func (srv *Server) proxyARP(t *sim.Proc, ip wire.IPAddr) (wire.MAC, error) {
 // proxyConnect performs the server side of an active open: name the
 // endpoints, run the handshake in the server, then migrate the
 // established session into the application.
-func (srv *Server) proxyConnect(t *sim.Proc, sid SessionID, raddr stack.Addr, lib *Library) (migration, error) {
+func (srv *Server) proxyConnect(t *sim.Proc, sid SessionID, raddr stack.Addr, lib *Library, dst *stack.TCPSessionState) (migration, error) {
 	sess, err := srv.get(sid)
 	if err != nil {
 		return migration{}, err
@@ -273,7 +379,7 @@ func (srv *Server) proxyConnect(t *sim.Proc, sid SessionID, raddr stack.Addr, li
 			if err := srv.name(sess, stack.Addr{}); err != nil {
 				return migration{}, err
 			}
-			srv.migrate(t, sess, lib, true)
+			srv.migrate(t, sess, lib, true, nil)
 		}
 		if sess.state == serverOwned { // returned for fork: the server's socket takes the peer
 			if err := srv.St.Connect(t, sess.srvSock, raddr); err != nil {
@@ -307,7 +413,7 @@ func (srv *Server) proxyConnect(t *sim.Proc, sid SessionID, raddr stack.Addr, li
 		sess.local = sess.srvSock.LocalAddr()
 		sess.remote = sess.srvSock.RemoteAddr()
 		srv.move(sess, serverOwned)
-		return srv.established(t, sess, "connect", lib)
+		return srv.established(t, sess, "connect", lib, dst)
 	}
 	return migration{}, socketapi.ErrNotSupported
 }
@@ -356,22 +462,23 @@ func (sess *session) installFilter() {
 // its port; a session that reserved its own (ownPort) holds that reference
 // until it is reaped, and an accepted one shares its listener's. A session
 // whose last descriptor closed during the export stays with the server,
-// which shuts it (closedUnder).
-func (srv *Server) migrate(t *sim.Proc, sess *session, lib *Library, ownPort bool) (state *stack.TCPSessionState, err error) {
+// which shuts it (closedUnder). A TCP session's state is exported into
+// dst, which holds it only if the migration succeeds.
+func (srv *Server) migrate(t *sim.Proc, sess *session, lib *Library, ownPort bool, dst *stack.TCPSessionState) error {
 	srv.move(sess, migrating)
 	if sess.proto == wire.ProtoUDP {
 		srv.St.DropUDPSession(sess.srvSock)
-	} else if state, err = srv.St.ExportTCPSession(t, sess.srvSock); err != nil || sess.refs == 0 {
+	} else if err := srv.St.ExportTCPSession(t, sess.srvSock, dst); err != nil || sess.refs == 0 {
 		if err == nil { // the export waited for the stack, and the close came meanwhile
-			sess.srvSock, err = srv.St.ImportTCPSession(t, state), socketapi.ErrBadFD
+			sess.srvSock, err = srv.St.ImportTCPSession(t, dst), socketapi.ErrBadFD
 		}
 		srv.move(sess, serverOwned)
 		srv.closedUnder(t, sess)
-		return nil, err
+		return err
 	}
 	sess.owner, sess.portHeld = lib, ownPort
 	srv.move(sess, libOwned)
-	return state, nil
+	return nil
 }
 
 // shut closes the server socket of a session no descriptor names any

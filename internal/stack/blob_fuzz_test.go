@@ -67,8 +67,8 @@ func importForged(t *testing.T, forge func(*stack.TCPSessionState)) {
 			return
 		}
 		p.Sleep(20 * time.Millisecond) // the peer's first bytes arrive unread
-		ss, err := w.b.st.ExportTCPSession(p, cs)
-		if err != nil {
+		ss := new(stack.TCPSessionState)
+		if err := w.b.st.ExportTCPSession(p, cs, ss); err != nil {
 			t.Error(err)
 			return
 		}

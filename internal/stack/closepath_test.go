@@ -141,8 +141,8 @@ func TestFinWait2TimesOutOnlyWhenClosed(t *testing.T) {
 		"imported-then-close": {func(w *world, p *sim.Proc, a *stack.Socket) *stack.Stack {
 			w.a.st.Shutdown(p, a, socketapi.ShutWr)
 			p.Sleep(time.Second)
-			ss, err := w.a.st.ExportTCPSession(p, a)
-			if err != nil {
+			ss := new(stack.TCPSessionState)
+			if err := w.a.st.ExportTCPSession(p, a, ss); err != nil {
 				panic(err)
 			}
 			w.a.st.Close(p, w.a.st.ImportTCPSession(p, ss))

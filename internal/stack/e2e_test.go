@@ -291,6 +291,77 @@ func TestTCPConnectRefused(t *testing.T) {
 	}
 }
 
+// TestTCPConnectAgainAfterRefusal: a TCP socket whose connect was
+// refused connects again, to a listener, and moves data both ways. Its
+// first open took the control block allocated with the socket; the
+// second gets a block of its own, so the refused one is never reset
+// under the socket that still names it.
+func TestTCPConnectAgainAfterRefusal(t *testing.T) {
+	w := newWorld(4)
+	const port = 5999
+	w.s.Spawn("server", func(p *sim.Proc) {
+		p.Sleep(time.Second) // after the first connect is refused
+		ls := w.b.st.NewSocket(wire.ProtoTCP)
+		w.b.st.Bind(ls, stack.Addr{Port: port})
+		w.b.st.Listen(ls, 1)
+		cs, err := w.b.st.Accept(p, ls)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 64)
+		n, _, _, err := w.b.st.Recv(p, cs, buf, recvOptsNone())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		w.b.st.Send(p, cs, [][]byte{bytes.ToUpper(buf[:n])}, stack.SendOpts{})
+		w.b.st.Close(p, cs)
+		w.b.st.Close(p, ls)
+	})
+	var reply []byte
+	w.s.Spawn("client", func(p *sim.Proc) {
+		s := w.a.st.NewSocket(wire.ProtoTCP)
+		if tcb, spare := stack.ControlBlocks(s); tcb != nil || !spare {
+			t.Errorf("a new socket has control block %v, spare %v; want none yet, and its own spare", tcb, spare)
+		}
+		dst := stack.Addr{IP: w.b.st.LocalIP(), Port: port}
+		if err := w.a.st.Connect(p, s, dst); !errors.Is(err, socketapi.ErrConnRefused) {
+			t.Errorf("first connect = %v, want ECONNREFUSED", err)
+			return
+		}
+		refused, spare := stack.ControlBlocks(s)
+		if refused == nil || spare {
+			t.Errorf("after the refused open: control block %v, spare %v; want the socket's own block taken", refused, spare)
+		}
+		p.Sleep(2 * time.Second)
+		if err := w.a.st.Connect(p, s, dst); err != nil {
+			t.Errorf("second connect: %v", err)
+			return
+		}
+		if tcb, _ := stack.ControlBlocks(s); tcb == refused {
+			t.Error("the second open reset the refused open's control block in place")
+		}
+		if _, err := w.a.st.Send(p, s, [][]byte{[]byte("again")}, stack.SendOpts{}); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 64)
+		n, _, _, err := w.a.st.Recv(p, s, buf, recvOptsNone())
+		if err != nil {
+			t.Error(err)
+		}
+		reply = buf[:n]
+		w.a.st.Close(p, s)
+	})
+	if err := w.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if string(reply) != "AGAIN" {
+		t.Fatalf("reply = %q, want %q", reply, "AGAIN")
+	}
+}
+
 func TestUDPPortUnreachable(t *testing.T) {
 	w := newWorld(5)
 	var recvErr error
@@ -505,8 +576,8 @@ func TestMigrationMidStream(t *testing.T) {
 		}
 		// Migrate: export from the stack and import back (round trip
 		// through the serialized form, as a real migration would).
-		ss, err := w.b.st.ExportTCPSession(p, cs)
-		if err != nil {
+		ss := new(stack.TCPSessionState)
+		if err := w.b.st.ExportTCPSession(p, cs, ss); err != nil {
 			t.Errorf("export: %v", err)
 			return
 		}

@@ -32,7 +32,8 @@ type ReasmSegState struct {
 // TCPSessionState is the protocol state of one TCP session in flight
 // between the OS server and a protocol library. It owns its queues from
 // export until import, or until Release hands a refused blob's storage
-// back.
+// back. The blob itself belongs to whoever passed it to the export, who
+// may fill it again once an import or Release has emptied it.
 type TCPSessionState struct {
 	Local, Remote      Addr
 	RdShut, WrShut     bool
@@ -98,21 +99,23 @@ func (ss *TCPSessionState) Check(local, remote Addr) error {
 	return nil
 }
 
-// ExportTCPSession captures a connection's state and detaches it from
-// this stack: the socket stops demultiplexing here, its timers go dead,
-// its queues move into the blob (leaving the socket's empty), and the
-// caller is expected to hand the blob to another stack. The socket's
-// port reservation is NOT released — in the decomposed architecture the
-// namespace entry belongs to the OS server for the session's whole
-// lifetime.
-func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket) (*TCPSessionState, error) {
+// ExportTCPSession captures a connection's state into ss and detaches
+// it from this stack: the socket stops demultiplexing here, its timers
+// go dead, its queues move into ss (leaving the socket's empty), and
+// the caller is expected to hand ss to another stack. ss is the
+// caller's and must hold nothing (a new blob, or one an import or
+// Release emptied); it is left untouched if the export fails. The
+// socket's port reservation is NOT released — in the decomposed
+// architecture the namespace entry belongs to the OS server for the
+// session's whole lifetime.
+func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket, ss *TCPSessionState) error {
 	st.lock(t)
 	defer st.unlock()
 	tp := s.tcb
 	if tp == nil || tp.state < tcpEstablished {
-		return nil, fmt.Errorf("stack: cannot migrate %s session", TCPStateOf(s))
+		return fmt.Errorf("stack: cannot migrate %s session", TCPStateOf(s))
 	}
-	ss := &TCPSessionState{
+	*ss = TCPSessionState{
 		Local: s.local, Remote: s.remote,
 		State:  int(tp.state),
 		SndUna: tp.sndUna, SndNxt: tp.sndNxt, SndMax: tp.sndMax,
@@ -146,7 +149,7 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket) (*TCPSessionState, err
 		tp.timers[i] = 0
 	}
 	st.deregister(s)
-	return ss, nil
+	return nil
 }
 
 // ImportTCPSession installs a migrated session into this stack, returning

@@ -10,7 +10,7 @@ import (
 // server of the decomposed architecture, where it implements the paper's
 // "local IP port manager").
 type LocalPorts struct {
-	inUse     map[portKey]*portState
+	inUse     map[portKey]portState // by value: a reservation allocates no record
 	nextEphem uint16
 
 	// Reserves counts successful port acquisitions (ephemeral or
@@ -41,7 +41,7 @@ const (
 
 // NewLocalPorts returns an empty namespace.
 func NewLocalPorts() *LocalPorts {
-	return &LocalPorts{inUse: make(map[portKey]*portState), nextEphem: ephemeralFirst}
+	return &LocalPorts{inUse: make(map[portKey]portState), nextEphem: ephemeralFirst}
 }
 
 // AllocEphemeral reserves a free ephemeral port for proto.
@@ -53,7 +53,7 @@ func (lp *LocalPorts) AllocEphemeral(proto uint8) (uint16, error) {
 			lp.nextEphem = ephemeralFirst
 		}
 		if _, taken := lp.inUse[portKey{proto, p}]; !taken && p >= ephemeralFirst {
-			lp.inUse[portKey{proto, p}] = &portState{refs: 1}
+			lp.inUse[portKey{proto, p}] = portState{refs: 1}
 			lp.Reserves.Inc()
 			return p, nil
 		}
@@ -74,12 +74,13 @@ func (lp *LocalPorts) Reserve(proto uint8, port uint16, reuse bool) error {
 		}
 		if st.reuse && reuse {
 			st.refs++
+			lp.inUse[k] = st
 			lp.Reserves.Inc()
 			return nil
 		}
 		return socketapi.ErrAddrInUse
 	}
-	lp.inUse[k] = &portState{refs: 1, reuse: reuse}
+	lp.inUse[k] = portState{refs: 1, reuse: reuse}
 	lp.Reserves.Inc()
 	return nil
 }
@@ -90,9 +91,17 @@ func (lp *LocalPorts) Release(proto uint8, port uint16) {
 	if st, ok := lp.inUse[k]; ok {
 		st.refs--
 		lp.Releases.Inc()
-		if st.refs <= 0 {
-			delete(lp.inUse, k)
-		}
+		lp.put(k, st)
+	}
+}
+
+// put stores a reservation back, or deletes it once no reference holds
+// it.
+func (lp *LocalPorts) put(k portKey, st portState) {
+	if st.refs <= 0 {
+		delete(lp.inUse, k)
+	} else {
+		lp.inUse[k] = st
 	}
 }
 
@@ -100,12 +109,10 @@ func (lp *LocalPorts) Release(proto uint8, port uint16) {
 // server when it aborts a dead process's connections).
 func (lp *LocalPorts) Quarantine(proto uint8, port uint16) {
 	k := portKey{proto, port}
-	if st, ok := lp.inUse[k]; ok {
-		st.quarantined = true
-		st.refs++ // hold it
-		return
-	}
-	lp.inUse[k] = &portState{refs: 1, quarantined: true}
+	st := lp.inUse[k] // the zero state for a free port
+	st.quarantined = true
+	st.refs++ // hold it
+	lp.inUse[k] = st
 }
 
 // Unquarantine lifts a quarantine.
@@ -114,9 +121,7 @@ func (lp *LocalPorts) Unquarantine(proto uint8, port uint16) {
 	if st, ok := lp.inUse[k]; ok && st.quarantined {
 		st.quarantined = false
 		st.refs--
-		if st.refs <= 0 {
-			delete(lp.inUse, k)
-		}
+		lp.put(k, st)
 	}
 }
 

@@ -19,14 +19,15 @@ type Socket struct {
 	Proto uint8
 
 	local, remote Addr
+	portReserved  bool // in the padding after the Addrs
 	// ports is the namespace the socket names itself in: its Control's,
 	// if NewSocket made it; nil for a session that arrived named
 	// (imported, adopted, or spawned on its listener's port).
-	ports        *LocalPorts
-	portReserved bool
+	ports *LocalPorts
 
 	// TCP.
 	tcb           *tcpcb
+	spare         *tcpcb // the control block allocated with the socket, until newTCPCB takes it
 	snd, rcv      *streamBuf
 	oob           []byte // out-of-band byte(s), kept out of line as BSD does without OOBINLINE
 	listenQ       []*Socket
@@ -40,17 +41,17 @@ type Socket struct {
 	noDelay                bool
 	reuseAddr              bool
 	keepAlive              bool
+	rdShut, wrShut         bool
+	closed                 bool
 
 	// Chain-API accounting (psdstat -s surfaces these per socket).
 	splicedBytes int64 // bytes moved through Splice, as source or sink
 	zcRxBytes    int64 // bytes returned as RecvPeek aliased views
 	selCopyBytes int64 // bytes materialized by CopyRanges specs
 
-	err            error // so_error: async errors delivered to the next call
-	rdShut, wrShut bool
-	closed         bool
-	accepting      sim.Cond
-	stateChanged   sim.Cond // connect()/close() progress
+	err          error // so_error: async errors delivered to the next call
+	accepting    sim.Cond
+	stateChanged sim.Cond // connect()/close() progress
 
 	// Notify, when set, is invoked (in whatever thread caused the change)
 	// whenever the socket becomes readable/writable or its state changes.
@@ -71,20 +72,29 @@ func (st *Control) NewSocket(proto uint8) *Socket {
 	return s
 }
 
+// tcpSocket is a TCP socket as one allocation: the socket, its two
+// stream buffers and the control block its first open takes. It is 696
+// B, so that with the allocator's 8-byte header it fills the 704-byte
+// size class.
+type tcpSocket struct {
+	Socket
+	bufs [2]streamBuf
+	tcb  tcpcb
+}
+
 func (st *Stack) newSocket(proto uint8) *Socket {
 	st.sockSeq++
-	s := &Socket{
-		st:         st,
-		uid:        st.sockSeq,
-		Proto:      proto,
-		sndbufSize: DefaultSockBuf,
-		rcvbufSize: DefaultSockBuf,
+	var s *Socket
+	if proto == wire.ProtoTCP {
+		o := &tcpSocket{bufs: [2]streamBuf{{hiwat: DefaultSockBuf}, {hiwat: DefaultSockBuf}}}
+		s = &o.Socket
+		s.snd, s.rcv, s.spare = &o.bufs[0], &o.bufs[1], &o.tcb
+	} else {
+		s = new(Socket)
 	}
-	switch proto {
-	case wire.ProtoTCP:
-		bufs := &[2]streamBuf{{hiwat: s.sndbufSize}, {hiwat: s.rcvbufSize}} // one allocation for both
-		s.snd, s.rcv = &bufs[0], &bufs[1]
-	case wire.ProtoUDP:
+	s.st, s.uid, s.Proto = st, st.sockSeq, proto
+	s.sndbufSize, s.rcvbufSize = DefaultSockBuf, DefaultSockBuf
+	if proto == wire.ProtoUDP {
 		s.drcv = newDgramBuf(s.rcvbufSize)
 	}
 	return s

@@ -123,7 +123,6 @@ type tcpcb struct {
 	srtt     float64 // smoothed RTT, ns
 	rttvar   float64 // smoothed mean deviation, ns
 	rttStart sim.Time
-	rttSeq   uint32
 
 	// Timers (slow ticks; 0 = off).
 	timers     [numTimers]int
@@ -143,7 +142,8 @@ type tcpcb struct {
 	finSeq      uint32
 	sawFin      bool // peer's FIN has been received (in order)
 	forceUrgent bool
-	rttTiming   bool // a segment is being timed (rttStart, rttSeq)
+	rttTiming   bool   // a segment is being timed (rttStart, rttSeq)
+	rttSeq      uint32 // here rather than beside rttStart, in the flags' padding
 
 	reasm []reasmSeg
 
@@ -153,8 +153,16 @@ type tcpcb struct {
 	txc mbuf.Chain
 }
 
+// newTCPCB returns a fresh control block for s: the one allocated with
+// the socket the first time, a new one only when s opens again after a
+// failed connect.
 func newTCPCB(st *Stack, s *Socket) *tcpcb {
-	return &tcpcb{
+	tp := s.spare
+	if tp == nil {
+		tp = new(tcpcb)
+	}
+	s.spare = nil
+	*tp = tcpcb{
 		st:       st,
 		sock:     s,
 		state:    tcpClosed,
@@ -162,6 +170,7 @@ func newTCPCB(st *Stack, s *Socket) *tcpcb {
 		cwnd:     tcpDefaultMSS,
 		ssthresh: 65535,
 	}
+	return tp
 }
 
 // connName renders the connection 4-tuple for trace records.
@@ -342,35 +351,3 @@ const (
 	flagACK = 0x10
 	flagURG = 0x20
 )
-
-// DebugTCB renders a TCP socket's control-block state for diagnostics.
-func DebugTCB(s *Socket) string {
-	if s == nil || s.tcb == nil {
-		return "<no tcb>"
-	}
-	tp := s.tcb
-	return fmt.Sprintf(
-		"%s una=%d nxt=%d max=%d (rel una=%d nxt=%d) sndWnd=%d cwnd=%d ssthresh=%d dupAcks=%d rcvNxt(rel)=%d rcvAdv(rel)=%d sndQ=%d rcvQ=%d reasm=%d timers=%v shift=%d finSent=%v finSeq=%d sawFin=%v force=%v ackNow=%v delAck=%v",
-		tp.state, tp.sndUna, tp.sndNxt, tp.sndMax,
-		tp.sndUna-tp.iss, tp.sndNxt-tp.iss,
-		tp.sndWnd, tp.cwnd, tp.ssthresh, tp.dupAcks,
-		tp.rcvNxt-tp.irs, tp.rcvAdv-tp.irs,
-		s.snd.len(), s.rcv.len(), len(tp.reasm), tp.timers, tp.rexmtShift,
-		tp.finSent, tp.finSeq, tp.sawFin, tp.force, tp.ackNow, tp.delAck)
-}
-
-// DebugWaiters reports how many threads are parked on each socket buffer
-// condition (diagnostics).
-func DebugWaiters(s *Socket) string {
-	if s == nil {
-		return "<nil>"
-	}
-	rw, sw := -1, -1
-	if s.rcv != nil {
-		rw = s.rcv.cond.Waiters()
-	}
-	if s.snd != nil {
-		sw = s.snd.cond.Waiters()
-	}
-	return fmt.Sprintf("rcvWaiters=%d sndWaiters=%d closed=%v err=%v rdShut=%v wrShut=%v", rw, sw, s.closed, s.err, s.rdShut, s.wrShut)
-}

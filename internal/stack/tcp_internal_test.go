@@ -345,6 +345,9 @@ func TestPortReuseAddr(t *testing.T) {
 		t.Fatal("non-reuse reserve of reuse port allowed")
 	}
 	lp.Release(wire.ProtoTCP, 7000)
+	if !lp.InUse(wire.ProtoTCP, 7000) {
+		t.Fatal("the first release freed a port the second reservation still holds")
+	}
 	lp.Release(wire.ProtoTCP, 7000)
 	if lp.InUse(wire.ProtoTCP, 7000) {
 		t.Fatal("refcount leak")

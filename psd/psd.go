@@ -559,17 +559,15 @@ func (h *Host) ServerStats() (sessions, migrations, returns, orphans int) {
 
 // ParseIP parses a dotted IPv4 address.
 func ParseIP(s string) (wire.IPAddr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return wire.IPAddr{}, fmt.Errorf("psd: bad IPv4 address %q", s)
-	}
 	var ip wire.IPAddr
-	for i, p := range parts {
-		v, ok := decimal(p, 255)
-		if !ok {
+	rest := s
+	for i := range ip {
+		field, tail, dot := strings.Cut(rest, ".")
+		v, ok := decimal(field, 255)
+		if !ok || dot != (i < len(ip)-1) { // a bad field, or a dot missing or left over
 			return wire.IPAddr{}, fmt.Errorf("psd: bad IPv4 address %q", s)
 		}
-		ip[i] = byte(v)
+		ip[i], rest = byte(v), tail
 	}
 	return ip, nil
 }

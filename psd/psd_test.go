@@ -21,6 +21,9 @@ func TestParseIP(t *testing.T) {
 	if a.Port != 80 || a.Addr.String() != "192.168.0.1" {
 		t.Fatalf("Addr = %v", a)
 	}
+	if n := testing.AllocsPerRun(100, func() { psd.ParseIP("192.168.0.1") }); n != 0 {
+		t.Errorf("ParseIP allocates %v times, want 0", n)
+	}
 }
 
 // TestEchoAcrossArchitectures runs the same application code on every
