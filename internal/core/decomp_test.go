@@ -601,11 +601,17 @@ func TestDataPathBypassesServer(t *testing.T) {
 
 // TestProxyCallsByOperation pins Table 1 as counted: one TCP connection
 // opened, accepted and closed crosses to the server once per control
-// operation, and the data between makes no crossing at all.
+// operation, and the data between makes no crossing at all. A process
+// that dies with a socket open crosses once more, with its death notice.
 func TestProxyCallsByOperation(t *testing.T) {
 	w := newWorld(1)
 	libB := w.b.NewLibrary("sink")
 	libA := w.a.NewLibrary("source")
+	libC := w.a.NewLibrary("dying")
+	w.s.Spawn("dying", func(p *sim.Proc) {
+		libC.Socket(p, socketapi.SockStream)
+		libC.ExitProcess(p)
+	})
 	w.s.Spawn("sink", func(p *sim.Proc) {
 		ls, _ := libB.Socket(p, socketapi.SockStream)
 		libB.Bind(p, ls, socketapi.SockAddr{Port: 5001})
@@ -643,6 +649,7 @@ func TestProxyCallsByOperation(t *testing.T) {
 	}{
 		{libA, map[string]int{"socket": 1, "connect": 1, "return": 1}},
 		{libB, map[string]int{"socket": 1, "bind": 1, "listen": 1, "accept": 1, "return": 1, "release": 1}},
+		{libC, map[string]int{"socket": 1, "death": 1}},
 	} {
 		if got := c.lib.ProxyCallsByOp(); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s crossed %v, want %v", c.lib.Proc.Name, got, c.want)

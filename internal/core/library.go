@@ -479,6 +479,7 @@ func (lib *Library) ExitProcess(t *sim.Proc) {
 		}
 	}
 	lib.St.StopTimers()
+	lib.crossings[opDeath]++ // the kernel's crossing, so nothing is charged
 	lib.srv.svc.Call(t, func(on *sim.Proc) { lib.srv.deathNotice(on, lib, tcp, rest) })
 	lib.Proc.Exit()
 }
@@ -528,7 +529,8 @@ func (lib *Library) ProxyCalls() int {
 
 // ProxyCallsByOp returns the proxy RPCs this library has made, by Table
 // 1 operation ("data" for a socket call on a session the server
-// manages); operations never crossed are absent.
+// manages, "death" for the notice of the process's exit); operations
+// never crossed are absent.
 func (lib *Library) ProxyCallsByOp() map[string]int {
 	m := map[string]int{}
 	for op, c := range lib.crossings {

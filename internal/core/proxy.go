@@ -36,12 +36,13 @@ const (
 	opGetOpt
 	opStatus
 	opARP
-	opData // a socket call on a session the server manages (send, recv, ...)
+	opData  // a socket call on a session the server manages (send, recv, ...)
+	opDeath // the kernel's notice of the process's death
 	numOps
 )
 
 var proxyOpNames = [numOps]string{"socket", "bind", "connect", "listen", "accept", "return",
-	"release", "dup", "setopt", "getopt", "status", "arp", "data"}
+	"release", "dup", "setopt", "getopt", "status", "arp", "data", "death"}
 
 // ctlCall is one control crossing: the operation, the arguments that go
 // over and the results that come back, with the blob of a migration in

@@ -175,7 +175,7 @@ type Server struct {
 	ConnTeardowns  metrics.Counter // established connections closed normally
 }
 
-const serverWorkers = 16
+const serverWorkers = 16 // the proxy service's cap; workers start on demand
 
 // New runs the decomposed architecture on h: the OS server, its stack
 // priced by srvProf (the UX server that backs the decomposed system in

@@ -3,6 +3,7 @@ package kern
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -366,9 +367,84 @@ func TestServiceWorkersRunConcurrently(t *testing.T) {
 	}
 }
 
+// TestServiceSpawnsWorkersOnDemand: a service starts no worker until a
+// call finds none parked, so sequential calls share one worker, k calls
+// in flight at once run on k workers up to the cap, a call past the cap
+// waits its turn in arrival order, and the owner's exit ends them all.
+func TestServiceSpawnsWorkersOnDemand(t *testing.T) {
+	r := newRig(costs.DECLibrarySHMIPF())
+	owner := r.a.NewProcess("server")
+	svc := NewService(owner, "echo", 3)
+	workerProcs := func() int {
+		n := 0
+		for _, name := range r.s.ParkedProcs() {
+			if strings.Contains(name, "-worker") {
+				n++
+			}
+		}
+		return n
+	}
+	run := func() {
+		t.Helper()
+		if err := r.s.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if svc.workers != 0 || workerProcs() != 0 {
+		t.Fatalf("%d workers (%d procs) before the first call, want none", svc.workers, workerProcs())
+	}
+
+	seen := map[*sim.Proc]bool{}
+	r.s.Spawn("sequential", func(p *sim.Proc) {
+		for range 3 {
+			svc.Call(p, func(w *sim.Proc) { seen[w] = true; w.Sleep(time.Millisecond) })
+		}
+	})
+	run()
+	if len(seen) != 1 || svc.workers != 1 || workerProcs() != 1 {
+		t.Fatalf("3 sequential calls ran on %d workers, %d spawned, want 1", len(seen), svc.workers)
+	}
+
+	// k calls at once, each holding its worker for 10ms: the calls past
+	// the workers parked spawn new ones, up to the cap of 3; the rest
+	// queue and start in call order as the first ones finish.
+	burst := func(k int) string {
+		var started []int
+		var finished []int64
+		clear(seen)
+		t0 := r.s.Now()
+		for i := range k {
+			r.s.Spawn("burst", func(p *sim.Proc) {
+				svc.Call(p, func(w *sim.Proc) {
+					seen[w] = true
+					started = append(started, i)
+					w.Sleep(10 * time.Millisecond)
+				})
+				finished = append(finished, p.Now().Sub(t0).Milliseconds())
+			})
+		}
+		run()
+		return fmt.Sprint(len(seen), svc.workers, workerProcs(), started, finished)
+	}
+	if got, want := burst(2), "2 2 2 [0 1] [10 10]"; got != want {
+		t.Fatalf("2 calls at once: workers used, spawned, alive, start order, ms to finish = %s, want %s", got, want)
+	}
+	if got, want := burst(5), "3 3 3 [0 1 2 3 4] [10 10 10 20 20]"; got != want {
+		t.Fatalf("5 calls at once: workers used, spawned, alive, start order, ms to finish = %s, want %s", got, want)
+	}
+
+	owner.Exit()
+	run()
+	if n := workerProcs(); n != 0 {
+		t.Fatalf("%d workers outlived their owner", n)
+	}
+}
+
 // TestServiceCallAllocatesNothing: once warm, an RPC whose run is bound
 // once allocates nothing. Two clients keep two calls in flight at once,
-// so each takes a record of its own from the service and hands it back.
+// so each takes a record of its own from the service and hands it back;
+// the first step spawns the two workers that serve them.
 func TestServiceCallAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")

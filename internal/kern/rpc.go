@@ -12,8 +12,11 @@ import (
 // A call carries the work itself: the caller blocks until a server
 // worker has run it.
 type Service struct {
-	queue *sim.Chan[*call]
-	free  []*call // records whose callers have woken
+	queue        *sim.Chan[*call]
+	free         []*call // records whose callers have woken
+	owner        *Process
+	name         string
+	workers, max int // spawned so far (they never retire), and the cap
 }
 
 // call is one RPC in flight. Records are reused, so each keeps its
@@ -25,25 +28,28 @@ type call struct {
 	doneCV sim.Cond
 }
 
-// NewService creates a service on the owner's host and spawns `workers`
-// daemon threads in the owner process to serve it.
+// NewService creates a service on the owner's host, served by up to
+// `workers` daemon threads in the owner process. A worker is spawned
+// when a call finds none parked: its start runs at the instant and in
+// the order a parked worker's wakeup would, so the calls run exactly as
+// on a pool spawned up front. Workers end when the owner exits.
 func NewService(owner *Process, name string, workers int) *Service {
-	s := &Service{queue: sim.NewChan[*call]()}
-	for i := 0; i < workers; i++ {
-		owner.GoDaemon(fmt.Sprintf("%s-worker%d", name, i), func(t *sim.Proc) {
-			for {
-				c, ok := s.queue.Recv(t)
-				if !ok {
-					return
-				}
-				c.run(t)
-				c.done = true
-				c.doneCV.Broadcast()
-			}
-		})
-	}
+	s := &Service{queue: sim.NewChan[*call](), owner: owner, name: name, max: workers}
 	owner.OnExit(func() { s.queue.Close() })
 	return s
+}
+
+// loop is a worker's life: run calls until the owner exits.
+func (s *Service) loop(t *sim.Proc) {
+	for {
+		c, ok := s.queue.Recv(t)
+		if !ok {
+			return
+		}
+		c.run(t)
+		c.done = true
+		c.doneCV.Broadcast()
+	}
 }
 
 // Call performs a synchronous RPC: run executes on a server worker
@@ -62,6 +68,10 @@ func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
 		c = new(call)
 	}
 	c.run = run
+	if s.queue.Waiting() == 0 && s.workers < s.max {
+		s.owner.GoDaemon(fmt.Sprintf("%s-worker%d", s.name, s.workers), s.loop)
+		s.workers++
+	}
 	s.queue.Send(c)
 	for !c.done {
 		c.doneCV.Wait(t)

@@ -177,6 +177,9 @@ func (q *Chan[T]) Send(v T) {
 	q.notEmpty.Signal()
 }
 
+// Waiting returns the number of receivers parked on the empty queue.
+func (q *Chan[T]) Waiting() int { return q.notEmpty.Waiters() }
+
 // Recv dequeues an item, parking while the queue is empty. ok is false if
 // the queue is closed and drained.
 func (q *Chan[T]) Recv(p *Proc) (v T, ok bool) {

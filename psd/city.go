@@ -204,11 +204,16 @@ func cityTarget(cfg *CityConfig, d, j, k int) (td, ts int) {
 
 // runCity is the one churn traffic plan: it drives the echo workload
 // over whatever topology c holds (RunCity's routed districts, or
-// RunChurn's single flat one), audits the drained run and reads the
-// registry.
+// RunChurn's single flat one), audits the drained run, reads the
+// registry and closes the world.
 func runCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
+	defer c.net.Close()
+	return driveCity(c, cfg)
+}
+
+// driveCity is runCity leaving the world open.
+func driveCity(c *cityNet, cfg CityConfig) (*CityReport, error) {
 	n := c.net
-	defer n.Close()
 	if cfg.MsgBytes <= 0 {
 		cfg.MsgBytes = 512
 	}

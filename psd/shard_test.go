@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -177,15 +179,37 @@ func TestCityShardCountInvariance(t *testing.T) {
 	}
 }
 
-// cityReferenceDigests are the SHA-256s of the battery's two reference
-// digests above (seed 42 on 3 shards, seed 7 on 1), recorded while every
-// proc ran on its own goroutine and no run was closed. Every shard count,
-// threading mode and random topology of the battery reproduced them too.
-// They were re-recorded once since, when each router's snapshot gained
-// a broadcast_drops counter (zero in both runs); nothing else moved.
-var cityReferenceDigests = map[int64]string{
-	42: "c1057ef923c228352597aef58e557f7d6544806b8a4449b6667ee881980e863d",
-	7:  "870e4eaf221e0adf614830b3cac44eaefb2e893628d91f1a2e68197394d906d4",
+// cityReferenceDigests pin the battery's two reference digests above
+// (seed 42 on 3 shards, seed 7 on 1) in two parts: the SHA-256 of
+// everything before the event count, and the event count itself. The
+// body was recorded while every proc ran on its own goroutine and no run
+// was closed; every shard count, threading mode and random topology of
+// the battery reproduced it too. It was re-recorded once since, when
+// each router's snapshot gained a broadcast_drops counter (zero in both
+// runs). The count was re-pinned alone when the OS servers stopped
+// spawning their 16 proxy workers up front: 512 start-up events fewer
+// (16 on each of the 32 servers), nothing else moved.
+var cityReferenceDigests = map[int64]struct {
+	body       string
+	dispatched int64
+}{
+	42: {"fb5a2a982c1c9b6bd1254d909947b945c21ef3e267ac3455b63363dd35aa528a", 46509},
+	7:  {"c61973a92cd68a7b2819468eee60a124857298ff29088d52cf2b9be4f255559a", 46509},
+}
+
+// splitDigest splits a city digest into the SHA-256 of its body and
+// its event count.
+func splitDigest(t *testing.T, digest string) (body string, dispatched int64) {
+	t.Helper()
+	i := strings.LastIndex(digest, "dispatched=")
+	if i < 0 {
+		t.Fatalf("digest has no event count")
+	}
+	if _, err := fmt.Sscanf(digest[i:], "dispatched=%d", &dispatched); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(digest[:i]))
+	return hex.EncodeToString(sum[:]), dispatched
 }
 
 // TestRunCityReleasesWorld: a finished city hands its threads back. The
@@ -204,14 +228,18 @@ func TestRunCityReleasesWorld(t *testing.T) {
 		freed = make(chan struct{})
 		runtime.SetFinalizer(c.net.subnets[0].routes, func(*stack.RouteTable) { close(freed) })
 		rep, err := runCity(c, cfg)
-		sum := sha256.Sum256([]byte(reportDigest(t, cfg, rep, err)))
-		return hex.EncodeToString(sum[:]), freed
+		return reportDigest(t, cfg, rep, err), freed
 	}
 	var first int
 	for i, cfg := range []CityConfig{DefaultCity(42, 3), DefaultCity(42, 3), DefaultCity(7, 1)} {
 		digest, freed := run(cfg)
-		if want := cityReferenceDigests[cfg.Seed]; digest != want {
-			t.Errorf("seed %d: city digest %s, want %s", cfg.Seed, digest, want)
+		body, dispatched := splitDigest(t, digest)
+		want := cityReferenceDigests[cfg.Seed]
+		if body != want.body {
+			t.Errorf("seed %d: city digest body %s, want %s", cfg.Seed, body, want.body)
+		}
+		if dispatched != want.dispatched {
+			t.Errorf("seed %d: %d events dispatched, want %d", cfg.Seed, dispatched, want.dispatched)
 		}
 		released := false
 		for try := 0; try < 20 && !released; try++ {
@@ -237,6 +265,45 @@ func TestRunCityReleasesWorld(t *testing.T) {
 			if n > first {
 				t.Errorf("%d goroutines after a second city run, %d after the first", n, first)
 			}
+		}
+	}
+}
+
+// TestCityThreadBudget: a drained city holds on each host only the
+// threads its work needed. Every OS server keeps its netin thread and
+// the proxy workers its busiest moment called for; no host of the
+// default city ever has two proxy calls in flight at once, so that is
+// one worker, where a pool spawned up front would leave 16.
+func TestCityThreadBudget(t *testing.T) {
+	cfg := DefaultCity(42, 0)
+	c, err := buildCity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.net.Close()
+	if _, err := driveCity(c, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// A thread is named "<host>/<process>.<...>.<thread>"; its kind is
+	// the process and the thread, less any trailing index.
+	perHost := map[string]map[string]int{}
+	for _, name := range c.net.Sim().ParkedProcs() {
+		host, rest, _ := strings.Cut(name, "/")
+		proc, _, _ := strings.Cut(rest, ".")
+		thread := strings.TrimRight(rest[strings.LastIndex(rest, ".")+1:], "0123456789")
+		if perHost[host] == nil {
+			perHost[host] = map[string]int{}
+		}
+		perHost[host][proc+"."+thread]++
+	}
+	if hosts := cfg.Districts * (cfg.ServersPerDistrict + cfg.ClientsPerDistrict); len(perHost) != hosts {
+		t.Fatalf("threads on %d hosts, want %d", len(perHost), hosts)
+	}
+	for _, host := range slices.Sorted(maps.Keys(perHost)) {
+		kinds := perHost[host]
+		if kinds["os-server.netin"] != 1 || kinds["os-server.proxy-worker"] != 1 {
+			t.Errorf("%s: %d netin and %d proxy-worker threads, want 1 and 1 (all: %v)",
+				host, kinds["os-server.netin"], kinds["os-server.proxy-worker"], kinds)
 		}
 	}
 }
