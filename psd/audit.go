@@ -5,36 +5,43 @@ import (
 	"time"
 )
 
+// law is one named check of a finished run: a conservation law of the
+// audit or a bound of a scenario. check reads the network, its final
+// registry snapshot and the TCP connections the runner planned. An audit
+// law returns true, "" when it holds, so a passing audit allocates
+// nothing; a bound always says what it read, so a report shows its margin.
+type law struct {
+	name  string
+	check func(n *Network, snap *MetricsSnapshot, plan int) (ok bool, detail string)
+}
+
 // The end-of-run audit: every conservation law of a run, in one ordered
 // list. Set-up, teardown and the port namespace live in the OS server and
 // established sessions in the libraries, so a run is right only if
 // sessions, ports, filters and frames balance when it ends. New laws join
-// auditLaws; they are not new check functions.
-var auditLaws = []struct {
-	name    string
-	drained bool // reads the registry or the network at rest: drained runs only
-	check   func(n *Network, snap *MetricsSnapshot, plan int) error
-}{
-	{"ledger", false, auditLedger},
-	{"trunks", true, auditTrunks},
-	{"dispatch", false, auditDispatch},
-	{"conns", true, auditConns},
-	{"residue", true, auditResidue},
+// auditLaws; they are not new check functions. The ledger law comes
+// first: it is the one law that also holds on a run stopped mid-flight.
+var auditLaws = []law{
+	{"ledger", auditLedger},
+	{"trunks", auditTrunks},
+	{"conns", auditConns},
+	{"residue", auditResidue},
 }
 
 // Audit checks the run's conservation laws in order and returns the
 // first failure as "<law>: …". snap is the run's final registry snapshot
 // and plan the TCP connections the runner expects opened; drained says
 // the run idled out its TIME_WAITs, port quarantines and conntrack
-// timeouts. An undrained audit checks only the ledger and dispatch laws
-// and reads neither snap nor plan. A passing audit allocates nothing.
+// timeouts. An undrained audit checks only the ledger law and reads
+// neither snap nor plan. A passing audit allocates nothing.
 func (n *Network) Audit(snap *MetricsSnapshot, plan int, drained bool) error {
-	for _, l := range auditLaws {
-		if l.drained && !drained {
-			continue
-		}
-		if err := l.check(n, snap, plan); err != nil {
-			return fmt.Errorf("%s: %w", l.name, err)
+	laws := auditLaws
+	if !drained {
+		laws = laws[:1]
+	}
+	for _, l := range laws {
+		if ok, detail := l.check(n, snap, plan); !ok {
+			return fmt.Errorf("%s: %s", l.name, detail)
 		}
 	}
 	return nil
@@ -44,7 +51,7 @@ func (n *Network) Audit(snap *MetricsSnapshot, plan int, drained bool) error {
 // plus the charges still waiting for it. A charge enters the ledger when
 // it is asked for and the CPU's busy time when it is admitted, so a run
 // stopped while the CPU is contended leaves the difference waiting.
-func auditLedger(n *Network, _ *MetricsSnapshot, _ int) error {
+func auditLedger(n *Network, _ *MetricsSnapshot, _ int) (bool, string) {
 	for _, h := range n.hosts {
 		var sum time.Duration
 		for c := range h.kern.Ledger {
@@ -52,61 +59,46 @@ func auditLedger(n *Network, _ *MetricsSnapshot, _ int) error {
 		}
 		cpu := &h.kern.CPU
 		if busy, waiting := cpu.BusyTime(), cpu.Waiting(); sum != busy+waiting {
-			return fmt.Errorf("%s: the ledger sums to %d ns, the CPU was busy %d ns with %d ns waiting", h.name, sum, busy, waiting)
+			return false, fmt.Sprintf("%s: the ledger sums to %d ns, the CPU was busy %d ns with %d ns waiting", h.name, sum, busy, waiting)
 		}
 	}
-	return nil
+	return true, ""
 }
 
 // auditTrunks: every frame a trunk direction sent or duplicated was
 // delivered or dropped with a cause, and every delivery was received on
 // the far end.
-func auditTrunks(n *Network, _ *MetricsSnapshot, _ int) error {
+func auditTrunks(n *Network, _ *MetricsSnapshot, _ int) (bool, string) {
 	for _, t := range n.trunks {
 		for i, nic := range t.dirs {
 			st := nic.DirStats()
 			sent, delivered := st.FramesSent.Value()+st.FramesDup.Value(), st.DeliveryEvents.Value()
 			if lost := st.FramesDropped() + st.PartitionDrops.Value(); sent != delivered+lost {
-				return fmt.Errorf("%s: sent+dup %d != delivered %d + dropped %d", nic.Name(), sent, delivered, lost)
+				return false, fmt.Sprintf("%s: sent+dup %d != delivered %d + dropped %d", nic.Name(), sent, delivered, lost)
 			}
 			if recv := t.dirs[1-i].RxFrames.Value(); delivered != recv {
-				return fmt.Errorf("%s: delivered %d != peer received %d", nic.Name(), delivered, recv)
+				return false, fmt.Sprintf("%s: delivered %d != peer received %d", nic.Name(), delivered, recv)
 			}
 		}
 	}
-	return nil
-}
-
-// auditDispatch: the per-shard event counts sum to the group's total.
-func auditDispatch(n *Network, _ *MetricsSnapshot, _ int) error {
-	if n.group == nil {
-		return nil
-	}
-	var sum uint64
-	for _, s := range n.group.Shards() {
-		sum += s.Dispatched()
-	}
-	if total := n.group.Dispatched(); sum != total {
-		return fmt.Errorf("per-shard counts sum to %d, the group total is %d", sum, total)
-	}
-	return nil
+	return true, ""
 }
 
 // auditConns: every architecture's stacks completed at least the planned
 // active opens; the OS servers tore down or orphan-aborted every
 // connection they set up, and reaped every session they made.
-func auditConns(_ *Network, snap *MetricsSnapshot, plan int) error {
+func auditConns(_ *Network, snap *MetricsSnapshot, plan int) (bool, string) {
 	c := readChurnLaws(snap)
 	if got := snap.Sum(".connect_ns"); got < int64(plan) {
-		return fmt.Errorf("%d connections opened, want >= %d", got, plan)
+		return false, fmt.Sprintf("%d connections opened, want >= %d", got, plan)
 	}
 	if c.ConnSetups != c.ConnTeardowns+c.OrphansAborted {
-		return fmt.Errorf("setups %d != teardowns %d + orphans aborted %d", c.ConnSetups, c.ConnTeardowns, c.OrphansAborted)
+		return false, fmt.Sprintf("setups %d != teardowns %d + orphans aborted %d", c.ConnSetups, c.ConnTeardowns, c.OrphansAborted)
 	}
 	if c.SessionsMade != c.SessionsReaped {
-		return fmt.Errorf("sessions made %d != reaped %d", c.SessionsMade, c.SessionsReaped)
+		return false, fmt.Sprintf("sessions made %d != reaped %d", c.SessionsMade, c.SessionsReaped)
 	}
-	return nil
+	return true, ""
 }
 
 // residueGauges are the registry gauges a drained network holds at zero.
@@ -116,16 +108,62 @@ var residueGauges = []string{".core.sessions", ".core.ports_in_use", ".sockets",
 // auditResidue: the drain left no session, port, socket, ESTABLISHED,
 // CLOSE_WAIT or TIME_WAIT connection, conntrack flow or SNAT port, and
 // every host is back to its one standing endpoint.
-func auditResidue(n *Network, snap *MetricsSnapshot, _ int) error {
+func auditResidue(n *Network, snap *MetricsSnapshot, _ int) (bool, string) {
 	for _, g := range residueGauges {
 		if v := snap.Sum(g); v != 0 {
-			return fmt.Errorf("%s = %d after the drain", g[1:], v)
+			return false, fmt.Sprintf("%s = %d after the drain", g[1:], v)
 		}
 	}
 	for _, h := range n.hosts {
 		if e := h.kern.Endpoints(); e != 1 {
-			return fmt.Errorf("%s holds %d endpoints, want its one standing endpoint", h.name, e)
+			return false, fmt.Sprintf("%s holds %d endpoints, want its one standing endpoint", h.name, e)
 		}
 	}
-	return nil
+	return true, ""
+}
+
+// quantileAtMost: quantile q of every histogram whose name ends in
+// suffix, merged across hosts, is at most bound. It fails when no
+// histogram recorded a sample: a bound over an idle metric is a
+// misconfigured scenario, not a pass.
+func quantileAtMost(name, suffix string, q float64, bound time.Duration) law {
+	return law{name, func(n *Network, _ *MetricsSnapshot, _ int) (bool, string) {
+		h := n.reg.MergedHistogram(suffix)
+		c := h.Count()
+		if c == 0 {
+			return false, fmt.Sprintf("no samples under *%s", suffix)
+		}
+		v := time.Duration(h.Quantile(q))
+		return v <= bound, fmt.Sprintf("p%g(*%s) = %v (bound %v, n=%d)", q*100, suffix, v, bound, c)
+	}}
+}
+
+// ratioAtMost: sum(*num)/sum(*den) is at most max. A zero denominator
+// passes only if the numerator is also zero.
+func ratioAtMost(name, num, den string, max float64) law {
+	return law{name, func(_ *Network, snap *MetricsSnapshot, _ int) (bool, string) {
+		a, b := snap.Sum(num), snap.Sum(den)
+		if b == 0 {
+			return a == 0, fmt.Sprintf("sum(*%s) = %d with sum(*%s) = 0", num, a, den)
+		}
+		ratio := float64(a) / float64(b)
+		return ratio <= max, fmt.Sprintf("sum(*%s)/sum(*%s) = %d/%d = %.4f (max %.4f)", num, den, a, b, ratio, max)
+	}}
+}
+
+// sumAtLeast: the instruments ending in suffix sum to at least min (the
+// scenario did the work it is about).
+func sumAtLeast(name, suffix string, min int64) law {
+	return law{name, func(_ *Network, snap *MetricsSnapshot, _ int) (bool, string) {
+		v := snap.Sum(suffix)
+		return v >= min, fmt.Sprintf("sum(*%s) = %d (min %d)", suffix, v, min)
+	}}
+}
+
+// sumZero: the instruments ending in suffix sum to exactly zero.
+func sumZero(name, suffix string) law {
+	return law{name, func(_ *Network, snap *MetricsSnapshot, _ int) (bool, string) {
+		v := snap.Sum(suffix)
+		return v == 0, fmt.Sprintf("sum(*%s) = %d (want 0)", suffix, v)
+	}}
 }

@@ -70,8 +70,8 @@ type CityReport struct {
 	Shards    int `json:"shards"`
 	ConnsPlan int `json:"conns_planned"`
 
-	// DispatchedTotal is the group's event count; DispatchedPerShard
-	// must sum to it (classic runs have one implicit shard).
+	// DispatchedTotal is the group's event count and DispatchedPerShard
+	// its split over the shards (classic runs have one implicit shard).
 	DispatchedTotal    uint64   `json:"dispatched_total"`
 	DispatchedPerShard []uint64 `json:"dispatched_per_shard"`
 	Windows            uint64   `json:"windows"`

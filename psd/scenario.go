@@ -9,12 +9,23 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/slo"
 	"repro/internal/trace"
 )
 
-// SLOResult re-exports one evaluated SLO assertion.
-type SLOResult = slo.Result
+// SLOResult is one evaluated scenario bound.
+type SLOResult struct {
+	Name   string `json:"name"`
+	OK     bool   `json:"ok"`
+	Detail string `json:"detail"`
+}
+
+func (r SLOResult) String() string {
+	verdict := "PASS"
+	if !r.OK {
+		verdict = "FAIL"
+	}
+	return fmt.Sprintf("%s %-28s %s", verdict, r.Name, r.Detail)
+}
 
 // ScenarioConfig selects a named scenario, its seed, and the
 // architecture every host in it runs (its Name labels the result).
@@ -64,22 +75,21 @@ func ScenarioNames() []string {
 
 type scenarioDef struct {
 	name string
-	doc  string
 	run  func(*scenarioEnv)
 }
 
 var scenarioDefs = []scenarioDef{
-	{"incast", "synchronized many-to-one fan-in through a slow router port (RED pressure)", runIncast},
-	{"flash-crowd", "connection storm: a burst of short-lived clients hitting one server", runFlashCrowd},
-	{"heavy-tail", "Pareto response sizes with exponential think times", runHeavyTail},
-	{"diurnal", "arrival rate follows a compressed day curve", runDiurnal},
-	{"partition", "transit link goes down mid-run; TCP recovers after heal", runPartition},
+	{"incast", runIncast},
+	{"flash-crowd", runFlashCrowd},
+	{"heavy-tail", runHeavyTail},
+	{"diurnal", runDiurnal},
+	{"partition", runPartition},
 }
 
 // RunScenario builds and executes the named scenario, evaluates its
-// SLOs, and returns the deterministic verdict. A broken conservation law
+// bounds, and returns the deterministic verdict. A broken conservation law
 // of Network.Audit (the completed requests are the planned connections)
-// is an error, not a failed SLO.
+// is an error, not a failed bound.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	i := slices.IndexFunc(scenarioDefs, func(d scenarioDef) bool { return d.name == cfg.Name })
 	if i < 0 {
@@ -100,14 +110,14 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 }
 
 // scenarioEnv is the shared harness: network, scenario-scoped
-// instruments, the SLO suite under construction, and bookkeeping.
+// instruments, the bounds the run is held to, and bookkeeping.
 type scenarioEnv struct {
-	cfg   ScenarioConfig
-	arch  Arch
-	n     *Network
-	rng   *rand.Rand
-	suite slo.Suite
-	err   error
+	cfg    ScenarioConfig
+	arch   Arch
+	n      *Network
+	rng    *rand.Rand
+	bounds []law
+	err    error
 
 	reqH     *metrics.Histogram
 	requests *metrics.Counter
@@ -130,7 +140,7 @@ func (e *scenarioEnv) setup(layers ...TraceLayer) {
 }
 
 // run executes the workload plus a 75 s drain (2MSL + port quarantine),
-// so conservation SLOs and the audit see a quiescent network.
+// so the bounds and the audit see a quiescent network.
 func (e *scenarioEnv) run() {
 	if e.err != nil {
 		return
@@ -138,23 +148,25 @@ func (e *scenarioEnv) run() {
 	e.err = e.n.runAndDrain(nil, 75*time.Second)
 }
 
-// baseSLOs installs the assertions every scenario shares: the workload
-// completed without application errors or corrupt segments. That no
-// protocol state leaked is the audit's residue law (finish).
-func (e *scenarioEnv) baseSLOs(wantRequests int64) {
-	e.suite.Add(slo.Expr("completed", func(c *slo.Context) (bool, string) {
-		got := c.Snap.Sum("scenario.requests")
-		return got == wantRequests, fmt.Sprintf("%d/%d requests completed", got, wantRequests)
-	}))
-	e.suite.Add(slo.SumZero("no-app-errors", "scenario.errors"))
-	e.suite.Add(slo.SumZero("no-checksum-errors", ".checksum_errors"))
+// expect sets the bounds the run is held to: the ones every scenario
+// shares (the workload completed without application errors or corrupt
+// segments), then the scenario's own. That no protocol state leaked is
+// the audit's residue law (finish).
+func (e *scenarioEnv) expect(wantRequests int64, own ...law) {
+	e.bounds = append([]law{
+		{"completed", func(_ *Network, snap *MetricsSnapshot, _ int) (bool, string) {
+			got := snap.Sum("scenario.requests")
+			return got == wantRequests, fmt.Sprintf("%d/%d requests completed", got, wantRequests)
+		}},
+		sumZero("no-app-errors", "scenario.errors"),
+		sumZero("no-checksum-errors", ".checksum_errors"),
+	}, own...)
 }
 
-// finish evaluates the SLO suite and assembles the result.
+// finish evaluates the bounds and the audit on the run's final snapshot
+// and assembles the result.
 func (e *scenarioEnv) finish() (*ScenarioResult, error) {
-	ctx := slo.NewContext(e.n.reg, e.n.Now())
-	results := e.suite.Eval(ctx)
-
+	snap := e.n.MetricsSnapshot()
 	r := &ScenarioResult{
 		Name:     e.cfg.Name,
 		Arch:     e.cfg.Arch.Name,
@@ -162,8 +174,13 @@ func (e *scenarioEnv) finish() (*ScenarioResult, error) {
 		Requests: int64(e.requests.Value()),
 		Errors:   int64(e.errors.Value()),
 		SimNs:    int64(e.n.Now()),
-		SLO:      results,
-		Passed:   slo.Passed(results),
+		SLO:      make([]SLOResult, 0, len(e.bounds)),
+		Passed:   true,
+	}
+	for _, b := range e.bounds {
+		ok, detail := b.check(e.n, snap, 0)
+		r.SLO = append(r.SLO, SLOResult{Name: b.name, OK: ok, Detail: detail})
+		r.Passed = r.Passed && ok
 	}
 	if e.reqH.Count() > 0 {
 		r.ReqP50Ns = int64(e.reqH.Quantile(0.50))
@@ -173,8 +190,7 @@ func (e *scenarioEnv) finish() (*ScenarioResult, error) {
 	if h := e.n.reg.MergedHistogram(".connect_ns"); h.Count() > 0 {
 		r.ConnectP99Ns = int64(h.Quantile(0.99))
 	}
-	snap := ctx.Snap
-	if err := e.n.Audit(&ctx.Snap, int(r.Requests), true); err != nil {
+	if err := e.n.Audit(snap, int(r.Requests), true); err != nil {
 		return nil, fmt.Errorf("psd: scenario %s: %w", e.cfg.Name, err)
 	}
 	r.NetDrops = snap.Sum(".drops_loss") + snap.Sum(".drops_down") + snap.Sum(".partition_drops")
@@ -354,10 +370,10 @@ func runIncast(e *scenarioEnv) {
 		})
 	}
 
-	e.baseSLOs(nWorkers * rounds)
-	e.suite.Add(slo.QuantileAtMost("req-p99", "scenario.req_ns", 0.99, 3*time.Second))
-	e.suite.Add(slo.RatioAtMost("router-drop-ratio", ".red_drops", ".forwarded", 0.10))
-	e.suite.Add(slo.SumAtLeast("router-forwarded", ".forwarded", int64(nWorkers*rounds)))
+	e.expect(nWorkers*rounds,
+		quantileAtMost("req-p99", "scenario.req_ns", 0.99, 3*time.Second),
+		ratioAtMost("router-drop-ratio", ".red_drops", ".forwarded", 0.10),
+		sumAtLeast("router-forwarded", ".forwarded", int64(nWorkers*rounds)))
 	e.run()
 }
 
@@ -388,10 +404,10 @@ func runFlashCrowd(e *scenarioEnv) {
 		})
 	}
 
-	e.baseSLOs(nClients)
-	e.suite.Add(slo.QuantileAtMost("connect-p99", ".connect_ns", 0.99, 1*time.Second))
-	e.suite.Add(slo.QuantileAtMost("req-p99", "scenario.req_ns", 0.99, 2*time.Second))
-	e.suite.Add(slo.RatioAtMost("net-drop-ratio", ".drops_loss", ".frames_sent", 0.01))
+	e.expect(nClients,
+		quantileAtMost("connect-p99", ".connect_ns", 0.99, 1*time.Second),
+		quantileAtMost("req-p99", "scenario.req_ns", 0.99, 2*time.Second),
+		ratioAtMost("net-drop-ratio", ".drops_loss", ".frames_sent", 0.01))
 	e.run()
 }
 
@@ -426,10 +442,10 @@ func runHeavyTail(e *scenarioEnv) {
 		})
 	}
 
-	e.baseSLOs(nClients * perClient)
-	e.suite.Add(slo.QuantileAtMost("req-p50", "scenario.req_ns", 0.50, 500*time.Millisecond))
-	e.suite.Add(slo.QuantileAtMost("req-p99", "scenario.req_ns", 0.99, 5*time.Second))
-	e.suite.Add(slo.RatioAtMost("router-drop-ratio", ".red_drops", ".forwarded", 0.05))
+	e.expect(nClients*perClient,
+		quantileAtMost("req-p50", "scenario.req_ns", 0.50, 500*time.Millisecond),
+		quantileAtMost("req-p99", "scenario.req_ns", 0.99, 5*time.Second),
+		ratioAtMost("router-drop-ratio", ".red_drops", ".forwarded", 0.05))
 	e.run()
 }
 
@@ -469,9 +485,9 @@ func runDiurnal(e *scenarioEnv) {
 		}
 	}
 
-	e.baseSLOs(int64(total))
-	e.suite.Add(slo.QuantileAtMost("req-p99", "scenario.req_ns", 0.99, 2*time.Second))
-	e.suite.Add(slo.QuantileAtMost("req-p999", "scenario.req_ns", 0.999, 3*time.Second))
+	e.expect(int64(total),
+		quantileAtMost("req-p99", "scenario.req_ns", 0.99, 2*time.Second),
+		quantileAtMost("req-p999", "scenario.req_ns", 0.999, 3*time.Second))
 	e.run()
 }
 
@@ -520,20 +536,19 @@ func runPartition(e *scenarioEnv) {
 		return
 	}
 
-	e.baseSLOs(nClients * perClient)
-	e.suite.Add(slo.SumAtLeast("link-cut-dropped-frames", ".drops_down", 1))
-	e.suite.Add(slo.SumAtLeast("tcp-retransmitted", ".tcp_rexmit", 1))
-	e.suite.Add(slo.QuantileAtMost("req-p999", "scenario.req_ns", 0.999, 10*time.Second))
-	rec := e.n.Trace()
-	e.suite.Add(slo.Expr("trace-drop-then-rexmit", func(*slo.Context) (bool, string) {
-		err := trace.Expect(rec.Records(),
-			trace.Want{Event: trace.EvFrameDrop, Contains: "down"},
-			trace.Want{Event: trace.EvTCPRexmit},
-		)
-		if err != nil {
-			return false, err.Error()
-		}
-		return true, "frame drop (link down) precedes a TCP retransmit"
-	}))
+	e.expect(nClients*perClient,
+		sumAtLeast("link-cut-dropped-frames", ".drops_down", 1),
+		sumAtLeast("tcp-retransmitted", ".tcp_rexmit", 1),
+		quantileAtMost("req-p999", "scenario.req_ns", 0.999, 10*time.Second),
+		law{"trace-drop-then-rexmit", func(n *Network, _ *MetricsSnapshot, _ int) (bool, string) {
+			err := trace.Expect(n.Trace().Records(),
+				trace.Want{Event: trace.EvFrameDrop, Contains: "down"},
+				trace.Want{Event: trace.EvTCPRexmit},
+			)
+			if err != nil {
+				return false, err.Error()
+			}
+			return true, "frame drop (link down) precedes a TCP retransmit"
+		}})
 	e.run()
 }

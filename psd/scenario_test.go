@@ -5,16 +5,12 @@ import (
 	"testing"
 )
 
-// scenarioArchs are the three architectures the scenario suite must
-// hold on.
-var scenarioArchs = ArchFlavors()[:3]
-
-// TestScenarioSuite is the CI gate: every named scenario meets its SLOs
-// on every architecture. A failure prints the full SLO report so the
-// offending bound is visible without re-running.
+// TestScenarioSuite is the CI gate: every named scenario meets its bounds
+// on all four columns. A failure prints every bound's verdict so the
+// offending one is visible without re-running.
 func TestScenarioSuite(t *testing.T) {
 	for _, name := range ScenarioNames() {
-		for _, a := range scenarioArchs {
+		for _, a := range ArchFlavors() {
 			t.Run(name+"/"+a.Name, func(t *testing.T) {
 				res, err := RunScenario(ScenarioConfig{
 					Name: name, Seed: 1, Arch: a,
@@ -41,7 +37,7 @@ func TestScenarioSuite(t *testing.T) {
 // the same seed and requires byte-identical JSON verdicts: quantiles,
 // drop counts, SLO details, virtual time — everything.
 func TestScenarioDeterminism(t *testing.T) {
-	for _, a := range scenarioArchs {
+	for _, a := range ArchFlavors() {
 		t.Run(a.Name, func(t *testing.T) {
 			cfg := ScenarioConfig{Name: "heavy-tail", Seed: 7, Arch: a}
 			run := func() []byte {
@@ -67,11 +63,11 @@ func TestScenarioDeterminism(t *testing.T) {
 // traffic generators: different seeds must produce different latency
 // profiles (same structure, different draws).
 func TestScenarioSeedSensitivity(t *testing.T) {
-	r1, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 1, Arch: scenarioArchs[1]})
+	r1, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 1, Arch: ArchFlavors()[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 2, Arch: scenarioArchs[1]})
+	r2, err := RunScenario(ScenarioConfig{Name: "heavy-tail", Seed: 2, Arch: ArchFlavors()[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +78,7 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 
 // TestScenarioUnknownName rejects typos instead of silently passing.
 func TestScenarioUnknownName(t *testing.T) {
-	if _, err := RunScenario(ScenarioConfig{Name: "no-such", Arch: scenarioArchs[1]}); err == nil {
+	if _, err := RunScenario(ScenarioConfig{Name: "no-such", Arch: ArchFlavors()[1]}); err == nil {
 		t.Fatal("want error for unknown scenario")
 	}
 }
@@ -91,7 +87,7 @@ func TestScenarioUnknownName(t *testing.T) {
 // verdict: the fault plan must have produced observable drops and TCP
 // must have retransmitted through the outage on every architecture.
 func TestScenarioPartitionEvidence(t *testing.T) {
-	for _, a := range scenarioArchs {
+	for _, a := range ArchFlavors() {
 		res, err := RunScenario(ScenarioConfig{Name: "partition", Seed: 1, Arch: a})
 		if err != nil {
 			t.Fatal(err)
