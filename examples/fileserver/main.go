@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/psd"
@@ -113,19 +112,9 @@ func run(clients, size int) (copied, aliased int64) {
 
 	check(n.Run())
 	fmt.Printf("\naggregate virtual time: %v\n", n.Now())
-	return hostSum(n, "host.fileserver.", ".sock_copied_bytes"),
-		hostSum(n, "host.fileserver.", ".sock_aliased_bytes")
-}
-
-// hostSum totals one socket-layer counter over every stack on a host.
-func hostSum(n *psd.Network, prefix, suffix string) int64 {
-	var total int64
-	for _, it := range n.MetricsSnapshot().Items {
-		if strings.HasPrefix(it.Name, prefix) && strings.HasSuffix(it.Name, suffix) {
-			total += it.Value
-		}
-	}
-	return total
+	snap := n.MetricsSnapshot()
+	return snap.SumUnder("host.fileserver.", ".sock_copied_bytes"),
+		snap.SumUnder("host.fileserver.", ".sock_aliased_bytes")
 }
 
 func check(err error) {

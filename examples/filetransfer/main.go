@@ -17,7 +17,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/psd"
@@ -113,12 +112,7 @@ func transfer(arch psd.Arch, total int) (kbps, copiesPerByte float64) {
 	})
 
 	check(n.Run())
-	var copied int64
-	for _, it := range n.MetricsSnapshot().Items {
-		if strings.HasPrefix(it.Name, "host.") && strings.HasSuffix(it.Name, ".sock_copied_bytes") {
-			copied += it.Value
-		}
-	}
+	copied := n.MetricsSnapshot().SumUnder("host.", ".sock_copied_bytes")
 	return float64(total) / 1024 / (end - start).Seconds(), float64(copied) / float64(total)
 }
 

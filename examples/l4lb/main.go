@@ -18,7 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/psd"
@@ -186,19 +185,9 @@ func run(backends, conns, respBytes int) (served []int64, copied, spliced int64)
 
 	check(n.Run())
 	fmt.Printf("aggregate virtual time: %v\n", n.Now())
-	return served, hostSum(n, "host.lb.", ".sock_copied_bytes"),
-		hostSum(n, "host.lb.", ".splice_bytes")
-}
-
-// hostSum totals one socket-layer counter over every stack on a host.
-func hostSum(n *psd.Network, prefix, suffix string) int64 {
-	var total int64
-	for _, it := range n.MetricsSnapshot().Items {
-		if strings.HasPrefix(it.Name, prefix) && strings.HasSuffix(it.Name, suffix) {
-			total += it.Value
-		}
-	}
-	return total
+	snap := n.MetricsSnapshot()
+	return served, snap.SumUnder("host.lb.", ".sock_copied_bytes"),
+		snap.SumUnder("host.lb.", ".splice_bytes")
 }
 
 func check(err error) {

@@ -8,6 +8,7 @@ package apitest
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -160,7 +161,7 @@ func testUDPUnconnectedMultiPeer(t *testing.T, e *Env) {
 func testTCPTransfer(t *testing.T, e *Env) {
 	const total = 128 * 1024
 	payload := make([]byte, total)
-	e.Sim.Rand().Read(payload)
+	rand.New(rand.NewSource(e.Sim.Seed())).Read(payload)
 	var got bytes.Buffer
 	srv := e.NewB("sink")
 	cli := e.NewA("source")
@@ -198,10 +199,8 @@ func testTCPTransfer(t *testing.T, e *Env) {
 		srv.Close(p, ls)
 	})
 	e.Sim.Spawn("source", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 5001}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 5001})
+		if !ok {
 			return
 		}
 		for off := 0; off < total; {
@@ -238,10 +237,8 @@ func testTCPEcho(t *testing.T, e *Env) {
 	srv := e.NewB("echod")
 	cli := e.NewA("client")
 	e.Sim.Spawn("echod", func(p *sim.Proc) {
-		ls := listener(p, srv, 7, 1)
-		fd, _, err := srv.Accept(p, ls)
-		if err != nil {
-			t.Error(err)
+		ls, fd, ok := acceptOne(t, p, srv, 7, 1)
+		if !ok {
 			return
 		}
 		buf := make([]byte, 4096)
@@ -256,10 +253,8 @@ func testTCPEcho(t *testing.T, e *Env) {
 		srv.Close(p, ls)
 	})
 	e.Sim.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 7}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 7})
+		if !ok {
 			return
 		}
 		for i := 0; i < 5; i++ {
@@ -302,10 +297,8 @@ func testTCPShutdownWrite(t *testing.T, e *Env) {
 	srv := e.NewB("server")
 	cli := e.NewA("client")
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		ls := listener(p, srv, 5001, 1)
-		fd, _, err := srv.Accept(p, ls)
-		if err != nil {
-			t.Error(err)
+		ls, fd, ok := acceptOne(t, p, srv, 5001, 1)
+		if !ok {
 			return
 		}
 		buf := make([]byte, 100)
@@ -323,10 +316,8 @@ func testTCPShutdownWrite(t *testing.T, e *Env) {
 		srv.Close(p, ls)
 	})
 	e.Sim.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 5001}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 5001})
+		if !ok {
 			return
 		}
 		cli.Send(p, fd, []byte("half"), 0)
@@ -350,10 +341,8 @@ func testSockNames(t *testing.T, e *Env) {
 	srv := e.NewB("server")
 	cli := e.NewA("client")
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		ls := listener(p, srv, 5001, 1)
-		fd, _, err := srv.Accept(p, ls)
-		if err != nil {
-			t.Error(err)
+		ls, fd, ok := acceptOne(t, p, srv, 5001, 1)
+		if !ok {
 			return
 		}
 		buf := make([]byte, 10)
@@ -458,10 +447,8 @@ func testForkSharesSessions(t *testing.T, e *Env) {
 	srv := e.NewB("forkserver")
 	parent := e.NewA("parent")
 	e.Sim.Spawn("forkserver", func(p *sim.Proc) {
-		ls := listener(p, srv, 5001, 1)
-		fd, _, err := srv.Accept(p, ls)
-		if err != nil {
-			t.Error(err)
+		ls, fd, ok := acceptOne(t, p, srv, 5001, 1)
+		if !ok {
 			return
 		}
 		// Expect data written by parent and child over the same session.
@@ -482,10 +469,8 @@ func testForkSharesSessions(t *testing.T, e *Env) {
 		srv.Close(p, ls)
 	})
 	e.Sim.Spawn("parent", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := parent.Socket(p, socketapi.SockStream)
-		if err := parent.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 5001}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, parent, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 5001})
+		if !ok {
 			return
 		}
 		child, err := parent.Fork(p, "child")
@@ -597,6 +582,32 @@ func listener(p *sim.Proc, api socketapi.API, port uint16, backlog int) int {
 	api.Bind(p, ls, socketapi.SockAddr{Port: port})
 	api.Listen(p, ls, backlog)
 	return ls
+}
+
+// acceptOne starts a listener on port and accepts one connection on it,
+// reporting a failed accept; ok is false when there is none to serve.
+func acceptOne(t *testing.T, p *sim.Proc, api socketapi.API, port uint16, backlog int) (ls, fd int, ok bool) {
+	t.Helper()
+	ls = listener(p, api, port, backlog)
+	fd, _, err := api.Accept(p, ls)
+	if err != nil {
+		t.Error(err)
+		return ls, fd, false
+	}
+	return ls, fd, true
+}
+
+// dialOne gives the peer a millisecond to start listening, then opens a
+// socket of type typ and connects it to, reporting a failed connect.
+func dialOne(t *testing.T, p *sim.Proc, api socketapi.API, typ int, to socketapi.SockAddr) (fd int, ok bool) {
+	t.Helper()
+	p.Sleep(time.Millisecond)
+	fd, _ = api.Socket(p, typ)
+	if err := api.Connect(p, fd, to); err != nil {
+		t.Error(err)
+		return fd, false
+	}
+	return fd, true
 }
 
 // bindNew binds a new socket of api to port and checks the answer.

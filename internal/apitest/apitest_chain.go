@@ -70,10 +70,8 @@ func testChainEchoTCP(t *testing.T, e *Env) {
 	cli := e.NewA("chaincli")
 	msg := bytes.Repeat([]byte("chain-echo-"), 300) // > one segment
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd := listener(p, srv, 700, 4)
-		cfd, _, err := srv.Accept(p, fd)
-		if err != nil {
-			t.Error(err)
+		fd, cfd, ok := acceptOne(t, p, srv, 700, 4)
+		if !ok {
 			return
 		}
 		sc := chains(t, srv)
@@ -104,10 +102,8 @@ func testChainEchoTCP(t *testing.T, e *Env) {
 		srv.Close(p, fd)
 	})
 	e.Sim.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 700}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 700})
+		if !ok {
 			return
 		}
 		cc := chains(t, cli)
@@ -155,10 +151,8 @@ func testChainSendUDP(t *testing.T, e *Env) {
 		}
 	})
 	e.Sim.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockDgram)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 701}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockDgram, socketapi.SockAddr{Addr: e.IPB, Port: 701})
+		if !ok {
 			return
 		}
 		cc := chains(t, cli)
@@ -175,10 +169,8 @@ func testRecvPeekRanges(t *testing.T, e *Env) {
 	// A framed message: 4-byte type, 4-byte length, payload.
 	msg := append([]byte("TYPElen!"), bytes.Repeat([]byte("p"), 512)...)
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd := listener(p, srv, 702, 4)
-		cfd, _, err := srv.Accept(p, fd)
-		if err != nil {
-			t.Error(err)
+		fd, cfd, ok := acceptOne(t, p, srv, 702, 4)
+		if !ok {
 			return
 		}
 		sc := chains(t, srv)
@@ -187,6 +179,7 @@ func testRecvPeekRanges(t *testing.T, e *Env) {
 		ranges := []socketapi.Range{{Off: 0, Len: 4}, {Off: 4, Len: 4}, {Off: 100000, Len: 4}}
 		var view socketapi.RecvView
 		for {
+			var err error
 			view, err = sc.RecvPeek(p, cfd, len(msg), ranges)
 			if err != nil {
 				t.Error(err)
@@ -217,10 +210,8 @@ func testRecvPeekRanges(t *testing.T, e *Env) {
 		srv.Close(p, fd)
 	})
 	e.Sim.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 702}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 702})
+		if !ok {
 			return
 		}
 		cli.Send(p, fd, msg, 0)
@@ -232,10 +223,8 @@ func testRecvPeekViewWrite(t *testing.T, e *Env) {
 	srv := e.NewB("cow")
 	cli := e.NewA("cowcli")
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd := listener(p, srv, 703, 4)
-		cfd, _, err := srv.Accept(p, fd)
-		if err != nil {
-			t.Error(err)
+		fd, cfd, ok := acceptOne(t, p, srv, 703, 4)
+		if !ok {
 			return
 		}
 		sc := chains(t, srv)
@@ -264,10 +253,8 @@ func testRecvPeekViewWrite(t *testing.T, e *Env) {
 		srv.Close(p, fd)
 	})
 	e.Sim.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 703}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 703})
+		if !ok {
 			return
 		}
 		cli.Send(p, fd, []byte("copy-on-write-me"), 0)
@@ -280,10 +267,8 @@ func testSpliceEcho(t *testing.T, e *Env) {
 	cli := e.NewA("splicecli")
 	msg := bytes.Repeat([]byte("splice-echo!"), 512) // 6 KB
 	e.Sim.Spawn("server", func(p *sim.Proc) {
-		fd := listener(p, srv, 704, 4)
-		cfd, _, err := srv.Accept(p, fd)
-		if err != nil {
-			t.Error(err)
+		fd, cfd, ok := acceptOne(t, p, srv, 704, 4)
+		if !ok {
 			return
 		}
 		// Echo without ever seeing a byte: splice the socket into itself.
@@ -294,10 +279,8 @@ func testSpliceEcho(t *testing.T, e *Env) {
 		srv.Close(p, fd)
 	})
 	e.Sim.Spawn("client", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 704}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 704})
+		if !ok {
 			return
 		}
 		if _, err := cli.Send(p, fd, msg, 0); err != nil {
@@ -327,10 +310,8 @@ func testSpliceForward(t *testing.T, e *Env) {
 	sink := e.NewA("fwdsink")
 	msg := bytes.Repeat([]byte("forward-me"), 800) // 8 KB
 	e.Sim.Spawn("sink", func(p *sim.Proc) {
-		fd := listener(p, sink, 706, 4)
-		cfd, _, err := sink.Accept(p, fd)
-		if err != nil {
-			t.Error(err)
+		fd, cfd, ok := acceptOne(t, p, sink, 706, 4)
+		if !ok {
 			return
 		}
 		got := make([]byte, 0, len(msg))
@@ -351,10 +332,8 @@ func testSpliceForward(t *testing.T, e *Env) {
 	})
 	e.Sim.Spawn("proxy", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		lfd := listener(p, proxy, 705, 4)
-		sfd, _, err := proxy.Accept(p, lfd)
-		if err != nil {
-			t.Error(err)
+		lfd, sfd, ok := acceptOne(t, p, proxy, 705, 4)
+		if !ok {
 			return
 		}
 		dfd, _ := proxy.Socket(p, socketapi.SockStream)

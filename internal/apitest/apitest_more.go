@@ -60,10 +60,8 @@ func testScatterGather(t *testing.T, e *Env) {
 	srv := e.NewB("sg")
 	cli := e.NewA("sgc")
 	e.Sim.Spawn("sg", func(p *sim.Proc) {
-		ls := listener(p, srv, 5001, 1)
-		fd, _, err := srv.Accept(p, ls)
-		if err != nil {
-			t.Error(err)
+		ls, fd, ok := acceptOne(t, p, srv, 5001, 1)
+		if !ok {
 			return
 		}
 		// Let the whole message arrive, then scatter one read across
@@ -92,10 +90,8 @@ func testScatterGather(t *testing.T, e *Env) {
 		srv.Close(p, ls)
 	})
 	e.Sim.Spawn("sgc", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 5001}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 5001})
+		if !ok {
 			return
 		}
 		// The connection stays open past the first read, so Nagle must
@@ -221,10 +217,8 @@ func testConnectedUDP(t *testing.T, e *Env) {
 		peer.SendTo(p, fd, []byte("from-peer"), 0, from)
 	})
 	e.Sim.Spawn("connudp", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockDgram)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 2000}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockDgram, socketapi.SockAddr{Addr: e.IPB, Port: 2000})
+		if !ok {
 			return
 		}
 		la, _ := cli.GetSockName(p, fd)
@@ -321,10 +315,8 @@ func testSelectWritable(t *testing.T, e *Env) {
 	srv := e.NewB("wsel")
 	cli := e.NewA("wselc")
 	e.Sim.Spawn("wsel", func(p *sim.Proc) {
-		ls := listener(p, srv, 5001, 1)
-		fd, _, err := srv.Accept(p, ls)
-		if err != nil {
-			t.Error(err)
+		ls, fd, ok := acceptOne(t, p, srv, 5001, 1)
+		if !ok {
 			return
 		}
 		buf := make([]byte, 16)
@@ -333,10 +325,8 @@ func testSelectWritable(t *testing.T, e *Env) {
 		srv.Close(p, ls)
 	})
 	e.Sim.Spawn("wselc", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		fd, _ := cli.Socket(p, socketapi.SockStream)
-		if err := cli.Connect(p, fd, socketapi.SockAddr{Addr: e.IPB, Port: 5001}); err != nil {
-			t.Error(err)
+		fd, ok := dialOne(t, p, cli, socketapi.SockStream, socketapi.SockAddr{Addr: e.IPB, Port: 5001})
+		if !ok {
 			return
 		}
 		_, w, err := cli.Select(p, nil, socketapi.NewFDSet(fd), time.Second)

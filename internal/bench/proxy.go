@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/socketapi"
 )
@@ -202,9 +200,9 @@ func runProxyOn(w *World, mode string, totalBytes int) ProxyResult {
 	}
 	res.Err = w.audit(res.Err)
 	snap := w.Reg.Snapshot(w.Sim.Now().Duration())
-	res.CopiedBytes = hostSum(snap, "host.B.", ".sock_copied_bytes")
-	res.AliasedBytes = hostSum(snap, "host.B.", ".sock_aliased_bytes")
-	res.SplicedBytes = hostSum(snap, "host.B.", ".splice_bytes")
+	res.CopiedBytes = snap.SumUnder("host.B.", ".sock_copied_bytes")
+	res.AliasedBytes = snap.SumUnder("host.B.", ".sock_aliased_bytes")
+	res.SplicedBytes = snap.SumUnder("host.B.", ".splice_bytes")
 	segs, _ := snap.Get("host.B.nic.tx_frames")
 	res.Segments = int(segs.Value)
 	return res
@@ -268,19 +266,6 @@ func forward(p *sim.Proc, api socketapi.API, mode string, dst, src, totalBytes i
 	default:
 		return fmt.Errorf("proxy: unknown mode %q", mode)
 	}
-}
-
-// hostSum totals every counter under the host prefix with the given
-// suffix — per-host copy accounting over all stacks running there (a
-// decomposed host runs one per library plus the OS server's).
-func hostSum(snap metrics.Snapshot, prefix, suffix string) int64 {
-	var total int64
-	for _, it := range snap.Items {
-		if strings.HasPrefix(it.Name, prefix) && strings.HasSuffix(it.Name, suffix) {
-			total += it.Value
-		}
-	}
-	return total
 }
 
 // ProxyMetrics is one row of BENCH_proxy.json: a (configuration,

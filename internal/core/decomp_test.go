@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,6 +23,7 @@ import (
 // world is a two-host decomposed-architecture test rig.
 type world struct {
 	s    *sim.Sim
+	rng  *rand.Rand // test payloads, seeded like the sim
 	seg  *simnet.Segment
 	a, b *core.System
 }
@@ -32,6 +34,7 @@ func newWorld(seed int64) *world {
 	seg := simnet.NewSegment(s)
 	return &world{
 		s:   s,
+		rng: rand.New(rand.NewSource(seed)),
 		seg: seg,
 		a:   core.New(kern.NewHost(s, seg, "A", wire.MAC{1}, wire.IP(10, 0, 0, 1), costs.DECLibrarySHMIPF()), costs.DECServerUX()),
 		b:   core.New(kern.NewHost(s, seg, "B", wire.MAC{2}, wire.IP(10, 0, 0, 2), costs.DECLibrarySHMIPF()), costs.DECServerUX()),
@@ -334,7 +337,7 @@ func TestFragmentForwarding(t *testing.T) {
 	libA := w.a.NewLibrary("bigsource")
 	const size = 5000
 	payload := make([]byte, size)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var got []byte
 	w.s.Spawn("bigsink", func(p *sim.Proc) {
 		fd, _ := libB.Socket(p, socketapi.SockDgram)
@@ -456,7 +459,7 @@ func TestServerFragmentsOutliveReuse(t *testing.T) {
 	// One datagram 10.0.0.9:3000 → 10.0.0.2:2000 in two fragments, the
 	// first a full-size frame.
 	dgram := make([]byte, 2000)
-	w.s.Rand().Read(dgram)
+	w.rng.Read(dgram)
 	(&wire.UDPHeader{SrcPort: 3000, DstPort: 2000, Length: uint16(len(dgram))}).Marshal(dgram)
 	const split = 1480
 	frag := func(second bool) []byte {
@@ -502,7 +505,7 @@ func TestZeroCopyAPI(t *testing.T) {
 	libA := w.a.NewLibrary("zsource")
 	const total = 64 * 1024
 	payload := make([]byte, total)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var got bytes.Buffer
 	w.s.Spawn("zsink", func(p *sim.Proc) {
 		ls, _ := libB.Socket(p, socketapi.SockStream)

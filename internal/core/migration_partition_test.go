@@ -25,7 +25,7 @@ func TestForkWhileNetworkPartitioned(t *testing.T) {
 
 	const phase1, phase2 = 24 * 1024, 24 * 1024
 	payload := make([]byte, phase1+phase2)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var got bytes.Buffer
 
 	sink := w.b.NewLibrary("sink")

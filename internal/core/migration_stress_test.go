@@ -32,7 +32,7 @@ func TestForkMidTransferUnderLoss(t *testing.T) {
 
 			const phase1, phase2 = 32 * 1024, 16 * 1024
 			payload := make([]byte, phase1+phase2)
-			w.s.Rand().Read(payload)
+			w.rng.Read(payload)
 			var got bytes.Buffer
 
 			sink := w.b.NewLibrary("sink")

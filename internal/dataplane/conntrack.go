@@ -191,24 +191,17 @@ func (p *Plane) evictOne() {
 	}
 }
 
-// gc removes every flow idle past its state's limit. Expiry candidates
-// are ordered by flow ID so the removal order (and every counter it
-// touches) is independent of map iteration order.
+// gc removes every flow idle past its state's limit. The walk is in map
+// order: a flow's fate depends only on its own state, and removal only
+// deletes entries, adjusts counts and clears a SNAT slot, so no order
+// is observable.
 func (p *Plane) gc() {
 	now := p.cfg.Sim.Now()
-	var expired []*flow
 	for _, e := range p.ct {
-		if e.dir != 0 {
-			continue
+		if e.dir == 0 && now.Sub(e.f.lastSeen) >= p.idleLimit(e.f) {
+			p.removeFlow(e.f)
+			p.Stats.CTExpired.Inc()
 		}
-		if now.Sub(e.f.lastSeen) >= p.idleLimit(e.f) {
-			expired = append(expired, e.f)
-		}
-	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i].id < expired[j].id })
-	for _, f := range expired {
-		p.removeFlow(f)
-		p.Stats.CTExpired.Inc()
 	}
 }
 

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -167,5 +169,53 @@ func TestFlowsSnapshotSorted(t *testing.T) {
 	}
 	if rows[0].Proto != "udp" || rows[0].State != "new" {
 		t.Fatalf("row render: %+v", rows[0])
+	}
+}
+
+// TestExpiryOrderFree: gc walks the flow table in map order, so a
+// removal must depend on nothing but the flow's own state. Three TCP
+// flows expire in one tick, then three UDP flows in another while two
+// refreshed ones stay; ten runs, each with a fresh table (and so a fresh
+// iteration order), must reach the same counters, backend pins and
+// SNAT state, down to the next port the allocator hands out.
+func TestExpiryOrderFree(t *testing.T) {
+	run := func() string {
+		h := newHarness(t, nil)
+		v := h.vip(t)
+		for sport := uint16(6000); sport < 6003; sport++ {
+			h.p.Ingress(tcpFrame(clientMAC, lbMAC, clientIP, vipIP, sport, vipPort, wire.TCPSyn, 1, 0, nil))
+		}
+		for sport := uint16(5000); sport < 5005; sport++ {
+			udpTo(h, sport)
+		}
+		h.takeSent()
+		var expired []uint64
+		step := func(d time.Duration) {
+			if err := h.s.RunFor(d); err != nil {
+				t.Fatal(err)
+			}
+			expired = append(expired, h.p.Stats.CTExpired.Value())
+		}
+		step(DefaultTransientIdle - DefaultGCInterval/2)
+		step(DefaultGCInterval)
+		udpTo(h, 5000)
+		udpTo(h, 5001)
+		step(DefaultUDPIdle - DefaultTransientIdle - DefaultGCInterval)
+		step(DefaultGCInterval)
+		if want := []uint64{0, 3, 3, 6}; !slices.Equal(expired, want) {
+			t.Fatalf("expired %v across the ticks, want %v", expired, want)
+		}
+		var live []int
+		for _, b := range v.backends {
+			live = append(live, b.liveFlows)
+		}
+		next, _ := h.p.snat.alloc()
+		return fmt.Sprint(h.p.FlowCount(), h.p.stateCount, live, h.p.SNATInUse(), next)
+	}
+	want := run()
+	for i := 0; i < 10; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d: flows, states, backend pins, SNAT in use and next port %s, first run %s", i, got, want)
+		}
 	}
 }

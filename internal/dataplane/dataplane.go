@@ -118,21 +118,6 @@ type vipKey struct {
 	port uint16
 }
 
-func sortVIPKeys(keys []vipKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		for b := 0; b < 4; b++ {
-			if keys[i].ip[b] != keys[j].ip[b] {
-				return keys[i].ip[b] < keys[j].ip[b]
-			}
-		}
-		return keys[i].port < keys[j].port
-	})
-}
-
-func sortFlowsByID(fs []*flow) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].id < fs[j].id })
-}
-
 // Plane is the host's programmable data plane. It implements
 // filter.Hook; install with kern.Host.SetHook.
 type Plane struct {
@@ -174,7 +159,8 @@ func New(cfg Config) *Plane {
 }
 
 // BindMetrics registers the plane's counters and gauges under a scope
-// (typically "host.<name>.kern.dataplane").
+// (typically "host.<name>.kern.dataplane"). Bind before installing any
+// VIP: each backend binds as InstallVIP or AddBackend adds it.
 func (p *Plane) BindMetrics(sc *metrics.Scope) {
 	if sc == nil {
 		return
@@ -205,12 +191,6 @@ func (p *Plane) BindMetrics(sc *metrics.Scope) {
 	lb.Counter("resets", &p.Stats.LBResets)
 	lb.Counter("snat_failed", &p.Stats.SNATFailed)
 	lb.GaugeFunc("snat_in_use", func() int64 { return int64(p.snat.inUseCount()) })
-
-	for _, v := range p.sortedVIPs() {
-		for i, b := range v.backends {
-			p.bindBackend(v, i, b)
-		}
-	}
 }
 
 // bindBackend registers one backend's distribution instruments.
@@ -245,20 +225,6 @@ func (p *Plane) InstallVIP(ip wire.IPAddr, port uint16, backends []Backend) (*VI
 	p.vips[key] = v
 	p.arpOwned[ip]++
 	return v, nil
-}
-
-// sortedVIPs returns the installed VIPs in (ip, port) order.
-func (p *Plane) sortedVIPs() []*VIP {
-	keys := make([]vipKey, 0, len(p.vips))
-	for k := range p.vips {
-		keys = append(keys, k)
-	}
-	sortVIPKeys(keys)
-	out := make([]*VIP, len(keys))
-	for i, k := range keys {
-		out[i] = p.vips[k]
-	}
-	return out
 }
 
 // rebuild recomputes the VIP's Maglev table from its live backends.
@@ -364,7 +330,7 @@ func (p *Plane) sortedFlowsByID() []*flow {
 			out = append(out, e.f)
 		}
 	}
-	sortFlowsByID(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 

@@ -270,6 +270,9 @@ func TestSumAndMergedHistogram(t *testing.T) {
 	if got := s.Sum(".tcp_rexmit"); got != 4 {
 		t.Fatalf("Sum = %d", got)
 	}
+	if got := s.SumUnder("host.b.", ".tcp_rexmit"); got != 2 {
+		t.Fatalf("SumUnder(host.b.) = %d, want 2", got)
+	}
 	m := r.MergedHistogram(".connect_ns")
 	if m.Count() != 2 || m.Sum() != 2000 {
 		t.Fatalf("merged count=%d sum=%d", m.Count(), m.Sum())

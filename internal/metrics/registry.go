@@ -277,10 +277,15 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 // Sum adds the values of every item whose name ends in suffix — the
 // cross-host aggregation helper ("how many TIME_WAIT sockets exist
 // anywhere" is Sum(".tcp_state.time_wait")).
-func (s Snapshot) Sum(suffix string) int64 {
+func (s Snapshot) Sum(suffix string) int64 { return s.SumUnder("", suffix) }
+
+// SumUnder adds the values of every item whose name starts with prefix
+// and ends in suffix — one host's total over all its stacks is
+// SumUnder("host.<name>.", ".sock_copied_bytes").
+func (s Snapshot) SumUnder(prefix, suffix string) int64 {
 	var total int64
 	for _, it := range s.Items {
-		if strings.HasSuffix(it.Name, suffix) {
+		if strings.HasPrefix(it.Name, prefix) && strings.HasSuffix(it.Name, suffix) {
 			total += it.Value
 		}
 	}

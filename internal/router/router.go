@@ -18,7 +18,6 @@ package router
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -458,26 +457,20 @@ func (r *Router) arpLearn(p *Port, ip wire.IPAddr, mac wire.MAC) {
 	}
 }
 
-// arpSweep expires unresolved entries (dropping their pending frames) in
-// sorted address order so expiry is deterministic.
+// arpSweep expires unresolved entries, dropping their pending frames.
+// The walk is in map order: an entry's fate depends only on its own age,
+// and expiry only deletes it and counts, so no order is observable.
 func (r *Router) arpSweep() {
 	for _, p := range r.ports {
-		var stale []wire.IPAddr
 		for ip, st := range p.arp {
-			if !st.resolved {
-				st.ageTicks++
-				if st.ageTicks >= arpUnresolvedTTL {
-					stale = append(stale, ip)
-				}
+			if st.resolved {
+				continue
 			}
-		}
-		sort.Slice(stale, func(i, j int) bool { return stale[i].Uint32() < stale[j].Uint32() })
-		for _, ip := range stale {
-			st := p.arp[ip]
-			for range st.pending {
-				r.Stats.ARPDrops.Inc()
+			st.ageTicks++
+			if st.ageTicks >= arpUnresolvedTTL {
+				r.Stats.ARPDrops.Add(uint64(len(st.pending)))
+				delete(p.arp, ip)
 			}
-			delete(p.arp, ip)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package router
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -404,5 +407,49 @@ func TestForwardAllocs(t *testing.T) {
 	}
 	if got := r.Stats.Forwarded.Value(); got != 1+2*101 {
 		t.Errorf("Forwarded = %d, want %d (warm-up + two runs of 1+100)", got, 1+2*101)
+	}
+}
+
+// TestExpiryOrderFree: the ARP sweep walks each port's table in map
+// order, so an expiry must depend on nothing but the entry's own age.
+// Three unresolved next hops, holding six frames, expire in one sweep
+// while the resolved one stays; ten runs, each with fresh maps (and so
+// fresh iteration orders), must count and keep the same.
+func TestExpiryOrderFree(t *testing.T) {
+	run := func() string {
+		s := sim.New(9)
+		r, ha, hb := topo2(s)
+		ha.sendIP(mac(0xa0), hb.ip, 64, []byte("resolved"))
+		for i, last := range []byte{7, 8, 9} {
+			for range i + 1 {
+				ha.sendIP(mac(0xa0), wire.IP(10, 2, 0, last), 64, []byte("nobody"))
+			}
+		}
+		if err := s.RunFor(arpUnresolvedTTL*arpSweepInterval - arpSweepInterval/2); err != nil {
+			t.Fatal(err)
+		}
+		before := r.Stats.ARPDrops.Value()
+		if err := s.RunFor(arpSweepInterval); err != nil {
+			t.Fatal(err)
+		}
+		if after := r.Stats.ARPDrops.Value(); before != 0 || after != 6 {
+			t.Fatalf("ARP drops %d then %d across one sweep, want 0 then 6", before, after)
+		}
+		var kept [][]wire.IPAddr
+		for _, p := range r.Ports() {
+			var ips []wire.IPAddr
+			for ip := range p.arp {
+				ips = append(ips, ip)
+			}
+			slices.SortFunc(ips, func(a, b wire.IPAddr) int { return cmp.Compare(a.Uint32(), b.Uint32()) })
+			kept = append(kept, ips)
+		}
+		return fmt.Sprint(r.Stats.Forwarded.Value(), kept)
+	}
+	want := run()
+	for i := 0; i < 10; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d: forwarded and kept next hops %s, first run %s", i, got, want)
+		}
 	}
 }

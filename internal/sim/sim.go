@@ -203,16 +203,14 @@ type Sim struct {
 	Deadline Time
 
 	seed int64
-	rng  *rand.Rand
 }
 
-// New returns a simulator with a deterministic random source derived from
+// New returns a simulator whose random streams (Stream) derive from
 // seed.
 func New(seed int64) *Sim {
 	return &Sim{
 		procs: make(map[*Proc]uint64),
 		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -238,13 +236,6 @@ func (s *Sim) SetTracer(t Tracer) { s.tracer = t }
 // need their own deterministic random streams (for example per-link
 // fault injection) derive them from this.
 func (s *Sim) Seed() int64 { return s.seed }
-
-// Rand returns the simulation's deterministic random source.
-//
-// Deprecated for new code: draws interleave with every other caller, so
-// values depend on global event order. Components that must stay stable
-// under resharding should use Stream instead.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // StreamSeed mixes a simulation seed with a component name (FNV-1a over
 // the name, then a splitmix64 finalizer) into an independent stream

@@ -496,11 +496,12 @@ func TestWaitGroup(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		s := New(7)
+		rng := rand.New(rand.NewSource(7))
 		var cpu Resource
 		var trace []Time
 		for i := 0; i < 8; i++ {
 			s.Spawn("w", func(p *Proc) {
-				d := time.Duration(s.Rand().Intn(1000)) * time.Microsecond
+				d := time.Duration(rng.Intn(1000)) * time.Microsecond
 				p.Sleep(d)
 				cpu.Use(p, TaskPriority, 100*time.Microsecond)
 				trace = append(trace, p.Now())

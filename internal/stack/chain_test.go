@@ -25,7 +25,7 @@ func TestSendChainRetransmitCoW(t *testing.T) {
 	w.seg.Faults().SetDefaultRates(fault.Rates{Drop: 0.05})
 	const total = 64 * 1024
 	payload := make([]byte, total)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var received bytes.Buffer
 
 	w.s.Spawn("server", func(p *sim.Proc) {
@@ -92,7 +92,7 @@ func TestStackSpliceZeroCopy(t *testing.T) {
 	w := newWorld(78)
 	const total = 128 * 1024
 	payload := make([]byte, total)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var received bytes.Buffer
 
 	// Sink on A.

@@ -19,7 +19,7 @@ func TestDebugLoss(t *testing.T) {
 	w.seg.Faults().SetDefaultRates(fault.Rates{Drop: 0.05})
 	const total = 64 * 1024
 	payload := make([]byte, total)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var received bytes.Buffer
 	var serverSock, clientSock *stack.Socket
 	var sendOff int

@@ -3,6 +3,7 @@ package stack_test
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -70,6 +71,7 @@ func newNodeProf(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip 
 
 type world struct {
 	s    *sim.Sim
+	rng  *rand.Rand // test payloads, seeded like the sim
 	seg  *simnet.Segment
 	a, b *node
 }
@@ -80,6 +82,7 @@ func newWorld(seed int64) *world {
 	seg := simnet.NewSegment(s)
 	return &world{
 		s:   s,
+		rng: rand.New(rand.NewSource(seed)),
 		seg: seg,
 		a:   newNode(s, seg, "A", 1, wire.IP(10, 0, 0, 1)),
 		b:   newNode(s, seg, "B", 2, wire.IP(10, 0, 0, 2)),
@@ -142,7 +145,7 @@ func TestTCPConnectTransferClose(t *testing.T) {
 	w := newWorld(2)
 	const total = 256 * 1024
 	payload := make([]byte, total)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var received bytes.Buffer
 	var acceptedFrom stack.Addr
 
@@ -220,7 +223,7 @@ func TestTCPSurvivesPacketLoss(t *testing.T) {
 	w.seg.Faults().SetDefaultRates(fault.Rates{Drop: 0.05})
 	const total = 64 * 1024
 	payload := make([]byte, total)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var received bytes.Buffer
 
 	w.s.Spawn("server", func(p *sim.Proc) {
@@ -432,7 +435,7 @@ func TestIPFragmentationRoundTrip(t *testing.T) {
 		got = buf[:n]
 	})
 	payload := make([]byte, size)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	w.s.Spawn("client", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
 		s := w.a.st.NewSocket(wire.ProtoUDP)
@@ -473,7 +476,7 @@ func TestZeroWindowAndResume(t *testing.T) {
 	w := newWorld(9)
 	const total = 64 * 1024
 	payload := make([]byte, total)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var received bytes.Buffer
 
 	w.s.Spawn("server", func(p *sim.Proc) {
@@ -551,7 +554,7 @@ func TestMigrationMidStream(t *testing.T) {
 	w := newWorld(11)
 	const phase1, phase2 = 10000, 30000
 	payload := make([]byte, phase1+phase2)
-	w.s.Rand().Read(payload)
+	w.rng.Read(payload)
 	var received bytes.Buffer
 	migrated := make(chan struct{}, 1)
 	_ = migrated

@@ -56,8 +56,8 @@ func runFaultWorkload(t *testing.T, seed int64) faultRunSignature {
 	const xferBytes = 48 * 1024
 	fwd := make([]byte, xferBytes)
 	rev := make([]byte, xferBytes)
-	w.s.Rand().Read(fwd)
-	w.s.Rand().Read(rev)
+	w.rng.Read(fwd)
+	w.rng.Read(rev)
 	var gotFwd, gotRev bytes.Buffer
 
 	serve := func(n *node, port uint16, into *bytes.Buffer) func(*sim.Proc) {

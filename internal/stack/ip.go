@@ -1,10 +1,7 @@
 package stack
 
 import (
-	"bytes"
-	"cmp"
 	"errors"
-	"slices"
 	"sort"
 	"time"
 
@@ -370,7 +367,6 @@ const reasmTTLTicks = 30 // 15 s, BSD's IPFRAGTTL
 // NewReassembler.
 type Reassembler struct {
 	held map[reasmKey]*reasmEntry
-	keys []reasmKey // expiry scratch, reused so an idle tick allocates nothing
 }
 
 // NewReassembler returns an empty table aged by this stack's slow timer,
@@ -430,20 +426,10 @@ func (r *Reassembler) Add(h wire.IPv4Header, body []byte) ([]byte, bool) {
 }
 
 // tick ages every datagram by one slow-timer tick and returns how many
-// expired. Keys are walked in sorted order so that expiry — and any
-// traffic it ever triggers — happens in the same order on every run.
+// expired. The walk is in map order: an entry's fate depends only on its
+// own age, and expiry only deletes it, so no order is observable.
 func (r *Reassembler) tick() (expired int) {
-	if len(r.held) == 0 {
-		return 0 // the steady-state case; keep the periodic tick free
-	}
-	keys := r.keys[:0]
-	for k := range r.held {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, reasmKey.compare) // allocation-free: no captures
-	r.keys = keys
-	for _, k := range keys {
-		e := r.held[k]
+	for k, e := range r.held {
 		e.ttlTick--
 		if e.ttlTick <= 0 {
 			delete(r.held, k)
@@ -451,19 +437,6 @@ func (r *Reassembler) tick() (expired int) {
 		}
 	}
 	return expired
-}
-
-func (k reasmKey) compare(o reasmKey) int {
-	if c := bytes.Compare(k.src[:], o.src[:]); c != 0 {
-		return c
-	}
-	if c := bytes.Compare(k.dst[:], o.dst[:]); c != 0 {
-		return c
-	}
-	if k.proto != o.proto {
-		return cmp.Compare(k.proto, o.proto)
-	}
-	return cmp.Compare(k.id, o.id)
 }
 
 // --- ICMP ---

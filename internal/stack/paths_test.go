@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -121,7 +122,7 @@ func TestSendPathsAgree(t *testing.T) {
 	copyin := plain.Costs.TCP[costs.CompEntryCopyin]
 	for _, size := range []int{0, 1, mss - 1, mss, 3*mss + 7, 20000} {
 		payload := make([]byte, size)
-		sim.New(int64(size)).Rand().Read(payload)
+		rand.New(rand.NewSource(int64(size))).Read(payload)
 
 		ref := runSend(t, costs.WithNewAPI(plain), 0, payload)
 		if !bytes.Equal(ref.got, payload) {
@@ -264,7 +265,7 @@ func (tr transcript) String() string { return fmt.Sprintf("%q then %v", tr.recor
 // nothing queued alike.
 func TestRecvPathsAgree(t *testing.T) {
 	stream := make([]byte, 5000)
-	sim.New(5).Rand().Read(stream)
+	rand.New(rand.NewSource(5)).Read(stream)
 	scenarios := []struct {
 		name string
 		udp  bool

@@ -45,7 +45,7 @@ func TestKeptBytesOutliveReuse(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(11)
 			want := make([]byte, n)
-			w.s.Rand().Read(want)
+			w.rng.Read(want)
 			w.s.Spawn("burst2", func(p *sim.Proc) { secondBurst(t, w, p) })
 			if got := tc.run(t, w, want); !bytes.Equal(got, want) {
 				t.Fatalf("kept %d bytes differ from the %d sent (first mismatch at %d)", len(got), len(want), mismatch(got, want))

@@ -416,8 +416,8 @@ func (st *Control) Input(t *sim.Proc, frame []byte, owned bool) {
 // iss generates an initial send sequence number. The first call opens
 // the stack's own stream, keyed by the stack's name: draws stay
 // identical no matter what else runs concurrently or which shard the
-// stack lands on (the shared cfg.Sim.Rand() would make every draw depend
-// on global event order), and a stack that never connects, as a
+// stack lands on (a stream shared across the sim would make every draw
+// depend on global event order), and a stack that never connects, as a
 // library's usually does not, never pays for one.
 func (st *Stack) iss() uint32 {
 	if st.rng == nil {

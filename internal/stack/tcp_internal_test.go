@@ -2,7 +2,9 @@ package stack
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -276,6 +278,46 @@ func TestTimerIdleExact(t *testing.T) {
 		}
 		if got := !st.slowTickIdle(st.arp); got != c.slow {
 			t.Errorf("%s: slow tick busy = %v, want %v", c.name, got, c.slow)
+		}
+	}
+}
+
+// TestExpiryOrderFree: the reassembly tick walks its table in map
+// order, so an expiry must depend on nothing but the entry's own age.
+// Three datagrams expire in one tick while two younger ones stay; ten
+// runs, each with a fresh map (and so a fresh iteration order), must
+// count and keep the same.
+func TestExpiryOrderFree(t *testing.T) {
+	run := func() string {
+		r := testStack(t).NewReassembler()
+		frag := func(id uint16) {
+			h := wire.IPv4Header{ID: id, Proto: wire.ProtoUDP, Src: wire.IP(10, 0, 0, 2), Dst: wire.IP(10, 0, 0, 1), Flags: wire.IPFlagMF}
+			r.Add(h, make([]byte, 16))
+		}
+		for id := uint16(1); id <= 3; id++ {
+			frag(id)
+		}
+		r.tick()
+		frag(4)
+		frag(5)
+		var perTick []int
+		for i := 1; i < reasmTTLTicks; i++ {
+			perTick = append(perTick, r.tick())
+		}
+		if got := perTick[len(perTick)-1]; got != 3 {
+			t.Fatalf("last tick expired %d datagrams, want 3", got)
+		}
+		var held []uint16
+		for k := range r.held {
+			held = append(held, k.id)
+		}
+		slices.Sort(held)
+		return fmt.Sprint(perTick, held)
+	}
+	want := run()
+	for i := 0; i < 10; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d: expiries and survivors %s, first run %s", i, got, want)
 		}
 	}
 }

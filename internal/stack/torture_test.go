@@ -64,8 +64,8 @@ func runTorture(t *testing.T, seed int64, rates fault.Rates, planText string) {
 	const fwdBytes, revBytes = 48 * 1024, 24 * 1024
 	fwd := make([]byte, fwdBytes)
 	rev := make([]byte, revBytes)
-	w.s.Rand().Read(fwd)
-	w.s.Rand().Read(rev)
+	w.rng.Read(fwd)
+	w.rng.Read(rev)
 	var gotFwd, gotRev bytes.Buffer
 
 	// B accepts, reads the forward stream, and simultaneously writes the

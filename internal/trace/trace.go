@@ -349,23 +349,6 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Reset discards all records (the drop counter included) on the
-// recorder and its lanes but keeps the mask and limit. The record
-// buffers are retained and reused, so a recorder that is periodically
-// reset stops allocating; slices returned by Records before the Reset
-// are invalidated by it.
-func (r *Recorder) Reset() {
-	for i := range r.recs {
-		r.recs[i] = Record{} // release frame copies and strings
-	}
-	r.recs = r.recs[:0]
-	r.dropped = 0
-	r.seq = 0
-	for _, l := range r.lanes {
-		l.Reset()
-	}
-}
-
 // simTracer adapts the recorder to the sim.Tracer callback interface.
 // It is installed only when LayerSim is enabled, so scheduler tracing
 // costs nothing when off.

@@ -64,10 +64,6 @@ func TestEmitAndLimit(t *testing.T) {
 	if recs[0].Seq != 1 || recs[1].Seq != 2 {
 		t.Errorf("Seq not monotonic from 1: %d, %d", recs[0].Seq, recs[1].Seq)
 	}
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 {
-		t.Error("Reset should clear records and drop count")
-	}
 }
 
 func TestEmitFrameCopies(t *testing.T) {

@@ -2,6 +2,7 @@ package psd_test
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func runRobustTransfer(t *testing.T, arch psd.Arch, rates fault.Rates, plan stri
 
 	const total = 32 * 1024
 	payload := make([]byte, total)
-	n.Sim().Rand().Read(payload)
+	rand.New(rand.NewSource(n.Sim().Seed())).Read(payload)
 	var got bytes.Buffer
 
 	srv := b.NewApp("sink")
