@@ -149,7 +149,8 @@ type Engine struct {
 	// iterated, so the map cannot perturb determinism).
 	pending map[wire.Flow]*mergeBuf
 
-	free []*job // idle jobs, reused so the per-frame path schedules no closures
+	free   []*job   // idle jobs, reused so the per-frame path schedules no closures
+	slices [][]byte // a super-segment's slices, reused by every TSO send
 
 	Stats Stats
 }
@@ -308,15 +309,19 @@ func (e *Engine) Transmit(frame []byte) error {
 	// stack gave the super-segment up at Transmit, so once sliced its
 	// storage goes back to mbuf's pools.
 	e.Stats.TSOSuper.Inc()
-	slices := sliceSuper(frame, v)
+	slices := sliceSuper(e.slices[:0], frame, v)
+	e.slices = slices
+	defer clear(slices)
 	mbuf.Free(frame)
 	tcpHLen := v.PayAt - v.TPAt
 
 	if e.txFull() {
 		// FIFO full: software GSO. The host does the slicing and the
 		// per-slice checksums, then the frames go straight to the wire in
-		// order, skipping the engine pipeline.
+		// order, skipping the engine pipeline. The closure outlives the
+		// call, so it sends its own copy of the slices.
 		e.Stats.TxOverflow.Inc()
+		slices := append([][]byte(nil), slices...)
 		var d time.Duration
 		for _, s := range slices {
 			segBytes := len(s) - v.TPAt
@@ -420,10 +425,10 @@ func (j *job) hold() {
 // frame's own Ethernet+IP+TCP headers, options included; FIN/PSH ride
 // only on the last slice. Shared by the engine TSO path and the software
 // GSO fallback — the bytes on the wire are identical either way, only who
-// is charged for producing them differs.
-func sliceSuper(frame []byte, v wire.View) [][]byte {
+// is charged for producing them differs. The slices are appended to
+// slices.
+func sliceSuper(slices [][]byte, frame []byte, v wire.View) [][]byte {
 	payload := frame[v.PayAt:v.End]
-	var slices [][]byte
 	for off, idx := 0, 0; off < len(payload); idx++ {
 		take := min(DefaultMSS, len(payload)-off)
 		slice := mbuf.Frame(v.PayAt + take)

@@ -137,7 +137,7 @@ func (pg *loopProgram) install(s *Sim, l *loopLog) {
 				procs[tm.unpark].Unpark()
 			}
 		}
-		var h *Timer
+		var h Timer
 		if tm.after {
 			h = s.After(tm.at.Duration(), fire)
 		} else {
@@ -153,7 +153,7 @@ func (pg *loopProgram) install(s *Sim, l *loopLog) {
 	for i, ev := range pg.everys {
 		i, ev := i, ev
 		n := 0
-		var h *Timer
+		var h Timer
 		h = s.Every(ev.period, func() {
 			n++
 			rec("every %d tick %d", i, n)

@@ -194,7 +194,7 @@ func (s *Sim) Close() {
 			}
 		}
 	}
-	s.events, s.free = nil, nil
+	s.events, s.free = queue{}, nil
 }
 
 // Sim returns the simulator this process belongs to.

@@ -199,8 +199,8 @@ func (g *Group) horizon() (Time, bool) {
 	var h Time
 	ok := false
 	for _, s := range g.shards {
-		if ev := s.peek(); ev != nil && (!ok || ev.at < h) {
-			h, ok = ev.at, true
+		if top := s.peek(); top != nil && (!ok || top.at < h) {
+			h, ok = top.at, true
 		}
 	}
 	return h, ok
@@ -246,7 +246,7 @@ func (g *Group) runShards(end Time) {
 
 // exchange merges every shard's staged cross-shard sends into the
 // destination queues. Delivery keys are unique and intrinsic, so the
-// heap gives them their canonical position regardless of merge order;
+// queue gives them their canonical position regardless of merge order;
 // iterating shards in id order just keeps the merge allocation-stable.
 func (g *Group) exchange(end Time) {
 	for _, src := range g.shards {

@@ -25,6 +25,8 @@
 // clock, dispatch count and tracer advance as the scheduler would have.
 // A periodic proc's idle tick (Proc.SleepIdle) is answered by the
 // scheduler alone: it schedules the next tick and the proc stays parked.
+// The event queue is a heap of instant runs (see queue), and At and
+// After return their Timer by value: scheduling allocates nothing.
 package sim
 
 import (
@@ -60,117 +62,43 @@ func (t Time) String() string { return time.Duration(t).String() }
 // deliveries (see ScheduleRemote) are band 1, keyed by a stable origin
 // id and a per-origin sequence number: the key is intrinsic to the
 // message, never to which shard happened to carry it, which is what
-// makes the merged order invariant under resharding.
+// makes the merged order invariant under resharding. An event does not
+// hold its key: the queue slot of its run does (see queue).
 type event struct {
-	at      Time
-	seq     uint64 // tie-break: FIFO among events at the same instant
-	origin  uint64 // band 1: stable source-stream id (0 for band 0)
-	fn      func()
-	proc    *Proc      // if non-nil, resume this process instead of calling fn
-	rw      *resWaiter // if non-nil, a resource grant expiry (UseEvent)
-	band    uint8      // 0 local, 1 remote delivery
-	stopped bool
-	index   int    // heap index, -1 when not queued
-	gen     uint64 // incremented each time the event is recycled
+	next     *event // the next event of its run
+	fn       func()
+	proc     *Proc      // if non-nil, resume this process instead of calling fn
+	rw       *resWaiter // if non-nil, a resource grant expiry (UseEvent)
+	gen      uint64     // incremented each time the event is recycled
+	queued   bool       // in the queue, not yet popped
+	stopped  bool
+	periodic bool // an Every timer's, queued again after each firing
 }
 
-// Timer is a handle to a scheduled event, returned by At, After, and Every.
+// Timer is a handle to a scheduled event, returned by At, After, and
+// Every: the event and its generation, by value, so taking one allocates
+// nothing. A handle outliving its event is detected by the generation.
 type Timer struct {
-	ev        *event
-	gen       uint64 // ev's generation when the handle was issued
-	recurring bool
-	dead      bool // stops a recurring timer across reschedules
+	ev  *event
+	gen uint64 // ev's generation when the handle was issued
 }
 
 // Stop cancels the timer. For one-shot timers it reports whether the event
 // had not yet fired; for recurring timers it always stops future firings
 // and reports whether the timer was still live.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil {
-		return false
-	}
-	if t.recurring {
-		was := !t.dead
-		t.dead = true
-		if t.ev.gen == t.gen {
-			t.ev.stopped = true
-		}
-		return was
-	}
-	if t.ev.gen != t.gen || t.ev.stopped || t.ev.index < 0 {
+func (t Timer) Stop() bool {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen || ev.stopped || !ev.queued && !ev.periodic {
 		return false // already fired (and recycled) or already stopped
 	}
-	t.ev.stopped = true
+	ev.stopped = true
 	return true
-}
-
-// before is the queue order on (at, band, origin, seq). Keys are unique,
-// so the order is total and the pop sequence does not depend on the
-// heap's layout.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.band != o.band {
-		return e.band < o.band
-	}
-	if e.origin != o.origin {
-		return e.origin < o.origin
-	}
-	return e.seq < o.seq
-}
-
-// eventHeap is a binary min-heap in before order. Every queued event's
-// index is its slot; pop sets it to -1 (Timer.Stop reads that).
-type eventHeap []*event
-
-// push inserts ev, moving parents down until its slot is found.
-func (h *eventHeap) push(ev *event) {
-	q := append(*h, ev)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ev.before(q[p]) {
-			break
-		}
-		q[i] = q[p]
-		q[i].index = i
-		i = p
-	}
-	q[i], ev.index = ev, i
-	*h = q
-}
-
-// pop removes and returns the earliest event; the heap is not empty.
-func (h *eventHeap) pop() *event {
-	q := *h
-	n := len(q) - 1
-	top, last := q[0], q[n]
-	q[n], top.index = nil, -1
-	*h = q[:n]
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for c := 1; c < n; c = 2*i + 1 {
-		if c+1 < n && q[c+1].before(q[c]) {
-			c++
-		}
-		if !q[c].before(last) {
-			break
-		}
-		q[i] = q[c]
-		q[i].index = i
-		i = c
-	}
-	q[i], last.index = last, i
-	return top
 }
 
 // Sim is a discrete-event simulator instance.
 type Sim struct {
 	now     Time
-	events  eventHeap
+	events  queue
 	seq     uint64
 	fg      int              // live foreground (non-daemon) processes
 	everFg  bool             // whether any foreground process was ever spawned
@@ -180,7 +108,7 @@ type Sim struct {
 	closed  bool // see Close
 	panicV  any
 	tracer  Tracer
-	free    []*event // recycled events (the pool behind the heap)
+	free    []*event // recycled events (the pool behind the queue)
 
 	// Sharding state. A standalone Sim has group == nil and none of it
 	// is touched on the hot path; it is driven as solo, a one-shard
@@ -263,13 +191,20 @@ func (s *Sim) Stream(name string) *rand.Rand {
 }
 
 func (s *Sim) schedule(at Time, fn func(), p *Proc) *event {
-	s.seq++
-	return s.enqueue(max(at, s.now), 0, 0, s.seq, fn, p)
+	ev := s.newEvent(fn, p)
+	s.enqueue(ev, max(at, s.now))
+	return ev
 }
 
-// enqueue queues an event keyed (at, band, origin, seq), reusing one from
-// the free list when there is one.
-func (s *Sim) enqueue(at Time, band uint8, origin, seq uint64, fn func(), p *Proc) *event {
+// enqueue queues ev as a band-0 event at `at` with the next seq.
+func (s *Sim) enqueue(ev *event, at Time) {
+	s.seq++
+	s.events.pushLocal(at, s.seq, ev)
+}
+
+// newEvent returns an unqueued event, reusing one from the free list when
+// there is one.
+func (s *Sim) newEvent(fn func(), p *Proc) *event {
 	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -278,8 +213,7 @@ func (s *Sim) enqueue(at Time, band uint8, origin, seq uint64, fn func(), p *Pro
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.band, ev.origin, ev.seq, ev.fn, ev.proc = at, band, origin, seq, fn, p
-	s.events.push(ev)
+	ev.fn, ev.proc = fn, p
 	return ev
 }
 
@@ -288,8 +222,7 @@ func (s *Sim) enqueue(at Time, band uint8, origin, seq uint64, fn func(), p *Pro
 func (s *Sim) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.proc, ev.rw = nil, nil, nil
-	ev.band, ev.origin = 0, 0
-	ev.stopped = false
+	ev.stopped, ev.periodic = false, false
 	s.free = append(s.free, ev)
 }
 
@@ -302,7 +235,7 @@ func (s *Sim) ScheduleRemote(at Time, origin, oseq uint64, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: lookahead violation: remote delivery at %v but shard %d is already at %v", at, s.shardID, s.now))
 	}
-	s.enqueue(at, 1, origin, oseq, fn, nil)
+	s.events.pushRemote(at, origin, oseq, s.newEvent(fn, nil))
 }
 
 // remoteMsg is one staged cross-shard delivery awaiting the barrier.
@@ -315,7 +248,7 @@ type remoteMsg struct {
 }
 
 // SendRemote schedules fn at time `at` on dst with the band-1 key
-// (origin, oseq). A same-sim send is inserted immediately (the heap
+// (origin, oseq). A same-sim send is inserted immediately (the queue
 // handles any future time); a cross-shard send is staged in the sender's
 // outbox and merged by the Group at the next window barrier. Both paths
 // give the event the identical key, so the executed order does not
@@ -360,37 +293,31 @@ func (s *Sim) Inlined() uint64 { return s.inlined }
 func (s *Sim) Idled() uint64 { return s.idled }
 
 // At schedules fn to run at virtual time t (or now, if t is in the past).
-func (s *Sim) At(t Time, fn func()) *Timer {
+func (s *Sim) At(t Time, fn func()) Timer {
 	ev := s.schedule(t, fn, nil)
-	return &Timer{ev: ev, gen: ev.gen}
+	return Timer{ev, ev.gen}
 }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Sim) After(d time.Duration, fn func()) *Timer {
+func (s *Sim) After(d time.Duration, fn func()) Timer {
 	ev := s.schedule(s.now.Add(d), fn, nil)
-	return &Timer{ev: ev, gen: ev.gen}
+	return Timer{ev, ev.gen}
 }
 
 // Every schedules fn to run every period, starting one period from now,
 // until the returned Timer is stopped. The callback runs as a daemon: it
-// does not keep Run alive.
-func (s *Sim) Every(period time.Duration, fn func()) *Timer {
-	t := &Timer{recurring: true}
-	var tick func()
-	tick = func() {
-		if t.dead {
-			return
-		}
+// does not keep Run alive. One event serves every firing: after fn it is
+// queued again, with the next seq, unless fn stopped it.
+func (s *Sim) Every(period time.Duration, fn func()) Timer {
+	var ev *event
+	ev = s.schedule(s.now.Add(period), func() {
 		fn()
-		if t.dead {
-			return
+		if !ev.stopped {
+			s.enqueue(ev, s.now.Add(period))
 		}
-		t.ev = s.schedule(s.now.Add(period), tick, nil)
-		t.gen = t.ev.gen
-	}
-	t.ev = s.schedule(s.now.Add(period), tick, nil)
-	t.gen = t.ev.gen
-	return t
+	}, nil)
+	ev.periodic = true
+	return Timer{ev, ev.gen}
 }
 
 // Stop makes Run return after the current event completes.
@@ -444,31 +371,30 @@ func orHour(deadline Time) Time {
 	return deadline
 }
 
-// peek returns the earliest live event without removing it, discarding
-// cancelled events as it goes. Nil means the queue is empty.
-func (s *Sim) peek() *event {
-	for len(s.events) > 0 {
-		ev := s.events[0]
-		if !ev.stopped {
-			return ev
+// peek returns the slot of the earliest live event without removing it,
+// discarding cancelled events as it goes. Nil means the queue is empty.
+func (s *Sim) peek() *slot {
+	for len(s.events.slots) > 0 {
+		if top := &s.events.slots[0]; !top.head.stopped {
+			return top
 		}
-		s.events.pop()
-		s.recycle(ev)
+		s.recycle(s.events.pop())
 	}
 	return nil
 }
 
 // next decides which event runs next: the earliest live event in
-// (at, band, origin, seq) order, removed from the queue, if it lies
-// before the exclusive bound end; otherwise nil, and nothing is removed.
-// Only it, and wakeIsNext for a proc's own wake-up, make that decision.
+// (at, band, origin, seq) order, removed from the queue with the clock
+// set to its instant, if it lies before the exclusive bound end;
+// otherwise nil, and nothing is removed. Only it, and wakeIsNext for a
+// proc's own wake-up, make that decision.
 func (s *Sim) next(end Time) *event {
-	ev := s.peek()
-	if ev == nil || ev.at >= end {
+	top := s.peek()
+	if top == nil || top.at >= end {
 		return nil
 	}
-	s.events.pop()
-	return ev
+	s.now = top.at
+	return s.events.pop()
 }
 
 // wakeIsNext reports whether a proc wake-up keyed (at, 0, 0, seq+1) would
@@ -478,8 +404,8 @@ func (s *Sim) wakeIsNext(at Time) bool {
 	if at >= s.end || !s.dispatching() {
 		return false
 	}
-	ev := s.peek()
-	return ev == nil || ev.at > at || ev.at == at && ev.band == 1
+	top := s.peek()
+	return top == nil || top.at > at || top.at == at && top.key>>63 != 0
 }
 
 // dispatching is runTo's per-event rule (see runTo).
@@ -498,7 +424,6 @@ func (s *Sim) runTo(end Time, fgExit bool) {
 		if ev == nil {
 			return
 		}
-		s.now = ev.at
 		s.dispatch(ev)
 		if s.panicV != nil {
 			panic(s.panicV)
@@ -520,10 +445,10 @@ func (s *Sim) dispatch(ev *event) {
 		p := ev.proc
 		if p.idle != nil && p.idle() {
 			// The proc's loop would find nothing to do and sleep again:
-			// schedule that wake-up for it, at the same point in seq.
+			// queue its wake-up, this event, at the same point in seq.
 			s.idled++
-			p.pendingResume = s.schedule(s.now.Add(p.period), nil, p)
-			break
+			s.enqueue(ev, s.now.Add(max(p.period, 0)))
+			return
 		}
 		p.pendingResume = nil
 		p.switchTo()
@@ -536,6 +461,9 @@ func (s *Sim) dispatch(ev *event) {
 		w.r.putWaiter(w)
 	default:
 		ev.fn()
+		if ev.queued { // an Every timer's, queued again
+			return
+		}
 	}
 	s.recycle(ev)
 }

@@ -66,7 +66,7 @@ func TestTimerStop(t *testing.T) {
 func TestEvery(t *testing.T) {
 	s := New(1)
 	n := 0
-	var tick *Timer
+	var tick Timer
 	tick = s.Every(10*time.Millisecond, func() {
 		n++
 		if n == 5 {
@@ -668,47 +668,94 @@ func TestSelfWake(t *testing.T) {
 	}
 }
 
-// TestEventHeapOrder drives the event queue with random interleavings of
-// local and remote inserts, Timer.Stop and pops: every pop returns the
-// least live key in (at, band, origin, seq) order, a stopped event is
-// never returned, every Stop reports what the model says, and after each
-// step every queued event's index is its slot and no child precedes its
-// parent.
-func TestEventHeapOrder(t *testing.T) {
+// TestEventQueueOrder checks the queue of instant runs against a model:
+// a set of live keys. Random steps schedule local events (often in
+// same-instant bursts, so runs grow past one event, and on a few nearby
+// instants in turn, so one instant holds several runs), insert band-1
+// deliveries (with origins and sequence numbers near the top of the slot
+// key's fields) at instants that may already hold a run, stop timers
+// anywhere in a run, and pop, some pops scheduling again at the instant
+// being popped. Every pop must be the model's least live key and every
+// Stop must report what the model says. It fails if a schedule appends
+// to a run that is not its instant's latest, if a delivery joins a run,
+// or if a slot is re-keyed when its head pops as if the rest of its run
+// were scheduled anew.
+func TestEventQueueOrder(t *testing.T) {
 	type key struct {
 		at          Time
 		band        uint8
 		origin, seq uint64
 	}
-	keyOf := func(ev *event) key { return key{ev.at, ev.band, ev.origin, ev.seq} }
 	less := func(a, b key) bool {
-		return (&event{at: a.at, band: a.band, origin: a.origin, seq: a.seq}).before(
-			&event{at: b.at, band: b.band, origin: b.origin, seq: b.seq})
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.band != b.band {
+			return a.band < b.band
+		}
+		if a.origin != b.origin {
+			return a.origin < b.origin
+		}
+		return a.seq < b.seq
 	}
+	// runPos reports where ev sits in its run: 0 head, 1 middle, 2 tail,
+	// 3 a run of one, -1 not queued.
+	runPos := func(s *Sim, ev *event) int {
+		for i := range s.events.slots {
+			for e, pos := s.events.slots[i].head, 0; e != nil; e, pos = e.next, pos+1 {
+				if e != ev {
+					continue
+				}
+				switch {
+				case pos == 0 && e.next == nil:
+					return 3
+				case pos == 0:
+					return 0
+				case e.next == nil:
+					return 2
+				}
+				return 1
+			}
+		}
+		return -1
+	}
+	var stops [4]int
 	for seed := int64(1); seed <= 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := New(seed)
 		live := map[key]bool{}
+		var popped key
 		type handle struct {
-			tm *Timer
+			tm Timer
 			k  key
 		}
 		var handles []handle
-		oseq := uint64(0)
-		for step := 0; step < 2000; step++ {
-			switch op := r.Intn(10); {
-			case op < 4:
-				tm := s.At(s.now+Time(r.Intn(20)), func() {})
-				k := keyOf(tm.ev)
-				live[k] = true
-				handles = append(handles, handle{tm, k})
-			case op < 6:
+		oseq := uint64(1<<40 - 1<<20) // near the top of the slot key's field
+		instant := func() Time { return s.now + Time(r.Intn(6)) }
+		local := func(at Time) {
+			var k key
+			tm := s.At(at, func() { popped = k })
+			k = key{at, 0, 0, s.seq}
+			live[k] = true
+			handles = append(handles, handle{tm, k})
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := r.Intn(12); {
+			case op < 5:
+				at := instant()
+				for n := 1 + r.Intn(4); n > 0; n-- {
+					local(at)
+				}
+			case op < 7:
 				oseq++
-				k := key{s.now + Time(r.Intn(20)), 1, uint64(1 + r.Intn(3)), oseq}
-				s.ScheduleRemote(k.at, k.origin, k.seq, func() {})
+				k := key{instant(), 1, []uint64{1, 2, 1<<23 - 1}[r.Intn(3)], oseq}
+				s.ScheduleRemote(k.at, k.origin, k.seq, func() { popped = k })
 				live[k] = true
-			case op < 7 && len(handles) > 0:
+			case op < 8 && len(handles) > 0:
 				h := handles[r.Intn(len(handles))]
+				if live[h.k] {
+					stops[runPos(s, h.tm.ev)]++
+				}
 				if got := h.tm.Stop(); got != live[h.k] {
 					t.Fatalf("seed %d step %d: Stop = %v, model says live %v", seed, step, got, live[h.k])
 				}
@@ -721,9 +768,10 @@ func TestEventHeapOrder(t *testing.T) {
 					}
 					continue
 				}
-				k := keyOf(ev)
-				if !live[k] {
-					t.Fatalf("seed %d step %d: popped %+v, which is not live", seed, step, k)
+				ev.fn()
+				k := popped
+				if !live[k] || s.now != k.at {
+					t.Fatalf("seed %d step %d: popped %+v at %v, which is not live", seed, step, k, s.now)
 				}
 				for o := range live {
 					if less(o, k) {
@@ -731,18 +779,36 @@ func TestEventHeapOrder(t *testing.T) {
 					}
 				}
 				delete(live, k)
-				s.now = ev.at
+				if r.Intn(3) == 0 {
+					local(s.now) // as a callback scheduling at its own instant
+				}
 				s.recycle(ev)
 			}
-			for i, ev := range s.events {
-				if ev.index != i {
-					t.Fatalf("seed %d step %d: event in slot %d has index %d", seed, step, i, ev.index)
-				}
-				if i > 0 && ev.before(s.events[(i-1)/2]) {
-					t.Fatalf("seed %d step %d: slot %d precedes its parent", seed, step, i)
-				}
-			}
 		}
+	}
+	if stops[0] == 0 || stops[1] == 0 || stops[2] == 0 {
+		t.Fatalf("stops by run position (head, middle, tail, alone) = %v: every position must be hit", stops)
+	}
+}
+
+// TestSchedulingAllocatesNothing pins the value handles: on a warm queue,
+// At, After and Stop allocate nothing.
+func TestSchedulingAllocatesNothing(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	cycle := func() {
+		a := s.At(s.now+3, fn)
+		b := s.After(5, fn)
+		s.After(5, fn)
+		a.Stop()
+		b.Stop()
+		if err := s.RunFor(10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("At, After and Stop allocate %v per cycle, want 0", n)
 	}
 }
 

@@ -91,7 +91,7 @@ func (st *Stack) RecvRelease(t *sim.Proc, s *Socket, n int) error {
 	switch s.Proto {
 	case wire.ProtoUDP:
 		if d, ok := s.drcv.dequeue(); ok {
-			d.data.Release()
+			st.releaseDgram(d.data)
 		}
 	case wire.ProtoTCP:
 		if s.tcb == nil {

@@ -14,8 +14,8 @@ import (
 // TestFrameStorageCirculates pins the data path's heap cost: once the
 // pools are warm, a UDP datagram's round trip — emitted to a resolved
 // next hop, delivered to a second stack as an owned frame, consumed by
-// Recv — allocates the queued datagram's chain and no frame storage: the
-// frame's array comes back to mbuf's pools when Recv releases it.
+// Recv — allocates nothing: the frame's array comes back to mbuf's pools
+// and the queued datagram's chain to the stack when Recv releases them.
 func TestFrameStorageCirculates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
@@ -51,8 +51,8 @@ func TestFrameStorageCirculates(t *testing.T) {
 		}
 	}
 	round() // warm the mbuf pools
-	if n := testing.AllocsPerRun(100, round); n > 1 {
-		t.Fatalf("a UDP round trip allocates %.1f objects, want at most 1 (the datagram's chain)", n)
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a UDP round trip allocates %.1f objects, want 0", n)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -62,6 +62,58 @@ func TestFrameStorageCirculates(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perRound := (after.TotalAlloc - before.TotalAlloc) / 100; perRound >= 256 {
 		t.Fatalf("a UDP round trip allocates %d bytes; a %d-byte frame must come from the pools", perRound, len(payload))
+	}
+}
+
+// TestUDPEchoAllocatesNothing pins input's datagram chains: on a warm
+// echo between two stacks, each side receiving with Recv, a datagram
+// costs no allocation in either direction.
+func TestUDPEchoAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	s := sim.New(1)
+	var a, b *Control
+	stack := func(name string, ip wire.IPAddr, mac wire.MAC, peer **Control) *Control {
+		return NewControl(Config{
+			Sim: s, Name: name, LocalIP: ip, LocalMAC: mac,
+			Transmit: func(frame []byte) error {
+				(*peer).Input(nil, frame, true)
+				return nil
+			},
+		}, NewLocalPorts())
+	}
+	a = stack("a", wire.IP(10, 0, 0, 1), wire.MAC{1}, &b)
+	b = stack("b", wire.IP(10, 0, 0, 2), wire.MAC{2}, &a)
+	aAddr, bAddr := Addr{IP: a.cfg.LocalIP, Port: 5000}, Addr{IP: b.cfg.LocalIP, Port: 7}
+	a.arp.Insert(bAddr.IP, b.cfg.LocalMAC)
+	b.arp.Insert(aAddr.IP, a.cfg.LocalMAC)
+	aSo, bSo := a.NewSocket(wire.ProtoUDP), b.NewSocket(wire.ProtoUDP)
+	if err := a.Bind(aSo, aAddr); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bind(bSo, bAddr); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	buf := make([]byte, len(payload))
+	ch := mbuf.New()
+	hop := func(from, to *Control, so *Socket, src, dst Addr) {
+		ch.AppendBytes(payload)
+		if err := from.udpOutput(nil, src, dst, ch); err != nil {
+			t.Fatal(err)
+		}
+		if n, _, _, err := to.Recv(nil, so, buf, RecvOpts{}); err != nil || n != len(payload) {
+			t.Fatalf("recv: %d bytes, %v", n, err)
+		}
+	}
+	echo := func() {
+		hop(a, b, bSo, aAddr, bAddr)
+		hop(b, a, aSo, bAddr, aAddr)
+	}
+	echo() // warm the pools and both stacks' datagram chains
+	if n := testing.AllocsPerRun(100, echo); n != 0 {
+		t.Fatalf("a warm UDP echo allocates %.1f objects, want 0", n)
 	}
 }
 

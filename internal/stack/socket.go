@@ -520,7 +520,7 @@ func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Add
 		// Receive window opened; let the peer know if it matters.
 		st.tcpOutput(t, s.tcb)
 	default:
-		q.Release() // rest of datagram is discarded, as BSD does
+		st.releaseDgram(q) // rest of datagram is discarded, as BSD does
 	}
 	st.Stats.SockCopiedBytes.Add(uint64(n))
 	st.charge(t, isTCP, costs.CompCopyoutExit, n)

@@ -58,12 +58,25 @@ func (st *Stack) udpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 		return
 	}
 	st.charge(t, false, costs.CompMbufQueue, len(payload))
-	d := mbuf.New()
+	var d *mbuf.Chain
+	if n := len(st.dgrams); n > 0 {
+		d = st.dgrams[n-1]
+		st.dgrams = st.dgrams[:n-1]
+	} else {
+		d = mbuf.New()
+	}
 	st.rx.keep(d, payload)
 	if !s.drcv.enqueue(remote, d) {
-		d.Release()
+		st.releaseDgram(d)
 		st.Stats.Drops.Inc() // receive buffer full: datagram lost
 		return
 	}
 	s.sorwakeup(t, len(payload))
+}
+
+// releaseDgram releases a consumed datagram's chain and keeps the
+// emptied chain for the next udpInput.
+func (st *Stack) releaseDgram(d *mbuf.Chain) {
+	d.Release()
+	st.dgrams = append(st.dgrams, d)
 }
