@@ -54,12 +54,13 @@ func (m *misuse) refused() int {
 	return fd
 }
 
-// recvAll checks that RecvZC with a max that names no size returns
-// everything queued: the peer's whole greeting.
-func (m *misuse) recvAll(max int) error {
+// recvZC checks that RecvZC returns the first want bytes of the peer's
+// greeting: everything queued for a max that names no size, at most max
+// bytes for one that does.
+func (m *misuse) recvZC(max, want int) error {
 	b, _, err := m.zc.RecvZC(m.p, m.conn(), max, 0)
-	if err == nil && string(b) != string(greeting) {
-		err = fmt.Errorf("RecvZC(max=%d) = %q, want %q", max, b, greeting)
+	if err == nil && string(b) != string(greeting[:want]) {
+		err = fmt.Errorf("RecvZC(max=%d) = %q, want %q", max, b, greeting[:want])
 	}
 	return err
 }
@@ -199,8 +200,9 @@ var misuseRows = []struct {
 	}},
 	{"splice/udp-dst", socketapi.ErrNotSupported, func(m *misuse) error { return errFrom(m.ch.Splice(m.p, m.udp(), m.conn(), 1)) }},
 	{"splice/udp-src", socketapi.ErrNotSupported, func(m *misuse) error { return errFrom(m.ch.Splice(m.p, m.conn(), m.udp(), 1)) }},
-	{"recvzc/max=-1", nil, func(m *misuse) error { return m.recvAll(-1) }},
-	{"recvzc/max=0", nil, func(m *misuse) error { return m.recvAll(0) }},
+	{"recvzc/max=-1", nil, func(m *misuse) error { return m.recvZC(-1, len(greeting)) }},
+	{"recvzc/max=0", nil, func(m *misuse) error { return m.recvZC(0, len(greeting)) }},
+	{"recvzc/max=2", nil, func(m *misuse) error { return m.recvZC(2, 2) }},
 	{"select/unbound-udp-writable", nil, func(m *misuse) error {
 		fd := m.udp()
 		_, w, err := m.api.Select(m.p, nil, socketapi.NewFDSet(fd), time.Millisecond)

@@ -9,9 +9,11 @@ import (
 // buckets; above that, each power-of-two octave is split into 8
 // sub-buckets, so any reported quantile is within 12.5% of the true
 // sample value. 60 octaves of 8 sub-buckets after the 16 exact ones
-// cover the full uint64 range in 496 fixed buckets: a ~4 KB array that
-// the first sample allocates, so a histogram nothing observes costs its
-// 40-byte header alone, and no later Observe allocates.
+// cover the full uint64 range in 496 buckets. A histogram holds only a
+// window of them: none until its first sample, which allocates the 8
+// around itself (fewer at the layout's ends); a sample outside the
+// window widens it by what it needs plus half the window on that side. Samples within one octave fit in
+// 16 buckets, and a steady Observe allocates nothing.
 const (
 	histLinearMax  = 16 // values below this index themselves
 	histSubBuckets = 8  // sub-buckets per octave above the linear range
@@ -23,7 +25,8 @@ const (
 // The zero value is ready to use; all methods are nil-safe so disabled
 // metrics cost one nil check per Observe.
 type Histogram struct {
-	counts     *[histBuckets]uint64 // nil until the first sample
+	counts     []uint64 // buckets lo .. lo+len(counts)-1; nil until the first sample
+	lo         int
 	count, sum uint64
 	min, max   uint64
 }
@@ -58,12 +61,39 @@ func (h *Histogram) Observe(v int64) {
 	}
 	u := uint64(max(v, 0))
 	if h.counts == nil { // the first sample
-		h.counts, h.min = new([histBuckets]uint64), u
+		h.min = u
 	}
 	h.min, h.max = min(h.min, u), max(h.max, u)
 	h.count++
 	h.sum += u
-	h.counts[bucketOf(u)]++
+	b := bucketOf(u)
+	if uint(b-h.lo) >= uint(len(h.counts)) {
+		h.cover(b, b+1)
+	}
+	h.counts[b-h.lo]++
+}
+
+// cover widens the window to hold buckets [lo, hi): on each side that
+// grows, by what they need plus half the current width, within the
+// layout. An empty histogram takes [lo-4, max(lo+4, hi)): for one
+// sample, the 8 buckets around it.
+func (h *Histogram) cover(lo, hi int) {
+	newLo, newHi := lo-4, max(lo+4, hi)
+	if w := len(h.counts); w > 0 {
+		newLo, newHi = h.lo, h.lo+w
+		if lo < newLo {
+			newLo = lo - w/2
+		}
+		if hi > newHi {
+			newHi = hi + w/2
+		}
+	}
+	newLo, newHi = max(newLo, 0), min(newHi, histBuckets)
+	counts := make([]uint64, newHi-newLo)
+	if h.counts != nil {
+		copy(counts[h.lo-newLo:], h.counts)
+	}
+	h.counts, h.lo = counts, newLo
 }
 
 // Count returns the number of recorded samples.
@@ -109,26 +139,30 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	var cum uint64
 	for i, c := range h.counts {
 		if cum += c; cum >= rank {
-			return max(min(bucketUpper(i), h.max), h.min)
+			return max(min(bucketUpper(h.lo+i), h.max), h.min)
 		}
 	}
 	return h.max
 }
 
 // Merge folds other's samples into h (bucket-wise; exact for counts and
-// sums, bound-preserving for quantiles).
+// sums, bound-preserving for quantiles), widening h's window to cover
+// other's.
 func (h *Histogram) Merge(other *Histogram) {
 	if h == nil || other == nil || other.count == 0 {
 		return
 	}
 	if h.counts == nil {
-		h.counts, h.min = new([histBuckets]uint64), other.min
+		h.min = other.min
 	}
 	h.min, h.max = min(h.min, other.min), max(h.max, other.max)
 	h.count += other.count
 	h.sum += other.sum
+	if lo, hi := other.lo, other.lo+len(other.counts); lo < h.lo || hi > h.lo+len(h.counts) {
+		h.cover(lo, hi)
+	}
 	for i, c := range other.counts {
-		h.counts[i] += c
+		h.counts[other.lo-h.lo+i] += c
 	}
 }
 

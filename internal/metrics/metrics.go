@@ -12,9 +12,11 @@
 //     ad-hoc int counters cost before. The registry binds pointers to
 //     those same fields, so the counters the tests read and the counters
 //     an operator scrapes can never disagree. Registering allocates
-//     nothing per instrument: names are built at snapshot time, and a
-//     histogram's bucket array is allocated by its first sample; Observe
-//     on a nil histogram is a single nil check.
+//     nothing per instrument: names are built at snapshot time and kept
+//     in one buffer, at 8 bytes per instrument beyond the names, and a
+//     histogram holds only the window of buckets its samples span (none
+//     before the first); Observe on a nil histogram is a single nil
+//     check.
 //
 //  2. Determinism. The simulation is single-threaded under the event
 //     scheduler, so instruments need no atomics; snapshots iterate in

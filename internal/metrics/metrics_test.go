@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -165,6 +166,39 @@ func TestRegisterAllocates(t *testing.T) {
 	})
 	if per := allocs / (2 * n); per > 0.05 {
 		t.Fatalf("%.0f allocations for %d instruments: %.4f each, want at most 0.05", allocs, 2*n, per)
+	}
+}
+
+// TestNameCacheBytes pins what the first snapshot keeps: the names in
+// one buffer, and 8 bytes per instrument beyond them (an end offset and
+// a place in snapshot order), measured as live heap after a collection.
+// The three buffers round up to whole pages and the live heap moves by a
+// few KiB on its own, so 64 KiB of slack is allowed: the 24-byte records
+// of a per-instrument name cache would exceed it 12 times over.
+func TestNameCacheBytes(t *testing.T) {
+	const n = 50000
+	r := NewRegistry()
+	sc := r.Scope("host.a").Sub("stack")
+	counters := make([]Counter, n)
+	for i := range counters {
+		sc.Counter("c"+strconv.Itoa(n-i), &counters[i])
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second empties the sync.Pool caches the first kept
+	runtime.ReadMemStats(&before)
+	r.Snapshot(0)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	var names int64
+	for _, it := range r.Snapshot(0).Items {
+		names += int64(len(it.Name))
+	}
+	t.Logf("the name cache holds %d B: %d B of names and %.2f B per instrument", held, names, float64(held-names)/n)
+	if held > names+8*n+64<<10 {
+		t.Fatalf("the name cache holds %d B, want at most %d B of names + 8 B per instrument + 64 KiB", held, names)
 	}
 }
 

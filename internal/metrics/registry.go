@@ -30,26 +30,17 @@ func (k Kind) String() string {
 }
 
 // instrument is one registered metric: its scope, its literal leaf name
-// and exactly one of counter, gaugeFn and hist. The full name is built
-// at snapshot time (Registry.resolve).
+// and what it reads, a *Counter, a *Histogram or a gauge's func() int64.
+// The full name is built at snapshot time (Registry.resolve).
 type instrument struct {
-	scope   *Scope
-	leaf    string
-	counter *Counter
-	gaugeFn func() int64
-	hist    *Histogram
+	scope *Scope
+	leaf  string
+	ref   any
 }
 
 // blockSize is how many instruments one storage block holds. Blocks are
 // never reallocated, so registering copies nothing.
 const blockSize = 512
-
-// named is one instrument's final name in snapshot order; idx is its
-// registration order.
-type named struct {
-	name string
-	idx  int
-}
 
 // Registry holds the full instrument tree for one simulation. It is not
 // safe for concurrent use — the simulation is single-threaded, and the
@@ -59,9 +50,13 @@ type Registry struct {
 	n      int // instruments registered
 	hists  int // of which histograms
 
-	// sorted holds every instrument's final name in snapshot order. It is
-	// built again whenever a registration has left it short.
-	sorted []named
+	// The name cache, 8 bytes per instrument beyond the name bytes: every
+	// final name in one buffer, in registration order, instrument i's at
+	// names[ends[i]:ends[i+1]]; and the registration indices in snapshot
+	// order. It is built again whenever a registration has left it short.
+	names string
+	ends  []uint32
+	order []int32
 }
 
 // NewRegistry returns an empty registry.
@@ -84,7 +79,7 @@ func (r *Registry) register(ins instrument) {
 	}
 	r.blocks[r.n/blockSize][r.n%blockSize] = ins
 	r.n++
-	if ins.hist != nil {
+	if _, ok := ins.ref.(*Histogram); ok {
 		r.hists++
 	}
 }
@@ -92,14 +87,18 @@ func (r *Registry) register(ins instrument) {
 // at returns the instrument registered idx-th.
 func (r *Registry) at(idx int) *instrument { return &r.blocks[idx/blockSize][idx%blockSize] }
 
-// resolve returns every instrument's final name, sorted. A name is the
+// name returns the final name of the instrument registered idx-th.
+func (r *Registry) name(idx int32) string { return r.names[r.ends[idx]:r.ends[idx+1]] }
+
+// resolve returns the registration indices in snapshot order, building
+// the name cache if a registration has left it short. A name is the
 // scope's dotted path, a dot and the leaf; a name an earlier
 // registration already holds gets the first free suffix (#2, #3, ...),
 // in registration order, so two same-named subsystems cannot silently
-// share or clobber an entry. All names are built into one buffer.
-func (r *Registry) resolve() []named {
-	if len(r.sorted) == r.n {
-		return r.sorted
+// share or clobber an entry.
+func (r *Registry) resolve() []int32 {
+	if len(r.order) == r.n {
+		return r.order
 	}
 	total := 0
 	for i := 0; i < r.n; i++ {
@@ -108,50 +107,52 @@ func (r *Registry) resolve() []named {
 	}
 	var b strings.Builder
 	b.Grow(total)
-	for i := 0; i < r.n; i++ {
+	r.ends, r.order = make([]uint32, r.n+1), make([]int32, r.n)
+	for i := range r.order {
 		ins := r.at(i)
 		ins.scope.writePath(&b)
 		b.WriteByte('.')
 		b.WriteString(ins.leaf)
+		r.ends[i+1], r.order[i] = uint32(b.Len()), int32(i)
 	}
-	all := b.String()
-	sorted := make([]named, r.n)
-	for i, off := 0, 0; i < r.n; i++ {
-		ins := r.at(i)
-		end := off + ins.scope.pathLen() + 1 + len(ins.leaf)
-		sorted[i] = named{all[off:end], i}
-		off = end
-	}
-	byName := func(a, b named) int {
-		if c := strings.Compare(a.name, b.name); c != 0 {
-			return c
-		}
-		return a.idx - b.idx
-	}
-	slices.SortFunc(sorted, byName)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].name == sorted[i-1].name {
-			suffixDuplicates(sorted)
-			slices.SortFunc(sorted, byName)
+	r.names = b.String()
+	r.sortOrder()
+	for i := 1; i < r.n; i++ {
+		if r.name(r.order[i]) == r.name(r.order[i-1]) {
+			r.suffixDuplicates()
+			r.sortOrder()
 			break
 		}
 	}
-	r.sorted = sorted
-	return sorted
+	return r.order
+}
+
+// sortOrder sorts the registration indices by (name, index).
+func (r *Registry) sortOrder() {
+	slices.SortFunc(r.order, func(a, b int32) int {
+		if c := strings.Compare(r.name(a), r.name(b)); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
 }
 
 // suffixDuplicates renames, in registration order, every name an
-// earlier registration already took to the first free name#k.
-func suffixDuplicates(sorted []named) {
-	slices.SortFunc(sorted, func(a, b named) int { return a.idx - b.idx })
-	taken := make(map[string]bool, len(sorted))
-	for i := range sorted {
-		base, name := sorted[i].name, sorted[i].name
+// earlier registration already took to the first free name#k, and lays
+// the buffer out again.
+func (r *Registry) suffixDuplicates() {
+	taken := make(map[string]bool, r.n)
+	all := make([]string, r.n)
+	for i := range all {
+		base, name := r.name(int32(i)), r.name(int32(i))
 		for k := 2; taken[name]; k++ {
 			name = base + "#" + strconv.Itoa(k)
 		}
-		taken[name] = true
-		sorted[i].name = name
+		taken[name], all[i] = true, name
+	}
+	r.names = strings.Join(all, "")
+	for i, name := range all {
+		r.ends[i+1] = r.ends[i] + uint32(len(name))
 	}
 }
 
@@ -197,7 +198,7 @@ func (s *Scope) Counter(name string, c *Counter) {
 	if s == nil || c == nil {
 		return
 	}
-	s.reg.register(instrument{scope: s, leaf: name, counter: c})
+	s.reg.register(instrument{scope: s, leaf: name, ref: c})
 }
 
 // NewCounter creates, registers, and returns a counter (nil when the
@@ -218,7 +219,7 @@ func (s *Scope) GaugeFunc(name string, fn func() int64) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.reg.register(instrument{scope: s, leaf: name, gaugeFn: fn})
+	s.reg.register(instrument{scope: s, leaf: name, ref: fn})
 }
 
 // Histogram creates, registers, and returns a histogram (nil when the
@@ -229,7 +230,7 @@ func (s *Scope) Histogram(name string) *Histogram {
 		return nil
 	}
 	h := &Histogram{}
-	s.reg.register(instrument{scope: s, leaf: name, hist: h})
+	s.reg.register(instrument{scope: s, leaf: name, ref: h})
 	return h
 }
 
@@ -254,21 +255,21 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 	if r == nil {
 		return Snapshot{At: at}
 	}
-	sorted := r.resolve()
-	s := Snapshot{At: at, Items: make([]Item, len(sorted))}
+	order := r.resolve()
+	s := Snapshot{At: at, Items: make([]Item, len(order))}
 	views := make([]HistView, r.hists)
-	for i, e := range sorted {
-		ins, it := r.at(e.idx), &s.Items[i]
-		it.Name = e.name
-		switch {
-		case ins.counter != nil:
-			it.Kind, it.Value = KindCounter.String(), int64(ins.counter.Value())
-		case ins.hist != nil:
-			views[0] = ins.hist.View()
+	for i, idx := range order {
+		it := &s.Items[i]
+		it.Name = r.name(idx)
+		switch ref := r.at(int(idx)).ref.(type) {
+		case *Counter:
+			it.Kind, it.Value = KindCounter.String(), int64(ref.Value())
+		case *Histogram:
+			views[0] = ref.View()
 			it.Kind, it.Hist, it.Value = KindHistogram.String(), &views[0], int64(views[0].Count)
 			views = views[1:]
-		default:
-			it.Kind, it.Value = KindGauge.String(), ins.gaugeFn()
+		case func() int64:
+			it.Kind, it.Value = KindGauge.String(), ref()
 		}
 	}
 	return s
@@ -311,9 +312,9 @@ func (r *Registry) MergedHistogram(suffix string) *Histogram {
 		return nil
 	}
 	out := &Histogram{}
-	for _, e := range r.resolve() {
-		if ins := r.at(e.idx); ins.hist != nil && strings.HasSuffix(e.name, suffix) {
-			out.Merge(ins.hist)
+	for _, idx := range r.resolve() {
+		if h, ok := r.at(int(idx)).ref.(*Histogram); ok && strings.HasSuffix(r.name(idx), suffix) {
+			out.Merge(h)
 		}
 	}
 	return out

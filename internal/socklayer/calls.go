@@ -371,7 +371,7 @@ func (tb *Table) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socket
 		return nil, socketapi.SockAddr{}, err
 	}
 	if e.At.Alias {
-		_, from, view, err := e.At.St.Recv(t, e.Sock, nil, stack.RecvOpts{ZeroCopy: true, OOB: flags&socketapi.MsgOOB != 0})
+		_, from, view, err := e.At.St.Recv(t, e.Sock, nil, stack.RecvOpts{ZeroCopy: true, Max: max, OOB: flags&socketapi.MsgOOB != 0})
 		return view, FromStack(from), err
 	}
 	return e.recvFresh(t, max, flags)

@@ -471,6 +471,8 @@ type RecvOpts struct {
 	// ZeroCopy returns a protocol-owned view instead of copying into the
 	// caller's buffer (NEWAPI).
 	ZeroCopy bool
+	// Max bounds a ZeroCopy view; 0 or less means all that is queued.
+	Max int
 }
 
 // Recv reads data from the socket into p (or, for zero-copy receives,
@@ -509,7 +511,11 @@ func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Add
 	if opts.ZeroCopy {
 		// NEWAPI: the destination is a buffer the stack allocates at the
 		// size it is about to return. Filling it is still a copy.
-		p = make([]byte, q.Len())
+		size := q.Len()
+		if opts.Max > 0 {
+			size = min(size, opts.Max)
+		}
+		p = make([]byte, size)
 		view = p
 	}
 	n := q.ReadAt(p, 0)
