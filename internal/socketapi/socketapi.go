@@ -141,18 +141,18 @@ type API interface {
 
 // ZeroCopyAPI is the paper's §4.2 modified interface (NEWAPI): send and
 // receive share buffers between the application and the protocol,
-// eliminating the socket-layer copy. Only the library implementation
-// provides it; the kernel and server baselines cannot without crossing
-// protection boundaries.
+// eliminating the socket-layer copy. Every architecture implements it,
+// but only the library shares buffers; the kernel and server baselines,
+// which cannot without crossing protection boundaries, copy instead.
 type ZeroCopyAPI interface {
 	// SendZC transfers b without copying it into protocol buffers; the
 	// caller must not reuse b until the call returns.
 	SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error)
 	// RecvZC returns a view of received data owned by the protocol,
 	// valid until the next RecvZC on the same descriptor. max <= 0 means
-	// everything queued (at most SO_RCVBUF bytes), as for RecvPeek. Where
-	// buffers are shared the view is whatever is queued and a positive
-	// max is not honoured; where they are not, it bounds the copy.
+	// everything queued (at most SO_RCVBUF bytes), as for RecvPeek, and
+	// a positive max bounds the result everywhere, whether it is a view
+	// of shared buffers or a copy.
 	RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, SockAddr, error)
 }
 
