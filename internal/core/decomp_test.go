@@ -663,6 +663,57 @@ func TestProxyCallsByOperation(t *testing.T) {
 	}
 }
 
+// TestFailedSpliceMovesNeither: a splice that fails because one socket
+// was never connected, either way round, gives neither session back to
+// the server: it answers ENOTCONN without a crossing, and the connected
+// socket is still the library's.
+func TestFailedSpliceMovesNeither(t *testing.T) {
+	w := newWorld(1)
+	libB := w.b.NewLibrary("sink")
+	libA := w.a.NewLibrary("source")
+	w.s.Spawn("sink", func(p *sim.Proc) {
+		ls, _ := libB.Socket(p, socketapi.SockStream)
+		libB.Bind(p, ls, socketapi.SockAddr{Port: 5001})
+		libB.Listen(p, ls, 1)
+		fd, _, err := libB.Accept(p, ls)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		libB.Recv(p, fd, make([]byte, 16), 0)
+		libB.Close(p, fd)
+		libB.Close(p, ls)
+	})
+	w.s.Spawn("source", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		c, _ := libA.Socket(p, socketapi.SockStream)
+		if err := libA.Connect(p, c, socketapi.SockAddr{Addr: wire.IP(10, 0, 0, 2), Port: 5001}); err != nil {
+			t.Error(err)
+			return
+		}
+		u, _ := libA.Socket(p, socketapi.SockStream)
+		before := libA.ProxyCalls()
+		for _, fds := range [][2]int{{u, c}, {c, u}} {
+			if _, err := libA.Splice(p, fds[0], fds[1], 1); err != socketapi.ErrNotConn {
+				t.Errorf("splice %d %d: %v, want ENOTCONN", fds[0], fds[1], err)
+			}
+		}
+		if n := libA.ProxyCalls() - before; n != 0 {
+			t.Errorf("the failed splices crossed %d times (%v), want none", n, libA.ProxyCallsByOp())
+		}
+		libA.Send(p, c, []byte("x"), 0)
+		libA.Close(p, c)
+		libA.Close(p, u)
+	})
+	if err := w.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"socket": 2, "connect": 1, "return": 1, "release": 1}
+	if got := libA.ProxyCallsByOp(); !reflect.DeepEqual(got, want) {
+		t.Errorf("source crossed %v, want %v: c goes back only as it closes", got, want)
+	}
+}
+
 func sumOf(m map[string]int) int {
 	n := 0
 	for _, v := range m {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/costs"
@@ -256,8 +257,8 @@ func (lib *Library) Connect(t *sim.Proc, fd int, addr socketapi.SockAddr) error 
 	c.sid, c.addr = s.id, raddr
 	lib.proxy(t, c, 64)
 	if c.err != nil {
-		if s.proto == wire.ProtoTCP && e.At == &lib.remote {
-			e.Sock = nil // the failed open consumed the server's socket
+		if s.proto == wire.ProtoTCP && e.At == &lib.remote && !errors.Is(c.err, socketapi.ErrIsConn) {
+			e.Sock = nil // the failed open consumed the server's socket; a connected one keeps it
 		}
 		return c.err
 	}
@@ -503,6 +504,9 @@ func (lib *Library) Splice(t *sim.Proc, dstFD, srcFD int, n int) (int, error) {
 	}
 	if sessOf(dst).proto != wire.ProtoTCP || sessOf(src).proto != wire.ProtoTCP {
 		return 0, socketapi.ErrNotSupported
+	}
+	if dst.Sock == nil || src.Sock == nil {
+		return 0, socketapi.ErrNotConn // never connected: neither session moves
 	}
 	lib.quiesce(t)
 	for _, e := range []*socklayer.Entry{dst, src} {

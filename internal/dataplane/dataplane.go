@@ -179,10 +179,7 @@ func (p *Plane) BindMetrics(sc *metrics.Scope) {
 	ct.Counter("evicted", &p.Stats.CTEvicted)
 	ct.Counter("invalid", &p.Stats.CTInvalid)
 	ct.GaugeFunc("flows", func() int64 { return int64(p.flowCount) })
-	states := ct.Sub("state")
-	for s := StateNew; s < numStates; s++ {
-		states.GaugeFunc(stateNames[s], func() int64 { return p.stateCount[s] })
-	}
+	ct.Sub("state").Gauges(stateNames[:], func(v []int64) { copy(v, p.stateCount[:]) })
 
 	lb := sc.Sub("lb")
 	lb.Counter("conns", &p.Stats.LBConns)

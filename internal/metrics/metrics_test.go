@@ -374,3 +374,54 @@ func TestRenderingsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestGaugesFillOncePerSnapshot: a gauge set reads, name for name, what a
+// GaugeFunc per name reads (kinds, names, #k suffixes and values), across
+// two sets whose names interleave in snapshot order beside other
+// instruments, and each set's fill runs once per snapshot.
+func TestGaugesFillOncePerSnapshot(t *testing.T) {
+	state := []int64{4, -1, 9, 0, 7}
+	names := [2][]string{{"a", "tcp_state.c", "e"}, {"b", "tcp_state.d"}}
+	pick := [2][]int{{0, 2, 4}, {1, 3}} // the state each set's names read
+	var fills [2]int
+	build := func(sets bool) *Registry {
+		r := NewRegistry()
+		var c Counter
+		c.Add(5)
+		for _, host := range []string{"h", "h"} { // the second scope's names take #2
+			sc := r.Scope(host)
+			sc.Counter("c", &c)
+			for k := range names {
+				if sets {
+					sc.Gauges(names[k], func(v []int64) {
+						fills[k]++
+						for i, j := range pick[k] {
+							v[i] = state[j]
+						}
+					})
+				} else {
+					for i, name := range names[k] {
+						sc.GaugeFunc(name, func() int64 { return state[pick[k][i]] })
+					}
+				}
+			}
+			sc.Histogram("hist").Observe(3)
+		}
+		return r
+	}
+	model, got := build(false), build(true)
+	for snap := 1; snap <= 3; snap++ {
+		state[snap] += int64(10 * snap)
+		want, have := model.Snapshot(0), got.Snapshot(0)
+		if !slices.EqualFunc(want.Items, have.Items, func(a, b Item) bool {
+			return a.Name == b.Name && a.Kind == b.Kind && a.Value == b.Value
+		}) {
+			t.Fatalf("snapshot %d: sets read\n%v\nwant\n%v", snap, have.Items, want.Items)
+		}
+		if fills != [2]int{2 * snap, 2 * snap} { // two scopes, each with both sets
+			t.Fatalf("after %d snapshots the fills ran %v times, want %d each", snap, fills, 2*snap)
+		}
+	}
+	var nilScope *Scope
+	nilScope.Gauges(names[0], func([]int64) { t.Fatal("a nil scope's set was filled") })
+}

@@ -30,7 +30,8 @@ func (k Kind) String() string {
 }
 
 // instrument is one registered metric: its scope, its literal leaf name
-// and what it reads, a *Counter, a *Histogram or a gauge's func() int64.
+// and what it reads, a *Counter, a *Histogram, a gauge's func() int64
+// or the *gaugeSet it is one of.
 // The full name is built at snapshot time (Registry.resolve).
 type instrument struct {
 	scope *Scope
@@ -57,6 +58,8 @@ type Registry struct {
 	names string
 	ends  []uint32
 	order []int32
+
+	snaps uint64 // snapshots taken: a gauge set fills once per snapshot
 }
 
 // NewRegistry returns an empty registry.
@@ -222,6 +225,31 @@ func (s *Scope) GaugeFunc(name string, fn func() int64) {
 	s.reg.register(instrument{scope: s, leaf: name, ref: fn})
 }
 
+// gaugeSet is gauges that one fill call reads. Its instruments are
+// registered back to back from first, so instrument idx reads
+// vals[idx-first] as filled for snapshot snap.
+type gaugeSet struct {
+	fill  func([]int64)
+	first int
+	snap  uint64
+	vals  []int64
+}
+
+// Gauges registers one gauge per name, evaluated at snapshot time by a
+// single fill call that writes every value (vals[i] for names[i]) — one
+// walk of the state where a GaugeFunc per name would make one each.
+// fill runs once per snapshot, and must be deterministic for a given
+// simulation state. A name may hold dots ("tcp_state.closed").
+func (s *Scope) Gauges(names []string, fill func(vals []int64)) {
+	if s == nil || fill == nil {
+		return
+	}
+	set := &gaugeSet{fill: fill, first: s.reg.n, vals: make([]int64, len(names))}
+	for _, name := range names {
+		s.reg.register(instrument{scope: s, leaf: name, ref: set})
+	}
+}
+
 // Histogram creates, registers, and returns a histogram (nil when the
 // scope is nil, making Observe free). Its buckets are allocated by its
 // first sample.
@@ -256,6 +284,7 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 		return Snapshot{At: at}
 	}
 	order := r.resolve()
+	r.snaps++
 	s := Snapshot{At: at, Items: make([]Item, len(order))}
 	views := make([]HistView, r.hists)
 	for i, idx := range order {
@@ -270,6 +299,12 @@ func (r *Registry) Snapshot(at time.Duration) Snapshot {
 			views = views[1:]
 		case func() int64:
 			it.Kind, it.Value = KindGauge.String(), ref()
+		case *gaugeSet:
+			if ref.snap != r.snaps {
+				ref.fill(ref.vals)
+				ref.snap = r.snaps
+			}
+			it.Kind, it.Value = KindGauge.String(), ref.vals[int(idx)-ref.first]
 		}
 	}
 	return s

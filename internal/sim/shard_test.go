@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
@@ -285,20 +286,34 @@ func TestGroupedSimRejectsRun(t *testing.T) {
 	}
 }
 
-// TestStreamStability: named streams depend only on (seed, name).
+// TestStreamStability: named streams depend only on (seed, name), and
+// Draws reads the same values from any shard, from a standalone sim and
+// from math/rand itself, whatever it drew before.
 func TestStreamStability(t *testing.T) {
+	draw := func(s *Sim, name string, from int) int64 {
+		var v [1]int64
+		s.Draws(StreamSeed(s.Seed(), name), from, v[:])
+		return v[0]
+	}
 	g := NewGroup(77, 4)
-	a := g.Shard(0).Stream("host.alpha").Uint64()
-	b := g.Shard(3).Stream("host.alpha").Uint64()
-	if a != b {
+	a := draw(g.Shard(0), "host.alpha", 0)
+	if b := draw(g.Shard(3), "host.alpha", 0); a != b {
 		t.Fatalf("same name on different shards diverged: %d vs %d", a, b)
 	}
-	solo := New(77).Stream("host.alpha").Uint64()
-	if a != solo {
-		t.Fatalf("grouped stream differs from standalone: %d vs %d", a, solo)
+	solo := New(77)
+	if s := draw(solo, "host.alpha", 0); a != s {
+		t.Fatalf("grouped stream differs from standalone: %d vs %d", a, s)
 	}
-	if other := New(77).Stream("host.beta").Uint64(); other == a {
+	if other := draw(solo, "host.beta", 0); other == a {
 		t.Fatal("distinct names produced the same stream")
+	}
+	src := rand.NewSource(StreamSeed(77, "host.alpha"))
+	for i := range 700 {
+		want := src.Int63()
+		if got := draw(solo, "host.alpha", i); got != want {
+			t.Fatalf("draw %d: got %d, want %d", i, got, want)
+		}
+		draw(solo, "host.beta", i%5) // the scratch source keeps nothing between calls
 	}
 }
 

@@ -130,11 +130,12 @@ type Sim struct {
 	// default of one virtual hour.
 	Deadline Time
 
-	seed int64
+	seed  int64
+	draws rand.Source // Draws' scratch source, reseeded per call
 }
 
-// New returns a simulator whose random streams (Stream) derive from
-// seed.
+// New returns a simulator whose random streams derive from seed (see
+// StreamSeed).
 func New(seed int64) *Sim {
 	return &Sim{
 		procs: make(map[*Proc]uint64),
@@ -182,12 +183,25 @@ func StreamSeed(seed int64, name string) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Stream returns an independent deterministic random source keyed by
-// (sim seed, name). Every shard of a Group carries the same seed, so a
-// named stream yields the same values no matter which shard its owner
-// lands on.
-func (s *Sim) Stream(name string) *rand.Rand {
-	return rand.New(rand.NewSource(StreamSeed(s.seed, name)))
+// Draws fills dst with the Int63 draws from..from+len(dst) of the
+// math/rand source seeded with key (typically a StreamSeed), so a
+// component that draws now and then owns a few words instead of a 5 KB
+// source. The sim keeps one scratch source and reseeds it per call:
+// shards never share one, and the values depend only on (key, from).
+// Reaching draw `from` costs `from` draws, so a caller that refills a
+// buffer doubles it each time.
+func (s *Sim) Draws(key int64, from int, dst []int64) {
+	if s.draws == nil {
+		s.draws = rand.NewSource(key)
+	} else {
+		s.draws.Seed(key)
+	}
+	for range from {
+		s.draws.Int63()
+	}
+	for i := range dst {
+		dst[i] = s.draws.Int63()
+	}
 }
 
 func (s *Sim) schedule(at Time, fn func(), p *Proc) *event {

@@ -15,6 +15,7 @@ package simnet
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -497,15 +498,40 @@ func (g *Segment) deliverTrunk(from *NIC, hdr wire.EthHeader, f Frame, delay tim
 	from.stats.DeliveryEvents.Inc()
 	at := from.sim.Now().Add(g.prop + delay)
 	from.oseq++
-	fromName := from.name
-	from.sim.SendRemote(peer.sim, at, from.origin, from.oseq, func() {
-		peer.RxFrames.Inc()
-		peer.RxBytes.Add(uint64(f.WireSize()))
-		if r := peer.rec(); r.On(trace.LayerNet) {
-			r.Emit(trace.LayerNet, trace.EvFrameRx, peer.name, fromName, "", int64(len(f.Data)), 0, 0)
-		}
-		if peer.Rx != nil {
-			peer.Rx(f)
-		}
-	})
+	a, _ := trunkArrivals.Get().(*trunkArrival)
+	if a == nil {
+		a = new(trunkArrival)
+		a.run = a.deliver
+	}
+	a.peer, a.f = peer, f
+	from.sim.SendRemote(peer.sim, at, from.origin, from.oseq, a.run)
+}
+
+// trunkArrival is one frame in flight on a trunk and the station it
+// arrives at; run is its deliver method, bound once when the record is
+// made, so a crossing allocates nothing once the pool is warm. The
+// sending shard owns a record until the window barrier hands its event
+// to the receiving shard, which owns it until deliver puts it back:
+// records cross shard goroutines, hence a sync.Pool (DESIGN §5).
+type trunkArrival struct {
+	peer *NIC
+	f    Frame
+	run  func()
+}
+
+var trunkArrivals sync.Pool
+
+// deliver is the arrival event, on the receiving station's shard.
+func (a *trunkArrival) deliver() {
+	peer, f := a.peer, a.f
+	a.peer, a.f = nil, Frame{}
+	trunkArrivals.Put(a)
+	peer.RxFrames.Inc()
+	peer.RxBytes.Add(uint64(f.WireSize()))
+	if r := peer.rec(); r.On(trace.LayerNet) {
+		r.Emit(trace.LayerNet, trace.EvFrameRx, peer.name, peer.peer.name, "", int64(len(f.Data)), 0, 0)
+	}
+	if peer.Rx != nil {
+		peer.Rx(f)
+	}
 }

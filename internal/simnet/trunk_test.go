@@ -175,3 +175,51 @@ func TestTrunkFaultsStable(t *testing.T) {
 }
 
 func faultRates(drop float64) fault.Rates { return fault.Rates{Drop: drop} }
+
+// TestTrunkCrossingAllocatesNothing: once warm, a frame crossing a trunk
+// between two shards, in either direction, allocates nothing: the
+// arrival is a pooled record, not a closure per frame. Each end answers
+// what it receives, so one run carries about a hundred crossings;
+// the worker goroutines a parallel run starts are the only allocations,
+// the same as a run that carries nothing.
+func TestTrunkCrossingAllocatesNothing(t *testing.T) {
+	for _, serial := range []bool{true, false} {
+		var logs [2][]string
+		g, a, b := trunkPair(7, 10*time.Microsecond, &logs)
+		g.SingleThreaded = serial
+		toB, toA := frameTo(wire.MAC{2}, wire.MAC{1}, 100), frameTo(wire.MAC{1}, wire.MAC{2}, 64)
+		var got [2]int
+		pong := true
+		a.Rx = func(Frame) {
+			got[0]++
+			if pong {
+				a.Transmit(toB)
+			}
+		}
+		b.Rx = func(Frame) {
+			got[1]++
+			b.Transmit(toA)
+		}
+		run := func() {
+			if err := g.RunFor(10 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Transmit(toB)
+		run()
+		pong = false
+		run() // the last frame lands; the trunk is idle from here on
+		idle := testing.AllocsPerRun(10, run)
+		pong = true
+		a.Transmit(toB)
+		before := got
+		busy := testing.AllocsPerRun(10, run)
+		crossings := got[0] - before[0] + got[1] - before[1]
+		if crossings < 1000 {
+			t.Fatalf("serial=%v: %d crossings in 11 runs, want at least 1000", serial, crossings)
+		}
+		if busy > idle && !raceEnabled { // sync.Pool drops items under the race detector
+			t.Errorf("serial=%v: a run of %d crossings allocated %v times, an idle one %v", serial, crossings/11, busy, idle)
+		}
+	}
+}

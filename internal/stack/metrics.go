@@ -49,32 +49,35 @@ func (st *Stack) bindMetrics(sc *metrics.Scope) {
 	sc.Counter("selective_copy_bytes", &s.SelectiveCopyBytes)
 	sc.Counter("sw_checksum_bytes", &s.SwChecksumBytes)
 	sc.Counter("tso_sends", &s.TSOSends)
-	sc.GaugeFunc("checksum_errors", func() int64 { return int64(s.ChecksumErrors()) })
 
 	st.mRTT = sc.Histogram("rtt_ns")
 	st.mConnect = sc.Histogram("connect_ns")
 	st.mCwnd = sc.Histogram("cwnd_bytes")
 
-	sc.GaugeFunc("sockets", func() int64 { return int64(len(st.socks)) })
-	ts := sc.Sub("tcp_state")
-	for i, state := range tcpStateNames {
-		ts.GaugeFunc(tcpStateMetrics[i], func() int64 {
-			var n int64
-			for _, sk := range st.socks {
-				if sk.Proto == wire.ProtoTCP && TCPStateOf(sk) == state {
-					n++
-				}
+	sc.Gauges(gaugeNames[:], func(v []int64) {
+		v[0], v[1] = int64(s.ChecksumErrors()), int64(len(st.socks))
+		states := v[2:]
+		clear(states)
+		for _, sk := range st.socks {
+			if sk.Proto != wire.ProtoTCP {
+				continue
 			}
-			return n
-		})
-	}
+			if sk.tcb == nil {
+				states[tcpClosed]++
+			} else {
+				states[sk.tcb.state]++
+			}
+		}
+	})
 }
 
-// tcpStateMetrics names the per-state gauges: tcpStateNames in lower
-// case, built once rather than per stack.
-var tcpStateMetrics = func() (names [len(tcpStateNames)]string) {
+// gaugeNames names the stack's gauges, one set read by one socket walk:
+// checksum_errors, sockets, and tcp_state.<state> for each of
+// tcpStateNames in lower case, built once rather than per stack.
+var gaugeNames = func() (names [2 + len(tcpStateNames)]string) {
+	names[0], names[1] = "checksum_errors", "sockets"
 	for i, s := range tcpStateNames {
-		names[i] = strings.ToLower(s)
+		names[2+i] = "tcp_state." + strings.ToLower(s)
 	}
 	return names
 }()

@@ -28,7 +28,6 @@ package stack
 
 import (
 	"cmp"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -130,12 +129,13 @@ type Stack struct {
 	// unreachable. The constructor sets it.
 	quiet func(proto uint8, local, remote Addr) bool
 
-	conns   map[tuple]*Socket // fully-specified connections (TCP and connected UDP)
-	binds   map[tuple]*Socket // wildcard-remote sockets (listeners, unconnected UDP)
-	ipID    uint16
-	rng     *rand.Rand // the stack's own stream, opened by the first iss()
-	issSeed uint32
-	sockSeq uint64 // socket creation counter (deterministic iteration order)
+	conns    map[tuple]*Socket // fully-specified connections (TCP and connected UDP)
+	binds    map[tuple]*Socket // wildcard-remote sockets (listeners, unconnected UDP)
+	ipID     uint16
+	issSeed  uint32
+	issTaken int     // draws taken from the stack's ISS stream
+	issDraws []int64 // the stream's next draws, filled by issDraw
+	sockSeq  uint64  // socket creation counter (deterministic iteration order)
 
 	// socks is every socket some conns/binds entry names, once, in
 	// creation order (file and unfile keep it): what the timers and the
@@ -415,19 +415,44 @@ func (st *Control) Input(t *sim.Proc, frame []byte, owned bool) {
 	st.arp.input(t, frame[wire.EthHeaderLen:])
 }
 
-// iss generates an initial send sequence number. The first call opens
-// the stack's own stream, keyed by the stack's name: draws stay
-// identical no matter what else runs concurrently or which shard the
-// stack lands on (a stream shared across the sim would make every draw
-// depend on global event order), and a stack that never connects, as a
-// library's usually does not, never pays for one.
+// iss generates an initial send sequence number: math/rand's Uint32 on
+// the first call, then Intn(64000) steps, drawn from the stack's own
+// stream keyed by its name. Draws stay identical no matter what else
+// runs concurrently or which shard the stack lands on (a stream shared
+// across the sim would make every draw depend on global event order),
+// and a stack that never connects, as a library's usually does not,
+// never draws.
 func (st *Stack) iss() uint32 {
-	if st.rng == nil {
-		st.rng = st.cfg.Sim.Stream("stack." + st.cfg.Name)
-		st.issSeed = st.rng.Uint32()
+	if st.issTaken == 0 {
+		st.issSeed = uint32(st.issDraw() >> 31)
 	}
-	st.issSeed += 64000 + uint32(st.rng.Intn(64000))
+	v := int32(st.issDraw() >> 32) // Intn(64000) is Int31n's rejection loop over Int31
+	for v > issMax {
+		v = int32(st.issDraw() >> 32)
+	}
+	st.issSeed += 64000 + uint32(v%64000)
 	return st.issSeed
+}
+
+// issMax is the largest Int31 that Int31n(64000) keeps.
+const issMax = 1<<31 - 1 - (1<<31)%64000
+
+// issBatch is the size of a stack's first buffer of ISS draws: enough
+// for a few connections.
+const issBatch = 16
+
+// issDraw returns the next Int63 draw of the stack's ISS stream. The
+// stack holds a buffer of draws, not a source: a refill reads as many
+// draws again as were taken, through the sim's scratch source.
+func (st *Stack) issDraw() int64 {
+	if len(st.issDraws) == 0 {
+		st.issDraws = make([]int64, max(issBatch, st.issTaken))
+		st.cfg.Sim.Draws(sim.StreamSeed(st.cfg.Sim.Seed(), "stack."+st.cfg.Name), st.issTaken, st.issDraws)
+	}
+	v := st.issDraws[0]
+	st.issDraws = st.issDraws[1:]
+	st.issTaken++
+	return v
 }
 
 func (st *Stack) nextIPID() uint16 {

@@ -431,3 +431,30 @@ func TestRouteTableLPM(t *testing.T) {
 		t.Fatal("version must bump on change")
 	}
 }
+
+// TestISSMatchesMathRand: a stack's ISS sequence is math/rand's over the
+// stream keyed by its name, Uint32 and then Intn(64000) steps, across the
+// source's 273-draw tap boundary and several buffer refills; a stack
+// holds no source, and buffers at most as many draws as it has taken
+// (issBatch at first).
+func TestISSMatchesMathRand(t *testing.T) {
+	// Seed 697's stream for "t" has an Int31 that Int31n(64000) rejects
+	// (draw 173), so the rejection loop runs.
+	for _, seed := range []int64{1, 3, -7, 1 << 40, 697} {
+		for _, name := range []string{"t", "host.h17.stack.kstack", "a-rather-long-stack-name-past-thirty-two-bytes"} {
+			s := sim.New(seed)
+			st := New(Config{Sim: s, Name: name}, nil)
+			r := rand.New(rand.NewSource(sim.StreamSeed(seed, "stack."+name)))
+			want := r.Uint32()
+			for i := range 700 {
+				want += 64000 + uint32(r.Intn(64000))
+				if got := st.iss(); got != want {
+					t.Fatalf("seed %d, %q: ISS %d is %d, want %d", seed, name, i, got, want)
+				}
+				if len(st.issDraws) > max(issBatch, st.issTaken) {
+					t.Fatalf("seed %d, %q: %d draws buffered after %d taken", seed, name, len(st.issDraws), st.issTaken)
+				}
+			}
+		}
+	}
+}
