@@ -664,9 +664,9 @@ func TestProxyCallsByOperation(t *testing.T) {
 }
 
 // TestFailedSpliceMovesNeither: a splice that fails because one socket
-// was never connected, either way round, gives neither session back to
-// the server: it answers ENOTCONN without a crossing, and the connected
-// socket is still the library's.
+// was never connected — bare, bound or listening, either way round —
+// gives neither session back to the server: it answers ENOTCONN without
+// a crossing, and the connected socket is still the library's.
 func TestFailedSpliceMovesNeither(t *testing.T) {
 	w := newWorld(1)
 	libB := w.b.NewLibrary("sink")
@@ -692,14 +692,27 @@ func TestFailedSpliceMovesNeither(t *testing.T) {
 			return
 		}
 		u, _ := libA.Socket(p, socketapi.SockStream)
-		before := libA.ProxyCalls()
-		for _, fds := range [][2]int{{u, c}, {c, u}} {
-			if _, err := libA.Splice(p, fds[0], fds[1], 1); err != socketapi.ErrNotConn {
-				t.Errorf("splice %d %d: %v, want ENOTCONN", fds[0], fds[1], err)
+		for _, step := range []struct {
+			u     string
+			setup func() error
+		}{
+			{"bare", func() error { return nil }},
+			{"bound", func() error { return libA.Bind(p, u, socketapi.SockAddr{Port: 4104}) }},
+			{"listening", func() error { return libA.Listen(p, u, 1) }},
+		} {
+			if err := step.setup(); err != nil {
+				t.Errorf("%s: %v", step.u, err)
+				return
 			}
-		}
-		if n := libA.ProxyCalls() - before; n != 0 {
-			t.Errorf("the failed splices crossed %d times (%v), want none", n, libA.ProxyCallsByOp())
+			before := libA.ProxyCalls()
+			for _, fds := range [][2]int{{u, c}, {c, u}} {
+				if _, err := libA.Splice(p, fds[0], fds[1], 1); err != socketapi.ErrNotConn {
+					t.Errorf("%s: splice %d %d: %v, want ENOTCONN", step.u, fds[0], fds[1], err)
+				}
+			}
+			if n := libA.ProxyCalls() - before; n != 0 {
+				t.Errorf("%s: the failed splices crossed %d times (%v), want none", step.u, n, libA.ProxyCallsByOp())
+			}
 		}
 		libA.Send(p, c, []byte("x"), 0)
 		libA.Close(p, c)
@@ -708,7 +721,7 @@ func TestFailedSpliceMovesNeither(t *testing.T) {
 	if err := w.s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"socket": 2, "connect": 1, "return": 1, "release": 1}
+	want := map[string]int{"socket": 2, "connect": 1, "bind": 1, "listen": 1, "return": 1, "release": 1}
 	if got := libA.ProxyCallsByOp(); !reflect.DeepEqual(got, want) {
 		t.Errorf("source crossed %v, want %v: c goes back only as it closes", got, want)
 	}

@@ -49,6 +49,7 @@ type Library struct {
 	rxBusy  int
 	rxQuiet sim.Cond
 	rx      func(t *sim.Proc, frame []byte, owned bool) // input, as every receive thread's step
+	rxName  string                                      // every receive thread's name
 
 	calls     []*ctlCall  // control-crossing records not in use
 	crossings [numOps]int // RPCs to the server, by operation
@@ -59,9 +60,10 @@ type Library struct {
 // the shared layer's slot plus what the library itself records about it.
 type appSession struct {
 	socklayer.Entry
-	id    SessionID
-	proto uint8
-	name  socketapi.SockAddr // local name as the application bound it (getsockname)
+	id        SessionID
+	proto     uint8
+	connected bool               // a TCP connection arrived here once (connect or accept)
+	name      socketapi.SockAddr // local name as the application bound it (getsockname)
 }
 
 // newSession makes a server-managed entry whose Owner is the session.
@@ -89,7 +91,7 @@ func (sys *System) NewLibrary(name string) *Library {
 		Cross: func(t *sim.Proc, n int, run func(on *sim.Proc)) { lib.cross(t, opData, n, run) }}
 	lib.Table = socklayer.NewTable(sys.Host.NewProcess(name), &lib.remote)
 	lib.Table.Late = lib.implicitBind
-	lib.rx = lib.input // bound once, not per session's receive thread
+	lib.rx, lib.rxName = lib.input, lib.Proc.Name+".rx" // once, not per session's receive thread
 	lib.St.StartTimers(lib.Proc.GoDaemon)
 	sys.Server.libs = append(sys.Server.libs, lib)
 	return lib
@@ -123,7 +125,7 @@ func (lib *Library) ask(t *sim.Proc, op proxyOp, sid SessionID, n, value int) (i
 // startRx spawns a session's receive thread: it drains the session's
 // packet filter endpoint into the library's protocol stack. This is the
 // fast path of the paper — no operating-system involvement per packet.
-func (lib *Library) startRx(ep *kern.Endpoint) { ep.Drain(lib.Proc, "rx", lib.rx) }
+func (lib *Library) startRx(ep *kern.Endpoint) { ep.Drain(lib.Proc, lib.rxName, lib.rx) }
 
 // input is a receive thread's step: one frame into the library stack,
 // counted in rxBusy.
@@ -158,6 +160,7 @@ func (lib *Library) goLocal(e *socklayer.Entry, ep *kern.Endpoint) {
 func (lib *Library) adoptTCP(t *sim.Proc, e *socklayer.Entry, m *migration, blob *stack.TCPSessionState) {
 	lib.cache.Insert(lib.St.NextHop(m.remote.IP), m.remoteMAC)
 	e.Sock = lib.St.ImportTCPSession(t, blob)
+	sessOf(e).connected = true
 	lib.goLocal(e, m.ep)
 }
 
@@ -505,8 +508,8 @@ func (lib *Library) Splice(t *sim.Proc, dstFD, srcFD int, n int) (int, error) {
 	if sessOf(dst).proto != wire.ProtoTCP || sessOf(src).proto != wire.ProtoTCP {
 		return 0, socketapi.ErrNotSupported
 	}
-	if dst.Sock == nil || src.Sock == nil {
-		return 0, socketapi.ErrNotConn // never connected: neither session moves
+	if !sessOf(dst).connected || !sessOf(src).connected {
+		return 0, socketapi.ErrNotConn // never connected (bare, bound or listening): neither session moves
 	}
 	lib.quiesce(t)
 	for _, e := range []*socklayer.Entry{dst, src} {

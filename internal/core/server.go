@@ -211,7 +211,7 @@ func New(h *kern.Host, srvProf costs.Profile) *System {
 		}
 	}
 
-	ep.Drain(srv.Proc, "netin", srv.input)
+	ep.Drain(srv.Proc, srv.Proc.Name+".netin", srv.input)
 	srv.St.StartTimers(srv.Proc.GoDaemon)
 	srv.svc = kern.NewService(srv.Proc, h.Name+".proxy", serverWorkers)
 	srv.bindMetrics(h.Metrics().Sub("core"))

@@ -31,6 +31,7 @@ type Packet struct {
 type Endpoint struct {
 	host    *Host
 	queue   []Packet // ring: live packets are queue[head:]
+	shallow [4]Packet
 	head    int
 	depth   int
 	avail   sim.Cond
@@ -65,7 +66,9 @@ func (h *Host) NewEndpoint(depth int) *Endpoint {
 		depth = DefaultEndpointDepth
 	}
 	h.endpoints++
-	return &Endpoint{host: h, depth: depth}
+	e := &Endpoint{host: h, depth: depth}
+	e.queue = e.shallow[:0] // a queue four deep grows no array
+	return e
 }
 
 // InstallFilter compiles spec and installs it for this endpoint at the
@@ -176,11 +179,12 @@ func (e *Endpoint) Recv(p *sim.Proc) (Packet, bool) {
 	return pkt, true
 }
 
-// Drain spawns p's daemon thread name, which hands input every frame the
-// endpoint delivers, with its ownership, until it closes: the network
-// input thread of every stack StackConfig builds.
+// Drain spawns a daemon thread of p under the full name it is given
+// (callers build it once, not per endpoint), which hands input every
+// frame the endpoint delivers, with its ownership, until it closes: the
+// network input thread of every stack StackConfig builds.
 func (e *Endpoint) Drain(p *Process, name string, input func(t *sim.Proc, frame []byte, owned bool)) *sim.Proc {
-	return p.GoDaemon(name, func(t *sim.Proc) {
+	return p.Host.Sim.SpawnDaemon(name, func(t *sim.Proc) {
 		for {
 			pkt, ok := e.Recv(t)
 			if !ok {

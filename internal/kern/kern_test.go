@@ -573,3 +573,39 @@ func TestFirstInstalledSessionWins(t *testing.T) {
 		}
 	}
 }
+
+// TestShallowEndpointQueueAllocatesNothing: an endpoint's first four
+// queued packets go into the array allocated with it, so a new session's
+// endpoint grows no queue on its first packets; a fifth grows one, as
+// every deeper queue does.
+func TestShallowEndpointQueueAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	r := newRig(costs.DECLibrarySHMIPF())
+	frame := simnet.Frame{Data: testFrame(wire.MAC{2}, wire.ProtoUDP, r.a.IP, r.b.IP, 1000, 53, 16)}
+	const runs = 50
+	fill := func(n int) float64 {
+		eps := make([]*Endpoint, runs+1)
+		for i := range eps {
+			eps[i] = r.b.NewEndpoint(0)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			e := eps[next]
+			next++
+			for range n {
+				e.deliver(r.b, frame, 16)
+			}
+			if e.pending() != n {
+				t.Fatalf("%d queued, want %d", e.pending(), n)
+			}
+		})
+	}
+	if n := fill(4); n != 0 {
+		t.Errorf("four packets into a new endpoint allocate %.2f objects, want 0", n)
+	}
+	if n := fill(5); n == 0 {
+		t.Error("five packets into a new endpoint allocate nothing: the measurement sees no queue growth")
+	}
+}

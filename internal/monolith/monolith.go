@@ -96,7 +96,7 @@ func New(h *kern.Host, shape Shape) *System {
 		intr = func(t *sim.Proc) bool { return t == input }
 	}
 	sys.st = stack.NewControl(h.StackConfig(shape.StackName, &h.Prof, intr), stack.NewLocalPorts())
-	input = ep.Drain(owner, shape.Input, sys.st.Input)
+	input = ep.Drain(owner, owner.Name+"."+shape.Input, sys.st.Input)
 	sys.st.StartTimers(owner.GoDaemon)
 
 	sys.place = socklayer.Place{St: sys.st.Stack, Ctl: sys.st, Sel: &sys.selCond}

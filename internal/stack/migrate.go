@@ -16,11 +16,13 @@ import (
 // the application's protocol library, which manages the session until an
 // exceptional operation (close, fork, process death) migrates it back.
 //
-// Both stacks share one address space here, so the data moves by
-// reference: the blob takes the exporting socket's chains and the
-// importing socket takes them from the blob. Nobody reads those bytes
-// until the other stack sends or delivers them. The migration RPC is
-// still priced as the copy a real one makes (WireSize).
+// Both stacks share one address space here, so the session moves by
+// reference: the blob takes the exporting socket's chains, and the
+// detached socket's storage with them, and the importing stack
+// re-initialises that storage as its new socket and hands it the
+// chains. Nobody reads those bytes until the other stack sends or
+// delivers them. The migration RPC is still priced as the copy a real
+// one makes (WireSize).
 
 // ReasmSegState is one out-of-order segment captured by a migration.
 type ReasmSegState struct {
@@ -59,6 +61,10 @@ type TCPSessionState struct {
 	Reasm []ReasmSegState
 
 	SndBufSize, RcvBufSize int
+
+	// sock is the detached socket's storage, which the import makes its
+	// new socket; nil when a thread still waited on it at export.
+	sock *Socket
 }
 
 // WireSize estimates the bytes moved by the migration RPC, used to charge
@@ -72,7 +78,8 @@ func (ss *TCPSessionState) WireSize() int {
 }
 
 // Release hands the queued bytes of a blob that will not be imported
-// back to mbuf's pools, leaving it empty. A nil blob holds nothing.
+// back to mbuf's pools and drops the socket storage it carries, leaving
+// it empty. A nil blob holds nothing.
 func (ss *TCPSessionState) Release() {
 	if ss == nil {
 		return
@@ -82,7 +89,7 @@ func (ss *TCPSessionState) Release() {
 	for i := range ss.Reasm {
 		ss.Reasm[i].Data.Release()
 	}
-	ss.Reasm, ss.OOB = nil, nil
+	ss.Reasm, ss.OOB, ss.sock = nil, nil, nil
 }
 
 // Check reports whether ss can be installed as the session local↔remote.
@@ -102,7 +109,10 @@ func (ss *TCPSessionState) Check(local, remote Addr) error {
 // ExportTCPSession captures a connection's state into ss and detaches
 // it from this stack: the socket stops demultiplexing here, its timers
 // go dead, its queues move into ss (leaving the socket's empty), and
-// the caller is expected to hand ss to another stack. ss is the
+// the caller is expected to hand ss to another stack. Unless a thread
+// waits on the socket, ss carries its storage too, and the import
+// makes that storage its socket: a pointer the exporter keeps then
+// names the importer's live socket. ss is the
 // caller's and must hold nothing (a new blob, or one an import or
 // Release emptied); it is left untouched if the export fails. The
 // socket's port reservation is NOT released — in the decomposed
@@ -149,17 +159,27 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket, ss *TCPSessionState) e
 		tp.timers[i] = 0
 	}
 	st.deregister(s)
+	if !s.waitedOn() {
+		ss.sock = s
+	}
 	return nil
 }
 
 // ImportTCPSession installs a migrated session into this stack, returning
-// the socket that now manages it. The socket takes the blob's queues,
-// leaving it empty: a blob's bytes are installed at most once.
-// Packet-filter redirection is the caller's responsibility.
+// the socket that now manages it: the storage the blob carries, made
+// new, or a new socket if it carries none. The socket takes the blob's
+// queues and storage, leaving it empty: a blob's bytes are installed at
+// most once. Packet-filter redirection is the caller's responsibility.
 func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 	st.lock(t)
 	defer st.unlock()
-	s := st.newSocket(wire.ProtoTCP)
+	s := ss.sock
+	ss.sock = nil
+	if s != nil {
+		s = st.tcpSocketIn(s, s.snd, s.rcv, s.tcb)
+	} else {
+		s = st.newSocket(wire.ProtoTCP)
+	}
 	s.local, s.remote = ss.Local, ss.Remote
 	s.sndbufSize, s.rcvbufSize = ss.SndBufSize, ss.RcvBufSize
 	s.snd.hiwat, s.rcv.hiwat = ss.SndBufSize, ss.RcvBufSize

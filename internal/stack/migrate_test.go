@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/sim"
+	"repro/internal/socketapi"
 	"repro/internal/wire"
 )
 
@@ -57,9 +60,9 @@ func (q queued) empty() bool {
 // importing socket. Every byte arrives as a copying migration would
 // carry it, WireSize still prices the copy, neither the exporter nor the
 // imported blob keeps a reference, and a migration with 16 KiB queued
-// allocates no buffer for it: an export into the caller's blob and an
-// import allocate the importing socket alone, 704 B with its buffers and
-// control block.
+// allocates nothing: an export into the caller's blob and an import into
+// the socket storage it carries allocate neither a buffer nor a socket
+// (704 B while every import allocated one).
 func TestMigrationMovesBuffers(t *testing.T) {
 	from, to, again := testStack(t), testStack(t), testStack(t)
 	s := sessionToMigrate(from.Stack, 16<<10)
@@ -122,11 +125,121 @@ func TestMigrationMovesBuffers(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perOp := (after.TotalAlloc - before.TotalAlloc) / rounds
 		t.Logf("%d heap bytes per export+import", perOp)
-		if perOp > 768 {
-			t.Errorf("an export+import with 16 KiB queued allocates %d heap bytes, want <= 768", perOp)
+		if perOp > 64 {
+			t.Errorf("an export+import with 16 KiB queued allocates %d heap bytes, want <= 64", perOp)
 		}
 		if s.snd.len() != 16<<10 {
 			t.Errorf("after %d migrations the send queue holds %d bytes, want %d", rounds+1, s.snd.len(), 16<<10)
 		}
 	})
+}
+
+// TestMigrationCarriesSocket: the detached socket's storage travels in
+// the blob, and the import makes it a new socket of the importing
+// stack — numbered by that stack, as newSocket numbers one, with
+// nothing of its exported life left but the session the blob carries.
+// The exporter keeps no reference to it. A released blob carries no
+// storage, and neither does one exported while a thread waits on any of
+// the socket's conditions: the import then allocates a socket.
+func TestMigrationCarriesSocket(t *testing.T) {
+	from, to := testStack(t), testStack(t)
+	to.NewSocket(wire.ProtoTCP) // the importer's numbering is ahead of the exporter's
+	to.NewSocket(wire.ProtoTCP)
+	s := sessionToMigrate(from.Stack, 1024)
+	ss := new(TCPSessionState)
+	if err := from.ExportTCPSession(nil, s, ss); err != nil {
+		t.Fatal(err)
+	}
+	for _, held := range from.socks {
+		if held == s {
+			t.Error("the exporter still lists the socket in socks")
+		}
+	}
+	for _, m := range []map[tuple]*Socket{from.binds, from.conns} {
+		for k, held := range m {
+			if held == s {
+				t.Errorf("the exporter still files the socket under %v", k)
+			}
+		}
+	}
+	// What the detached socket held of its life on the exporting stack.
+	s.Notify = func() { t.Error("the imported socket called the exporter's Notify") }
+	s.err, s.listener, s.oob = socketapi.ErrConnReset, from.newSocket(wire.ProtoTCP), []byte("stale")
+	s.splicedBytes, s.zcRxBytes, s.selCopyBytes = 1, 2, 3
+	s.closed = true
+
+	s2 := to.ImportTCPSession(nil, ss)
+	if s2 != s {
+		t.Fatal("the import allocated a socket; want the storage the blob carried")
+	}
+	if ss.sock != nil {
+		t.Error("the imported blob still carries the storage")
+	}
+	if s2.st != to.Stack || s2.uid != to.sockSeq || s2.uid != 3 || s2.ports != nil {
+		t.Errorf("imported socket: stack %p uid %d ports %v, want the importer %p, uid 3 (its third socket), no namespace",
+			s2.st, s2.uid, s2.ports, to.Stack)
+	}
+	if s2.Notify != nil || s2.err != nil || s2.listener != nil || string(s2.oob) != "!" || s2.closed ||
+		s2.splicedBytes+s2.zcRxBytes+s2.selCopyBytes != 0 {
+		t.Errorf("the exported life survived the import: notify %v, err %v, listener %v, oob %q (the blob's: \"!\"), closed %v, chain counters %d/%d/%d",
+			s2.Notify != nil, s2.err, s2.listener, s2.oob, s2.closed, s2.splicedBytes, s2.zcRxBytes, s2.selCopyBytes)
+	}
+	if s2.snd.len() != 1024 || s2.tcb == nil || s2.tcb.sock != s2 || s2.tcb.st != to.Stack || TCPStateOf(s2) != "ESTABLISHED" {
+		t.Errorf("the session did not arrive: %d send bytes, state %s", s2.snd.len(), TCPStateOf(s2))
+	}
+	if to.lookup(wire.ProtoTCP, s2.local, s2.remote) != s2 {
+		t.Error("the importer does not demultiplex to the socket")
+	}
+	s2.notify() // the importer's socket has no hook yet
+
+	t.Run("released", func(t *testing.T) {
+		from, to := testStack(t), testStack(t)
+		s := sessionToMigrate(from.Stack, 16)
+		ss := new(TCPSessionState)
+		if err := from.ExportTCPSession(nil, s, ss); err != nil {
+			t.Fatal(err)
+		}
+		ss.Release()
+		if ss.sock != nil {
+			t.Fatal("Release kept the socket storage")
+		}
+		if to.ImportTCPSession(nil, ss) == s {
+			t.Error("a released blob's import reused the storage")
+		}
+	})
+
+	for _, c := range []struct {
+		name string
+		cond func(s *Socket) *sim.Cond
+	}{
+		{"accepting", func(s *Socket) *sim.Cond { return &s.accepting }},
+		{"stateChanged", func(s *Socket) *sim.Cond { return &s.stateChanged }},
+		{"send buffer", func(s *Socket) *sim.Cond { return &s.snd.cond }},
+		{"receive buffer", func(s *Socket) *sim.Cond { return &s.rcv.cond }},
+	} {
+		t.Run("waited on "+c.name, func(t *testing.T) {
+			from, to := testStack(t), testStack(t)
+			s := sessionToMigrate(from.Stack, 16)
+			cond := c.cond(s)
+			from.cfg.Sim.SpawnDaemon("waiter", func(p *sim.Proc) { cond.Wait(p) })
+			if err := from.cfg.Sim.RunFor(time.Millisecond); err != nil || cond.Waiters() != 1 {
+				t.Fatalf("waiter not parked: %v", err)
+			}
+			ss := new(TCPSessionState)
+			if err := from.ExportTCPSession(nil, s, ss); err != nil {
+				t.Fatal(err)
+			}
+			if ss.sock != nil {
+				t.Error("the blob carries the storage of a socket a thread waits on")
+			}
+			if to.ImportTCPSession(nil, ss) == s {
+				t.Error("the import reused the storage of a socket a thread waits on")
+			}
+			if cond.Waiters() != 1 {
+				t.Error("the waiter was lost")
+			}
+			cond.Broadcast()
+			from.cfg.Sim.RunFor(time.Millisecond)
+		})
+	}
 }

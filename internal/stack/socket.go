@@ -83,21 +83,32 @@ type tcpSocket struct {
 }
 
 func (st *Stack) newSocket(proto uint8) *Socket {
-	st.sockSeq++
-	var s *Socket
 	if proto == wire.ProtoTCP {
-		o := &tcpSocket{bufs: [2]streamBuf{{hiwat: DefaultSockBuf}, {hiwat: DefaultSockBuf}}}
-		s = &o.Socket
-		s.snd, s.rcv, s.spare = &o.bufs[0], &o.bufs[1], &o.tcb
-	} else {
-		s = new(Socket)
+		o := new(tcpSocket)
+		return st.tcpSocketIn(&o.Socket, &o.bufs[0], &o.bufs[1], &o.tcb)
 	}
-	s.st, s.uid, s.Proto = st, st.sockSeq, proto
-	s.sndbufSize, s.rcvbufSize = DefaultSockBuf, DefaultSockBuf
-	if proto == wire.ProtoUDP {
-		s.drcv = newDgramBuf(s.rcvbufSize)
-	}
+	st.sockSeq++
+	s := &Socket{st: st, uid: st.sockSeq, Proto: proto, sndbufSize: DefaultSockBuf, rcvbufSize: DefaultSockBuf}
+	s.drcv = newDgramBuf(DefaultSockBuf)
 	return s
+}
+
+// tcpSocketIn makes s a new TCP socket of this stack, numbered in
+// creation order, with stream buffers snd and rcv and tcb the control
+// block its first open takes. The storage is a fresh tcpSocket's, or
+// the one an exported socket's blob carries (see TCPSessionState),
+// which starts from zero all the same.
+func (st *Stack) tcpSocketIn(s *Socket, snd, rcv *streamBuf, tcb *tcpcb) *Socket {
+	st.sockSeq++
+	*s = Socket{st: st, uid: st.sockSeq, Proto: wire.ProtoTCP, snd: snd, rcv: rcv, spare: tcb,
+		sndbufSize: DefaultSockBuf, rcvbufSize: DefaultSockBuf}
+	*snd, *rcv = streamBuf{hiwat: DefaultSockBuf}, streamBuf{hiwat: DefaultSockBuf}
+	return s
+}
+
+// waitedOn reports whether a thread is parked on one of s's conditions.
+func (s *Socket) waitedOn() bool {
+	return s.accepting.Waiters()+s.stateChanged.Waiters()+s.snd.cond.Waiters()+s.rcv.cond.Waiters() > 0
 }
 
 // LocalAddr returns the bound local endpoint.
