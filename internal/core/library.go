@@ -184,7 +184,9 @@ func (lib *Library) giveBack(t *sim.Proc, e *socklayer.Entry, closing bool) erro
 	e.At = &lib.remote
 	c.sid, c.closing = s.id, closing
 	lib.proxy(t, c, bytes)
+	detached := e.Sock
 	e.Sock = c.sock
+	lib.St.WakeMoved(detached) // a call blocked on it goes on at the server
 	return c.err
 }
 

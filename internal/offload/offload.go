@@ -149,8 +149,9 @@ type Engine struct {
 	// iterated, so the map cannot perturb determinism).
 	pending map[wire.Flow]*mergeBuf
 
-	free   []*job   // idle jobs, reused so the per-frame path schedules no closures
-	slices [][]byte // a super-segment's slices, reused by every TSO send
+	free   []*job      // idle jobs, reused so the per-frame path schedules no closures
+	merges []*mergeBuf // flushed merge records, reused by the merges that open next
+	slices [][]byte    // a super-segment's slices, reused by every TSO send
 
 	Stats Stats
 }
@@ -167,7 +168,7 @@ type mergeBuf struct {
 	psh       bool      // a merged frame carried PSH (set on the super-segment)
 	owned     bool      // buf is the engine's: an Owned opening frame, or the private merge buffer
 	lastTouch sim.Time  // arrival time of the newest merged frame (hold timer base)
-	gen       int       // guards the hold timer against early flushes
+	gen       int       // guards the hold timer against early flushes; counts across reuses
 }
 
 // New attaches an engine. The caller re-points the NIC's Rx at
@@ -583,7 +584,13 @@ func (e *Engine) Rx(f simnet.Frame) {
 	// is absorbed the buffer is the frame itself, trimmed of Ethernet
 	// padding: most merges on a request/response flow end as they began,
 	// and a one-byte request should not cost a 48 KB buffer.
-	pend = &mergeBuf{
+	if n := len(e.merges); n > 0 {
+		pend = e.merges[n-1]
+		e.merges = e.merges[:n-1]
+	} else {
+		pend = new(mergeBuf)
+	}
+	*pend = mergeBuf{
 		flow:      v.Flow,
 		buf:       f.Data[:v.End],
 		payAt:     v.PayAt,
@@ -594,6 +601,7 @@ func (e *Engine) Rx(f simnet.Frame) {
 		psh:       psh,
 		owned:     f.Owned,
 		lastTouch: now,
+		gen:       pend.gen, // a hold armed for its last use must still see it changed
 	}
 	e.pending[v.Flow] = pend
 	e.Stats.LROMerged.Inc()
@@ -631,6 +639,8 @@ func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	e.Stats.LROFlushes.Inc()
 	e.Stats.LROBytes.Add(uint64(len(pend.buf) - pend.payAt))
 	e.deliverAfter(extra, simnet.Frame{Data: pend.buf, Owned: pend.owned})
+	pend.buf = nil
+	e.merges = append(e.merges, pend)
 }
 
 // finalize makes the merged super-segment a well-formed frame: the merged

@@ -2,7 +2,6 @@ package offload
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"time"
 
@@ -552,27 +551,64 @@ func TestLROLoneFrameGoesUpAsItArrived(t *testing.T) {
 
 // TestLROLoneFrameAllocatesNoBuffer: a one-byte request on an idle flow
 // must not cost a merge buffer (54 + 33 × 1460 bytes before the opening
-// frame was aliased: 96 % of the bytes the rpc workload allocated).
+// frame was aliased: 96 % of the bytes the rpc workload allocated), and
+// once warm it allocates nothing at all: its merge record comes off the
+// engine's free list, and its jobs off theirs.
 func TestLROLoneFrameAllocatesNoBuffer(t *testing.T) {
-	env := newRxEnv(t)
+	s := sim.New(1)
+	ups := 0
+	e := New(Config{Sim: s, Name: "rx-test", Up: func(simnet.Frame) { ups++ }, Costs: costs.DECLibrarySHMIPFOffload().Offload})
 	frame := tcpFrame(5000, 77, wire.TCPAck|wire.TCPPsh, []byte{42})
+	rx := func() { e.Rx(simnet.Frame{Data: frame}) }
 	request := func() {
-		env.inject(10*time.Millisecond, frame)
-		env.run(t)
+		s.After(10*time.Millisecond, rx)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	request() // warm the scheduler's free lists
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		request()
+	request() // warm the free lists
+	if n := testing.AllocsPerRun(100, request); n != 0 {
+		t.Errorf("a lone pushed segment allocates %.2f objects once warm, want 0", n)
 	}
-	runtime.ReadMemStats(&after)
-	if len(env.got) != runs+1 {
-		t.Fatalf("deliveries = %d, want %d", len(env.got), runs+1)
+	if ups != 102 || e.Stats.LROFlushes.Value() != 102 {
+		t.Errorf("%d deliveries and %d flushes, want 102 of each", ups, e.Stats.LROFlushes.Value())
 	}
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1024 {
-		t.Fatalf("a lone pushed segment allocates %d bytes, want < 1 KiB", perRun)
+}
+
+// TestReusedMergeOutlivesStaleHold: a merge record flushed before its
+// hold timer fires goes back on the free list, and the next merge — of
+// another flow — reuses it. The record's generation keeps counting
+// across the reuse, so the old timer finds it changed and does nothing:
+// the new merge goes up once, a full hold after it opened.
+func TestReusedMergeOutlivesStaleHold(t *testing.T) {
+	env := newRxEnv(t)
+	other := tcpFrame(9000, 77, wire.TCPAck, pattern(3, 100))
+	v, _ := wire.Dissect(other)
+	flowB := v.Flow
+	flowB.SrcPort++
+	v.SetFlow(other, flowB)
+	var first *mergeBuf
+	var gen int
+	env.inject(0, tcpFrame(5000, 77, wire.TCPAck, pattern(0, 100))) // opens a merge, arms its hold
+	env.s.After(time.Microsecond, func() {
+		for _, pend := range env.e.pending {
+			first, gen = pend, pend.gen
+		}
+	})
+	env.inject(10*time.Microsecond, tcpFrame(5100, 77, wire.TCPAck, nil)) // a pure ACK flushes it
+	env.inject(20*time.Microsecond, other)                                // another flow opens a merge
+	env.s.After(30*time.Microsecond, func() {
+		if pend := env.e.pending[flowB]; pend != first || pend.gen == gen {
+			t.Errorf("the second merge's record is the first's: %v; generation %d, the stale hold's %d: want reused, changed",
+				pend == first, pend.gen, gen)
+		}
+	})
+	env.run(t)
+	if len(env.got) != 3 {
+		t.Fatalf("%d deliveries, want 3 (the first merge, the ACK, the second merge)", len(env.got))
+	}
+	if at, opened := env.got[2].at, sim.Time(20*time.Microsecond); at < opened.Add(DefaultHold) {
+		t.Errorf("the second merge went up at %v, before its hold (%v) ran out", at, opened.Add(DefaultHold))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/mbuf"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -97,5 +98,53 @@ func TestDeliveryOwnership(t *testing.T) {
 				t.Error("the two deliveries do not share one buffer")
 			}
 		})
+	}
+}
+
+// TestLostAndDelayedFramesAllocateNothing: a frame the fault layer loses
+// goes back to mbuf's pools, so the sender's next frame reuses its
+// array, and a delayed delivery rides a pooled job: once warm, neither
+// allocates.
+func TestLostAndDelayedFramesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	for _, tc := range []struct {
+		name  string
+		rates fault.Rates
+		rx    int // deliveries per frame
+	}{
+		{"lost", fault.Rates{Drop: 1}, 0},
+		{"delayed", fault.Rates{Delay: time.Millisecond}, 1},
+	} {
+		s := sim.New(1)
+		g := NewSegment(s)
+		a, b := g.AttachOn(s, "a", wire.MAC{1}), g.AttachOn(s, "b", wire.MAC{2})
+		got := 0
+		b.Rx = func(f Frame) {
+			got++
+			if f.Owned {
+				mbuf.Free(f.Data)
+			}
+		}
+		g.Faults().SetLinkRates("a", tc.rates)
+		template := frameTo(wire.MAC{2}, wire.MAC{1}, 100)
+		send := func() {
+			f := mbuf.Frame(len(template))
+			copy(f, template)
+			if err := a.Transmit(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send() // warm the pools and the job lists
+		if n := testing.AllocsPerRun(100, send); n != 0 {
+			t.Errorf("%s: a frame allocates %.2f objects once warm, want 0", tc.name, n)
+		}
+		if want := 102 * tc.rx; got != want {
+			t.Errorf("%s: %d deliveries, want %d", tc.name, got, want)
+		}
 	}
 }

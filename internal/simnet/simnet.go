@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/mbuf"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -291,14 +292,15 @@ func (n *NIC) MAC() wire.MAC { return n.mac }
 // Name returns the station's link name.
 func (n *NIC) Name() string { return n.name }
 
-// txJob carries one frame through medium acquisition. Jobs are pooled on
-// the transmitting station and the completion continuation is bound
-// once, so the steady-state transmit path allocates nothing beyond the
-// frame itself.
+// txJob carries one frame through medium acquisition, or a delayed
+// delivery to its station (from is then its sender). Jobs are pooled
+// on the station they run for and their continuation is bound once, so
+// the steady-state transmit and delivery paths allocate nothing beyond
+// the frame itself.
 type txJob struct {
-	n      *NIC
-	f      Frame
-	doneFn func()
+	n, from *NIC
+	f       Frame
+	runFn   func()
 }
 
 func (n *NIC) getTxJob() *txJob {
@@ -309,8 +311,24 @@ func (n *NIC) getTxJob() *txJob {
 		return j
 	}
 	j := &txJob{n: n}
-	j.doneFn = j.done
+	j.runFn = j.run
 	return j
+}
+
+// run is the job's continuation: done for a transmit, and for a delayed
+// delivery its arrival at the station.
+func (j *txJob) run() {
+	if j.from == nil {
+		j.done()
+		return
+	}
+	n, from, f := j.n, j.from, j.f
+	j.from, j.f = nil, Frame{}
+	n.free = append(n.free, j)
+	if tr := n.seg.tr; tr.On(trace.LayerNet) {
+		tr.Emit(trace.LayerNet, trace.EvFrameRx, n.name, from.name, "", int64(len(f.Data)), 0, 0)
+	}
+	n.Rx(f)
 }
 
 // done runs when the frame has finished serializing onto the medium.
@@ -354,7 +372,7 @@ func (n *NIC) Transmit(data []byte) error {
 	if n.medium != nil {
 		m = n.medium
 	}
-	m.UseEvent(n.sim, sim.TaskPriority, txTime, j.doneFn)
+	m.UseEvent(n.sim, sim.TaskPriority, txTime, j.runFn)
 	return nil
 }
 
@@ -384,11 +402,13 @@ func (g *Segment) inject(from *NIC, f Frame) {
 		if on {
 			r.Emit(trace.LayerNet, trace.EvFrameDrop, from.name, "", reason, 0, 0, 0)
 		}
+		mbuf.Free(f.Data) // the sender gave it up and nobody else has it
 		return
 	}
 	if d.CorruptBit >= 0 {
-		data := make([]byte, len(f.Data))
+		data := mbuf.Frame(len(f.Data))
 		copy(data, f.Data)
+		mbuf.Free(f.Data)
 		data[wire.EthHeaderLen+d.CorruptBit/8] ^= 1 << (d.CorruptBit % 8)
 		f = Frame{Data: data}
 		from.stats.FramesCorrupted.Inc()
@@ -413,7 +433,9 @@ func (g *Segment) inject(from *NIC, f Frame) {
 }
 
 // deliver hands f to every station that takes it; dup marks one half of
-// a duplicated frame, whose buffer the other half shares.
+// a duplicated frame, whose buffer the other half shares. A frame that
+// is not half of a duplicate and that no station takes goes back to
+// mbuf's pools.
 func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 	hdr, err := wire.UnmarshalEth(f.Data)
 	if err != nil {
@@ -421,11 +443,16 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 		if r := from.rec(); r.On(trace.LayerNet) {
 			r.Emit(trace.LayerNet, trace.EvFrameDrop, from.name, "", "malformed", 0, 0, 0)
 		}
+		if !dup {
+			mbuf.Free(f.Data)
+		}
 		return
 	}
 	owned := !dup && !hdr.Dst.IsBroadcast()
 	if g.ptp {
-		g.deliverTrunk(from, hdr, Frame{Data: f.Data, Owned: owned}, delay)
+		if !g.deliverTrunk(from, hdr, Frame{Data: f.Data, Owned: owned}, delay) && !dup {
+			mbuf.Free(f.Data)
+		}
 		return
 	}
 	takers := 0 // a promiscuous station, or a second one with the MAC, shares a unicast
@@ -435,6 +462,7 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 		}
 	}
 	rf := Frame{Data: f.Data, Owned: owned && takers == 1}
+	taken := false
 	for _, nic := range g.nics {
 		if nic == from {
 			continue // Ethernet does not deliver a frame to its sender
@@ -455,20 +483,20 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 		if nic.Rx == nil {
 			continue
 		}
+		taken = true
 		if delay == 0 {
 			if g.tr.On(trace.LayerNet) {
 				g.tr.Emit(trace.LayerNet, trace.EvFrameRx, nic.name, from.name, "", int64(len(f.Data)), 0, 0)
 			}
 			nic.Rx(rf)
 		} else {
-			fromName := from.name
-			g.sim.After(delay, func() {
-				if g.tr.On(trace.LayerNet) {
-					g.tr.Emit(trace.LayerNet, trace.EvFrameRx, nic.name, fromName, "", int64(len(rf.Data)), 0, 0)
-				}
-				nic.Rx(rf)
-			})
+			j := nic.getTxJob()
+			j.from, j.f = from, rf
+			g.sim.After(delay, j.runFn)
 		}
+	}
+	if !taken && !dup {
+		mbuf.Free(f.Data)
 	}
 }
 
@@ -479,21 +507,19 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 // the merged cross-shard order is intrinsic to the traffic, not to the
 // shard mapping. The receive-side counters and trace records are
 // written inside the arrival event — on the receiver's shard — keeping
-// every counter and lane single-writer.
-func (g *Segment) deliverTrunk(from *NIC, hdr wire.EthHeader, f Frame, delay time.Duration) {
+// every counter and lane single-writer. It reports whether the far end
+// takes the frame.
+func (g *Segment) deliverTrunk(from *NIC, hdr wire.EthHeader, f Frame, delay time.Duration) bool {
 	peer := from.peer
-	if peer == nil {
-		return // far end not attached yet
-	}
-	if !peer.Promisc && peer.mac != hdr.Dst && !hdr.Dst.IsBroadcast() {
-		return
+	if peer == nil || !peer.Promisc && peer.mac != hdr.Dst && !hdr.Dst.IsBroadcast() {
+		return false // far end not attached yet, or not taking the frame
 	}
 	if g.inj != nil && g.inj.CutTx(from.name, peer.name) {
 		from.stats.PartitionDrops.Inc()
 		if r := from.rec(); r.On(trace.LayerNet) {
 			r.Emit(trace.LayerNet, trace.EvPartitionDrop, from.name, peer.name, "", 0, 0, 0)
 		}
-		return
+		return false
 	}
 	from.stats.DeliveryEvents.Inc()
 	at := from.sim.Now().Add(g.prop + delay)
@@ -505,6 +531,7 @@ func (g *Segment) deliverTrunk(from *NIC, hdr wire.EthHeader, f Frame, delay tim
 	}
 	a.peer, a.f = peer, f
 	from.sim.SendRemote(peer.sim, at, from.origin, from.oseq, a.run)
+	return true
 }
 
 // trunkArrival is one frame in flight on a trunk and the station it
@@ -533,5 +560,7 @@ func (a *trunkArrival) deliver() {
 	}
 	if peer.Rx != nil {
 		peer.Rx(f)
+	} else if f.Owned {
+		mbuf.Free(f.Data)
 	}
 }

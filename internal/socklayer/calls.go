@@ -167,7 +167,25 @@ func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, flags int, to *socketa
 		e.At.putCall(c)
 		return n, err
 	}
-	return e.sosend(t, b, iov, flags, to, zc)
+	n, err := e.sosend(t, b, iov, flags, to, zc)
+	if err == stack.ErrMoved { // the session moved while the call waited: the rest goes where it went
+		b, iov = unsent(b, iov, n)
+		m, err := e.send(t, b, iov, flags, to, zc)
+		return n + m, err
+	}
+	return n, err
+}
+
+// unsent drops the first n bytes of the data b or iov holds, fewer
+// than all of them.
+func unsent(b []byte, iov [][]byte, n int) ([]byte, [][]byte) {
+	if iov == nil {
+		return b[n:], nil
+	}
+	for ; n >= len(iov[0]); iov = iov[1:] {
+		n -= len(iov[0])
+	}
+	return nil, append([][]byte{iov[0][n:]}, iov[1:]...)
 }
 
 // sosend decodes flags and destination and runs the stack's send on the
@@ -223,7 +241,11 @@ func (e *Entry) recv(t *sim.Proc, b []byte, flags int) (int, socketapi.SockAddr,
 		e.At.putCall(c)
 		return n, from, err
 	}
-	return e.soreceive(t, b, flags)
+	n, from, err := e.soreceive(t, b, flags)
+	if err == stack.ErrMoved { // the session moved while the call waited
+		return e.recv(t, b, flags)
+	}
+	return n, from, err
 }
 
 func (e *Entry) soreceive(on *sim.Proc, b []byte, flags int) (int, socketapi.SockAddr, error) {
@@ -372,7 +394,9 @@ func (tb *Table) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socket
 	}
 	if e.At.Alias {
 		_, from, view, err := e.At.St.Recv(t, e.Sock, nil, stack.RecvOpts{ZeroCopy: true, Max: max, OOB: flags&socketapi.MsgOOB != 0})
-		return view, FromStack(from), err
+		if err != stack.ErrMoved { // else the session moved while the call waited
+			return view, FromStack(from), err
+		}
 	}
 	return e.recvFresh(t, max, flags)
 }
@@ -407,7 +431,12 @@ func (tb *Table) SendChain(t *sim.Proc, fd int, c *mbuf.Chain, flags int) (int, 
 		return 0, err
 	}
 	if e.At.Alias {
-		return e.At.St.SendChain(t, e.Sock, c, stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0})
+		n, err := e.At.St.SendChain(t, e.Sock, c, stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0})
+		if err == stack.ErrMoved { // the session moved while the call waited: c holds the rest
+			m, err := tb.SendChain(t, fd, c, flags)
+			return n + m, err
+		}
+		return n, err
 	}
 	iov := make([][]byte, 0, c.Segments())
 	for it := c.Iter(); ; {
@@ -435,6 +464,9 @@ func (tb *Table) RecvPeek(t *sim.Proc, fd int, max int, ranges []socketapi.Range
 	}
 	if e.At.Alias {
 		view, copied, from, err := e.At.St.RecvPeek(t, e.Sock, max, ranges)
+		if err == stack.ErrMoved { // the session moved while the call waited
+			return tb.RecvPeek(t, fd, max, ranges)
+		}
 		if err != nil {
 			return socketapi.RecvView{}, err
 		}

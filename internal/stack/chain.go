@@ -22,7 +22,9 @@ import (
 // SendChain queues the chain's bytes on the socket, surrendering
 // ownership of c: the protocol releases its segments as data is
 // acknowledged (TCP) or transmitted (UDP), and releases the remainder
-// on error. Blocks until every byte is queued. Returns the byte count.
+// on error, except ErrMoved: c then holds the bytes not queued, and they
+// are the caller's again. Blocks until every byte is queued. Returns the
+// byte count.
 func (st *Stack) SendChain(t *sim.Proc, s *Socket, c *mbuf.Chain, opts SendOpts) (int, error) {
 	if c == nil {
 		c = mbuf.New()
@@ -30,7 +32,7 @@ func (st *Stack) SendChain(t *sim.Proc, s *Socket, c *mbuf.Chain, opts SendOpts)
 	// The chain is handed over by reference, so system entry pays only
 	// its fixed cost: no bytes are priced as copyin.
 	n, err := st.sosend(t, s, sendSrc{chain: c, left: c.Len(), moved: &st.Stats.SockAliasedBytes}, opts)
-	if err != nil {
+	if err != nil && err != ErrMoved {
 		c.Release() // whatever was not queued
 	}
 	return n, err

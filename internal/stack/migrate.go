@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/mbuf"
@@ -147,11 +148,12 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket, ss *TCPSessionState) e
 	ss.RcvQ.AppendChain(&s.rcv.data)
 	s.oob = nil
 	ss.Reasm = make([]ReasmSegState, len(tp.reasm))
-	for i, r := range tp.reasm {
+	for i := range tp.reasm {
+		r := &tp.reasm[i]
 		ss.Reasm[i].Seq, ss.Reasm[i].Fin = r.seq, r.fin
-		ss.Reasm[i].Data.AppendChain(r.data)
+		ss.Reasm[i].Data.AppendChain(&r.data)
 	}
-	tp.reasm = nil
+	tp.reasm = tp.reasm[:0]
 	// Detach without releasing the port.
 	s.portReserved = false
 	tp.setState(tcpClosed)
@@ -161,8 +163,27 @@ func (st *Stack) ExportTCPSession(t *sim.Proc, s *Socket, ss *TCPSessionState) e
 	st.deregister(s)
 	if !s.waitedOn() {
 		ss.sock = s
+	} else {
+		s.err = ErrMoved // for its waiters, once WakeMoved runs
 	}
 	return nil
+}
+
+// ErrMoved is the answer of a call that was blocked on a socket when its
+// session was exported: the caller finishes the call where the session
+// went. Unlike other socket errors it is never consumed, so every
+// waiter sees it.
+var ErrMoved = errors.New("stack: session moved while the call waited")
+
+// WakeMoved wakes the threads blocked on s if s stayed on this stack
+// when its session was exported (see ErrMoved). A caller runs it once
+// the calls it wakes can reach the session's new place. It takes no
+// lock: a broadcast never yields.
+func (st *Stack) WakeMoved(s *Socket) {
+	if s.st == st && s.err == ErrMoved {
+		s.rcv.cond.Broadcast()
+		s.snd.cond.Broadcast()
+	}
 }
 
 // ImportTCPSession installs a migrated session into this stack, returning
@@ -204,9 +225,8 @@ func (st *Stack) ImportTCPSession(t *sim.Proc, ss *TCPSessionState) *Socket {
 	tp.finSent, tp.finSeq, tp.sawFin = ss.FinSent, ss.FinSeq, ss.SawFin
 	for i := range ss.Reasm {
 		r := &ss.Reasm[i]
-		c := mbuf.New()
-		c.AppendChain(&r.Data)
-		tp.insertReasm(r.Seq, c, r.Fin)
+		tp.insertReasm(r.Seq, r.Data, r.Fin)
+		r.Data = mbuf.Chain{}
 	}
 	ss.Reasm = nil
 

@@ -117,10 +117,13 @@ func (s *Socket) LocalAddr() Addr { return s.local }
 // RemoteAddr returns the connected remote endpoint.
 func (s *Socket) RemoteAddr() Addr { return s.remote }
 
-// Err returns and clears the pending asynchronous error (so_error).
+// Err returns and clears the pending asynchronous error (so_error);
+// ErrMoved stays, for every waiter.
 func (s *Socket) takeErr() error {
 	e := s.err
-	s.err = nil
+	if e != ErrMoved {
+		s.err = nil
+	}
 	return e
 }
 

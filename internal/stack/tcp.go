@@ -85,8 +85,8 @@ var tcpBackoff = [tcpMaxRexmits + 1]int{1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64, 
 // reasmSeg is one out-of-order segment held for reassembly.
 type reasmSeg struct {
 	seq  uint32
-	data *mbuf.Chain
 	fin  bool
+	data mbuf.Chain
 }
 
 // tcpcb is the TCP control block (struct tcpcb).
@@ -169,6 +169,7 @@ func newTCPCB(st *Stack, s *Socket) *tcpcb {
 		mss:      tcpDefaultMSS,
 		cwnd:     tcpDefaultMSS,
 		ssthresh: 65535,
+		reasm:    tp.reasm[:0], // a reused block keeps its queue's array
 	}
 	return tp
 }
@@ -266,7 +267,10 @@ func (tp *tcpcb) close(t *sim.Proc) {
 	for i := range tp.timers {
 		tp.timers[i] = 0
 	}
-	tp.reasm = nil
+	for i := range tp.reasm {
+		tp.reasm[i].data.Release()
+	}
+	tp.reasm = tp.reasm[:0]
 	s := tp.sock
 	tp.st.deregister(s)
 	s.stateChanged.Broadcast()

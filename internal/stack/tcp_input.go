@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"slices"
+
 	"repro/internal/costs"
 	"repro/internal/mbuf"
 	"repro/internal/sim"
@@ -457,14 +459,15 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 
 	// Out of order (or filling a hole): insert into the reassembly queue.
 	tp.ackNow = true // duplicate ACK tells the peer what we're missing
-	c := mbuf.New()
-	st.rx.keep(c, data)
+	var c mbuf.Chain
+	st.rx.keep(&c, data)
 	tp.insertReasm(seq, c, fin)
 
-	// Drain whatever is now contiguous.
-	progress := 0
-	for len(tp.reasm) > 0 {
-		head := tp.reasm[0]
+	// Drain whatever is now contiguous, then close the drained prefix up
+	// in place: the queue keeps its array for the next hole.
+	progress, n := 0, 0
+	for ; n < len(tp.reasm); n++ {
+		head := &tp.reasm[n]
 		if seqGT(head.seq, tp.rcvNxt) {
 			break
 		}
@@ -472,23 +475,23 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 		skip := int(int32(tp.rcvNxt - head.seq))
 		if skip < head.data.Len() {
 			head.data.TrimFront(skip)
-			n := head.data.Len() // appendChain empties head.data; count first
-			tp.rcvNxt += uint32(n)
-			s.rcv.data.AppendChain(head.data)
-			progress += n
+			k := head.data.Len() // AppendChain empties head.data; count first
+			tp.rcvNxt += uint32(k)
+			s.rcv.data.AppendChain(&head.data)
+			progress += k
 		} else {
 			head.data.Release() // all duplicate
 		}
 		if head.fin {
-			tp.reasm = tp.reasm[1:]
+			tp.reasm = slices.Delete(tp.reasm, 0, n+1)
 			if progress > 0 {
 				s.sorwakeup(t, progress)
 			}
 			st.tcpHandleFin(t, tp)
 			return
 		}
-		tp.reasm = tp.reasm[1:]
 	}
+	tp.reasm = slices.Delete(tp.reasm, 0, n)
 	if progress > 0 {
 		st.charge(t, true, costs.CompMbufQueue, progress)
 		s.sorwakeup(t, progress)
@@ -498,8 +501,8 @@ func (st *Stack) tcpReassemble(t *sim.Proc, tp *tcpcb, seq uint32, data []byte, 
 // insertReasm places the chain c, which it takes, into the sorted
 // reassembly queue, trimming overlap against existing segments
 // conservatively. Segments may come in any order: a migrated blob's are
-// not trusted to be sorted.
-func (tp *tcpcb) insertReasm(seq uint32, c *mbuf.Chain, fin bool) {
+// not trusted to be sorted. The queue changes in place.
+func (tp *tcpcb) insertReasm(seq uint32, c mbuf.Chain, fin bool) {
 	seg := reasmSeg{seq: seq, data: c, fin: fin}
 	// Find insertion point.
 	i := 0
@@ -510,22 +513,22 @@ func (tp *tcpcb) insertReasm(seq uint32, c *mbuf.Chain, fin bool) {
 	}
 	// Trim against predecessor.
 	if i > 0 {
-		prev := tp.reasm[i-1]
+		prev := &tp.reasm[i-1]
 		prevEnd := prev.seq + uint32(prev.data.Len())
 		if seqGEQ(seq, prev.seq) && seqLT(seq, prevEnd) {
 			overlap := int(int32(prevEnd - seq))
-			if overlap >= c.Len() {
-				c.Release()
+			if overlap >= seg.data.Len() {
+				seg.data.Release()
 				return // fully contained
 			}
-			c.TrimFront(overlap)
+			seg.data.TrimFront(overlap)
 			seg.seq = prevEnd
 		}
 	}
 	// Trim successors that this segment covers.
 	j := i
 	for j < len(tp.reasm) {
-		next := tp.reasm[j]
+		next := &tp.reasm[j]
 		segEnd := seg.seq + uint32(seg.data.Len())
 		if seqGEQ(next.seq, segEnd) {
 			break
@@ -542,15 +545,12 @@ func (tp *tcpcb) insertReasm(seq uint32, c *mbuf.Chain, fin bool) {
 		seg.data.TrimBack(int(int32(segEnd - next.seq)))
 		break
 	}
-	out := make([]reasmSeg, 0, len(tp.reasm)+1)
-	out = append(out, tp.reasm[:i]...)
 	if seg.data.Len() > 0 || seg.fin {
-		out = append(out, seg)
+		tp.reasm = slices.Replace(tp.reasm, i, j, seg)
 	} else {
 		seg.data.Release()
+		tp.reasm = slices.Delete(tp.reasm, i, j)
 	}
-	out = append(out, tp.reasm[j:]...)
-	tp.reasm = out
 }
 
 // tcpHandleFin processes an in-sequence FIN from the peer.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mbuf"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -154,6 +155,68 @@ func TestReassemblyHoleThenFill(t *testing.T) {
 	n := s.rcv.data.ReadAt(buf, 0)
 	if string(buf[:n]) != "hello ....world" {
 		t.Fatalf("stream = %q", buf[:n])
+	}
+}
+
+// TestReassemblyAllocatesNothing: once warm, an out-of-order insert,
+// a second hole, the fill of each and the drains allocate nothing: the
+// queue holds its chains by value and changes in place.
+func TestReassemblyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	st := testStack(t)
+	s, tp := makeEstablishedTCB(st.Stack, 100)
+	data := make([]byte, 40)
+	round := func() {
+		base := tp.rcvNxt
+		st.tcpReassemble(nil, tp, base+30, data[30:], false)   // out of order
+		st.tcpReassemble(nil, tp, base+10, data[10:20], false) // a second hole, inserted in front
+		st.tcpReassemble(nil, tp, base, data[:10], false)      // fills the first: drains 20
+		if tp.rcvNxt != base+20 || len(tp.reasm) != 1 {
+			t.Fatalf("after the first fill: rcvNxt +%d, %d queued; want +20, 1", tp.rcvNxt-base, len(tp.reasm))
+		}
+		st.tcpReassemble(nil, tp, base+20, data[20:30], false) // fills the last: drains the rest
+		if tp.rcvNxt != base+40 || len(tp.reasm) != 0 {
+			t.Fatalf("after the last fill: rcvNxt +%d, %d queued; want +40, 0", tp.rcvNxt-base, len(tp.reasm))
+		}
+		s.rcv.drop(40)
+	}
+	round() // warm the pools and the queue's array
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a round of reassembly allocates %.2f objects once warm, want 0", n)
+	}
+}
+
+// TestClosedTCBHandsBackReassembly: closing a tcb with out-of-order data
+// queued hands the frames that data references back to mbuf's pools (a
+// burst of new frames then reuses and overwrites them), and the emptied
+// queue keeps its array for the block's next use.
+func TestClosedTCBHandsBackReassembly(t *testing.T) {
+	st := testStack(t)
+	s, tp := makeEstablishedTCB(st.Stack, 100)
+	sent := bytes.Repeat([]byte{0x5a}, 200)
+	frame := mbuf.Frame(len(sent))
+	copy(frame, sent)
+	st.rx.frame, st.rx.owned = frame, true
+	st.tcpReassemble(nil, tp, 150, frame[50:150], false)
+	st.rx.done()
+	if len(tp.reasm) != 1 {
+		t.Fatalf("%d segments queued, want 1", len(tp.reasm))
+	}
+	tp.close(nil)
+	for range 64 {
+		f := mbuf.Frame(len(sent))
+		for i := range f {
+			f[i] = 0xee
+		}
+	}
+	if bytes.Equal(frame, sent) {
+		t.Error("the queued frame is intact after a burst: close kept its storage from the pools")
+	}
+	s.spare = tp
+	if next := newTCPCB(st.Stack, s); len(next.reasm) != 0 || cap(next.reasm) == 0 {
+		t.Errorf("the block's next use starts with a queue of %d/%d, want empty with the old array", len(next.reasm), cap(next.reasm))
 	}
 }
 
