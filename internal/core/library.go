@@ -51,8 +51,8 @@ type Library struct {
 	rx      func(t *sim.Proc, frame []byte, owned bool) // input, as every receive thread's step
 	rxName  string                                      // every receive thread's name
 
-	calls     []*ctlCall  // control-crossing records not in use
-	crossings [numOps]int // RPCs to the server, by operation
+	calls     sim.Free[ctlCall] // control-crossing records not in use
+	crossings [numOps]int       // RPCs to the server, by operation
 	exited    bool
 }
 

@@ -48,8 +48,9 @@ var proxyOpNames = [numOps]string{"socket", "bind", "connect", "listen", "accept
 // over and the results that come back, with the blob of a migration in
 // either direction embedded. Its body is bound as a method value once,
 // when the record is made, so a crossing builds no closure. Records
-// circulate through their Library's free list: two threads of a process
-// can be inside crossings at once, and each holds a record of its own.
+// circulate through their Library's calls, a sim.Free: two threads of a
+// process can be inside crossings at once, and each holds a record of
+// its own. A record put back twice panics under the race detector.
 type ctlCall struct {
 	lib *Library
 	op  proxyOp
@@ -106,12 +107,8 @@ func (c *ctlCall) exec(on *sim.Proc) {
 
 // getCall takes a record for a crossing of op.
 func (lib *Library) getCall(op proxyOp) *ctlCall {
-	var c *ctlCall
-	if n := len(lib.calls); n > 0 {
-		c = lib.calls[n-1]
-		lib.calls[n-1] = nil
-		lib.calls = lib.calls[:n-1]
-	} else {
+	c := lib.calls.Get()
+	if c == nil {
 		c = &ctlCall{lib: lib}
 		c.run = c.exec
 	}
@@ -124,7 +121,7 @@ func (lib *Library) getCall(op proxyOp) *ctlCall {
 // import or a refusal's Release took what a migration carried.
 func (lib *Library) putCall(c *ctlCall) {
 	*c = ctlCall{lib: c.lib, run: c.run}
-	lib.calls = append(lib.calls, c)
+	lib.calls.Put(c)
 }
 
 // bound is proxy_bind's reply: the endpoint's name, and either the

@@ -105,7 +105,7 @@ type Host struct {
 	// binds under it.
 	scope *metrics.Scope
 
-	freeRx []*rxJob // recycled receive-path jobs
+	freeRx sim.Free[rxJob] // recycled receive-path jobs
 }
 
 // Metrics returns the host's registry root (e.g. "host.alpha"), or nil
@@ -301,13 +301,7 @@ type rxJob struct {
 	deliverFn func() // delivers to the endpoint after the copyout charge
 }
 
-func (h *Host) getRxJob() *rxJob {
-	if n := len(h.freeRx); n > 0 {
-		j := h.freeRx[n-1]
-		h.freeRx[n-1] = nil
-		h.freeRx = h.freeRx[:n-1]
-		return j
-	}
+func (h *Host) newRxJob() *rxJob {
 	j := &rxJob{h: h}
 	j.planeFn = j.plane
 	j.hookFn = j.runHook
@@ -319,7 +313,7 @@ func (h *Host) getRxJob() *rxJob {
 
 func (h *Host) putRxJob(j *rxJob) {
 	j.f, j.pc, j.ep = simnet.Frame{}, nil, nil
-	h.freeRx = append(h.freeRx, j)
+	h.freeRx.Put(j)
 }
 
 // rx is the NIC receive callback: it models the device interrupt, the
@@ -327,7 +321,10 @@ func (h *Host) putRxJob(j *rxJob) {
 // entirely at interrupt priority on the host CPU.
 func (h *Host) rx(f simnet.Frame) {
 	h.RxFrames.Inc()
-	j := h.getRxJob()
+	j := h.freeRx.Get()
+	if j == nil {
+		j = h.newRxJob()
+	}
 	j.f = f
 	j.pc = h.pathFor(f.Data)
 	j.n = payloadLen(f.Data)

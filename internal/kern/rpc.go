@@ -13,7 +13,7 @@ import (
 // worker has run it.
 type Service struct {
 	queue        *sim.Chan[*call]
-	free         []*call // records whose callers have woken
+	free         sim.Free[call] // records whose callers have woken
 	owner        *Process
 	name         string
 	workers, max int // spawned so far (they never retire), and the cap
@@ -59,12 +59,8 @@ func (s *Service) loop(t *sim.Proc) {
 // costs are in its entry/exit components). A run bound once, rather
 // than a closure built per call, makes the call allocation-free.
 func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
-	var c *call
-	if n := len(s.free); n > 0 {
-		c = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
+	c := s.free.Get()
+	if c == nil {
 		c = new(call)
 	}
 	c.run = run
@@ -77,5 +73,5 @@ func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
 		c.doneCV.Wait(t)
 	}
 	c.run, c.done = nil, false
-	s.free = append(s.free, c)
+	s.free.Put(c)
 }

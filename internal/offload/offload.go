@@ -149,9 +149,9 @@ type Engine struct {
 	// iterated, so the map cannot perturb determinism).
 	pending map[wire.Flow]*mergeBuf
 
-	free   []*job      // idle jobs, reused so the per-frame path schedules no closures
-	merges []*mergeBuf // flushed merge records, reused by the merges that open next
-	slices [][]byte    // a super-segment's slices, reused by every TSO send
+	free   sim.Free[job]      // idle jobs, reused so the per-frame path schedules no closures
+	merges sim.Free[mergeBuf] // flushed merge records, reused by the merges that open next
+	slices [][]byte           // a super-segment's slices, reused by every TSO send
 
 	Stats Stats
 }
@@ -377,20 +377,18 @@ type job struct {
 }
 
 func (e *Engine) getJob() *job {
-	if n := len(e.free); n > 0 {
-		j := e.free[n-1]
-		e.free = e.free[:n-1]
-		return j
+	j := e.free.Get()
+	if j == nil {
+		j = &job{e: e}
+		j.txFn, j.upFn, j.holdFn = j.tx, j.up, j.hold
 	}
-	j := &job{e: e}
-	j.txFn, j.upFn, j.holdFn = j.tx, j.up, j.hold
 	return j
 }
 
 // done returns the job to the engine's free list.
 func (j *job) done() {
 	j.f, j.pend = simnet.Frame{}, nil
-	j.e.free = append(j.e.free, j)
+	j.e.free.Put(j)
 }
 
 func (j *job) tx() {
@@ -584,10 +582,7 @@ func (e *Engine) Rx(f simnet.Frame) {
 	// is absorbed the buffer is the frame itself, trimmed of Ethernet
 	// padding: most merges on a request/response flow end as they began,
 	// and a one-byte request should not cost a 48 KB buffer.
-	if n := len(e.merges); n > 0 {
-		pend = e.merges[n-1]
-		e.merges = e.merges[:n-1]
-	} else {
+	if pend = e.merges.Get(); pend == nil {
 		pend = new(mergeBuf)
 	}
 	*pend = mergeBuf{
@@ -640,7 +635,7 @@ func (e *Engine) flush(pend *mergeBuf, extra time.Duration) {
 	e.Stats.LROBytes.Add(uint64(len(pend.buf) - pend.payAt))
 	e.deliverAfter(extra, simnet.Frame{Data: pend.buf, Owned: pend.owned})
 	pend.buf = nil
-	e.merges = append(e.merges, pend)
+	e.merges.Put(pend)
 }
 
 // finalize makes the merged super-segment a well-formed frame: the merged

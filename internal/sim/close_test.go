@@ -11,7 +11,7 @@ import (
 func poolLen() int {
 	coroPool.Lock()
 	defer coroPool.Unlock()
-	return len(coroPool.free)
+	return len(coroPool.free.list)
 }
 
 // TestCloseReapsEverything parks a proc in every way a proc can wait,

@@ -50,14 +50,15 @@ type coro struct {
 }
 
 // coroPool is the process-wide free list of idle coroutines. It is a
-// plain list, not a sync.Pool: a coroutine dropped from a pool is a
+// Free behind a mutex, since procs of every shard take and return
+// coroutines, and not a sync.Pool: a coroutine dropped from a pool is a
 // parked goroutine that nothing can end. Only the goroutine that called
 // next returns a coroutine, and only after next returned; a coroutine
 // that returned itself could be resumed on another shard before it had
 // switched away.
 var coroPool struct {
 	sync.Mutex
-	free []*coro
+	free Free[coro]
 }
 
 // errClosed unwinds a live proc's body under Sim.Close.
@@ -65,13 +66,8 @@ var errClosed = errors.New("sim: closed")
 
 // getCoro takes an idle coroutine (or makes one) and hands it p's body.
 func getCoro(p *Proc, body func(*Proc)) *coro {
-	var c *coro
 	coroPool.Lock()
-	if n := len(coroPool.free); n > 0 {
-		c = coroPool.free[n-1]
-		coroPool.free[n-1] = nil
-		coroPool.free = coroPool.free[:n-1]
-	}
+	c := coroPool.free.Get()
 	coroPool.Unlock()
 	if c == nil {
 		c = new(coro)
@@ -85,7 +81,7 @@ func getCoro(p *Proc, body func(*Proc)) *coro {
 func (c *coro) release() {
 	c.p, c.body = nil, nil
 	coroPool.Lock()
-	coroPool.free = append(coroPool.free, c)
+	coroPool.free.Put(c)
 	coroPool.Unlock()
 }
 
@@ -194,7 +190,7 @@ func (s *Sim) Close() {
 			}
 		}
 	}
-	s.events, s.free = queue{}, nil
+	s.events, s.free = queue{}, Free[event]{}
 }
 
 // Sim returns the simulator this process belongs to.

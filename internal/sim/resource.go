@@ -14,7 +14,7 @@ type Resource struct {
 	busy     bool
 	intrQ    waiterQ // interrupt band (FIFO)
 	taskQ    waiterQ // task band (FIFO)
-	freeW    []*resWaiter
+	freeW    Free[resWaiter]
 	busyTime time.Duration
 	waiting  time.Duration // charges queued or granted but not yet in busyTime
 	uses     int
@@ -66,10 +66,7 @@ const (
 )
 
 func (r *Resource) getWaiter() *resWaiter {
-	if n := len(r.freeW); n > 0 {
-		w := r.freeW[n-1]
-		r.freeW[n-1] = nil
-		r.freeW = r.freeW[:n-1]
+	if w := r.freeW.Get(); w != nil {
 		return w
 	}
 	return &resWaiter{r: r}
@@ -77,7 +74,7 @@ func (r *Resource) getWaiter() *resWaiter {
 
 func (r *Resource) putWaiter(w *resWaiter) {
 	w.proc, w.done, w.d, w.granted = nil, nil, 0, false
-	r.freeW = append(r.freeW, w)
+	r.freeW.Put(w)
 }
 
 // Use charges d of exclusive time on the resource on behalf of p,

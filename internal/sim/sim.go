@@ -108,7 +108,7 @@ type Sim struct {
 	closed  bool // see Close
 	panicV  any
 	tracer  Tracer
-	free    []*event // recycled events (the pool behind the queue)
+	free    Free[event] // recycled events (the pool behind the queue)
 
 	// Sharding state. A standalone Sim has group == nil and none of it
 	// is touched on the hot path; it is driven as solo, a one-shard
@@ -219,12 +219,8 @@ func (s *Sim) enqueue(ev *event, at Time) {
 // newEvent returns an unqueued event, reusing one from the free list when
 // there is one.
 func (s *Sim) newEvent(fn func(), p *Proc) *event {
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
+	ev := s.free.Get()
+	if ev == nil {
 		ev = new(event)
 	}
 	ev.fn, ev.proc = fn, p
@@ -237,7 +233,7 @@ func (s *Sim) recycle(ev *event) {
 	ev.gen++
 	ev.fn, ev.proc, ev.rw = nil, nil, nil
 	ev.stopped, ev.periodic = false, false
-	s.free = append(s.free, ev)
+	s.free.Put(ev)
 }
 
 // ScheduleRemote inserts a band-1 delivery event keyed by (at, origin,

@@ -197,7 +197,7 @@ type NIC struct {
 	TxBytes  metrics.Counter // wire bytes, including padding and CRC
 	RxBytes  metrics.Counter
 
-	free []*txJob // recycled transmit jobs (per station: single-writer)
+	free sim.Free[txJob] // recycled transmit jobs (per station: single-writer)
 
 	// Trunk direction state. stats points at the direction's own
 	// counters in ptp mode and at the segment's in shared mode, so every
@@ -304,10 +304,7 @@ type txJob struct {
 }
 
 func (n *NIC) getTxJob() *txJob {
-	if k := len(n.free); k > 0 {
-		j := n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
+	if j := n.free.Get(); j != nil {
 		return j
 	}
 	j := &txJob{n: n}
@@ -324,7 +321,7 @@ func (j *txJob) run() {
 	}
 	n, from, f := j.n, j.from, j.f
 	j.from, j.f = nil, Frame{}
-	n.free = append(n.free, j)
+	n.free.Put(j)
 	if tr := n.seg.tr; tr.On(trace.LayerNet) {
 		tr.Emit(trace.LayerNet, trace.EvFrameRx, n.name, from.name, "", int64(len(f.Data)), 0, 0)
 	}
@@ -336,7 +333,7 @@ func (j *txJob) done() {
 	n, f := j.n, j.f
 	g := n.seg
 	j.f = Frame{}
-	n.free = append(n.free, j)
+	n.free.Put(j)
 	wireBytes := uint64(f.WireSize())
 	n.stats.FramesSent.Inc()
 	n.stats.BytesSent.Add(wireBytes)

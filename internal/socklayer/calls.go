@@ -20,9 +20,10 @@ import (
 // dataCall is one crossed send or recv: the arguments that go over and
 // the results that come back. Its two bodies are bound as method values
 // once, when the record is made, so a crossing builds no closure.
-// Records circulate through their Place's free list: two threads of a
-// process, or a forked child sharing an entry, can be inside crossings
-// on one place at once, and each holds a record of its own.
+// Records circulate through their Place's calls, a sim.Free: two threads
+// of a process, or a forked child sharing an entry, can be inside
+// crossings on one place at once, and each holds a record of its own.
+// A record put back twice panics under the race detector.
 type dataCall struct {
 	e          *Entry
 	b          []byte
@@ -47,12 +48,8 @@ func (c *dataCall) runRecv(on *sim.Proc) {
 
 // getCall takes a record for a crossed call on e.
 func (p *Place) getCall(e *Entry) *dataCall {
-	var c *dataCall
-	if n := len(p.calls); n > 0 {
-		c = p.calls[n-1]
-		p.calls[n-1] = nil
-		p.calls = p.calls[:n-1]
-	} else {
+	c := p.calls.Get()
+	if c == nil {
 		c = new(dataCall)
 		c.send, c.recv = c.runSend, c.runRecv
 	}
@@ -63,7 +60,7 @@ func (p *Place) getCall(e *Entry) *dataCall {
 // putCall drops what the record refers to and hands it back.
 func (p *Place) putCall(c *dataCall) {
 	*c = dataCall{send: c.send, recv: c.recv}
-	p.calls = append(p.calls, c)
+	p.calls.Put(c)
 }
 
 // Socket implements socketapi.API.

@@ -60,7 +60,7 @@ type Place struct {
 	Sel *sim.Cond
 
 	wake  func()
-	calls []*dataCall // crossed data-call records not in use
+	calls sim.Free[dataCall] // crossed data-call records not in use
 }
 
 // Entry is one open-file slot: the socket a descriptor names and where

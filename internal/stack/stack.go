@@ -159,8 +159,8 @@ type Stack struct {
 	// (checksum offload, unfragmented), so the software pass is skipped.
 	// Guarded by mu like all input-path state.
 	rxVerified bool
-	rx         rxFrame       // the frame the running Input call is processing
-	dgrams     []*mbuf.Chain // empty datagram chains: Recv hands them back, udpInput reuses them
+	rx         rxFrame              // the frame the running Input call is processing
+	dgrams     sim.Free[mbuf.Chain] // empty datagram chains: Recv hands them back, udpInput reuses them
 
 	// mu serializes protocol processing, playing the role of BSD's
 	// splnet/priority-level machinery: application calls, input

@@ -58,11 +58,8 @@ func (st *Stack) udpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 		return
 	}
 	st.charge(t, false, costs.CompMbufQueue, len(payload))
-	var d *mbuf.Chain
-	if n := len(st.dgrams); n > 0 {
-		d = st.dgrams[n-1]
-		st.dgrams = st.dgrams[:n-1]
-	} else {
+	d := st.dgrams.Get()
+	if d == nil {
 		d = mbuf.New()
 	}
 	st.rx.keep(d, payload)
@@ -78,5 +75,5 @@ func (st *Stack) udpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 // emptied chain for the next udpInput.
 func (st *Stack) releaseDgram(d *mbuf.Chain) {
 	d.Release()
-	st.dgrams = append(st.dgrams, d)
+	st.dgrams.Put(d)
 }
