@@ -85,12 +85,10 @@ const (
 	// paper's Table 4 rows, so it is absent from RecvComponents.
 	CompDataplane
 	// The host CPU work outside the protocol layers, also absent from
-	// Table 4: a library's proxy RPC to the OS server (Profile.ProxyRPC),
-	// the per-packet IPC receive (Profile.IPCRecvPerPacket), and the
-	// offload engine's software fallback (OffloadCosts.SwChecksum).
+	// Table 4: a library's proxy RPC to the OS server (Profile.ProxyRPC)
+	// and the per-packet IPC receive (Profile.IPCRecvPerPacket).
 	CompProxyRPC
 	CompIPCRecv
-	CompOffloadSW
 
 	NumComponents
 )
@@ -99,7 +97,7 @@ var compNames = [NumComponents]string{
 	"entry/copyin", "tcp,udp_output", "ip_output", "ether_output",
 	"device intr/read", "netisr/packet filter", "kernel copyout",
 	"mbuf/queue", "ipintr", "tcp,udp_input", "wakeup user thread",
-	"copyout/exit", "dataplane", "proxy rpc", "ipc recv", "offload sw",
+	"copyout/exit", "dataplane", "proxy rpc", "ipc recv",
 }
 
 func (c Component) String() string {
@@ -115,7 +113,7 @@ var compSlugs = [NumComponents]string{
 	"entry_copyin", "tcp_udp_output", "ip_output", "ether_output",
 	"device_intr_read", "netisr_packet_filter", "kernel_copyout",
 	"mbuf_queue", "ipintr", "tcp_udp_input", "wakeup_user_thread",
-	"copyout_exit", "dataplane", "proxy_rpc", "ipc_recv", "offload_sw",
+	"copyout_exit", "dataplane", "proxy_rpc", "ipc_recv",
 }
 
 // Slug returns the component's name in the form metric names use:
@@ -214,21 +212,6 @@ type OffloadCosts struct {
 	// RxFlush is charged per coalesced super-segment delivered up to the
 	// host receive path.
 	RxFlush Lin
-
-	// TxFIFOFrames and RxFIFOFrames bound the engine's per-direction
-	// FIFO: the number of frames that may sit queued awaiting pipeline
-	// completion (plus, on receive, open LRO merges). When a FIFO is
-	// full, further frames are not dropped — they degrade gracefully to
-	// the software path: the host CPU does the checksum work (priced by
-	// SwChecksum) and TSO/LRO are skipped for that frame. Zero means
-	// unlimited, which preserves the behavior of older profiles.
-	TxFIFOFrames int
-	RxFIFOFrames int
-
-	// SwChecksum prices the software-fallback checksum pass (and, on
-	// transmit, the software GSO slicing that replaces TSO), charged on
-	// the host CPU when a full FIFO pushes a frame off the engine.
-	SwChecksum Lin
 }
 
 // Profile is the complete cost model for one system configuration.

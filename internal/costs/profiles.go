@@ -195,17 +195,6 @@ func DECLibrarySHMIPFOffload() Profile {
 		Checksum:  Lin{FixedNS: 1_500, PerByteNS: 10}, // ASIC checksum, ~80x wire rate
 		RxMerge:   Lin{FixedNS: 2_000},                // per frame through the LRO unit
 		RxFlush:   Lin{FixedNS: 4_000},                // per super-segment delivered
-
-		// Finite descriptor FIFOs; overflow degrades to the software
-		// path instead of dropping. 64 frames is a period-appropriate
-		// ring, deep enough that steady traffic at wire rate never
-		// overflows (the engine's slopes beat the 800 ns/B wire).
-		TxFIFOFrames: 64,
-		RxFIFOFrames: 64,
-		// The host fallback pays the in_cksum share the offload profile
-		// subtracted from the software path: 45% of the ~800 ns/B fused
-		// copy+checksum slope on the R3000.
-		SwChecksum: Lin{FixedNS: 2_000, PerByteNS: 360},
 	}
 	return p
 }

@@ -186,10 +186,6 @@ func NewHost(s *sim.Sim, seg *simnet.Segment, name string, mac wire.MAC, ip wire
 			NIC:   h.NIC,
 			Up:    h.rx,
 			Costs: prof.Offload,
-			// Software fallback for full-FIFO frames: the checksum (or
-			// GSO slicing) work lands on the host CPU at interrupt
-			// priority, like the rest of the receive path.
-			SW: func(d time.Duration, then func()) { h.chargeRx(costs.CompOffloadSW, d, then) },
 		})
 		h.NIC.Rx = h.Offload.Rx
 	}

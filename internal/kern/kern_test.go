@@ -182,15 +182,14 @@ func TestRxPipelineTiming(t *testing.T) {
 
 // TestLedgerTakesEveryCharge drives every kind of CPU charge a host
 // makes — a protocol layer at task and at interrupt priority, the
-// receive path's event charges, the per-packet IPC receive, a proxy RPC
-// and the offload engine's software fallback — and finds each in its own
-// component of the ledger, the ledger summing to the CPU's busy time in
-// the registry as on the host, and the tap seeing what the ledger holds.
-// A zero-length charge takes no turn at the CPU.
+// receive path's event charges, the per-packet IPC receive and a proxy
+// RPC — and finds each in its own component of the ledger, the ledger
+// summing to the CPU's busy time in the registry as on the host, and the
+// tap seeing what the ledger holds. A zero-length charge takes no turn
+// at the CPU.
 func TestLedgerTakesEveryCharge(t *testing.T) {
 	prof := costs.DECLibraryIPC()
 	prof.Offload = costs.DECLibrarySHMIPFOffload().Offload
-	prof.Offload.TxFIFOFrames = 1 // the second frame sent falls back to software
 	r := newRig(prof)
 	reg := metrics.NewRegistry()
 	r.a.SetMetrics(reg.Scope("host.alpha"))
@@ -216,9 +215,7 @@ func TestLedgerTakesEveryCharge(t *testing.T) {
 		netisr = p
 		charge(p, false, costs.CompTransportInput, 10)
 	})
-	for i := 0; i < 2; i++ {
-		r.a.Transmit(testFrame(r.b.NIC.MAC(), wire.ProtoUDP, r.a.IP, r.b.IP, 1, 2, 10))
-	}
+	r.a.Transmit(testFrame(r.b.NIC.MAC(), wire.ProtoUDP, r.a.IP, r.b.IP, 1, 2, 10))
 	r.b.NIC.Transmit(testFrame(r.a.NIC.MAC(), wire.ProtoUDP, r.b.IP, r.a.IP, 2, 1, 10))
 	if err := r.s.RunFor(50 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -227,7 +224,7 @@ func TestLedgerTakesEveryCharge(t *testing.T) {
 	charged := map[costs.Component]bool{
 		costs.CompTransportOutput: true, costs.CompTransportInput: true, costs.CompProxyRPC: true,
 		costs.CompDeviceIntrRead: true, costs.CompNetisrPF: true, costs.CompKernelCopyout: true,
-		costs.CompIPCRecv: true, costs.CompOffloadSW: true,
+		costs.CompIPCRecv: true,
 	}
 	var sum time.Duration
 	for c := range r.a.Ledger {

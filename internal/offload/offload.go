@@ -82,13 +82,6 @@ type Config struct {
 	// that was the NIC's Rx callback before the engine was attached).
 	Up func(f simnet.Frame)
 
-	// SW, when set, charges software-fallback work on the host CPU (at
-	// interrupt priority, like the rest of the receive path) and calls
-	// then when the charge completes. A full engine FIFO pushes frames
-	// onto this path instead of dropping them. Nil runs fallbacks
-	// uncharged (unit tests).
-	SW func(d time.Duration, then func())
-
 	Costs costs.OffloadCosts
 }
 
@@ -113,13 +106,10 @@ type Stats struct {
 	TxEngineNS metrics.Counter // virtual ns charged on the transmit pipeline
 	RxEngineNS metrics.Counter // virtual ns charged on the receive pipeline
 
-	// Finite-FIFO accounting: overflows never drop, they degrade to the
-	// software path, whose work is counted here.
-	TxOverflow   metrics.Counter // frames refused by a full transmit FIFO
-	RxOverflow   metrics.Counter // frames refused by a full receive FIFO
-	SwCsumFrames metrics.Counter // frames checksummed/verified on the host instead
-	SwCsumBytes  metrics.Counter // transport bytes the host checksummed in fallback
-	SwSlices     metrics.Counter // wire frames sliced by software GSO in fallback
+	// SwSlices is always 0: the engine slices every super-segment
+	// itself. It is not registered; it stays only because the
+	// repository's benchmark probe still adds it to TSOSlices.
+	SwSlices metrics.Counter
 }
 
 // Engine is one NIC's offload pipeline.
@@ -131,13 +121,6 @@ type Engine struct {
 	// per-frame charges vary.
 	txFree sim.Time
 	rxFree sim.Time
-
-	// FIFO occupancy: frames queued awaiting pipeline completion on
-	// each direction (receive also counts open LRO merges). Compared
-	// against Costs.TxFIFOFrames/RxFIFOFrames to decide when a frame
-	// falls back to the software path.
-	txQueued int
-	rxQueued int
 
 	// Adaptive moderation state.
 	ewmaGap time.Duration
@@ -197,31 +180,6 @@ func (e *Engine) BindMetrics(sc *metrics.Scope) {
 	sc.Counter("rx_immediate", &e.Stats.RxImmediate)
 	sc.Counter("tx_engine_ns", &e.Stats.TxEngineNS)
 	sc.Counter("rx_engine_ns", &e.Stats.RxEngineNS)
-	sc.Counter("tx_overflow", &e.Stats.TxOverflow)
-	sc.Counter("rx_overflow", &e.Stats.RxOverflow)
-	sc.Counter("sw_csum_frames", &e.Stats.SwCsumFrames)
-	sc.Counter("sw_csum_bytes", &e.Stats.SwCsumBytes)
-	sc.Counter("sw_slices", &e.Stats.SwSlices)
-}
-
-// txFull and rxFull report a full FIFO (0 = unlimited).
-func (e *Engine) txFull() bool {
-	max := e.cfg.Costs.TxFIFOFrames
-	return max > 0 && e.txQueued >= max
-}
-
-func (e *Engine) rxFull() bool {
-	max := e.cfg.Costs.RxFIFOFrames
-	return max > 0 && e.rxQueued+len(e.pending) >= max
-}
-
-// sw charges software-fallback work on the host CPU and continues.
-func (e *Engine) sw(d time.Duration, then func()) {
-	if e.cfg.SW == nil || d <= 0 {
-		then()
-		return
-	}
-	e.cfg.SW(d, then)
 }
 
 // chargeTx advances the transmit pipeline clock by d and returns the
@@ -281,18 +239,9 @@ func (e *Engine) Transmit(frame []byte) error {
 	segLen := v.End - v.TPAt
 
 	if len(frame) <= wire.EthHeaderLen+wire.EthMTU {
-		// Plain frame. The stack skipped its software checksum pass, so
-		// the checksum must be computed here either way; a full FIFO only
-		// moves the charge onto the host CPU.
+		// Plain frame: the stack skipped its software checksum pass.
 		v.SumTransport(frame)
 		e.Stats.TxPass.Inc()
-		if e.txFull() {
-			e.Stats.TxOverflow.Inc()
-			e.Stats.SwCsumFrames.Inc()
-			e.Stats.SwCsumBytes.Add(uint64(segLen))
-			e.sw(e.cfg.Costs.SwChecksum.At(segLen), func() { e.cfg.NIC.Transmit(frame) })
-			return nil
-		}
 		e.Stats.TxCsumFrames.Inc()
 		e.Stats.TxCsumBytes.Add(uint64(segLen))
 		done := e.chargeTx(e.cfg.Costs.Checksum.At(segLen))
@@ -315,30 +264,6 @@ func (e *Engine) Transmit(frame []byte) error {
 	defer clear(slices)
 	mbuf.Free(frame)
 	tcpHLen := v.PayAt - v.TPAt
-
-	if e.txFull() {
-		// FIFO full: software GSO. The host does the slicing and the
-		// per-slice checksums, then the frames go straight to the wire in
-		// order, skipping the engine pipeline. The closure outlives the
-		// call, so it sends its own copy of the slices.
-		e.Stats.TxOverflow.Inc()
-		slices := append([][]byte(nil), slices...)
-		var d time.Duration
-		for _, s := range slices {
-			segBytes := len(s) - v.TPAt
-			e.Stats.SwSlices.Inc()
-			e.Stats.SwCsumFrames.Inc()
-			e.Stats.SwCsumBytes.Add(uint64(segBytes))
-			d += e.cfg.Costs.SwChecksum.At(segBytes)
-		}
-		e.sw(d, func() {
-			for _, s := range slices {
-				e.cfg.NIC.Transmit(s)
-			}
-		})
-		return nil
-	}
-
 	d := e.cfg.Costs.TxSetup.At(v.End - v.PayAt)
 	for _, s := range slices {
 		take := len(s) - v.PayAt
@@ -353,10 +278,9 @@ func (e *Engine) Transmit(frame []byte) error {
 	return nil
 }
 
-// transmitAt occupies a transmit FIFO slot until the pipeline completes
-// at t, then sends the frame out.
+// transmitAt sends the frame out when the transmit pipeline completes
+// at t.
 func (e *Engine) transmitAt(t sim.Time, frame []byte) {
-	e.txQueued++
 	j := e.getJob()
 	j.f.Data = frame
 	e.at(t, j.txFn)
@@ -394,14 +318,12 @@ func (j *job) done() {
 func (j *job) tx() {
 	e, frame := j.e, j.f.Data
 	j.done()
-	e.txQueued--
 	e.cfg.NIC.Transmit(frame)
 }
 
 func (j *job) up() {
 	e, f := j.e, j.f
 	j.done()
-	e.rxQueued--
 	e.cfg.Up(f)
 }
 
@@ -422,10 +344,7 @@ func (j *job) hold() {
 // sliceSuper slices a TSO super-segment into MSS-sized wire frames with
 // patched IP/TCP headers and fresh checksums. The header template is the
 // frame's own Ethernet+IP+TCP headers, options included; FIN/PSH ride
-// only on the last slice. Shared by the engine TSO path and the software
-// GSO fallback — the bytes on the wire are identical either way, only who
-// is charged for producing them differs. The slices are appended to
-// slices.
+// only on the last slice. The slices are appended to slices.
 func sliceSuper(slices [][]byte, frame []byte, v wire.View) [][]byte {
 	payload := frame[v.PayAt:v.End]
 	for off, idx := 0, 0; off < len(payload); idx++ {
@@ -464,47 +383,20 @@ func (e *Engine) Rx(f simnet.Frame) {
 		return
 	}
 
-	segLen := v.End - v.TPAt
-	tcp := v.Flow.Proto == wire.ProtoTCP
-
-	// The same verification whoever pays for it: the engine, or the host
-	// when the engine's FIFO is full.
-	okSum := v.TransportSumOK(f.Data)
-
-	if e.rxFull() {
-		// FIFO full: degrade to the software path. The host verifies the
-		// checksum — bad frames still die, so end-to-end protection never
-		// lapses under load — and LRO is skipped for this frame; an open
-		// merge for the flow flushes first so the stream stays in order.
-		e.Stats.RxOverflow.Inc()
-		if pend := e.pending[v.Flow]; pend != nil {
-			e.flush(pend, 0)
-		}
-		e.Stats.SwCsumFrames.Inc()
-		e.Stats.SwCsumBytes.Add(uint64(segLen))
-		e.sw(e.cfg.Costs.SwChecksum.At(segLen), func() {
-			if !okSum {
-				e.Stats.RxCsumBad.Inc()
-				return
-			}
-			e.deliverAfter(0, f)
-		})
-		return
-	}
-
 	// Checksum verification on the NIC. Bad frames die here with a
 	// counter, exactly as a bad software checksum would have dropped
 	// them in the stack.
+	segLen := v.End - v.TPAt
 	e.Stats.RxCsumFrames.Inc()
 	e.Stats.RxCsumBytes.Add(uint64(segLen))
 	d := e.cfg.Costs.Checksum.At(segLen)
-	if !okSum {
+	if !v.TransportSumOK(f.Data) {
 		e.Stats.RxCsumBad.Inc()
 		e.chargeRx(d)
 		return
 	}
 
-	if !tcp {
+	if v.Flow.Proto != wire.ProtoTCP {
 		e.deliverAfter(d, f)
 		return
 	}
@@ -661,11 +553,9 @@ func (e *Engine) deliverNow(f simnet.Frame) {
 }
 
 // deliverAfter hands a frame up after charging d on the receive
-// pipeline (FIFO: a cheap frame never overtakes an expensive one). The
-// frame holds a receive FIFO slot until the delivery fires.
+// pipeline (FIFO: a cheap frame never overtakes an expensive one).
 func (e *Engine) deliverAfter(d time.Duration, f simnet.Frame) {
 	done := e.chargeRx(d)
-	e.rxQueued++
 	j := e.getJob()
 	j.f = f
 	e.at(done, j.upFn)

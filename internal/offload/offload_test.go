@@ -2,6 +2,7 @@ package offload
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -385,84 +386,108 @@ func TestRxDeterminism(t *testing.T) {
 	}
 }
 
-// TestTSOSlicing: an oversized transmit frame is sliced into MSS-sized
-// wire frames with advancing sequence numbers and IP IDs, FIN/PSH only
-// on the last slice, and a valid checksum on every slice.
+// TestTSOSlicing: a super-segment leaves the engine as MSS-sized wire
+// frames with consecutive sequence numbers and IP IDs, a valid checksum
+// each, FIN and PSH on its last slice only, and its payload intact. The
+// burst hands the engine nine 8-MSS super-segments at one instant, 72
+// slices at once: every one is sliced and sent by the engine, in
+// sequence order.
 func TestTSOSlicing(t *testing.T) {
-	s := sim.New(3)
-	seg := simnet.NewSegment(s)
-	nicA := seg.AttachNamed("A", wire.MAC{1})
-	nicB := seg.AttachNamed("B", wire.MAC{2})
-	var got []simnet.Frame
-	nicB.Rx = func(f simnet.Frame) { got = append(got, f) }
-	nicA.Rx = func(f simnet.Frame) {}
+	type super struct {
+		flags uint8
+		pay   int
+	}
+	for _, tc := range []struct {
+		name   string
+		supers []super
+	}{
+		{"one", []super{{wire.TCPAck | wire.TCPPsh | wire.TCPFin, 3*DefaultMSS + 500}}},
+		{"burst", slices.Repeat([]super{{wire.TCPAck, DefaultTSOMax}}, 9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(3)
+			seg := simnet.NewSegment(s)
+			nicA := seg.AttachNamed("A", wire.MAC{1})
+			nicB := seg.AttachNamed("B", wire.MAC{2})
+			var got []simnet.Frame
+			nicB.Rx = func(f simnet.Frame) { got = append(got, f) }
+			nicA.Rx = func(f simnet.Frame) {}
 
-	e := New(Config{
-		Sim:   s,
-		Name:  "tso-test",
-		NIC:   nicA,
-		Up:    func(f simnet.Frame) {},
-		Costs: costs.DECLibrarySHMIPFOffload().Offload,
-	})
+			e := New(Config{
+				Sim:   s,
+				Name:  "tso-test",
+				NIC:   nicA,
+				Up:    func(f simnet.Frame) {},
+				Costs: costs.DECLibrarySHMIPFOffload().Offload,
+			})
 
-	payload := pattern(0, 3*DefaultMSS+500)
-	super := tcpFrame(70000, 42, wire.TCPAck|wire.TCPPsh|wire.TCPFin, payload)
-	s.After(0, func() {
-		if err := e.Transmit(super); err != nil {
-			t.Errorf("transmit: %v", err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
+			// want holds each expected slice's payload, sequence number,
+			// IP ID and flags, in the order the wire must carry them.
+			type slice struct {
+				pay   []byte
+				seq   uint32
+				id    uint16
+				flags uint8
+			}
+			var want []slice
+			seq := uint32(70000)
+			for i, sup := range tc.supers {
+				payload := pattern(i, sup.pay)
+				super := tcpFrame(seq, 42, sup.flags, payload)
+				id := uint16(seq >> 4) // tcpFrame's IP ID
+				for off := 0; off < len(payload); off += DefaultMSS {
+					end := min(off+DefaultMSS, len(payload))
+					flags := sup.flags
+					if end < len(payload) {
+						flags &^= wire.TCPFin | wire.TCPPsh
+					}
+					want = append(want, slice{payload[off:end], seq + uint32(off), id, flags})
+					id++
+				}
+				seq += uint32(len(payload))
+				s.After(0, func() {
+					if err := e.Transmit(super); err != nil {
+						t.Errorf("transmit: %v", err)
+					}
+				})
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("sim: %v", err)
+			}
 
-	if len(got) != 4 {
-		t.Fatalf("wire frames = %d, want 4", len(got))
-	}
-	var rebuilt []byte
-	var firstID uint16
-	for i, f := range got {
-		p, ok := codecParse(f.Data)
-		if !ok {
-			t.Fatalf("slice %d does not parse", i)
-		}
-		seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
-		if !wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg) {
-			t.Fatalf("slice %d fails checksum verification", i)
-		}
-		if want := uint32(70000 + i*DefaultMSS); p.tcp.Seq != want {
-			t.Fatalf("slice %d seq = %d, want %d", i, p.tcp.Seq, want)
-		}
-		if i == 0 {
-			firstID = p.ip.ID
-		} else if p.ip.ID != firstID+uint16(i) {
-			t.Fatalf("slice %d IP ID = %d, want %d", i, p.ip.ID, firstID+uint16(i))
-		}
-		last := i == len(got)-1
-		if gotFin := p.tcp.Flags&wire.TCPFin != 0; gotFin != last {
-			t.Fatalf("slice %d FIN = %v, want %v (FIN rides the last slice only)", i, gotFin, last)
-		}
-		if gotPsh := p.tcp.Flags&wire.TCPPsh != 0; gotPsh != last {
-			t.Fatalf("slice %d PSH = %v, want %v", i, gotPsh, last)
-		}
-		wantLen := DefaultMSS
-		if last {
-			wantLen = 500
-		}
-		pay := f.Data[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
-		if len(pay) != wantLen {
-			t.Fatalf("slice %d payload = %d bytes, want %d", i, len(pay), wantLen)
-		}
-		rebuilt = append(rebuilt, pay...)
-	}
-	if !bytes.Equal(rebuilt, payload) {
-		t.Fatalf("concatenated slice payloads differ from the super-segment payload")
-	}
-	if v := e.Stats.TSOSuper.Value(); v != 1 {
-		t.Fatalf("tso_super = %d, want 1", v)
-	}
-	if v := e.Stats.TSOSlices.Value(); v != 4 {
-		t.Fatalf("tso_slices = %d, want 4", v)
+			if len(got) != len(want) {
+				t.Fatalf("wire frames = %d, want %d", len(got), len(want))
+			}
+			for i, f := range got {
+				p, ok := codecParse(f.Data)
+				if !ok {
+					t.Fatalf("slice %d does not parse", i)
+				}
+				seg := f.Data[p.tpAt : wire.EthHeaderLen+int(p.ip.TotalLen)]
+				if !wire.VerifyTCPChecksum(p.ip.Src, p.ip.Dst, seg) {
+					t.Fatalf("slice %d fails checksum verification", i)
+				}
+				w := want[i]
+				if p.tcp.Seq != w.seq {
+					t.Fatalf("slice %d seq = %d, want %d", i, p.tcp.Seq, w.seq)
+				}
+				if p.ip.ID != w.id {
+					t.Fatalf("slice %d IP ID = %d, want %d", i, p.ip.ID, w.id)
+				}
+				if p.tcp.Flags != w.flags {
+					t.Fatalf("slice %d flags = %#x, want %#x (FIN and PSH ride the last slice only)", i, p.tcp.Flags, w.flags)
+				}
+				if pay := f.Data[p.payAt : wire.EthHeaderLen+int(p.ip.TotalLen)]; !bytes.Equal(pay, w.pay) {
+					t.Fatalf("slice %d payload = %d bytes, differs from the super-segment's %d", i, len(pay), len(w.pay))
+				}
+			}
+			if v := e.Stats.TSOSuper.Value(); v != uint64(len(tc.supers)) {
+				t.Fatalf("tso_super = %d, want %d", v, len(tc.supers))
+			}
+			if v := e.Stats.TSOSlices.Value(); v != uint64(len(want)) {
+				t.Fatalf("tso_slices = %d, want %d", v, len(want))
+			}
+		})
 	}
 }
 
