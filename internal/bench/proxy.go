@@ -44,6 +44,7 @@ type ProxyResult struct {
 	AliasedBytes int64 // bytes moved by reference
 	SplicedBytes int64 // bytes moved by Splice
 	Segments     int   // frames the proxy host transmitted
+	Chunks       int   // chunks the proxy received and sent on (1 for splice)
 
 	Err error
 }
@@ -151,7 +152,7 @@ func runProxyOn(w *World, mode string, totalBytes int) ProxyResult {
 			res.Err = err
 			return
 		}
-		if err := forward(p, proxy, mode, dst, src, totalBytes); err != nil {
+		if res.Chunks, err = forward(p, proxy, mode, dst, src, totalBytes); err != nil {
 			res.Err = err
 		}
 		proxy.Close(p, dst)
@@ -209,35 +210,36 @@ func runProxyOn(w *World, mode string, totalBytes int) ProxyResult {
 }
 
 // forward pumps totalBytes from src to dst inside the proxy process
-// using the selected strategy.
-func forward(p *sim.Proc, api socketapi.API, mode string, dst, src, totalBytes int) error {
+// using the selected strategy, and counts the chunks it moved.
+func forward(p *sim.Proc, api socketapi.API, mode string, dst, src, totalBytes int) (chunks int, err error) {
 	switch mode {
 	case "bsd":
 		buf := make([]byte, proxyChunk)
 		for moved := 0; moved < totalBytes; {
 			n, err := api.Recv(p, src, buf, 0)
 			if err != nil {
-				return err
+				return chunks, err
 			}
 			if n == 0 {
 				break
 			}
 			if _, err := api.Send(p, dst, buf[:n], 0); err != nil {
-				return err
+				return chunks, err
 			}
 			moved += n
+			chunks++
 		}
-		return nil
+		return chunks, nil
 
 	case "chain":
 		ch, ok := api.(socketapi.ChainAPI)
 		if !ok {
-			return fmt.Errorf("proxy: %T lacks the chain interface", api)
+			return 0, fmt.Errorf("proxy: %T lacks the chain interface", api)
 		}
 		for moved := 0; moved < totalBytes; {
 			view, err := ch.RecvPeek(p, src, proxyChunk, nil)
 			if err != nil {
-				return err
+				return chunks, err
 			}
 			n := view.Chain.Len()
 			if n == 0 {
@@ -246,25 +248,26 @@ func forward(p *sim.Proc, api socketapi.API, mode string, dst, src, totalBytes i
 			}
 			if err := ch.RecvRelease(p, src, n); err != nil {
 				view.Chain.Release()
-				return err
+				return chunks, err
 			}
 			if _, err := ch.SendChain(p, dst, view.Chain, 0); err != nil {
-				return err
+				return chunks, err
 			}
 			moved += n
+			chunks++
 		}
-		return nil
+		return chunks, nil
 
 	case "splice":
 		ch, ok := api.(socketapi.ChainAPI)
 		if !ok {
-			return fmt.Errorf("proxy: %T lacks the chain interface", api)
+			return 0, fmt.Errorf("proxy: %T lacks the chain interface", api)
 		}
 		_, err := ch.Splice(p, dst, src, totalBytes)
-		return err
+		return 1, err
 
 	default:
-		return fmt.Errorf("proxy: unknown mode %q", mode)
+		return 0, fmt.Errorf("proxy: unknown mode %q", mode)
 	}
 }
 

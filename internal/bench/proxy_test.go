@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"runtime/debug"
+	"testing"
+)
 
 // proxyAllocsPerSegmentBudget bounds the splice forwarding path on the
 // headline configuration: the proxy moves every byte by reference, so
@@ -78,6 +81,57 @@ func TestProxyAllocBudget(t *testing.T) {
 		allocs, segs, perSeg, proxyAllocsPerSegmentBudget)
 	if perSeg > proxyAllocsPerSegmentBudget {
 		t.Fatalf("splice path allocates %.2f objects/segment; budget is %.0f", perSeg, proxyAllocsPerSegmentBudget)
+	}
+}
+
+// proxyChainAllocsPerChunkBudget bounds the chain pump on a column that
+// aliases (the headline library) and on one across a protection
+// boundary (in-kernel): the view header RecvPeek returns is the one
+// object a chunk may cost. The rest of the budget is what grows with a
+// longer run whatever the mode (free lists, histogram buckets): 0.04 on
+// the library column, 0.01 in-kernel.
+const proxyChainAllocsPerChunkBudget = 1.25
+
+// TestProxyChainAllocBudget gates the chain forwarding pump per chunk it
+// forwards: the growth in allocations from a 1 MB to a 3 MB transfer
+// over the growth in chunks, so that building the world cancels out.
+// The collector is off while it measures, so a pool the collector would
+// have emptied does not count. Before a boundary peek landed in pooled
+// storage and a boundary chain send lost its gather list, the in-kernel
+// column read 3.01 per chunk (the peek's heap buffer, its FromBytes
+// header and the gather list beside the view header); the library
+// column read 1.04, as now: its send buffer takes every view whole, so
+// no chunk there is split.
+func TestProxyChainAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting run skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, cfg := range []SysConfig{HeadlineConfig(), Columns()[0]} {
+		chunks := 0
+		run := func(total int) func() {
+			return func() {
+				r := RunProxy(nil, cfg, "chain", total)
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				chunks = r.Chunks
+			}
+		}
+		const small, large = 1 << 20, 3 << 20
+		run(large)() // warm the global buffer pools
+		a := testing.AllocsPerRun(2, run(small))
+		fewer := chunks
+		b := testing.AllocsPerRun(2, run(large))
+		perChunk := (b - a) / float64(chunks-fewer)
+		t.Logf("%s chain: %.0f → %.0f allocs over %d → %d chunks = %.3f allocs/chunk (budget %.2f)",
+			cfg.Name, a, b, fewer, chunks, perChunk, proxyChainAllocsPerChunkBudget)
+		if perChunk > proxyChainAllocsPerChunkBudget {
+			t.Errorf("%s: the chain pump allocates %.3f objects per chunk; budget is %.2f", cfg.Name, perChunk, proxyChainAllocsPerChunkBudget)
+		}
 	}
 }
 

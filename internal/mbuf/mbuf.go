@@ -9,7 +9,7 @@
 //
 // Storage discipline: backing arrays come from per-size-class free lists
 // (the analogue of BSD's mbuf and cluster pools) and carry a reference
-// count, exactly like cluster reference counts. CopyRegion and Split
+// count, exactly like cluster reference counts. CopyRegion and SplitTo
 // share backing storage between chains by taking a reference; a window is
 // writable only while its backing array has a single reference, so shared
 // bytes are never mutated in place (copy-on-write: Prepend and AppendBytes
@@ -152,7 +152,7 @@ func Free(f []byte) {
 
 // Adopt appends f, a frame the caller owns, as a segment holding its
 // storage's one reference: when that reference and every one shared
-// from it (CopyRegion, Split) have dropped, the array goes back to its
+// from it (CopyRegion, SplitTo) have dropped, the array goes back to its
 // pool. The caller gives f up.
 func (c *Chain) Adopt(f []byte) {
 	if len(f) > 0 {
@@ -424,62 +424,40 @@ func (c *Chain) TrimBack(n int) {
 	c.length = keep
 }
 
-// Split truncates c to its first n bytes and returns a new chain holding
-// the remainder. If n >= Len, the remainder is empty. A split inside a
-// segment shares its backing array between the halves (both become
-// read-only until one side is released).
-func (c *Chain) Split(n int) *Chain {
+// SplitTo moves the first n bytes of c — all of them if n >= Len — onto
+// the end of dst (m_split, with the front half landing in a chain the
+// caller holds, so nothing is allocated). A split inside a segment
+// shares its backing array between the halves (both become read-only
+// until one side is released).
+func (c *Chain) SplitTo(n int, dst *Chain) {
 	if n < 0 {
 		panic("mbuf: negative split")
 	}
 	if n >= c.length {
-		return New()
+		dst.AppendChain(c)
+		return
 	}
-	rest := New()
-	s := c.head
-	seen := 0
-	var prev *seg
-	for s != nil && seen+s.n <= n {
-		seen += s.n
-		prev = s
-		s = s.next
-	}
-	// s is the segment containing the split point (seen <= n < seen+s.n).
-	within := n - seen
-	if within == 0 {
-		// Clean segment boundary: move s..tail to rest.
-		rest.head, rest.tail = s, c.tail
-		rest.length = c.length - n
-		if prev == nil {
-			c.head, c.tail = nil, nil
-		} else {
-			prev.next = nil
-			c.tail = prev
+	for n > 0 {
+		s := c.head
+		if n < s.n {
+			var front *seg
+			if s.owner != nil {
+				s.owner.retain()
+				front = newSeg(s.owner, s.off, n)
+			} else {
+				front = newAliasSeg(s.b[s.off : s.off+n])
+			}
+			dst.appendSeg(front)
+			s.off += n
+			s.n -= n
+			c.length -= n
+			return
 		}
-		c.length = n
-		return rest
+		c.head, s.next = s.next, nil
+		c.length -= s.n
+		n -= s.n
+		dst.appendSeg(s)
 	}
-	// Split inside s: the two halves share the backing array.
-	var right *seg
-	if s.owner != nil {
-		s.owner.retain()
-		right = newSeg(s.owner, s.off+within, s.n-within)
-	} else {
-		right = newAliasSeg(s.b[s.off+within : s.off+s.n])
-	}
-	right.next = s.next
-	s.n = within
-	s.next = nil
-	rest.head = right
-	if right.next == nil {
-		rest.tail = right
-	} else {
-		rest.tail = c.tail
-	}
-	rest.length = c.length - n
-	c.tail = s
-	c.length = n
-	return rest
 }
 
 // CopyRegion returns a new chain viewing bytes [off, off+n) of c. The new

@@ -89,17 +89,24 @@ func TestSplitAtSegmentBoundary(t *testing.T) {
 	c := New()
 	c.AppendBytes([]byte("abc"))
 	c.AppendBytes([]byte("def"))
-	rest := c.Split(3)
-	if string(c.Bytes()) != "abc" || string(rest.Bytes()) != "def" {
-		t.Fatalf("split got %q / %q", c.Bytes(), rest.Bytes())
+	front := FromBytesCopy([]byte(">"))
+	c.SplitTo(3, front)
+	if string(front.Bytes()) != ">abc" || string(c.Bytes()) != "def" {
+		t.Fatalf("split got %q / %q", front.Bytes(), c.Bytes())
 	}
 }
 
 func TestSplitMidSegment(t *testing.T) {
 	c := FromBytesCopy([]byte("abcdef"))
-	rest := c.Split(2)
-	if string(c.Bytes()) != "ab" || string(rest.Bytes()) != "cdef" {
-		t.Fatalf("split got %q / %q", c.Bytes(), rest.Bytes())
+	var front Chain
+	c.SplitTo(2, &front)
+	if string(front.Bytes()) != "ab" || string(c.Bytes()) != "cdef" {
+		t.Fatalf("split got %q / %q", front.Bytes(), c.Bytes())
+	}
+	// The halves share the array, so neither is written in place.
+	front.WriteAt([]byte("X"), 1)
+	if string(front.Bytes()) != "aX" || string(c.Bytes()) != "cdef" {
+		t.Fatalf("write to the front half: %q / %q", front.Bytes(), c.Bytes())
 	}
 }
 
@@ -207,11 +214,13 @@ func TestQuickChainMatchesModel(t *testing.T) {
 			case 4: // split and re-append (round trip)
 				if c.Len() > 0 {
 					n := rng.Intn(c.Len() + 1)
-					rest := c.Split(n)
-					if c.Len() != n {
+					var front Chain
+					c.SplitTo(n, &front)
+					if front.Len() != n {
 						return false
 					}
-					c.AppendChain(rest)
+					front.AppendChain(c)
+					c.AppendChain(&front)
 				}
 			}
 			if c.Len() != len(m.b) {

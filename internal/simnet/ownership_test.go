@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/mbuf"
@@ -146,5 +147,15 @@ func TestLostAndDelayedFramesAllocateNothing(t *testing.T) {
 		if want := 102 * tc.rx; got != want {
 			t.Errorf("%s: %d deliveries, want %d", tc.name, got, want)
 		}
+	}
+}
+
+// TestTxJobSize: every frame sent, and every delayed delivery, takes a
+// job, and a job made inside a measured run costs its size class. At
+// 48 B it fills the 48-byte class; a pointer to a delayed delivery's
+// sender made it 56 B, which the allocator rounds up to 64.
+func TestTxJobSize(t *testing.T) {
+	if n := unsafe.Sizeof(txJob{}); unsafe.Sizeof(uintptr(0)) == 8 && n != 48 {
+		t.Fatalf("txJob is %d bytes, want 48", n)
 	}
 }

@@ -293,14 +293,19 @@ func (n *NIC) MAC() wire.MAC { return n.mac }
 func (n *NIC) Name() string { return n.name }
 
 // txJob carries one frame through medium acquisition, or a delayed
-// delivery to its station (from is then its sender). Jobs are pooled
-// on the station they run for and their continuation is bound once, so
-// the steady-state transmit and delivery paths allocate nothing beyond
-// the frame itself.
+// delivery to its station. Jobs are pooled on the station they run for
+// and their continuation is bound once, so the steady-state transmit
+// and delivery paths allocate nothing beyond the frame itself. The
+// frame is held as its two fields and a delivery's sender as its place
+// among the segment's stations, which keeps a job at 48 B, a size class
+// it fills exactly; a pointer to the sender would put it in the 64-byte
+// class.
 type txJob struct {
-	n, from *NIC
-	f       Frame
-	runFn   func()
+	n     *NIC
+	data  []byte
+	owned bool
+	from  int32 // a delayed delivery's sender, 1 + its index in n.seg.nics; 0 for a transmit
+	runFn func()
 }
 
 func (n *NIC) getTxJob() *txJob {
@@ -315,12 +320,12 @@ func (n *NIC) getTxJob() *txJob {
 // run is the job's continuation: done for a transmit, and for a delayed
 // delivery its arrival at the station.
 func (j *txJob) run() {
-	if j.from == nil {
+	if j.from == 0 {
 		j.done()
 		return
 	}
-	n, from, f := j.n, j.from, j.f
-	j.from, j.f = nil, Frame{}
+	n, from, f := j.n, j.n.seg.nics[j.from-1], Frame{Data: j.data, Owned: j.owned}
+	j.from, j.data = 0, nil
 	n.free.Put(j)
 	if tr := n.seg.tr; tr.On(trace.LayerNet) {
 		tr.Emit(trace.LayerNet, trace.EvFrameRx, n.name, from.name, "", int64(len(f.Data)), 0, 0)
@@ -330,9 +335,9 @@ func (j *txJob) run() {
 
 // done runs when the frame has finished serializing onto the medium.
 func (j *txJob) done() {
-	n, f := j.n, j.f
+	n, f := j.n, Frame{Data: j.data}
 	g := n.seg
-	j.f = Frame{}
+	j.data = nil
 	n.free.Put(j)
 	wireBytes := uint64(f.WireSize())
 	n.stats.FramesSent.Inc()
@@ -363,8 +368,8 @@ func (n *NIC) Transmit(data []byte) error {
 	g := n.seg
 	n.TxFrames.Inc()
 	j := n.getTxJob()
-	j.f = Frame{Data: data}
-	txTime := time.Duration(j.f.WireSize()) * g.byteTime
+	j.data = data
+	txTime := time.Duration(Frame{Data: data}.WireSize()) * g.byteTime
 	m := &g.medium
 	if n.medium != nil {
 		m = n.medium
@@ -453,8 +458,12 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 		return
 	}
 	takers := 0 // a promiscuous station, or a second one with the MAC, shares a unicast
-	for _, nic := range g.nics {
-		if nic != from && (nic.Promisc || nic.mac == hdr.Dst) {
+	var sender int32
+	for i, nic := range g.nics {
+		switch {
+		case nic == from:
+			sender = int32(i) + 1
+		case nic.Promisc || nic.mac == hdr.Dst:
 			takers++
 		}
 	}
@@ -488,7 +497,7 @@ func (g *Segment) deliver(from *NIC, f Frame, delay time.Duration, dup bool) {
 			nic.Rx(rf)
 		} else {
 			j := nic.getTxJob()
-			j.from, j.f = from, rf
+			j.from, j.data, j.owned = sender, rf.Data, rf.Owned
 			g.sim.After(delay, j.runFn)
 		}
 	}

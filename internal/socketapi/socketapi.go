@@ -165,18 +165,18 @@ type Range struct {
 	Len int // bytes to materialize
 }
 
-// RecvView is the result of a RecvPeek: an aliased, reference-counted
-// view of the socket's receive queue plus the selectively materialized
-// ranges the caller asked for.
+// RecvView is the result of a RecvPeek: a reference-counted view of
+// the socket's receive queue (aliased where the caller shares the
+// stack's address space, a copy in pooled mbuf storage across a
+// boundary) plus the selectively materialized ranges it asked for.
 //
-// Chain shares storage with the receive queue; the bytes it views are
-// not consumed until RecvRelease. The caller may mutate the view
-// through Chain.WriteAt — copy-on-write keeps the receive queue and any
-// in-flight segments intact — and may SendChain the view onward (a
-// zero-copy forward). The caller owns Chain and must Release it (or
-// surrender it to SendChain) when done.
+// The bytes Chain views are not consumed until RecvRelease. The caller
+// may mutate the view through Chain.WriteAt — copy-on-write keeps the
+// receive queue and in-flight segments intact — and may SendChain it
+// onward. The caller owns Chain and must Release it (or surrender it
+// to SendChain), which hands its storage back to the pools.
 type RecvView struct {
-	Chain  *mbuf.Chain // aliased view, up to max bytes; nil-length at EOF
+	Chain  *mbuf.Chain // the view, up to max bytes; empty at EOF
 	Copied [][]byte    // one private copy per requested Range, clamped to the view
 	From   SockAddr    // datagram source (UDP only)
 }

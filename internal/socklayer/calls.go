@@ -28,6 +28,7 @@ type dataCall struct {
 	e          *Entry
 	b          []byte
 	iov        [][]byte
+	ch         *mbuf.Chain
 	flags      int
 	to         *socketapi.SockAddr // &dst, or nil
 	dst        socketapi.SockAddr
@@ -39,7 +40,7 @@ type dataCall struct {
 }
 
 func (c *dataCall) runSend(on *sim.Proc) {
-	c.n, c.err = c.e.sosend(on, c.b, c.iov, c.flags, c.to, c.zc)
+	c.n, c.err = c.e.sosend(on, c.b, c.iov, c.ch, c.flags, c.to, c.zc)
 }
 
 func (c *dataCall) runRecv(on *sim.Proc) {
@@ -145,12 +146,13 @@ func (tb *Table) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
 }
 
 // send is the one implementation behind Send, SendTo, SendMsg, SendZC
-// and the boundary-copy SendChain. The data is the gather list iov, or
-// the single buffer b when iov is nil.
-func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
+// and the boundary-copy SendChain. The data is the chain ch, copied in
+// (it loses the bytes it queues), or the gather list iov, or the single
+// buffer b when both are nil.
+func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, ch *mbuf.Chain, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
 	if cross := e.At.Cross; cross != nil {
 		c := e.At.getCall(e)
-		c.b, c.iov, c.flags, c.zc = b, iov, flags, zc
+		c.b, c.iov, c.ch, c.flags, c.zc = b, iov, ch, flags, zc
 		if to != nil {
 			c.dst = *to
 			c.to = &c.dst
@@ -159,15 +161,20 @@ func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, flags int, to *socketa
 		for _, v := range iov {
 			n += len(v)
 		}
+		if ch != nil {
+			n += ch.Len()
+		}
 		cross(t, n, c.send)
 		n, err := c.n, c.err
 		e.At.putCall(c)
 		return n, err
 	}
-	n, err := e.sosend(t, b, iov, flags, to, zc)
+	n, err := e.sosend(t, b, iov, ch, flags, to, zc)
 	if err == stack.ErrMoved { // the session moved while the call waited: the rest goes where it went
-		b, iov = unsent(b, iov, n)
-		m, err := e.send(t, b, iov, flags, to, zc)
+		if ch == nil { // a chain holds only the rest already
+			b, iov = unsent(b, iov, n)
+		}
+		m, err := e.send(t, b, iov, ch, flags, to, zc)
 		return n + m, err
 	}
 	return n, err
@@ -187,10 +194,13 @@ func unsent(b []byte, iov [][]byte, n int) ([]byte, [][]byte) {
 
 // sosend decodes flags and destination and runs the stack's send on the
 // thread it is given.
-func (e *Entry) sosend(on *sim.Proc, b []byte, iov [][]byte, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
+func (e *Entry) sosend(on *sim.Proc, b []byte, iov [][]byte, ch *mbuf.Chain, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
 	opts := stack.SendOpts{OOB: flags&socketapi.MsgOOB != 0, ZeroCopy: zc}
 	if to != nil {
 		opts.To = &stack.Addr{IP: to.Addr, Port: to.Port}
+	}
+	if ch != nil {
+		return e.At.St.SendChainCopy(on, e.Sock, ch, opts)
 	}
 	if iov == nil {
 		iov = [][]byte{b}
@@ -204,7 +214,7 @@ func (tb *Table) Send(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.send(t, b, nil, flags, nil, false)
+	return e.send(t, b, nil, nil, flags, nil, false)
 }
 
 // SendTo implements socketapi.API.
@@ -213,7 +223,7 @@ func (tb *Table) SendTo(t *sim.Proc, fd int, b []byte, flags int, to socketapi.S
 	if err != nil {
 		return 0, err
 	}
-	return e.send(t, b, nil, flags, &to, false)
+	return e.send(t, b, nil, nil, flags, &to, false)
 }
 
 // SendMsg implements socketapi.API.
@@ -222,7 +232,7 @@ func (tb *Table) SendMsg(t *sim.Proc, fd int, iov [][]byte, flags int, to *socke
 	if err != nil {
 		return 0, err
 	}
-	return e.send(t, nil, iov, flags, to, false)
+	return e.send(t, nil, iov, nil, flags, to, false)
 }
 
 // recv is the one implementation behind Recv, RecvFrom, RecvMsg and the
@@ -379,7 +389,7 @@ func (tb *Table) SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.send(t, b, nil, flags, nil, e.At.Alias)
+	return e.send(t, b, nil, nil, flags, nil, e.At.Alias)
 }
 
 // RecvZC implements socketapi.ZeroCopyAPI: a protocol-owned view where
@@ -398,26 +408,33 @@ func (tb *Table) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socket
 	return e.recvFresh(t, max, flags)
 }
 
-// recvFresh is the boundary-copy receive behind RecvZC and RecvPeek: a
-// fresh buffer of max bytes — max <= 0 means everything that can be
-// queued, so SO_RCVBUF bytes — filled by recv.
+// recvFresh is RecvZC's boundary-copy receive: a fresh heap buffer of up
+// to max bytes filled by recv, which the application keeps as a bare
+// slice.
 func (e *Entry) recvFresh(t *sim.Proc, max int, flags int) ([]byte, socketapi.SockAddr, error) {
-	if max <= 0 {
-		var err error
-		if max, err = e.getOpt(t, socketapi.SoRcvBuf); err != nil {
-			return nil, socketapi.SockAddr{}, err
-		}
+	max, err := e.recvMax(t, max)
+	if err != nil {
+		return nil, socketapi.SockAddr{}, err
 	}
 	buf := make([]byte, max)
 	n, from, err := e.recv(t, buf, flags)
 	return buf[:n], from, err
 }
 
+// recvMax is the size of a boundary-copy receive: max, where max <= 0
+// means everything that can be queued, so SO_RCVBUF bytes.
+func (e *Entry) recvMax(t *sim.Proc, max int) (int, error) {
+	if max > 0 {
+		return max, nil
+	}
+	return e.getOpt(t, socketapi.SoRcvBuf)
+}
+
 // SendChain implements socketapi.ChainAPI. Sharing the stack's address
-// space, the chain is surrendered by reference. Across a boundary its
-// segments cross as a gather list and the socket layer copies them —
-// the usual copyin with scatter-gather framing. Either way the chain is
-// released, on every return.
+// space, the chain is surrendered by reference. Across a boundary the
+// chain crosses itself and the stack copies its segments in, one at a
+// time — the usual copyin with scatter-gather framing. Either way the
+// chain is released, on every return.
 func (tb *Table) SendChain(t *sim.Proc, fd int, c *mbuf.Chain, flags int) (int, error) {
 	if c == nil {
 		c = mbuf.New()
@@ -435,15 +452,7 @@ func (tb *Table) SendChain(t *sim.Proc, fd int, c *mbuf.Chain, flags int) (int, 
 		}
 		return n, err
 	}
-	iov := make([][]byte, 0, c.Segments())
-	for it := c.Iter(); ; {
-		b, ok := it.Next()
-		if !ok {
-			break
-		}
-		iov = append(iov, b)
-	}
-	n, err := e.send(t, nil, iov, flags, nil, false)
+	n, err := e.send(t, nil, nil, c, flags, nil, false)
 	c.Release()
 	return n, err
 }
@@ -451,9 +460,10 @@ func (tb *Table) SendChain(t *sim.Proc, fd int, c *mbuf.Chain, flags int) (int, 
 // RecvPeek implements socketapi.ChainAPI. Sharing the stack's address
 // space, the view aliases the receive queue and only the declared
 // ranges are copied. Across a boundary the peeked bytes are copied out
-// (the same copy the BSD path pays) into a private view that outlives
-// RecvRelease, and the ranges are sliced from it: Libra-style selective
-// copying emulated with identical semantics.
+// (the same copy the BSD path pays) into pooled mbuf storage that the
+// view alone holds, so it outlives RecvRelease and goes back to the
+// pools with the view, and the ranges are sliced from it: Libra-style
+// selective copying emulated with identical semantics.
 func (tb *Table) RecvPeek(t *sim.Proc, fd int, max int, ranges []socketapi.Range) (socketapi.RecvView, error) {
 	e, err := tb.live(t, fd)
 	if err != nil {
@@ -469,11 +479,22 @@ func (tb *Table) RecvPeek(t *sim.Proc, fd int, max int, ranges []socketapi.Range
 		}
 		return socketapi.RecvView{Chain: view, Copied: copied, From: FromStack(from)}, nil
 	}
-	buf, from, err := e.recvFresh(t, max, socketapi.MsgPeek)
+	max, err = e.recvMax(t, max)
 	if err != nil {
 		return socketapi.RecvView{}, err
 	}
-	view := mbuf.FromBytes(buf)
+	f := mbuf.Frame(max)
+	n, from, err := e.recv(t, f, socketapi.MsgPeek)
+	if err != nil {
+		mbuf.Free(f)
+		return socketapi.RecvView{}, err
+	}
+	view := mbuf.New()
+	if n > 0 {
+		view.Adopt(f[:n])
+	} else {
+		mbuf.Free(f) // end of stream
+	}
 	return socketapi.RecvView{Chain: view, Copied: socketapi.MaterializeRanges(view, ranges), From: from}, nil
 }
 

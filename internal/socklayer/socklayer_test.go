@@ -29,6 +29,7 @@ type node struct {
 	sel   sim.Cond
 	calls int      // crossings made
 	fins  []uint16 // source ports of the FIN segments sent, in wire order
+	onTx  func(frame []byte)
 }
 
 func (n *node) app(name string) *socklayer.Table {
@@ -54,6 +55,9 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, last byte, alias, cro
 				if th, _, err := wire.UnmarshalTCP(frame[wire.EthHeaderLen+hl:]); ip.Proto == wire.ProtoTCP && err == nil && th.Flags&0x01 != 0 {
 					n.fins = append(n.fins, th.SrcPort)
 				}
+			}
+			if n.onTx != nil {
+				n.onTx(frame)
 			}
 			return n.host.Transmit(frame)
 		},

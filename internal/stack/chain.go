@@ -31,11 +31,21 @@ func (st *Stack) SendChain(t *sim.Proc, s *Socket, c *mbuf.Chain, opts SendOpts)
 	}
 	// The chain is handed over by reference, so system entry pays only
 	// its fixed cost: no bytes are priced as copyin.
-	n, err := st.sosend(t, s, sendSrc{chain: c, left: c.Len(), moved: &st.Stats.SockAliasedBytes}, opts)
+	n, err := st.sosend(t, s, sendSrc{chain: c, alias: true, left: c.Len(), moved: &st.Stats.SockAliasedBytes}, opts)
 	if err != nil && err != ErrMoved {
 		c.Release() // whatever was not queued
 	}
 	return n, err
+}
+
+// SendChainCopy is Send with c's segments as its gather list, without
+// building one: how a caller across a protection boundary sends a
+// chain. Each segment is copied in, priced and counted as Send does, and
+// queued and offered to TCP on its own, as a gather list's element is.
+// c loses each byte as it is queued; what is left is the caller's.
+func (st *Stack) SendChainCopy(t *sim.Proc, s *Socket, c *mbuf.Chain, opts SendOpts) (int, error) {
+	n := c.Len()
+	return st.sosend(t, s, sendSrc{chain: c, left: n, copyin: n, moved: &st.Stats.SockCopiedBytes}, opts)
 }
 
 // RecvPeek blocks until data (or EOF/error) and returns a

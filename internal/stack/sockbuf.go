@@ -35,15 +35,10 @@ func (sb *streamBuf) regionInto(out *mbuf.Chain, off, n int) { sb.data.CopyRegio
 // takeFrom moves up to max bytes from the front of c into the buffer by
 // reference and returns the count: how a surrendered chain is queued, and
 // how Splice drains one socket's receive queue into another's send queue.
+// What did not fit stays on c.
 func (sb *streamBuf) takeFrom(c *mbuf.Chain, max int) int {
 	n := min(max, c.Len())
-	if n == c.Len() {
-		sb.data.AppendChain(c)
-	} else {
-		rest := c.Split(n)
-		sb.data.AppendChain(c) // c is emptied by the move
-		c.AppendChain(rest)    // what did not fit stays where it was
-	}
+	c.SplitTo(n, &sb.data)
 	return n
 }
 

@@ -324,28 +324,29 @@ type SendOpts struct {
 
 // sendSrc is the data of one send call and the way it reaches the socket
 // buffer: a gather list copied in (the BSD calls), a gather list
-// referenced in place (NEWAPI), or a chain moved by reference. The three
-// differ in the mover, in the bytes priced as copyin and in the counter
-// that records them; everything else about queueing is sosend's. It is a
+// referenced in place (NEWAPI), a chain copied in (a chain sent across a
+// protection boundary), or a chain moved by reference. They differ in
+// the mover, in the bytes priced as copyin and in the counter that
+// records them; everything else about queueing is sosend's. It is a
 // plain value, so a send allocates nothing for it.
 type sendSrc struct {
 	iov    [][]byte         // gather list; iov[0][off:] is the next byte
 	off    int              // consumed prefix of iov[0]
-	alias  bool             // reference the gather list's storage instead of copying it
-	chain  *mbuf.Chain      // nil for a gather list
+	alias  bool             // reference the source's storage instead of copying it
+	chain  *mbuf.Chain      // nil for a gather list; loses each byte it hands over
 	left   int              // bytes not yet handed over
 	copyin int              // bytes charged as CompEntryCopyin (the profile prices them)
 	moved  *metrics.Counter // SockCopiedBytes or SockAliasedBytes
 }
 
-// moveTo queues up to space bytes on sb. A gather list never moves past
-// the end of its current element — each element is queued, and offered to
-// TCP, on its own — while a chain moves as much as fits.
+// moveTo queues up to space bytes on sb. A gather list, and a chain
+// being copied, never move past the end of the current element or
+// segment — each is queued, and offered to TCP, on its own — while a
+// chain moved by reference moves as much as fits.
 func (src *sendSrc) moveTo(sb *streamBuf, space int) {
 	var n int
-	if src.chain != nil {
-		n = sb.takeFrom(src.chain, space)
-	} else {
+	switch {
+	case src.chain == nil:
 		for src.off == len(src.iov[0]) {
 			src.iov, src.off = src.iov[1:], 0
 		}
@@ -357,23 +358,44 @@ func (src *sendSrc) moveTo(sb *streamBuf, space int) {
 			sb.appendBytes(b[:n])
 		}
 		src.off += n
+	case src.alias:
+		n = sb.takeFrom(src.chain, space)
+	default:
+		it := src.chain.Iter()
+		b, _ := it.Next()
+		for len(b) == 0 {
+			b, _ = it.Next()
+		}
+		n = min(space, len(b))
+		sb.appendBytes(b[:n])
+		src.chain.TrimFront(n)
 	}
 	src.left -= n
 	src.moved.Add(uint64(n))
 }
 
 // datagram hands the whole payload over as one chain (UDP): the
-// surrendered chain, or the gather list collected into c (the caller's,
-// so that it can live on its stack).
+// surrendered chain, or the gather list or chain copied into c (the
+// caller's, so that it can live on its stack).
 func (src *sendSrc) datagram(c *mbuf.Chain) *mbuf.Chain {
 	src.moved.Add(uint64(src.left))
-	if src.chain != nil {
+	switch {
+	case src.chain == nil:
+		for _, b := range src.iov {
+			if src.alias {
+				c.AppendAlias(b)
+			} else {
+				c.AppendBytes(b)
+			}
+		}
+	case src.alias:
 		return src.chain
-	}
-	for _, b := range src.iov {
-		if src.alias {
-			c.AppendAlias(b)
-		} else {
+	default:
+		for it := src.chain.Iter(); ; {
+			b, ok := it.Next()
+			if !ok {
+				break
+			}
 			c.AppendBytes(b)
 		}
 	}
