@@ -85,11 +85,12 @@ func TestProxyAllocBudget(t *testing.T) {
 }
 
 // proxyChainAllocsPerChunkBudget bounds the chain pump on a column that
-// aliases (the headline library) and on one across a protection
-// boundary (in-kernel): the view header RecvPeek returns is the one
-// object a chunk may cost. The rest of the budget is what grows with a
-// longer run whatever the mode (free lists, histogram buckets): 0.04 on
-// the library column, 0.01 in-kernel.
+// aliases (the headline library), on one across a protection boundary
+// (in-kernel) and on one whose calls cross to a server (the UX server):
+// the view header RecvPeek returns is the one object a chunk may cost.
+// The rest of the budget is what grows with a longer run whatever the
+// mode (free lists, histogram buckets): 0.04 on the library column,
+// 0.01 in-kernel.
 const proxyChainAllocsPerChunkBudget = 1.25
 
 // TestProxyChainAllocBudget gates the chain forwarding pump per chunk it
@@ -101,7 +102,8 @@ const proxyChainAllocsPerChunkBudget = 1.25
 // column read 3.01 per chunk (the peek's heap buffer, its FromBytes
 // header and the gather list beside the view header); the library
 // column read 1.04, as now: its send buffer takes every view whole, so
-// no chunk there is split.
+// no chunk there is split. The UX server column read 3.03 while
+// RecvRelease crossed with a closure and a captured result.
 func TestProxyChainAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run skipped in -short")
@@ -110,7 +112,7 @@ func TestProxyChainAllocBudget(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, cfg := range []SysConfig{HeadlineConfig(), Columns()[0]} {
+	for _, cfg := range []SysConfig{HeadlineConfig(), Columns()[0], Columns()[1]} {
 		chunks := 0
 		run := func(total int) func() {
 			return func() {

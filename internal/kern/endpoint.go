@@ -30,9 +30,8 @@ type Packet struct {
 // endpoint).
 type Endpoint struct {
 	host    *Host
-	queue   []Packet // ring: live packets are queue[head:]
-	shallow [4]Packet
-	head    int
+	queue   sim.Ring[Packet]
+	shallow [4]Packet // queue's first array: four queued packets grow none
 	depth   int
 	avail   sim.Cond
 	filters []int
@@ -43,21 +42,7 @@ type Endpoint struct {
 }
 
 // pending returns the number of queued packets.
-func (e *Endpoint) pending() int { return len(e.queue) - e.head }
-
-// pop removes the head packet; the caller has checked pending() > 0. The
-// head index resets when the queue drains, so the steady state reuses the
-// same backing array instead of allocating per packet.
-func (e *Endpoint) pop() Packet {
-	pkt := e.queue[e.head]
-	e.queue[e.head] = Packet{}
-	e.head++
-	if e.head == len(e.queue) {
-		e.queue = e.queue[:0]
-		e.head = 0
-	}
-	return pkt
-}
+func (e *Endpoint) pending() int { return e.queue.Len() }
 
 // NewEndpoint creates an endpoint with the given queue depth (0 means
 // DefaultEndpointDepth).
@@ -67,7 +52,7 @@ func (h *Host) NewEndpoint(depth int) *Endpoint {
 	}
 	h.endpoints++
 	e := &Endpoint{host: h, depth: depth}
-	e.queue = e.shallow[:0] // a queue four deep grows no array
+	e.queue.Init(e.shallow[:])
 	return e
 }
 
@@ -138,7 +123,7 @@ func (e *Endpoint) deliver(h *Host, f simnet.Frame, payload int) {
 		}
 		return
 	}
-	e.queue = append(e.queue, Packet{Frame: f.Data, Owned: f.Owned, Arrived: h.Sim.Now(), Payload: payload})
+	e.queue.Push(Packet{Frame: f.Data, Owned: f.Owned, Arrived: h.Sim.Now(), Payload: payload})
 	e.Delivered.Inc()
 	h.DeliveryBytes.Add(uint64(payload))
 	switch h.Prof.Delivery {
@@ -171,7 +156,7 @@ func (e *Endpoint) Recv(p *sim.Proc) (Packet, bool) {
 		e.host.Wakeups.Inc()
 		e.host.mWakeBatch.Observe(int64(e.pending()))
 	}
-	pkt := e.pop()
+	pkt, _ := e.queue.Pop()
 	e.host.mRxWait.Observe(int64(e.host.Sim.Now().Sub(pkt.Arrived)))
 	if e.host.Prof.Delivery == costs.DeliverIPC {
 		e.host.Charge(p, sim.TaskPriority, costs.CompIPCRecv, e.host.Prof.IPCRecvPerPacket.At(pkt.Payload))

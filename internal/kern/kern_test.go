@@ -606,3 +606,27 @@ func TestShallowEndpointQueueAllocatesNothing(t *testing.T) {
 		t.Error("five packets into a new endpoint allocate nothing: the measurement sees no queue growth")
 	}
 }
+
+// TestEndpointQueueBoundedByDepth: an endpoint whose queue stays full
+// for thousands of packets, one taken and one delivered at a time and
+// never drained, holds no array longer than its depth. (A queue that
+// reused its array only once it drained grew past the depth at the
+// first delivery after a take.)
+func TestEndpointQueueBoundedByDepth(t *testing.T) {
+	r := newRig(costs.DECLibrarySHMIPF())
+	frame := simnet.Frame{Data: testFrame(wire.MAC{2}, wire.ProtoUDP, r.a.IP, r.b.IP, 1000, 53, 16)}
+	e := r.b.NewEndpoint(0)
+	for range DefaultEndpointDepth + 10 {
+		e.deliver(r.b, frame, 16)
+	}
+	for range 10000 {
+		e.queue.Pop()
+		e.deliver(r.b, frame, 16)
+		if e.pending() != DefaultEndpointDepth || e.queue.Cap() > DefaultEndpointDepth {
+			t.Fatalf("%d queued in an array of %d, depth %d", e.pending(), e.queue.Cap(), DefaultEndpointDepth)
+		}
+	}
+	if d := e.Drops.Value(); d != 10 {
+		t.Errorf("%d drops, want the 10 past the depth", d)
+	}
+}

@@ -12,8 +12,7 @@ type Resource struct {
 	Name string
 
 	busy     bool
-	intrQ    waiterQ // interrupt band (FIFO)
-	taskQ    waiterQ // task band (FIFO)
+	queue    [2]Ring[*resWaiter] // by Priority: the task band, the interrupt band
 	freeW    Free[resWaiter]
 	busyTime time.Duration
 	waiting  time.Duration // charges queued or granted but not yet in busyTime
@@ -28,30 +27,6 @@ type resWaiter struct {
 	d       time.Duration // charge duration for event-style waiters
 	r       *Resource
 	granted bool
-}
-
-// waiterQ is a FIFO of waiters that reuses its backing array: the head
-// index advances on pop and resets when the queue drains, so a resource
-// under steady load stops allocating queue nodes entirely.
-type waiterQ struct {
-	q    []*resWaiter
-	head int
-}
-
-func (q *waiterQ) push(w *resWaiter) { q.q = append(q.q, w) }
-
-func (q *waiterQ) pop() *resWaiter {
-	if q.head >= len(q.q) {
-		return nil
-	}
-	w := q.q[q.head]
-	q.q[q.head] = nil
-	q.head++
-	if q.head == len(q.q) {
-		q.q = q.q[:0]
-		q.head = 0
-	}
-	return w
 }
 
 // Priority selects the admission band for resource use.
@@ -85,7 +60,7 @@ func (r *Resource) Use(p *Proc, pri Priority, d time.Duration) {
 		w := r.getWaiter()
 		w.proc = p
 		r.waiting += d
-		r.enqueue(pri, w)
+		r.queue[pri].Push(w)
 		for !w.granted {
 			p.Park()
 		}
@@ -111,7 +86,7 @@ func (r *Resource) UseEvent(s *Sim, pri Priority, d time.Duration, done func()) 
 	w.done, w.d = done, d
 	if r.busy {
 		r.waiting += d
-		r.enqueue(pri, w)
+		r.queue[pri].Push(w)
 		return
 	}
 	r.busy = true
@@ -128,18 +103,10 @@ func (r *Resource) grant(s *Sim, w *resWaiter) {
 	ev.rw = w
 }
 
-func (r *Resource) enqueue(pri Priority, w *resWaiter) {
-	if pri == IntrPriority {
-		r.intrQ.push(w)
-	} else {
-		r.taskQ.push(w)
-	}
-}
-
 func (r *Resource) release(s *Sim) {
-	next := r.intrQ.pop()
+	next, _ := r.queue[IntrPriority].Pop()
 	if next == nil {
-		next = r.taskQ.pop()
+		next, _ = r.queue[TaskPriority].Pop()
 	}
 	if next == nil {
 		r.busy = false

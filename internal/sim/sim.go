@@ -27,6 +27,11 @@
 // scheduler alone: it schedules the next tick and the proc stays parked.
 // The event queue is a heap of instant runs (see queue), and At and
 // After return their Timer by value: scheduling allocates nothing.
+//
+// A record the engine reuses comes from a Free, a LIFO list of idle
+// single-writer records, and a queue it keeps (a Resource's waiters, a
+// Cond's, a Chan's items, a kernel endpoint's packets) is a Ring, a FIFO
+// sized by the deepest the queue has been.
 package sim
 
 import (

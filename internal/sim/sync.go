@@ -14,12 +14,11 @@ import "time"
 // The queue holds the waiting Procs themselves, and the "signalled" flag
 // lives on the Proc: a proc waits on at most one Cond at a time and a
 // Proc is never reused, so a wait needs no record of its own. The longest
-// waiter sits inline in first, later ones in a reused slice, so a Cond
-// that never has two waiters at once never allocates.
+// waiter sits inline in first, later ones in a Ring, so a Cond that never
+// has two waiters at once never allocates.
 type Cond struct {
-	first   *Proc   // longest waiter; nil only when the queue is empty
-	waiters []*Proc // the rest, in order from head; backing array is reused
-	head    int
+	first *Proc       // longest waiter; nil only when the queue is empty
+	rest  Ring[*Proc] // the others, in order
 }
 
 func (c *Cond) push(p *Proc) {
@@ -27,36 +26,16 @@ func (c *Cond) push(p *Proc) {
 	if c.first == nil {
 		c.first = p
 	} else {
-		c.waiters = append(c.waiters, p)
+		c.rest.Push(p)
 	}
 }
 
-// pop removes and returns the longest waiter, nil if none. The next one
-// moves into first; the head index walks forward and resets when the
-// slice drains, so steady-state wait/signal traffic reuses its array.
+// pop removes and returns the longest waiter, nil if none; the next one
+// moves into first.
 func (c *Cond) pop() *Proc {
 	p := c.first
-	c.first = nil
-	if c.head < len(c.waiters) {
-		c.first = c.waiters[c.head]
-		c.removeAt(c.head)
-	}
+	c.first, _ = c.rest.Pop()
 	return p
-}
-
-func (c *Cond) removeAt(i int) {
-	if i == c.head {
-		c.waiters[i] = nil
-		c.head++
-	} else {
-		copy(c.waiters[i:], c.waiters[i+1:])
-		c.waiters[len(c.waiters)-1] = nil
-		c.waiters = c.waiters[:len(c.waiters)-1]
-	}
-	if c.head == len(c.waiters) {
-		c.waiters = c.waiters[:0]
-		c.head = 0
-	}
 }
 
 // Wait parks the calling process until Signal or Broadcast. Stray wakeup
@@ -90,9 +69,9 @@ func (c *Cond) remove(p *Proc) {
 		c.pop()
 		return
 	}
-	for i := c.head; i < len(c.waiters); i++ {
-		if c.waiters[i] == p {
-			c.removeAt(i)
+	for i := range c.rest.Len() {
+		if c.rest.At(i) == p {
+			c.rest.Remove(i)
 			return
 		}
 	}
@@ -118,7 +97,7 @@ func (c *Cond) Waiters() int {
 	if c.first == nil {
 		return 0
 	}
-	return 1 + len(c.waiters) - c.head
+	return 1 + c.rest.Len()
 }
 
 // WaitGroup counts outstanding work in virtual time.
@@ -148,12 +127,9 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	}
 }
 
-// Chan is an unbounded FIFO message queue in virtual time. The backing
-// array is reused: the head index advances on receive and resets when
-// the queue drains.
+// Chan is an unbounded FIFO message queue in virtual time.
 type Chan[T any] struct {
-	items    []T
-	head     int
+	items    Ring[T]
 	closed   bool
 	notEmpty Cond
 }
@@ -173,7 +149,7 @@ func (q *Chan[T]) Send(v T) {
 	if q.closed {
 		panic("sim: send on closed Chan")
 	}
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.notEmpty.Signal()
 }
 
@@ -183,21 +159,10 @@ func (q *Chan[T]) Waiting() int { return q.notEmpty.Waiters() }
 // Recv dequeues an item, parking while the queue is empty. ok is false if
 // the queue is closed and drained.
 func (q *Chan[T]) Recv(p *Proc) (v T, ok bool) {
-	for q.head == len(q.items) && !q.closed {
+	for q.items.Len() == 0 && !q.closed {
 		q.notEmpty.Wait(p)
 	}
-	if q.head == len(q.items) {
-		return v, false
-	}
-	v = q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v, true
+	return q.items.Pop()
 }
 
 // Mutex is a virtual-time mutual-exclusion lock with FIFO handoff. The

@@ -148,11 +148,13 @@ type ZeroCopyAPI interface {
 	// SendZC transfers b without copying it into protocol buffers; the
 	// caller must not reuse b until the call returns.
 	SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error)
-	// RecvZC returns a view of received data owned by the protocol,
-	// valid until the next RecvZC on the same descriptor. max <= 0 means
-	// everything queued (at most SO_RCVBUF bytes), as for RecvPeek, and
-	// a positive max bounds the result everywhere, whether it is a view
-	// of shared buffers or a copy.
+	// RecvZC returns a view of received data in a buffer the descriptor
+	// owns and reuses, valid until the next RecvZC on the descriptor; a
+	// descriptor shared across fork shares it (calls in flight at once
+	// fill buffers of their own). max <= 0 means everything queued (at
+	// most SO_RCVBUF bytes), as for RecvPeek, and a positive max bounds
+	// the result everywhere, whether it is a view of shared buffers or a
+	// copy; the buffer grows no larger than the larger of these bounds.
 	RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, SockAddr, error)
 }
 

@@ -12,56 +12,67 @@ import (
 // entry's crossing. The direct arm must stay free of closures and of
 // variables a closure captures by reference (each would be a heap
 // allocation per socket call on the kernel and library columns). The
-// data calls, send and recv, cross with a dataCall record taken from
-// the place and handed back, so the crossed arm allocates nothing
+// calls a connection makes over and over — send, recv, RecvRelease,
+// Splice, Shutdown and GetSockOpt — cross with a dataCall record taken
+// from the place and handed back, so the crossed arm allocates nothing
 // either; the calls that name, open and close sessions run once per
 // connection and cross with a closure.
 
-// dataCall is one crossed send or recv: the arguments that go over and
-// the results that come back. Its two bodies are bound as method values
-// once, when the record is made, so a crossing builds no closure.
+// dataCall is one crossed data call: the stack call it makes, the
+// arguments that go over and the results that come back. The stack call
+// is a method expression, and run, the method value that makes it, is
+// bound once when the record is made, so a crossing builds no closure.
 // Records circulate through their Place's calls, a sim.Free: two threads
 // of a process, or a forked child sharing an entry, can be inside
 // crossings on one place at once, and each holds a record of its own.
 // A record put back twice panics under the race detector.
 type dataCall struct {
-	e          *Entry
-	b          []byte
-	iov        [][]byte
-	ch         *mbuf.Chain
-	flags      int
-	to         *socketapi.SockAddr // &dst, or nil
-	dst        socketapi.SockAddr
-	zc         bool
-	n          int
-	from       socketapi.SockAddr
-	err        error
-	send, recv func(on *sim.Proc)
+	do    func(c *dataCall, on *sim.Proc)
+	e     *Entry
+	src   *Entry // Splice's source
+	b     []byte
+	iov   [][]byte
+	ch    *mbuf.Chain
+	flags int                 // Shutdown's how, GetSockOpt's option
+	to    *socketapi.SockAddr // &dst, or nil
+	dst   socketapi.SockAddr
+	zc    bool
+	n     int // the result; on the way in, the bytes RecvRelease and Splice ask for
+	from  socketapi.SockAddr
+	err   error
+	run   func(on *sim.Proc)
 }
 
-func (c *dataCall) runSend(on *sim.Proc) {
+func (c *dataCall) exec(on *sim.Proc) { c.do(c, on) }
+
+func (c *dataCall) send(on *sim.Proc) {
 	c.n, c.err = c.e.sosend(on, c.b, c.iov, c.ch, c.flags, c.to, c.zc)
 }
+func (c *dataCall) recv(on *sim.Proc)     { c.n, c.from, c.err = c.e.soreceive(on, c.b, c.flags) }
+func (c *dataCall) release(on *sim.Proc)  { c.err = c.e.At.St.RecvRelease(on, c.e.Sock, c.n) }
+func (c *dataCall) splice(on *sim.Proc)   { c.n, c.err = c.e.At.St.Splice(on, c.e.Sock, c.src.Sock, c.n) }
+func (c *dataCall) shutdown(on *sim.Proc) { c.err = c.e.At.St.Shutdown(on, c.e.Sock, c.flags) }
+func (c *dataCall) getOpt(*sim.Proc)      { c.n, c.err = c.e.At.St.GetOption(c.e.Sock, c.flags) }
 
-func (c *dataCall) runRecv(on *sim.Proc) {
-	c.n, c.from, c.err = c.e.soreceive(on, c.b, c.flags)
-}
-
-// getCall takes a record for a crossed call on e.
-func (p *Place) getCall(e *Entry) *dataCall {
+// getCall takes a record for the crossed call do on e.
+func (p *Place) getCall(do func(*dataCall, *sim.Proc), e *Entry) *dataCall {
 	c := p.calls.Get()
 	if c == nil {
 		c = new(dataCall)
-		c.send, c.recv = c.runSend, c.runRecv
+		c.run = c.exec
 	}
-	c.e = e
+	c.do, c.e = do, e
 	return c
 }
 
-// putCall drops what the record refers to and hands it back.
-func (p *Place) putCall(c *dataCall) {
-	*c = dataCall{send: c.send, recv: c.recv}
+// crossCall makes c's call across the crossing, hands the record back
+// and returns its results.
+func (p *Place) crossCall(t *sim.Proc, marshalled int, c *dataCall) (int, socketapi.SockAddr, error) {
+	p.Cross(t, marshalled, c.run)
+	n, from, err := c.n, c.from, c.err
+	*c = dataCall{run: c.run}
 	p.calls.Put(c)
+	return n, from, err
 }
 
 // Socket implements socketapi.API.
@@ -150,8 +161,8 @@ func (tb *Table) Accept(t *sim.Proc, fd int) (int, socketapi.SockAddr, error) {
 // (it loses the bytes it queues), or the gather list iov, or the single
 // buffer b when both are nil.
 func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, ch *mbuf.Chain, flags int, to *socketapi.SockAddr, zc bool) (int, error) {
-	if cross := e.At.Cross; cross != nil {
-		c := e.At.getCall(e)
+	if e.At.Cross != nil {
+		c := e.At.getCall((*dataCall).send, e)
 		c.b, c.iov, c.ch, c.flags, c.zc = b, iov, ch, flags, zc
 		if to != nil {
 			c.dst = *to
@@ -164,9 +175,7 @@ func (e *Entry) send(t *sim.Proc, b []byte, iov [][]byte, ch *mbuf.Chain, flags 
 		if ch != nil {
 			n += ch.Len()
 		}
-		cross(t, n, c.send)
-		n, err := c.n, c.err
-		e.At.putCall(c)
+		n, _, err := e.At.crossCall(t, n, c)
 		return n, err
 	}
 	n, err := e.sosend(t, b, iov, ch, flags, to, zc)
@@ -240,13 +249,10 @@ func (tb *Table) SendMsg(t *sim.Proc, fd int, iov [][]byte, flags int, to *socke
 // fills the caller's buffer directly; the copies that stands for are
 // priced by the profile.
 func (e *Entry) recv(t *sim.Proc, b []byte, flags int) (int, socketapi.SockAddr, error) {
-	if cross := e.At.Cross; cross != nil {
-		c := e.At.getCall(e)
+	if e.At.Cross != nil {
+		c := e.At.getCall((*dataCall).recv, e)
 		c.b, c.flags = b, flags
-		cross(t, 32, c.recv)
-		n, from, err := c.n, c.from, c.err
-		e.At.putCall(c)
-		return n, from, err
+		return e.At.crossCall(t, 32, c)
 	}
 	n, from, err := e.soreceive(t, b, flags)
 	if err == stack.ErrMoved { // the session moved while the call waited
@@ -302,9 +308,10 @@ func (tb *Table) Shutdown(t *sim.Proc, fd int, how int) error {
 	if err != nil {
 		return err
 	}
-	if cross := e.At.Cross; cross != nil {
-		var err error
-		cross(t, 16, func(on *sim.Proc) { err = e.At.St.Shutdown(on, e.Sock, how) })
+	if e.At.Cross != nil {
+		c := e.At.getCall((*dataCall).shutdown, e)
+		c.flags = how
+		_, _, err := e.At.crossCall(t, 16, c)
 		return err
 	}
 	return e.At.St.Shutdown(t, e.Sock, how)
@@ -334,13 +341,11 @@ func (tb *Table) GetSockOpt(t *sim.Proc, fd int, opt int) (int, error) {
 }
 
 func (e *Entry) getOpt(t *sim.Proc, opt int) (int, error) {
-	if cross := e.At.Cross; cross != nil {
-		var r struct {
-			v   int
-			err error
-		}
-		cross(t, 16, func(*sim.Proc) { r.v, r.err = e.At.St.GetOption(e.Sock, opt) })
-		return r.v, r.err
+	if e.At.Cross != nil {
+		c := e.At.getCall((*dataCall).getOpt, e)
+		c.flags = opt
+		n, _, err := e.At.crossCall(t, 16, c)
+		return n, err
 	}
 	return e.At.St.GetOption(e.Sock, opt)
 }
@@ -392,32 +397,46 @@ func (tb *Table) SendZC(t *sim.Proc, fd int, b []byte, flags int) (int, error) {
 	return e.send(t, b, nil, nil, flags, nil, e.At.Alias)
 }
 
-// RecvZC implements socketapi.ZeroCopyAPI: a protocol-owned view where
-// buffers can be shared, otherwise a fresh buffer filled by RecvFrom.
+// RecvZC implements socketapi.ZeroCopyAPI: the stack fills the
+// entry's view buffer directly where buffers can be shared, recv fills
+// it across a boundary. The call takes the buffer out of the entry while
+// it runs, so another RecvZC in flight on the entry (a sibling thread, a
+// forked child) fills a buffer of its own, and puts it back for the
+// next; of two in flight, the one that returns last leaves its buffer.
 func (tb *Table) RecvZC(t *sim.Proc, fd int, max int, flags int) ([]byte, socketapi.SockAddr, error) {
 	e, err := tb.live(t, fd)
 	if err != nil {
 		return nil, socketapi.SockAddr{}, err
 	}
+	buf := e.zc
+	if buf == nil {
+		buf = new([]byte)
+	}
+	e.zc = nil
+	view, from, err := e.recvZC(t, *buf, max, flags)
+	if cap(view) > cap(*buf) { // grown
+		*buf = view
+	}
+	e.zc = buf
+	return view, from, err
+}
+
+// recvZC is one NEWAPI receive into buf, grown if it is too short.
+func (e *Entry) recvZC(t *sim.Proc, buf []byte, max int, flags int) ([]byte, socketapi.SockAddr, error) {
 	if e.At.Alias {
-		_, from, view, err := e.At.St.Recv(t, e.Sock, nil, stack.RecvOpts{ZeroCopy: true, Max: max, OOB: flags&socketapi.MsgOOB != 0})
+		_, from, view, err := e.At.St.Recv(t, e.Sock, buf[:0], stack.RecvOpts{ZeroCopy: true, Max: max, OOB: flags&socketapi.MsgOOB != 0})
 		if err != stack.ErrMoved { // else the session moved while the call waited
 			return view, FromStack(from), err
 		}
 	}
-	return e.recvFresh(t, max, flags)
-}
-
-// recvFresh is RecvZC's boundary-copy receive: a fresh heap buffer of up
-// to max bytes filled by recv, which the application keeps as a bare
-// slice.
-func (e *Entry) recvFresh(t *sim.Proc, max int, flags int) ([]byte, socketapi.SockAddr, error) {
 	max, err := e.recvMax(t, max)
 	if err != nil {
 		return nil, socketapi.SockAddr{}, err
 	}
-	buf := make([]byte, max)
-	n, from, err := e.recv(t, buf, flags)
+	if cap(buf) < max {
+		buf = make([]byte, max)
+	}
+	n, from, err := e.recv(t, buf[:max], flags)
 	return buf[:n], from, err
 }
 
@@ -505,9 +524,10 @@ func (tb *Table) RecvRelease(t *sim.Proc, fd int, n int) error {
 	if err != nil {
 		return err
 	}
-	if cross := e.At.Cross; cross != nil {
-		var err error
-		cross(t, 16, func(on *sim.Proc) { err = e.At.St.RecvRelease(on, e.Sock, n) })
+	if e.At.Cross != nil {
+		c := e.At.getCall((*dataCall).release, e)
+		c.n = n
+		_, _, err := e.At.crossCall(t, 16, c)
 		return err
 	}
 	return e.At.St.RecvRelease(t, e.Sock, n)
@@ -528,13 +548,11 @@ func (tb *Table) Splice(t *sim.Proc, dstFD, srcFD int, n int) (int, error) {
 	if de.At != se.At {
 		return 0, socketapi.ErrNotSupported
 	}
-	if cross := de.At.Cross; cross != nil {
-		var r struct {
-			n   int
-			err error
-		}
-		cross(t, 32, func(on *sim.Proc) { r.n, r.err = de.At.St.Splice(on, de.Sock, se.Sock, n) })
-		return r.n, r.err
+	if de.At.Cross != nil {
+		c := de.At.getCall((*dataCall).splice, de)
+		c.src, c.n = se, n
+		n, _, err := de.At.crossCall(t, 32, c)
+		return n, err
 	}
 	return de.At.St.Splice(t, de.Sock, se.Sock, n)
 }

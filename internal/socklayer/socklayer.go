@@ -75,6 +75,7 @@ type Entry struct {
 	Owner any
 
 	refs int
+	zc   *[]byte // RecvZC's view buffer; nil before the first and while a call has it
 }
 
 // Table is one process's descriptor table and its socket interface. It

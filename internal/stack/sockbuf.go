@@ -49,49 +49,33 @@ type datagram struct {
 }
 
 // dgramBuf is a datagram socket buffer: a queue of datagrams bounded by
-// total byte count, like a BSD sockbuf with record boundaries.
+// total byte count (the socket's SO_RCVBUF), like a BSD sockbuf with
+// record boundaries.
 type dgramBuf struct {
-	q     []datagram
+	q     sim.Ring[datagram]
 	bytes int
-	hiwat int
 	cond  sim.Cond
 }
 
-func newDgramBuf(hiwat int) *dgramBuf { return &dgramBuf{hiwat: hiwat} }
-
 func (db *dgramBuf) len() int { return db.bytes }
 
-// enqueue adds a datagram if it fits; it reports whether it was accepted
-// (BSD drops the datagram and counts a full-socket error otherwise).
-func (db *dgramBuf) enqueue(from Addr, data *mbuf.Chain) bool {
-	if db.bytes+data.Len() > db.hiwat {
+// enqueue adds a datagram if it fits in hiwat bytes; it reports whether
+// it was accepted (BSD drops the datagram and counts a full-socket error
+// otherwise).
+func (db *dgramBuf) enqueue(from Addr, data *mbuf.Chain, hiwat int) bool {
+	if db.bytes+data.Len() > hiwat {
 		return false
 	}
-	db.q = append(db.q, datagram{from: from, data: data})
+	db.q.Push(datagram{from: from, data: data})
 	db.bytes += data.Len()
 	return true
 }
 
-// dequeue removes the next datagram. Emptying the queue keeps its
-// array, so a queue that drains as it fills allocates nothing.
+// dequeue removes the next datagram.
 func (db *dgramBuf) dequeue() (datagram, bool) {
-	d, ok := db.peek()
+	d, ok := db.q.Pop()
 	if ok {
-		db.q[0] = datagram{}
-		if len(db.q) == 1 {
-			db.q = db.q[:0]
-		} else {
-			db.q = db.q[1:]
-		}
 		db.bytes -= d.data.Len()
 	}
 	return d, ok
-}
-
-// peek returns the next datagram without consuming it.
-func (db *dgramBuf) peek() (datagram, bool) {
-	if len(db.q) == 0 {
-		return datagram{}, false
-	}
-	return db.q[0], true
 }

@@ -89,7 +89,7 @@ func (st *Stack) newSocket(proto uint8) *Socket {
 	}
 	st.sockSeq++
 	s := &Socket{st: st, uid: st.sockSeq, Proto: proto, sndbufSize: DefaultSockBuf, rcvbufSize: DefaultSockBuf}
-	s.drcv = newDgramBuf(DefaultSockBuf)
+	s.drcv = new(dgramBuf)
 	return s
 }
 
@@ -504,16 +504,16 @@ type RecvOpts struct {
 	OOB bool
 	// Peek reads without consuming (MSG_PEEK).
 	Peek bool
-	// ZeroCopy returns a protocol-owned view instead of copying into the
-	// caller's buffer (NEWAPI).
+	// ZeroCopy returns the bytes as a view of p's storage, sized to
+	// what is returned and grown when p is too short (NEWAPI).
 	ZeroCopy bool
 	// Max bounds a ZeroCopy view; 0 or less means all that is queued.
 	Max int
 }
 
-// Recv reads data from the socket into p (or, for zero-copy receives,
-// returns an owned view). It returns the number of bytes, the source
-// address (UDP), and for TCP an n of 0 with nil error at end of stream.
+// Recv copies queued data into p, or for zero-copy receives into a view
+// of p grown if short, and returns the byte count, the source address
+// (UDP), and for TCP an n of 0 with nil error at end of stream.
 func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Addr, []byte, error) {
 	st.lock(t)
 	defer st.unlock()
@@ -545,13 +545,16 @@ func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Add
 	}
 	var view []byte
 	if opts.ZeroCopy {
-		// NEWAPI: the destination is a buffer the stack allocates at the
-		// size it is about to return. Filling it is still a copy.
+		// NEWAPI: p is the socket layer's view buffer for the descriptor,
+		// grown here when too short. Filling it is still a copy.
 		size := q.Len()
 		if opts.Max > 0 {
 			size = min(size, opts.Max)
 		}
-		p = make([]byte, size)
+		if cap(p) < size {
+			p = make([]byte, size)
+		}
+		p = p[:size]
 		view = p
 	}
 	n := q.ReadAt(p, 0)
@@ -577,15 +580,17 @@ func (st *Stack) Recv(t *sim.Proc, s *Socket, p []byte, opts RecvOpts) (int, Add
 func (st *Stack) soreceive(t *sim.Proc, s *Socket, peek bool) (*mbuf.Chain, Addr, error) {
 	switch s.Proto {
 	case wire.ProtoUDP:
-		for s.drcv.len() == 0 && len(s.drcv.q) == 0 && s.err == nil && !s.rdShut {
+		for s.drcv.len() == 0 && s.drcv.q.Len() == 0 && s.err == nil && !s.rdShut {
 			st.condWait(t, &s.drcv.cond)
 		}
 		if err := s.takeErr(); err != nil {
 			return nil, Addr{}, err
 		}
-		d, _ := s.drcv.peek()
+		var d datagram
 		if !peek {
-			s.drcv.dequeue()
+			d, _ = s.drcv.dequeue()
+		} else if s.drcv.q.Len() > 0 {
+			d = s.drcv.q.At(0)
 		}
 		return d.data, d.from, nil
 
@@ -714,7 +719,7 @@ func (s *Socket) Readable() bool {
 	if s.rcv != nil && s.rcv.len() > 0 {
 		return true
 	}
-	if s.drcv != nil && len(s.drcv.q) > 0 {
+	if s.drcv != nil && s.drcv.q.Len() > 0 {
 		return true
 	}
 	if s.tcb != nil && s.tcb.peerClosed() {
@@ -747,9 +752,6 @@ func (st *Stack) SetOption(s *Socket, opt, value int) error {
 		s.rcvbufSize = value
 		if s.rcv != nil {
 			s.rcv.hiwat = value
-		}
-		if s.drcv != nil {
-			s.drcv.hiwat = value
 		}
 	case socketapi.SoSndBuf:
 		if value <= 0 {

@@ -63,7 +63,7 @@ func (st *Stack) udpInput(t *sim.Proc, ih wire.IPv4Header, seg []byte) {
 		d = mbuf.New()
 	}
 	st.rx.keep(d, payload)
-	if !s.drcv.enqueue(remote, d) {
+	if !s.drcv.enqueue(remote, d, s.rcvbufSize) {
 		st.releaseDgram(d)
 		st.Stats.Drops.Inc() // receive buffer full: datagram lost
 		return
