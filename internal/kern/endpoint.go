@@ -150,6 +150,11 @@ func (e *Endpoint) Recv(p *sim.Proc) (Packet, bool) {
 	if e.pending() == 0 {
 		return Packet{}, false
 	}
+	return e.take(p, waited), true
+}
+
+// take dequeues the next packet for p, which waited for it or not.
+func (e *Endpoint) take(p *sim.Proc, waited bool) Packet {
 	if waited {
 		// How many packets accumulated while this receiver slept — the
 		// effective wakeup batch size.
@@ -161,20 +166,25 @@ func (e *Endpoint) Recv(p *sim.Proc) (Packet, bool) {
 	if e.host.Prof.Delivery == costs.DeliverIPC {
 		e.host.Charge(p, sim.TaskPriority, costs.CompIPCRecv, e.host.Prof.IPCRecvPerPacket.At(pkt.Payload))
 	}
-	return pkt, true
+	return pkt
 }
 
 // Drain spawns a daemon thread of p under the full name it is given
 // (callers build it once, not per endpoint), which hands input every
 // frame the endpoint delivers, with its ownership, until it closes: the
-// network input thread of every stack StackConfig builds.
+// network input thread of every stack StackConfig builds. It is a loop
+// thread: each wake-up runs Recv's loop over the queued packets and ends
+// in a wait on the endpoint.
 func (e *Endpoint) Drain(p *Process, name string, input func(t *sim.Proc, frame []byte, owned bool)) *sim.Proc {
-	return p.Host.Sim.SpawnDaemon(name, func(t *sim.Proc) {
-		for {
-			pkt, ok := e.Recv(t)
-			if !ok {
-				return
+	return p.Host.Sim.SpawnLoop(name, func(t *sim.Proc) sim.Wait {
+		for waited := t.Woke(); ; waited = false {
+			if e.pending() == 0 {
+				if e.closed {
+					return sim.Exit
+				}
+				return sim.WaitOn(&e.avail)
 			}
+			pkt := e.take(t, waited)
 			input(t, pkt.Frame, pkt.Owned)
 		}
 	})

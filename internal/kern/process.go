@@ -68,9 +68,10 @@ func (p *Process) Go(name string, body func(t *sim.Proc)) *sim.Proc {
 	})
 }
 
-// GoDaemon spawns a daemon (service) thread in this process.
-func (p *Process) GoDaemon(name string, body func(t *sim.Proc)) *sim.Proc {
-	return p.Host.Sim.SpawnDaemon(p.Name+"."+name, body)
+// GoDaemon spawns a daemon (service) thread in this process: a loop
+// thread (sim.SpawnLoop), which holds no stack while it waits.
+func (p *Process) GoDaemon(name string, body func(t *sim.Proc) sim.Wait) *sim.Proc {
+	return p.Host.Sim.SpawnLoop(p.Name+"."+name, body)
 }
 
 // Processes returns the number of live processes on the host.

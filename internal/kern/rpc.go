@@ -39,12 +39,13 @@ func NewService(owner *Process, name string, workers int) *Service {
 	return s
 }
 
-// loop is a worker's life: run calls until the owner exits.
-func (s *Service) loop(t *sim.Proc) {
+// serve is a worker's run: the calls queued, then a wait for the next,
+// until the owner exits.
+func (s *Service) serve(t *sim.Proc) sim.Wait {
 	for {
-		c, ok := s.queue.Recv(t)
+		c, ok, w := s.queue.Poll()
 		if !ok {
-			return
+			return w
 		}
 		c.run(t)
 		c.done = true
@@ -65,7 +66,7 @@ func (s *Service) Call(t *sim.Proc, run func(worker *sim.Proc)) {
 	}
 	c.run = run
 	if s.queue.Waiting() == 0 && s.workers < s.max {
-		s.owner.GoDaemon(fmt.Sprintf("%s-worker%d", s.name, s.workers), s.loop)
+		s.owner.GoDaemon(fmt.Sprintf("%s-worker%d", s.name, s.workers), s.serve)
 		s.workers++
 	}
 	s.queue.Send(c)

@@ -39,11 +39,7 @@ func TestCloseReapsEverything(t *testing.T) {
 		m.Lock(p)
 	})
 	s.SpawnDaemon("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
-	s.SpawnDaemon("ticker", func(p *Proc) {
-		for {
-			p.SleepIdle(time.Millisecond, func() bool { return true })
-		}
-	})
+	s.SpawnLoop("ticker", func(p *Proc) Wait { return Tick(time.Millisecond, func() bool { return true }) })
 	s.SpawnDaemon("holder", func(p *Proc) {
 		m.Lock(p)
 		defer m.Unlock()

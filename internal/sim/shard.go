@@ -341,7 +341,12 @@ func (g *Group) drive(bound Time, run bool) error {
 		}
 	}
 	g.running = true
-	defer func() { g.running = false }()
+	defer func() {
+		g.running = false
+		for _, s := range g.shards {
+			s.handBack()
+		}
+	}()
 	g.clearStopped()
 	g.stopReq.Store(false)
 	if !g.SingleThreaded {

@@ -165,6 +165,17 @@ func (q *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	return q.items.Pop()
 }
 
+// Poll is Recv for a loop proc's body: the next item, or ok false and
+// the wait to end the run in, WaitOn the queue while it is empty and
+// Exit once it is closed and drained.
+func (q *Chan[T]) Poll() (v T, ok bool, w Wait) {
+	if q.items.Len() == 0 && !q.closed {
+		return v, false, WaitOn(&q.notEmpty)
+	}
+	v, ok = q.items.Pop()
+	return v, ok, Exit
+}
+
 // Mutex is a virtual-time mutual-exclusion lock with FIFO handoff. The
 // protocol stack uses one as its splnet equivalent: cooperative
 // scheduling means threads only interleave at yields (CPU charges,

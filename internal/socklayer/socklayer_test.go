@@ -62,15 +62,7 @@ func newNode(s *sim.Sim, seg *simnet.Segment, name string, last byte, alias, cro
 			return n.host.Transmit(frame)
 		},
 	}, stack.NewLocalPorts())
-	owner.GoDaemon("rx", func(t *sim.Proc) {
-		for {
-			pkt, ok := ep.Recv(t)
-			if !ok {
-				return
-			}
-			n.st.Input(t, pkt.Frame, pkt.Owned)
-		}
-	})
+	ep.Drain(owner, owner.Name+".rx", n.st.Input)
 	n.st.StartTimers(owner.GoDaemon)
 	n.place = socklayer.Place{St: n.st.Stack, Ctl: n.st, Alias: alias, Sel: &n.sel}
 	if crossed {

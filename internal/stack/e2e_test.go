@@ -56,15 +56,7 @@ func newNodeProf(s *sim.Sim, seg *simnet.Segment, name string, macLast byte, ip 
 			return n.host.NIC.Transmit(frame)
 		},
 	}, stack.NewLocalPorts())
-	n.pr.GoDaemon("rx", func(t *sim.Proc) {
-		for {
-			pkt, ok := ep.Recv(t)
-			if !ok {
-				return
-			}
-			n.st.Input(t, pkt.Frame, pkt.Owned)
-		}
-	})
+	ep.Drain(n.pr, n.pr.Name+".rx", n.st.Input)
 	n.st.StartTimers(n.pr.GoDaemon)
 	return n
 }

@@ -337,39 +337,39 @@ func (st *Stack) condWaitTimeout(t *sim.Proc, c *sim.Cond, d time.Duration) bool
 
 // StartTimers launches the TCP fast (200 ms) and slow (500 ms) timers on
 // the given spawner. The deployment passes a function that creates a
-// daemon thread in the right process.
-func (st *Stack) StartTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc) {
+// daemon loop thread in the right process.
+func (st *Stack) StartTimers(spawn func(name string, body func(t *sim.Proc) sim.Wait) *sim.Proc) {
 	st.startTimers(spawn, nil)
 }
 
 // StartTimers also ages the ARP table on the slow tick.
-func (st *Control) StartTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc) {
+func (st *Control) StartTimers(spawn func(name string, body func(t *sim.Proc) sim.Wait) *sim.Proc) {
 	st.startTimers(spawn, st.arp)
 }
 
 // startTimers runs arp's timo (if any) last on every slow tick, under the
-// same hold of the protocol lock as TCP's. A tick its idle predicate
-// calls a no-op never resumes the thread (sim.Proc.SleepIdle).
-func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc)) *sim.Proc, arp *arpEngine) {
+// same hold of the protocol lock as TCP's. Each timer thread is a loop
+// thread whose run is one tick of
+//
+//	for !st.timersStopped { sleep; if st.timersStopped { return }; tick }
+//
+// and a tick its idle predicate calls a no-op never runs (sim.Tick).
+func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc) sim.Wait) *sim.Proc, arp *arpEngine) {
 	fastIdle := st.fastTickIdle
 	slowIdle := func() bool { return st.slowTickIdle(arp) }
-	spawn(st.cfg.Name+".tcp-fast", func(t *sim.Proc) {
-		for !st.timersStopped {
-			t.SleepIdle(tcpFastInterval, fastIdle)
-			if st.timersStopped {
-				return
-			}
+	spawn(st.cfg.Name+".tcp-fast", func(t *sim.Proc) sim.Wait {
+		if t.Woke() && !st.timersStopped {
 			st.lock(t)
 			st.tcpFastTimo(t)
 			st.unlock()
 		}
+		if st.timersStopped {
+			return sim.Exit
+		}
+		return sim.Tick(tcpFastInterval, fastIdle)
 	})
-	spawn(st.cfg.Name+".tcp-slow", func(t *sim.Proc) {
-		for !st.timersStopped {
-			t.SleepIdle(tcpSlowInterval, slowIdle)
-			if st.timersStopped {
-				return
-			}
+	spawn(st.cfg.Name+".tcp-slow", func(t *sim.Proc) sim.Wait {
+		if t.Woke() && !st.timersStopped {
 			st.lock(t)
 			st.tcpSlowTimo(t)
 			for _, r := range st.reasms { // expire stale reassembly state
@@ -380,6 +380,10 @@ func (st *Stack) startTimers(spawn func(name string, body func(t *sim.Proc)) *si
 			}
 			st.unlock()
 		}
+		if st.timersStopped {
+			return sim.Exit
+		}
+		return sim.Tick(tcpSlowInterval, slowIdle)
 	})
 }
 
