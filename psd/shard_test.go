@@ -271,11 +271,87 @@ func TestRunCityReleasesWorld(t *testing.T) {
 	}
 }
 
+// TestDroppedNetworkIsCollected: a Network on every architecture that
+// ran a TCP transfer and drained holds no coroutine, and dropped without
+// a Close it is collected; five build-run-drop reps leave the goroutine
+// count flat. Its daemons (timer threads, input threads, the OS
+// server's proxy workers) are loop procs parked between runs.
+func TestDroppedNetworkIsCollected(t *testing.T) {
+	for _, flavor := range ArchFlavors() {
+		arch := flavor.New()
+		var goroutines []int
+		for rep := range 5 {
+			n := New(int64(rep + 1))
+			a, b := n.Host("a", "10.0.0.1", arch), n.Host("b", "10.0.0.2", arch)
+			// A sentinel only the network's event queue holds.
+			freed, sentinel := make(chan struct{}), &struct{ p *int }{}
+			runtime.SetFinalizer(sentinel, func(any) { close(freed) })
+			n.Sim().At(sim.Time(100*time.Hour), func() { runtime.KeepAlive(sentinel) })
+			srv, cli := b.NewApp("sink"), a.NewApp("source")
+			errs := make([]error, 2)
+			n.Spawn("sink", func(t *Thread) {
+				ls, err := listenOn(srv, t, 80)
+				if err == nil {
+					var fd int
+					if fd, _, err = srv.Accept(t, ls); err == nil {
+						err = recvFull(srv, t, fd, make([]byte, 64<<10))
+						srv.Close(t, fd)
+					}
+				}
+				errs[0] = err
+			})
+			n.Spawn("source", func(t *Thread) {
+				t.Sleep(time.Millisecond)
+				fd, err := cli.Socket(t, SockStream)
+				if err == nil {
+					if err = cli.Connect(t, fd, b.Addr(80)); err == nil {
+						err = sendFull(cli, t, fd, make([]byte, 64<<10))
+					}
+					cli.Close(t, fd)
+				}
+				errs[1] = err
+			})
+			if err := n.Run(); err != nil || errs[0] != nil || errs[1] != nil {
+				t.Fatalf("%s: run %v, sink %v, source %v", flavor.Name, err, errs[0], errs[1])
+			}
+			if err := n.RunFor(time.Minute); err != nil { // past TIME_WAIT
+				t.Fatal(err)
+			}
+			if held := n.Sim().Coroutines(); held != 0 {
+				t.Errorf("%s: a drained network holds %d coroutines, want 0", flavor.Name, held)
+			}
+			n, a, b = nil, nil, nil
+			released := false
+			for try := 0; try < 20 && !released; try++ {
+				runtime.GC()
+				select {
+				case <-freed:
+					released = true
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			if !released {
+				t.Fatalf("%s, rep %d: the network outlived its run", flavor.Name, rep)
+			}
+			goroutines = append(goroutines, runtime.NumGoroutine())
+		}
+		// The first rep may grow the pool by what the architecture needs at once.
+		for _, g := range goroutines[2:] {
+			if g > goroutines[1] {
+				t.Errorf("%s: goroutines after each build-run-drop rep %v, want flat after the first", flavor.Name, goroutines)
+				break
+			}
+		}
+	}
+}
+
 // TestCityThreadBudget: a drained city holds on each host only the
 // threads its work needed. Every OS server keeps its netin thread and
 // the proxy workers its busiest moment called for; no host of the
 // default city ever has two proxy calls in flight at once, so that is
-// one worker, where a pool spawned up front would leave 16.
+// one worker, where a pool spawned up front would leave 16. Those
+// threads, like every stack's two timer threads, are loop procs parked
+// between runs: the drained city holds no coroutine at all.
 func TestCityThreadBudget(t *testing.T) {
 	cfg := DefaultCity(42, 0)
 	c, err := buildCity(cfg)
@@ -285,6 +361,9 @@ func TestCityThreadBudget(t *testing.T) {
 	defer c.net.Close()
 	if _, err := driveCity(c, cfg); err != nil {
 		t.Fatal(err)
+	}
+	if held := c.net.Sim().Coroutines(); held != 0 {
+		t.Errorf("the drained city holds %d coroutines, want 0", held)
 	}
 	// A thread is named "<host>/<process>.<...>.<thread>"; its kind is
 	// the process and the thread, less any trailing index.
